@@ -3,10 +3,15 @@
 Computes every constant of the linear-rate bound for the group-action solver
 and checks the bound against seeded Monte Carlo runs:
 
-* ``L``: largest eigenvalue of the operator Gram (sets the step size).
-* ``mu_C``: smallest restricted Gram eigenvalue of the operator alone.
+* ``L``: largest eigenvalue of the operator Gram ``G = A^T A`` (sets the
+  step size), read from its eigendecomposition.
+* ``mu_C``: smallest restricted eigenvalue of ``G``, from the same Gram.
 * ``mu_Gstar``: smallest restricted Gram eigenvalue of the RMS-normalized
   stack over the symmetric subset; this drives the contraction factor.
+  Because every action ``T_g`` is an orthogonal permutation ``P_g``,
+  ``(A T_g)^T (A T_g) = P_g^T G P_g``, so the stacked Gram is the mean of
+  ``G`` permuted through the subset and costs no operator applications
+  beyond the one dense ``G``.
 * ``alpha_Gstar = kappa_c * sqrt(1 - mu_Gstar / L)``: per-iteration
   contraction of the expected distance to the ground truth.
 * ``eps_Gstar``: symmetry-mismatch term, zero when every subset action fixes
@@ -25,7 +30,9 @@ the empirical mean over replicates, with a Monte Carlo slack of
 
 Cone-dependent quantities are exact for whole-space and subspace cones and
 flagged as estimates for sampled cones; :func:`verify_bound` refuses sampled
-cones outright.
+cones outright.  Every cone goes through the dense Gram, so the certificate
+is refused (:class:`~grouppgd.linop.SizeCapError`) above
+``linop.DENSE_CAP`` columns.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bench import ProblemInstance
-from .constraint import DescentCone, descent_cone_of, project_cone, restricted_min_eig
-from .linop import LinearMap, compose_with_action, spectral_norm, stack_mean
+from .constraint import DescentCone, descent_cone_of, gram_min_eig, project_cone
+from .linop import LinearMap, compose_with_action, gram_average, gram_dense
 from .solver import SolverConfig, run_ensemble
 from .symmetry import SymmetricSubset
 
@@ -111,11 +118,6 @@ def compute_alpha(mu: float, L: float, kappa_c: int) -> float:
     return kappa_c * float(np.sqrt(1.0 - mu / L))
 
 
-def _rotated_adjoint(A: LinearMap, action, y: np.ndarray) -> np.ndarray:
-    # adjoint of A composed with the action: T^{-1} A^T y
-    return action.apply_inverse(A.adjoint(y))
-
-
 def compute_eps_gstar(A: LinearMap, subset: SymmetricSubset,
                       x_dagger: np.ndarray, C: DescentCone) -> float:
     """Symmetry-mismatch term of the bound.
@@ -128,7 +130,7 @@ def compute_eps_gstar(A: LinearMap, subset: SymmetricSubset,
     worst = 0.0
     for action in subset:
         mismatch = x_dagger - action.apply(x_dagger)
-        z = _rotated_adjoint(A, action, A.forward(mismatch))
+        z = compose_with_action(A, action).adjoint(A.forward(mismatch))
         worst = max(worst, float(np.linalg.norm(project_cone(C, z))))
     return worst
 
@@ -141,7 +143,7 @@ def compute_eps_w(A: LinearMap, subset: SymmetricSubset, w: np.ndarray,
         return 0.0
     worst = 0.0
     for action in subset:
-        z = _rotated_adjoint(A, action, w)
+        z = compose_with_action(A, action).adjoint(w)
         worst = max(worst, float(np.linalg.norm(project_cone(C, z))))
     return worst / w_norm
 
@@ -151,17 +153,23 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     """Compute the full certificate for a problem and symmetric subset.
 
     The descent cone defaults to the cone of the feasible set at the ground
-    truth.  ``mu_Gstar`` comes from the RMS stack of the operator composed
-    with every subset action, probed densely and eigendecomposed, restricted
-    to the cone.
+    truth.  One dense Gram ``G = A^T A`` feeds every spectral constant: ``L``
+    is its largest eigenvalue, ``mu_C`` its smallest restricted to the cone,
+    and ``mu_Gstar`` the smallest cone-restricted eigenvalue of the RMS
+    stack Gram, built by averaging ``G`` through the subset's permutations.
+    The dense Gram is assembled for every cone kind, sampled cones included,
+    so operators wider than ``linop.DENSE_CAP`` columns raise
+    :class:`~grouppgd.linop.SizeCapError`.
     """
     if cone is None:
         cone = descent_cone_of(problem.K, problem.x_dagger)
     A = problem.A
-    L = spectral_norm(A)
-    mu_C = restricted_min_eig(A, cone)
-    stacked = stack_mean([compose_with_action(A, g) for g in subset])
-    mu_Gstar = restricted_min_eig(stacked, cone)
+    G = gram_dense(A)
+    eigvals = np.linalg.eigvalsh(G)
+    L = float(eigvals[-1])
+    mu_C = gram_min_eig(G, cone, eigvals)
+    G_star = gram_average(G, subset)  # in G's buffer: one dense matrix alive
+    mu_Gstar = gram_min_eig(G_star, cone)
     kappa_c = problem.K.kappa_c
     # guard against round-off pushing the restricted eigenvalue past L
     if mu_Gstar > L * (1.0 + 1e-9):

@@ -32,6 +32,7 @@ __all__ = [
     "project_cone",
     "descent_cone_of",
     "restricted_min_eig",
+    "gram_min_eig",
 ]
 
 ANCHOR_TOL = 1e-10  # absolute membership tolerance for cone anchors
@@ -262,21 +263,39 @@ def descent_cone_of(K: ConstraintSet, anchor: np.ndarray, *, n_samples: int = 51
 def restricted_min_eig(A: LinearMap, C: DescentCone, cap: int = DENSE_CAP) -> float:
     """Smallest value of ``||A v||^2 / ||v||^2`` over the descent cone.
 
-    Whole-space and subspace cones are computed exactly from the dense Gram
-    (eigendecomposition); sampled cones return the minimum over the stored
-    generators, which is only an upper bound on the true restricted value.
+    Assembles the dense Gram (refused above ``cap`` columns, whatever the
+    cone) and hands it to :func:`gram_min_eig`.
     """
     if A.cols != C.dimension:
         raise DimensionMismatchError(
             f"operator has {A.cols} columns but cone lives in dimension {C.dimension}"
         )
-    if C.kind == "sampled":
-        quotients = [
-            float(np.linalg.norm(A.forward(g)) ** 2) for g in C.generators
-        ]
-        return max(min(quotients), 0.0)
-    G = gram_dense(A, cap=cap)
+    return gram_min_eig(gram_dense(A, cap=cap), C)
+
+
+def gram_min_eig(G: np.ndarray, C: DescentCone,
+                 eigvals: np.ndarray | None = None) -> float:
+    """Smallest value of ``v^T G v / ||v||^2`` over the descent cone.
+
+    Whole-space and subspace cones are exact (eigendecomposition of ``G`` or
+    of ``B^T G B``); ``eigvals``, the ascending eigenvalues of ``G`` when
+    already computed, is reused for the whole space.  Sampled cones return
+    the minimum of ``g^T G g`` over the stored unit generators, which is only
+    an upper bound on the true restricted value.
+    """
+    if G.shape != (C.dimension, C.dimension):
+        raise DimensionMismatchError(
+            f"Gram has shape {G.shape} but cone lives in dimension {C.dimension}"
+        )
     if C.kind == "whole_space":
-        return max(float(np.linalg.eigvalsh(G)[0]), 0.0)
-    B = C.basis
-    return max(float(np.linalg.eigvalsh(B.T @ G @ B)[0]), 0.0)
+        if eigvals is None:
+            eigvals = np.linalg.eigvalsh(G)
+        return max(float(eigvals[0]), 0.0)
+    if C.kind == "subspace":
+        B = C.basis
+        return max(float(np.linalg.eigvalsh(B.T @ G @ B)[0]), 0.0)
+    # blocks of generator rows keep the products far smaller than G
+    gens = C.generators
+    blocks = (gens[i:i + 256] for i in range(0, len(gens), 256))
+    least = min(float(np.einsum("ij,ij->i", b @ G, b).min()) for b in blocks)
+    return max(least, 0.0)

@@ -22,7 +22,8 @@ axis.  Weights are indexed by position in the angle list, not by absolute
 angle, which is what lets angle-set shifts commute exactly with signal-domain
 rotations.
 
-benchmarks/bench_kernels.py compares the two paths.
+``python3 perfbench/run.py --workload <name> --trace 1``, run from the
+repository root, times the active path on a benchmark workload's shapes.
 """
 
 from __future__ import annotations

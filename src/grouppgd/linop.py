@@ -28,9 +28,11 @@ __all__ = [
     "stack_mean",
     "spectral_norm",
     "gram_dense",
+    "gram_average",
 ]
 
 DENSE_CAP = 4096
+_AVERAGE_CHUNK = 8192  # Gram nonzeros moved per fancy-index update
 
 
 class DimensionMismatchError(ValueError):
@@ -208,4 +210,29 @@ def gram_dense(A: LinearMap, cap: int = DENSE_CAP) -> np.ndarray:
         e[j] = 1.0
         G[:, j] = A.adjoint(A.forward(e))
         e[j] = 0.0
+    return G
+
+
+def gram_average(G: np.ndarray, actions) -> np.ndarray:
+    """Overwrite ``G = A^T A`` with the Gram of the RMS stack of ``A∘T_g``.
+
+    Each block's Gram is ``P_g^T G P_g`` (the actions are orthogonal
+    permutations), so the stacked Gram is their mean over ``actions`` and
+    needs no operator applications.  Only the nonzeros of ``G`` are moved:
+    entry ``(k, l)`` lands at ``(p[k], p[l])`` with ``p`` the action's
+    permutation, and a permutation never sends two entries to one cell.  The
+    result is built in ``G``'s own buffer, which is returned, so no second
+    dense matrix is allocated; pass a copy to keep ``G``.
+    """
+    rows, cols = np.nonzero(G)
+    values = G[rows, cols]
+    G.fill(0.0)
+    for T in actions:
+        p = T.permutation
+        # small chunks keep the index temporaries from leaving heap residue
+        # that would add to the peak memory of the eigensolve that follows
+        for lo in range(0, len(values), _AVERAGE_CHUNK):
+            hi = lo + _AVERAGE_CHUNK
+            G[p[rows[lo:hi]], p[cols[lo:hi]]] += values[lo:hi]
+    G /= len(actions)
     return G

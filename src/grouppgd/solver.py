@@ -10,7 +10,7 @@ shrinking symmetry radii, warm-starting each stage from the last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -257,10 +257,12 @@ def run_ensemble(problem: ProblemInstance, config: SolverConfig,
 
     Replicate ``i`` draws its stream from ``SeedSequence(config.seed)``
     child ``i``, so the ensemble is reproducible and replicate-order
-    independent.  Returns ``(iterations, mean_rmsd, traces)``.
+    independent.  An ``"auto"`` step is resolved once and shared by every
+    replicate.  Returns ``(iterations, mean_rmsd, traces)``.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    config = replace(config, step_size=resolve_step_size(config, problem.A))
     children = np.random.SeedSequence(config.seed).spawn(replicates)
     traces = [
         run(problem, config, subset=subset, rng=np.random.default_rng(child))

@@ -16,7 +16,14 @@ from grouppgd.certificate import (
     verify_bound,
 )
 from grouppgd.constraint import DescentCone, descent_cone_of
-from grouppgd.linop import compose_with_action, from_dense, gram_dense, stack_mean
+from grouppgd.linop import (
+    SizeCapError,
+    compose_with_action,
+    from_dense,
+    gram_dense,
+    spectral_norm,
+    stack_mean,
+)
 from grouppgd.solver import SolverConfig
 from grouppgd.symmetry import cyclic_shift_action, symmetric_subset
 
@@ -154,6 +161,43 @@ def test_certify_flags_estimates_for_sampled_cones():
     report = certify(prob, subset, cone=cone)
     assert report.flags["mu_Gstar"] == "estimate"
     assert report.flags["L"] == "exact"
+
+
+def test_certify_L_is_top_gram_eigenvalue():
+    prob = ring_instance(noise="gaussian", sigma=0.05, seed=5)
+    report = certify(prob, covering_subset(prob))
+    oracle = np.linalg.eigvalsh(gram_dense(prob.A))[-1]
+    assert_allclose(report.L, oracle, rtol=1e-12)
+    # the power-iteration Rayleigh quotient can only approach L from below
+    assert report.L >= spectral_norm(prob.A)
+
+
+def test_certify_sampled_cone_mu_is_generator_min_of_block_mean():
+    prob = ring_instance()
+    subset = covering_subset(prob)
+    rng = np.random.default_rng(6)
+    gens = rng.standard_normal((40, prob.dimension))
+    gens /= np.linalg.norm(gens, axis=1, keepdims=True)
+    cone = DescentCone(anchor=prob.x_dagger, kind="sampled", generators=gens)
+    report = certify(prob, subset, cone=cone)
+    blocks = [compose_with_action(prob.A, g) for g in subset]
+    oracle_gstar = min(
+        np.mean([np.linalg.norm(block.forward(v)) ** 2 for block in blocks])
+        for v in gens
+    )
+    oracle_c = min(np.linalg.norm(prob.A.forward(v)) ** 2 for v in gens)
+    assert_allclose(report.mu_Gstar, oracle_gstar, rtol=1e-10)
+    assert_allclose(report.mu_C, oracle_c, rtol=1e-10)
+
+
+def test_certify_refuses_oversized_sampled_cone():
+    prob = build_problem(n_r=80, n_theta=64, angle_fraction=0.25,
+                         rays_per_angle=4, seed=0)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
+    gens = np.eye(1, prob.dimension)
+    cone = DescentCone(anchor=prob.x_dagger, kind="sampled", generators=gens)
+    with pytest.raises(SizeCapError):
+        certify(prob, subset, cone=cone)
 
 
 def test_bound_curve_shape_and_limits():

@@ -201,6 +201,21 @@ def test_oversized_problem_exits_4(tmp_path):
     assert main(["certify", "--config", cfg]) == 4
 
 
+def test_certify_shipped_ring_with_instance_seed_1(tmp_path):
+    # power iteration does not converge in 10000 steps on this instance; the
+    # certificate reads L from the Gram's eigendecomposition instead
+    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "ring.txt")
+    with open(shipped, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines()
+                 if not line.startswith(("problem.seed", "output.dir"))]
+    out = tmp_path / "out"
+    lines += ["problem.seed = 1", f"output.dir = {out}"]
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert main(["certify", "--config", cfg]) == EXIT_OK
+    text = (out / "certificate.txt").read_text()
+    assert "flag.L = exact" in text
+
+
 def test_compare_group_column_dominated_by_bound(tmp_path):
     # noiseless symmetric config: the group mean must sit under the bound
     # column at every row, even without Monte Carlo slack

@@ -11,13 +11,19 @@ from grouppgd.linop import (
     apply,
     compose_with_action,
     from_dense,
+    gram_average,
     gram_dense,
     identity_map,
     spectral_norm,
     stack_mean,
 )
 from grouppgd.bench import angle_subsampled_operator, shifted_angles
-from grouppgd.symmetry import cyclic_shift_action, identity_action, polar_theta_shift
+from grouppgd.symmetry import (
+    cyclic_shift_action,
+    identity_action,
+    polar_theta_shift,
+    symmetric_subset,
+)
 
 
 def dense_of(A):
@@ -217,3 +223,42 @@ def test_gram_dense_symmetric():
 def test_gram_dense_respects_cap():
     with pytest.raises(SizeCapError):
         gram_dense(identity_map(10), cap=9)
+
+
+def probed_stack_gram(A, subset):
+    return gram_dense(stack_mean([compose_with_action(A, g) for g in subset]))
+
+
+def test_gram_average_matches_probed_stack_polar():
+    n_r, n_theta = 5, 12
+    polar = angle_subsampled_operator(n_r, n_theta, angles=(0, 3, 6, 9),
+                                      rays_per_angle=6, seed=13)
+    subset = symmetric_subset(polar_theta_shift(n_r, n_theta, 1), 4)
+    G = gram_dense(polar)
+    assert np.count_nonzero(G) < G.size  # the sparse case the average exploits
+    assert_allclose(gram_average(G.copy(), subset), probed_stack_gram(polar, subset),
+                    rtol=0, atol=1e-12)
+
+
+def test_gram_average_matches_probed_stack_dense_operator():
+    rng = np.random.default_rng(14)
+    A = from_dense(rng.standard_normal((7, 15)))
+    subset = symmetric_subset(cyclic_shift_action(15, 2), 3)
+    G = gram_dense(A)
+    assert np.count_nonzero(G) == G.size
+    assert_allclose(gram_average(G.copy(), subset), probed_stack_gram(A, subset),
+                    rtol=0, atol=1e-12)
+    # one action alone is the composed operator's Gram
+    T = cyclic_shift_action(15, 4)
+    P = permutation_matrix(T)
+    assert_allclose(gram_average(G.copy(), [T]), P.T @ G @ P, rtol=0, atol=1e-12)
+
+
+def test_gram_average_works_in_place():
+    rng = np.random.default_rng(15)
+    G = gram_dense(from_dense(rng.standard_normal((4, 9))))
+    subset = symmetric_subset(cyclic_shift_action(9, 1), 2)
+    expected = gram_average(G.copy(), subset)
+    out = gram_average(G, subset)
+    assert out is G
+    assert np.array_equal(out, expected)

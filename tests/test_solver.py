@@ -198,6 +198,30 @@ def test_ensemble_deterministic_and_averaged():
     assert not np.array_equal(traces1[0].rmsd, traces1[1].rmsd)
 
 
+def test_ensemble_resolves_auto_step_once(monkeypatch):
+    from grouppgd import solver
+
+    prob = small_problem(seed=4)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
+    calls = []
+
+    def counting_norm(A):
+        calls.append(A)
+        return spectral_norm(A)
+
+    monkeypatch.setattr(solver, "spectral_norm", counting_norm)
+    config = SolverConfig(max_iters=15, seed=8)
+    _, _, traces = run_ensemble(prob, config, subset, replicates=4)
+    assert len(calls) == 1
+    # every replicate ran with the same step a per-replicate resolution gives
+    children = np.random.SeedSequence(config.seed).spawn(4)
+    explicit = SolverConfig(max_iters=15, seed=8, step_size=1.0 / spectral_norm(prob.A))
+    for trace, child in zip(traces, children):
+        alone = run(prob, explicit, subset=subset, rng=np.random.default_rng(child))
+        assert np.array_equal(trace.rmsd, alone.rmsd)
+        assert np.array_equal(trace.final_x, alone.final_x)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
