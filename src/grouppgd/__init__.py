@@ -33,17 +33,14 @@ from .constraint import (
     Nonneg,
     Subspace,
     descent_cone_of,
-    project,
     project_cone,
     restricted_min_eig,
 )
 from .kernels import NUMBA_ENABLED
 from .linop import (
-    ConvergenceError,
     DimensionMismatchError,
     LinearMap,
     SizeCapError,
-    apply,
     compose_with_action,
     from_dense,
     gram_dense,
@@ -68,7 +65,6 @@ from .symmetry import (
     identity_action,
     polar_theta_shift,
     sample_action,
-    sample_action_weighted,
     symmetric_subset,
 )
 

@@ -4,8 +4,11 @@ Computes every constant of the linear-rate bound for the group-action solver
 and checks the bound against seeded Monte Carlo runs:
 
 * ``L``: largest eigenvalue of the operator Gram ``G = A^T A`` (sets the
-  step size), read from its eigendecomposition.
-* ``mu_C``: smallest restricted eigenvalue of ``G``, from the same Gram.
+  step size), read exactly from the spectrum of the operator's smaller-side
+  Gram (:func:`~grouppgd.linop.gram_eigvals`), as the solver's ``auto``
+  step is.
+* ``mu_C``: smallest restricted eigenvalue of ``G``; the whole-space value
+  comes from the same spectrum.
 * ``mu_Gstar``: smallest restricted Gram eigenvalue of the RMS-normalized
   stack over the symmetric subset; this drives the contraction factor.
   Because every action ``T_g`` is an orthogonal permutation ``P_g``,
@@ -43,7 +46,8 @@ import numpy as np
 
 from .bench import ProblemInstance
 from .constraint import DescentCone, descent_cone_of, gram_min_eig, project_cone
-from .linop import LinearMap, compose_with_action, gram_average, gram_dense
+from .linop import (LinearMap, compose_with_action, gram_average, gram_dense,
+                    gram_eigvals)
 from .solver import SolverConfig, run_ensemble
 from .symmetry import SymmetricSubset
 
@@ -153,23 +157,31 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     """Compute the full certificate for a problem and symmetric subset.
 
     The descent cone defaults to the cone of the feasible set at the ground
-    truth.  One dense Gram ``G = A^T A`` feeds every spectral constant: ``L``
-    is its largest eigenvalue, ``mu_C`` its smallest restricted to the cone,
-    and ``mu_Gstar`` the smallest cone-restricted eigenvalue of the RMS
-    stack Gram, built by averaging ``G`` through the subset's permutations.
-    The dense Gram is assembled for every cone kind, sampled cones included,
-    so operators wider than ``linop.DENSE_CAP`` columns raise
+    truth.  ``L`` is the top of the exact spectrum of ``A^T A``, read from
+    the Gram of the operator's smaller side, so it is bitwise
+    ``spectral_norm(A)`` and ``1/L`` is the solver's ``auto`` step; the
+    whole-space ``mu_C`` is the bottom of the same spectrum.  The dense Gram
+    ``G = A^T A`` feeds the rest: ``mu_C`` on subspace and sampled cones, and
+    ``mu_Gstar``, the smallest cone-restricted eigenvalue of the RMS stack
+    Gram, built by averaging ``G`` through the subset's permutations.  The
+    dense Gram is assembled for every cone kind, sampled cones included, so
+    operators wider than ``linop.DENSE_CAP`` columns raise
     :class:`~grouppgd.linop.SizeCapError`.
     """
     if cone is None:
         cone = descent_cone_of(problem.K, problem.x_dagger)
     A = problem.A
-    G = gram_dense(A)
-    eigvals = np.linalg.eigvalsh(G)
-    L = float(eigvals[-1])
-    mu_C = gram_min_eig(G, cone, eigvals)
+    G = gram_dense(A)  # refused above the cap before any other work
+    # a cone-restricted mu_C reads G before it is averaged in place
+    mu_C = None if cone.kind == "whole_space" else gram_min_eig(G, cone)
     G_star = gram_average(G, subset)  # in G's buffer: one dense matrix alive
     mu_Gstar = gram_min_eig(G_star, cone)
+    # the small-side eigensolve runs after the large one: freeing its
+    # mid-size buffers first leaves heap residue under the large one's peak
+    eigvals = gram_eigvals(A)
+    L = float(eigvals[-1])
+    if mu_C is None:
+        mu_C = max(float(eigvals[0]), 0.0)
     kappa_c = problem.K.kappa_c
     # guard against round-off pushing the restricted eigenvalue past L
     if mu_Gstar > L * (1.0 + 1e-9):

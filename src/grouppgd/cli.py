@@ -3,13 +3,18 @@
 Subcommands:
 
 * ``run``      one seeded run per method; writes ``pgd.csv``,
-               ``group_pgd.csv`` (with a bound column when the certificate
-               is non-vacuous) and ``certificate.txt``.
+               ``group_pgd.csv`` (with a bound column in the certified
+               regime) and ``certificate.txt``.
 * ``certify``  prints and writes the certificate constants only.
 * ``compare``  seed-ensemble means of both methods; writes ``compare.csv``
-               and ``summary.txt`` with iterations-to-tolerance.
+               (bound ``nan`` outside the certified regime) and
+               ``summary.txt`` with iterations-to-tolerance.
 * ``phantom``  writes the ground-truth image as an ASCII graymap plus a
                full-precision CSV.
+
+The certified regime is a non-vacuous certificate run at step ``1/L``.
+``solver.step = auto`` is resolved to the certificate's ``1/L``, so the
+solver and the bound share one ``L``; any other step prints no bound.
 
 Configs are flat text files with dotted keys (``problem.n_r = 32``); unknown
 keys are rejected so typos fail loudly.  All outputs are deterministic for a
@@ -25,7 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -96,6 +101,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown problem.noise {self.problem_noise!r}")
         if self.problem_weights not in ("signed", "nonneg"):
             raise ConfigError(f"unknown problem.weights {self.problem_weights!r}")
+        if self.problem_sigma < 0:
+            raise ConfigError(f"problem.sigma must be nonnegative, got {self.problem_sigma}")
+        if not self.problem_scale > 0:
+            raise ConfigError(f"problem.scale must be positive, got {self.problem_scale}")
+        if self.problem_noise == "poisson" and self.problem_weights != "nonneg":
+            raise ConfigError(
+                "problem.noise = poisson needs nonnegative measurements: "
+                "set problem.weights = nonneg"
+            )
         if self.solver_step != "auto":
             if not float(self.solver_step) > 0:
                 raise ConfigError("solver.step must be 'auto' or a positive number")
@@ -232,13 +246,30 @@ def _ensure_outdir(outdir: str):
     os.makedirs(outdir, exist_ok=True)
 
 
+def _certified_run(problem, subset, solver_config):
+    """Certify, resolve ``auto`` to the certificate's ``1/L``, and say why no
+    bound holds (``None`` when the run is in the certified regime)."""
+    report = certify(problem, subset)
+    step = 1.0 / report.L
+    if solver_config.step_size == "auto":
+        solver_config = replace(solver_config, step_size=step)
+    if report.vacuous:
+        why = "bound vacuous (alpha_Gstar >= 1)"
+    elif solver_config.step_size != step:
+        why = (f"solver.step = {solver_config.step_size:g} is not the certified "
+               f"1/L = {step:.6g}, so no bound holds")
+    else:
+        why = None
+    return report, solver_config, why
+
+
 def cmd_run(config: ExperimentConfig, outdir: str) -> int:
     problem, subset, solver_config = _build(config)
-    report = certify(problem, subset)
+    report, solver_config, why = _certified_run(problem, subset, solver_config)
     pgd_trace = run(problem, solver_config, subset=None)
     group_trace = run(problem, solver_config, subset=subset)
     group_bound = None
-    if not report.vacuous:
+    if why is None:
         rmsd0 = group_trace.rmsd[0]
         w_norm = float(np.linalg.norm(problem.w))
         curve = bound_curve(report, rmsd0, w_norm, int(group_trace.iterations[-1]))
@@ -249,8 +280,8 @@ def cmd_run(config: ExperimentConfig, outdir: str) -> int:
                   _trace_csv(group_trace, group_bound, with_actions=True))
     _write_atomic(os.path.join(outdir, "certificate.txt"), report.to_text())
     print(f"wrote pgd.csv, group_pgd.csv, certificate.txt to {outdir}")
-    if report.vacuous:
-        print("bound vacuous (alpha_Gstar >= 1); traces carry no bound column")
+    if why is not None:
+        print(f"{why}; traces carry no bound column")
     return EXIT_OK
 
 
@@ -267,12 +298,12 @@ def cmd_certify(config: ExperimentConfig, outdir: str) -> int:
 
 def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     problem, subset, solver_config = _build(config)
-    report = certify(problem, subset)
+    report, solver_config, why = _certified_run(problem, subset, solver_config)
     iters, pgd_mean, _ = run_ensemble(problem, solver_config, None,
                                       config.solver_seeds)
     _, group_mean, _ = run_ensemble(problem, solver_config, subset,
                                     config.solver_seeds)
-    if report.vacuous:
+    if why is not None:
         bound = np.full(len(iters), np.nan)
     else:
         w_norm = float(np.linalg.norm(problem.w))
@@ -297,6 +328,8 @@ def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     summary = "\n".join(summary_lines) + "\n"
     _write_atomic(os.path.join(outdir, "summary.txt"), summary)
     sys.stdout.write(summary)
+    if why is not None:
+        print(f"{why}; compare.csv bound is nan")
     return EXIT_OK
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "L1Ball",
     "Subspace",
     "DescentCone",
-    "project",
     "project_cone",
     "descent_cone_of",
     "restricted_min_eig",
@@ -162,11 +161,6 @@ class DescentCone:
         return self.kind != "sampled"
 
 
-def project(K: ConstraintSet, x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``x`` onto ``K``."""
-    return K.project(x)
-
-
 def project_cone(C: DescentCone, x: np.ndarray) -> np.ndarray:
     """Project ``x`` onto the descent cone.
 
@@ -273,24 +267,20 @@ def restricted_min_eig(A: LinearMap, C: DescentCone, cap: int = DENSE_CAP) -> fl
     return gram_min_eig(gram_dense(A, cap=cap), C)
 
 
-def gram_min_eig(G: np.ndarray, C: DescentCone,
-                 eigvals: np.ndarray | None = None) -> float:
+def gram_min_eig(G: np.ndarray, C: DescentCone) -> float:
     """Smallest value of ``v^T G v / ||v||^2`` over the descent cone.
 
     Whole-space and subspace cones are exact (eigendecomposition of ``G`` or
-    of ``B^T G B``); ``eigvals``, the ascending eigenvalues of ``G`` when
-    already computed, is reused for the whole space.  Sampled cones return
-    the minimum of ``g^T G g`` over the stored unit generators, which is only
-    an upper bound on the true restricted value.
+    of ``B^T G B``).  Sampled cones return the minimum of ``g^T G g`` over
+    the stored unit generators, which is only an upper bound on the true
+    restricted value.
     """
     if G.shape != (C.dimension, C.dimension):
         raise DimensionMismatchError(
             f"Gram has shape {G.shape} but cone lives in dimension {C.dimension}"
         )
     if C.kind == "whole_space":
-        if eigvals is None:
-            eigvals = np.linalg.eigvalsh(G)
-        return max(float(eigvals[0]), 0.0)
+        return max(float(np.linalg.eigvalsh(G)[0]), 0.0)
     if C.kind == "subspace":
         B = C.basis
         return max(float(np.linalg.eigvalsh(B.T @ G @ B)[0]), 0.0)

@@ -5,6 +5,11 @@ Operators are immutable ``LinearMap`` records holding forward/adjoint
 closures plus exact dimensions.  Everything downstream (solver steps,
 certificates, dense oracles) goes through this surface, so the adjoint
 consistency of each constructor is what the whole test suite leans on.
+
+Spectral quantities are exact: :func:`gram_eigvals` probes the Gram of the
+operator's smaller side (``A A^T`` for a wide operator, ``A^T A`` otherwise)
+and eigendecomposes it, and :func:`spectral_norm` is its top eigenvalue.
+Both refuse operators whose smaller side exceeds ``DENSE_CAP``.
 """
 
 from __future__ import annotations
@@ -20,13 +25,12 @@ __all__ = [
     "LinearMap",
     "DimensionMismatchError",
     "SizeCapError",
-    "ConvergenceError",
-    "apply",
     "from_dense",
     "identity_map",
     "compose_with_action",
     "stack_mean",
     "spectral_norm",
+    "gram_eigvals",
     "gram_dense",
     "gram_average",
 ]
@@ -41,19 +45,6 @@ class DimensionMismatchError(ValueError):
 
 class SizeCapError(ValueError):
     """A dense assembly was requested above the configured size cap."""
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration hit its iteration cap.
-
-    Carries ``last_estimate`` and ``iterations`` so callers can inspect the
-    non-converged state.
-    """
-
-    def __init__(self, msg, last_estimate, iterations):
-        super().__init__(msg)
-        self.last_estimate = last_estimate
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -72,17 +63,13 @@ class LinearMap:
     tag: str = ""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return apply(self, x)
-
-
-def apply(A: LinearMap, x: np.ndarray) -> np.ndarray:
-    """Return ``A x``, validating the input length."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (A.cols,):
-        raise DimensionMismatchError(
-            f"operator {A.tag!r} expects length {A.cols}, got shape {x.shape}"
-        )
-    return A.forward(x)
+        """Return ``A x``, validating the input length."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.cols,):
+            raise DimensionMismatchError(
+                f"operator {self.tag!r} expects length {self.cols}, got shape {x.shape}"
+            )
+        return self.forward(x)
 
 
 def from_dense(matrix: np.ndarray, tag: str = "dense") -> LinearMap:
@@ -158,40 +145,25 @@ def stack_mean(ops: list[LinearMap]) -> LinearMap:
                      adjoint=adjoint, tag=f"rms-stack[{len(ops)}]")
 
 
-def spectral_norm(A: LinearMap, tol: float = 1e-10, max_iter: int = 10_000,
-                  seed: int = 0) -> float:
-    """Largest eigenvalue of ``A^T A`` by seeded power iteration.
+def spectral_norm(A: LinearMap) -> float:
+    """Largest eigenvalue of ``A^T A``, exactly: the top of :func:`gram_eigvals`."""
+    return float(gram_eigvals(A)[-1])
 
-    Converged when successive Rayleigh quotients agree to ``tol`` relatively.
-    Raises :class:`ConvergenceError` (carrying the last estimate) if the
-    iteration cap is hit first.
+
+def gram_eigvals(A: LinearMap) -> np.ndarray:
+    """Ascending eigenvalues of ``A^T A``, from the Gram of the smaller side.
+
+    A wide operator (``rows < cols``) shares its nonzero spectrum with the
+    ``rows x rows`` Gram ``A A^T``, which is probed through the adjoint and
+    padded with ``cols - rows`` zeros; otherwise ``A^T A`` is probed.  Either
+    way :func:`gram_dense` refuses a probed side above ``DENSE_CAP``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
-    v = rng.uniform(-1.0, 1.0, size=A.cols)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        v = np.ones(A.cols)
-        norm = np.linalg.norm(v)
-    v /= norm
-    estimate = 0.0
-    for it in range(1, max_iter + 1):
-        w = A.adjoint(A.forward(v))
-        new_estimate = float(v @ w)  # Rayleigh quotient of A^T A at unit v
-        wnorm = np.linalg.norm(w)
-        if wnorm == 0.0:
-            return 0.0  # v in the null space and quotient already 0
-        v = w / wnorm
-        if it > 1 and abs(new_estimate - estimate) <= tol * abs(new_estimate):
-            return new_estimate
-        estimate = new_estimate
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last estimate {estimate:.6e})",
-        last_estimate=estimate,
-        iterations=max_iter,
-    )
+    if A.rows >= A.cols:
+        return np.linalg.eigvalsh(gram_dense(A))
+    transpose = LinearMap(rows=A.cols, cols=A.rows, forward=A.adjoint,
+                          adjoint=A.forward, tag=f"{A.tag}^T")
+    small = np.linalg.eigvalsh(gram_dense(transpose))
+    return np.sort(np.concatenate([np.zeros(A.cols - A.rows), small]))
 
 
 def gram_dense(A: LinearMap, cap: int = DENSE_CAP) -> np.ndarray:

@@ -26,7 +26,6 @@ __all__ = [
     "polar_theta_shift",
     "symmetric_subset",
     "sample_action",
-    "sample_action_weighted",
 ]
 
 
@@ -203,17 +202,4 @@ def sample_action(subset: SymmetricSubset, rng: np.random.Generator):
     sequence.
     """
     idx = int(rng.integers(len(subset.actions)))
-    return subset.actions[idx], idx
-
-
-def sample_action_weighted(subset: SymmetricSubset, weights, rng: np.random.Generator):
-    """Weighted draw over the subset.
-
-    Provided for experimentation only: certificate guarantees assume the
-    uniform distribution of :func:`sample_action`.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(subset.actions),) or np.any(w < 0) or w.sum() == 0:
-        raise ValueError("weights must be nonnegative, one per action, not all zero")
-    idx = int(rng.choice(len(subset.actions), p=w / w.sum()))
     return subset.actions[idx], idx

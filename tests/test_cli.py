@@ -201,19 +201,70 @@ def test_oversized_problem_exits_4(tmp_path):
     assert main(["certify", "--config", cfg]) == 4
 
 
-def test_certify_shipped_ring_with_instance_seed_1(tmp_path):
-    # power iteration does not converge in 10000 steps on this instance; the
-    # certificate reads L from the Gram's eigendecomposition instead
+@pytest.mark.parametrize("command", ["certify", "run", "compare"])
+def test_certify_shipped_ring_with_instance_seed_1(tmp_path, command):
+    # a seeded power iteration for L did not converge in 10000 steps on this
+    # instance; every command now reads one exact L from the Gram spectrum
     shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "ring.txt")
     with open(shipped, encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines()
-                 if not line.startswith(("problem.seed", "output.dir"))]
+                 if not line.startswith(("problem.seed", "output.dir",
+                                         "solver.iters", "solver.seeds"))]
     out = tmp_path / "out"
-    lines += ["problem.seed = 1", f"output.dir = {out}"]
+    lines += ["problem.seed = 1", f"output.dir = {out}", "solver.iters = 3",
+              "solver.seeds = 2"]
     cfg = write_config(tmp_path, "\n".join(lines) + "\n")
-    assert main(["certify", "--config", cfg]) == EXIT_OK
-    text = (out / "certificate.txt").read_text()
-    assert "flag.L = exact" in text
+    assert main([command, "--config", cfg]) == EXIT_OK
+    if command != "compare":
+        text = (out / "certificate.txt").read_text()
+        assert "flag.L = exact" in text
+
+
+def test_run_csv_matches_api_run_with_auto_step(tmp_path):
+    # the CLI passes the certificate's 1/L; run() resolves "auto" itself
+    from grouppgd.cli import _build, load_config
+    from grouppgd.solver import SolverConfig, run
+
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, config_text(out))
+    assert main(["run", "--config", cfg]) == EXIT_OK
+    problem, subset, solver_config = _build(load_config(cfg))
+    assert solver_config.step_size == "auto"
+    for name, sub in (("pgd.csv", None), ("group_pgd.csv", subset)):
+        trace = run(problem, solver_config, subset=sub)
+        rows = [row.split(",") for row in
+                (out / name).read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == trace.iterations.tolist()
+        for col, values in enumerate((trace.rmsd, trace.rmsd_normalized,
+                                      trace.objective), start=1):
+            assert [float(r[col]) for r in rows] == values.tolist()
+
+
+def test_step_other_than_one_over_L_prints_no_bound(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, config_text(out, solver_step=1.99))
+    assert main(["run", "--config", cfg]) == EXIT_OK
+    header = (out / "group_pgd.csv").read_text().splitlines()[0]
+    assert header == "iter,rmsd,rmsd_normalized,objective,action_index"
+    assert "is not the certified 1/L" in capsys.readouterr().out
+    assert main(["compare", "--config", cfg]) == EXIT_OK
+    rows = (out / "compare.csv").read_text().splitlines()[1:]
+    assert all(row.split(",")[3] == "nan" for row in rows)
+    assert "is not the certified 1/L" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"problem_noise": "poisson", "problem_weights": "signed"},
+     "set problem.weights = nonneg"),
+    ({"problem_noise": "gaussian", "problem_sigma": -0.1},
+     "problem.sigma must be nonnegative"),
+    ({"problem_noise": "poisson", "problem_weights": "nonneg",
+      "problem_scale": 0}, "problem.scale must be positive"),
+], ids=["poisson_signed", "negative_sigma", "nonpositive_scale"])
+def test_impossible_noise_settings_exit_2(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", **overrides))
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_compare_group_column_dominated_by_bound(tmp_path):

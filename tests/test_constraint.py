@@ -11,7 +11,6 @@ from grouppgd.constraint import (
     Nonneg,
     Subspace,
     descent_cone_of,
-    project,
     project_cone,
     restricted_min_eig,
 )
@@ -26,14 +25,14 @@ def random_orthonormal(d, k, seed):
 
 def test_box_projection_clamps():
     K = Box(0.0, 1.0, 3)
-    assert_allclose(project(K, np.array([1.5, -0.2, 0.3])), [1.0, 0.0, 0.3])
+    assert_allclose(K.project(np.array([1.5, -0.2, 0.3])), [1.0, 0.0, 0.3])
 
 
 def test_projection_fixes_members():
     rng = np.random.default_rng(0)
     K = Box(-1.0, 2.0, 5)
     x = rng.uniform(-1.0, 2.0, 5)
-    assert np.array_equal(project(K, x), x)
+    assert np.array_equal(K.project(x), x)
 
 
 def test_projection_idempotent():
@@ -42,13 +41,13 @@ def test_projection_idempotent():
             Subspace(random_orthonormal(6, 2, 3))]
     for K in sets:
         x = rng.standard_normal(6) * 3
-        p = project(K, x)
-        assert_allclose(project(K, p), p, atol=1e-12)
+        p = K.project(x)
+        assert_allclose(K.project(p), p, atol=1e-12)
 
 
 def test_l1_projection_against_face_search():
     K = L1Ball(1.0, 2)
-    assert_allclose(project(K, np.array([2.0, 1.0])), [1.0, 0.0], atol=1e-12)
+    assert_allclose(K.project(np.array([2.0, 1.0])), [1.0, 0.0], atol=1e-12)
     # fine-grid search over the boundary as an independent oracle
     rng = np.random.default_rng(2)
     ts = np.linspace(0.0, 1.0, 20001)
@@ -60,7 +59,7 @@ def test_l1_projection_against_face_search():
         x = rng.standard_normal(2) * 2
         if np.abs(x).sum() <= 1.0:
             continue
-        p = project(K, x)
+        p = K.project(x)
         dists = np.linalg.norm(boundary - x, axis=1)
         assert_allclose(p, boundary[np.argmin(dists)], atol=1e-4)
 
@@ -68,7 +67,7 @@ def test_l1_projection_against_face_search():
 def test_l1_projection_inside_ball_is_identity():
     K = L1Ball(2.0, 4)
     x = np.array([0.5, -0.5, 0.25, 0.25])
-    assert np.array_equal(project(K, x), x)
+    assert np.array_equal(K.project(x), x)
 
 
 def test_nonexpansiveness():
@@ -79,7 +78,7 @@ def test_nonexpansiveness():
         for _ in range(25):
             x = rng.standard_normal(8) * 2
             y = rng.standard_normal(8) * 2
-            lhs = np.linalg.norm(project(K, x) - project(K, y))
+            lhs = np.linalg.norm(K.project(x) - K.project(y))
             assert lhs <= np.linalg.norm(x - y) + 1e-12
 
 
@@ -90,9 +89,9 @@ def test_shift_identity_box():
     for _ in range(50):
         x = rng.standard_normal(7)
         v = rng.standard_normal(7)
-        lhs = project(K, x + v) - x
+        lhs = K.project(x + v) - x
         shifted = Box(K.lo - x, K.hi - x, 7)
-        assert_allclose(lhs, project(shifted, v), atol=1e-12)
+        assert_allclose(lhs, shifted.project(v), atol=1e-12)
 
 
 def test_shift_identity_subspace():
@@ -102,7 +101,7 @@ def test_shift_identity_subspace():
     for _ in range(50):
         x = rng.standard_normal(9)
         v = rng.standard_normal(9)
-        lhs = project(K, x + v) - x
+        lhs = K.project(x + v) - x
         # affine projection onto {B c - x}: optimal c solves the normal equations
         c = B.T @ (v + x)
         assert_allclose(lhs, B @ c - x, atol=1e-12)
@@ -225,7 +224,7 @@ def test_restricted_min_eig_sampled_is_generator_min():
 def test_dimension_mismatch_raises():
     K = Box(0.0, 1.0, 3)
     with pytest.raises(DimensionMismatchError):
-        project(K, np.zeros(4))
+        K.project(np.zeros(4))
     C = DescentCone(anchor=np.zeros(3), kind="whole_space")
     with pytest.raises(DimensionMismatchError):
         project_cone(C, np.zeros(5))

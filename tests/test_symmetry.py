@@ -12,7 +12,6 @@ from grouppgd.symmetry import (
     identity_action,
     polar_theta_shift,
     sample_action,
-    sample_action_weighted,
     symmetric_subset,
 )
 
@@ -157,11 +156,3 @@ def test_sampling_deterministic_given_seed():
     seq_b = [sample_action(sub, rng_b)[1] for _ in range(100)]
     assert seq_a == seq_b
 
-
-def test_weighted_sampler():
-    sub = symmetric_subset(cyclic_shift_action(8, 1), 1)
-    rng = np.random.default_rng(8)
-    _, idx = sample_action_weighted(sub, [1.0, 0.0, 0.0], rng)
-    assert idx == 0
-    with pytest.raises(ValueError):
-        sample_action_weighted(sub, [1.0, -1.0, 0.0], rng)
