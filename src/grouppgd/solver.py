@@ -262,16 +262,23 @@ def run_ensemble(problem: ProblemInstance, config: SolverConfig,
     Replicate ``i`` draws its stream from ``SeedSequence(config.seed)``
     child ``i``, so the ensemble is reproducible and replicate-order
     independent.  An ``"auto"`` step is resolved once and shared by every
-    replicate.  Returns ``(iterations, mean_rmsd, traces)``.
+    replicate.  Plain PGD (``subset=None``) draws nothing from its stream,
+    so its chain runs once and ``traces`` holds that one trace object
+    ``replicates`` times; the mean is still taken over all entries, so it
+    is bit for bit the mean of separate runs.  Returns
+    ``(iterations, mean_rmsd, traces)``.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     config = replace(config, step_size=resolve_step_size(config, problem.A))
-    children = np.random.SeedSequence(config.seed).spawn(replicates)
-    traces = [
-        run(problem, config, subset=subset, rng=np.random.default_rng(child))
-        for child in children
-    ]
+    if subset is None:
+        traces = [run(problem, config)] * replicates
+    else:
+        children = np.random.SeedSequence(config.seed).spawn(replicates)
+        traces = [
+            run(problem, config, subset=subset, rng=np.random.default_rng(child))
+            for child in children
+        ]
     iterations = traces[0].iterations
     mean_rmsd = np.mean(np.stack([t.rmsd for t in traces]), axis=0)
     return iterations, mean_rmsd, traces

@@ -1,12 +1,15 @@
 """Solver steps, runs, multistage schedules, and determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from grouppgd.bench import Geometry, ProblemInstance, build_problem
 from grouppgd.constraint import Box, Subspace
-from grouppgd.linop import compose_with_action, from_dense, identity_map, spectral_norm
+from grouppgd.linop import (LinearMap, compose_with_action, from_dense, identity_map,
+                            spectral_norm)
 from grouppgd.solver import (
     DivergenceError,
     SolverConfig,
@@ -220,6 +223,39 @@ def test_ensemble_resolves_auto_step_once(monkeypatch):
         alone = run(prob, explicit, subset=subset, rng=np.random.default_rng(child))
         assert np.array_equal(trace.rmsd, alone.rmsd)
         assert np.array_equal(trace.final_x, alone.final_x)
+
+
+def counted_problem(prob):
+    """``prob`` with an operator that counts its forward and adjoint applies."""
+    calls = []
+    A = prob.A
+
+    def forward(x):
+        calls.append("forward")
+        return A.forward(x)
+
+    def adjoint(y):
+        calls.append("adjoint")
+        return A.adjoint(y)
+
+    counted = LinearMap(rows=A.rows, cols=A.cols, forward=forward, adjoint=adjoint)
+    return replace(prob, A=counted), calls
+
+
+def test_plain_ensemble_runs_one_chain():
+    prob, calls = counted_problem(small_problem(noise="gaussian", sigma=0.1, seed=6))
+    config = SolverConfig(max_iters=25, seed=3)
+    iterations, mean, traces = run_ensemble(prob, config, None, replicates=5)
+    ensemble_calls = list(calls)
+    calls.clear()
+    alone = run(prob, config)
+    assert ensemble_calls == calls
+    assert all(trace is traces[0] for trace in traces)
+    # the mean of five separate runs on their own streams, bit for bit
+    children = np.random.SeedSequence(config.seed).spawn(5)
+    separate = [run(prob, config, rng=np.random.default_rng(child)) for child in children]
+    assert np.array_equal(iterations, alone.iterations)
+    assert np.array_equal(mean, np.mean(np.stack([t.rmsd for t in separate]), axis=0))
 
 
 def test_config_validation():
