@@ -156,14 +156,16 @@ def angle_subsampled_operator(n_r: int, n_theta: int, angles, rays_per_angle: in
     cols = (np.asarray(angles, dtype=np.int64)[:, None]
             + np.asarray(offsets, dtype=np.int64)[None, :]) % n_theta
     weights_t = np.ascontiguousarray(np.moveaxis(weights, 1, 3))
+    index = kernels.window_index(cols, n_r, n_theta)
     rows = len(angles) * rays_per_angle
     d = n_r * n_theta
 
-    def forward(x, cols=cols, weights=weights):
-        return kernels.polar_forward(x.reshape(n_r, n_theta), cols, weights)
+    def forward(x):
+        grid = x.reshape(x.shape[:-1] + (n_r, n_theta))
+        return kernels.polar_forward(grid, cols, weights, index)
 
-    def adjoint(y, cols=cols, weights_t=weights_t):
-        return kernels.polar_adjoint(y, cols, weights_t, n_r, n_theta)
+    def adjoint(y):
+        return kernels.polar_adjoint(y, cols, weights_t, n_r, n_theta, index)
 
     return LinearMap(rows=rows, cols=d, forward=forward, adjoint=adjoint,
                      tag=f"polar[{len(angles)}x{rays_per_angle}]")

@@ -17,12 +17,19 @@ response of ray ``j`` of measurement angle ``a`` at radius ``r`` and offset
 position in the angle list, not by absolute angle, which is what lets
 angle-set shifts commute exactly with signal-domain rotations.
 
-The adjoint scatters with ``np.bincount`` on the flat signal index
-``r * n_theta + cols[a, k]``: windows of different angles may read the same
-column, and ``bincount`` adds every duplicate, in the fixed ``(a, r, k)``
-order, several times faster than the unbuffered ``np.add.at``.  A stacked
-``np.matmul`` gives each angle's block the same bits as multiplying it
-alone, so a batch over more stacked axes keeps each slice's result.
+Both kernels take any number of leading batch axes: ``x2`` of shape
+``(..., n_r, n_theta)`` and ``y`` of shape ``(..., n_angles * rays)`` hold
+one signal or measurement per batch entry.  The window cells are addressed
+by one flat table, :func:`window_index` (``r * n_theta + cols[a, k]`` in
+``(a, r, k)`` order), which an operator builds once and passes to every
+call; the forward gathers through it and the adjoint scatters through it
+with ``np.bincount``, offset by ``row * n_r * n_theta`` per batch entry.
+Windows of different angles may read the same column, and ``bincount`` adds
+every duplicate, in the fixed ``(row, a, r, k)`` order, several times faster
+than the unbuffered ``np.add.at``.  A stacked ``np.matmul`` gives each
+angle's block the same bits as multiplying it alone, and ``bincount`` adds
+each entry's terms in sequence, so every batch entry gets the same bits as
+its own unbatched call, whatever the batch size.
 
 ``python3 perfbench/run.py --workload <name> --trace 1``, run from the
 repository root, times both kernels on a benchmark workload's shapes.
@@ -30,39 +37,65 @@ repository root, times both kernels on a benchmark workload's shapes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["NUMBA_ENABLED", "polar_forward", "polar_adjoint"]
+__all__ = ["NUMBA_ENABLED", "window_index", "polar_forward", "polar_adjoint"]
 
 NUMBA_ENABLED = False
 
 
-def polar_forward(x2, cols, weights):
-    """Apply the angle-subsampled operator to a 2-D polar signal.
+def window_index(cols, n_r, n_theta):
+    """Flat signal index ``r * n_theta + cols[a, k]``, shape ``(n_angles, n_r, n_off)``."""
+    return np.arange(0, n_r * n_theta, n_theta)[:, None] + cols[:, None, :]
+
+
+def polar_forward(x2, cols, weights, index=None):
+    """Apply the angle-subsampled operator to polar signals.
 
     Parameters
     ----------
-    x2 : (n_r, n_theta) array
+    x2 : (..., n_r, n_theta) array; a 2-D array is one signal
     cols : (n_angles, n_off) int array of grid angle columns per measurement
         angle and window offset
     weights : (n_angles, rays_per_angle, n_r, n_off) array
+    index : optional :func:`window_index` of ``cols``, built here when omitted
 
     Returns
     -------
-    (n_angles * rays_per_angle,) array, angle-major / ray-minor.
+    (..., n_angles * rays_per_angle) array, angle-major / ray-minor.
     """
     n_angles, rays, n_r, n_off = weights.shape
-    window = x2[:, cols].transpose(1, 0, 2).reshape(n_angles, n_r * n_off, 1)
-    return np.matmul(weights.reshape(n_angles, rays, n_r * n_off), window).ravel()
+    batch = x2.shape[:-2]
+    n_theta = x2.shape[-1]
+    if index is None:
+        index = window_index(cols, n_r, n_theta)
+    # take lays the window out C-contiguously, one batch entry after the
+    # other; x[..., index] may put the batch axis innermost instead, and a
+    # strided vector sends matmul down another summation path
+    window = x2.reshape(batch + (n_r * n_theta,)).take(index, axis=-1)
+    out = np.matmul(weights.reshape(n_angles, rays, n_r * n_off),
+                    window.reshape(batch + (n_angles, n_r * n_off, 1)))
+    return out.reshape(batch + (n_angles * rays,))
 
 
-def polar_adjoint(y, cols, weights_t, n_r, n_theta):
-    """Adjoint of :func:`polar_forward`; returns an (n_r * n_theta,) vector.
+def polar_adjoint(y, cols, weights_t, n_r, n_theta, index=None):
+    """Adjoint of :func:`polar_forward`; returns an ``(..., n_r * n_theta)`` array.
 
-    ``weights_t`` is the forward weight tensor with axes ``(a, r, k, j)``.
+    ``weights_t`` is the forward weight tensor with axes ``(a, r, k, j)``;
+    ``index`` is as in :func:`polar_forward`.
     """
     n_angles, _, n_off, rays = weights_t.shape
+    batch = y.shape[:-1]
+    d = n_r * n_theta
+    if index is None:
+        index = window_index(cols, n_r, n_theta)
     contrib = np.matmul(weights_t.reshape(n_angles, n_r * n_off, rays),
-                        y.reshape(n_angles, rays, 1))
-    index = np.arange(0, n_r * n_theta, n_theta)[:, None] + cols[:, None, :]
-    return np.bincount(index.ravel(), weights=contrib.ravel(), minlength=n_r * n_theta)
+                        y.reshape(batch + (n_angles, rays, 1)))
+    count = math.prod(batch)
+    flat = index.ravel()
+    if count != 1:
+        flat = (flat + d * np.arange(count)[:, None]).ravel()
+    out = np.bincount(flat, weights=contrib.ravel(), minlength=count * d)
+    return out.reshape(batch + (d,))

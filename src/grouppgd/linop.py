@@ -6,6 +6,13 @@ closures plus exact dimensions.  Everything downstream (solver steps,
 certificates, dense oracles) goes through this surface, so the adjoint
 consistency of each constructor is what the whole test suite leans on.
 
+Forward and adjoint act on the last axis: a stack of shape ``(R, cols)``
+maps to ``(R, rows)`` and back, and every row gets the same bits as its own
+1-D call.  The solver steps a whole ensemble as one stack and
+:func:`gram_dense` probes blocks of basis vectors on that guarantee, so
+every constructor here keeps it (stacked ``np.matmul`` products, never a
+gemm over the stack).
+
 Spectral quantities are exact: :func:`gram_eigvals` probes the Gram of the
 operator's smaller side (``A A^T`` for a wide operator, ``A^T A`` otherwise)
 and eigendecomposes it, and :func:`spectral_norm` is its top eigenvalue.
@@ -37,6 +44,7 @@ __all__ = [
 
 DENSE_CAP = 4096
 _AVERAGE_CHUNK = 8192  # Gram nonzeros moved per fancy-index update
+_PROBE_BLOCK = 16  # basis vectors per gram_dense probe
 
 
 class DimensionMismatchError(ValueError):
@@ -51,8 +59,10 @@ class SizeCapError(ValueError):
 class LinearMap:
     """A real linear operator given by its forward and adjoint actions.
 
-    ``forward`` maps vectors of length ``cols`` to vectors of length ``rows``;
-    ``adjoint`` maps the other way.  Constructors in this module guarantee
+    ``forward`` maps arrays whose last axis has length ``cols`` to arrays
+    whose last axis has length ``rows``; ``adjoint`` maps the other way.
+    Leading axes are a batch, and each batch entry gets the same bits as its
+    own 1-D call.  Constructors in this module guarantee
     <Ax, y> == <x, A^T y> up to round-off.
     """
 
@@ -63,9 +73,9 @@ class LinearMap:
     tag: str = ""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Return ``A x``, validating the input length."""
+        """Return ``A x``, validating the length of the last axis."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.cols,):
+        if x.ndim == 0 or x.shape[-1] != self.cols:
             raise DimensionMismatchError(
                 f"operator {self.tag!r} expects length {self.cols}, got shape {x.shape}"
             )
@@ -73,15 +83,19 @@ class LinearMap:
 
 
 def from_dense(matrix: np.ndarray, tag: str = "dense") -> LinearMap:
-    """Wrap a dense 2-D array as a LinearMap with exact matrix-vector products."""
+    """Wrap a dense 2-D array as a LinearMap with exact matrix-vector products.
+
+    A stack is multiplied one row at a time (a stacked ``np.matmul`` of the
+    matrix with column vectors), which keeps each row's bits.
+    """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D array, got ndim={M.ndim}")
     return LinearMap(
         rows=M.shape[0],
         cols=M.shape[1],
-        forward=lambda x, M=M: M @ x,
-        adjoint=lambda y, M=M: M.T @ y,
+        forward=lambda x, M=M: np.matmul(M, x[..., None])[..., 0],
+        adjoint=lambda y, M=M: np.matmul(M.T, y[..., None])[..., 0],
         tag=tag,
     )
 
@@ -133,12 +147,12 @@ def stack_mean(ops: list[LinearMap]) -> LinearMap:
     total_rows = int(offsets[-1])
 
     def forward(x, ops=tuple(ops)):
-        return scale * np.concatenate([op.forward(x) for op in ops])
+        return scale * np.concatenate([op.forward(x) for op in ops], axis=-1)
 
     def adjoint(y, ops=tuple(ops)):
-        acc = np.zeros(cols)
+        acc = np.zeros(y.shape[:-1] + (cols,))
         for op, lo, hi in zip(ops, offsets[:-1], offsets[1:]):
-            acc += op.adjoint(y[lo:hi])
+            acc += op.adjoint(y[..., lo:hi])
         return scale * acc
 
     return LinearMap(rows=total_rows, cols=cols, forward=forward,
@@ -169,19 +183,21 @@ def gram_eigvals(A: LinearMap) -> np.ndarray:
 def gram_dense(A: LinearMap, cap: int = DENSE_CAP) -> np.ndarray:
     """Assemble ``A^T A`` densely by probing with basis vectors.
 
-    Refuses operators wider than ``cap`` columns; the dense path exists to
-    back small-instance oracles, not production solves.
+    The basis vectors go through the operator ``_PROBE_BLOCK`` at a time as
+    one stack; by the stack contract column ``j`` has the bits of probing
+    ``e_j`` alone.  Refuses operators wider than ``cap`` columns; the dense
+    path exists to back small-instance oracles, not production solves.
     """
     if A.cols > cap:
         raise SizeCapError(
             f"gram_dense refused: {A.cols} columns exceeds cap {cap}"
         )
     G = np.empty((A.cols, A.cols))
-    e = np.zeros(A.cols)
-    for j in range(A.cols):
-        e[j] = 1.0
-        G[:, j] = A.adjoint(A.forward(e))
-        e[j] = 0.0
+    for lo in range(0, A.cols, _PROBE_BLOCK):
+        hi = min(lo + _PROBE_BLOCK, A.cols)
+        E = np.zeros((hi - lo, A.cols))
+        E[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+        G[:, lo:hi] = A.adjoint(A.forward(E)).T
     return G
 
 

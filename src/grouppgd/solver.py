@@ -4,20 +4,34 @@ One iteration of the plain method moves against the least-squares gradient
 and projects back onto the feasible set.  The group variant first rotates the
 iterate by a randomly drawn symmetry action, evaluates the gradient there,
 and rotates the result back; with the identity action this reduces
-bit-for-bit to the plain step.  A multistage driver runs a schedule of
-shrinking symmetry radii, warm-starting each stage from the last.
+bit-for-bit to the plain step.
+
+Every run goes through one driver that steps a stack ``X`` of shape
+``(R, d)``.  Each row is one chain with its own random stream; the operator,
+the projection and the trace values act on the whole stack, and by the stack
+contract of :mod:`grouppgd.linop` and :mod:`grouppgd.constraint` every row
+gets the bits of its own one-row run.  :func:`run` is the driver on one row,
+:func:`run_multistage` is one row stepped through a schedule of shrinking
+symmetry radii (each stage warm-started from the last), and
+:func:`run_ensemble` is one row per replicate.  At the start of a stage each
+row draws the whole stage's action indices at once,
+``rng.integers(len(subset), size=budget)``, the same values as one
+:func:`~grouppgd.symmetry.sample_action` call per step.  A step's rotation is
+one flat index ``J = perms[idx] + row * d``: the rotated stack is the gather
+``X.ravel()[J]`` and the gradient goes back by the scatter-assign
+``grad.ravel()[J] = G``, the exact inverse permutation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bench import ProblemInstance
 from .constraint import ConstraintSet
 from .linop import LinearMap, DimensionMismatchError, spectral_norm
-from .symmetry import GroupAction, SymmetricSubset, sample_action, symmetric_subset
+from .symmetry import GroupAction, SymmetricSubset, symmetric_subset
 
 __all__ = [
     "SolverConfig",
@@ -108,8 +122,7 @@ def pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
              eta: float) -> np.ndarray:
     """One projected gradient step on the least-squares objective."""
     _check_step_args(x, A, b, eta)
-    grad = A.adjoint(A.forward(x) - b)
-    return K.project(x - eta * grad)
+    return _step(x, A, b, K, eta)
 
 
 def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
@@ -125,8 +138,25 @@ def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
         raise DimensionMismatchError(
             f"action dimension {T.dimension} does not match operator columns {A.cols}"
         )
-    grad = A.adjoint(A.forward(T.apply(x)) - b)
-    return K.project(x - eta * T.apply_inverse(grad))
+    return _step(x, A, b, K, eta, T.permutation)
+
+
+def _step(X, A, b, K, eta, J=None):
+    """One projected gradient step on every row of ``X``.
+
+    ``J`` is a flat rotation index into ``X.ravel()`` of ``X``'s shape: the
+    gradient is taken at the gathered stack ``X.ravel()[J]`` and scattered
+    back through ``J``.  Without ``J`` the step is the plain one.
+    """
+    if J is None:
+        update = eta * A.adjoint(A.forward(X) - b)
+    else:
+        update = np.empty_like(X)
+        update.ravel()[J] = A.adjoint(A.forward(X.ravel().take(J)) - b)
+        update *= eta
+    # X - eta * grad in one buffer: on a stack, allocating one more
+    # temporary can cost more than the arithmetic
+    return K.project(np.subtract(X, update, out=update))
 
 
 def _check_step_args(x, A, b, eta):
@@ -142,55 +172,79 @@ def _check_step_args(x, A, b, eta):
         raise ValueError("step size must be positive")
 
 
-class _TraceRecorder:
-    def __init__(self, problem: ProblemInstance, stride: int):
-        self.problem = problem
-        self.stride = stride
-        self.sqrt_d = np.sqrt(problem.dimension)
-        self.iterations = []
-        self.rmsd = []
-        self.rmsd_normalized = []
-        self.objective = []
-        self.action_indices = []
-        self.stages = []
+def _row_dots(U):
+    """``u @ u`` of every row of the stack ``U``, as stacked BLAS dots.
 
-    def record(self, k, x, action_index=-1, stage=0):
-        err = float(np.linalg.norm(x - self.problem.x_dagger))
-        residual = self.problem.A.forward(x) - self.problem.b
-        self.iterations.append(k)
-        self.rmsd.append(err)
-        self.rmsd_normalized.append(err / self.sqrt_d)
-        self.objective.append(0.5 * float(residual @ residual))
-        self.action_indices.append(action_index)
-        self.stages.append(stage)
-
-    def finish(self, x) -> IterateTrace:
-        return IterateTrace(
-            iterations=np.asarray(self.iterations, dtype=np.int64),
-            rmsd=np.asarray(self.rmsd),
-            rmsd_normalized=np.asarray(self.rmsd_normalized),
-            objective=np.asarray(self.objective),
-            action_indices=np.asarray(self.action_indices, dtype=np.int64),
-            stages=np.asarray(self.stages, dtype=np.int64),
-            final_x=x,
-        )
+    Each row's dot is the one ``np.linalg.norm`` and ``u @ u`` take on a
+    1-D ``u``, so the values have the same bits.
+    """
+    return np.matmul(U[:, None, :], U[:, :, None])[:, 0, 0]
 
 
-def _run_stage(x, problem, subset, eta, n_iters, rng, recorder, k0, stage):
+def _drive(problem: ProblemInstance, x0, stages, eta: float, rngs,
+           stride: int) -> list[IterateTrace]:
+    """Step one chain per entry of ``rngs`` through ``stages``; one trace per row.
+
+    ``stages`` lists ``(subset, budget)`` pairs, ``subset`` None for plain
+    steps.  Every row starts at ``x0`` (zeros when None) and draws its
+    actions from its own generator.  The traces record the initial point,
+    then every ``stride``-th iterate of each stage plus the stage's last.
+    Raises :class:`DivergenceError` at the first iteration at which any row
+    leaves the finite ball of radius ``DIVERGENCE_NORM``.
+    """
     A, b, K = problem.A, problem.b, problem.K
-    for i in range(1, n_iters + 1):
-        k = k0 + i
-        if subset is None:
-            x = pgd_step(x, A, b, K, eta)
-            idx = -1
-        else:
-            action, idx = sample_action(subset, rng)
-            x = group_pgd_step(x, A, b, K, eta, action)
-        if not np.isfinite(x).all() or np.linalg.norm(x) > DIVERGENCE_NORM:
-            raise DivergenceError(k)
-        if i % recorder.stride == 0 or i == n_iters:
-            recorder.record(k, x, action_index=idx, stage=stage)
-    return x
+    d, R = problem.dimension, len(rngs)
+    x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
+    _check_step_args(x0, A, b, eta)
+    for subset, _ in stages:
+        if subset is not None and subset.dimension != d:
+            raise DimensionMismatchError(
+                f"subset dimension {subset.dimension} does not match problem "
+                f"dimension {d}"
+            )
+    X = np.empty((R, d))
+    X[:] = x0
+    n_records = 1 + sum(-(-budget // stride) for _, budget in stages)
+    iterations = np.zeros(n_records, dtype=np.int64)
+    stage_marks = np.zeros(n_records, dtype=np.int64)
+    rmsd = np.empty((R, n_records))
+    objective = np.empty((R, n_records))
+    actions = np.full((R, n_records), -1, dtype=np.int64)
+    offsets = d * np.arange(R)[:, None]
+
+    def record(slot, X):
+        rmsd[:, slot] = np.sqrt(_row_dots(X - problem.x_dagger))
+        objective[:, slot] = 0.5 * _row_dots(A.forward(X) - b)
+
+    record(0, X)
+    k, slot = 0, 1
+    for stage, (subset, budget) in enumerate(stages):
+        if subset is not None:
+            perms = np.stack([action.permutation for action in subset])
+            draws = np.stack([rng.integers(len(subset), size=budget) for rng in rngs])
+        for i in range(1, budget + 1):
+            k += 1
+            if subset is None:
+                X = _step(X, A, b, K, eta)
+            else:
+                J = perms.take(draws[:, i - 1], axis=0)
+                J += offsets
+                X = _step(X, A, b, K, eta, J)
+            if not (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all():
+                raise DivergenceError(k)
+            if i % stride == 0 or i == budget:
+                record(slot, X)
+                iterations[slot], stage_marks[slot] = k, stage
+                if subset is not None:
+                    actions[:, slot] = draws[:, i - 1]
+                slot += 1
+    rmsd_normalized = rmsd / np.sqrt(d)
+    return [
+        IterateTrace(iterations=iterations, rmsd=rmsd[r],
+                     rmsd_normalized=rmsd_normalized[r], objective=objective[r],
+                     action_indices=actions[r], stages=stage_marks, final_x=X[r])
+        for r in range(R)
+    ]
 
 
 def run(problem: ProblemInstance, config: SolverConfig,
@@ -204,20 +258,11 @@ def run(problem: ProblemInstance, config: SolverConfig,
     the final one.  Deterministic given ``config.seed`` (or an explicit
     ``rng``, which takes precedence).
     """
-    if subset is not None and subset.dimension != problem.dimension:
-        raise DimensionMismatchError(
-            f"subset dimension {subset.dimension} does not match problem "
-            f"dimension {problem.dimension}"
-        )
     eta = resolve_step_size(config, problem.A)
-    x = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float).copy()
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    recorder = _TraceRecorder(problem, config.record_every)
-    recorder.record(0, x)
-    x = _run_stage(x, problem, subset, eta, config.max_iters, rng, recorder,
-                   k0=0, stage=0)
-    return recorder.finish(x)
+    return _drive(problem, x0, [(subset, config.max_iters)], eta, [rng],
+                  config.record_every)[0]
 
 
 def run_multistage(problem: ProblemInstance, config: SolverConfig,
@@ -230,7 +275,8 @@ def run_multistage(problem: ProblemInstance, config: SolverConfig,
     steps.  ``generator`` defaults to the one-step grid rotation of the
     problem geometry.  ``config.max_iters`` is ignored in favor of the
     schedule budgets; the recorded trace is the concatenation of all stages
-    with a per-row stage marker.
+    with a per-row stage marker.  One generator seeded with ``config.seed``
+    draws every stage's actions.
     """
     if not schedule:
         raise ValueError("schedule must be nonempty")
@@ -242,17 +288,9 @@ def run_multistage(problem: ProblemInstance, config: SolverConfig,
     if generator is None:
         generator = problem.geometry.theta_shift(1)
     eta = resolve_step_size(config, problem.A)
-    rng = np.random.default_rng(config.seed)
-    x = np.zeros(problem.dimension) if x0 is None else np.asarray(x0, dtype=float).copy()
-    recorder = _TraceRecorder(problem, config.record_every)
-    recorder.record(0, x)
-    k0 = 0
-    for stage, (radius, budget) in enumerate(schedule):
-        subset = symmetric_subset(generator, radius)
-        x = _run_stage(x, problem, subset, eta, budget, rng, recorder,
-                       k0=k0, stage=stage)
-        k0 += budget
-    return recorder.finish(x)
+    stages = [(symmetric_subset(generator, radius), budget) for radius, budget in schedule]
+    return _drive(problem, x0, stages, eta, [np.random.default_rng(config.seed)],
+                  config.record_every)[0]
 
 
 def run_ensemble(problem: ProblemInstance, config: SolverConfig,
@@ -261,24 +299,28 @@ def run_ensemble(problem: ProblemInstance, config: SolverConfig,
 
     Replicate ``i`` draws its stream from ``SeedSequence(config.seed)``
     child ``i``, so the ensemble is reproducible and replicate-order
-    independent.  An ``"auto"`` step is resolved once and shared by every
-    replicate.  Plain PGD (``subset=None``) draws nothing from its stream,
-    so its chain runs once and ``traces`` holds that one trace object
-    ``replicates`` times; the mean is still taken over all entries, so it
-    is bit for bit the mean of separate runs.  Returns
-    ``(iterations, mean_rmsd, traces)``.
+    independent.  The replicates are the rows of one stack stepped
+    together, each bit for bit the trace of its own :func:`run` on that
+    stream.  An ``"auto"`` step is resolved once and shared by every
+    replicate.  If any replicate diverges, :class:`DivergenceError` names
+    the first iteration at which one did, whichever replicate it was.
+    Plain PGD (``subset=None``) draws nothing from its stream, so its chain
+    runs once and ``traces`` holds that one trace object ``replicates``
+    times; the mean is still taken over all entries, so it is bit for bit
+    the mean of separate runs.  Returns ``(iterations, mean_rmsd, traces)``.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    config = replace(config, step_size=resolve_step_size(config, problem.A))
+    eta = resolve_step_size(config, problem.A)
     if subset is None:
-        traces = [run(problem, config)] * replicates
+        rngs = [None]
     else:
-        children = np.random.SeedSequence(config.seed).spawn(replicates)
-        traces = [
-            run(problem, config, subset=subset, rng=np.random.default_rng(child))
-            for child in children
-        ]
+        rngs = [np.random.default_rng(child)
+                for child in np.random.SeedSequence(config.seed).spawn(replicates)]
+    traces = _drive(problem, None, [(subset, config.max_iters)], eta, rngs,
+                    config.record_every)
+    if subset is None:
+        traces = traces * replicates
     iterations = traces[0].iterations
     mean_rmsd = np.mean(np.stack([t.rmsd for t in traces]), axis=0)
     return iterations, mean_rmsd, traces

@@ -33,7 +33,8 @@ __all__ = [
 class GroupAction:
     """An exact permutation transform of length-``dimension`` signals.
 
-    ``permutation`` is in gather form: ``apply(x)[i] == x[permutation[i]]``.
+    ``permutation`` is in gather form: ``apply(x)[..., i] == x[..., permutation[i]]``;
+    the action moves the last axis, so a stack of signals rotates row by row.
     ``power`` is the exponent of this action relative to the generator that
     produced it (0 for the identity, negative for inverses).
     """
@@ -63,10 +64,10 @@ class GroupAction:
         return bool(np.array_equal(self.permutation, np.arange(self.dimension)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return x[self.permutation]
+        return np.take(x, self.permutation, axis=-1)
 
     def apply_inverse(self, x: np.ndarray) -> np.ndarray:
-        return x[self.inverse_permutation]
+        return np.take(x, self.inverse_permutation, axis=-1)
 
     def inverse(self) -> "GroupAction":
         return GroupAction(

@@ -246,3 +246,38 @@ def test_descent_cone_nonneg_orthant():
     anchor = np.array([0.0, 0.5, 0.2, 0.0])
     for g in boundary.generators:
         assert np.all(anchor + 1e-9 * g >= -1e-15)
+
+
+def test_stacked_projection_equals_row_by_row():
+    d = 9
+    rng = np.random.default_rng(31)
+    sets = {
+        "box": Box(rng.uniform(-1.0, 0.0, d), rng.uniform(0.1, 1.0, d), d),
+        "nonneg": Nonneg(d),
+        "l1": L1Ball(1.5, d),
+        "subspace": Subspace(random_orthonormal(d, 4, 32)),
+    }
+    # rows inside and outside the l1 ball, with ties and signed zeros
+    X = rng.standard_normal((6, d))
+    X[1] *= 0.05
+    X[2, :3] = [0.5, -0.5, 0.5]
+    X[3] = 0.0
+    X[3, 0] = -0.0
+    for name, K in sets.items():
+        for R in (1, 2, 6):
+            P = K.project(X[:R])
+            assert P.shape == (R, d)
+            for r in range(R):
+                assert np.array_equal(P[r], K.project(X[r])), (name, R, r)
+        assert K.project(X.reshape(2, 3, d)).shape == (2, 3, d)
+
+
+def test_box_projection_is_clip_bit_for_bit():
+    d = 64
+    rng = np.random.default_rng(33)
+    K = Box(rng.uniform(-1.0, 0.0, d), rng.uniform(0.1, 1.0, d), d)
+    X = rng.uniform(-2.0, 2.0, (3, d))
+    X[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
+    clipped = np.clip(X, K.lo, K.hi)
+    assert np.array_equal(K.project(X).view(np.int64), clipped.view(np.int64))
+    assert np.isnan(K.project(X)[0, 0])

@@ -103,8 +103,10 @@ def test_kernels_match_loops_with_duplicate_columns():
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n_r=st.integers(1, 6), n_theta=st.integers(1, 12), n_angles=st.integers(1, 6),
-       rays=st.integers(1, 6), n_off=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_adjoint_consistency_over_random_shapes(n_r, n_theta, n_angles, rays, n_off, seed):
+       rays=st.integers(1, 6), n_off=st.integers(1, 4), batch=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_adjoint_consistency_over_random_shapes(n_r, n_theta, n_angles, rays, n_off, batch,
+                                                seed):
     x2, cols, weights, weights_t, y = random_kernel_data(
         seed, n_r=n_r, n_theta=n_theta, n_angles=n_angles, rays=rays, n_off=n_off)
     fwd = kernels.polar_forward(x2, cols, weights)
@@ -112,3 +114,15 @@ def test_adjoint_consistency_over_random_shapes(n_r, n_theta, n_angles, rays, n_
     # <A x, y> and <x, A^T y> sum the same products in different orders
     scale = np.abs(weights).sum() * np.abs(x2).max() * np.abs(y).max()
     assert abs(fwd @ y - x2.ravel() @ adj) <= 1e-12 * scale
+    # a batch (with the precomputed index) gives every entry its own call's bits
+    rng = np.random.default_rng(seed)
+    X2 = rng.standard_normal((batch, n_r, n_theta))
+    Y = rng.standard_normal((batch, n_angles * rays))
+    index = kernels.window_index(cols, n_r, n_theta)
+    fwd_b = kernels.polar_forward(X2, cols, weights, index)
+    adj_b = kernels.polar_adjoint(Y, cols, weights_t, n_r, n_theta, index)
+    assert fwd_b.shape == (batch, n_angles * rays) and adj_b.shape == (batch, n_r * n_theta)
+    for r in range(batch):
+        assert np.array_equal(fwd_b[r], kernels.polar_forward(X2[r], cols, weights))
+        assert np.array_equal(adj_b[r], kernels.polar_adjoint(Y[r], cols, weights_t, n_r,
+                                                              n_theta))

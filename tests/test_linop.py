@@ -206,7 +206,7 @@ def test_gram_eigvals_polar_instance_reads_the_small_side():
     probes = []
 
     def counted_adjoint(y):
-        probes.append(1)
+        probes.extend(np.atleast_2d(y))  # one entry per probed vector
         return A.adjoint(y)
 
     counted = LinearMap(rows=A.rows, cols=A.cols, forward=A.forward,
@@ -215,6 +215,7 @@ def test_gram_eigvals_polar_instance_reads_the_small_side():
     got = gram_eigvals(counted)
     assert_allclose(got, oracle, rtol=0, atol=1e-12 * oracle[-1])
     assert len(probes) == A.rows
+    assert np.array_equal(np.stack(probes), np.eye(A.rows))
 
 
 def test_gram_dense_identity():
@@ -285,3 +286,53 @@ def test_gram_average_works_in_place():
     out = gram_average(G, subset)
     assert out is G
     assert np.array_equal(out, expected)
+
+
+def stack_contract_operators():
+    """One operator from every constructor, with a name for the failure message."""
+    rng = np.random.default_rng(21)
+    M = rng.standard_normal((9, 14))
+    polar = angle_subsampled_operator(5, 12, angles=(0, 3, 7), rays_per_angle=4, seed=2)
+    shift = polar_theta_shift(5, 12, 2)
+    return {
+        "from_dense": from_dense(M),
+        "identity_map": identity_map(14),
+        "compose_with_action": compose_with_action(from_dense(M), cyclic_shift_action(14, 3)),
+        "stack_mean": stack_mean([polar, compose_with_action(polar, shift)]),
+        "polar": polar,
+        "polar_composed": compose_with_action(polar, shift),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(stack_contract_operators()))
+def test_stacked_calls_equal_row_by_row_calls(name):
+    A = stack_contract_operators()[name]
+    rng = np.random.default_rng(5)
+    for R in (1, 2, 7):
+        X = rng.standard_normal((R, A.cols))
+        Y = rng.standard_normal((R, A.rows))
+        fwd, adj = A.forward(X), A.adjoint(Y)
+        assert fwd.shape == (R, A.rows) and adj.shape == (R, A.cols)
+        for r in range(R):
+            assert np.array_equal(fwd[r], A.forward(X[r])), (name, R, r)
+            assert np.array_equal(adj[r], A.adjoint(Y[r])), (name, R, r)
+    assert np.array_equal(A(X), fwd)
+
+
+def test_call_checks_the_last_axis():
+    A = from_dense(np.ones((2, 3)))
+    assert A(np.ones((4, 3))).shape == (4, 2)
+    for bad in (np.ones((3, 2)), np.ones(2), np.float64(1.0)):
+        with pytest.raises(DimensionMismatchError):
+            A(bad)
+
+
+def test_gram_dense_blocks_equal_single_probes():
+    A = stack_contract_operators()["stack_mean"]
+    single = np.empty((A.cols, A.cols))
+    e = np.zeros(A.cols)
+    for j in range(A.cols):
+        e[j] = 1.0
+        single[:, j] = A.adjoint(A.forward(e))
+        e[j] = 0.0
+    assert np.array_equal(gram_dense(A), single)

@@ -19,7 +19,8 @@ from grouppgd.solver import (
     run_ensemble,
     run_multistage,
 )
-from grouppgd.symmetry import identity_action, polar_theta_shift, symmetric_subset
+from grouppgd.symmetry import (cyclic_shift_action, identity_action, polar_theta_shift,
+                               sample_action, symmetric_subset)
 
 
 def small_problem(noise="none", sigma=0.0, seed=0, **kw):
@@ -156,6 +157,28 @@ def test_divergence_raises_with_iteration_index():
     assert info.value.iteration > 0
 
 
+def test_run_draws_one_action_per_step_in_stream_order():
+    prob = small_problem(noise="gaussian", sigma=0.05, seed=6)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    trace = run(prob, SolverConfig(max_iters=30, seed=7, record_every=1), subset=subset)
+    rng = np.random.default_rng(7)
+    expected = [sample_action(subset, rng)[1] for _ in range(30)]
+    assert trace.action_indices[0] == -1
+    assert list(trace.action_indices[1:]) == expected
+
+
+def test_multistage_draws_continue_across_stage_boundaries():
+    prob = small_problem(noise="gaussian", sigma=0.05, seed=6)
+    schedule = [(2, 6), (1, 5), (0, 3)]
+    trace = run_multistage(prob, SolverConfig(max_iters=0, seed=9, record_every=1), schedule)
+    rng = np.random.default_rng(9)
+    generator = prob.geometry.theta_shift(1)
+    expected = [sample_action(symmetric_subset(generator, radius), rng)[1]
+                for radius, budget in schedule for _ in range(budget)]
+    assert list(trace.action_indices[1:]) == expected
+    assert list(trace.stages[1:]) == [0] * 6 + [1] * 5 + [2] * 3
+
+
 def test_multistage_single_stage_equals_plain_run():
     prob = small_problem(noise="gaussian", sigma=0.05, seed=10)
     config = SolverConfig(max_iters=30, seed=13)
@@ -164,6 +187,27 @@ def test_multistage_single_stage_equals_plain_run():
     staged = run_multistage(prob, config, [(2, 30)])
     assert np.array_equal(plain.rmsd, staged.rmsd)
     assert np.array_equal(plain.final_x, staged.final_x)
+
+
+def test_ensemble_divergence_names_the_first_row_to_diverge():
+    # every step scales the coordinate the drawn shift moves onto the first
+    # axis by -3, so each replicate blows up at an iteration set by its draws
+    d = 4
+    geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
+    prob = ProblemInstance(x_dagger=np.zeros(d), A=from_dense(np.diag([2.0, 0.0, 0.0, 0.0])),
+                           b=np.ones(d), w=np.ones(d), K=Subspace(np.eye(d)),
+                           geometry=geometry)
+    subset = symmetric_subset(cyclic_shift_action(d, 1), 1)
+    config = SolverConfig(max_iters=500, step_size=1.0, seed=2)
+    alone = []
+    for child in np.random.SeedSequence(config.seed).spawn(6):
+        with pytest.raises(DivergenceError) as info:
+            run(prob, config, subset=subset, rng=np.random.default_rng(child))
+        alone.append(info.value.iteration)
+    assert min(alone) < max(alone)
+    with pytest.raises(DivergenceError) as info:
+        run_ensemble(prob, config, subset, replicates=6)
+    assert info.value.iteration == min(alone)
 
 
 def test_multistage_final_stage_is_pure_pgd():
