@@ -41,12 +41,9 @@ from .linop import (
     DimensionMismatchError,
     LinearMap,
     SizeCapError,
-    compose_with_action,
     from_dense,
     gram_dense,
-    identity_map,
     spectral_norm,
-    stack_mean,
 )
 from .solver import (
     DivergenceError,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .constraint import Box, ConstraintSet
-from .linop import LinearMap
+from .linop import LinearMap, from_window
 from .symmetry import polar_theta_shift
 
 __all__ = [
@@ -156,19 +156,14 @@ def angle_subsampled_operator(n_r: int, n_theta: int, angles, rays_per_angle: in
     cols = (np.asarray(angles, dtype=np.int64)[:, None]
             + np.asarray(offsets, dtype=np.int64)[None, :]) % n_theta
     weights_t = np.ascontiguousarray(np.moveaxis(weights, 1, 3))
-    index = kernels.window_index(cols, n_r, n_theta)
-    rows = len(angles) * rays_per_angle
-    d = n_r * n_theta
-
-    def forward(x):
-        grid = x.reshape(x.shape[:-1] + (n_r, n_theta))
-        return kernels.polar_forward(grid, cols, weights, index)
-
-    def adjoint(y):
-        return kernels.polar_adjoint(y, cols, weights_t, n_r, n_theta, index)
-
-    return LinearMap(rows=rows, cols=d, forward=forward, adjoint=adjoint,
-                     tag=f"polar[{len(angles)}x{rays_per_angle}]")
+    return from_window(
+        rows=len(angles) * rays_per_angle,
+        cols=n_r * n_theta,
+        window=kernels.window_index(cols, n_r, n_theta),
+        window_forward=lambda v: kernels.polar_window_forward(v, weights),
+        window_adjoint=lambda y: kernels.polar_window_adjoint(y, weights_t),
+        tag=f"polar[{len(angles)}x{rays_per_angle}]",
+    )
 
 
 def shifted_angles(angles, s: int, n_theta: int) -> tuple[int, ...]:

@@ -46,8 +46,8 @@ import numpy as np
 
 from .bench import ProblemInstance
 from .constraint import DescentCone, descent_cone_of, gram_min_eig, project_cone
-from .linop import (LinearMap, compose_with_action, gram_average, gram_dense,
-                    gram_eigvals)
+from .linop import (LinearMap, gram_average, gram_dense, gram_eigvals, rotated_adjoint,
+                    window_table)
 from .solver import SolverConfig, run_ensemble
 from .symmetry import SymmetricSubset
 
@@ -131,10 +131,11 @@ def compute_eps_gstar(A: LinearMap, subset: SymmetricSubset,
     largest cone-projected norm over the subset.  Zero whenever every action
     fixes the ground truth.
     """
+    table = window_table(A, subset)
     worst = 0.0
-    for action in subset:
+    for action, cells in zip(subset, table):
         mismatch = x_dagger - action.apply(x_dagger)
-        z = compose_with_action(A, action).adjoint(A.forward(mismatch))
+        z = rotated_adjoint(A, A.forward(mismatch), cells, A.cols)
         worst = max(worst, float(np.linalg.norm(project_cone(C, z))))
     return worst
 
@@ -146,8 +147,8 @@ def compute_eps_w(A: LinearMap, subset: SymmetricSubset, w: np.ndarray,
     if w_norm == 0.0:
         return 0.0
     worst = 0.0
-    for action in subset:
-        z = compose_with_action(A, action).adjoint(w)
+    for cells in window_table(A, subset):
+        z = rotated_adjoint(A, w, cells, A.cols)
         worst = max(worst, float(np.linalg.norm(project_cone(C, z))))
     return worst / w_norm
 

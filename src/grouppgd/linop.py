@@ -1,5 +1,5 @@
-"""Matrix-free linear operators: application, adjoints, group composition,
-normalized stacking, and spectral quantities.
+"""Matrix-free linear operators: application, adjoints, rotation by a group
+action, and spectral quantities.
 
 Operators are immutable ``LinearMap`` records holding forward/adjoint
 closures plus exact dimensions.  Everything downstream (solver steps,
@@ -13,6 +13,13 @@ maps to ``(R, rows)`` and back, and every row gets the same bits as its own
 every constructor here keeps it (stacked ``np.matmul`` products, never a
 gemm over the stack).
 
+This module is the one place where a rotation meets an operator.  A group
+action is a permutation ``perm_s`` of the cells, and the rotated operator
+``x -> A(x[perm_s])`` reads cell ``perm_s[c]`` wherever ``A`` reads ``c``.
+:func:`window_table` lists those cells once per action, and
+:func:`rotated_forward`/:func:`rotated_adjoint` gather through a table row
+and scatter back through it, with no full-length permutation of the signal.
+
 Spectral quantities are exact: :func:`gram_eigvals` probes the Gram of the
 operator's smaller side (``A A^T`` for a wide operator, ``A^T A`` otherwise)
 and eigendecomposes it, and :func:`spectral_norm` is its top eigenvalue.
@@ -21,21 +28,22 @@ Both refuse operators whose smaller side exceeds ``DENSE_CAP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .symmetry import GroupAction
+from . import kernels
 
 __all__ = [
     "LinearMap",
     "DimensionMismatchError",
     "SizeCapError",
     "from_dense",
-    "identity_map",
-    "compose_with_action",
-    "stack_mean",
+    "from_window",
+    "window_table",
+    "rotated_forward",
+    "rotated_adjoint",
     "spectral_norm",
     "gram_eigvals",
     "gram_dense",
@@ -64,6 +72,11 @@ class LinearMap:
     Leading axes are a batch, and each batch entry gets the same bits as its
     own 1-D call.  Constructors in this module guarantee
     <Ax, y> == <x, A^T y> up to round-off.
+
+    A map built by :func:`from_window` reads only the input cells
+    ``window``: ``window_forward`` maps those cells' values to the rows and
+    ``window_adjoint`` maps the rows back onto them.  A map without a window
+    reads all ``cols`` cells.
     """
 
     rows: int
@@ -71,6 +84,11 @@ class LinearMap:
     forward: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     tag: str = ""
+    window: np.ndarray | None = field(default=None, repr=False, compare=False)
+    window_forward: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+    window_adjoint: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Return ``A x``, validating the length of the last axis."""
@@ -100,63 +118,66 @@ def from_dense(matrix: np.ndarray, tag: str = "dense") -> LinearMap:
     )
 
 
-def identity_map(d: int) -> LinearMap:
-    return LinearMap(rows=d, cols=d, forward=lambda x: x.copy(),
-                     adjoint=lambda y: y.copy(), tag=f"identity[{d}]")
+def from_window(rows: int, cols: int, window, window_forward, window_adjoint,
+                tag: str = "") -> LinearMap:
+    """A map that reads only the input cells ``window`` (flat, duplicates allowed).
 
-
-def compose_with_action(A: LinearMap, T: GroupAction) -> LinearMap:
-    """Return the operator ``x -> A(T x)``.
-
-    The adjoint is ``y -> T^{-1}(A^T y)`` because group actions are
-    orthogonal permutations.  Rows and cols are preserved.
+    ``window_forward`` maps the gathered values ``x[..., window]`` to the
+    rows and ``window_adjoint`` maps rows back to one value per window
+    entry; the adjoint adds those into their cells
+    (:func:`~grouppgd.kernels.scatter_add`).  Both window maps must keep the
+    stack contract.
     """
-    if A.cols != T.dimension:
-        raise DimensionMismatchError(
-            f"cannot compose: operator has {A.cols} columns, action acts on "
-            f"dimension {T.dimension}"
-        )
+    window = np.asarray(window, dtype=np.int64).ravel()
     return LinearMap(
-        rows=A.rows,
-        cols=A.cols,
-        forward=lambda x: A.forward(T.apply(x)),
-        adjoint=lambda y: T.apply_inverse(A.adjoint(y)),
-        tag=f"{A.tag}*{T.label}" if T.label else f"{A.tag}*action",
+        rows=rows,
+        cols=cols,
+        forward=lambda x: window_forward(x.take(window, axis=-1)),
+        adjoint=lambda y: kernels.scatter_add(window, window_adjoint(y), cols),
+        tag=tag,
+        window=window,
+        window_forward=window_forward,
+        window_adjoint=window_adjoint,
     )
 
 
-def stack_mean(ops: list[LinearMap]) -> LinearMap:
-    """Vertically stack operators with a root-mean-square normalization.
+def window_table(A: LinearMap, actions) -> np.ndarray:
+    """Cells each rotated operator ``x -> A(T x)`` reads: ``table[s] = perm_s[window]``.
 
-    Each block is scaled by ``1/sqrt(len(ops))`` so that
-    ``||stack(x)||^2`` equals the mean of the per-block ``||A_i x||^2``.
-    That makes the smallest eigenvalue of the stacked Gram exactly the
-    averaged restricted curvature the convergence certificate consumes.
+    ``perm_s`` is the permutation of ``actions[s]``.  Shift covariance:
+    where ``A`` reads cell ``c`` the rotated operator reads ``perm_s[c]``
+    with the same weights, so it is ``A``'s window maps on the gathered
+    values ``x[table[s]]``.  A map without a window reads every cell, so its
+    table is the permutations themselves.
     """
-    if not ops:
-        raise DimensionMismatchError("stack_mean needs at least one operator")
-    cols = ops[0].cols
-    for op in ops:
-        if op.cols != cols:
-            raise DimensionMismatchError(
-                f"stack_mean: mismatched column counts {[o.cols for o in ops]}"
-            )
-    scale = 1.0 / np.sqrt(len(ops))
-    row_counts = [op.rows for op in ops]
-    offsets = np.concatenate([[0], np.cumsum(row_counts)])
-    total_rows = int(offsets[-1])
+    perms = np.stack([T.permutation for T in actions])
+    return perms if A.window is None else perms[:, A.window]
 
-    def forward(x, ops=tuple(ops)):
-        return scale * np.concatenate([op.forward(x) for op in ops], axis=-1)
 
-    def adjoint(y, ops=tuple(ops)):
-        acc = np.zeros(y.shape[:-1] + (cols,))
-        for op, lo, hi in zip(ops, offsets[:-1], offsets[1:]):
-            acc += op.adjoint(y[..., lo:hi])
-        return scale * acc
+def rotated_forward(A: LinearMap, X: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """``A`` applied to each row of ``X`` rotated: the rows of ``cells`` index ``X.ravel()``.
 
-    return LinearMap(rows=total_rows, cols=cols, forward=forward,
-                     adjoint=adjoint, tag=f"rms-stack[{len(ops)}]")
+    Row ``i`` of ``cells`` is a :func:`window_table` row plus ``i * A.cols``
+    (a 1-D ``cells`` is one table row, for a 1-D ``X``).  Each row gets the
+    bits of ``A.forward`` on its rotated row.
+    """
+    read = A.forward if A.window is None else A.window_forward
+    return read(X.ravel().take(cells))
+
+
+def rotated_adjoint(A: LinearMap, Y: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
+    """Adjoint of :func:`rotated_forward`, as a flat array of ``size`` cells.
+
+    A windowed map adds into the cells as its own adjoint does
+    (:func:`~grouppgd.kernels.scatter_add`, from ``+0.0``, in index order);
+    a map without a window writes its adjoint back through the permutation,
+    which keeps every bit, signed zeros included.
+    """
+    if A.window is None:
+        out = np.empty(size)
+        out[cells] = A.adjoint(Y)
+        return out
+    return kernels.scatter_add(cells, A.window_adjoint(Y).ravel(), size)
 
 
 def spectral_norm(A: LinearMap) -> float:

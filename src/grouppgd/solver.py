@@ -16,10 +16,22 @@ symmetry radii (each stage warm-started from the last), and
 :func:`run_ensemble` is one row per replicate.  At the start of a stage each
 row draws the whole stage's action indices at once,
 ``rng.integers(len(subset), size=budget)``, the same values as one
-:func:`~grouppgd.symmetry.sample_action` call per step.  A step's rotation is
-one flat index ``J = perms[idx] + row * d``: the rotated stack is the gather
-``X.ravel()[J]`` and the gradient goes back by the scatter-assign
-``grad.ravel()[J] = G``, the exact inverse permutation.
+:func:`~grouppgd.symmetry.sample_action` call per step.
+
+A group step never permutes the stack.  By shift covariance the rotated
+operator ``A ∘ P_s`` reads the cells ``perm_s[window]`` with ``A``'s own
+weights, so each stage tabulates those cells once per action
+(:func:`~grouppgd.linop.window_table`), and a step gathers each row's window
+through its drawn table row offset by ``row * d``, applies the operator's
+window maps and adds the adjoint straight back into the same cells
+(:func:`~grouppgd.linop.rotated_forward`,
+:func:`~grouppgd.linop.rotated_adjoint`), with the bits of rotating,
+stepping and rotating back.
+
+A plain step's residual ``A x_k - b`` is also the residual of iterate
+``k``'s objective, so a plain chain's trace takes each objective from the
+next step.  A group step's residual is the rotated one, so there, and for
+the last iterate, the objective costs a forward of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +42,8 @@ import numpy as np
 
 from .bench import ProblemInstance
 from .constraint import ConstraintSet
-from .linop import LinearMap, DimensionMismatchError, spectral_norm
+from .linop import (LinearMap, DimensionMismatchError, rotated_adjoint, rotated_forward,
+                    spectral_norm, window_table)
 from .symmetry import GroupAction, SymmetricSubset, symmetric_subset
 
 __all__ = [
@@ -122,7 +135,7 @@ def pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
              eta: float) -> np.ndarray:
     """One projected gradient step on the least-squares objective."""
     _check_step_args(x, A, b, eta)
-    return _step(x, A, b, K, eta)
+    return _step(x, A, b, K, eta)[0]
 
 
 def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
@@ -138,25 +151,27 @@ def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
         raise DimensionMismatchError(
             f"action dimension {T.dimension} does not match operator columns {A.cols}"
         )
-    return _step(x, A, b, K, eta, T.permutation)
+    return _step(x, A, b, K, eta, window_table(A, [T])[0])[0]
 
 
-def _step(X, A, b, K, eta, J=None):
-    """One projected gradient step on every row of ``X``.
+def _step(X, A, b, K, eta, cells=None):
+    """One projected gradient step on every row of ``X``; returns ``(X_next, residual)``.
 
-    ``J`` is a flat rotation index into ``X.ravel()`` of ``X``'s shape: the
-    gradient is taken at the gathered stack ``X.ravel()[J]`` and scattered
-    back through ``J``.  Without ``J`` the step is the plain one.
+    ``cells`` indexes ``X.ravel()`` as in :func:`~grouppgd.linop.rotated_forward`:
+    the gradient is taken through each row's rotated operator and the
+    residual is the rotated one.  Without ``cells`` the step is the plain
+    one and the residual is ``A X - b``.
     """
-    if J is None:
-        update = eta * A.adjoint(A.forward(X) - b)
+    if cells is None:
+        residual = A.forward(X) - b
+        update = eta * A.adjoint(residual)
     else:
-        update = np.empty_like(X)
-        update.ravel()[J] = A.adjoint(A.forward(X.ravel().take(J)) - b)
+        residual = rotated_forward(A, X, cells) - b
+        update = rotated_adjoint(A, residual, cells, X.size).reshape(X.shape)
         update *= eta
     # X - eta * grad in one buffer: on a stack, allocating one more
     # temporary can cost more than the arithmetic
-    return K.project(np.subtract(X, update, out=update))
+    return K.project(np.subtract(X, update, out=update)), residual
 
 
 def _check_step_args(x, A, b, eta):
@@ -214,30 +229,39 @@ def _drive(problem: ProblemInstance, x0, stages, eta: float, rngs,
 
     def record(slot, X):
         rmsd[:, slot] = np.sqrt(_row_dots(X - problem.x_dagger))
-        objective[:, slot] = 0.5 * _row_dots(A.forward(X) - b)
 
     record(0, X)
+    # the recorded slot whose objective is not written yet: a plain step's
+    # residual is the objective's residual of the iterate it starts from
+    pending = 0
     k, slot = 0, 1
     for stage, (subset, budget) in enumerate(stages):
         if subset is not None:
-            perms = np.stack([action.permutation for action in subset])
+            table = window_table(A, subset)
             draws = np.stack([rng.integers(len(subset), size=budget) for rng in rngs])
         for i in range(1, budget + 1):
             k += 1
             if subset is None:
-                X = _step(X, A, b, K, eta)
+                X_next, residual = _step(X, A, b, K, eta)
             else:
-                J = perms.take(draws[:, i - 1], axis=0)
-                J += offsets
-                X = _step(X, A, b, K, eta, J)
+                residual = None if pending is None else A.forward(X) - b
+                cells = table.take(draws[:, i - 1], axis=0)
+                cells += offsets
+                X_next, _ = _step(X, A, b, K, eta, cells)
+            if pending is not None:
+                objective[:, pending] = 0.5 * _row_dots(residual)
+                pending = None
+            X = X_next
             if not (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all():
                 raise DivergenceError(k)
             if i % stride == 0 or i == budget:
                 record(slot, X)
-                iterations[slot], stage_marks[slot] = k, stage
+                iterations[slot], stage_marks[slot], pending = k, stage, slot
                 if subset is not None:
                     actions[:, slot] = draws[:, i - 1]
                 slot += 1
+    # the last iterate is always recorded, and no step follows it
+    objective[:, pending] = 0.5 * _row_dots(A.forward(X) - b)
     rmsd_normalized = rmsd / np.sqrt(d)
     return [
         IterateTrace(iterations=iterations, rmsd=rmsd[r],

@@ -27,9 +27,10 @@ from grouppgd.constraint import (
     project_cone,
     restricted_min_eig,
 )
-from grouppgd.linop import compose_with_action, from_dense, spectral_norm
+from grouppgd.linop import from_dense, spectral_norm
 from grouppgd.solver import SolverConfig, group_pgd_step, pgd_step, run, run_ensemble
 from grouppgd.symmetry import identity_action, polar_theta_shift, symmetric_subset
+from oracles import compose_with_action
 
 
 def _pass(n, message):

@@ -15,8 +15,9 @@ from grouppgd.bench import (
     textured_phantom,
 )
 from grouppgd.constraint import DescentCone, restricted_min_eig
-from grouppgd.linop import compose_with_action, gram_dense
+from grouppgd.linop import gram_dense
 from grouppgd.symmetry import polar_theta_shift, symmetric_subset
+from oracles import compose_with_action, stack_mean
 
 
 def test_ring_phantom_zero_profile():
@@ -157,7 +158,6 @@ def test_full_coverage_subset_restores_curvature():
                          rays_per_angle=6, seed=3)
     radius = full_coverage_radius(prob.geometry.angles, 16)
     subset = symmetric_subset(prob.geometry.theta_shift(1), radius)
-    from grouppgd.linop import stack_mean
     stacked = stack_mean([compose_with_action(prob.A, g) for g in subset])
     cone = DescentCone(anchor=prob.x_dagger, kind="whole_space")
     assert restricted_min_eig(stacked, cone) > 1e-8

@@ -18,14 +18,13 @@ from grouppgd.certificate import (
 from grouppgd.constraint import DescentCone, descent_cone_of
 from grouppgd.linop import (
     SizeCapError,
-    compose_with_action,
     from_dense,
     gram_dense,
     spectral_norm,
-    stack_mean,
 )
 from grouppgd.solver import SolverConfig
 from grouppgd.symmetry import cyclic_shift_action, symmetric_subset
+from oracles import compose_with_action, stack_mean
 
 
 def whole_space_cone(anchor):

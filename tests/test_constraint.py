@@ -14,7 +14,8 @@ from grouppgd.constraint import (
     project_cone,
     restricted_min_eig,
 )
-from grouppgd.linop import DimensionMismatchError, from_dense, identity_map
+from grouppgd.linop import DimensionMismatchError, from_dense
+from oracles import identity_map
 
 
 def random_orthonormal(d, k, seed):

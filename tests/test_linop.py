@@ -2,28 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from grouppgd.linop import (
     DimensionMismatchError,
     LinearMap,
     SizeCapError,
-    compose_with_action,
     from_dense,
     gram_average,
     gram_dense,
     gram_eigvals,
-    identity_map,
+    rotated_adjoint,
+    rotated_forward,
     spectral_norm,
-    stack_mean,
+    window_table,
 )
 from grouppgd.bench import angle_subsampled_operator, shifted_angles
+from grouppgd.constraint import Box
+from grouppgd.solver import group_pgd_step
 from grouppgd.symmetry import (
     cyclic_shift_action,
     identity_action,
     polar_theta_shift,
     symmetric_subset,
 )
+from oracles import compose_with_action, identity_map, stack_mean
 
 
 def dense_of(A):
@@ -336,3 +341,37 @@ def test_gram_dense_blocks_equal_single_probes():
         single[:, j] = A.adjoint(A.forward(e))
         e[j] = 0.0
     assert np.array_equal(gram_dense(A), single)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_r=st.integers(1, 5), n_theta=st.integers(1, 12),
+       angles=st.lists(st.integers(0, 11), min_size=1, max_size=6), rays=st.integers(1, 4),
+       reach=st.integers(0, 3), shift=st.integers(-13, 13), batch=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+# adjacent angles with five offsets each: every window overlaps its neighbours,
+# so the adjoint adds several values into one cell
+@example(n_r=3, n_theta=8, angles=[0, 1, 2, 3], rays=2, reach=2, shift=3, batch=4, seed=7)
+def test_window_table_path_equals_composed_operator(n_r, n_theta, angles, rays, reach,
+                                                    shift, batch, seed):
+    rng = np.random.default_rng(seed)
+    A = angle_subsampled_operator(n_r, n_theta, angles, rays, seed,
+                                  offsets=range(-reach, reach + 1))
+    T = polar_theta_shift(n_r, n_theta, shift)
+    oracle = compose_with_action(A, T)
+    d = A.cols
+    cells = window_table(A, [T])[0] + d * np.arange(batch)[:, None]
+    X = rng.uniform(-0.5, 1.5, size=(batch, d))
+    Y = rng.standard_normal((batch, A.rows))
+    assert same_bits(rotated_forward(A, X, cells), oracle.forward(X))
+    assert same_bits(rotated_adjoint(A, Y, cells, batch * d).reshape(batch, d),
+                     oracle.adjoint(Y))
+    # the step: K.project(x - eta * grad) with the composed operator's gradient
+    b = rng.standard_normal(A.rows)
+    K = Box(0.0, 1.0, d)
+    for x in X:
+        expected = K.project(x - 0.3 * oracle.adjoint(oracle.forward(x) - b))
+        assert same_bits(group_pgd_step(x, A, b, K, 0.3, T), expected)

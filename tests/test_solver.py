@@ -8,8 +8,7 @@ from numpy.testing import assert_allclose
 
 from grouppgd.bench import Geometry, ProblemInstance, build_problem
 from grouppgd.constraint import Box, Subspace
-from grouppgd.linop import (LinearMap, compose_with_action, from_dense, identity_map,
-                            spectral_norm)
+from grouppgd.linop import LinearMap, from_dense, spectral_norm
 from grouppgd.solver import (
     DivergenceError,
     SolverConfig,
@@ -21,6 +20,7 @@ from grouppgd.solver import (
 )
 from grouppgd.symmetry import (cyclic_shift_action, identity_action, polar_theta_shift,
                                sample_action, symmetric_subset)
+from oracles import compose_with_action, identity_map
 
 
 def small_problem(noise="none", sigma=0.0, seed=0, **kw):
@@ -300,6 +300,47 @@ def test_plain_ensemble_runs_one_chain():
     separate = [run(prob, config, rng=np.random.default_rng(child)) for child in children]
     assert np.array_equal(iterations, alone.iterations)
     assert np.array_equal(mean, np.mean(np.stack([t.rmsd for t in separate]), axis=0))
+
+
+def test_plain_run_takes_each_objective_from_the_next_steps_residual():
+    prob = small_problem(noise="gaussian", sigma=0.1, seed=6)
+    counted, calls = counted_problem(prob)
+    n, eta = 12, 0.02
+    trace = run(counted, SolverConfig(max_iters=n, step_size=eta))
+    # one forward per step, plus one for the last iterate
+    assert calls.count("forward") == n + 1 and calls.count("adjoint") == n
+    x = np.zeros(prob.dimension)
+    for k in range(n + 1):
+        if k:
+            x = pgd_step(x, prob.A, prob.b, prob.K, eta)
+        r = prob.A.forward(x) - prob.b
+        assert trace.objective[k] == 0.5 * (r @ r)
+    assert np.array_equal(trace.final_x, x)
+
+
+def test_operator_without_window_gives_the_same_traces():
+    # the operator rebuilt from its forward and adjoint alone, as a metering
+    # wrapper builds it, takes the permutation path and must keep every bit
+    prob = small_problem(noise="gaussian", sigma=0.1, seed=2)
+    A = prob.A
+    bare = replace(prob, A=LinearMap(rows=A.rows, cols=A.cols, forward=A.forward,
+                                     adjoint=A.adjoint, tag=A.tag))
+    assert A.window is not None and bare.A.window is None
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    config = SolverConfig(max_iters=30, seed=5, record_every=4)
+    schedule = [(2, 12), (1, 9), (0, 6)]
+
+    def traces(p):
+        return [run(p, config), run(p, config, subset=subset),
+                run_multistage(p, config, schedule),
+                *run_ensemble(p, config, None, 2)[2], *run_ensemble(p, config, subset, 3)[2]]
+
+    fields = ("iterations", "rmsd", "rmsd_normalized", "objective", "action_indices",
+              "stages", "final_x")
+    for windowed, permuted in zip(traces(prob), traces(bare), strict=True):
+        for name in fields:
+            a, b = getattr(windowed, name), getattr(permuted, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_config_validation():
