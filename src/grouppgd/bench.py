@@ -60,6 +60,19 @@ class Geometry:
     def theta_shift(self, s: int):
         return polar_theta_shift(self.n_r, self.n_theta, s)
 
+    @property
+    def folded_order(self) -> np.ndarray:
+        """Cells column by column in folded angle order ``0, n-1, 1, n-2, ...``.
+
+        A measured angle couples only the angle columns within its offset
+        span, cyclically.  Folding the angle axis places cyclic neighbours
+        near each other, so a Gram of this operator, or of its rotations,
+        taken in this order is banded (see :func:`~grouppgd.linop.band_gram`).
+        """
+        k = np.arange(self.n_theta)
+        theta = np.where(k % 2 == 0, k // 2, self.n_theta - (k + 1) // 2)
+        return (self.n_theta * np.arange(self.n_r)[None, :] + theta[:, None]).ravel()
+
 
 @dataclass(frozen=True)
 class ProblemInstance:

@@ -14,7 +14,14 @@ and checks the bound against seeded Monte Carlo runs:
   Because every action ``T_g`` is an orthogonal permutation ``P_g``,
   ``(A T_g)^T (A T_g) = P_g^T G P_g``, so the stacked Gram is the mean of
   ``G`` permuted through the subset and costs no operator applications
-  beyond the one dense ``G``.
+  beyond the one dense ``G``.  The mean is stored block tridiagonal in the
+  geometry's folded angle order (:func:`~grouppgd.linop.band_gram`) and
+  never built densely.  On the whole space its bottom eigenvalue comes from
+  band Cholesky factorizations: inverse iteration finds it, and a Cholesky
+  of ``G_star - (mu_Gstar - n u L) I`` certifies it by Sylvester's law of
+  inertia (Higham, *Accuracy and Stability of Numerical Algorithms*,
+  Thm 10.5), so the enclosure is as narrow as ``eigvalsh``'s own backward
+  error.  Only a certified value is flagged ``exact``.
 * ``alpha_Gstar = kappa_c * sqrt(1 - mu_Gstar / L)``: per-iteration
   contraction of the expected distance to the ground truth.
 * ``eps_Gstar``: symmetry-mismatch term, zero when every subset action fixes
@@ -33,9 +40,11 @@ the empirical mean over replicates, with a Monte Carlo slack of
 
 Cone-dependent quantities are exact for whole-space and subspace cones and
 flagged as estimates for sampled cones; :func:`verify_bound` refuses sampled
-cones outright.  Every cone goes through the dense Gram, so the certificate
-is refused (:class:`~grouppgd.linop.SizeCapError`) above
-``linop.DENSE_CAP`` columns.
+cones outright.  The band is built from the probed dense ``G``, not from the
+operator's window, so that every caller of ``certify``, with or without a
+windowed operator, gets the same bits.  Every cone therefore goes through the
+dense Gram, and the certificate is refused
+(:class:`~grouppgd.linop.SizeCapError`) above ``linop.DENSE_CAP`` columns.
 """
 
 from __future__ import annotations
@@ -46,8 +55,8 @@ import numpy as np
 
 from .bench import ProblemInstance
 from .constraint import DescentCone, descent_cone_of, gram_min_eig, project_cone
-from .linop import (LinearMap, gram_average, gram_dense, gram_eigvals, rotated_adjoint,
-                    window_table)
+from .linop import (BandGram, LinearMap, band_gram, band_solver, gram_dense, gram_eigvals,
+                    rotated_adjoint, window_table)
 from .solver import SolverConfig, run_ensemble
 from .symmetry import SymmetricSubset
 
@@ -65,6 +74,14 @@ __all__ = [
 ]
 
 
+_RITZ_VECTORS = 12  # block size of the stack Gram's inverse iteration
+_RITZ_SEED = 0  # a constant, never the clock or the problem seed
+_RITZ_ITERS = 500
+_RITZ_TOL = 1e-7  # Ritz residual, relative to L, that hands over to shift-invert
+_SHIFT_EVERY = 6  # block steps between tries to move the shift up
+_REFINE_ITERS = 50
+
+
 class BoundVacuousError(ValueError):
     """The contraction factor is not below 1, so the geometric bound is empty."""
 
@@ -73,9 +90,10 @@ class BoundVacuousError(ValueError):
 class CertificateReport:
     """All constants of the convergence bound, with per-field exactness flags.
 
-    ``flags[name]`` is ``"exact"`` or ``"estimate"``; estimates arise only
-    from sampled descent cones.  ``alpha_Gstar`` is always recomputable as
-    ``kappa_c * sqrt(1 - mu_Gstar / L)``.
+    ``flags[name]`` is ``"exact"`` or ``"estimate"``; estimates arise from
+    sampled descent cones, and for ``mu_Gstar`` also from a bottom
+    eigenvalue the band Cholesky could not certify.  ``alpha_Gstar`` is
+    always recomputable as ``kappa_c * sqrt(1 - mu_Gstar / L)``.
     """
 
     L: float
@@ -153,6 +171,70 @@ def compute_eps_w(A: LinearMap, subset: SymmetricSubset, w: np.ndarray,
     return worst / w_norm
 
 
+def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
+    """Smallest eigenvalue of a band stack Gram, and whether it is certified.
+
+    ``slack = n u L`` (``n`` cells, ``u`` the unit round-off) is the width
+    of ``eigvalsh``'s own backward error.  Every shift below is tried by a
+    block Cholesky of ``G_star - shift I``, and one that factors lies below
+    the whole spectrum (Sylvester's law of inertia).
+
+    1. Block inverse iteration with Rayleigh-Ritz from a seeded start block,
+       on the factor of ``G_star + slack I`` (which even a singular stack
+       has).  Every few steps the shift moves up to a quarter of the Ritz
+       values' spread below the lowest one, if that factors, which keeps a
+       clustered bottom of the spectrum from stalling the iteration.
+    2. Shift-invert iteration from the lowest Ritz vector, just below its
+       Ritz value, refines the vector's Rayleigh quotient ``mu_hat``, an
+       upper bound on the eigenvalue.
+    3. ``mu_hat`` is certified when ``mu_hat - slack`` factors: no
+       eigenvalue lies below it, up to the factorization's backward error
+       (Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.5).
+       Otherwise the result is the largest shift that factored, a lower
+       bound, and not certified.
+
+    The start block comes from a constant seed, so reruns give the same bits.
+    """
+    nb, b, _ = G_star.diag.shape
+    n = nb * b
+    k = min(_RITZ_VECTORS, n)
+    slack = G_star.shape[0] * np.finfo(float).eps / 2 * L
+    floor = -slack  # the largest shift that factored
+    factor = G_star.cholesky(floor)
+    if factor is None:  # an eigenvalue below -slack: clipped to 0, not certified
+        return 0.0, False
+    solve = band_solver(factor)
+    V = np.random.default_rng(_RITZ_SEED).standard_normal((n, k))
+    for step in range(1, _RITZ_ITERS + 1):
+        Q = np.linalg.qr(solve(V.reshape(nb, b, k)).reshape(n, k))[0]
+        GQ = G_star.apply(Q.reshape(nb, b, k)).reshape(n, k)
+        ritz, Y = np.linalg.eigh(Q.T @ GQ)
+        V = Q @ Y
+        residual = float(np.linalg.norm(GQ @ Y[:, 0] - ritz[0] * V[:, 0]))
+        if residual <= _RITZ_TOL * L:
+            break
+        if step % _SHIFT_EVERY == 0:
+            shift = float(ritz[0] - (ritz[-1] - ritz[0]) / 4)
+            if shift > floor and (factor := G_star.cholesky(shift)) is not None:
+                floor, solve = shift, band_solver(factor)
+    # an eigenvalue lies within the residual of the Ritz value: start below it
+    shift = float(ritz[0]) - max(2.0 * residual, slack)
+    while shift > floor and (factor := G_star.cholesky(shift)) is None:
+        shift = float(ritz[0]) - 4.0 * (float(ritz[0]) - shift)
+    if shift > floor:
+        floor, solve = shift, band_solver(factor)
+    x, mu = V[:, 0], float(ritz[0])
+    for _ in range(_REFINE_ITERS):
+        x = solve(x.reshape(nb, b, 1)).reshape(n)
+        x /= np.linalg.norm(x)
+        previous, mu = mu, float(x @ G_star.apply(x.reshape(nb, b, 1)).reshape(n))
+        if abs(mu - previous) <= slack / G_star.shape[0]:
+            break
+    if mu - slack <= floor or G_star.cholesky(mu - slack) is not None:
+        return max(mu, 0.0), True
+    return max(floor, 0.0), False
+
+
 def certify(problem: ProblemInstance, subset: SymmetricSubset,
             cone: DescentCone | None = None) -> CertificateReport:
     """Compute the full certificate for a problem and symmetric subset.
@@ -161,28 +243,32 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     truth.  ``L`` is the top of the exact spectrum of ``A^T A``, read from
     the Gram of the operator's smaller side, so it is bitwise
     ``spectral_norm(A)`` and ``1/L`` is the solver's ``auto`` step; the
-    whole-space ``mu_C`` is the bottom of the same spectrum.  The dense Gram
-    ``G = A^T A`` feeds the rest: ``mu_C`` on subspace and sampled cones, and
-    ``mu_Gstar``, the smallest cone-restricted eigenvalue of the RMS stack
-    Gram, built by averaging ``G`` through the subset's permutations.  The
-    dense Gram is assembled for every cone kind, sampled cones included, so
-    operators wider than ``linop.DENSE_CAP`` columns raise
-    :class:`~grouppgd.linop.SizeCapError`.
+    whole-space ``mu_C`` is the bottom of the same spectrum.  One dense
+    probe ``G = A^T A`` feeds the rest: ``mu_C`` on subspace and sampled
+    cones, and the stack Gram, averaged from ``G`` through the subset's
+    permutations straight into block-tridiagonal storage in the folded
+    order of ``problem.geometry`` (:func:`~grouppgd.linop.band_gram`).  The
+    whole-space ``mu_Gstar`` comes from band Cholesky factorizations
+    (:func:`_stack_min_eig`) and is flagged ``exact`` only when certified;
+    subspace and sampled cones read the band through its products.  ``G``
+    is probed for every cone kind, so operators wider than
+    ``linop.DENSE_CAP`` columns raise :class:`~grouppgd.linop.SizeCapError`.
     """
     if cone is None:
         cone = descent_cone_of(problem.K, problem.x_dagger)
     A = problem.A
     G = gram_dense(A)  # refused above the cap before any other work
-    # a cone-restricted mu_C reads G before it is averaged in place
     mu_C = None if cone.kind == "whole_space" else gram_min_eig(G, cone)
-    G_star = gram_average(G, subset)  # in G's buffer: one dense matrix alive
-    mu_Gstar = gram_min_eig(G_star, cone)
-    # the small-side eigensolve runs after the large one: freeing its
-    # mid-size buffers first leaves heap residue under the large one's peak
     eigvals = gram_eigvals(A)
     L = float(eigvals[-1])
     if mu_C is None:
         mu_C = max(float(eigvals[0]), 0.0)
+    G_star = band_gram(G, subset, problem.geometry.folded_order, pad=L)
+    del G  # the eigensolve below runs with the band alone
+    if cone.kind == "whole_space":
+        mu_Gstar, certified = _stack_min_eig(G_star, L)
+    else:
+        mu_Gstar, certified = gram_min_eig(G_star, cone), True
     kappa_c = problem.K.kappa_c
     # guard against round-off pushing the restricted eigenvalue past L
     if mu_Gstar > L * (1.0 + 1e-9):
@@ -197,7 +283,7 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     flags = {
         "L": "exact",
         "mu_C": cone_flag,
-        "mu_Gstar": cone_flag,
+        "mu_Gstar": cone_flag if certified else "estimate",
         "eps_Gstar": cone_flag,
         "eps_w": cone_flag,
     }

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import LinearMap, DimensionMismatchError, gram_dense, DENSE_CAP
+from .linop import BandGram, LinearMap, DimensionMismatchError, gram_dense, DENSE_CAP
 
 __all__ = [
     "ConstraintSet",
@@ -275,13 +275,15 @@ def restricted_min_eig(A: LinearMap, C: DescentCone, cap: int = DENSE_CAP) -> fl
     return gram_min_eig(gram_dense(A, cap=cap), C)
 
 
-def gram_min_eig(G: np.ndarray, C: DescentCone) -> float:
+def gram_min_eig(G: np.ndarray | BandGram, C: DescentCone) -> float:
     """Smallest value of ``v^T G v / ||v||^2`` over the descent cone.
 
     Whole-space and subspace cones are exact (eigendecomposition of ``G`` or
     of ``B^T G B``).  Sampled cones return the minimum of ``g^T G g`` over
     the stored unit generators, which is only an upper bound on the true
-    restricted value.
+    restricted value.  Subspace and sampled cones only multiply by ``G``, so
+    they also read a :class:`~grouppgd.linop.BandGram`; the whole space
+    needs a dense ``G``.
     """
     if G.shape != (C.dimension, C.dimension):
         raise DimensionMismatchError(

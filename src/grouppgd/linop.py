@@ -24,6 +24,16 @@ Spectral quantities are exact: :func:`gram_eigvals` probes the Gram of the
 operator's smaller side (``A A^T`` for a wide operator, ``A^T A`` otherwise)
 and eigendecomposes it, and :func:`spectral_norm` is its top eigenvalue.
 Both refuse operators whose smaller side exceeds ``DENSE_CAP``.
+
+The certificate's stack Gram, ``G = A^T A`` averaged through a subset's
+permutations, is stored banded (:class:`BandGram`, built by
+:func:`band_gram`): each measured angle couples only the angle columns
+within its offset span, so in an order that folds the angle axis the
+average is block tridiagonal.  A band multiplies vectors, and factors by
+block Cholesky (:meth:`BandGram.cholesky`, :func:`band_solver`), whose
+success or failure at a shift tells on which side of the bottom eigenvalue
+the shift lies (Sylvester's law of inertia).  The band is built from the
+probed dense ``G``, so the ``DENSE_CAP`` refusal still applies.
 """
 
 from __future__ import annotations
@@ -47,11 +57,12 @@ __all__ = [
     "spectral_norm",
     "gram_eigvals",
     "gram_dense",
-    "gram_average",
+    "BandGram",
+    "band_gram",
+    "band_solver",
 ]
 
 DENSE_CAP = 4096
-_AVERAGE_CHUNK = 8192  # Gram nonzeros moved per fancy-index update
 _PROBE_BLOCK = 16  # basis vectors per gram_dense probe
 
 
@@ -222,26 +233,135 @@ def gram_dense(A: LinearMap, cap: int = DENSE_CAP) -> np.ndarray:
     return G
 
 
-def gram_average(G: np.ndarray, actions) -> np.ndarray:
-    """Overwrite ``G = A^T A`` with the Gram of the RMS stack of ``A∘T_g``.
+@dataclass(frozen=True, eq=False)
+class BandGram:
+    """A symmetric matrix in block-tridiagonal storage, rows taken in ``order``.
 
-    Each block's Gram is ``P_g^T G P_g`` (the actions are orthogonal
-    permutations), so the stacked Gram is their mean over ``actions`` and
-    needs no operator applications.  Only the nonzeros of ``G`` are moved:
-    entry ``(k, l)`` lands at ``(p[k], p[l])`` with ``p`` the action's
-    permutation, and a permutation never sends two entries to one cell.  The
-    result is built in ``G``'s own buffer, which is returned, so no second
-    dense matrix is allocated; pass a copy to keep ``G``.
+    Row and column ``k`` of the stored matrix are cell ``order[k]`` of the
+    matrix it stands for.  ``diag[i]`` is diagonal block ``i`` and
+    ``lower[i]`` the block ``(i + 1, i)`` below it; the blocks above the
+    diagonal are their transposes.  The stored matrix is padded past
+    ``len(order)`` to whole blocks, with a constant on the pad's diagonal:
+    an eigenvalue of the stored matrix that no cell sees.
+
+    ``band @ X`` multiplies cell-ordered vectors or ``(cells, k)`` columns,
+    and ``Y @ band`` their transposes, so cone code written for a dense Gram
+    reads a band one unchanged.
     """
-    rows, cols = np.nonzero(G)
+
+    order: np.ndarray
+    diag: np.ndarray
+    lower: np.ndarray
+
+    __array_ufunc__ = None  # ``ndarray @ band`` defers to __rmatmul__
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.order), len(self.order))
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        """The stored matrix times ``V``, blocked as ``(blocks, block, k)``."""
+        out = self.diag @ V
+        out[1:] += self.lower @ V[:-1]
+        out[:-1] += np.swapaxes(self.lower, 1, 2) @ V[1:]
+        return out
+
+    def __matmul__(self, X):
+        X = np.asarray(X, dtype=float)
+        d, (nb, b, _) = len(self.order), self.diag.shape
+        cols = X.reshape(d, -1)
+        V = np.zeros((nb * b, cols.shape[1]))
+        V[:d] = cols[self.order]
+        out = np.empty_like(cols)
+        out[self.order] = self.apply(V.reshape(nb, b, -1)).reshape(nb * b, -1)[:d]
+        return out.reshape(X.shape)
+
+    def __rmatmul__(self, Y):
+        return (self @ np.asarray(Y, dtype=float).T).T  # the matrix is symmetric
+
+    def cholesky(self, shift: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """Block Cholesky factor of the stored matrix minus ``shift * I``, or None.
+
+        The factor is block lower bidiagonal: its diagonal blocks (lower
+        triangular) and the blocks below them.  None means a block's
+        Cholesky failed: by Sylvester's law of inertia the shifted matrix is
+        not positive definite, up to the factorization's backward error.
+        """
+        nb, b, _ = self.diag.shape
+        chol = np.empty_like(self.diag)
+        coupling = np.empty_like(self.lower)
+        try:
+            for i in range(nb):
+                schur = self.diag[i] - shift * np.eye(b)
+                if i:
+                    coupling[i - 1] = np.linalg.solve(chol[i - 1], self.lower[i - 1].T).T
+                    schur -= coupling[i - 1] @ coupling[i - 1].T
+                chol[i] = np.linalg.cholesky(schur)
+        except np.linalg.LinAlgError:
+            return None
+        return chol, coupling
+
+
+def band_solver(factor: tuple[np.ndarray, np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Solve with a :meth:`BandGram.cholesky` factor: blocked ``V`` to ``(M - shift I)^-1 V``.
+
+    Forward and back substitution go through explicit inverses of the
+    diagonal factors, which is accurate enough for inverse iteration.
+    """
+    chol, coupling = factor
+    inv = np.linalg.inv(chol)
+    inv_t, coupling_t = np.swapaxes(inv, 1, 2), np.swapaxes(coupling, 1, 2)
+
+    def solve(V: np.ndarray) -> np.ndarray:
+        Y = np.empty_like(V)
+        Y[0] = inv[0] @ V[0]
+        for i in range(1, len(inv)):
+            Y[i] = inv[i] @ (V[i] - coupling[i - 1] @ Y[i - 1])
+        X = np.empty_like(V)
+        X[-1] = inv_t[-1] @ Y[-1]
+        for i in range(len(inv) - 2, -1, -1):
+            X[i] = inv_t[i] @ (Y[i] - coupling_t[i] @ X[i + 1])
+        return X
+
+    return solve
+
+
+def band_gram(G: np.ndarray, actions, order: np.ndarray, pad: float) -> BandGram:
+    """``mean_g P_g^T G P_g`` over ``actions`` as a :class:`BandGram` in ``order``.
+
+    Each action's Gram is ``G`` with entry ``(k, l)`` moved to
+    ``(p[k], p[l])``, ``p`` its permutation, so only ``G``'s nonzeros move,
+    added up action by action as a dense average would add them.  Only the
+    lower triangle of ``G`` is read: each entry lands in the stored lower
+    triangle, the diagonal blocks are mirrored, and the band is exactly
+    symmetric.  The block size is the widest stored distance of a moved
+    nonzero from the diagonal, plus one, so every nonzero falls in a
+    diagonal block or the one below it, whatever the operator or the
+    actions; at worst the band is one dense block.  The pad's diagonal
+    holds ``pad``.
+    """
+    d = G.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(G.ravel() != 0.0), d)  # a bool scan is fastest
+    lower = rows >= cols
+    rows, cols = rows[lower], cols[lower]
     values = G[rows, cols]
-    G.fill(0.0)
-    for T in actions:
-        p = T.permutation
-        # small chunks keep the index temporaries from leaving heap residue
-        # that would add to the peak memory of the eigensolve that follows
-        for lo in range(0, len(values), _AVERAGE_CHUNK):
-            hi = lo + _AVERAGE_CHUNK
-            G[p[rows[lo:hi]], p[cols[lo:hi]]] += values[lo:hi]
-    G /= len(actions)
-    return G
+    position = np.empty(d, dtype=np.int64)
+    position[order] = np.arange(d)
+    moved = [position[T.permutation] for T in actions]
+    block = 1 + max(int(np.abs(q[rows] - q[cols]).max(initial=0)) for q in moved)
+    nb = -(-d // block)
+    blocks = np.zeros((2 * nb - 1, block, block))  # diagonal blocks, then lower ones
+    flat = blocks.reshape(-1)
+    for q in moved:
+        i, j = q[rows], q[cols]
+        hi, lo = np.maximum(i, j), np.minimum(i, j)
+        (bhi, rhi), (blo, rlo) = np.divmod(hi, block), np.divmod(lo, block)
+        slot = np.where(bhi == blo, bhi, nb + blo)
+        # a permutation never sends two lower-triangle entries to one cell
+        flat[(slot * block + rhi) * block + rlo] += values
+    blocks /= len(actions)
+    diag, lower = blocks[:nb], blocks[nb:]
+    diag += np.swapaxes(np.tril(diag, -1), 1, 2)
+    tail = np.arange(d - (nb - 1) * block, block)
+    diag[-1, tail, tail] = pad
+    return BandGram(order=np.asarray(order, dtype=np.int64), diag=diag, lower=lower)

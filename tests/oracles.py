@@ -4,12 +4,14 @@ These are direct formulations of what the program computes another way:
 the rotated operator as a composition with the action
 (``compose_with_action``; the program gathers through a window table), the
 RMS stack over a subset whose Gram is the certificate's averaged Gram
-(``stack_mean``; the program permutes ``A^T A``), and the identity map.
+(``stack_mean``; the program permutes ``A^T A``), that averaged Gram as a
+dense matrix (``gram_average``; the program stores it as a band), the dense
+matrix a band stands for (``band_dense``), and the identity map.
 """
 
 import numpy as np
 
-from grouppgd.linop import DimensionMismatchError, LinearMap
+from grouppgd.linop import BandGram, DimensionMismatchError, LinearMap
 from grouppgd.symmetry import GroupAction
 
 
@@ -70,3 +72,37 @@ def stack_mean(ops: list[LinearMap]) -> LinearMap:
 
     return LinearMap(rows=total_rows, cols=cols, forward=forward,
                      adjoint=adjoint, tag=f"rms-stack[{len(ops)}]")
+
+
+def gram_average(G: np.ndarray, actions) -> np.ndarray:
+    """Overwrite ``G = A^T A`` with the Gram of the RMS stack of ``A∘T_g``.
+
+    Each block's Gram is ``P_g^T G P_g`` (the actions are orthogonal
+    permutations), so the stacked Gram is their mean over ``actions``:
+    entry ``(k, l)`` of ``G`` lands at ``(p[k], p[l])`` with ``p`` the
+    action's permutation.  The result is built in ``G``'s own buffer, which
+    is returned; pass a copy to keep ``G``.
+    """
+    rows, cols = np.nonzero(G)
+    values = G[rows, cols]
+    G.fill(0.0)
+    for T in actions:
+        p = T.permutation
+        G[p[rows], p[cols]] += values  # a permutation never sends two entries to one cell
+    G /= len(actions)
+    return G
+
+
+def band_dense(band: BandGram) -> tuple[np.ndarray, np.ndarray]:
+    """The padded matrix a band stores, in stored order, and its cell-ordered part."""
+    nb, b, _ = band.diag.shape
+    stored = np.zeros((nb * b, nb * b))
+    for i in range(nb):
+        stored[i * b:(i + 1) * b, i * b:(i + 1) * b] = band.diag[i]
+    for i in range(nb - 1):
+        stored[(i + 1) * b:(i + 2) * b, i * b:(i + 1) * b] = band.lower[i]
+        stored[i * b:(i + 1) * b, (i + 1) * b:(i + 2) * b] = band.lower[i].T
+    d = len(band.order)
+    cells = np.empty((d, d))
+    cells[np.ix_(band.order, band.order)] = stored[:d, :d]
+    return stored, cells

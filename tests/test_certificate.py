@@ -1,5 +1,7 @@
 """Certificate constants, bound curve, and empirical domination."""
 
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,7 +26,10 @@ from grouppgd.linop import (
 )
 from grouppgd.solver import SolverConfig
 from grouppgd.symmetry import cyclic_shift_action, symmetric_subset
-from oracles import compose_with_action, stack_mean
+from oracles import compose_with_action, gram_average, stack_mean
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def whole_space_cone(anchor):
@@ -284,3 +289,69 @@ def test_report_text_round_trips_key_values():
     assert float(parsed["mu_Gstar"]) == report.mu_Gstar
     assert parsed["flag.eps_w"] == "exact"
     assert parsed["bound"] == "active"
+
+
+def assert_mu_gstar_matches_dense_oracle(problem, subset):
+    """``mu_Gstar`` within ``max(1e-12 mu, n u L)`` of ``eigvalsh`` of the dense stack Gram.
+
+    Returns the report and the dense stack Gram's spectrum.
+    """
+    report = certify(problem, subset)
+    spectrum = np.linalg.eigvalsh(gram_average(gram_dense(problem.A), subset))
+    oracle = max(float(spectrum[0]), 0.0)
+    slack = problem.dimension * np.finfo(float).eps / 2 * report.L
+    assert abs(report.mu_Gstar - oracle) <= max(1e-12 * oracle, slack)
+    assert report.flags["mu_Gstar"] == "exact"
+    return report, spectrum
+
+
+@pytest.mark.parametrize("name", ["ring", "extreme_sparse", "noisy_textured", "poisson"])
+def test_certify_mu_gstar_matches_dense_oracle_on_shipped_configs(name):
+    from grouppgd.cli import _build, load_config
+    problem, subset, _ = _build(load_config(os.path.join(CONFIGS, f"{name}.txt")))
+    report, spectrum = assert_mu_gstar_matches_dense_oracle(problem, subset)
+    assert spectrum[0] > 0.0 and not report.vacuous
+
+
+@pytest.mark.parametrize("shape", [(6, 15), (32, 63)])
+def test_certify_mu_gstar_matches_dense_oracle_on_full_group(shape):
+    # every rotation once (an odd angle count): a block-circulant stack Gram
+    # whose eigenvalues come in pairs
+    n_r, n_theta = shape
+    problem = ring_instance(n_r=n_r, n_theta=n_theta)
+    subset = symmetric_subset(problem.geometry.theta_shift(1), n_theta // 2)
+    assert len({tuple(T.permutation) for T in subset}) == n_theta == len(subset)
+    _, spectrum = assert_mu_gstar_matches_dense_oracle(problem, subset)
+    assert_allclose(spectrum[1], spectrum[0], rtol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(6, 16), (32, 64)])
+def test_certify_mu_gstar_matches_dense_oracle_on_underdetermined_stack(shape):
+    n_r, n_theta = shape
+    problem = ring_instance(n_r=n_r, n_theta=n_theta)
+    subset = symmetric_subset(problem.geometry.theta_shift(1), 0)
+    assert problem.A.rows < problem.A.cols
+    report, spectrum = assert_mu_gstar_matches_dense_oracle(problem, subset)
+    assert report.mu_Gstar == 0.0 and report.vacuous
+    assert np.sum(spectrum < 1e-9 * report.L) >= problem.A.cols - problem.A.rows
+
+
+def test_certify_subspace_cone_reads_the_band():
+    prob = ring_instance()
+    subset = covering_subset(prob)
+    rng = np.random.default_rng(9)
+    basis = np.linalg.qr(rng.standard_normal((prob.dimension, 7)))[0]
+    cone = DescentCone(anchor=prob.x_dagger, kind="subspace", basis=basis)
+    report = certify(prob, subset, cone=cone)
+    dense = gram_average(gram_dense(prob.A), subset)
+    oracle = np.linalg.eigvalsh(basis.T @ dense @ basis)[0]
+    assert_allclose(report.mu_Gstar, oracle, rtol=1e-12)
+    assert report.flags["mu_Gstar"] == "exact"
+
+
+def test_certify_reruns_are_bitwise_equal():
+    prob = ring_instance(phantom="textured", noise="gaussian", sigma=0.05, seed=4)
+    subset = covering_subset(prob)
+    first, second = certify(prob, subset), certify(prob, subset)
+    assert first == second
+    assert first.to_text() == second.to_text()

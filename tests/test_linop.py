@@ -10,8 +10,9 @@ from grouppgd.linop import (
     DimensionMismatchError,
     LinearMap,
     SizeCapError,
+    band_gram,
+    band_solver,
     from_dense,
-    gram_average,
     gram_dense,
     gram_eigvals,
     rotated_adjoint,
@@ -19,7 +20,8 @@ from grouppgd.linop import (
     spectral_norm,
     window_table,
 )
-from grouppgd.bench import angle_subsampled_operator, shifted_angles
+from grouppgd.bench import (Geometry, angle_subsampled_operator, full_coverage_radius,
+                            shifted_angles)
 from grouppgd.constraint import Box
 from grouppgd.solver import group_pgd_step
 from grouppgd.symmetry import (
@@ -28,7 +30,7 @@ from grouppgd.symmetry import (
     polar_theta_shift,
     symmetric_subset,
 )
-from oracles import compose_with_action, identity_map, stack_mean
+from oracles import band_dense, compose_with_action, gram_average, identity_map, stack_mean
 
 
 def dense_of(A):
@@ -375,3 +377,62 @@ def test_window_table_path_equals_composed_operator(n_r, n_theta, angles, rays, 
     for x in X:
         expected = K.project(x - 0.3 * oracle.adjoint(oracle.forward(x) - b))
         assert same_bits(group_pgd_step(x, A, b, K, 0.3, T), expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_r=st.integers(1, 4), n_theta=st.integers(1, 16),
+       angles=st.lists(st.integers(0, 15), min_size=1, max_size=5), rays=st.integers(1, 3),
+       reach=st.integers(0, 2), coverage=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+# offset spans 1, 3 and 5 over a long angle axis: several blocks, the last one padded
+@example(n_r=3, n_theta=16, angles=[0, 5], rays=2, reach=0, coverage=1.0, seed=1)
+@example(n_r=2, n_theta=16, angles=[3, 9], rays=2, reach=1, coverage=0.5, seed=2)
+@example(n_r=3, n_theta=16, angles=[0, 7, 11], rays=3, reach=2, coverage=1.0, seed=3)
+# a short angle axis: the band is a single block
+@example(n_r=4, n_theta=3, angles=[1], rays=2, reach=1, coverage=1.0, seed=4)
+# radius 0: the band of G itself
+@example(n_r=2, n_theta=12, angles=[2, 8], rays=2, reach=1, coverage=0.0, seed=5)
+def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, coverage, seed):
+    geometry = Geometry(n_r=n_r, n_theta=n_theta, angles=tuple(angles), rays_per_angle=rays,
+                        offsets=tuple(range(-reach, reach + 1)))
+    A = angle_subsampled_operator(n_r, n_theta, angles, rays, seed, offsets=geometry.offsets)
+    radius = round(coverage * full_coverage_radius(angles, n_theta))
+    subset = symmetric_subset(geometry.theta_shift(1), radius)
+    G = gram_dense(A)
+    pad = 1.0 + float(np.abs(G).max())
+    band = band_gram(G, subset, geometry.folded_order, pad)
+    d = A.cols
+    # folding the angle axis keeps cyclic neighbours within twice their distance
+    assert band.diag.shape[1] <= (min(4 * reach, n_theta - 1) + 1) * n_r
+    stored, cells = band_dense(band)
+    tol = 1e-14 * float(np.abs(G).max())
+    assert_allclose(cells, gram_average(G.copy(), subset), rtol=0, atol=tol)
+    assert np.array_equal(stored, stored.T)
+    assert np.array_equal(stored[d:, d:], pad * np.eye(len(stored) - d))
+    assert not stored[d:, :d].any()
+    # the products read the same matrix
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((d, 3))
+    assert_allclose(band @ X, cells @ X, rtol=0, atol=tol * d)
+    assert_allclose(band @ X[:, 0], cells @ X[:, 0], rtol=0, atol=tol * d)
+    assert_allclose(X.T @ band, X.T @ cells, rtol=0, atol=tol * d)
+
+
+def test_band_cholesky_follows_inertia_and_solves():
+    n_r, n_theta = 3, 16
+    geometry = Geometry(n_r=n_r, n_theta=n_theta, angles=(0, 4, 8, 12), rays_per_angle=12,
+                        offsets=(-1, 0, 1))
+    A = angle_subsampled_operator(n_r, n_theta, geometry.angles, 12, 7)
+    subset = symmetric_subset(geometry.theta_shift(1), 1)
+    G = gram_dense(A)
+    band = band_gram(G, subset, geometry.folded_order, float(np.abs(G).max()))
+    stored, _ = band_dense(band)
+    assert band.diag.shape[0] > 1
+    low = np.linalg.eigvalsh(stored)[0]
+    assert low > 0
+    assert band.cholesky(1.001 * low) is None
+    factor = band.cholesky(0.999 * low)
+    assert factor is not None
+    nb, b, _ = band.diag.shape
+    V = np.random.default_rng(3).standard_normal((nb * b, 2))
+    X = band_solver(factor)(V.reshape(nb, b, 2)).reshape(nb * b, 2)
+    assert_allclose((stored - 0.999 * low * np.eye(nb * b)) @ X, V, rtol=0, atol=1e-6)
