@@ -7,10 +7,8 @@ from .bench import (
     add_noise,
     angle_subsampled_operator,
     build_problem,
-    evenly_spaced_angles,
     full_coverage_radius,
     ring_phantom,
-    shifted_angles,
     textured_phantom,
 )
 from .certificate import (
@@ -20,9 +18,6 @@ from .certificate import (
     bound_curve,
     bound_limit,
     certify,
-    compute_alpha,
-    compute_eps_gstar,
-    compute_eps_w,
     verify_bound,
 )
 from .constraint import (
@@ -33,7 +28,6 @@ from .constraint import (
     Nonneg,
     Subspace,
     descent_cone_of,
-    project_cone,
     restricted_min_eig,
 )
 from .kernels import NUMBA_ENABLED

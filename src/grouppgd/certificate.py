@@ -41,8 +41,9 @@ the empirical mean over replicates, with a Monte Carlo slack of
 Cone-dependent quantities are exact for whole-space and subspace cones and
 flagged as estimates for sampled cones; :func:`verify_bound` refuses sampled
 cones outright.  The band is built from the probed dense ``G``, not from the
-operator's window, so that every caller of ``certify``, with or without a
-windowed operator, gets the same bits.  Every cone therefore goes through the
+operator's window, so that every caller of ``certify`` gets the same bits,
+also one whose map was rebuilt from ``forward``/``adjoint`` alone and so
+reads through the trivial window.  Every cone therefore goes through the
 dense Gram, and the certificate is refused
 (:class:`~grouppgd.linop.SizeCapError`) above ``linop.DENSE_CAP`` columns.
 """
@@ -149,13 +150,8 @@ def compute_eps_gstar(A: LinearMap, subset: SymmetricSubset,
     largest cone-projected norm over the subset.  Zero whenever every action
     fixes the ground truth.
     """
-    table = window_table(A, subset)
-    worst = 0.0
-    for action, cells in zip(subset, table):
-        mismatch = x_dagger - action.apply(x_dagger)
-        z = rotated_adjoint(A, A.forward(mismatch), cells, A.cols)
-        worst = max(worst, float(np.linalg.norm(project_cone(C, z))))
-    return worst
+    mismatches = (A.forward(x_dagger - action.apply(x_dagger)) for action in subset)
+    return _worst_pullback(A, subset, mismatches, C)
 
 
 def compute_eps_w(A: LinearMap, subset: SymmetricSubset, w: np.ndarray,
@@ -164,11 +160,17 @@ def compute_eps_w(A: LinearMap, subset: SymmetricSubset, w: np.ndarray,
     w_norm = float(np.linalg.norm(w))
     if w_norm == 0.0:
         return 0.0
+    return _worst_pullback(A, subset, [w] * len(subset), C) / w_norm
+
+
+def _worst_pullback(A: LinearMap, subset: SymmetricSubset, residuals,
+                    C: DescentCone) -> float:
+    """Largest ``||proj_C (A T_s)^T r_s||`` over the subset, ``r_s`` the residuals in turn."""
     worst = 0.0
-    for cells in window_table(A, subset):
-        z = rotated_adjoint(A, w, cells, A.cols)
+    for r, cells in zip(residuals, window_table(A, subset)):
+        z = rotated_adjoint(A, r, cells, A.cols)
         worst = max(worst, float(np.linalg.norm(project_cone(C, z))))
-    return worst / w_norm
+    return worst
 
 
 def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:

@@ -95,6 +95,11 @@ class ExperimentConfig:
             )
         if self.subset_radius < 0:
             raise ConfigError("subset.radius must be nonnegative")
+        if 2 * self.subset_radius >= self.problem_n_theta:
+            raise ConfigError(
+                f"subset.radius must be below problem.n_theta / 2, got {self.subset_radius} "
+                f"for {self.problem_n_theta} angles: a larger radius lists some rotations twice"
+            )
         if self.problem_phantom not in ("ring", "textured"):
             raise ConfigError(f"unknown problem.phantom {self.problem_phantom!r}")
         if self.problem_noise not in ("none", "gaussian", "poisson"):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import BandGram, LinearMap, DimensionMismatchError, gram_dense, DENSE_CAP
+from .linop import BandGram, LinearMap, DimensionMismatchError, gram_dense, gram_eigvals
 
 __all__ = [
     "ConstraintSet",
@@ -262,35 +262,39 @@ def descent_cone_of(K: ConstraintSet, anchor: np.ndarray, *, n_samples: int = 51
     raise TypeError(f"no descent cone construction for {type(K).__name__}")
 
 
-def restricted_min_eig(A: LinearMap, C: DescentCone, cap: int = DENSE_CAP) -> float:
+def restricted_min_eig(A: LinearMap, C: DescentCone) -> float:
     """Smallest value of ``||A v||^2 / ||v||^2`` over the descent cone.
 
-    Assembles the dense Gram (refused above ``cap`` columns, whatever the
-    cone) and hands it to :func:`gram_min_eig`.
+    On the whole space this is the bottom of the exact spectrum of
+    ``A^T A``, read from the Gram of the operator's smaller side
+    (:func:`~grouppgd.linop.gram_eigvals`) and clipped at 0.  Subspace and
+    sampled cones assemble the dense ``A^T A`` (refused above
+    ``linop.DENSE_CAP`` columns) and hand it to :func:`gram_min_eig`.
     """
     if A.cols != C.dimension:
         raise DimensionMismatchError(
             f"operator has {A.cols} columns but cone lives in dimension {C.dimension}"
         )
-    return gram_min_eig(gram_dense(A, cap=cap), C)
+    if C.kind == "whole_space":
+        return max(float(gram_eigvals(A)[0]), 0.0)
+    return gram_min_eig(gram_dense(A), C)
 
 
 def gram_min_eig(G: np.ndarray | BandGram, C: DescentCone) -> float:
-    """Smallest value of ``v^T G v / ||v||^2`` over the descent cone.
+    """Smallest value of ``v^T G v / ||v||^2`` over a subspace or sampled cone.
 
-    Whole-space and subspace cones are exact (eigendecomposition of ``G`` or
-    of ``B^T G B``).  Sampled cones return the minimum of ``g^T G g`` over
-    the stored unit generators, which is only an upper bound on the true
-    restricted value.  Subspace and sampled cones only multiply by ``G``, so
-    they also read a :class:`~grouppgd.linop.BandGram`; the whole space
-    needs a dense ``G``.
+    Subspace cones are exact (eigendecomposition of ``B^T G B``).  Sampled
+    cones return the minimum of ``g^T G g`` over the stored unit
+    generators, which is only an upper bound on the true restricted value.
+    Both only multiply by ``G``, so ``G`` may be a
+    :class:`~grouppgd.linop.BandGram`.  Whole-space cones are refused.
     """
+    if C.kind == "whole_space":
+        raise ValueError("gram_min_eig reads subspace and sampled cones only")
     if G.shape != (C.dimension, C.dimension):
         raise DimensionMismatchError(
             f"Gram has shape {G.shape} but cone lives in dimension {C.dimension}"
         )
-    if C.kind == "whole_space":
-        return max(float(np.linalg.eigvalsh(G)[0]), 0.0)
     if C.kind == "subspace":
         B = C.basis
         return max(float(np.linalg.eigvalsh(B.T @ G @ B)[0]), 0.0)

@@ -27,7 +27,8 @@ measurements back to one value per window cell; both are one batched
 ``bincount`` adds every duplicate, in the fixed ``(row, a, r, k)`` order,
 starting from ``+0.0``, several times faster than the unbuffered
 ``np.add.at``.  :func:`polar_forward` and :func:`polar_adjoint` are the
-whole operator, gather and scatter included.
+whole operator, window index included; the operator itself builds its index
+once and calls the window kernels.
 
 Every kernel takes any number of leading batch axes: ``x2`` of shape
 ``(..., n_r, n_theta)`` and ``y`` of shape ``(..., n_angles * rays)`` hold
@@ -102,7 +103,7 @@ def scatter_add(index, values, size):
     return out.reshape(batch + (size,))
 
 
-def polar_forward(x2, cols, weights, index=None):
+def polar_forward(x2, cols, weights):
     """Apply the angle-subsampled operator to polar signals.
 
     Parameters
@@ -111,25 +112,21 @@ def polar_forward(x2, cols, weights, index=None):
     cols : (n_angles, n_off) int array of grid angle columns per measurement
         angle and window offset
     weights : (n_angles, rays_per_angle, n_r, n_off) array
-    index : optional :func:`window_index` of ``cols``, built here when omitted
 
     Returns
     -------
     (..., n_angles * rays_per_angle) array, angle-major / ray-minor.
     """
     n_r, n_theta = x2.shape[-2:]
-    if index is None:
-        index = window_index(cols, n_r, n_theta)
-    window = x2.reshape(x2.shape[:-2] + (n_r * n_theta,)).take(index.ravel(), axis=-1)
+    index = window_index(cols, n_r, n_theta).ravel()
+    window = x2.reshape(x2.shape[:-2] + (n_r * n_theta,)).take(index, axis=-1)
     return polar_window_forward(window, weights)
 
 
-def polar_adjoint(y, cols, weights_t, n_r, n_theta, index=None):
+def polar_adjoint(y, cols, weights_t, n_r, n_theta):
     """Adjoint of :func:`polar_forward`; returns an ``(..., n_r * n_theta)`` array.
 
-    ``weights_t`` is the forward weight tensor with axes ``(a, r, k, j)``;
-    ``index`` is as in :func:`polar_forward`.
+    ``weights_t`` is the forward weight tensor with axes ``(a, r, k, j)``.
     """
-    if index is None:
-        index = window_index(cols, n_r, n_theta)
+    index = window_index(cols, n_r, n_theta)
     return scatter_add(index, polar_window_adjoint(y, weights_t), n_r * n_theta)

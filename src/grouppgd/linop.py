@@ -13,12 +13,14 @@ maps to ``(R, rows)`` and back, and every row gets the same bits as its own
 every constructor here keeps it (stacked ``np.matmul`` products, never a
 gemm over the stack).
 
-This module is the one place where a rotation meets an operator.  A group
-action is a permutation ``perm_s`` of the cells, and the rotated operator
-``x -> A(x[perm_s])`` reads cell ``perm_s[c]`` wherever ``A`` reads ``c``.
-:func:`window_table` lists those cells once per action, and
-:func:`rotated_forward`/:func:`rotated_adjoint` gather through a table row
-and scatter back through it, with no full-length permutation of the signal.
+This module is the one place where a rotation meets an operator.  Every map
+reads a window of cells (a map built from ``forward``/``adjoint`` alone reads
+every cell through them).  A group action is a permutation ``perm_s`` of the
+cells, and the rotated operator ``x -> A(x[perm_s])`` reads cell
+``perm_s[c]`` wherever ``A`` reads ``c``.  :func:`window_table` lists those
+cells once per action, and :func:`rotated_forward`/:func:`rotated_adjoint`
+gather through a table row and add back through it, with no full-length
+permutation of the signal.  The identity's row is the window itself.
 
 Spectral quantities are exact: :func:`gram_eigvals` probes the Gram of the
 operator's smaller side (``A A^T`` for a wide operator, ``A^T A`` otherwise)
@@ -84,10 +86,10 @@ class LinearMap:
     own 1-D call.  Constructors in this module guarantee
     <Ax, y> == <x, A^T y> up to round-off.
 
-    A map built by :func:`from_window` reads only the input cells
-    ``window``: ``window_forward`` maps those cells' values to the rows and
-    ``window_adjoint`` maps the rows back onto them.  A map without a window
-    reads all ``cols`` cells.
+    The map reads the input cells ``window``: ``window_forward`` maps those
+    cells' values to the rows and ``window_adjoint`` maps the rows back onto
+    them.  A map given without them reads every cell, in order, through
+    ``forward`` and ``adjoint`` themselves.
     """
 
     rows: int
@@ -100,6 +102,12 @@ class LinearMap:
         default=None, repr=False, compare=False)
     window_adjoint: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.window_forward is None:
+            object.__setattr__(self, "window", np.arange(self.cols))
+            object.__setattr__(self, "window_forward", self.forward)
+            object.__setattr__(self, "window_adjoint", self.adjoint)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Return ``A x``, validating the length of the last axis."""
@@ -158,11 +166,9 @@ def window_table(A: LinearMap, actions) -> np.ndarray:
     ``perm_s`` is the permutation of ``actions[s]``.  Shift covariance:
     where ``A`` reads cell ``c`` the rotated operator reads ``perm_s[c]``
     with the same weights, so it is ``A``'s window maps on the gathered
-    values ``x[table[s]]``.  A map without a window reads every cell, so its
-    table is the permutations themselves.
+    values ``x[table[s]]``.
     """
-    perms = np.stack([T.permutation for T in actions])
-    return perms if A.window is None else perms[:, A.window]
+    return np.stack([T.permutation for T in actions])[:, A.window]
 
 
 def rotated_forward(A: LinearMap, X: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -172,22 +178,16 @@ def rotated_forward(A: LinearMap, X: np.ndarray, cells: np.ndarray) -> np.ndarra
     (a 1-D ``cells`` is one table row, for a 1-D ``X``).  Each row gets the
     bits of ``A.forward`` on its rotated row.
     """
-    read = A.forward if A.window is None else A.window_forward
-    return read(X.ravel().take(cells))
+    return A.window_forward(X.ravel().take(cells))
 
 
 def rotated_adjoint(A: LinearMap, Y: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
     """Adjoint of :func:`rotated_forward`, as a flat array of ``size`` cells.
 
-    A windowed map adds into the cells as its own adjoint does
-    (:func:`~grouppgd.kernels.scatter_add`, from ``+0.0``, in index order);
-    a map without a window writes its adjoint back through the permutation,
-    which keeps every bit, signed zeros included.
+    The window values add into their cells from ``+0.0``, in index order
+    (:func:`~grouppgd.kernels.scatter_add`); through a trivial window that is
+    each value's own bits, except that ``-0.0`` becomes ``+0.0``.
     """
-    if A.window is None:
-        out = np.empty(size)
-        out[cells] = A.adjoint(Y)
-        return out
     return kernels.scatter_add(cells, A.window_adjoint(Y).ravel(), size)
 
 
@@ -217,8 +217,9 @@ def gram_dense(A: LinearMap, cap: int = DENSE_CAP) -> np.ndarray:
 
     The basis vectors go through the operator ``_PROBE_BLOCK`` at a time as
     one stack; by the stack contract column ``j`` has the bits of probing
-    ``e_j`` alone.  Refuses operators wider than ``cap`` columns; the dense
-    path exists to back small-instance oracles, not production solves.
+    ``e_j`` alone.  Refuses operators wider than ``cap`` columns, before
+    any probe.  :func:`gram_eigvals` probes the smaller side through it, and
+    the certificate probes ``A^T A`` once.
     """
     if A.cols > cap:
         raise SizeCapError(

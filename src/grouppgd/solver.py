@@ -3,8 +3,9 @@
 One iteration of the plain method moves against the least-squares gradient
 and projects back onto the feasible set.  The group variant first rotates the
 iterate by a randomly drawn symmetry action, evaluates the gradient there,
-and rotates the result back; with the identity action this reduces
-bit-for-bit to the plain step.
+and rotates the result back.  Both are one step body: the plain step is the
+step through the identity, so with the identity action the group step is
+the plain step bit for bit.
 
 Every run goes through one driver that steps a stack ``X`` of shape
 ``(R, d)``.  Each row is one chain with its own random stream; the operator,
@@ -26,7 +27,8 @@ through its drawn table row offset by ``row * d``, applies the operator's
 window maps and adds the adjoint straight back into the same cells
 (:func:`~grouppgd.linop.rotated_forward`,
 :func:`~grouppgd.linop.rotated_adjoint`), with the bits of rotating,
-stepping and rotating back.
+stepping and rotating back.  A plain stage reads every row through the
+operator's own window, offset by ``row * d``, computed once per stage.
 
 A plain step's residual ``A x_k - b`` is also the residual of iterate
 ``k``'s objective, so a plain chain's trace takes each objective from the
@@ -135,7 +137,7 @@ def pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
              eta: float) -> np.ndarray:
     """One projected gradient step on the least-squares objective."""
     _check_step_args(x, A, b, eta)
-    return _step(x, A, b, K, eta)[0]
+    return _step(x, A, b, K, eta, A.window)[0]
 
 
 def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
@@ -154,21 +156,17 @@ def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
     return _step(x, A, b, K, eta, window_table(A, [T])[0])[0]
 
 
-def _step(X, A, b, K, eta, cells=None):
+def _step(X, A, b, K, eta, cells):
     """One projected gradient step on every row of ``X``; returns ``(X_next, residual)``.
 
     ``cells`` indexes ``X.ravel()`` as in :func:`~grouppgd.linop.rotated_forward`:
     the gradient is taken through each row's rotated operator and the
-    residual is the rotated one.  Without ``cells`` the step is the plain
-    one and the residual is ``A X - b``.
+    residual is the rotated one.  Through ``A.window`` (plus the row
+    offsets) it is the plain step, and the residual is ``A X - b``.
     """
-    if cells is None:
-        residual = A.forward(X) - b
-        update = eta * A.adjoint(residual)
-    else:
-        residual = rotated_forward(A, X, cells) - b
-        update = rotated_adjoint(A, residual, cells, X.size).reshape(X.shape)
-        update *= eta
+    residual = rotated_forward(A, X, cells) - b
+    update = rotated_adjoint(A, residual, cells, X.size).reshape(X.shape)
+    update *= eta
     # X - eta * grad in one buffer: on a stack, allocating one more
     # temporary can cost more than the arithmetic
     return K.project(np.subtract(X, update, out=update)), residual
@@ -236,13 +234,15 @@ def _drive(problem: ProblemInstance, x0, stages, eta: float, rngs,
     pending = 0
     k, slot = 0, 1
     for stage, (subset, budget) in enumerate(stages):
-        if subset is not None:
+        if subset is None:
+            plain = A.window + offsets
+        else:
             table = window_table(A, subset)
             draws = np.stack([rng.integers(len(subset), size=budget) for rng in rngs])
         for i in range(1, budget + 1):
             k += 1
             if subset is None:
-                X_next, residual = _step(X, A, b, K, eta)
+                X_next, residual = _step(X, A, b, K, eta, plain)
             else:
                 residual = None if pending is None else A.forward(X) - b
                 cells = table.take(draws[:, i - 1], axis=0)

@@ -69,30 +69,6 @@ class GroupAction:
     def apply_inverse(self, x: np.ndarray) -> np.ndarray:
         return np.take(x, self.inverse_permutation, axis=-1)
 
-    def inverse(self) -> "GroupAction":
-        return GroupAction(
-            dimension=self.dimension,
-            permutation=self.inverse_permutation.copy(),
-            power=-self.power,
-            label=f"{self.label}^-1" if self.label else "",
-        )
-
-    def compose(self, other: "GroupAction") -> "GroupAction":
-        """Return the action ``x -> self(other(x))``.
-
-        The power field adds, which is meaningful when both operands are
-        powers of the same generator.
-        """
-        if self.dimension != other.dimension:
-            raise ValueError("cannot compose actions of different dimensions")
-        # self(other(x))[i] = other(x)[p_self[i]] = x[p_other[p_self[i]]]
-        return GroupAction(
-            dimension=self.dimension,
-            permutation=other.permutation[self.permutation],
-            power=self.power + other.power,
-            label=f"{self.label}*{other.label}",
-        )
-
 
 def identity_action(d: int) -> GroupAction:
     return GroupAction(dimension=d, permutation=np.arange(d, dtype=np.int64),
@@ -145,8 +121,9 @@ def _generator_power(generator: GroupAction, k: int) -> GroupAction:
 class SymmetricSubset:
     """Ordered actions {Id, g, g^-1, ..., g^radius, g^-radius}.
 
-    Index 0 is always the identity; size is ``2 * radius + 1``.  The ordering
-    is the canonical layout consumed by solver traces and certificates.
+    Index 0 is always the identity; size is ``2 * radius + 1``, all distinct
+    permutations.  The ordering is the canonical layout consumed by solver
+    traces and certificates.
     """
 
     actions: tuple[GroupAction, ...]
@@ -161,6 +138,9 @@ class SymmetricSubset:
         dims = {a.dimension for a in self.actions}
         if len(dims) != 1:
             raise ValueError("all actions must share one dimension")
+        if len({a.permutation.tobytes() for a in self.actions}) != len(self.actions):
+            # a generator of order n repeats itself past radius (n - 1) // 2
+            raise ValueError("subset lists one permutation more than once")
         powers = sorted(a.power for a in self.actions)
         expected = sorted(range(-self.radius, self.radius + 1))
         if powers != expected:

@@ -79,6 +79,17 @@ def test_parse_validates_ranges():
         parse_config("solver.step = -1\n")
 
 
+@pytest.mark.parametrize("command", ["certify", "run", "compare"])
+def test_radius_of_half_the_angles_exits_2(tmp_path, capsys, command):
+    # radius 8 of 16 angles lists the half turn twice: 17 actions, 16 rotations
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", subset_radius=8))
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    assert "subset.radius must be below problem.n_theta / 2" in capsys.readouterr().err
+    assert parse_config("problem.n_theta = 16\nsubset.radius = 7\n").subset_radius == 7
+    with pytest.raises(ConfigError, match="lists some rotations twice"):
+        parse_config("problem.n_theta = 15\nsubset.radius = 8\n")
+
+
 def test_parse_step_accepts_auto_and_number():
     assert parse_config("solver.step = auto\n").solver_step == "auto"
     assert parse_config("solver.step = 0.01\n").solver_step == 0.01

@@ -11,10 +11,12 @@ from grouppgd.constraint import (
     Nonneg,
     Subspace,
     descent_cone_of,
+    gram_min_eig,
     project_cone,
     restricted_min_eig,
 )
-from grouppgd.linop import DimensionMismatchError, from_dense
+from grouppgd.bench import angle_subsampled_operator, build_problem
+from grouppgd.linop import DimensionMismatchError, from_dense, gram_dense
 from oracles import identity_map
 
 
@@ -200,6 +202,27 @@ def test_restricted_min_eig_underdetermined_is_zero():
     A = from_dense(rng.standard_normal((4, 9)))
     C = DescentCone(anchor=np.zeros(9), kind="whole_space")
     assert restricted_min_eig(A, C) <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(4, 9), (12, 5), (7, 7), "polar_wide", "polar_tall"],
+                         ids=["wide", "tall", "square", "polar_wide", "polar_tall"])
+def test_whole_space_restricted_min_eig_reads_the_small_side(shape):
+    rng = np.random.default_rng(13)
+    if shape == "polar_wide":
+        A = build_problem(n_r=8, n_theta=16, angle_fraction=0.25, rays_per_angle=8, seed=3).A
+    elif shape == "polar_tall":
+        A = angle_subsampled_operator(3, 8, angles=(0, 2, 4, 6), rays_per_angle=12, seed=4)
+    else:
+        M = rng.standard_normal(shape)
+        M[:, 0] = M[:, 1]  # rank deficient, so the square map has a zero eigenvalue too
+        A = from_dense(M)
+    G = gram_dense(A)
+    L = np.linalg.eigvalsh(G)[-1]
+    C = DescentCone(anchor=np.zeros(A.cols), kind="whole_space")
+    oracle = max(np.linalg.eigvalsh(G)[0], 0.0)
+    assert abs(restricted_min_eig(A, C) - oracle) <= 1e-12 * L
+    with pytest.raises(ValueError, match="subspace and sampled"):
+        gram_min_eig(G, C)
 
 
 def test_restricted_min_eig_subspace_matches_dense_oracle():

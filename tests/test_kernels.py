@@ -114,13 +114,12 @@ def test_adjoint_consistency_over_random_shapes(n_r, n_theta, n_angles, rays, n_
     # <A x, y> and <x, A^T y> sum the same products in different orders
     scale = np.abs(weights).sum() * np.abs(x2).max() * np.abs(y).max()
     assert abs(fwd @ y - x2.ravel() @ adj) <= 1e-12 * scale
-    # a batch (with the precomputed index) gives every entry its own call's bits
+    # a batch gives every entry its own call's bits
     rng = np.random.default_rng(seed)
     X2 = rng.standard_normal((batch, n_r, n_theta))
     Y = rng.standard_normal((batch, n_angles * rays))
-    index = kernels.window_index(cols, n_r, n_theta)
-    fwd_b = kernels.polar_forward(X2, cols, weights, index)
-    adj_b = kernels.polar_adjoint(Y, cols, weights_t, n_r, n_theta, index)
+    fwd_b = kernels.polar_forward(X2, cols, weights)
+    adj_b = kernels.polar_adjoint(Y, cols, weights_t, n_r, n_theta)
     assert fwd_b.shape == (batch, n_angles * rays) and adj_b.shape == (batch, n_r * n_theta)
     for r in range(batch):
         assert np.array_equal(fwd_b[r], kernels.polar_forward(X2[r], cols, weights))

@@ -395,7 +395,8 @@ def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, cover
     geometry = Geometry(n_r=n_r, n_theta=n_theta, angles=tuple(angles), rays_per_angle=rays,
                         offsets=tuple(range(-reach, reach + 1)))
     A = angle_subsampled_operator(n_r, n_theta, angles, rays, seed, offsets=geometry.offsets)
-    radius = round(coverage * full_coverage_radius(angles, n_theta))
+    # past (n_theta - 1) // 2 a subset would list some rotation twice
+    radius = min(round(coverage * full_coverage_radius(angles, n_theta)), (n_theta - 1) // 2)
     subset = symmetric_subset(geometry.theta_shift(1), radius)
     G = gram_dense(A)
     pad = 1.0 + float(np.abs(G).max())

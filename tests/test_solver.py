@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from grouppgd.bench import Geometry, ProblemInstance, build_problem
+from grouppgd import solver
+from grouppgd.bench import Geometry, ProblemInstance, angle_subsampled_operator, build_problem
+from grouppgd.certificate import certify
 from grouppgd.constraint import Box, Subspace
 from grouppgd.linop import LinearMap, from_dense, spectral_norm
 from grouppgd.solver import (
@@ -318,14 +321,42 @@ def test_plain_run_takes_each_objective_from_the_next_steps_residual():
     assert np.array_equal(trace.final_x, x)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dense=st.booleans(), n_r=st.integers(1, 5), n_theta=st.integers(1, 12),
+       angles=st.lists(st.integers(0, 11), min_size=1, max_size=5), rays=st.integers(1, 4),
+       reach=st.integers(0, 2), batch=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_plain_step_is_the_identity_step(dense, n_r, n_theta, angles, rays, reach, batch,
+                                         seed):
+    rng = np.random.default_rng(seed)
+    if dense:  # rows and cols from the polar shape's sizes: wide, tall or square
+        A = from_dense(rng.standard_normal((len(angles) * rays, n_r * n_theta)))
+    else:
+        A = angle_subsampled_operator(n_r, n_theta, angles, rays, seed,
+                                      offsets=range(-reach, reach + 1))
+    d = A.cols
+    b = rng.standard_normal(A.rows)
+    K = Box(0.0, 1.0, d)
+    X = rng.uniform(-0.5, 1.5, size=(batch, d))
+    identity = identity_action(d)
+    # the stack through the operator's window, as a plain stage steps it
+    stacked = solver._step(X, A, b, K, 0.3, A.window + d * np.arange(batch)[:, None])[0]
+    for x, row in zip(X, stacked, strict=True):
+        plain = pgd_step(x, A, b, K, 0.3)
+        assert plain.tobytes() == group_pgd_step(x, A, b, K, 0.3, identity).tobytes()
+        assert plain.tobytes() == row.tobytes()
+
+
 def test_operator_without_window_gives_the_same_traces():
     # the operator rebuilt from its forward and adjoint alone, as a metering
-    # wrapper builds it, takes the permutation path and must keep every bit
+    # wrapper builds it, reads every cell through those two maps and must
+    # keep every bit
     prob = small_problem(noise="gaussian", sigma=0.1, seed=2)
     A = prob.A
     bare = replace(prob, A=LinearMap(rows=A.rows, cols=A.cols, forward=A.forward,
                                      adjoint=A.adjoint, tag=A.tag))
-    assert A.window is not None and bare.A.window is None
+    assert not np.array_equal(A.window, np.arange(A.cols))
+    assert np.array_equal(bare.A.window, np.arange(A.cols))
+    assert bare.A.window_forward is A.forward and bare.A.window_adjoint is A.adjoint
     subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
     config = SolverConfig(max_iters=30, seed=5, record_every=4)
     schedule = [(2, 12), (1, 9), (0, 6)]
@@ -341,6 +372,15 @@ def test_operator_without_window_gives_the_same_traces():
         for name in fields:
             a, b = getattr(windowed, name), getattr(permuted, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # single steps and every certificate constant take the same route too
+    x = np.random.default_rng(8).uniform(-0.5, 1.5, size=prob.dimension)
+    steps = [pgd_step(x, A, prob.b, prob.K, 0.05), pgd_step(x, bare.A, prob.b, prob.K, 0.05)]
+    for T in subset:
+        steps += [group_pgd_step(x, A, prob.b, prob.K, 0.05, T),
+                  group_pgd_step(x, bare.A, prob.b, prob.K, 0.05, T)]
+    for a, b in zip(steps[::2], steps[1::2]):
+        assert a.tobytes() == b.tobytes()
+    assert certify(prob, subset) == certify(bare, subset)
 
 
 def test_config_validation():
@@ -355,7 +395,6 @@ def test_config_validation():
 def test_noiseless_symmetric_run_meets_predicted_iteration_count():
     import math
     from grouppgd.bench import full_coverage_radius
-    from grouppgd.certificate import certify
 
     prob = build_problem(n_r=6, n_theta=16, angle_fraction=0.25,
                          rays_per_angle=8, seed=0)
