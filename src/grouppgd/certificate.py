@@ -17,8 +17,9 @@ and checks the bound against seeded Monte Carlo runs:
   beyond the one dense ``G``.  The mean is stored block tridiagonal in the
   geometry's folded angle order (:func:`~grouppgd.linop.band_gram`) and
   never built densely.  On the whole space its bottom eigenvalue comes from
-  band Cholesky factorizations: inverse iteration finds it, and a Cholesky
-  of ``G_star - (mu_Gstar - n u L) I`` certifies it by Sylvester's law of
+  two band Cholesky factorizations: one Lanczos run on the inverse of
+  ``G_star + n u L I`` finds it, and a Cholesky of
+  ``G_star - (mu_Gstar - n u L) I`` certifies it by Sylvester's law of
   inertia (Higham, *Accuracy and Stability of Numerical Algorithms*,
   Thm 10.5), so the enclosure is as narrow as ``eigvalsh``'s own backward
   error.  Only a certified value is flagged ``exact``.
@@ -75,12 +76,9 @@ __all__ = [
 ]
 
 
-_RITZ_VECTORS = 12  # block size of the stack Gram's inverse iteration
-_RITZ_SEED = 0  # a constant, never the clock or the problem seed
-_RITZ_ITERS = 500
-_RITZ_TOL = 1e-7  # Ritz residual, relative to L, that hands over to shift-invert
-_SHIFT_EVERY = 6  # block steps between tries to move the shift up
-_REFINE_ITERS = 50
+_LANCZOS_SEED = 0  # a constant, never the clock or the problem seed
+_LANCZOS_STEPS = 200
+_LANCZOS_TOL = 1e-10  # top Ritz residual estimate, relative to its Ritz value
 
 
 class BoundVacuousError(ValueError):
@@ -177,64 +175,48 @@ def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
     """Smallest eigenvalue of a band stack Gram, and whether it is certified.
 
     ``slack = n u L`` (``n`` cells, ``u`` the unit round-off) is the width
-    of ``eigvalsh``'s own backward error.  Every shift below is tried by a
-    block Cholesky of ``G_star - shift I``, and one that factors lies below
-    the whole spectrum (Sylvester's law of inertia).
-
-    1. Block inverse iteration with Rayleigh-Ritz from a seeded start block,
-       on the factor of ``G_star + slack I`` (which even a singular stack
-       has).  Every few steps the shift moves up to a quarter of the Ritz
-       values' spread below the lowest one, if that factors, which keeps a
-       clustered bottom of the spectrum from stalling the iteration.
-    2. Shift-invert iteration from the lowest Ritz vector, just below its
-       Ritz value, refines the vector's Rayleigh quotient ``mu_hat``, an
-       upper bound on the eigenvalue.
-    3. ``mu_hat`` is certified when ``mu_hat - slack`` factors: no
-       eigenvalue lies below it, up to the factorization's backward error
-       (Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.5).
-       Otherwise the result is the largest shift that factored, a lower
-       bound, and not certified.
-
-    The start block comes from a constant seed, so reruns give the same bits.
+    of ``eigvalsh``'s own backward error.  ``G_star + slack I`` is factored
+    once (even a singular stack has that factor; if it fails, the result is
+    0, not certified), and Lanczos with full reorthogonalization (Parlett,
+    *The Symmetric Eigenvalue Problem*, ch. 13) runs on its inverse from a
+    seeded start vector, until the top Ritz pair's residual estimate is
+    ``_LANCZOS_TOL`` of its Ritz value or for ``_LANCZOS_STEPS`` steps.  The
+    Ritz vector's Rayleigh quotient on ``G_star``, ``mu_hat``, is certified
+    when ``G_star - (mu_hat - slack) I`` factors: by Sylvester's law of
+    inertia no eigenvalue lies below that shift, up to the factorization's
+    backward error (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 10.5).  A certified ``mu_hat`` below ``slack`` cannot
+    be told from 0 and reads 0.  Otherwise the result is the largest shift
+    that factored, ``-slack``, clipped to 0.  Reruns give the same bits.
     """
     nb, b, _ = G_star.diag.shape
     n = nb * b
-    k = min(_RITZ_VECTORS, n)
     slack = G_star.shape[0] * np.finfo(float).eps / 2 * L
-    floor = -slack  # the largest shift that factored
-    factor = G_star.cholesky(floor)
-    if factor is None:  # an eigenvalue below -slack: clipped to 0, not certified
+    factor = G_star.cholesky(-slack)
+    if factor is None:
         return 0.0, False
     solve = band_solver(factor)
-    V = np.random.default_rng(_RITZ_SEED).standard_normal((n, k))
-    for step in range(1, _RITZ_ITERS + 1):
-        Q = np.linalg.qr(solve(V.reshape(nb, b, k)).reshape(n, k))[0]
-        GQ = G_star.apply(Q.reshape(nb, b, k)).reshape(n, k)
-        ritz, Y = np.linalg.eigh(Q.T @ GQ)
-        V = Q @ Y
-        residual = float(np.linalg.norm(GQ @ Y[:, 0] - ritz[0] * V[:, 0]))
-        if residual <= _RITZ_TOL * L:
+    Q = np.zeros((min(_LANCZOS_STEPS, n), n))  # Q[-1] stands in for q_{-1} = 0
+    q = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    Q[0] = q / np.linalg.norm(q)
+    alphas, betas = [], [0.0]
+    for j in range(len(Q)):
+        w = solve(Q[j].reshape(nb, b, 1)).reshape(n)
+        alphas.append(float(Q[j] @ w))
+        w -= alphas[j] * Q[j] + betas[j] * Q[j - 1]
+        w -= Q[: j + 1].T @ (Q[: j + 1] @ w)  # full reorthogonalization
+        betas.append(float(np.linalg.norm(w)))
+        off = np.diag(betas[1:-1], 1)
+        theta, Y = np.linalg.eigh(np.diag(alphas) + off + off.T)
+        if abs(betas[-1] * Y[-1, -1]) <= _LANCZOS_TOL * theta[-1] or j + 1 == len(Q):
             break
-        if step % _SHIFT_EVERY == 0:
-            shift = float(ritz[0] - (ritz[-1] - ritz[0]) / 4)
-            if shift > floor and (factor := G_star.cholesky(shift)) is not None:
-                floor, solve = shift, band_solver(factor)
-    # an eigenvalue lies within the residual of the Ritz value: start below it
-    shift = float(ritz[0]) - max(2.0 * residual, slack)
-    while shift > floor and (factor := G_star.cholesky(shift)) is None:
-        shift = float(ritz[0]) - 4.0 * (float(ritz[0]) - shift)
-    if shift > floor:
-        floor, solve = shift, band_solver(factor)
-    x, mu = V[:, 0], float(ritz[0])
-    for _ in range(_REFINE_ITERS):
-        x = solve(x.reshape(nb, b, 1)).reshape(n)
-        x /= np.linalg.norm(x)
-        previous, mu = mu, float(x @ G_star.apply(x.reshape(nb, b, 1)).reshape(n))
-        if abs(mu - previous) <= slack / G_star.shape[0]:
-            break
-    if mu - slack <= floor or G_star.cholesky(mu - slack) is not None:
-        return max(mu, 0.0), True
-    return max(floor, 0.0), False
+        Q[j + 1] = w / betas[-1]
+    x = Q[: j + 1].T @ Y[:, -1]
+    x /= np.linalg.norm(x)
+    mu = float(x @ G_star.apply(x.reshape(nb, b, 1)).reshape(n))
+    if G_star.cholesky(mu - slack) is None:
+        return 0.0, False
+    return (mu if mu > slack else 0.0), True
 
 
 def certify(problem: ProblemInstance, subset: SymmetricSubset,
@@ -250,8 +232,8 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     cones, and the stack Gram, averaged from ``G`` through the subset's
     permutations straight into block-tridiagonal storage in the folded
     order of ``problem.geometry`` (:func:`~grouppgd.linop.band_gram`).  The
-    whole-space ``mu_Gstar`` comes from band Cholesky factorizations
-    (:func:`_stack_min_eig`) and is flagged ``exact`` only when certified;
+    whole-space ``mu_Gstar`` comes from one Lanczos run and one inertia
+    check (:func:`_stack_min_eig`) and is flagged ``exact`` only when certified;
     subspace and sampled cones read the band through its products.  ``G``
     is probed for every cone kind, so operators wider than
     ``linop.DENSE_CAP`` columns raise :class:`~grouppgd.linop.SizeCapError`.

@@ -12,7 +12,8 @@ Subcommands:
 * ``phantom``  writes the ground-truth image as an ASCII graymap plus a
                full-precision CSV.
 
-The certified regime is a non-vacuous certificate run at step ``1/L``.
+The certified regime is a non-vacuous certificate, every constant ``exact``,
+a convex feasible set (``kappa_c == 1``) and the step ``1/L``.
 ``solver.step = auto`` is resolved to the certificate's ``1/L``, so the
 solver and the bound share one ``L``; any other step prints no bound.
 
@@ -258,8 +259,13 @@ def _certified_run(problem, subset, solver_config):
     step = 1.0 / report.L
     if solver_config.step_size == "auto":
         solver_config = replace(solver_config, step_size=step)
+    estimates = [name for name, flag in report.flags.items() if flag != "exact"]
     if report.vacuous:
         why = "bound vacuous (alpha_Gstar >= 1)"
+    elif estimates:
+        why = f"{', '.join(estimates)} flagged estimate, so no bound holds"
+    elif report.kappa_c != 1:
+        why = "the feasible set is not convex (kappa_c != 1), so no bound holds"
     elif solver_config.step_size != step:
         why = (f"solver.step = {solver_config.step_size:g} is not the certified "
                f"1/L = {step:.6g}, so no bound holds")

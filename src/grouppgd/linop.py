@@ -88,8 +88,10 @@ class LinearMap:
 
     The map reads the input cells ``window``: ``window_forward`` maps those
     cells' values to the rows and ``window_adjoint`` maps the rows back onto
-    them.  A map given without them reads every cell, in order, through
-    ``forward`` and ``adjoint`` themselves.
+    them.  These are set at construction and never passed in: a map reads
+    every cell, in order, through ``forward`` and ``adjoint`` themselves,
+    unless :func:`from_window` built it.  ``dataclasses.replace`` therefore
+    gives a map that reads through its own ``forward`` and ``adjoint``.
     """
 
     rows: int
@@ -97,17 +99,18 @@ class LinearMap:
     forward: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     tag: str = ""
-    window: np.ndarray | None = field(default=None, repr=False, compare=False)
-    window_forward: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
-    window_adjoint: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    window: np.ndarray = field(init=False, repr=False, compare=False)
+    window_forward: Callable[[np.ndarray], np.ndarray] = field(
+        init=False, repr=False, compare=False)
+    window_adjoint: Callable[[np.ndarray], np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.window_forward is None:
-            object.__setattr__(self, "window", np.arange(self.cols))
-            object.__setattr__(self, "window_forward", self.forward)
-            object.__setattr__(self, "window_adjoint", self.adjoint)
+        self._set_window(np.arange(self.cols), self.forward, self.adjoint)
+
+    def _set_window(self, *window):
+        for name, value in zip(("window", "window_forward", "window_adjoint"), window):
+            object.__setattr__(self, name, value)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Return ``A x``, validating the length of the last axis."""
@@ -148,16 +151,15 @@ def from_window(rows: int, cols: int, window, window_forward, window_adjoint,
     stack contract.
     """
     window = np.asarray(window, dtype=np.int64).ravel()
-    return LinearMap(
+    A = LinearMap(
         rows=rows,
         cols=cols,
         forward=lambda x: window_forward(x.take(window, axis=-1)),
         adjoint=lambda y: kernels.scatter_add(window, window_adjoint(y), cols),
         tag=tag,
-        window=window,
-        window_forward=window_forward,
-        window_adjoint=window_adjoint,
     )
+    A._set_window(window, window_forward, window_adjoint)
+    return A
 
 
 def window_table(A: LinearMap, actions) -> np.ndarray:
@@ -307,7 +309,8 @@ def band_solver(factor: tuple[np.ndarray, np.ndarray]) -> Callable[[np.ndarray],
     """Solve with a :meth:`BandGram.cholesky` factor: blocked ``V`` to ``(M - shift I)^-1 V``.
 
     Forward and back substitution go through explicit inverses of the
-    diagonal factors, which is accurate enough for inverse iteration.
+    diagonal factors, which is accurate enough to steer a Lanczos run: the
+    certificate reads the eigenvalue off the band itself.
     """
     chol, coupling = factor
     inv = np.linalg.inv(chol)

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from grouppgd.bench import build_problem, full_coverage_radius
@@ -19,6 +21,7 @@ from grouppgd.certificate import (
 )
 from grouppgd.constraint import DescentCone, descent_cone_of
 from grouppgd.linop import (
+    BandGram,
     SizeCapError,
     from_dense,
     gram_dense,
@@ -311,6 +314,45 @@ def test_certify_mu_gstar_matches_dense_oracle_on_shipped_configs(name):
     problem, subset, _ = _build(load_config(os.path.join(CONFIGS, f"{name}.txt")))
     report, spectrum = assert_mu_gstar_matches_dense_oracle(problem, subset)
     assert spectrum[0] > 0.0 and not report.vacuous
+
+
+def test_certify_factors_the_stack_gram_twice_on_shipped_configs(monkeypatch):
+    # one factor for the Lanczos run, one inertia check at mu_hat - slack
+    from grouppgd.cli import _build, load_config
+    shifts = []
+    cholesky = BandGram.cholesky
+
+    def counted(self, shift):
+        shifts.append(shift)
+        return cholesky(self, shift)
+
+    monkeypatch.setattr(BandGram, "cholesky", counted)
+    for name in ("ring", "extreme_sparse", "noisy_textured", "poisson"):
+        problem, subset, _ = _build(load_config(os.path.join(CONFIGS, f"{name}.txt")))
+        shifts.clear()
+        report = certify(problem, subset)
+        assert report.flags["mu_Gstar"] == "exact"
+        assert len(shifts) == 2, name
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(n_r=st.integers(1, 8), n_theta=st.integers(3, 32),
+       angles=st.lists(st.integers(0, 31), min_size=1, max_size=6), rays=st.integers(1, 32),
+       coverage=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_certify_mu_gstar_matches_dense_oracle_on_random_instances(n_r, n_theta, angles, rays,
+                                                                   coverage, seed):
+    problem = ring_instance(n_r=n_r, n_theta=n_theta, angles=angles, rays_per_angle=rays,
+                            seed=seed)
+    radius = round(coverage * ((n_theta - 1) // 2))
+    subset = symmetric_subset(problem.geometry.theta_shift(1), radius)
+    cone = whole_space_cone(problem.x_dagger)
+    report = certify(problem, subset, cone=cone)
+    spectrum = np.linalg.eigvalsh(gram_average(gram_dense(problem.A), subset))
+    oracle = max(float(spectrum[0]), 0.0)
+    slack = problem.dimension * np.finfo(float).eps / 2 * report.L
+    assert abs(report.mu_Gstar - oracle) <= max(1e-12 * oracle, slack)
+    assert report.flags["mu_Gstar"] == "exact"
+    assert certify(problem, subset, cone=cone) == report
 
 
 @pytest.mark.parametrize("shape", [(6, 15), (32, 63)])

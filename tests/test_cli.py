@@ -264,6 +264,33 @@ def test_step_other_than_one_over_L_prints_no_bound(tmp_path, capsys):
     assert "is not the certified 1/L" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"flags": {"L": "exact", "mu_C": "exact", "mu_Gstar": "estimate",
+                "eps_Gstar": "exact", "eps_w": "exact"}},
+     "mu_Gstar flagged estimate, so no bound holds"),
+    ({"kappa_c": 2}, "not convex (kappa_c != 1), so no bound holds"),
+], ids=["estimate_mu_gstar", "nonconvex"])
+def test_uncertified_constants_print_no_bound(tmp_path, monkeypatch, capsys,
+                                              change, message):
+    from dataclasses import replace
+
+    from grouppgd import cli
+
+    real_certify = cli.certify
+    monkeypatch.setattr(cli, "certify",
+                        lambda *args: replace(real_certify(*args), **change))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, config_text(out))
+    assert main(["run", "--config", cfg]) == EXIT_OK
+    header = (out / "group_pgd.csv").read_text().splitlines()[0]
+    assert header == "iter,rmsd,rmsd_normalized,objective,action_index"
+    assert capsys.readouterr().out.count(message) == 1
+    assert main(["compare", "--config", cfg]) == EXIT_OK
+    rows = (out / "compare.csv").read_text().splitlines()[1:]
+    assert all(row.split(",")[3] == "nan" for row in rows)
+    assert capsys.readouterr().out.count(message) == 1
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"problem_noise": "poisson", "problem_weights": "signed"},
      "set problem.weights = nonneg"),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from grouppgd.constraint import (
@@ -83,6 +85,34 @@ def test_nonexpansiveness():
             y = rng.standard_normal(8) * 2
             lhs = np.linalg.norm(K.project(x) - K.project(y))
             assert lhs <= np.linalg.norm(x - y) + 1e-12
+
+
+def random_set(kind, d, rng):
+    if kind == "box":
+        lo = rng.standard_normal(d)
+        return Box(lo, lo + rng.uniform(0.01, 3.0, d), d)
+    if kind == "nonneg":
+        return Nonneg(d)
+    if kind == "l1":
+        return L1Ball(rng.uniform(0.1, 5.0), d)
+    return Subspace(random_orthonormal(d, int(rng.integers(1, d + 1)), rng))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["box", "nonneg", "l1", "subspace"]), d=st.integers(1, 12),
+       scale=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_projection_properties_over_random_sets(kind, d, scale, seed):
+    # idempotence, nonexpansiveness, and the obtuse-angle inequality
+    # <x - Px, y - Px> <= 0 for every feasible y (the variational
+    # characterization of a projection onto a closed convex set)
+    rng = np.random.default_rng(seed)
+    K = random_set(kind, d, rng)
+    x, z, w = scale * rng.standard_normal((3, d))
+    px, pz, y = K.project(x), K.project(z), K.project(w)
+    tol = 1e-12 * (1.0 + scale) ** 2
+    assert_allclose(K.project(px), px, rtol=0, atol=1e-12 * (1.0 + scale))
+    assert np.linalg.norm(px - pz) <= np.linalg.norm(x - z) + 1e-12 * (1.0 + scale)
+    assert (x - px) @ (y - px) <= tol
 
 
 def test_shift_identity_box():

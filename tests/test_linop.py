@@ -334,6 +334,21 @@ def test_call_checks_the_last_axis():
             A(bad)
 
 
+def test_replaced_map_reads_through_its_own_maps():
+    # the window is set at construction, never copied by ``replace``: a map
+    # whose forward/adjoint were replaced reads through the new ones
+    from dataclasses import replace
+
+    polar = angle_subsampled_operator(5, 12, angles=(0, 3, 7), rays_per_angle=4, seed=2)
+    x, y = np.arange(1.0, 61.0), np.arange(1.0, 13.0)
+    for A in (from_dense(np.eye(3)), polar):
+        B = replace(A, forward=lambda v: 2 * A.forward(v), adjoint=lambda v: 2 * A.adjoint(v))
+        u, v = x[:A.cols], y[:A.rows]
+        assert np.array_equal(B.window, np.arange(A.cols))
+        assert np.array_equal(rotated_forward(B, u, B.window), 2 * A.forward(u))
+        assert np.array_equal(rotated_adjoint(B, v, B.window, B.cols), 2 * A.adjoint(v))
+
+
 def test_gram_dense_blocks_equal_single_probes():
     A = stack_contract_operators()["stack_mean"]
     single = np.empty((A.cols, A.cols))
