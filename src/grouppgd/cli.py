@@ -29,6 +29,7 @@ Exit codes: 0 success, 2 config parse error, 3 solver divergence,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -38,7 +39,8 @@ import numpy as np
 from .bench import build_problem
 from .certificate import bound_curve, certify
 from .linop import SizeCapError
-from .solver import DivergenceError, SolverConfig, run, run_ensemble
+from .solver import (DivergenceError, SolverConfig, mean_rmsd, replicate_rngs,
+                     run_with_plain)
 from .symmetry import symmetric_subset
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "main"]
@@ -88,6 +90,16 @@ class ExperimentConfig:
         for name, value in positive.items():
             if value < 1:
                 raise ConfigError(f"{name} must be a positive count, got {value}")
+        finite = {
+            "problem.sigma": self.problem_sigma,
+            "problem.scale": self.problem_scale,
+            "solver.tolerance": self.solver_tolerance,
+        }
+        if self.solver_step != "auto":
+            finite["solver.step"] = self.solver_step
+        for name, value in finite.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.solver_iters < 0:
             raise ConfigError("solver.iters must be nonnegative")
         if not 0.0 < self.problem_angle_fraction <= 1.0:
@@ -230,22 +242,29 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _csv(header: str, template: str, columns) -> str:
+    """``header``, then one line per row: ``template % row`` over the columns.
+
+    ``%.17g`` and ``%d`` on ``tolist()`` values write what :func:`_fmt` and
+    ``str(int(v))`` write, one template per row instead of one call per cell.
+    """
+    rows = zip(*(column.tolist() for column in columns))
+    return "\n".join([header, *(template % row for row in rows)]) + "\n"
+
+
 def _trace_csv(trace, bound: np.ndarray | None, with_actions: bool) -> str:
     header = "iter,rmsd,rmsd_normalized,objective"
+    template = "%d,%.17g,%.17g,%.17g"
+    columns = [trace.iterations, trace.rmsd, trace.rmsd_normalized, trace.objective]
     if bound is not None:
         header += ",bound"
+        template += ",%.17g"
+        columns.append(bound)
     if with_actions:
         header += ",action_index"
-    lines = [header]
-    for i, k in enumerate(trace.iterations):
-        row = [str(int(k)), _fmt(trace.rmsd[i]), _fmt(trace.rmsd_normalized[i]),
-               _fmt(trace.objective[i])]
-        if bound is not None:
-            row.append(_fmt(bound[i]))
-        if with_actions:
-            row.append(str(int(trace.action_indices[i])))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        template += ",%d"
+        columns.append(trace.action_indices)
+    return _csv(header, template, columns)
 
 
 def _ensure_outdir(outdir: str):
@@ -277,8 +296,8 @@ def _certified_run(problem, subset, solver_config):
 def cmd_run(config: ExperimentConfig, outdir: str) -> int:
     problem, subset, solver_config = _build(config)
     report, solver_config, why = _certified_run(problem, subset, solver_config)
-    pgd_trace = run(problem, solver_config, subset=None)
-    group_trace = run(problem, solver_config, subset=subset)
+    pgd_trace, (group_trace,) = run_with_plain(
+        problem, solver_config, subset, [np.random.default_rng(solver_config.seed)])
     group_bound = None
     if why is None:
         rmsd0 = group_trace.rmsd[0]
@@ -310,22 +329,22 @@ def cmd_certify(config: ExperimentConfig, outdir: str) -> int:
 def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     problem, subset, solver_config = _build(config)
     report, solver_config, why = _certified_run(problem, subset, solver_config)
-    iters, pgd_mean, _ = run_ensemble(problem, solver_config, None,
-                                      config.solver_seeds)
-    _, group_mean, _ = run_ensemble(problem, solver_config, subset,
-                                    config.solver_seeds)
+    replicates = config.solver_seeds
+    pgd_trace, group_traces = run_with_plain(
+        problem, solver_config, subset, replicate_rngs(solver_config.seed, replicates))
+    iters = pgd_trace.iterations
+    # the plain chain draws nothing, so it stands for each of its replicates
+    pgd_mean = mean_rmsd([pgd_trace] * replicates)
+    group_mean = mean_rmsd(group_traces)
     if why is not None:
         bound = np.full(len(iters), np.nan)
     else:
         w_norm = float(np.linalg.norm(problem.w))
         curve = bound_curve(report, pgd_mean[0], w_norm, int(iters[-1]))
         bound = curve[iters]
-    lines = ["iter,pgd_mean_rmsd,group_mean_rmsd,bound"]
-    for i, k in enumerate(iters):
-        lines.append(
-            f"{int(k)},{_fmt(pgd_mean[i])},{_fmt(group_mean[i])},{_fmt(bound[i])}"
-        )
-    _write_atomic(os.path.join(outdir, "compare.csv"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(outdir, "compare.csv"),
+                  _csv("iter,pgd_mean_rmsd,group_mean_rmsd,bound", "%d,%.17g,%.17g,%.17g",
+                       [iters, pgd_mean, group_mean, bound]))
 
     tol = config.solver_tolerance
     summary_lines = []

@@ -13,27 +13,32 @@ the projection and the trace values act on the whole stack, and by the stack
 contract of :mod:`grouppgd.linop` and :mod:`grouppgd.constraint` every row
 gets the bits of its own one-row run.  :func:`run` is the driver on one row,
 :func:`run_multistage` is one row stepped through a schedule of shrinking
-symmetry radii (each stage warm-started from the last), and
-:func:`run_ensemble` is one row per replicate.  At the start of a stage each
-row draws the whole stage's action indices at once,
-``rng.integers(len(subset), size=budget)``, the same values as one
-:func:`~grouppgd.symmetry.sample_action` call per step.
+symmetry radii (each stage warm-started from the last), :func:`run_ensemble`
+is one row per replicate, and :func:`run_with_plain` steps the plain chain
+as one more row beside the group chains, so a comparison of the two methods
+is one stack.  At the start of a stage each group row draws the whole
+stage's action indices at once, ``rng.integers(len(subset), size=budget)``,
+the same values as one :func:`~grouppgd.symmetry.sample_action` call per
+step.
 
 A group step never permutes the stack.  By shift covariance the rotated
 operator ``A ∘ P_s`` reads the cells ``perm_s[window]`` with ``A``'s own
 weights, so each stage tabulates those cells once per action
-(:func:`~grouppgd.linop.window_table`), and a step gathers each row's window
-through its drawn table row offset by ``row * d``, applies the operator's
-window maps and adds the adjoint straight back into the same cells
-(:func:`~grouppgd.linop.rotated_forward`,
+(:func:`~grouppgd.linop.window_table`), after the identity's window, which
+a plain row always reads, and adds each row's offset ``row * d`` to the
+table once.  A step takes each row's drawn table row in one gather, applies
+the operator's window maps and adds the adjoint straight back into the same
+cells (:func:`~grouppgd.linop.rotated_forward`,
 :func:`~grouppgd.linop.rotated_adjoint`), with the bits of rotating,
-stepping and rotating back.  A plain stage reads every row through the
-operator's own window, offset by ``row * d``, computed once per stage.
+stepping and rotating back.
 
-A plain step's residual ``A x_k - b`` is also the residual of iterate
-``k``'s objective, so a plain chain's trace takes each objective from the
-next step.  A group step's residual is the rotated one, so there, and for
-the last iterate, the objective costs a forward of its own.
+A step's residual through the identity's window is the residual
+``A x_k - b`` of iterate ``k``'s objective, so a plain row takes each
+recorded objective from the next step.  A group row's step residual is the
+rotated one, so the step after a recorded iterate also gathers each group
+row's identity window, and the one forward returns those rows' objective
+residuals beside the step residuals.  Only the last iterate, which no step
+follows, costs a forward of its own.
 """
 
 from __future__ import annotations
@@ -58,6 +63,9 @@ __all__ = [
     "run",
     "run_multistage",
     "run_ensemble",
+    "run_with_plain",
+    "replicate_rngs",
+    "mean_rmsd",
 ]
 
 DIVERGENCE_NORM = 1e12
@@ -137,7 +145,7 @@ def pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
              eta: float) -> np.ndarray:
     """One projected gradient step on the least-squares objective."""
     _check_step_args(x, A, b, eta)
-    return _step(x, A, b, K, eta, A.window)[0]
+    return _step(x[None], A, b, K, eta, A.window[None])[0][0]
 
 
 def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
@@ -153,19 +161,23 @@ def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
         raise DimensionMismatchError(
             f"action dimension {T.dimension} does not match operator columns {A.cols}"
         )
-    return _step(x, A, b, K, eta, window_table(A, [T])[0])[0]
+    return _step(x[None], A, b, K, eta, window_table(A, [T]))[0][0]
 
 
 def _step(X, A, b, K, eta, cells):
-    """One projected gradient step on every row of ``X``; returns ``(X_next, residual)``.
+    """One projected gradient step on every row of the stack ``X``; returns
+    ``(X_next, residual)``.
 
     ``cells`` indexes ``X.ravel()`` as in :func:`~grouppgd.linop.rotated_forward`:
     the gradient is taken through each row's rotated operator and the
     residual is the rotated one.  Through ``A.window`` (plus the row
-    offsets) it is the plain step, and the residual is ``A X - b``.
+    offsets) it is the plain step, and the residual is ``A X - b``.  Rows of
+    ``cells`` past ``len(X)`` are read but not stepped: their residuals
+    follow the stepped rows' in ``residual``.
     """
     residual = rotated_forward(A, X, cells) - b
-    update = rotated_adjoint(A, residual, cells, X.size).reshape(X.shape)
+    n = len(X)
+    update = rotated_adjoint(A, residual[:n], cells[:n], X.size).reshape(X.shape)
     update *= eta
     # X - eta * grad in one buffer: on a stack, allocating one more
     # temporary can cost more than the arithmetic
@@ -198,12 +210,14 @@ def _drive(problem: ProblemInstance, x0, stages, eta: float, rngs,
            stride: int) -> list[IterateTrace]:
     """Step one chain per entry of ``rngs`` through ``stages``; one trace per row.
 
-    ``stages`` lists ``(subset, budget)`` pairs, ``subset`` None for plain
-    steps.  Every row starts at ``x0`` (zeros when None) and draws its
-    actions from its own generator.  The traces record the initial point,
-    then every ``stride``-th iterate of each stage plus the stage's last.
-    Raises :class:`DivergenceError` at the first iteration at which any row
-    leaves the finite ball of radius ``DIVERGENCE_NORM``.
+    ``stages`` lists ``(subset, budget)`` pairs.  A row whose entry of
+    ``rngs`` is None takes plain steps, and so does every row of a stage
+    whose ``subset`` is None; every other row draws its actions from its own
+    generator.  Every row starts at ``x0`` (zeros when None).  The traces
+    record the initial point, then every ``stride``-th iterate of each stage
+    plus the stage's last.  Raises :class:`DivergenceError` at the first
+    iteration at which any row leaves the finite ball of radius
+    ``DIVERGENCE_NORM``.
     """
     A, b, K = problem.A, problem.b, problem.K
     d, R = problem.dimension, len(rngs)
@@ -223,42 +237,53 @@ def _drive(problem: ProblemInstance, x0, stages, eta: float, rngs,
     rmsd = np.empty((R, n_records))
     objective = np.empty((R, n_records))
     actions = np.full((R, n_records), -1, dtype=np.int64)
-    offsets = d * np.arange(R)[:, None]
+    rows = np.arange(R)
 
     def record(slot, X):
         rmsd[:, slot] = np.sqrt(_row_dots(X - problem.x_dagger))
 
     record(0, X)
-    # the recorded slot whose objective is not written yet: a plain step's
-    # residual is the objective's residual of the iterate it starts from
+    # the recorded slot whose objective is not written yet: it comes from
+    # the residuals of the step that starts at that iterate
     pending = 0
     k, slot = 0, 1
     for stage, (subset, budget) in enumerate(stages):
-        if subset is None:
-            plain = A.window + offsets
-        else:
-            table = window_table(A, subset)
-            draws = np.stack([rng.integers(len(subset), size=budget) for rng in rngs])
-        for i in range(1, budget + 1):
+        # table row 0 is the identity's window, which a plain row always
+        # draws; row 1 + s is action s.  Row r of the stack reads table row
+        # r * n + draw, offset by r * d into X.ravel().
+        table = A.window[None]
+        group = []
+        if subset is not None:
+            table = np.concatenate((table, window_table(A, subset)))
+            group = [r for r, rng in enumerate(rngs) if rng is not None]
+        n = len(table)
+        table = (table + d * rows[:, None, None]).reshape(R * n, -1)
+        draws = np.zeros((budget, R), dtype=np.int64)
+        for r in group:
+            draws[:, r] = 1 + rngs[r].integers(len(subset), size=budget)
+        # step i gathers the table rows steps[i, :R].  After a recorded
+        # iterate it also gathers each group row's identity window
+        # (steps[i, R:]), whose residual is that row's objective residual;
+        # a plain row's objective residual is its own step residual.
+        group = np.asarray(group, dtype=np.int64)
+        steps = np.hstack((draws + n * rows, np.broadcast_to(n * group, (budget, len(group)))))
+        source = rows.copy()
+        source[group] = R + np.arange(len(group))
+        draws -= 1  # the recorded action index: -1 for the identity's window
+        for i in range(budget):
             k += 1
-            if subset is None:
-                X_next, residual = _step(X, A, b, K, eta, plain)
-            else:
-                residual = None if pending is None else A.forward(X) - b
-                cells = table.take(draws[:, i - 1], axis=0)
-                cells += offsets
-                X_next, _ = _step(X, A, b, K, eta, cells)
+            index = steps[i, :R] if pending is None else steps[i]
+            X_next, residual = _step(X, A, b, K, eta, table.take(index, axis=0))
             if pending is not None:
-                objective[:, pending] = 0.5 * _row_dots(residual)
+                objective[:, pending] = 0.5 * _row_dots(residual)[source]
                 pending = None
             X = X_next
             if not (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all():
                 raise DivergenceError(k)
-            if i % stride == 0 or i == budget:
+            if (i + 1) % stride == 0 or i + 1 == budget:
                 record(slot, X)
                 iterations[slot], stage_marks[slot], pending = k, stage, slot
-                if subset is not None:
-                    actions[:, slot] = draws[:, i - 1]
+                actions[:, slot] = draws[i]
                 slot += 1
     # the last iterate is always recorded, and no step follows it
     objective[:, pending] = 0.5 * _row_dots(A.forward(X) - b)
@@ -322,29 +347,52 @@ def run_ensemble(problem: ProblemInstance, config: SolverConfig,
     """Independent seeded runs plus their per-iteration mean distance.
 
     Replicate ``i`` draws its stream from ``SeedSequence(config.seed)``
-    child ``i``, so the ensemble is reproducible and replicate-order
-    independent.  The replicates are the rows of one stack stepped
-    together, each bit for bit the trace of its own :func:`run` on that
-    stream.  An ``"auto"`` step is resolved once and shared by every
-    replicate.  If any replicate diverges, :class:`DivergenceError` names
-    the first iteration at which one did, whichever replicate it was.
-    Plain PGD (``subset=None``) draws nothing from its stream, so its chain
-    runs once and ``traces`` holds that one trace object ``replicates``
-    times; the mean is still taken over all entries, so it is bit for bit
-    the mean of separate runs.  Returns ``(iterations, mean_rmsd, traces)``.
+    child ``i`` (:func:`replicate_rngs`), so the ensemble is reproducible
+    and replicate-order independent.  The replicates are the rows of one
+    stack stepped together, each bit for bit the trace of its own
+    :func:`run` on that stream.  An ``"auto"`` step is resolved once and
+    shared by every replicate.  If any replicate diverges,
+    :class:`DivergenceError` names the first iteration at which one did,
+    whichever replicate it was.  Plain PGD (``subset=None``) draws nothing
+    from its stream, so its chain runs once and ``traces`` holds that one
+    trace object ``replicates`` times; the mean is still taken over all
+    entries (:func:`mean_rmsd`), so it is bit for bit the mean of separate
+    runs.  Returns ``(iterations, mean_rmsd, traces)``.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     eta = resolve_step_size(config, problem.A)
-    if subset is None:
-        rngs = [None]
-    else:
-        rngs = [np.random.default_rng(child)
-                for child in np.random.SeedSequence(config.seed).spawn(replicates)]
+    rngs = [None] if subset is None else replicate_rngs(config.seed, replicates)
     traces = _drive(problem, None, [(subset, config.max_iters)], eta, rngs,
                     config.record_every)
     if subset is None:
         traces = traces * replicates
-    iterations = traces[0].iterations
-    mean_rmsd = np.mean(np.stack([t.rmsd for t in traces]), axis=0)
-    return iterations, mean_rmsd, traces
+    return traces[0].iterations, mean_rmsd(traces), traces
+
+
+def run_with_plain(problem: ProblemInstance, config: SolverConfig,
+                   subset: SymmetricSubset, rngs) -> tuple[IterateTrace, list[IterateTrace]]:
+    """Plain PGD beside one group chain per generator in ``rngs``, as rows of one stack.
+
+    Returns ``(plain_trace, group_traces)``.  Every row is bit for bit its
+    own run: the plain trace is ``run(problem, config)``, and group trace
+    ``i`` is ``run(problem, config, subset, rng=rngs[i])``.  So with
+    :func:`replicate_rngs` the group traces are :func:`run_ensemble`'s.  If
+    any row diverges, :class:`DivergenceError` names the first iteration at
+    which one did, plain or group.
+    """
+    eta = resolve_step_size(config, problem.A)
+    plain, *group = _drive(problem, None, [(subset, config.max_iters)], eta,
+                           [None, *rngs], config.record_every)
+    return plain, group
+
+
+def replicate_rngs(seed: int, replicates: int) -> list[np.random.Generator]:
+    """The replicate streams of :func:`run_ensemble`: ``SeedSequence(seed)``'s children."""
+    return [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(replicates)]
+
+
+def mean_rmsd(traces) -> np.ndarray:
+    """Per-iteration mean of the traces' ``rmsd``, as :func:`run_ensemble` reports it."""
+    return np.mean(np.stack([t.rmsd for t in traces]), axis=0)

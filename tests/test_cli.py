@@ -317,18 +317,72 @@ def test_compare_group_column_dominated_by_bound(tmp_path):
         assert float(group_mean) <= float(bound) * (1 + 1e-12)
 
 
-def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, capsys, command):
     from grouppgd import cli
     from grouppgd.solver import DivergenceError
 
     def blow_up(*args, **kwargs):
         raise DivergenceError(7)
 
-    monkeypatch.setattr(cli, "run", blow_up)
+    monkeypatch.setattr(cli, "run_with_plain", blow_up)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, config_text(out))
-    assert main(["run", "--config", cfg]) == 3
+    assert main([command, "--config", cfg]) == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_trace_csv_writes_what_per_cell_formatting_writes():
+    from grouppgd.cli import _trace_csv
+    from grouppgd.solver import IterateTrace
+
+    def fmt(v):
+        return f"{v:.17g}"
+
+    def per_cell(trace, bound, with_actions):
+        # the writer's earlier form: one f-string per cell
+        header = "iter,rmsd,rmsd_normalized,objective"
+        header += ",bound" if bound is not None else ""
+        header += ",action_index" if with_actions else ""
+        lines = [header]
+        for i, k in enumerate(trace.iterations):
+            row = [str(int(k)), fmt(trace.rmsd[i]), fmt(trace.rmsd_normalized[i]),
+                   fmt(trace.objective[i])]
+            if bound is not None:
+                row.append(fmt(bound[i]))
+            if with_actions:
+                row.append(str(int(trace.action_indices[i])))
+            lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
+
+    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1 / 3, 1e-310, -2.5e300,
+                       0.1, 123456789.0])
+    n = len(values)
+    trace = IterateTrace(iterations=np.arange(0, 3 * n, 3), rmsd=values,
+                         rmsd_normalized=values[::-1].copy(), objective=np.roll(values, 3),
+                         action_indices=np.arange(n) - 1, stages=np.zeros(n, dtype=np.int64),
+                         final_x=np.zeros(2))
+    bound = np.roll(values, 5)
+    for b in (None, bound):
+        for with_actions in (False, True):
+            assert _trace_csv(trace, b, with_actions) == per_cell(trace, b, with_actions)
+    assert "-0," in _trace_csv(trace, None, False)
+    assert ",nan" in _trace_csv(trace, None, False) and ",-inf" in _trace_csv(trace, None, False)
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "compare"])
+@pytest.mark.parametrize("key, value", [
+    ("problem.sigma", "nan"), ("problem.sigma", "inf"),
+    ("problem.scale", "nan"), ("problem.scale", "inf"),
+    ("solver.step", "nan"), ("solver.step", "inf"),
+    ("solver.tolerance", "nan"), ("solver.tolerance", "inf"),
+])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, key, value, command):
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", **{key.replace(".", "_"): value}))
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key} must be finite, got {value}" in err
+    assert "Traceback" not in err
 
 
 def test_textured_phantom_group_beats_plain_ordering(tmp_path):

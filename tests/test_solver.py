@@ -17,9 +17,11 @@ from grouppgd.solver import (
     SolverConfig,
     group_pgd_step,
     pgd_step,
+    replicate_rngs,
     run,
     run_ensemble,
     run_multistage,
+    run_with_plain,
 )
 from grouppgd.symmetry import (cyclic_shift_action, identity_action, polar_theta_shift,
                                sample_action, symmetric_subset)
@@ -213,6 +215,31 @@ def test_ensemble_divergence_names_the_first_row_to_diverge():
     assert info.value.iteration == min(alone)
 
 
+def test_mixed_stack_divergence_names_the_first_row_to_diverge():
+    # the plain row scales the first coordinate by -3 every step; a group
+    # row does so only when its draw moves that coordinate back, so it
+    # blows up later
+    d = 4
+    geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
+    prob = ProblemInstance(x_dagger=np.zeros(d), A=from_dense(np.diag([2.0, 0.0, 0.0, 0.0])),
+                           b=np.ones(d), w=np.ones(d), K=Subspace(np.eye(d)),
+                           geometry=geometry)
+    subset = symmetric_subset(cyclic_shift_action(d, 1), 1)
+    config = SolverConfig(max_iters=500, step_size=1.0, seed=2)
+    alone = []
+    with pytest.raises(DivergenceError) as info:
+        run(prob, config)
+    alone.append(info.value.iteration)
+    for rng in replicate_rngs(config.seed, 4):
+        with pytest.raises(DivergenceError) as info:
+            run(prob, config, subset=subset, rng=rng)
+        alone.append(info.value.iteration)
+    assert alone[0] < min(alone[1:])
+    with pytest.raises(DivergenceError) as info:
+        run_with_plain(prob, config, subset, replicate_rngs(config.seed, 4))
+    assert info.value.iteration == alone[0]
+
+
 def test_multistage_final_stage_is_pure_pgd():
     prob = small_problem(noise="gaussian", sigma=0.05, seed=12)
     config = SolverConfig(max_iters=0, seed=14)
@@ -321,6 +348,28 @@ def test_plain_run_takes_each_objective_from_the_next_steps_residual():
     assert np.array_equal(trace.final_x, x)
 
 
+def test_mixed_stack_objective_is_each_rows_own_objective():
+    # every row's objective is 0.5 * |A x_k - b|^2 of its own iterate, not of
+    # the rotated residual its group step computed
+    prob = small_problem(noise="gaussian", sigma=0.1, seed=6)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    n, eta = 12, 0.02
+    config = SolverConfig(max_iters=n, step_size=eta, seed=4)
+    plain, groups = run_with_plain(prob, config, subset, replicate_rngs(config.seed, 3))
+    for trace in (plain, *groups):
+        x = np.zeros(prob.dimension)
+        for k in range(n + 1):
+            if k:
+                action = trace.action_indices[k]
+                x = (pgd_step(x, prob.A, prob.b, prob.K, eta) if action < 0 else
+                     group_pgd_step(x, prob.A, prob.b, prob.K, eta, subset.actions[action]))
+            r = prob.A.forward(x) - prob.b
+            assert trace.objective[k] == 0.5 * (r @ r)
+        assert np.array_equal(trace.final_x, x)
+    assert (plain.action_indices == -1).all()
+    assert all((trace.action_indices[1:] >= 0).all() for trace in groups)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(dense=st.booleans(), n_r=st.integers(1, 5), n_theta=st.integers(1, 12),
        angles=st.lists(st.integers(0, 11), min_size=1, max_size=5), rays=st.integers(1, 4),
@@ -344,6 +393,56 @@ def test_plain_step_is_the_identity_step(dense, n_r, n_theta, angles, rays, reac
         plain = pgd_step(x, A, b, K, 0.3)
         assert plain.tobytes() == group_pgd_step(x, A, b, K, 0.3, identity).tobytes()
         assert plain.tobytes() == row.tobytes()
+
+
+def test_mixed_stack_makes_one_forward_and_one_adjoint_per_step():
+    # the group rows' objectives are gathered with the step's own forward:
+    # a plain run beside a group run costs what the plain run costs alone
+    # (two separate runs make 3n + 2 forwards and 2n adjoints)
+    prob, calls = counted_problem(small_problem(noise="gaussian", sigma=0.1, seed=6))
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    n = 12
+    config = SolverConfig(max_iters=n, step_size=0.02, seed=5)
+    for rngs in ([np.random.default_rng(config.seed)], replicate_rngs(config.seed, 3)):
+        calls.clear()
+        run_with_plain(prob, config, subset, rngs)
+        assert calls.count("forward") == n + 1 and calls.count("adjoint") == n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dense=st.booleans(), n_r=st.integers(1, 4), n_theta=st.integers(5, 10),
+       angles=st.lists(st.integers(0, 9), min_size=1, max_size=3), rays=st.integers(1, 4),
+       radius=st.integers(0, 2), replicates=st.integers(1, 4), record_every=st.integers(1, 3),
+       budget=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+def test_mixed_stack_rows_are_their_own_runs(dense, n_r, n_theta, angles, rays, radius,
+                                             replicates, record_every, budget, seed):
+    rng = np.random.default_rng(seed)
+    angles = sorted({a % n_theta for a in angles})
+    d = n_r * n_theta
+    if dense:
+        A = from_dense(rng.standard_normal((len(angles) * rays, d)))
+    else:
+        A = angle_subsampled_operator(n_r, n_theta, angles, rays, seed)
+    geometry = Geometry(n_r=n_r, n_theta=n_theta, angles=tuple(angles), rays_per_angle=rays,
+                        offsets=(0,))
+    prob = ProblemInstance(x_dagger=rng.uniform(0.0, 1.0, d), A=A,
+                           b=rng.standard_normal(A.rows), w=np.zeros(A.rows),
+                           K=Box(0.0, 1.0, d), geometry=geometry)
+    subset = symmetric_subset(polar_theta_shift(n_r, n_theta, 1), radius)
+    config = SolverConfig(max_iters=budget, seed=seed % 1000, record_every=record_every)
+    plain = run(prob, config)
+    pairs = []
+    mixed_plain, (mixed_group,) = run_with_plain(
+        prob, config, subset, [np.random.default_rng(config.seed)])
+    pairs += [(mixed_plain, plain), (mixed_group, run(prob, config, subset=subset))]
+    mixed_plain, mixed_groups = run_with_plain(
+        prob, config, subset, replicate_rngs(config.seed, replicates))
+    pairs.append((mixed_plain, plain))
+    pairs += zip(mixed_groups, run_ensemble(prob, config, subset, replicates)[2], strict=True)
+    for mixed, alone in pairs:
+        for name in ("iterations", "rmsd", "objective", "action_indices", "final_x"):
+            a, b = getattr(mixed, name), getattr(alone, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_operator_without_window_gives_the_same_traces():
