@@ -47,7 +47,6 @@ from .solver import (
     pgd_step,
     run,
     run_ensemble,
-    run_multistage,
 )
 from .symmetry import (
     GroupAction,

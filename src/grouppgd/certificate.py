@@ -39,14 +39,20 @@ which :func:`bound_curve` evaluates and :func:`verify_bound` checks against
 the empirical mean over replicates, with a Monte Carlo slack of
 ``2/sqrt(replicates)``.
 
-Cone-dependent quantities are exact for whole-space and subspace cones and
-flagged as estimates for sampled cones; :func:`verify_bound` refuses sampled
-cones outright.  The band is built from the probed dense ``G``, not from the
-operator's window, so that every caller of ``certify`` gets the same bits,
-also one whose map was rebuilt from ``forward``/``adjoint`` alone and so
-reads through the trivial window.  Every cone therefore goes through the
-dense Gram, and the certificate is refused
-(:class:`~grouppgd.linop.SizeCapError`) above ``linop.DENSE_CAP`` columns.
+On a subspace cone ``mu_C`` and ``mu_Gstar`` are the cone's own values.
+On every other cone they are the whole space's, the same bits as on a
+``whole_space`` cone: on a box cone, or the whole space standing in for an
+l1-ball boundary cone, that is a lower bound, flagged ``relaxed``.  The
+``eps_*`` terms project exactly onto every cone but the relaxed one, where
+they read the whole space's larger values, also flagged ``relaxed``.  The
+bound rises as ``mu_Gstar`` falls and as ``eps_*`` rise, so relaxed
+constants give a valid, weaker bound.  :meth:`CertificateReport.why_no_bound`
+is the one rule of the certified regime.  The band is built from the probed
+dense ``G``, not from the operator's window, so that every caller of
+``certify`` gets the same bits, also one whose map was rebuilt from
+``forward``/``adjoint`` alone and so reads through the trivial window.  The
+certificate is therefore refused (:class:`~grouppgd.linop.SizeCapError`)
+above ``linop.DENSE_CAP`` columns, for every cone.
 """
 
 from __future__ import annotations
@@ -89,9 +95,11 @@ class BoundVacuousError(ValueError):
 class CertificateReport:
     """All constants of the convergence bound, with per-field exactness flags.
 
-    ``flags[name]`` is ``"exact"`` or ``"estimate"``; estimates arise from
-    sampled descent cones, and for ``mu_Gstar`` also from a bottom
-    eigenvalue the band Cholesky could not certify.  ``alpha_Gstar`` is
+    ``flags[name]`` is one of three values: ``"exact"``, the constant
+    itself; ``"relaxed"``, a safe-side value that is not the cone's own (a
+    whole-space ``mu`` below the cone's, or ``eps`` above it); and
+    ``"estimate"``, a whole-space ``mu_Gstar`` that the band Cholesky could
+    not certify, the only constant that can be one.  ``alpha_Gstar`` is
     always recomputable as ``kappa_c * sqrt(1 - mu_Gstar / L)``.
     """
 
@@ -109,6 +117,18 @@ class CertificateReport:
     @property
     def vacuous(self) -> bool:
         return not self.alpha_Gstar < 1.0
+
+    def why_no_bound(self) -> str | None:
+        """Why the report certifies no bound, or None in the certified regime:
+        a non-vacuous rate, no constant flagged ``estimate``, a convex set."""
+        estimates = [name for name, flag in self.flags.items() if flag == "estimate"]
+        if self.vacuous:
+            return "bound vacuous (alpha_Gstar >= 1)"
+        if estimates:
+            return f"{', '.join(estimates)} flagged estimate, so no bound holds"
+        if self.kappa_c != 1:
+            return "the feasible set is not convex (kappa_c != 1), so no bound holds"
+        return None
 
     def to_text(self) -> str:
         """Flat key-value block, one ``name = value`` line per field."""
@@ -228,31 +248,30 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     the Gram of the operator's smaller side, so it is bitwise
     ``spectral_norm(A)`` and ``1/L`` is the solver's ``auto`` step; the
     whole-space ``mu_C`` is the bottom of the same spectrum.  One dense
-    probe ``G = A^T A`` feeds the rest: ``mu_C`` on subspace and sampled
-    cones, and the stack Gram, averaged from ``G`` through the subset's
-    permutations straight into block-tridiagonal storage in the folded
-    order of ``problem.geometry`` (:func:`~grouppgd.linop.band_gram`).  The
-    whole-space ``mu_Gstar`` comes from one Lanczos run and one inertia
-    check (:func:`_stack_min_eig`) and is flagged ``exact`` only when certified;
-    subspace and sampled cones read the band through its products.  ``G``
-    is probed for every cone kind, so operators wider than
+    probe ``G = A^T A`` feeds the rest: ``mu_C`` on a subspace cone, and the
+    stack Gram, averaged from ``G`` through the subset's permutations
+    straight into block-tridiagonal storage in the folded order of
+    ``problem.geometry`` (:func:`~grouppgd.linop.band_gram`).  A subspace
+    cone reads the band through its products.  Every other cone takes the
+    whole-space ``mu_Gstar`` from one Lanczos run and one inertia check
+    (:func:`_stack_min_eig`), flagged ``estimate`` when not certified.
+    ``G`` is probed for every cone kind, so operators wider than
     ``linop.DENSE_CAP`` columns raise :class:`~grouppgd.linop.SizeCapError`.
     """
     if cone is None:
         cone = descent_cone_of(problem.K, problem.x_dagger)
     A = problem.A
     G = gram_dense(A)  # refused above the cap before any other work
-    mu_C = None if cone.kind == "whole_space" else gram_min_eig(G, cone)
+    subspace = cone.kind == "subspace"
     eigvals = gram_eigvals(A)
     L = float(eigvals[-1])
-    if mu_C is None:
-        mu_C = max(float(eigvals[0]), 0.0)
+    mu_C = gram_min_eig(G, cone) if subspace else max(float(eigvals[0]), 0.0)
     G_star = band_gram(G, subset, problem.geometry.folded_order, pad=L)
     del G  # the eigensolve below runs with the band alone
-    if cone.kind == "whole_space":
-        mu_Gstar, certified = _stack_min_eig(G_star, L)
-    else:
+    if subspace:
         mu_Gstar, certified = gram_min_eig(G_star, cone), True
+    else:
+        mu_Gstar, certified = _stack_min_eig(G_star, L)
     kappa_c = problem.K.kappa_c
     # guard against round-off pushing the restricted eigenvalue past L
     if mu_Gstar > L * (1.0 + 1e-9):
@@ -263,13 +282,14 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     alpha = compute_alpha(min(mu_Gstar, L), L, kappa_c)
     eps_gstar = compute_eps_gstar(A, subset, problem.x_dagger, cone)
     eps_w = compute_eps_w(A, subset, problem.w, cone)
-    cone_flag = "exact" if cone.exact else "estimate"
+    mu_flag = "relaxed" if cone.kind == "box" or not cone.exact else "exact"
+    eps_flag = "exact" if cone.exact else "relaxed"
     flags = {
         "L": "exact",
-        "mu_C": cone_flag,
-        "mu_Gstar": cone_flag if certified else "estimate",
-        "eps_Gstar": cone_flag,
-        "eps_w": cone_flag,
+        "mu_C": mu_flag,
+        "mu_Gstar": mu_flag if certified else "estimate",
+        "eps_Gstar": eps_flag,
+        "eps_w": eps_flag,
     }
     return CertificateReport(
         L=L, mu_C=mu_C, mu_Gstar=mu_Gstar, kappa_c=kappa_c,
@@ -342,23 +362,17 @@ def verify_bound(problem: ProblemInstance, subset: SymmetricSubset,
                  cone: DescentCone | None = None) -> DominationReport:
     """Empirically check the bound: mean distance over replicates vs curve.
 
-    Requires a convex feasible set, an exact (non-sampled) cone, and a
-    non-vacuous contraction factor.  The step size is forced to the
-    certificate's ``1/L`` so the runs match the certified regime.  The
-    default slack ``2/sqrt(replicates)`` absorbs Monte Carlo error in the
-    expectation estimate.
+    Requires the certified regime (:meth:`CertificateReport.why_no_bound`):
+    it raises :class:`BoundVacuousError` for a vacuous certificate and
+    ``ValueError`` for any other certificate that gives no bound.  The step
+    size is forced to the certificate's ``1/L`` so the runs match the
+    certified regime.  The default slack ``2/sqrt(replicates)`` absorbs
+    Monte Carlo error in the expectation estimate.
     """
-    if cone is None:
-        cone = descent_cone_of(problem.K, problem.x_dagger)
-    if not cone.exact:
-        raise ValueError("verify_bound requires an exact cone representation")
     report = certify(problem, subset, cone=cone)
-    if report.kappa_c != 1:
-        raise ValueError("verify_bound covers convex feasible sets only")
-    if report.vacuous:
-        raise BoundVacuousError(
-            f"alpha_Gstar = {report.alpha_Gstar} is not below 1"
-        )
+    why = report.why_no_bound()
+    if why is not None:
+        raise (BoundVacuousError if report.vacuous else ValueError)(why)
     if slack is None:
         slack = 2.0 / np.sqrt(replicates)
     run_config = SolverConfig(

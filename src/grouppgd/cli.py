@@ -12,10 +12,12 @@ Subcommands:
 * ``phantom``  writes the ground-truth image as an ASCII graymap plus a
                full-precision CSV.
 
-The certified regime is a non-vacuous certificate, every constant ``exact``,
-a convex feasible set (``kappa_c == 1``) and the step ``1/L``.
-``solver.step = auto`` is resolved to the certificate's ``1/L``, so the
-solver and the bound share one ``L``; any other step prints no bound.
+The certified regime is the certificate's own rule
+(:meth:`~grouppgd.certificate.CertificateReport.why_no_bound`: a non-vacuous
+rate, no constant flagged ``estimate``, a convex feasible set) plus the step
+``1/L``; a constant flagged ``relaxed`` is a safe-side value and still gives
+a bound.  ``solver.step = auto`` is resolved to the certificate's ``1/L``,
+so the solver and the bound share one ``L``; any other step prints no bound.
 
 Configs are flat text files with dotted keys (``problem.n_r = 32``); unknown
 keys are rejected so typos fail loudly.  All outputs are deterministic for a
@@ -90,6 +92,10 @@ class ExperimentConfig:
         for name, value in positive.items():
             if value < 1:
                 raise ConfigError(f"{name} must be a positive count, got {value}")
+        seeds = {"problem.seed": self.problem_seed, "solver.seed": self.solver_seed}
+        for name, value in seeds.items():
+            if value < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {value}")
         finite = {
             "problem.sigma": self.problem_sigma,
             "problem.scale": self.problem_scale,
@@ -278,18 +284,10 @@ def _certified_run(problem, subset, solver_config):
     step = 1.0 / report.L
     if solver_config.step_size == "auto":
         solver_config = replace(solver_config, step_size=step)
-    estimates = [name for name, flag in report.flags.items() if flag != "exact"]
-    if report.vacuous:
-        why = "bound vacuous (alpha_Gstar >= 1)"
-    elif estimates:
-        why = f"{', '.join(estimates)} flagged estimate, so no bound holds"
-    elif report.kappa_c != 1:
-        why = "the feasible set is not convex (kappa_c != 1), so no bound holds"
-    elif solver_config.step_size != step:
+    why = report.why_no_bound()
+    if why is None and solver_config.step_size != step:
         why = (f"solver.step = {solver_config.step_size:g} is not the certified "
                f"1/L = {step:.6g}, so no bound holds")
-    else:
-        why = None
     return report, solver_config, why
 
 

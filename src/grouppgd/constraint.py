@@ -5,14 +5,18 @@ and nonexpansive and the projection contraction constant is 1.  ``project``
 acts on the last axis: a stack of shape ``(..., dimension)`` is projected row
 by row, each row with the same bits as its own 1-D call.  Descent cones
 (the nonnegatively scaled feasible directions from an anchor point) come in
-three representations:
+three representations, each projected exactly:
 
-* ``whole_space``: every direction feasible (anchor strictly interior), exact;
-* ``subspace``: span of an orthonormal basis, exact;
-* ``sampled``: a finite set of unit feasible directions, an approximation.
+* ``whole_space``: every direction (anchor strictly interior);
+* ``subspace``: span of an orthonormal basis;
+* ``box``: ``v_i >= 0`` where the anchor sits on a lower bound and
+  ``v_i <= 0`` where it sits on an upper one, projected by clipping.
 
-Quantities computed from sampled cones are estimates and are flagged as such
-by the certificate layer.
+At an l1-ball boundary anchor the cone is relaxed to the whole space
+(``DescentCone.exact`` is False), which contains it.  The least Rayleigh
+quotient over a box cone is a copositivity problem, hard in general, so
+curvature on a box cone is read from the whole space, a lower bound; the
+certificate layer flags such constants ``relaxed``.
 """
 
 from __future__ import annotations
@@ -141,40 +145,36 @@ class DescentCone:
     """Nonnegatively scaled feasible directions from ``anchor`` into a set.
 
     ``kind`` is one of ``whole_space``, ``subspace`` (orthonormal ``basis``),
-    or ``sampled`` (unit ``generators`` as rows).  Only the first two are
-    exact representations.
+    or ``box`` (direction bounds ``lo <= v <= hi``, each entry 0 or
+    infinite).  ``exact`` is False when the cone stands in for a smaller
+    one: the whole space at an l1-ball boundary anchor.
     """
 
     anchor: np.ndarray
     kind: str
     basis: np.ndarray | None = None
-    generators: np.ndarray | None = None
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+    exact: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("whole_space", "subspace", "sampled"):
+        if self.kind not in ("whole_space", "subspace", "box"):
             raise ValueError(f"unknown cone kind {self.kind!r}")
         if self.kind == "subspace" and self.basis is None:
             raise ValueError("subspace cone needs a basis")
-        if self.kind == "sampled" and (
-            self.generators is None or len(self.generators) == 0
-        ):
-            raise ValueError("sampled cone needs at least one generator")
+        if self.kind == "box" and (self.lo is None or self.hi is None):
+            raise ValueError("box cone needs direction bounds lo and hi")
 
     @property
     def dimension(self) -> int:
         return self.anchor.shape[0]
 
-    @property
-    def exact(self) -> bool:
-        return self.kind != "sampled"
-
 
 def project_cone(C: DescentCone, x: np.ndarray) -> np.ndarray:
-    """Project ``x`` onto the descent cone.
+    """Project ``x`` onto the descent cone; exact for every kind.
 
-    Exact for whole-space and subspace cones.  For sampled cones the result
-    is the best projection onto any single generator ray, which lower-bounds
-    the true cone projection norm.
+    A box cone is a product of half-lines and lines, so its projection
+    clips each coordinate to its direction bounds.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (C.dimension,):
@@ -185,121 +185,73 @@ def project_cone(C: DescentCone, x: np.ndarray) -> np.ndarray:
         return x.copy()
     if C.kind == "subspace":
         return C.basis @ (C.basis.T @ x)
-    scores = C.generators @ x
-    best = int(np.argmax(scores))
-    return max(scores[best], 0.0) * C.generators[best]
+    return np.minimum(np.maximum(x, C.lo), C.hi)
 
 
-def _unit_rows(directions: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(directions, axis=1)
-    keep = norms > 1e-14
-    return directions[keep] / norms[keep, None]
-
-
-def _sampled_box_cone(K: Box, anchor, n_samples, rng) -> np.ndarray:
-    gens = []
-    # signed coordinate directions wherever they stay feasible
-    for i in range(K.dimension):
-        if anchor[i] < K.hi[i] - ANCHOR_TOL:
-            e = np.zeros(K.dimension)
-            e[i] = 1.0
-            gens.append(e)
-        if anchor[i] > K.lo[i] + ANCHOR_TOL:
-            e = np.zeros(K.dimension)
-            e[i] = -1.0
-            gens.append(e)
-    points = rng.uniform(K.lo, K.hi, size=(n_samples, K.dimension))
-    gens.append(_unit_rows(points - anchor[None, :]))
-    return np.vstack([np.atleast_2d(g) for g in gens])
-
-
-def _sampled_l1_cone(K: L1Ball, anchor, n_samples, rng) -> np.ndarray:
-    # random directions, scaled so the target points land inside the ball
-    raw = rng.standard_normal((n_samples, K.dimension))
-    l1 = np.maximum(np.abs(raw).sum(axis=1), 1e-300)
-    fractions = rng.uniform(0.0, 1.0, size=n_samples)
-    points = raw * (K.radius * fractions / l1)[:, None]
-    return _unit_rows(points - anchor[None, :])
-
-
-def descent_cone_of(K: ConstraintSet, anchor: np.ndarray, *, n_samples: int = 512,
-                    seed: int = 0) -> DescentCone:
+def descent_cone_of(K: ConstraintSet, anchor: np.ndarray) -> DescentCone:
     """Build the descent cone of ``K`` at ``anchor``.
 
-    Box anchors strictly inside every bound give the whole space; subspace
-    sets give their own subspace; anchors with active box bounds, and
-    boundary anchors of the l1 ball, get a seeded sampled representation
-    (feasible directions toward random feasible points), which downstream
-    consumers must treat as an estimate.
+    Subspace sets give their own subspace.  A box or nonnegative-orthant
+    anchor gives a ``box`` cone, ``v_i >= 0`` where it sits on a lower
+    bound and ``v_i <= 0`` where it sits on an upper one (within
+    ``ANCHOR_TOL``, the nearer bound when both are that close), or the
+    whole space when no bound is active.  An l1-ball anchor gives the whole
+    space: exactly inside the ball, and on its boundary as a relaxation
+    (``exact=False``) that contains the true cone.
     """
     anchor = np.asarray(anchor, dtype=float)
     if not K.contains(anchor, tol=ANCHOR_TOL):
         raise ValueError("anchor is not a member of the constraint set")
-    rng = np.random.default_rng(seed)
     if isinstance(K, Subspace):
         return DescentCone(anchor=anchor, kind="subspace", basis=K.basis)
-    if isinstance(K, Box):
-        interior = np.all(anchor > K.lo + ANCHOR_TOL) and np.all(
-            anchor < K.hi - ANCHOR_TOL
-        )
-        if interior:
-            return DescentCone(anchor=anchor, kind="whole_space")
-        gens = _sampled_box_cone(K, anchor, n_samples, rng)
-        return DescentCone(anchor=anchor, kind="sampled", generators=gens)
-    if isinstance(K, Nonneg):
-        if np.all(anchor > ANCHOR_TOL):
-            return DescentCone(anchor=anchor, kind="whole_space")
-        scale = max(1.0, 2.0 * float(anchor.max(initial=0.0)))
-        box = Box(0.0, scale, K.dimension)
-        gens = _sampled_box_cone(box, anchor, n_samples, rng)
-        return DescentCone(anchor=anchor, kind="sampled", generators=gens)
     if isinstance(K, L1Ball):
-        if np.abs(anchor).sum() < K.radius - ANCHOR_TOL:
-            # strictly inside the ball: every direction is feasible
-            return DescentCone(anchor=anchor, kind="whole_space")
-        gens = _sampled_l1_cone(K, anchor, n_samples, rng)
-        return DescentCone(anchor=anchor, kind="sampled", generators=gens)
-    raise TypeError(f"no descent cone construction for {type(K).__name__}")
+        inside = np.abs(anchor).sum() < K.radius - ANCHOR_TOL
+        return DescentCone(anchor=anchor, kind="whole_space", exact=bool(inside))
+    if isinstance(K, Box):
+        below, above = anchor - K.lo, K.hi - anchor
+        at_lo = (below <= ANCHOR_TOL) & (below <= above)
+        at_hi = (above <= ANCHOR_TOL) & (above < below)
+    elif isinstance(K, Nonneg):
+        at_lo, at_hi = anchor <= ANCHOR_TOL, np.zeros(K.dimension, dtype=bool)
+    else:
+        raise TypeError(f"no descent cone construction for {type(K).__name__}")
+    if not (at_lo.any() or at_hi.any()):
+        return DescentCone(anchor=anchor, kind="whole_space")
+    return DescentCone(anchor=anchor, kind="box", lo=np.where(at_lo, 0.0, -np.inf),
+                       hi=np.where(at_hi, 0.0, np.inf))
 
 
 def restricted_min_eig(A: LinearMap, C: DescentCone) -> float:
-    """Smallest value of ``||A v||^2 / ||v||^2`` over the descent cone.
+    """Smallest value of ``||A v||^2 / ||v||^2`` over the descent cone, or a
+    lower bound on it.
 
-    On the whole space this is the bottom of the exact spectrum of
-    ``A^T A``, read from the Gram of the operator's smaller side
-    (:func:`~grouppgd.linop.gram_eigvals`) and clipped at 0.  Subspace and
-    sampled cones assemble the dense ``A^T A`` (refused above
-    ``linop.DENSE_CAP`` columns) and hand it to :func:`gram_min_eig`.
+    A subspace cone assembles the dense ``A^T A`` (refused above
+    ``linop.DENSE_CAP`` columns) and hands it to :func:`gram_min_eig`.
+    Every other cone reads the whole space: the bottom of the exact spectrum
+    of ``A^T A``, read from the Gram of the operator's smaller side
+    (:func:`~grouppgd.linop.gram_eigvals`) and clipped at 0.  On a box cone
+    that is a lower bound, since the cone lies inside the whole space.
     """
     if A.cols != C.dimension:
         raise DimensionMismatchError(
             f"operator has {A.cols} columns but cone lives in dimension {C.dimension}"
         )
-    if C.kind == "whole_space":
-        return max(float(gram_eigvals(A)[0]), 0.0)
-    return gram_min_eig(gram_dense(A), C)
+    if C.kind == "subspace":
+        return gram_min_eig(gram_dense(A), C)
+    return max(float(gram_eigvals(A)[0]), 0.0)
 
 
 def gram_min_eig(G: np.ndarray | BandGram, C: DescentCone) -> float:
-    """Smallest value of ``v^T G v / ||v||^2`` over a subspace or sampled cone.
+    """Smallest value of ``v^T G v / ||v||^2`` over a subspace cone.
 
-    Subspace cones are exact (eigendecomposition of ``B^T G B``).  Sampled
-    cones return the minimum of ``g^T G g`` over the stored unit
-    generators, which is only an upper bound on the true restricted value.
-    Both only multiply by ``G``, so ``G`` may be a
-    :class:`~grouppgd.linop.BandGram`.  Whole-space cones are refused.
+    Exact: the bottom eigenvalue of ``B^T G B``, clipped at 0.  It only
+    multiplies by ``G``, so ``G`` may be a :class:`~grouppgd.linop.BandGram`.
     """
-    if C.kind == "whole_space":
-        raise ValueError("gram_min_eig reads subspace and sampled cones only")
+    if C.kind != "subspace":
+        raise ValueError("gram_min_eig reads subspace cones only")
     if G.shape != (C.dimension, C.dimension):
         raise DimensionMismatchError(
             f"Gram has shape {G.shape} but cone lives in dimension {C.dimension}"
         )
-    if C.kind == "subspace":
-        B = C.basis
-        return max(float(np.linalg.eigvalsh(B.T @ G @ B)[0]), 0.0)
-    # blocks of generator rows keep the products far smaller than G
-    gens = C.generators
-    blocks = (gens[i:i + 256] for i in range(0, len(gens), 256))
-    least = min(float(np.einsum("ij,ij->i", b @ G, b).min()) for b in blocks)
-    return max(least, 0.0)
+    B = C.basis
+    return max(float(np.linalg.eigvalsh(B.T @ G @ B)[0]), 0.0)

@@ -12,18 +12,16 @@ Every run goes through one driver that steps a stack ``X`` of shape
 the projection and the trace values act on the whole stack, and by the stack
 contract of :mod:`grouppgd.linop` and :mod:`grouppgd.constraint` every row
 gets the bits of its own one-row run.  :func:`run` is the driver on one row,
-:func:`run_multistage` is one row stepped through a schedule of shrinking
-symmetry radii (each stage warm-started from the last), :func:`run_ensemble`
-is one row per replicate, and :func:`run_with_plain` steps the plain chain
-as one more row beside the group chains, so a comparison of the two methods
-is one stack.  At the start of a stage each group row draws the whole
-stage's action indices at once, ``rng.integers(len(subset), size=budget)``,
-the same values as one :func:`~grouppgd.symmetry.sample_action` call per
-step.
+:func:`run_ensemble` is one row per replicate, and :func:`run_with_plain`
+steps the plain chain as one more row beside the group chains, so a
+comparison of the two methods is one stack.  At the start of a run each
+group row draws all its action indices at once,
+``rng.integers(len(subset), size=budget)``, the same values as one
+:func:`~grouppgd.symmetry.sample_action` call per step.
 
 A group step never permutes the stack.  By shift covariance the rotated
 operator ``A ∘ P_s`` reads the cells ``perm_s[window]`` with ``A``'s own
-weights, so each stage tabulates those cells once per action
+weights, so a run tabulates those cells once per action
 (:func:`~grouppgd.linop.window_table`), after the identity's window, which
 a plain row always reads, and adds each row's offset ``row * d`` to the
 table once.  A step takes each row's drawn table row in one gather, applies
@@ -51,7 +49,7 @@ from .bench import ProblemInstance
 from .constraint import ConstraintSet
 from .linop import (LinearMap, DimensionMismatchError, rotated_adjoint, rotated_forward,
                     spectral_norm, window_table)
-from .symmetry import GroupAction, SymmetricSubset, symmetric_subset
+from .symmetry import GroupAction, SymmetricSubset
 
 __all__ = [
     "SolverConfig",
@@ -61,7 +59,6 @@ __all__ = [
     "group_pgd_step",
     "resolve_step_size",
     "run",
-    "run_multistage",
     "run_ensemble",
     "run_with_plain",
     "replicate_rngs",
@@ -112,9 +109,8 @@ class IterateTrace:
     Arrays are row-aligned: entry ``i`` describes iterate ``iterations[i]``.
     ``rmsd`` is the plain distance to the ground truth and
     ``rmsd_normalized`` divides it by sqrt(dimension).  ``action_indices``
-    holds the subset index sampled for the step that produced each recorded
-    iterate (-1 for the initial point and for plain runs).  ``stages`` marks
-    the schedule stage of each row in multistage runs (all zeros otherwise).
+    holds the subset index drawn for the step that produced each recorded
+    iterate (-1 for the initial point and for plain runs).
     """
 
     iterations: np.ndarray
@@ -122,12 +118,11 @@ class IterateTrace:
     rmsd_normalized: np.ndarray
     objective: np.ndarray
     action_indices: np.ndarray
-    stages: np.ndarray
     final_x: np.ndarray
 
     def __post_init__(self):
         n = len(self.iterations)
-        for name in ("rmsd", "rmsd_normalized", "objective", "action_indices", "stages"):
+        for name in ("rmsd", "rmsd_normalized", "objective", "action_indices"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"trace field {name} has inconsistent length")
         if np.any(np.diff(self.iterations) <= 0):
@@ -206,34 +201,29 @@ def _row_dots(U):
     return np.matmul(U[:, None, :], U[:, :, None])[:, 0, 0]
 
 
-def _drive(problem: ProblemInstance, x0, stages, eta: float, rngs,
-           stride: int) -> list[IterateTrace]:
-    """Step one chain per entry of ``rngs`` through ``stages``; one trace per row.
+def _drive(problem: ProblemInstance, x0, subset: SymmetricSubset | None, budget: int,
+           eta: float, rngs, stride: int) -> list[IterateTrace]:
+    """Step one chain per entry of ``rngs`` for ``budget`` steps; one trace per row.
 
-    ``stages`` lists ``(subset, budget)`` pairs.  A row whose entry of
-    ``rngs`` is None takes plain steps, and so does every row of a stage
-    whose ``subset`` is None; every other row draws its actions from its own
-    generator.  Every row starts at ``x0`` (zeros when None).  The traces
-    record the initial point, then every ``stride``-th iterate of each stage
-    plus the stage's last.  Raises :class:`DivergenceError` at the first
-    iteration at which any row leaves the finite ball of radius
-    ``DIVERGENCE_NORM``.
+    A row whose entry of ``rngs`` is None takes plain steps, and so does
+    every row when ``subset`` is None; every other row draws its actions
+    from its own generator.  Every row starts at ``x0`` (zeros when None).
+    The traces record the initial point, then every ``stride``-th iterate
+    plus the last.  Raises :class:`DivergenceError` at the first iteration
+    at which any row leaves the finite ball of radius ``DIVERGENCE_NORM``.
     """
     A, b, K = problem.A, problem.b, problem.K
     d, R = problem.dimension, len(rngs)
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
     _check_step_args(x0, A, b, eta)
-    for subset, _ in stages:
-        if subset is not None and subset.dimension != d:
-            raise DimensionMismatchError(
-                f"subset dimension {subset.dimension} does not match problem "
-                f"dimension {d}"
-            )
+    if subset is not None and subset.dimension != d:
+        raise DimensionMismatchError(
+            f"subset dimension {subset.dimension} does not match problem dimension {d}"
+        )
     X = np.empty((R, d))
     X[:] = x0
-    n_records = 1 + sum(-(-budget // stride) for _, budget in stages)
+    n_records = 1 + -(-budget // stride)
     iterations = np.zeros(n_records, dtype=np.int64)
-    stage_marks = np.zeros(n_records, dtype=np.int64)
     rmsd = np.empty((R, n_records))
     objective = np.empty((R, n_records))
     actions = np.full((R, n_records), -1, dtype=np.int64)
@@ -243,55 +233,52 @@ def _drive(problem: ProblemInstance, x0, stages, eta: float, rngs,
         rmsd[:, slot] = np.sqrt(_row_dots(X - problem.x_dagger))
 
     record(0, X)
+    # table row 0 is the identity's window, which a plain row always draws;
+    # row 1 + s is action s.  Row r of the stack reads table row r * n +
+    # draw, offset by r * d into X.ravel().
+    table = A.window[None]
+    group = []
+    if subset is not None:
+        table = np.concatenate((table, window_table(A, subset)))
+        group = [r for r, rng in enumerate(rngs) if rng is not None]
+    n = len(table)
+    table = (table + d * rows[:, None, None]).reshape(R * n, -1)
+    draws = np.zeros((budget, R), dtype=np.int64)
+    for r in group:
+        draws[:, r] = 1 + rngs[r].integers(len(subset), size=budget)
+    # step k gathers the table rows steps[k, :R].  After a recorded iterate
+    # it also gathers each group row's identity window (steps[k, R:]), whose
+    # residual is that row's objective residual; a plain row's objective
+    # residual is its own step residual.
+    group = np.asarray(group, dtype=np.int64)
+    steps = np.hstack((draws + n * rows, np.broadcast_to(n * group, (budget, len(group)))))
+    source = rows.copy()
+    source[group] = R + np.arange(len(group))
+    draws -= 1  # the recorded action index: -1 for the identity's window
     # the recorded slot whose objective is not written yet: it comes from
     # the residuals of the step that starts at that iterate
     pending = 0
-    k, slot = 0, 1
-    for stage, (subset, budget) in enumerate(stages):
-        # table row 0 is the identity's window, which a plain row always
-        # draws; row 1 + s is action s.  Row r of the stack reads table row
-        # r * n + draw, offset by r * d into X.ravel().
-        table = A.window[None]
-        group = []
-        if subset is not None:
-            table = np.concatenate((table, window_table(A, subset)))
-            group = [r for r, rng in enumerate(rngs) if rng is not None]
-        n = len(table)
-        table = (table + d * rows[:, None, None]).reshape(R * n, -1)
-        draws = np.zeros((budget, R), dtype=np.int64)
-        for r in group:
-            draws[:, r] = 1 + rngs[r].integers(len(subset), size=budget)
-        # step i gathers the table rows steps[i, :R].  After a recorded
-        # iterate it also gathers each group row's identity window
-        # (steps[i, R:]), whose residual is that row's objective residual;
-        # a plain row's objective residual is its own step residual.
-        group = np.asarray(group, dtype=np.int64)
-        steps = np.hstack((draws + n * rows, np.broadcast_to(n * group, (budget, len(group)))))
-        source = rows.copy()
-        source[group] = R + np.arange(len(group))
-        draws -= 1  # the recorded action index: -1 for the identity's window
-        for i in range(budget):
-            k += 1
-            index = steps[i, :R] if pending is None else steps[i]
-            X_next, residual = _step(X, A, b, K, eta, table.take(index, axis=0))
-            if pending is not None:
-                objective[:, pending] = 0.5 * _row_dots(residual)[source]
-                pending = None
-            X = X_next
-            if not (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all():
-                raise DivergenceError(k)
-            if (i + 1) % stride == 0 or i + 1 == budget:
-                record(slot, X)
-                iterations[slot], stage_marks[slot], pending = k, stage, slot
-                actions[:, slot] = draws[i]
-                slot += 1
+    slot = 1
+    for k in range(budget):
+        index = steps[k, :R] if pending is None else steps[k]
+        X_next, residual = _step(X, A, b, K, eta, table.take(index, axis=0))
+        if pending is not None:
+            objective[:, pending] = 0.5 * _row_dots(residual)[source]
+            pending = None
+        X = X_next
+        if not (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all():
+            raise DivergenceError(k + 1)
+        if (k + 1) % stride == 0 or k + 1 == budget:
+            record(slot, X)
+            iterations[slot], actions[:, slot], pending = k + 1, draws[k], slot
+            slot += 1
     # the last iterate is always recorded, and no step follows it
     objective[:, pending] = 0.5 * _row_dots(A.forward(X) - b)
     rmsd_normalized = rmsd / np.sqrt(d)
     return [
         IterateTrace(iterations=iterations, rmsd=rmsd[r],
                      rmsd_normalized=rmsd_normalized[r], objective=objective[r],
-                     action_indices=actions[r], stages=stage_marks, final_x=X[r])
+                     action_indices=actions[r], final_x=X[r])
         for r in range(R)
     ]
 
@@ -310,35 +297,7 @@ def run(problem: ProblemInstance, config: SolverConfig,
     eta = resolve_step_size(config, problem.A)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    return _drive(problem, x0, [(subset, config.max_iters)], eta, [rng],
-                  config.record_every)[0]
-
-
-def run_multistage(problem: ProblemInstance, config: SolverConfig,
-                   schedule: list[tuple[int, int]],
-                   generator: GroupAction | None = None, x0=None) -> IterateTrace:
-    """Run stages of shrinking symmetry radius, warm-starting each stage.
-
-    ``schedule`` lists ``(radius, iteration_budget)`` pairs with
-    non-increasing radii; radius 0 degenerates to plain projected gradient
-    steps.  ``generator`` defaults to the one-step grid rotation of the
-    problem geometry.  ``config.max_iters`` is ignored in favor of the
-    schedule budgets; the recorded trace is the concatenation of all stages
-    with a per-row stage marker.  One generator seeded with ``config.seed``
-    draws every stage's actions.
-    """
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
-    radii = [r for r, _ in schedule]
-    if any(r < 0 for r in radii) or any(b < 0 for _, b in schedule):
-        raise ValueError("radii and budgets must be nonnegative")
-    if any(later > earlier for earlier, later in zip(radii, radii[1:])):
-        raise ValueError(f"schedule radii must be non-increasing, got {radii}")
-    if generator is None:
-        generator = problem.geometry.theta_shift(1)
-    eta = resolve_step_size(config, problem.A)
-    stages = [(symmetric_subset(generator, radius), budget) for radius, budget in schedule]
-    return _drive(problem, x0, stages, eta, [np.random.default_rng(config.seed)],
+    return _drive(problem, x0, subset, config.max_iters, eta, [rng],
                   config.record_every)[0]
 
 
@@ -363,7 +322,7 @@ def run_ensemble(problem: ProblemInstance, config: SolverConfig,
         raise ValueError("replicates must be at least 1")
     eta = resolve_step_size(config, problem.A)
     rngs = [None] if subset is None else replicate_rngs(config.seed, replicates)
-    traces = _drive(problem, None, [(subset, config.max_iters)], eta, rngs,
+    traces = _drive(problem, None, subset, config.max_iters, eta, rngs,
                     config.record_every)
     if subset is None:
         traces = traces * replicates
@@ -382,7 +341,7 @@ def run_with_plain(problem: ProblemInstance, config: SolverConfig,
     which one did, plain or group.
     """
     eta = resolve_step_size(config, problem.A)
-    plain, *group = _drive(problem, None, [(subset, config.max_iters)], eta,
+    plain, *group = _drive(problem, None, subset, config.max_iters, eta,
                            [None, *rngs], config.record_every)
     return plain, group
 

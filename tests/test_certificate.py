@@ -1,6 +1,7 @@
 """Certificate constants, bound curve, and empirical domination."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from grouppgd.bench import build_problem, full_coverage_radius
+from grouppgd import certificate
+from grouppgd.bench import build_problem, full_coverage_radius, textured_phantom
 from grouppgd.certificate import (
     BoundVacuousError,
+    CertificateReport,
     bound_curve,
     bound_limit,
     certify,
@@ -44,6 +47,25 @@ def ring_instance(**kw):
                     seed=0)
     defaults.update(kw)
     return build_problem(**defaults)
+
+
+def box_anchor_instance(n_r, n_theta, angle_fraction, rays_per_angle):
+    """A noisy instance whose ground truth touches each bound of the unit box once.
+
+    The textured phantom mapped onto ``[0, 1]`` has one cell at 0 and one at
+    1, so its descent cone is a ``box`` cone.
+    """
+    base = build_problem(n_r=n_r, n_theta=n_theta, angle_fraction=angle_fraction,
+                         rays_per_angle=rays_per_angle, phantom="textured", smoothness=2,
+                         noise="gaussian", seed=3)
+    x = textured_phantom(n_r, n_theta, 2, 7, lo=0.0, hi=1.0)
+    clean = base.A.forward(x)
+    b = clean + base.w
+    return replace(base, x_dagger=x, b=b, w=b - clean)
+
+
+BOX_ANCHOR_INSTANCES = {"8x16_radius2": ((8, 16, 0.25, 8), 2),
+                        "16x32_radius4": ((16, 32, 0.125, 16), 4)}
 
 
 def covering_subset(problem):
@@ -160,14 +182,24 @@ def test_certified_mu_matches_blockwise_oracle():
     assert_allclose(mean_quadratic, report.mu_Gstar, rtol=1e-8, atol=1e-12)
 
 
-def test_certify_flags_estimates_for_sampled_cones():
+def test_certify_flags_relaxed_constants():
+    # a box cone's curvature is the whole space's; a relaxed whole space
+    # also over-reads the eps terms
     prob = ring_instance()
     subset = covering_subset(prob)
-    gens = np.eye(prob.dimension)[:8]
-    cone = DescentCone(anchor=prob.x_dagger, kind="sampled", generators=gens)
-    report = certify(prob, subset, cone=cone)
-    assert report.flags["mu_Gstar"] == "estimate"
-    assert report.flags["L"] == "exact"
+    lo = np.full(prob.dimension, -np.inf)
+    lo[:8] = 0.0
+    box = DescentCone(anchor=prob.x_dagger, kind="box", lo=lo,
+                      hi=np.full(prob.dimension, np.inf))
+    relaxed = DescentCone(anchor=prob.x_dagger, kind="whole_space", exact=False)
+    expected = {"box": ("relaxed", "exact"), "whole_space": ("relaxed", "relaxed")}
+    for cone in (box, relaxed):
+        report = certify(prob, subset, cone=cone)
+        mu_flag, eps_flag = expected[cone.kind]
+        assert report.flags == {"L": "exact", "mu_C": mu_flag, "mu_Gstar": mu_flag,
+                                "eps_Gstar": eps_flag, "eps_w": eps_flag}
+        assert report.cone_kind == cone.kind
+        assert report.why_no_bound() is None
 
 
 def test_certify_L_is_top_gram_eigenvalue():
@@ -179,30 +211,59 @@ def test_certify_L_is_top_gram_eigenvalue():
     assert report.L == spectral_norm(prob.A)
 
 
-def test_certify_sampled_cone_mu_is_generator_min_of_block_mean():
-    prob = ring_instance()
-    subset = covering_subset(prob)
-    rng = np.random.default_rng(6)
-    gens = rng.standard_normal((40, prob.dimension))
-    gens /= np.linalg.norm(gens, axis=1, keepdims=True)
-    cone = DescentCone(anchor=prob.x_dagger, kind="sampled", generators=gens)
-    report = certify(prob, subset, cone=cone)
-    blocks = [compose_with_action(prob.A, g) for g in subset]
-    oracle_gstar = min(
-        np.mean([np.linalg.norm(block.forward(v)) ** 2 for block in blocks])
-        for v in gens
-    )
-    oracle_c = min(np.linalg.norm(prob.A.forward(v)) ** 2 for v in gens)
-    assert_allclose(report.mu_Gstar, oracle_gstar, rtol=1e-10)
-    assert_allclose(report.mu_C, oracle_c, rtol=1e-10)
+@pytest.mark.parametrize("name", list(BOX_ANCHOR_INSTANCES))
+def test_certify_box_cone_reads_whole_space_curvature(name):
+    shape, radius = BOX_ANCHOR_INSTANCES[name]
+    prob = box_anchor_instance(*shape)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), radius)
+    cone = descent_cone_of(prob.K, prob.x_dagger)
+    assert cone.kind == "box"
+    assert np.sum(cone.lo == 0) == 1 and np.sum(cone.hi == 0) == 1
+    report = certify(prob, subset)
+    assert report.cone_kind == "box" and not report.vacuous
+    assert report.flags == {"L": "exact", "mu_C": "relaxed", "mu_Gstar": "relaxed",
+                            "eps_Gstar": "exact", "eps_w": "exact"}
+    whole = certify(prob, subset, cone=whole_space_cone(prob.x_dagger))
+    assert (report.L, report.mu_C, report.mu_Gstar) == (whole.L, whole.mu_C, whole.mu_Gstar)
+    # projecting onto the cone can only shorten a pullback
+    assert report.eps_Gstar <= whole.eps_Gstar and report.eps_w <= whole.eps_w
 
 
-def test_certify_refuses_oversized_sampled_cone():
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n_r=st.integers(2, 6), n_theta=st.integers(5, 16), rays=st.integers(2, 12),
+       coverage=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_relaxed_mu_is_at_most_feasible_rayleigh_quotients(n_r, n_theta, rays, coverage, seed):
+    # anchors on random faces of the unit box; the relaxed mu_C and mu_Gstar
+    # must not exceed v^T G v / ||v||^2 for any feasible direction v
+    rng = np.random.default_rng(seed)
+    base = ring_instance(n_r=n_r, n_theta=n_theta, rays_per_angle=rays, seed=seed)
+    state = rng.integers(0, 3, base.dimension)
+    x = np.select([state == 1, state == 2], [0.0, 1.0], rng.uniform(0.0, 1.0, base.dimension))
+    prob = replace(base, x_dagger=x, b=base.A.forward(x))
+    subset = symmetric_subset(prob.geometry.theta_shift(1), round(coverage * ((n_theta - 1) // 2)))
+    report = certify(prob, subset)
+    assert report.flags["mu_C"] == report.flags["mu_Gstar"] == (
+        "relaxed" if report.cone_kind == "box" else "exact")
+    G = gram_dense(prob.A)
+    G_star = gram_average(G.copy(), subset)
+    V = rng.standard_normal((200, prob.dimension))
+    V[:, state == 1] = np.abs(V[:, state == 1])
+    V[:, state == 2] = -np.abs(V[:, state == 2])
+    slack = prob.dimension * np.finfo(float).eps / 2 * report.L
+    for v in V:
+        vv = v @ v
+        assert report.mu_C <= (v @ G @ v) / vv + slack
+        assert report.mu_Gstar <= (v @ G_star @ v) / vv + slack
+
+
+def test_certify_refuses_oversized_box_cone():
     prob = build_problem(n_r=80, n_theta=64, angle_fraction=0.25,
                          rays_per_angle=4, seed=0)
     subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
-    gens = np.eye(1, prob.dimension)
-    cone = DescentCone(anchor=prob.x_dagger, kind="sampled", generators=gens)
+    lo = np.full(prob.dimension, -np.inf)
+    lo[0] = 0.0
+    cone = DescentCone(anchor=prob.x_dagger, kind="box", lo=lo,
+                       hi=np.full(prob.dimension, np.inf))
     with pytest.raises(SizeCapError):
         certify(prob, subset, cone=cone)
 
@@ -264,14 +325,57 @@ def test_verify_bound_noiseless_ring():
     assert len(table.splitlines()) == len(result.iterations) + 1
 
 
-def test_verify_bound_refuses_sampled_cone():
+def test_verify_bound_refuses_uncertified_estimate(monkeypatch):
+    # the rule the CLI applies before printing a bound: a mu_Gstar the band
+    # Cholesky could not certify gives no bound to check
     prob = ring_instance()
     subset = covering_subset(prob)
-    gens = np.eye(prob.dimension)[:4]
-    cone = DescentCone(anchor=prob.x_dagger, kind="sampled", generators=gens)
-    with pytest.raises(ValueError):
-        verify_bound(prob, subset, SolverConfig(max_iters=10, seed=0),
-                     replicates=2, cone=cone)
+    real_certify = certificate.certify
+    flags = {"L": "exact", "mu_C": "exact", "mu_Gstar": "estimate",
+             "eps_Gstar": "exact", "eps_w": "exact"}
+    monkeypatch.setattr(certificate, "certify",
+                        lambda *args, **kw: replace(real_certify(*args, **kw), flags=flags))
+    with pytest.raises(ValueError, match="mu_Gstar flagged estimate") as info:
+        verify_bound(prob, subset, SolverConfig(max_iters=10, seed=0), replicates=2)
+    assert not isinstance(info.value, BoundVacuousError)
+
+
+@pytest.mark.parametrize("name", list(BOX_ANCHOR_INSTANCES))
+def test_verify_bound_accepts_box_anchor_instances(name):
+    shape, radius = BOX_ANCHOR_INSTANCES[name]
+    prob = box_anchor_instance(*shape)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), radius)
+    result = verify_bound(prob, subset, SolverConfig(max_iters=400, seed=0), replicates=20)
+    assert result.certificate.cone_kind == "box"
+    assert result.ok
+    assert np.all(result.empirical_mean <= result.bound)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(L=st.floats(0.1, 100.0), mu_ratio=st.floats(1e-6, 1.0, exclude_max=True),
+       lower=st.floats(1e-3, 1.0), eps_gstar=st.floats(0.0, 50.0), eps_w=st.floats(0.0, 10.0),
+       raise_gstar=st.floats(0.0, 50.0), raise_w=st.floats(0.0, 10.0),
+       rmsd0=st.floats(0.0, 100.0), w_norm=st.floats(0.0, 10.0), K=st.integers(0, 300))
+def test_bound_does_not_fall_as_constants_relax(L, mu_ratio, lower, eps_gstar, eps_w,
+                                                raise_gstar, raise_w, rmsd0, w_norm, K):
+    # why a relaxed constant is safe: a lower mu_Gstar, or a higher eps_Gstar
+    # or eps_w, never lowers the bound at any k, nor its limit
+    def report(mu, eps_g, eps_n):
+        return CertificateReport(L=L, mu_C=0.0, mu_Gstar=mu, kappa_c=1,
+                                 alpha_Gstar=compute_alpha(mu, L, 1), eps_Gstar=eps_g,
+                                 eps_w=eps_n, flags={}, subset_size=1, cone_kind="box")
+
+    tight = report(mu_ratio * L, eps_gstar, eps_w)
+    relaxed = [report(lower * mu_ratio * L, eps_gstar, eps_w),
+               report(mu_ratio * L, eps_gstar + raise_gstar, eps_w),
+               report(mu_ratio * L, eps_gstar, eps_w + raise_w)]
+    curve, limit = bound_curve(tight, rmsd0, w_norm, K), bound_limit(tight, w_norm)
+    for loose in relaxed:
+        if loose.vacuous:
+            continue
+        # room for the rounding of alpha ** k and of the geometric sum's division
+        assert np.all(bound_curve(loose, rmsd0, w_norm, K) >= curve * (1 - 1e-9))
+        assert bound_limit(loose, w_norm) >= limit * (1 - 1e-9)
 
 
 def test_verify_bound_refuses_vacuous_certificate():

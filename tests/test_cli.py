@@ -291,6 +291,38 @@ def test_uncertified_constants_print_no_bound(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().out.count(message) == 1
 
 
+def test_relaxed_constants_still_print_a_bound(tmp_path, monkeypatch, capsys):
+    # a relaxed constant is a safe-side value, so the bound it gives holds
+    from dataclasses import replace
+
+    from grouppgd import cli
+
+    real_certify = cli.certify
+    flags = {"L": "exact", "mu_C": "relaxed", "mu_Gstar": "relaxed",
+             "eps_Gstar": "exact", "eps_w": "exact"}
+    monkeypatch.setattr(cli, "certify",
+                        lambda *args: replace(real_certify(*args), flags=flags))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, config_text(out))
+    assert main(["run", "--config", cfg]) == EXIT_OK
+    header = (out / "group_pgd.csv").read_text().splitlines()[0]
+    assert header == "iter,rmsd,rmsd_normalized,objective,bound,action_index"
+    assert main(["compare", "--config", cfg]) == EXIT_OK
+    rows = (out / "compare.csv").read_text().splitlines()[1:]
+    assert all(np.isfinite(float(row.split(",")[3])) for row in rows)
+    assert "no bound" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "compare"])
+@pytest.mark.parametrize("key", ["problem.seed", "solver.seed"])
+def test_negative_seed_exits_2(tmp_path, capsys, key, command):
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", **{key.replace(".", "_"): -1}))
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key} must be nonnegative, got -1" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"problem_noise": "poisson", "problem_weights": "signed"},
      "set problem.weights = nonneg"),
@@ -360,8 +392,7 @@ def test_trace_csv_writes_what_per_cell_formatting_writes():
     n = len(values)
     trace = IterateTrace(iterations=np.arange(0, 3 * n, 3), rmsd=values,
                          rmsd_normalized=values[::-1].copy(), objective=np.roll(values, 3),
-                         action_indices=np.arange(n) - 1, stages=np.zeros(n, dtype=np.int64),
-                         final_x=np.zeros(2))
+                         action_indices=np.arange(n) - 1, final_x=np.zeros(2))
     bound = np.roll(values, 5)
     for b in (None, bound):
         for with_actions in (False, True):

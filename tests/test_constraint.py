@@ -1,5 +1,7 @@
 """Projections, descent cones, and restricted eigenvalues."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,10 +155,57 @@ def test_project_cone_subspace():
     assert_allclose(project_cone(C, np.array([3.0, 4.0])), [3.0, 0.0])
 
 
-def test_project_cone_sampled_picks_best_ray():
-    gens = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    C = DescentCone(anchor=np.zeros(2), kind="sampled", generators=gens)
-    assert_allclose(project_cone(C, np.array([3.0, 4.0])), [0.0, 4.0])
+def test_project_cone_box_clips():
+    inf = np.inf
+    C = DescentCone(anchor=np.zeros(3), kind="box", lo=np.array([0.0, -inf, -inf]),
+                    hi=np.array([inf, 0.0, inf]))
+    assert np.array_equal(project_cone(C, np.array([-3.0, 4.0, -5.0])), [0.0, 0.0, -5.0])
+    assert np.array_equal(project_cone(C, np.array([3.0, -4.0, 5.0])), [3.0, -4.0, 5.0])
+    with pytest.raises(ValueError, match="direction bounds"):
+        DescentCone(anchor=np.zeros(3), kind="box")
+
+
+def brute_force_cone_projection(lo, hi, anchor, z):
+    """The nearest feasible direction among the 2^d choices of ``z_i`` or 0 per coordinate.
+
+    ``v`` is feasible when the step ``anchor + t v`` stays in the box
+    ``[lo, hi]``, with ``t`` so short that it moves no coordinate more than
+    half its distance to a bound it does not sit on.
+    """
+    gaps = np.concatenate([anchor - lo, hi - anchor])
+    t = 0.5 * gaps[gaps > 0].min(initial=1.0) / max(np.abs(z).max(), 1.0)
+    best, best_dist = None, np.inf
+    for keep in itertools.product([False, True], repeat=len(z)):
+        v = np.where(keep, z, 0.0)
+        step = anchor + t * v
+        if np.all(step >= lo) and np.all(step <= hi) and np.linalg.norm(v - z) < best_dist:
+            best, best_dist = v, np.linalg.norm(v - z)
+    return best
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["box", "nonneg"]), d=st.integers(1, 8),
+       scale=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_box_cone_projection_matches_brute_force(kind, d, scale, seed):
+    # anchors with each coordinate inside, on its lower bound or on its upper bound
+    rng = np.random.default_rng(seed)
+    state = rng.integers(0, 3, d)
+    if kind == "box":
+        lo = rng.standard_normal(d)
+        hi = lo + rng.uniform(0.01, 3.0, d)
+        K = Box(lo, hi, d)
+        anchor = np.select([state == 1, state == 2], [lo, hi], rng.uniform(lo, hi))
+    else:
+        lo, hi = np.zeros(d), np.full(d, np.inf)
+        K = Nonneg(d)
+        anchor = np.where(state == 0, 0.0, rng.exponential(size=d))
+    cone = descent_cone_of(K, anchor)
+    assert cone.exact
+    assert cone.kind == ("box" if np.any(anchor == lo) or np.any(anchor == hi)
+                         else "whole_space")
+    for z in scale * rng.standard_normal((4, d)):
+        brute = brute_force_cone_projection(lo, hi, anchor, z)
+        assert np.array_equal(project_cone(cone, z), brute)
 
 
 def test_sup_identity_subspace_cone_dense_sampling():
@@ -193,18 +242,22 @@ def test_descent_cone_of_subspace_is_same_subspace():
     assert np.array_equal(cone.basis, B)
 
 
-def test_descent_cone_box_boundary_is_sampled_and_feasible():
-    K = Box(0.0, 1.0, 2)
-    anchor = np.array([0.0, 0.5])
-    cone = descent_cone_of(K, anchor, n_samples=128, seed=0)
-    assert cone.kind == "sampled"
-    assert not cone.exact
-    # membership oracle: tiny steps along each generator stay feasible,
-    # so no generator points along -e1 (the active bound)
-    for g in cone.generators:
-        stepped = anchor + 1e-9 * g
-        assert np.all(stepped >= -1e-15) and np.all(stepped <= 1.0 + 1e-15)
-        assert g[0] >= -1e-12
+def test_descent_cone_box_boundary_is_a_box_cone():
+    K = Box(0.0, 1.0, 3)
+    anchor = np.array([0.0, 0.5, 1.0])
+    cone = descent_cone_of(K, anchor)
+    assert cone.kind == "box" and cone.exact
+    assert np.array_equal(cone.lo, [0.0, -np.inf, -np.inf])
+    assert np.array_equal(cone.hi, [np.inf, np.inf, 0.0])
+    # membership oracle: a tiny step along any projected direction stays feasible
+    rng = np.random.default_rng(14)
+    for z in rng.standard_normal((20, 3)):
+        assert K.contains(anchor + 1e-3 * project_cone(cone, z), tol=0.0)
+    # a box narrower than the anchor tolerance: each coordinate sits on the
+    # nearer bound only, so it keeps the directions into the box
+    narrow = descent_cone_of(Box(0.0, 1e-11, 2), np.array([0.0, 1e-11]))
+    assert np.array_equal(narrow.lo, [0.0, -np.inf])
+    assert np.array_equal(narrow.hi, [np.inf, 0.0])
 
 
 def test_descent_cone_rejects_outside_anchor():
@@ -215,11 +268,14 @@ def test_descent_cone_rejects_outside_anchor():
 
 def test_descent_cone_l1_interior_and_boundary():
     K = L1Ball(1.0, 3)
-    assert descent_cone_of(K, np.zeros(3)).kind == "whole_space"
-    boundary = descent_cone_of(K, np.array([1.0, 0.0, 0.0]), seed=1)
-    assert boundary.kind == "sampled"
-    for g in boundary.generators:
-        assert np.abs(np.array([1.0, 0.0, 0.0]) + 1e-9 * g).sum() <= 1.0 + 1e-15
+    interior = descent_cone_of(K, np.zeros(3))
+    assert interior.kind == "whole_space" and interior.exact
+    # on the boundary the whole space stands in for the cone: it contains
+    # every feasible direction, and it is marked as a relaxation
+    boundary = descent_cone_of(K, np.array([1.0, 0.0, 0.0]))
+    assert boundary.kind == "whole_space" and not boundary.exact
+    z = np.array([-0.5, 0.25, -0.25])
+    assert np.array_equal(project_cone(boundary, z), z)
 
 
 def test_restricted_min_eig_identity_whole_space():
@@ -251,7 +307,7 @@ def test_whole_space_restricted_min_eig_reads_the_small_side(shape):
     C = DescentCone(anchor=np.zeros(A.cols), kind="whole_space")
     oracle = max(np.linalg.eigvalsh(G)[0], 0.0)
     assert abs(restricted_min_eig(A, C) - oracle) <= 1e-12 * L
-    with pytest.raises(ValueError, match="subspace and sampled"):
+    with pytest.raises(ValueError, match="subspace cones only"):
         gram_min_eig(G, C)
 
 
@@ -265,14 +321,22 @@ def test_restricted_min_eig_subspace_matches_dense_oracle():
     assert_allclose(restricted_min_eig(A, C), oracle, rtol=1e-8, atol=1e-12)
 
 
-def test_restricted_min_eig_sampled_is_generator_min():
+def test_restricted_min_eig_box_cone_reads_the_whole_space():
     rng = np.random.default_rng(12)
     M = rng.standard_normal((5, 4))
     A = from_dense(M)
-    gens = np.eye(4)
-    C = DescentCone(anchor=np.zeros(4), kind="sampled", generators=gens)
-    oracle = min(np.linalg.norm(M @ g) ** 2 for g in gens)
-    assert_allclose(restricted_min_eig(A, C), oracle, rtol=1e-12)
+    cone = descent_cone_of(Nonneg(4), np.array([0.0, 1.0, 0.0, 2.0]))
+    assert cone.kind == "box"
+    whole = restricted_min_eig(A, DescentCone(anchor=cone.anchor, kind="whole_space"))
+    assert restricted_min_eig(A, cone) == whole
+    # a lower bound: no feasible direction (v_0, v_2 >= 0) has a smaller
+    # Rayleigh quotient
+    V = rng.standard_normal((50, 4))
+    V[:, [0, 2]] = np.abs(V[:, [0, 2]])
+    for v in V:
+        assert whole <= (v @ M.T @ M @ v) / (v @ v) * (1 + 1e-12)
+    with pytest.raises(ValueError, match="subspace cones only"):
+        gram_min_eig(M.T @ M, cone)
 
 
 def test_dimension_mismatch_raises():
@@ -295,11 +359,13 @@ def test_descent_cone_nonneg_orthant():
     K = Nonneg(4)
     interior = descent_cone_of(K, np.full(4, 0.5))
     assert interior.kind == "whole_space"
-    boundary = descent_cone_of(K, np.array([0.0, 0.5, 0.2, 0.0]), seed=2)
-    assert boundary.kind == "sampled"
-    anchor = np.array([0.0, 0.5, 0.2, 0.0])
-    for g in boundary.generators:
-        assert np.all(anchor + 1e-9 * g >= -1e-15)
+    boundary = descent_cone_of(K, np.array([0.0, 0.5, 0.2, 0.0]))
+    assert boundary.kind == "box" and boundary.exact
+    # the orthant has no upper bound, so no direction is capped above
+    assert np.array_equal(boundary.lo, [0.0, -np.inf, -np.inf, 0.0])
+    assert np.array_equal(boundary.hi, np.full(4, np.inf))
+    assert np.array_equal(project_cone(boundary, np.array([-1.0, -2.0, 3.0, 4.0])),
+                          [0.0, -2.0, 3.0, 4.0])
 
 
 def test_stacked_projection_equals_row_by_row():

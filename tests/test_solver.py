@@ -1,4 +1,4 @@
-"""Solver steps, runs, multistage schedules, and determinism."""
+"""Solver steps, runs, ensembles, and determinism."""
 
 from dataclasses import replace
 
@@ -20,7 +20,6 @@ from grouppgd.solver import (
     replicate_rngs,
     run,
     run_ensemble,
-    run_multistage,
     run_with_plain,
 )
 from grouppgd.symmetry import (cyclic_shift_action, identity_action, polar_theta_shift,
@@ -172,28 +171,6 @@ def test_run_draws_one_action_per_step_in_stream_order():
     assert list(trace.action_indices[1:]) == expected
 
 
-def test_multistage_draws_continue_across_stage_boundaries():
-    prob = small_problem(noise="gaussian", sigma=0.05, seed=6)
-    schedule = [(2, 6), (1, 5), (0, 3)]
-    trace = run_multistage(prob, SolverConfig(max_iters=0, seed=9, record_every=1), schedule)
-    rng = np.random.default_rng(9)
-    generator = prob.geometry.theta_shift(1)
-    expected = [sample_action(symmetric_subset(generator, radius), rng)[1]
-                for radius, budget in schedule for _ in range(budget)]
-    assert list(trace.action_indices[1:]) == expected
-    assert list(trace.stages[1:]) == [0] * 6 + [1] * 5 + [2] * 3
-
-
-def test_multistage_single_stage_equals_plain_run():
-    prob = small_problem(noise="gaussian", sigma=0.05, seed=10)
-    config = SolverConfig(max_iters=30, seed=13)
-    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
-    plain = run(prob, config, subset=subset)
-    staged = run_multistage(prob, config, [(2, 30)])
-    assert np.array_equal(plain.rmsd, staged.rmsd)
-    assert np.array_equal(plain.final_x, staged.final_x)
-
-
 def test_ensemble_divergence_names_the_first_row_to_diverge():
     # every step scales the coordinate the drawn shift moves onto the first
     # axis by -3, so each replicate blows up at an iteration set by its draws
@@ -238,28 +215,6 @@ def test_mixed_stack_divergence_names_the_first_row_to_diverge():
     with pytest.raises(DivergenceError) as info:
         run_with_plain(prob, config, subset, replicate_rngs(config.seed, 4))
     assert info.value.iteration == alone[0]
-
-
-def test_multistage_final_stage_is_pure_pgd():
-    prob = small_problem(noise="gaussian", sigma=0.05, seed=12)
-    config = SolverConfig(max_iters=0, seed=14)
-    staged = run_multistage(prob, config, [(2, 6), (0, 5)])
-    # replay the last five steps as plain projected gradient from the
-    # stage boundary and compare bit-for-bit
-    eta = 1.0 / spectral_norm(prob.A)
-    first_stage = run_multistage(prob, config, [(2, 6)])
-    x = first_stage.final_x.copy()
-    for _ in range(5):
-        x = pgd_step(x, prob.A, prob.b, prob.K, eta)
-    assert np.array_equal(staged.final_x, x)
-    assert staged.iterations[-1] == 11
-    assert set(np.unique(staged.stages)) <= {0, 1}
-
-
-def test_multistage_rejects_increasing_radius():
-    prob = small_problem()
-    with pytest.raises(ValueError):
-        run_multistage(prob, SolverConfig(max_iters=0, seed=0), [(1, 5), (2, 5)])
 
 
 def test_ensemble_deterministic_and_averaged():
@@ -387,7 +342,7 @@ def test_plain_step_is_the_identity_step(dense, n_r, n_theta, angles, rays, reac
     K = Box(0.0, 1.0, d)
     X = rng.uniform(-0.5, 1.5, size=(batch, d))
     identity = identity_action(d)
-    # the stack through the operator's window, as a plain stage steps it
+    # the stack through the operator's window, as a plain row steps it
     stacked = solver._step(X, A, b, K, 0.3, A.window + d * np.arange(batch)[:, None])[0]
     for x, row in zip(X, stacked, strict=True):
         plain = pgd_step(x, A, b, K, 0.3)
@@ -458,15 +413,13 @@ def test_operator_without_window_gives_the_same_traces():
     assert bare.A.window_forward is A.forward and bare.A.window_adjoint is A.adjoint
     subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
     config = SolverConfig(max_iters=30, seed=5, record_every=4)
-    schedule = [(2, 12), (1, 9), (0, 6)]
 
     def traces(p):
         return [run(p, config), run(p, config, subset=subset),
-                run_multistage(p, config, schedule),
                 *run_ensemble(p, config, None, 2)[2], *run_ensemble(p, config, subset, 3)[2]]
 
     fields = ("iterations", "rmsd", "rmsd_normalized", "objective", "action_indices",
-              "stages", "final_x")
+              "final_x")
     for windowed, permuted in zip(traces(prob), traces(bare), strict=True):
         for name in fields:
             a, b = getattr(windowed, name), getattr(permuted, name)
@@ -509,23 +462,3 @@ def test_noiseless_symmetric_run_meets_predicted_iteration_count():
     assert trace.rmsd[-1] <= 1e-6
 
 
-def test_multistage_shrinking_schedule_reported():
-    # speed-accuracy trade-off of shrinking schedules on a non-symmetric
-    # phantom: reported, not asserted
-    budget = 150
-    finals_shrink, finals_flat = [], []
-    for seed in range(20):
-        prob = build_problem(n_r=8, n_theta=16, angle_fraction=0.25,
-                             rays_per_angle=8, phantom="textured",
-                             smoothness=3, seed=seed)
-        config = SolverConfig(max_iters=0, seed=seed, record_every=budget)
-        shrink = run_multistage(prob, config, [(6, budget), (1, budget)])
-        flat = run_multistage(prob, config, [(6, 2 * budget)])
-        finals_shrink.append(shrink.rmsd[-1])
-        finals_flat.append(flat.rmsd[-1])
-    mean_shrink = float(np.mean(finals_shrink))
-    mean_flat = float(np.mean(finals_flat))
-    print(f"multistage shrink-vs-flat mean final rmsd: "
-          f"{mean_shrink:.4f} vs {mean_flat:.4f} "
-          f"(shrinking better on {np.mean(np.array(finals_shrink) <= np.array(finals_flat)):.0%} of seeds)")
-    assert np.isfinite(mean_shrink) and np.isfinite(mean_flat)
