@@ -39,20 +39,21 @@ which :func:`bound_curve` evaluates and :func:`verify_bound` checks against
 the empirical mean over replicates, with a Monte Carlo slack of
 ``2/sqrt(replicates)``.
 
-On a subspace cone ``mu_C`` and ``mu_Gstar`` are the cone's own values.
-On every other cone they are the whole space's, the same bits as on a
-``whole_space`` cone: on a box cone, or the whole space standing in for an
-l1-ball boundary cone, that is a lower bound, flagged ``relaxed``.  The
-``eps_*`` terms project exactly onto every cone but the relaxed one, where
-they read the whole space's larger values, also flagged ``relaxed``.  The
-bound rises as ``mu_Gstar`` falls and as ``eps_*`` rise, so relaxed
-constants give a valid, weaker bound.  :meth:`CertificateReport.why_no_bound`
-is the one rule of the certified regime.  The band is built from the probed
-dense ``G``, not from the operator's window, so that every caller of
-``certify`` gets the same bits, also one whose map was rebuilt from
-``forward``/``adjoint`` alone and so reads through the trivial window.  The
-certificate is therefore refused (:class:`~grouppgd.linop.SizeCapError`)
-above ``linop.DENSE_CAP`` columns, for every cone.
+On a subspace cone ``span(B)`` ``mu_C`` and ``mu_Gstar`` are the cone's own
+values, read from ``k`` forward probes of ``B`` per action
+(:func:`~grouppgd.constraint.subspace_min_eig`).  On every other cone they
+are the whole space's, the same bits as on a ``whole_space`` cone: on a box
+cone, or the whole space standing in for an l1-ball boundary cone, that is a
+lower bound, flagged ``relaxed``.  The ``eps_*`` terms project exactly onto
+every cone but the relaxed one, where they read the whole space's larger
+values, also flagged ``relaxed``.  The bound rises as ``mu_Gstar`` falls and
+as ``eps_*`` rise, so relaxed constants give a valid, weaker bound.
+:meth:`CertificateReport.why_no_bound` is the one rule of the certified
+regime.  The band and the subspace probes read the operator through
+``forward``/``adjoint``, not its window, so every caller of ``certify`` gets
+the same bits, also one whose map was rebuilt from them alone.  The band
+needs the dense ``G``, so every cone but a subspace is refused
+(:class:`~grouppgd.linop.SizeCapError`) above ``linop.DENSE_CAP`` columns.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bench import ProblemInstance
-from .constraint import DescentCone, descent_cone_of, gram_min_eig, project_cone
+from .constraint import DescentCone, descent_cone_of, project_cone, subspace_min_eig
 from .linop import (BandGram, LinearMap, band_gram, band_solver, gram_dense, gram_eigvals,
                     rotated_adjoint, window_table)
 from .solver import SolverConfig, run_ensemble
@@ -184,11 +185,9 @@ def compute_eps_w(A: LinearMap, subset: SymmetricSubset, w: np.ndarray,
 def _worst_pullback(A: LinearMap, subset: SymmetricSubset, residuals,
                     C: DescentCone) -> float:
     """Largest ``||proj_C (A T_s)^T r_s||`` over the subset, ``r_s`` the residuals in turn."""
-    worst = 0.0
-    for r, cells in zip(residuals, window_table(A, subset)):
-        z = rotated_adjoint(A, r, cells, A.cols)
-        worst = max(worst, float(np.linalg.norm(project_cone(C, z))))
-    return worst
+    norms = [np.linalg.norm(project_cone(C, rotated_adjoint(A, r, cells, A.cols)))
+             for r, cells in zip(residuals, window_table(A, subset))]
+    return float(np.max(norms))  # a NaN norm (non-finite residuals) stays NaN
 
 
 def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
@@ -211,7 +210,7 @@ def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
     """
     nb, b, _ = G_star.diag.shape
     n = nb * b
-    slack = G_star.shape[0] * np.finfo(float).eps / 2 * L
+    slack = len(G_star.order) * np.finfo(float).eps / 2 * L
     factor = G_star.cholesky(-slack)
     if factor is None:
         return 0.0, False
@@ -246,31 +245,30 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     The descent cone defaults to the cone of the feasible set at the ground
     truth.  ``L`` is the top of the exact spectrum of ``A^T A``, read from
     the Gram of the operator's smaller side, so it is bitwise
-    ``spectral_norm(A)`` and ``1/L`` is the solver's ``auto`` step; the
-    whole-space ``mu_C`` is the bottom of the same spectrum.  One dense
-    probe ``G = A^T A`` feeds the rest: ``mu_C`` on a subspace cone, and the
-    stack Gram, averaged from ``G`` through the subset's permutations
-    straight into block-tridiagonal storage in the folded order of
-    ``problem.geometry`` (:func:`~grouppgd.linop.band_gram`).  A subspace
-    cone reads the band through its products.  Every other cone takes the
-    whole-space ``mu_Gstar`` from one Lanczos run and one inertia check
-    (:func:`_stack_min_eig`), flagged ``estimate`` when not certified.
-    ``G`` is probed for every cone kind, so operators wider than
-    ``linop.DENSE_CAP`` columns raise :class:`~grouppgd.linop.SizeCapError`.
+    ``spectral_norm(A)`` and ``1/L`` is the solver's ``auto`` step.  A
+    subspace cone reads ``mu_C`` and ``mu_Gstar`` from ``k`` forward probes
+    of its basis, through the identity and through the subset
+    (:func:`~grouppgd.constraint.subspace_min_eig`).  Every other cone takes
+    the whole-space ``mu_C``, the bottom of the same spectrum, and averages
+    one dense probe ``G = A^T A`` through the subset's permutations straight
+    into block-tridiagonal storage in the folded order of
+    ``problem.geometry`` (:func:`~grouppgd.linop.band_gram`); its
+    whole-space ``mu_Gstar`` comes from one Lanczos run and one inertia
+    check (:func:`_stack_min_eig`), flagged ``estimate`` when not certified.
+    :class:`~grouppgd.linop.SizeCapError` is raised when the smaller side,
+    or for such a cone ``cols``, exceeds ``linop.DENSE_CAP``.
     """
     if cone is None:
         cone = descent_cone_of(problem.K, problem.x_dagger)
     A = problem.A
-    G = gram_dense(A)  # refused above the cap before any other work
-    subspace = cone.kind == "subspace"
     eigvals = gram_eigvals(A)
     L = float(eigvals[-1])
-    mu_C = gram_min_eig(G, cone) if subspace else max(float(eigvals[0]), 0.0)
-    G_star = band_gram(G, subset, problem.geometry.folded_order, pad=L)
-    del G  # the eigensolve below runs with the band alone
-    if subspace:
-        mu_Gstar, certified = gram_min_eig(G_star, cone), True
+    if cone.kind == "subspace":
+        mu_C = subspace_min_eig(A, cone, [np.arange(A.cols)])
+        mu_Gstar, certified = subspace_min_eig(A, cone, [T.permutation for T in subset]), True
     else:
+        mu_C = max(float(eigvals[0]), 0.0)
+        G_star = band_gram(gram_dense(A), subset, problem.geometry.folded_order, pad=L)
         mu_Gstar, certified = _stack_min_eig(G_star, L)
     kappa_c = problem.K.kappa_c
     # guard against round-off pushing the restricted eigenvalue past L

@@ -24,8 +24,9 @@ keys are rejected so typos fail loudly.  All outputs are deterministic for a
 fixed config: reruns produce byte-identical files.  Files are written to a
 temp name and renamed, so failures never leave partial files.
 
-Exit codes: 0 success, 2 config parse error, 3 solver divergence,
-4 problem too large for the dense certificate oracle, 5 unwritable output.
+Exit codes: 0 success, 2 config error (a malformed or impossible setting,
+noise whose draw overflows included), 3 solver divergence, 4 problem too
+large for the dense certificate oracle, 5 unwritable output.
 """
 
 from __future__ import annotations
@@ -204,22 +205,31 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _build(config: ExperimentConfig):
-    problem = build_problem(
-        n_r=config.problem_n_r,
-        n_theta=config.problem_n_theta,
-        angle_fraction=config.problem_angle_fraction,
-        rays_per_angle=config.problem_rays_per_angle,
-        phantom=config.problem_phantom,
-        smoothness=config.problem_smoothness,
-        noise=config.problem_noise,
-        sigma=config.problem_sigma,
-        scale=config.problem_scale,
-        seed=config.problem_seed,
-        weight_kind=config.problem_weights,
-    )
-    subset = symmetric_subset(
-        problem.geometry.theta_shift(1), config.subset_radius
-    )
+    try:
+        with np.errstate(over="ignore"):  # noise whose norm overflows is refused below
+            problem = build_problem(
+                n_r=config.problem_n_r,
+                n_theta=config.problem_n_theta,
+                angle_fraction=config.problem_angle_fraction,
+                rays_per_angle=config.problem_rays_per_angle,
+                phantom=config.problem_phantom,
+                smoothness=config.problem_smoothness,
+                noise=config.problem_noise,
+                sigma=config.problem_sigma,
+                scale=config.problem_scale,
+                seed=config.problem_seed,
+                weight_kind=config.problem_weights,
+            )
+            w_norm = float(np.linalg.norm(problem.w))
+    except ValueError as exc:  # numpy draws no Poisson mean above about 9.2e18
+        if config.problem_noise != "poisson":
+            raise
+        raise ConfigError(f"problem.scale = {config.problem_scale:g} is too large for "
+                          f"poisson noise ({exc})") from None
+    if not math.isfinite(w_norm):
+        raise ConfigError(f"problem.sigma = {config.problem_sigma:g} is too large: "
+                          "the noise norm is not finite")
+    subset = symmetric_subset(problem.geometry.theta_shift(1), config.subset_radius)
     solver_config = SolverConfig(
         max_iters=config.solver_iters,
         step_size=config.solver_step,
@@ -396,13 +406,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
+        outdir = args.out if args.out is not None else config.output_dir
+        _ensure_outdir(outdir)
+        return _COMMANDS[args.command](config, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    outdir = args.out if args.out is not None else config.output_dir
-    try:
-        _ensure_outdir(outdir)
-        return _COMMANDS[args.command](config, outdir)
     except DivergenceError as exc:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

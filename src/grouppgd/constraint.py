@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import BandGram, LinearMap, DimensionMismatchError, gram_dense, gram_eigvals
+from .linop import LinearMap, DimensionMismatchError, gram_eigvals
 
 __all__ = [
     "ConstraintSet",
@@ -37,7 +37,7 @@ __all__ = [
     "project_cone",
     "descent_cone_of",
     "restricted_min_eig",
-    "gram_min_eig",
+    "subspace_min_eig",
 ]
 
 ANCHOR_TOL = 1e-10  # absolute membership tolerance for cone anchors
@@ -89,14 +89,11 @@ class Box(ConstraintSet):
         return np.minimum(out, self.hi, out=out)
 
 
-class Nonneg(ConstraintSet):
-    """The nonnegative orthant."""
+class Nonneg(Box):
+    """The nonnegative orthant: the box ``[0, +inf)``."""
 
     def __init__(self, dimension: int):
-        self.dimension = dimension
-
-    def project(self, x):
-        return np.maximum(self._check(x), 0.0)
+        super().__init__(0.0, np.inf, dimension)
 
 
 class L1Ball(ConstraintSet):
@@ -125,19 +122,23 @@ class Subspace(ConstraintSet):
     """A linear subspace given by an orthonormal basis (columns)."""
 
     def __init__(self, basis: np.ndarray):
-        B = np.asarray(basis, dtype=float)
-        if B.ndim != 2:
-            raise ValueError("basis must be a 2-D array of columns")
-        gram = B.T @ B
-        if not np.allclose(gram, np.eye(B.shape[1]), atol=1e-12):
-            raise ValueError("basis columns must be orthonormal to 1e-12")
-        self.basis = B
-        self.dimension = B.shape[0]
+        self.basis = _orthonormal(basis)
+        self.dimension = self.basis.shape[0]
 
     def project(self, x):
         # stacked matrix-vector products keep each row's bits
         coeffs = np.matmul(self.basis.T, self._check(x)[..., None])
         return np.matmul(self.basis, coeffs)[..., 0]
+
+
+def _orthonormal(basis) -> np.ndarray:
+    """``basis`` as a float array, refused unless its columns are orthonormal."""
+    B = np.asarray(basis, dtype=float)
+    if B.ndim != 2:
+        raise ValueError("basis must be a 2-D array of columns")
+    if not np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-12):
+        raise ValueError("basis columns must be orthonormal to 1e-12")
+    return B
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,8 @@ class DescentCone:
     def __post_init__(self):
         if self.kind not in ("whole_space", "subspace", "box"):
             raise ValueError(f"unknown cone kind {self.kind!r}")
-        if self.kind == "subspace" and self.basis is None:
-            raise ValueError("subspace cone needs a basis")
+        if self.kind == "subspace" and _orthonormal(self.basis).shape[0] != self.dimension:
+            raise DimensionMismatchError("subspace cone's basis and anchor differ in length")
         if self.kind == "box" and (self.lo is None or self.hi is None):
             raise ValueError("box cone needs direction bounds lo and hi")
 
@@ -191,8 +192,8 @@ def project_cone(C: DescentCone, x: np.ndarray) -> np.ndarray:
 def descent_cone_of(K: ConstraintSet, anchor: np.ndarray) -> DescentCone:
     """Build the descent cone of ``K`` at ``anchor``.
 
-    Subspace sets give their own subspace.  A box or nonnegative-orthant
-    anchor gives a ``box`` cone, ``v_i >= 0`` where it sits on a lower
+    Subspace sets give their own subspace.  A box anchor (the nonnegative
+    orthant is a box) gives a ``box`` cone, ``v_i >= 0`` where it sits on a lower
     bound and ``v_i <= 0`` where it sits on an upper one (within
     ``ANCHOR_TOL``, the nearer bound when both are that close), or the
     whole space when no bound is active.  An l1-ball anchor gives the whole
@@ -207,14 +208,11 @@ def descent_cone_of(K: ConstraintSet, anchor: np.ndarray) -> DescentCone:
     if isinstance(K, L1Ball):
         inside = np.abs(anchor).sum() < K.radius - ANCHOR_TOL
         return DescentCone(anchor=anchor, kind="whole_space", exact=bool(inside))
-    if isinstance(K, Box):
-        below, above = anchor - K.lo, K.hi - anchor
-        at_lo = (below <= ANCHOR_TOL) & (below <= above)
-        at_hi = (above <= ANCHOR_TOL) & (above < below)
-    elif isinstance(K, Nonneg):
-        at_lo, at_hi = anchor <= ANCHOR_TOL, np.zeros(K.dimension, dtype=bool)
-    else:
+    if not isinstance(K, Box):
         raise TypeError(f"no descent cone construction for {type(K).__name__}")
+    below, above = anchor - K.lo, K.hi - anchor
+    at_lo = (below <= ANCHOR_TOL) & (below <= above)
+    at_hi = (above <= ANCHOR_TOL) & (above < below)
     if not (at_lo.any() or at_hi.any()):
         return DescentCone(anchor=anchor, kind="whole_space")
     return DescentCone(anchor=anchor, kind="box", lo=np.where(at_lo, 0.0, -np.inf),
@@ -225,33 +223,31 @@ def restricted_min_eig(A: LinearMap, C: DescentCone) -> float:
     """Smallest value of ``||A v||^2 / ||v||^2`` over the descent cone, or a
     lower bound on it.
 
-    A subspace cone assembles the dense ``A^T A`` (refused above
-    ``linop.DENSE_CAP`` columns) and hands it to :func:`gram_min_eig`.
-    Every other cone reads the whole space: the bottom of the exact spectrum
-    of ``A^T A``, read from the Gram of the operator's smaller side
-    (:func:`~grouppgd.linop.gram_eigvals`) and clipped at 0.  On a box cone
-    that is a lower bound, since the cone lies inside the whole space.
+    A subspace cone reads it from ``k`` forward probes of its basis
+    (:func:`subspace_min_eig`).  Every other cone reads the whole space:
+    the bottom of the exact spectrum of ``A^T A``, read from the Gram of the
+    operator's smaller side (:func:`~grouppgd.linop.gram_eigvals`) and
+    clipped at 0.  On a box cone that is a lower bound, since the cone lies
+    inside the whole space.
     """
     if A.cols != C.dimension:
-        raise DimensionMismatchError(
-            f"operator has {A.cols} columns but cone lives in dimension {C.dimension}"
-        )
+        raise DimensionMismatchError(f"operator has {A.cols} columns, cone {C.dimension}")
     if C.kind == "subspace":
-        return gram_min_eig(gram_dense(A), C)
+        return subspace_min_eig(A, C, [np.arange(A.cols)])
     return max(float(gram_eigvals(A)[0]), 0.0)
 
 
-def gram_min_eig(G: np.ndarray | BandGram, C: DescentCone) -> float:
-    """Smallest value of ``v^T G v / ||v||^2`` over a subspace cone.
+def subspace_min_eig(A: LinearMap, C: DescentCone, permutations) -> float:
+    """Smallest value of ``mean_g ||A v[perm_g]||^2 / ||v||^2`` over a subspace cone.
 
-    Exact: the bottom eigenvalue of ``B^T G B``, clipped at 0.  It only
-    multiplies by ``G``, so ``G`` may be a :class:`~grouppgd.linop.BandGram`.
+    Exact: the bottom eigenvalue of ``mean_g F_g F_g^T``, clipped at 0, with
+    ``F_g = A.forward(B[perm_g].T)`` the ``k`` rotated probes of the cone's
+    basis ``B``.  Only ``A.forward`` is read, never the window.
     """
     if C.kind != "subspace":
-        raise ValueError("gram_min_eig reads subspace cones only")
-    if G.shape != (C.dimension, C.dimension):
-        raise DimensionMismatchError(
-            f"Gram has shape {G.shape} but cone lives in dimension {C.dimension}"
-        )
-    B = C.basis
-    return max(float(np.linalg.eigvalsh(B.T @ G @ B)[0]), 0.0)
+        raise ValueError("subspace_min_eig reads subspace cones only")
+    if A.cols != C.dimension:
+        raise DimensionMismatchError(f"operator has {A.cols} columns, cone {C.dimension}")
+    probes = [A.forward(C.basis[perm].T) for perm in permutations]
+    gram = sum(F @ F.T for F in probes) / len(probes)
+    return max(float(np.linalg.eigvalsh(gram)[0]), 0.0)

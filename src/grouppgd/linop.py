@@ -31,11 +31,11 @@ The certificate's stack Gram, ``G = A^T A`` averaged through a subset's
 permutations, is stored banded (:class:`BandGram`, built by
 :func:`band_gram`): each measured angle couples only the angle columns
 within its offset span, so in an order that folds the angle axis the
-average is block tridiagonal.  A band multiplies vectors, and factors by
-block Cholesky (:meth:`BandGram.cholesky`, :func:`band_solver`), whose
-success or failure at a shift tells on which side of the bottom eigenvalue
-the shift lies (Sylvester's law of inertia).  The band is built from the
-probed dense ``G``, so the ``DENSE_CAP`` refusal still applies.
+average is block tridiagonal.  A band multiplies blocked vectors, and
+factors by block Cholesky (:meth:`BandGram.cholesky`, :func:`band_solver`),
+whose success or failure at a shift tells on which side of the bottom
+eigenvalue the shift lies (Sylvester's law of inertia).  The band is built
+from the probed dense ``G``, so the ``DENSE_CAP`` refusal applies to it.
 """
 
 from __future__ import annotations
@@ -246,21 +246,11 @@ class BandGram:
     diagonal are their transposes.  The stored matrix is padded past
     ``len(order)`` to whole blocks, with a constant on the pad's diagonal:
     an eigenvalue of the stored matrix that no cell sees.
-
-    ``band @ X`` multiplies cell-ordered vectors or ``(cells, k)`` columns,
-    and ``Y @ band`` their transposes, so cone code written for a dense Gram
-    reads a band one unchanged.
     """
 
     order: np.ndarray
     diag: np.ndarray
     lower: np.ndarray
-
-    __array_ufunc__ = None  # ``ndarray @ band`` defers to __rmatmul__
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.order), len(self.order))
 
     def apply(self, V: np.ndarray) -> np.ndarray:
         """The stored matrix times ``V``, blocked as ``(blocks, block, k)``."""
@@ -268,19 +258,6 @@ class BandGram:
         out[1:] += self.lower @ V[:-1]
         out[:-1] += np.swapaxes(self.lower, 1, 2) @ V[1:]
         return out
-
-    def __matmul__(self, X):
-        X = np.asarray(X, dtype=float)
-        d, (nb, b, _) = len(self.order), self.diag.shape
-        cols = X.reshape(d, -1)
-        V = np.zeros((nb * b, cols.shape[1]))
-        V[:d] = cols[self.order]
-        out = np.empty_like(cols)
-        out[self.order] = self.apply(V.reshape(nb, b, -1)).reshape(nb * b, -1)[:d]
-        return out.reshape(X.shape)
-
-    def __rmatmul__(self, Y):
-        return (self @ np.asarray(Y, dtype=float).T).T  # the matrix is symmetric
 
     def cholesky(self, shift: float) -> tuple[np.ndarray, np.ndarray] | None:
         """Block Cholesky factor of the stored matrix minus ``shift * I``, or None.

@@ -152,6 +152,19 @@ def test_eps_w_conventions_and_oracle():
     assert_allclose(compute_eps_w(A, wide, w, cone), oracle, rtol=1e-12)
 
 
+def test_eps_w_of_non_finite_noise_is_nan_not_zero():
+    rng = np.random.default_rng(2)
+    d = 8
+    A = from_dense(rng.standard_normal((5, d)))
+    cone = whole_space_cone(np.zeros(d))
+    w = rng.standard_normal(5)
+    w[1], w[3] = np.inf, -np.inf
+    for radius in (0, 3):
+        subset = symmetric_subset(cyclic_shift_action(d, 1), radius)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(compute_eps_w(A, subset, w, cone))
+
+
 def test_certify_report_consistency():
     prob = ring_instance()
     subset = covering_subset(prob)
@@ -256,16 +269,36 @@ def test_relaxed_mu_is_at_most_feasible_rayleigh_quotients(n_r, n_theta, rays, c
         assert report.mu_Gstar <= (v @ G_star @ v) / vv + slack
 
 
-def test_certify_refuses_oversized_box_cone():
+def oversized_instance():
+    """5,120 cells, past ``linop.DENSE_CAP``, seen by 64 rows; radius 1."""
     prob = build_problem(n_r=80, n_theta=64, angle_fraction=0.25,
                          rays_per_angle=4, seed=0)
-    subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
+    return prob, symmetric_subset(prob.geometry.theta_shift(1), 1)
+
+
+def test_certify_refuses_oversized_box_cone():
+    prob, subset = oversized_instance()
     lo = np.full(prob.dimension, -np.inf)
     lo[0] = 0.0
     cone = DescentCone(anchor=prob.x_dagger, kind="box", lo=lo,
                        hi=np.full(prob.dimension, np.inf))
     with pytest.raises(SizeCapError):
         certify(prob, subset, cone=cone)
+
+
+def test_certify_subspace_cone_of_oversized_instance_probes_no_dense_gram(monkeypatch):
+    prob, subset = oversized_instance()
+    assert prob.dimension > 4096
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subspace cone probed the dense Gram")
+
+    monkeypatch.setattr(certificate, "gram_dense", refuse)
+    basis = np.linalg.qr(np.random.default_rng(5).standard_normal((prob.dimension, 6)))[0]
+    cone = DescentCone(anchor=prob.x_dagger, kind="subspace", basis=basis)
+    report = certify(prob, subset, cone=cone)
+    assert 0.0 < report.mu_C <= report.L and 0.0 < report.mu_Gstar <= report.L
+    assert report.flags["mu_C"] == report.flags["mu_Gstar"] == "exact"
 
 
 def test_bound_curve_shape_and_limits():
@@ -482,17 +515,28 @@ def test_certify_mu_gstar_matches_dense_oracle_on_underdetermined_stack(shape):
     assert np.sum(spectrum < 1e-9 * report.L) >= problem.A.cols - problem.A.rows
 
 
-def test_certify_subspace_cone_reads_the_band():
-    prob = ring_instance()
-    subset = covering_subset(prob)
-    rng = np.random.default_rng(9)
-    basis = np.linalg.qr(rng.standard_normal((prob.dimension, 7)))[0]
-    cone = DescentCone(anchor=prob.x_dagger, kind="subspace", basis=basis)
-    report = certify(prob, subset, cone=cone)
-    dense = gram_average(gram_dense(prob.A), subset)
-    oracle = np.linalg.eigvalsh(basis.T @ dense @ basis)[0]
-    assert_allclose(report.mu_Gstar, oracle, rtol=1e-12)
-    assert report.flags["mu_Gstar"] == "exact"
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n_r=st.integers(1, 8), n_theta=st.integers(3, 16),
+       angles=st.lists(st.integers(0, 15), min_size=1, max_size=4), rays=st.integers(1, 8),
+       coverage=st.floats(0.0, 1.0), k=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_certify_subspace_cone_matches_dense_oracles(n_r, n_theta, angles, rays, coverage,
+                                                     k, seed):
+    problem = ring_instance(n_r=n_r, n_theta=n_theta, angles=angles, rays_per_angle=rays,
+                            seed=seed)
+    radius = round(coverage * ((n_theta - 1) // 2))
+    subset = symmetric_subset(problem.geometry.theta_shift(1), radius)
+    k = min(k, problem.dimension)
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((problem.dimension, k)))[0]
+    cone = DescentCone(anchor=problem.x_dagger, kind="subspace", basis=basis)
+    report = certify(problem, subset, cone=cone)
+    G = gram_dense(problem.A)
+    slack = problem.dimension * np.finfo(float).eps / 2 * report.L
+    for value, gram in ((report.mu_C, G), (report.mu_Gstar, gram_average(G.copy(), subset))):
+        oracle = max(float(np.linalg.eigvalsh(basis.T @ gram @ basis)[0]), 0.0)
+        assert abs(value - oracle) <= slack
+    assert report.flags["mu_C"] == report.flags["mu_Gstar"] == "exact"
+    assert report.cone_kind == "subspace"
 
 
 def test_certify_reruns_are_bitwise_equal():

@@ -1,6 +1,7 @@
 """Config parsing, subcommands, output formats, exit codes."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -330,7 +331,9 @@ def test_negative_seed_exits_2(tmp_path, capsys, key, command):
      "problem.sigma must be nonnegative"),
     ({"problem_noise": "poisson", "problem_weights": "nonneg",
       "problem_scale": 0}, "problem.scale must be positive"),
-], ids=["poisson_signed", "negative_sigma", "nonpositive_scale"])
+    ({"problem_noise": "poisson", "problem_weights": "nonneg",
+      "problem_scale": 1e300}, "problem.scale = 1e+300 is too large for poisson noise"),
+], ids=["poisson_signed", "negative_sigma", "nonpositive_scale", "poisson_overflow"])
 def test_impossible_noise_settings_exit_2(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, config_text(tmp_path / "out", **overrides))
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
@@ -414,6 +417,23 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, key, value, command)
     err = capsys.readouterr().err
     assert f"{key} must be finite, got {value}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "compare"])
+@pytest.mark.parametrize("sigma", ["1e308", "1e200"])
+def test_noise_norm_overflow_exits_2(tmp_path, capsys, sigma, command):
+    # 1e308 draws infinite noise entries of both signs, 1e200 finite ones
+    # whose norm overflows: neither may certify eps_w as exact, and the
+    # refusal is the only report (no overflow warning escapes)
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", problem_noise="gaussian",
+                                             problem_sigma=sigma))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"problem.sigma = {float(sigma):g} is too large" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out" / "certificate.txt")
 
 
 def test_textured_phantom_group_beats_plain_ordering(tmp_path):

@@ -15,9 +15,9 @@ from grouppgd.constraint import (
     Nonneg,
     Subspace,
     descent_cone_of,
-    gram_min_eig,
     project_cone,
     restricted_min_eig,
+    subspace_min_eig,
 )
 from grouppgd.bench import angle_subsampled_operator, build_problem
 from grouppgd.linop import DimensionMismatchError, from_dense, gram_dense
@@ -308,7 +308,7 @@ def test_whole_space_restricted_min_eig_reads_the_small_side(shape):
     oracle = max(np.linalg.eigvalsh(G)[0], 0.0)
     assert abs(restricted_min_eig(A, C) - oracle) <= 1e-12 * L
     with pytest.raises(ValueError, match="subspace cones only"):
-        gram_min_eig(G, C)
+        subspace_min_eig(A, C, [np.arange(A.cols)])
 
 
 def test_restricted_min_eig_subspace_matches_dense_oracle():
@@ -319,6 +319,47 @@ def test_restricted_min_eig_subspace_matches_dense_oracle():
     C = DescentCone(anchor=np.zeros(9), kind="subspace", basis=B)
     oracle = np.linalg.eigvalsh(B.T @ (M.T @ M) @ B)[0]
     assert_allclose(restricted_min_eig(A, C), oracle, rtol=1e-8, atol=1e-12)
+
+
+def test_subspace_min_eig_reads_k_probes_through_each_permutation():
+    rng = np.random.default_rng(14)
+    M = rng.standard_normal((5, 9))
+    A = from_dense(M)
+    B = random_orthonormal(9, 4, 15)
+    C = DescentCone(anchor=np.zeros(9), kind="subspace", basis=B)
+    perms = [np.arange(9), np.roll(np.arange(9), 2), rng.permutation(9)]
+    # (A P_g B)^T (A P_g B) = B^T P_g^T G P_g B, with (P_g v) = v[perm_g]
+    G = M.T @ M
+    stack = np.mean([np.eye(9)[p].T @ G @ np.eye(9)[p] for p in perms], axis=0)
+    oracle = np.linalg.eigvalsh(B.T @ stack @ B)[0]
+    assert_allclose(subspace_min_eig(A, C, perms), oracle, rtol=1e-12)
+    # 3 rows cannot see a 4-dimensional cone: the bottom eigenvalue is 0 up
+    # to round-off, and never negative
+    flat = subspace_min_eig(from_dense(M[:3]), C, perms[:1])
+    assert 0.0 <= flat <= 1e-14 * np.linalg.norm(M, 2) ** 2
+    with pytest.raises(DimensionMismatchError):
+        subspace_min_eig(from_dense(M[:, :8]), C, perms[:1])
+
+
+def test_subspace_descent_cone_needs_an_orthonormal_basis():
+    B = random_orthonormal(6, 2, 16)
+    DescentCone(anchor=np.zeros(6), kind="subspace", basis=B)
+    for bad in (2 * B, B @ np.array([[1.0, 0.5], [0.0, 1.0]]), B[:, 0]):
+        with pytest.raises(ValueError, match="orthonormal|2-D"):
+            DescentCone(anchor=np.zeros(6), kind="subspace", basis=bad)
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(2 * B)
+    with pytest.raises(DimensionMismatchError):
+        DescentCone(anchor=np.zeros(5), kind="subspace", basis=B)
+
+
+def test_nonneg_is_the_box_from_zero_to_infinity():
+    K = Nonneg(5)
+    assert isinstance(K, Box)
+    assert np.array_equal(K.lo, np.zeros(5)) and np.array_equal(K.hi, np.full(5, np.inf))
+    X = np.array([[-1.0, -0.0, 0.0, np.nan, np.inf], [3.0, -np.inf, 1e300, -1e-300, 2.0]])
+    # the same bits as clipping below at 0 alone, NaN and signed zeros included
+    assert np.array_equal(K.project(X).view(np.int64), np.maximum(X, 0.0).view(np.int64))
 
 
 def test_restricted_min_eig_box_cone_reads_the_whole_space():
@@ -336,7 +377,7 @@ def test_restricted_min_eig_box_cone_reads_the_whole_space():
     for v in V:
         assert whole <= (v @ M.T @ M @ v) / (v @ v) * (1 + 1e-12)
     with pytest.raises(ValueError, match="subspace cones only"):
-        gram_min_eig(M.T @ M, cone)
+        subspace_min_eig(A, cone, [np.arange(A.cols)])
 
 
 def test_dimension_mismatch_raises():
