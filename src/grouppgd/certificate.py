@@ -14,9 +14,10 @@ and checks the bound against seeded Monte Carlo runs:
   Because every action ``T_g`` is an orthogonal permutation ``P_g``,
   ``(A T_g)^T (A T_g) = P_g^T G P_g``, so the stacked Gram is the mean of
   ``G`` permuted through the subset and costs no operator applications
-  beyond the one dense ``G``.  The mean is stored block tridiagonal in the
-  geometry's folded angle order (:func:`~grouppgd.linop.band_gram`) and
-  never built densely.  On the whole space its bottom eigenvalue comes from
+  beyond one probe of ``G``.  The probe's nonzeros go straight into block
+  tridiagonal storage in the geometry's folded angle order
+  (:func:`~grouppgd.linop.band_gram`), and neither ``G`` nor the mean is
+  built densely.  On the whole space its bottom eigenvalue comes from
   two band Cholesky factorizations: one Lanczos run on the inverse of
   ``G_star + n u L I`` finds it, and a Cholesky of
   ``G_star - (mu_Gstar - n u L) I`` certifies it by Sylvester's law of
@@ -51,9 +52,10 @@ as ``eps_*`` rise, so relaxed constants give a valid, weaker bound.
 :meth:`CertificateReport.why_no_bound` is the one rule of the certified
 regime.  The band and the subspace probes read the operator through
 ``forward``/``adjoint``, not its window, so every caller of ``certify`` gets
-the same bits, also one whose map was rebuilt from them alone.  The band
-needs the dense ``G``, so every cone but a subspace is refused
-(:class:`~grouppgd.linop.SizeCapError`) above ``linop.DENSE_CAP`` columns.
+the same bits, also one whose map was rebuilt from them alone.  No
+``cols x cols`` array is built on any cone; one size rule refuses
+(:class:`~grouppgd.linop.SizeCapError`) a smaller-side Gram or a band of
+more than ``linop.DENSE_CAP**2`` entries.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ import numpy as np
 
 from .bench import ProblemInstance
 from .constraint import DescentCone, descent_cone_of, project_cone, subspace_min_eig
-from .linop import (BandGram, LinearMap, band_gram, band_solver, gram_dense, gram_eigvals,
-                    rotated_adjoint, window_table)
+from .linop import (BandGram, LinearMap, band_gram, band_solver, gram_eigvals, rotated_adjoint,
+                    window_table)
 from .solver import SolverConfig, run_ensemble
 from .symmetry import SymmetricSubset
 
@@ -250,13 +252,14 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     of its basis, through the identity and through the subset
     (:func:`~grouppgd.constraint.subspace_min_eig`).  Every other cone takes
     the whole-space ``mu_C``, the bottom of the same spectrum, and averages
-    one dense probe ``G = A^T A`` through the subset's permutations straight
-    into block-tridiagonal storage in the folded order of
-    ``problem.geometry`` (:func:`~grouppgd.linop.band_gram`); its
+    the nonzeros of one probe of ``G = A^T A`` through the subset's
+    permutations straight into block-tridiagonal storage in the folded
+    order of ``problem.geometry`` (:func:`~grouppgd.linop.band_gram`); its
     whole-space ``mu_Gstar`` comes from one Lanczos run and one inertia
     check (:func:`_stack_min_eig`), flagged ``estimate`` when not certified.
-    :class:`~grouppgd.linop.SizeCapError` is raised when the smaller side,
-    or for such a cone ``cols``, exceeds ``linop.DENSE_CAP``.
+    :class:`~grouppgd.linop.SizeCapError` is raised when the smaller side's
+    Gram, or for such a cone the band, would hold more than
+    ``linop.DENSE_CAP**2`` entries.
     """
     if cone is None:
         cone = descent_cone_of(problem.K, problem.x_dagger)
@@ -268,7 +271,7 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
         mu_Gstar, certified = subspace_min_eig(A, cone, [T.permutation for T in subset]), True
     else:
         mu_C = max(float(eigvals[0]), 0.0)
-        G_star = band_gram(gram_dense(A), subset, problem.geometry.folded_order, pad=L)
+        G_star = band_gram(A, subset, problem.geometry.folded_order, pad=L)
         mu_Gstar, certified = _stack_min_eig(G_star, L)
     kappa_c = problem.K.kappa_c
     # guard against round-off pushing the restricted eigenvalue past L

@@ -26,7 +26,7 @@ temp name and renamed, so failures never leave partial files.
 
 Exit codes: 0 success, 2 config error (a malformed or impossible setting,
 noise whose draw overflows included), 3 solver divergence, 4 problem too
-large for the dense certificate oracle, 5 unwritable output.
+large to certify (``linop.SizeCapError``), 5 unwritable output.
 """
 
 from __future__ import annotations
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except SizeCapError as exc:
-        print(f"problem too large for dense certification: {exc}", file=sys.stderr)
+        print(f"problem too large to certify: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)

@@ -8,10 +8,10 @@ consistency of each constructor is what the whole test suite leans on.
 
 Forward and adjoint act on the last axis: a stack of shape ``(R, cols)``
 maps to ``(R, rows)`` and back, and every row gets the same bits as its own
-1-D call.  The solver steps a whole ensemble as one stack and
-:func:`gram_dense` probes blocks of basis vectors on that guarantee, so
-every constructor here keeps it (stacked ``np.matmul`` products, never a
-gemm over the stack).
+1-D call.  The solver steps a whole ensemble as one stack, and
+:func:`gram_dense` and :func:`band_gram` probe ``A^T A`` with blocks of
+basis vectors on that guarantee, so every constructor here keeps it
+(stacked ``np.matmul`` products, never a gemm over the stack).
 
 This module is the one place where a rotation meets an operator.  Every map
 reads a window of cells (a map built from ``forward``/``adjoint`` alone reads
@@ -25,17 +25,21 @@ permutation of the signal.  The identity's row is the window itself.
 Spectral quantities are exact: :func:`gram_eigvals` probes the Gram of the
 operator's smaller side (``A A^T`` for a wide operator, ``A^T A`` otherwise)
 and eigendecomposes it, and :func:`spectral_norm` is its top eigenvalue.
-Both refuse operators whose smaller side exceeds ``DENSE_CAP``.
 
 The certificate's stack Gram, ``G = A^T A`` averaged through a subset's
 permutations, is stored banded (:class:`BandGram`, built by
 :func:`band_gram`): each measured angle couples only the angle columns
 within its offset span, so in an order that folds the angle axis the
-average is block tridiagonal.  A band multiplies blocked vectors, and
-factors by block Cholesky (:meth:`BandGram.cholesky`, :func:`band_solver`),
-whose success or failure at a shift tells on which side of the bottom
-eigenvalue the shift lies (Sylvester's law of inertia).  The band is built
-from the probed dense ``G``, so the ``DENSE_CAP`` refusal applies to it.
+average is block tridiagonal.  The band keeps only the nonzeros of each
+probe block of ``G``, so no ``cols x cols`` array is built.  A band
+multiplies blocked vectors, and factors by block Cholesky
+(:meth:`BandGram.cholesky`, :func:`band_solver`), whose success or failure
+at a shift tells on which side of the bottom eigenvalue the shift lies
+(Sylvester's law of inertia).
+
+One size rule holds for every matrix stored here: none may hold more than
+``DENSE_CAP**2`` entries (:class:`SizeCapError`).  It bounds the smaller
+side's Gram and the band, and is checked before either is allocated.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ __all__ = [
 ]
 
 DENSE_CAP = 4096
-_PROBE_BLOCK = 16  # basis vectors per gram_dense probe
+_PROBE_BLOCK = 16  # basis vectors per probe of A^T A
 
 
 class DimensionMismatchError(ValueError):
@@ -73,7 +77,13 @@ class DimensionMismatchError(ValueError):
 
 
 class SizeCapError(ValueError):
-    """A dense assembly was requested above the configured size cap."""
+    """A matrix would be stored with more than ``DENSE_CAP**2`` entries."""
+
+
+def _check_size(entries: int, what: str) -> None:
+    """Refuse to store ``what`` when it holds more than ``DENSE_CAP**2`` entries."""
+    if entries > DENSE_CAP ** 2:
+        raise SizeCapError(f"{what}: {entries} entries, above {DENSE_CAP}**2")
 
 
 @dataclass(frozen=True)
@@ -214,25 +224,30 @@ def gram_eigvals(A: LinearMap) -> np.ndarray:
     return np.sort(np.concatenate([np.zeros(A.cols - A.rows), small]))
 
 
-def gram_dense(A: LinearMap, cap: int = DENSE_CAP) -> np.ndarray:
-    """Assemble ``A^T A`` densely by probing with basis vectors.
+def _gram_probes(A: LinearMap):
+    """``(lo, P)`` for each block of basis vectors: ``P[j, i] = G[i, lo + j]``, ``G = A^T A``.
 
-    The basis vectors go through the operator ``_PROBE_BLOCK`` at a time as
-    one stack; by the stack contract column ``j`` has the bits of probing
-    ``e_j`` alone.  Refuses operators wider than ``cap`` columns, before
-    any probe.  :func:`gram_eigvals` probes the smaller side through it, and
-    the certificate probes ``A^T A`` once.
+    The basis vectors go through ``A.forward`` and ``A.adjoint`` (never the
+    window) ``_PROBE_BLOCK`` at a time as one stack; by the stack contract
+    row ``j`` has the bits of probing ``e_{lo + j}`` alone.
     """
-    if A.cols > cap:
-        raise SizeCapError(
-            f"gram_dense refused: {A.cols} columns exceeds cap {cap}"
-        )
-    G = np.empty((A.cols, A.cols))
     for lo in range(0, A.cols, _PROBE_BLOCK):
         hi = min(lo + _PROBE_BLOCK, A.cols)
         E = np.zeros((hi - lo, A.cols))
         E[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        G[:, lo:hi] = A.adjoint(A.forward(E)).T
+        yield lo, A.adjoint(A.forward(E))
+
+
+def gram_dense(A: LinearMap) -> np.ndarray:
+    """Assemble ``A^T A`` densely by probing with basis vectors.
+
+    Refused (:class:`SizeCapError`) above ``DENSE_CAP`` columns, before any
+    probe.  :func:`gram_eigvals` probes the smaller side through it.
+    """
+    _check_size(A.cols * A.cols, f"the dense Gram of {A.cols} columns")
+    G = np.empty((A.cols, A.cols))
+    for lo, P in _gram_probes(A):
+        G[:, lo:lo + len(P)] = P.T
     return G
 
 
@@ -307,30 +322,43 @@ def band_solver(factor: tuple[np.ndarray, np.ndarray]) -> Callable[[np.ndarray],
     return solve
 
 
-def band_gram(G: np.ndarray, actions, order: np.ndarray, pad: float) -> BandGram:
-    """``mean_g P_g^T G P_g`` over ``actions`` as a :class:`BandGram` in ``order``.
+def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
+    """``mean_g P_g^T G P_g`` over ``actions`` as a :class:`BandGram` in ``order``, ``G = A^T A``.
 
-    Each action's Gram is ``G`` with entry ``(k, l)`` moved to
-    ``(p[k], p[l])``, ``p`` its permutation, so only ``G``'s nonzeros move,
-    added up action by action as a dense average would add them.  Only the
-    lower triangle of ``G`` is read: each entry lands in the stored lower
+    ``G`` is probed a block of basis vectors at a time, and only the
+    nonzeros of each block's lower triangle are kept.  Each action's Gram is
+    ``G`` with entry ``(k, l)`` moved to ``(p[k], p[l])``, ``p`` its
+    permutation, so only those nonzeros move, added up action by action as
+    a dense average would add them.  Each entry lands in the stored lower
     triangle, the diagonal blocks are mirrored, and the band is exactly
     symmetric.  The block size is the widest stored distance of a moved
     nonzero from the diagonal, plus one, so every nonzero falls in a
     diagonal block or the one below it, whatever the operator or the
     actions; at worst the band is one dense block.  The pad's diagonal
-    holds ``pad``.
+    holds ``pad``.  A band of more than ``DENSE_CAP**2`` entries is refused
+    (:class:`SizeCapError`) before it is allocated, and probing stops once
+    the nonzeros kept, each in its own cell of the band, pass that count.
     """
-    d = G.shape[0]
-    rows, cols = np.divmod(np.flatnonzero(G.ravel() != 0.0), d)  # a bool scan is fastest
-    lower = rows >= cols
-    rows, cols = rows[lower], cols[lower]
-    values = G[rows, cols]
+    d = A.cols
+    rows, cols, values = [], [], []
+    kept = 0
+    for lo, P in _gram_probes(A):
+        # G[lo + k, lo + j] is in the lower triangle when k >= j; a bool scan is fastest
+        j, k = np.nonzero(P[:, lo:] != 0.0)
+        lower = k >= j
+        j, k = j[lower], k[lower]
+        rows.append(lo + k)
+        cols.append(lo + j)
+        values.append(P[j, lo + k])
+        kept += len(k)
+        _check_size(kept, f"the nonzeros of the band of {d} cells")
+    rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
     position = np.empty(d, dtype=np.int64)
     position[order] = np.arange(d)
     moved = [position[T.permutation] for T in actions]
     block = 1 + max(int(np.abs(q[rows] - q[cols]).max(initial=0)) for q in moved)
     nb = -(-d // block)
+    _check_size((2 * nb - 1) * block * block, f"the band of {nb} blocks of {block} cells")
     blocks = np.zeros((2 * nb - 1, block, block))  # diagonal blocks, then lower ones
     flat = blocks.reshape(-1)
     for q in moved:

@@ -84,8 +84,8 @@ class SolverConfig:
     exactly ``1/L``, the reciprocal of the largest eigenvalue of the
     operator's Gram (:func:`~grouppgd.linop.spectral_norm`, the same ``L`` the
     certificate reports).  ``auto`` probes the Gram of the operator's smaller
-    side, so it is refused (:class:`~grouppgd.linop.SizeCapError`) when both
-    ``rows`` and ``cols`` exceed ``linop.DENSE_CAP``.
+    side, which the size rule (:class:`~grouppgd.linop.SizeCapError`) refuses
+    when both ``rows`` and ``cols`` exceed ``linop.DENSE_CAP``.
     """
 
     max_iters: int

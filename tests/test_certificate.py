@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from grouppgd import certificate
+from grouppgd import certificate, linop
 from grouppgd.bench import build_problem, full_coverage_radius, textured_phantom
 from grouppgd.certificate import (
     BoundVacuousError,
@@ -24,6 +24,7 @@ from grouppgd.certificate import (
 )
 from grouppgd.constraint import DescentCone, descent_cone_of
 from grouppgd.linop import (
+    DENSE_CAP,
     BandGram,
     SizeCapError,
     from_dense,
@@ -276,29 +277,77 @@ def oversized_instance():
     return prob, symmetric_subset(prob.geometry.theta_shift(1), 1)
 
 
-def test_certify_refuses_oversized_box_cone():
-    prob, subset = oversized_instance()
-    lo = np.full(prob.dimension, -np.inf)
+def spy_gram_dense(monkeypatch):
+    """Record the column count of every operator whose Gram is probed densely."""
+    probed = []
+    dense = linop.gram_dense
+
+    def spy(A):
+        probed.append(A.cols)
+        return dense(A)
+
+    monkeypatch.setattr(linop, "gram_dense", spy)
+    return probed
+
+
+def box_cone_at(anchor):
+    lo = np.full(anchor.size, -np.inf)
     lo[0] = 0.0
-    cone = DescentCone(anchor=prob.x_dagger, kind="box", lo=lo,
-                       hi=np.full(prob.dimension, np.inf))
-    with pytest.raises(SizeCapError):
-        certify(prob, subset, cone=cone)
+    return DescentCone(anchor=anchor, kind="box", lo=lo, hi=np.full(anchor.size, np.inf))
+
+
+def test_certify_box_cone_of_oversized_instance_reads_whole_space_bits(monkeypatch):
+    prob, subset = oversized_instance()
+    assert prob.dimension > DENSE_CAP and prob.A.rows == 64
+    probed = spy_gram_dense(monkeypatch)
+    whole = certify(prob, subset, cone=whole_space_cone(prob.x_dagger))
+    boxed = certify(prob, subset, cone=box_cone_at(prob.x_dagger))
+    # only the 64 x 64 Gram of the smaller side is probed densely, once per certify
+    assert probed == [64, 64]
+    assert (boxed.mu_C, boxed.mu_Gstar) == (whole.mu_C, whole.mu_Gstar)
+    assert whole.flags["mu_C"] == whole.flags["mu_Gstar"] == "exact"
+    assert boxed.flags["mu_C"] == boxed.flags["mu_Gstar"] == "relaxed"
 
 
 def test_certify_subspace_cone_of_oversized_instance_probes_no_dense_gram(monkeypatch):
     prob, subset = oversized_instance()
-    assert prob.dimension > 4096
+    assert prob.dimension > DENSE_CAP
+    probed = spy_gram_dense(monkeypatch)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a subspace cone probed the dense Gram")
+        raise AssertionError("a subspace cone built the band of the cells")
 
-    monkeypatch.setattr(certificate, "gram_dense", refuse)
+    monkeypatch.setattr(certificate, "band_gram", refuse)
     basis = np.linalg.qr(np.random.default_rng(5).standard_normal((prob.dimension, 6)))[0]
     cone = DescentCone(anchor=prob.x_dagger, kind="subspace", basis=basis)
     report = certify(prob, subset, cone=cone)
+    # no Gram of the cells: only the 64 x 64 Gram of the smaller side, for L
+    assert probed == [64]
     assert 0.0 < report.mu_C <= report.L and 0.0 < report.mu_Gstar <= report.L
     assert report.flags["mu_C"] == report.flags["mu_Gstar"] == "exact"
+
+
+def band_above_size_rule_instance():
+    """8,192 cells whose band at radius 8 is past ``DENSE_CAP**2`` entries.
+
+    Offsets -4..4 at radius 8 give 8 blocks of 1,088 cells,
+    15 * 1088**2 = 17.8M entries, past DENSE_CAP**2 = 16.8M.
+    """
+    prob = build_problem(n_r=64, n_theta=128, angle_fraction=0.0625, seed=1,
+                         offsets=range(-4, 5))
+    return prob, symmetric_subset(prob.geometry.theta_shift(1), 8)
+
+
+def test_certify_refuses_oversized_box_cone():
+    prob, subset = band_above_size_rule_instance()
+    with pytest.raises(SizeCapError, match="band of 8 blocks of 1088 cells"):
+        certify(prob, subset, cone=box_cone_at(prob.x_dagger))
+
+
+def test_certify_refuses_a_band_above_the_size_rule():
+    prob, subset = band_above_size_rule_instance()
+    with pytest.raises(SizeCapError, match="band of 8 blocks of 1088 cells"):
+        certify(prob, subset)
 
 
 def test_bound_curve_shape_and_limits():

@@ -206,11 +206,15 @@ def test_unwritable_output_exits_5(tmp_path):
     assert main(["phantom", "--config", cfg]) == 5
 
 
-def test_oversized_problem_exits_4(tmp_path):
+@pytest.mark.parametrize("command", ["certify", "run", "compare"])
+def test_oversized_problem_exits_4(tmp_path, capsys, command):
+    # every angle, 80 rays each: 5,120 rows and 5,120 columns, so the Gram
+    # of the smaller side holds more than DENSE_CAP**2 entries
     cfg = write_config(tmp_path,
-                       config_text(tmp_path / "out", problem_n_r=80,
-                                   problem_n_theta=64))
-    assert main(["certify", "--config", cfg]) == 4
+                       config_text(tmp_path / "out", problem_n_r=80, problem_n_theta=64,
+                                   problem_angle_fraction=1, problem_rays_per_angle=80))
+    assert main([command, "--config", cfg]) == 4
+    assert "problem too large to certify" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "compare"])

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from grouppgd import linop
 from grouppgd.linop import (
+    DENSE_CAP,
     DimensionMismatchError,
     LinearMap,
     SizeCapError,
@@ -252,8 +254,9 @@ def test_gram_dense_symmetric():
 
 
 def test_gram_dense_respects_cap():
+    # refused before any probe, so this stays instant
     with pytest.raises(SizeCapError):
-        gram_dense(identity_map(10), cap=9)
+        gram_dense(identity_map(DENSE_CAP + 1))
 
 
 def probed_stack_gram(A, subset):
@@ -415,7 +418,7 @@ def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, cover
     subset = symmetric_subset(geometry.theta_shift(1), radius)
     G = gram_dense(A)
     pad = 1.0 + float(np.abs(G).max())
-    band = band_gram(G, subset, geometry.folded_order, pad)
+    band = band_gram(A, subset, geometry.folded_order, pad)
     d = A.cols
     # folding the angle axis keeps cyclic neighbours within twice their distance
     assert band.diag.shape[1] <= (min(4 * reach, n_theta - 1) + 1) * n_r
@@ -432,6 +435,23 @@ def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, cover
                     rtol=0, atol=tol * nb * b)
 
 
+def test_band_gram_stops_probing_once_its_nonzeros_pass_the_size_rule(monkeypatch):
+    # each kept lower-triangle nonzero takes its own cell of the band, so
+    # the first block's 16 * 40 - 120 nonzeros already refuse a cap of 8**2
+    monkeypatch.setattr(linop, "DENSE_CAP", 8)
+    dense = from_dense(np.random.default_rng(0).standard_normal((40, 40)))
+    probes = []
+
+    def forward(x):
+        probes.append(len(x))
+        return dense.forward(x)
+
+    A = LinearMap(rows=40, cols=40, forward=forward, adjoint=dense.adjoint)
+    with pytest.raises(SizeCapError, match="nonzeros of the band"):
+        band_gram(A, [identity_action(40)], np.arange(40), pad=1.0)
+    assert probes == [16]
+
+
 def test_band_cholesky_follows_inertia_and_solves():
     n_r, n_theta = 3, 16
     geometry = Geometry(n_r=n_r, n_theta=n_theta, angles=(0, 4, 8, 12), rays_per_angle=12,
@@ -439,7 +459,7 @@ def test_band_cholesky_follows_inertia_and_solves():
     A = angle_subsampled_operator(n_r, n_theta, geometry.angles, 12, 7)
     subset = symmetric_subset(geometry.theta_shift(1), 1)
     G = gram_dense(A)
-    band = band_gram(G, subset, geometry.folded_order, float(np.abs(G).max()))
+    band = band_gram(A, subset, geometry.folded_order, float(np.abs(G).max()))
     stored, _ = band_dense(band)
     assert band.diag.shape[0] > 1
     low = np.linalg.eigvalsh(stored)[0]
