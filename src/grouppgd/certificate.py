@@ -18,8 +18,8 @@ and checks the bound against seeded Monte Carlo runs:
   tridiagonal storage in the geometry's folded angle order
   (:func:`~grouppgd.linop.band_gram`), and neither ``G`` nor the mean is
   built densely.  On the whole space its bottom eigenvalue comes from
-  two band Cholesky factorizations: one Lanczos run on the inverse of
-  ``G_star + n u L I`` finds it, and a Cholesky of
+  two band Cholesky factorizations, one alive at a time: one Lanczos run
+  on the solve with ``G_star + n u L I`` finds it, and a Cholesky of
   ``G_star - (mu_Gstar - n u L) I`` certifies it by Sylvester's law of
   inertia (Higham, *Accuracy and Stability of Numerical Algorithms*,
   Thm 10.5), so the enclosure is as narrow as ``eigvalsh``'s own backward
@@ -66,8 +66,7 @@ import numpy as np
 
 from .bench import ProblemInstance
 from .constraint import DescentCone, descent_cone_of, project_cone, subspace_min_eig
-from .linop import (BandGram, LinearMap, band_gram, band_solver, gram_eigvals, rotated_adjoint,
-                    window_table)
+from .linop import BandGram, LinearMap, band_gram, gram_eigvals, rotated_adjoint, window_table
 from .solver import SolverConfig, run_ensemble
 from .symmetry import SymmetricSubset
 
@@ -206,23 +205,22 @@ def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
     when ``G_star - (mu_hat - slack) I`` factors: by Sylvester's law of
     inertia no eigenvalue lies below that shift, up to the factorization's
     backward error (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, Thm 10.5).  A certified ``mu_hat`` below ``slack`` cannot
-    be told from 0 and reads 0.  Otherwise the result is the largest shift
-    that factored, ``-slack``, clipped to 0.  Reruns give the same bits.
+    Algorithms*, Thm 10.5); the first factor and the Lanczos basis are freed
+    before it factors.  A certified ``mu_hat`` below ``slack`` cannot be told
+    from 0 and reads 0.  Otherwise the result is the largest shift that
+    factored, ``-slack``, clipped to 0.  Reruns give the same bits.
     """
-    nb, b, _ = G_star.diag.shape
-    n = nb * b
+    n = G_star.size
     slack = len(G_star.order) * np.finfo(float).eps / 2 * L
-    factor = G_star.cholesky(-slack)
-    if factor is None:
+    solve = G_star.cholesky(-slack)
+    if solve is None:
         return 0.0, False
-    solve = band_solver(factor)
     Q = np.zeros((min(_LANCZOS_STEPS, n), n))  # Q[-1] stands in for q_{-1} = 0
     q = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     Q[0] = q / np.linalg.norm(q)
     alphas, betas = [], [0.0]
     for j in range(len(Q)):
-        w = solve(Q[j].reshape(nb, b, 1)).reshape(n)
+        w = solve(Q[j])
         alphas.append(float(Q[j] @ w))
         w -= alphas[j] * Q[j] + betas[j] * Q[j - 1]
         w -= Q[: j + 1].T @ (Q[: j + 1] @ w)  # full reorthogonalization
@@ -233,8 +231,9 @@ def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
             break
         Q[j + 1] = w / betas[-1]
     x = Q[: j + 1].T @ Y[:, -1]
+    del solve, Q  # one factor alive at a time: the inertia check makes its own
     x /= np.linalg.norm(x)
-    mu = float(x @ G_star.apply(x.reshape(nb, b, 1)).reshape(n))
+    mu = float(x @ G_star.apply(x))
     if G_star.cholesky(mu - slack) is None:
         return 0.0, False
     return (mu if mu > slack else 0.0), True
@@ -363,13 +362,15 @@ def verify_bound(problem: ProblemInstance, subset: SymmetricSubset,
                  cone: DescentCone | None = None) -> DominationReport:
     """Empirically check the bound: mean distance over replicates vs curve.
 
-    Requires the certified regime (:meth:`CertificateReport.why_no_bound`):
-    it raises :class:`BoundVacuousError` for a vacuous certificate and
-    ``ValueError`` for any other certificate that gives no bound.  The step
-    size is forced to the certificate's ``1/L`` so the runs match the
-    certified regime.  The default slack ``2/sqrt(replicates)`` absorbs
-    Monte Carlo error in the expectation estimate.
+    It needs a replicate (checked before certifying) and the certified
+    regime (:meth:`CertificateReport.why_no_bound`): it raises
+    :class:`BoundVacuousError` for a vacuous certificate and ``ValueError``
+    for any other certificate that gives no bound.  The step size is forced
+    to the certificate's ``1/L`` so the runs match the certified regime, and
+    the default slack ``2/sqrt(replicates)`` absorbs Monte Carlo error.
     """
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
     report = certify(problem, subset, cone=cone)
     why = report.why_no_bound()
     if why is not None:

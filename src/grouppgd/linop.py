@@ -32,10 +32,10 @@ permutations, is stored banded (:class:`BandGram`, built by
 within its offset span, so in an order that folds the angle axis the
 average is block tridiagonal.  The band keeps only the nonzeros of each
 probe block of ``G``, so no ``cols x cols`` array is built.  A band
-multiplies blocked vectors, and factors by block Cholesky
-(:meth:`BandGram.cholesky`, :func:`band_solver`), whose success or failure
-at a shift tells on which side of the bottom eigenvalue the shift lies
-(Sylvester's law of inertia).
+multiplies vectors in its stored order, and :meth:`BandGram.cholesky`
+returns the solve of its block Cholesky factor, kept as the inverses of the
+diagonal blocks; whether that factor exists at a shift tells on which side
+of the bottom eigenvalue the shift lies (Sylvester's law of inertia).
 
 One size rule holds for every matrix stored here: none may hold more than
 ``DENSE_CAP**2`` entries (:class:`SizeCapError`).  It bounds the smaller
@@ -65,7 +65,6 @@ __all__ = [
     "gram_dense",
     "BandGram",
     "band_gram",
-    "band_solver",
 ]
 
 DENSE_CAP = 4096
@@ -256,70 +255,64 @@ class BandGram:
     """A symmetric matrix in block-tridiagonal storage, rows taken in ``order``.
 
     Row and column ``k`` of the stored matrix are cell ``order[k]`` of the
-    matrix it stands for.  ``diag[i]`` is diagonal block ``i`` and
-    ``lower[i]`` the block ``(i + 1, i)`` below it; the blocks above the
-    diagonal are their transposes.  The stored matrix is padded past
-    ``len(order)`` to whole blocks, with a constant on the pad's diagonal:
-    an eigenvalue of the stored matrix that no cell sees.
+    matrix it stands for.  It is padded past ``len(order)`` to ``size`` rows
+    of whole blocks, with a constant on the pad's diagonal: an eigenvalue no
+    cell sees.  :meth:`apply` and the solve from :meth:`cholesky` take
+    vectors shaped ``(size,)`` or ``(size, k)`` in stored order; ``diag[i]``
+    is diagonal block ``i`` and ``lower[i]`` the block ``(i + 1, i)`` below
+    it, the blocks above the diagonal their transposes.
     """
 
     order: np.ndarray
     diag: np.ndarray
     lower: np.ndarray
 
+    @property
+    def size(self) -> int:
+        return self.diag.shape[0] * self.diag.shape[1]
+
     def apply(self, V: np.ndarray) -> np.ndarray:
-        """The stored matrix times ``V``, blocked as ``(blocks, block, k)``."""
-        out = self.diag @ V
-        out[1:] += self.lower @ V[:-1]
-        out[:-1] += np.swapaxes(self.lower, 1, 2) @ V[1:]
-        return out
+        """The stored matrix times ``V``."""
+        W = V.reshape(*self.diag.shape[:2], -1)
+        out = self.diag @ W
+        out[1:] += self.lower @ W[:-1]
+        out[:-1] += np.swapaxes(self.lower, 1, 2) @ W[1:]
+        return out.reshape(V.shape)
 
-    def cholesky(self, shift: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """Block Cholesky factor of the stored matrix minus ``shift * I``, or None.
+    def cholesky(self, shift: float) -> Callable[[np.ndarray], np.ndarray] | None:
+        """The solve ``V -> (S - shift I)^-1 V`` by block Cholesky, ``S`` stored, or None.
 
-        The factor is block lower bidiagonal: its diagonal blocks (lower
-        triangular) and the blocks below them.  None means a block's
-        Cholesky failed: by Sylvester's law of inertia the shifted matrix is
-        not positive definite, up to the factorization's backward error.
+        The factor is kept as its diagonal blocks' inverses and the blocks
+        below them, ``lower[i] @ inv[i].T``, so substitution is matrix
+        products, accurate enough to steer a Lanczos run.  None means a
+        block's Cholesky failed: by Sylvester's law of inertia the shifted
+        matrix is not positive definite, up to the factorization's backward
+        error.
         """
         nb, b, _ = self.diag.shape
-        chol = np.empty_like(self.diag)
+        inv = np.empty_like(self.diag)
         coupling = np.empty_like(self.lower)
         try:
             for i in range(nb):
                 schur = self.diag[i] - shift * np.eye(b)
                 if i:
-                    coupling[i - 1] = np.linalg.solve(chol[i - 1], self.lower[i - 1].T).T
+                    coupling[i - 1] = self.lower[i - 1] @ inv[i - 1].T
                     schur -= coupling[i - 1] @ coupling[i - 1].T
-                chol[i] = np.linalg.cholesky(schur)
+                inv[i] = np.linalg.inv(np.linalg.cholesky(schur))
         except np.linalg.LinAlgError:
             return None
-        return chol, coupling
 
+        def solve(V: np.ndarray) -> np.ndarray:
+            Y = V.reshape(nb, b, -1).copy()
+            Y[0] = inv[0] @ Y[0]
+            for i in range(1, nb):  # forward substitution
+                Y[i] = inv[i] @ (Y[i] - coupling[i - 1] @ Y[i - 1])
+            Y[-1] = inv[-1].T @ Y[-1]
+            for i in range(nb - 2, -1, -1):  # back substitution
+                Y[i] = inv[i].T @ (Y[i] - coupling[i].T @ Y[i + 1])
+            return Y.reshape(V.shape)
 
-def band_solver(factor: tuple[np.ndarray, np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Solve with a :meth:`BandGram.cholesky` factor: blocked ``V`` to ``(M - shift I)^-1 V``.
-
-    Forward and back substitution go through explicit inverses of the
-    diagonal factors, which is accurate enough to steer a Lanczos run: the
-    certificate reads the eigenvalue off the band itself.
-    """
-    chol, coupling = factor
-    inv = np.linalg.inv(chol)
-    inv_t, coupling_t = np.swapaxes(inv, 1, 2), np.swapaxes(coupling, 1, 2)
-
-    def solve(V: np.ndarray) -> np.ndarray:
-        Y = np.empty_like(V)
-        Y[0] = inv[0] @ V[0]
-        for i in range(1, len(inv)):
-            Y[i] = inv[i] @ (V[i] - coupling[i - 1] @ Y[i - 1])
-        X = np.empty_like(V)
-        X[-1] = inv_t[-1] @ Y[-1]
-        for i in range(len(inv) - 2, -1, -1):
-            X[i] = inv_t[i] @ (Y[i] - coupling_t[i] @ X[i + 1])
-        return X
-
-    return solve
+        return solve
 
 
 def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
@@ -370,7 +363,9 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
         flat[(slot * block + rhi) * block + rlo] += values
     blocks /= len(actions)
     diag, lower = blocks[:nb], blocks[nb:]
-    diag += np.swapaxes(np.tril(diag, -1), 1, 2)
+    iu = np.triu_indices(block, 1)
+    for blk in diag:
+        blk[iu] = blk.T[iu]
     tail = np.arange(d - (nb - 1) * block, block)
     diag[-1, tail, tail] = pad
     return BandGram(order=np.asarray(order, dtype=np.int64), diag=diag, lower=lower)

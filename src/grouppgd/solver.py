@@ -80,8 +80,8 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Run parameters.
 
-    ``step_size`` is either a positive float or ``"auto"``, which resolves to
-    exactly ``1/L``, the reciprocal of the largest eigenvalue of the
+    ``step_size`` is a positive finite float or ``"auto"``, which resolves
+    to exactly ``1/L``, the reciprocal of the largest eigenvalue of the
     operator's Gram (:func:`~grouppgd.linop.spectral_norm`, the same ``L`` the
     certificate reports).  ``auto`` probes the Gram of the operator's smaller
     side, which the size rule (:class:`~grouppgd.linop.SizeCapError`) refuses
@@ -98,8 +98,8 @@ class SolverConfig:
             raise ValueError("max_iters must be nonnegative")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if self.step_size != "auto" and not float(self.step_size) > 0:
-            raise ValueError("explicit step_size must be positive")
+        if self.step_size != "auto" and not 0 < float(self.step_size) < np.inf:
+            raise ValueError("explicit step_size must be positive and finite")
 
 
 @dataclass(frozen=True)

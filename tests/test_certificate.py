@@ -1,6 +1,7 @@
 """Certificate constants, bound curve, and empirical domination."""
 
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from grouppgd.linop import (
     DENSE_CAP,
     BandGram,
     SizeCapError,
+    band_gram,
     from_dense,
     gram_dense,
     spectral_norm,
@@ -407,6 +409,18 @@ def test_verify_bound_noiseless_ring():
     assert len(table.splitlines()) == len(result.iterations) + 1
 
 
+@pytest.mark.parametrize("replicates", [0, -1])
+def test_verify_bound_refuses_no_replicates_before_certifying(monkeypatch, replicates):
+    def certify_spy(*args, **kw):
+        raise AssertionError("certified before checking replicates")
+
+    monkeypatch.setattr(certificate, "certify", certify_spy)
+    prob = ring_instance()
+    with pytest.raises(ValueError, match="replicates must be at least 1"):
+        verify_bound(prob, covering_subset(prob), SolverConfig(max_iters=10, seed=0),
+                     replicates=replicates)
+
+
 def test_verify_bound_refuses_uncertified_estimate(monkeypatch):
     # the rule the CLI applies before printing a bound: a mu_Gstar the band
     # Cholesky could not certify gives no bound to check
@@ -519,6 +533,24 @@ def test_certify_factors_the_stack_gram_twice_on_shipped_configs(monkeypatch):
         report = certify(problem, subset)
         assert report.flags["mu_Gstar"] == "exact"
         assert len(shifts) == 2, name
+
+
+def test_stack_min_eig_holds_one_factor_at_a_time():
+    # the band is built before tracing, so the peak is the eigen-step's own:
+    # one factor (a band's worth) plus the Lanczos basis, never two factors
+    from grouppgd.cli import _build, load_config
+    problem, subset, _ = _build(load_config(os.path.join(CONFIGS, "extreme_sparse.txt")))
+    L = spectral_norm(problem.A)
+    band = band_gram(problem.A, subset, problem.geometry.folded_order, pad=L)
+    assert len(band.order) == 2048
+    tracemalloc.start()
+    try:
+        _, certified = certificate._stack_min_eig(band, L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert certified
+    assert peak < 2.5 * (band.diag.nbytes + band.lower.nbytes)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

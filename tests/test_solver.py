@@ -444,6 +444,12 @@ def test_config_validation():
         SolverConfig(max_iters=1, step_size=0.0)
 
 
+@pytest.mark.parametrize("step", [float("inf"), float("nan"), -1.0])
+def test_config_refuses_a_non_finite_or_negative_step(step):
+    with pytest.raises(ValueError, match="positive and finite"):
+        SolverConfig(max_iters=3, step_size=step)
+
+
 def test_noiseless_symmetric_run_meets_predicted_iteration_count():
     import math
     from grouppgd.bench import full_coverage_radius
