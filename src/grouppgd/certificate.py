@@ -146,7 +146,8 @@ class CertificateReport:
         lines.append(f"cone = {self.cone_kind}")
         for name in ("L", "mu_C", "mu_Gstar", "eps_Gstar", "eps_w"):
             lines.append(f"flag.{name} = {self.flags[name]}")
-        lines.append(f"bound = {'vacuous' if self.vacuous else 'active'}")
+        state = "vacuous" if self.vacuous else "none" if self.why_no_bound() else "active"
+        lines.append(f"bound = {state}")
         return "\n".join(lines) + "\n"
 
 

@@ -32,6 +32,7 @@ large to certify (``linop.SizeCapError``), 5 unwritable output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -246,11 +247,8 @@ def _write_atomic(path: str, text: str):
             fh.write(text)
         os.replace(tmp, path)
     except OSError:
-        if os.path.exists(tmp):
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise
 
 
@@ -281,10 +279,6 @@ def _trace_csv(trace, bound: np.ndarray | None, with_actions: bool) -> str:
         template += ",%d"
         columns.append(trace.action_indices)
     return _csv(header, template, columns)
-
-
-def _ensure_outdir(outdir: str):
-    os.makedirs(outdir, exist_ok=True)
 
 
 def _certified_run(problem, subset, solver_config):
@@ -329,8 +323,9 @@ def cmd_certify(config: ExperimentConfig, outdir: str) -> int:
     text = report.to_text()
     _write_atomic(os.path.join(outdir, "certificate.txt"), text)
     sys.stdout.write(text)
-    if report.vacuous:
-        print("bound vacuous (alpha_Gstar >= 1): constants reported, no rate guarantee")
+    why = report.why_no_bound()
+    if why is not None:
+        print(f"{why}: constants reported, no rate guarantee")
     return EXIT_OK
 
 
@@ -407,7 +402,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         outdir = args.out if args.out is not None else config.output_dir
-        _ensure_outdir(outdir)
+        os.makedirs(outdir, exist_ok=True)
         return _COMMANDS[args.command](config, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,12 +30,12 @@ The certificate's stack Gram, ``G = A^T A`` averaged through a subset's
 permutations, is stored banded (:class:`BandGram`, built by
 :func:`band_gram`): each measured angle couples only the angle columns
 within its offset span, so in an order that folds the angle axis the
-average is block tridiagonal.  The band keeps only the nonzeros of each
-probe block of ``G``, so no ``cols x cols`` array is built.  A band
-multiplies vectors in its stored order, and :meth:`BandGram.cholesky`
+average is block tridiagonal.  Each probe block's nonzeros of ``G`` are
+added into one array of block rows; no ``cols x cols`` array is built.  A
+band multiplies vectors in its stored order, :meth:`BandGram.cholesky`
 returns the solve of its block Cholesky factor, kept as the inverses of the
-diagonal blocks; whether that factor exists at a shift tells on which side
-of the bottom eigenvalue the shift lies (Sylvester's law of inertia).
+diagonal blocks, and whether that factor exists at a shift tells on which
+side of the bottom eigenvalue the shift lies (Sylvester's law of inertia).
 
 One size rule holds for every matrix stored here: none may hold more than
 ``DENSE_CAP**2`` entries (:class:`SizeCapError`).  It bounds the smaller
@@ -260,7 +260,8 @@ class BandGram:
     cell sees.  :meth:`apply` and the solve from :meth:`cholesky` take
     vectors shaped ``(size,)`` or ``(size, k)`` in stored order; ``diag[i]``
     is diagonal block ``i`` and ``lower[i]`` the block ``(i + 1, i)`` below
-    it, the blocks above the diagonal their transposes.
+    it, the blocks above the diagonal their transposes: views of block rows
+    ``(nb, b, 2 b)``, row ``i`` ``lower[i - 1]`` (zeros for ``i = 0``) then ``diag[i]``.
     """
 
     order: np.ndarray
@@ -323,14 +324,16 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
     ``G`` with entry ``(k, l)`` moved to ``(p[k], p[l])``, ``p`` its
     permutation, so only those nonzeros move, added up action by action as
     a dense average would add them.  Each entry lands in the stored lower
-    triangle, the diagonal blocks are mirrored, and the band is exactly
-    symmetric.  The block size is the widest stored distance of a moved
-    nonzero from the diagonal, plus one, so every nonzero falls in a
-    diagonal block or the one below it, whatever the operator or the
-    actions; at worst the band is one dense block.  The pad's diagonal
-    holds ``pad``.  A band of more than ``DENSE_CAP**2`` entries is refused
-    (:class:`SizeCapError`) before it is allocated, and probing stops once
-    the nonzeros kept, each in its own cell of the band, pass that count.
+    triangle, at one flat index of the block rows: ``(h, l)``, ``h >= l``, is
+    row ``h``, column ``l - (h // b - 1) b``.  The diagonal blocks are
+    mirrored, so the band is exactly symmetric.  The block size ``b`` is the
+    widest stored distance of a moved nonzero from the diagonal, plus one,
+    so every nonzero falls in a diagonal block or the one below it, whatever
+    the operator or the actions; at worst the band is one dense block.  The
+    pad's diagonal holds ``pad``.  Block rows of more than ``DENSE_CAP**2``
+    entries are refused (:class:`SizeCapError`) before they are allocated,
+    and probing stops once the nonzeros kept, each in its own cell of the
+    band, pass that count.
     """
     d = A.cols
     rows, cols, values = [], [], []
@@ -348,21 +351,22 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
     rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
     position = np.empty(d, dtype=np.int64)
     position[order] = np.arange(d)
-    moved = [position[T.permutation] for T in actions]
-    block = 1 + max(int(np.abs(q[rows] - q[cols]).max(initial=0)) for q in moved)
+    block = 1 + max(int(np.abs(q[rows] - q[cols]).max(initial=0))
+                    for q in (position[T.permutation] for T in actions))
     nb = -(-d // block)
-    _check_size((2 * nb - 1) * block * block, f"the band of {nb} blocks of {block} cells")
-    blocks = np.zeros((2 * nb - 1, block, block))  # diagonal blocks, then lower ones
-    flat = blocks.reshape(-1)
-    for q in moved:
+    _check_size(nb * block * 2 * block, f"the band of {nb} blocks of {block} cells")
+    stored = np.zeros((nb, block, 2 * block))  # block row i: block (i, i - 1), then (i, i)
+    flat = stored.reshape(-1)
+    for T in actions:
+        q = position[T.permutation]
         i, j = q[rows], q[cols]
-        hi, lo = np.maximum(i, j), np.minimum(i, j)
-        (bhi, rhi), (blo, rlo) = np.divmod(hi, block), np.divmod(lo, block)
-        slot = np.where(bhi == blo, bhi, nb + blo)
+        hi, at = np.maximum(i, j), np.minimum(i, j, out=i)
+        at -= (hi // block - 1) * block  # in place: three index arrays per action
+        at += 2 * block * hi
         # a permutation never sends two lower-triangle entries to one cell
-        flat[(slot * block + rhi) * block + rlo] += values
-    blocks /= len(actions)
-    diag, lower = blocks[:nb], blocks[nb:]
+        flat[at] += values
+    stored /= len(actions)
+    diag, lower = stored[:, :, block:], stored[1:, :, :block]
     iu = np.triu_indices(block, 1)
     for blk in diag:
         blk[iu] = blk.T[iu]

@@ -553,6 +553,23 @@ def test_stack_min_eig_holds_one_factor_at_a_time():
     assert peak < 2.5 * (band.diag.nbytes + band.lower.nbytes)
 
 
+def test_band_gram_moves_one_action_at_a_time():
+    # one array of block rows (one block more than the band) and the moved
+    # nonzeros of one action at a time, never every action's positions at once:
+    # below 1.4 bands, where holding them all read 1.7
+    from grouppgd.cli import _build, load_config
+    problem, subset, _ = _build(load_config(os.path.join(CONFIGS, "extreme_sparse.txt")))
+    L = spectral_norm(problem.A)
+    tracemalloc.start()
+    try:
+        band = band_gram(problem.A, subset, problem.geometry.folded_order, pad=L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(band.order) == 2048 and band.diag.shape[0] > 1
+    assert peak < 1.4 * (band.diag.nbytes + band.lower.nbytes)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(n_r=st.integers(1, 8), n_theta=st.integers(3, 32),
        angles=st.lists(st.integers(0, 31), min_size=1, max_size=6), rays=st.integers(1, 32),

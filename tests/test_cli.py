@@ -135,8 +135,8 @@ def test_certify_reports_vacuous_bound(tmp_path, capsys):
     # radius-0 subset on an underdetermined instance: mu_Gstar = 0, alpha = 1
     assert main(["certify", "--config", cfg]) == EXIT_OK
     text = capsys.readouterr().out
-    assert "bound = vacuous" in text
-    assert "bound vacuous" in text
+    assert "\nbound = vacuous\n" in text
+    assert "\nbound vacuous (alpha_Gstar >= 1): constants reported, no rate guarantee\n" in text
 
 
 def test_compare_writes_combined_csv_and_summary(tmp_path):
@@ -289,11 +289,16 @@ def test_uncertified_constants_print_no_bound(tmp_path, monkeypatch, capsys,
     assert main(["run", "--config", cfg]) == EXIT_OK
     header = (out / "group_pgd.csv").read_text().splitlines()[0]
     assert header == "iter,rmsd,rmsd_normalized,objective,action_index"
+    assert (out / "certificate.txt").read_text().endswith("\nbound = none\n")
     assert capsys.readouterr().out.count(message) == 1
     assert main(["compare", "--config", cfg]) == EXIT_OK
     rows = (out / "compare.csv").read_text().splitlines()[1:]
     assert all(row.split(",")[3] == "nan" for row in rows)
     assert capsys.readouterr().out.count(message) == 1
+    assert main(["certify", "--config", cfg]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "\nbound = none\n" in text
+    assert text.count(f"{message}: constants reported, no rate guarantee") == 1
 
 
 def test_relaxed_constants_still_print_a_bound(tmp_path, monkeypatch, capsys):
