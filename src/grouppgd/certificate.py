@@ -122,7 +122,11 @@ class CertificateReport:
 
     def why_no_bound(self) -> str | None:
         """Why the report certifies no bound, or None in the certified regime:
-        a non-vacuous rate, no constant flagged ``estimate``, a convex set."""
+        finite constants, a non-vacuous rate, no constant flagged
+        ``estimate``, a convex set."""
+        for name in ("L", "mu_C", "mu_Gstar", "alpha_Gstar", "eps_Gstar", "eps_w"):
+            if not np.isfinite(getattr(self, name)):
+                return f"{name} is not finite, so no bound holds"
         estimates = [name for name, flag in self.flags.items() if flag == "estimate"]
         if self.vacuous:
             return "bound vacuous (alpha_Gstar >= 1)"

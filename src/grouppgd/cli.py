@@ -13,10 +13,10 @@ Subcommands:
                full-precision CSV.
 
 The certified regime is the certificate's own rule
-(:meth:`~grouppgd.certificate.CertificateReport.why_no_bound`: a non-vacuous
-rate, no constant flagged ``estimate``, a convex feasible set) plus the step
-``1/L``; a constant flagged ``relaxed`` is a safe-side value and still gives
-a bound.  ``solver.step = auto`` is resolved to the certificate's ``1/L``,
+(:meth:`~grouppgd.certificate.CertificateReport.why_no_bound`: finite
+constants, a non-vacuous rate, none flagged ``estimate``, a convex feasible
+set) plus the step ``1/L``; a constant flagged ``relaxed`` is a safe-side
+value and still gives a bound.  ``solver.step = auto`` is resolved to the certificate's ``1/L``,
 so the solver and the bound share one ``L``; any other step prints no bound.
 
 Configs are flat text files with dotted keys (``problem.n_r = 32``); unknown

@@ -40,7 +40,10 @@ batch entry gets the same bits as its own unbatched call, whatever the batch
 size.
 
 ``python3 perfbench/run.py --workload <name> --trace 1``, run from the
-repository root, times both kernels on a benchmark workload's shapes.
+repository root, times :func:`polar_forward` and :func:`polar_adjoint` on a
+benchmark workload's shapes.  Those rebuild the window index on every call,
+so their numbers are not those of the operator's window kernels (ROADMAP
+item 1).
 """
 
 from __future__ import annotations

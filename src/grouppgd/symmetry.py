@@ -106,17 +106,6 @@ def polar_theta_shift(n_r: int, n_theta: int, s: int) -> GroupAction:
                        label=f"rot{s:+d}")
 
 
-def _generator_power(generator: GroupAction, k: int) -> GroupAction:
-    d = generator.dimension
-    perm = np.arange(d, dtype=np.int64)
-    step = generator.permutation if k >= 0 else generator.inverse_permutation
-    for _ in range(abs(k)):
-        perm = step[perm]
-    base = generator.label or "g"
-    label = "id" if k == 0 else (base if k == 1 else f"{base}^{k}")
-    return GroupAction(dimension=d, permutation=perm, power=k, label=label)
-
-
 @dataclass(frozen=True)
 class SymmetricSubset:
     """Ordered actions {Id, g, g^-1, ..., g^radius, g^-radius}.
@@ -168,12 +157,18 @@ def symmetric_subset(generator: GroupAction, radius: int) -> SymmetricSubset:
     """Build {Id, g, g^-1, g^2, g^-2, ...} up to ``+-radius`` from a generator."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    actions = [_generator_power(generator, 0)]
+    d = generator.dimension
+    base = generator.label or "g"
+    actions = [identity_action(d)]
+    # g^k is g applied to g^(k-1), and g^-k is g^-1 applied to g^-(k-1)
+    forward = backward = np.arange(d, dtype=np.int64)
     for k in range(1, radius + 1):
-        actions.append(_generator_power(generator, k))
-        actions.append(_generator_power(generator, -k))
-    return SymmetricSubset(actions=tuple(actions), radius=radius,
-                           generator_label=generator.label or "g")
+        forward = generator.permutation[forward]
+        backward = generator.inverse_permutation[backward]
+        for power, perm in ((k, forward), (-k, backward)):
+            actions.append(GroupAction(dimension=d, permutation=perm, power=power,
+                                       label=base if power == 1 else f"{base}^{power}"))
+    return SymmetricSubset(actions=tuple(actions), radius=radius, generator_label=base)
 
 
 def sample_action(subset: SymmetricSubset, rng: np.random.Generator):

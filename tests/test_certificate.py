@@ -168,6 +168,26 @@ def test_eps_w_of_non_finite_noise_is_nan_not_zero():
             assert np.isnan(compute_eps_w(A, subset, w, cone))
 
 
+def test_non_finite_constant_certifies_no_bound(monkeypatch):
+    prob = ring_instance()
+    w = prob.w.copy()
+    w[3] = np.inf
+    prob = replace(prob, w=w, b=prob.A.forward(prob.x_dagger) + w)
+    subset = covering_subset(prob)
+
+    def run_spy(*args, **kw):
+        raise AssertionError("ran the solver on a report with no bound")
+
+    monkeypatch.setattr(certificate, "run_ensemble", run_spy)
+    with np.errstate(invalid="ignore"):
+        report = certify(prob, subset)
+        assert report.why_no_bound() == "eps_w is not finite, so no bound holds"
+        assert report.to_text().endswith("bound = none\n")
+        with pytest.raises(ValueError, match="eps_w is not finite") as info:
+            verify_bound(prob, subset, SolverConfig(max_iters=10, seed=0), replicates=2)
+    assert not isinstance(info.value, BoundVacuousError)
+
+
 def test_certify_report_consistency():
     prob = ring_instance()
     subset = covering_subset(prob)

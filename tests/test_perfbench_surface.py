@@ -1,24 +1,30 @@
-"""The package surface that ``perfbench/`` reads still exists.
+"""The package surface that ``perfbench/`` reads still exists, and the
+package root exports nothing else but README's Python API.
 
 The benchmark imports the package from the checkout it runs in, so a
 deleted or renamed name breaks it only when it runs.  These tests read the
 benchmark's sources with ``ast`` (they change nothing there) and check that
 every name they import from the package, and every attribute they read off
 one of its modules, resolves, and that the polar kernels still take the
-arguments the benchmark's replay passes them.
+arguments the benchmark's replay passes them.  README's Python blocks are
+read the same way, and the root's public names must be exactly the ones
+these callers take from it.
 """
 
 import ast
 import importlib
 import inspect
 import pathlib
+import re
 import types
 
 import numpy as np
 
+import grouppgd
 from grouppgd import kernels
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def sources():
@@ -77,6 +83,28 @@ def test_every_package_name_the_benchmark_reads_resolves():
         if name is not None and not hasattr(module, name):
             missing.append((filename, module_name, name))
     assert not missing, missing
+
+
+def readme_root_imports():
+    """Names that README's Python blocks import from the package root."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks, "no Python block in README.md"
+    return {alias.name for block in blocks for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.ImportFrom) and node.module == "grouppgd"
+            for alias in node.names}
+
+
+def test_root_exports_exactly_what_its_callers_import():
+    def public(name):
+        return not name.startswith("_") and not isinstance(
+            getattr(grouppgd, name, None), types.ModuleType)
+
+    callers = readme_root_imports() | {
+        name for _, module, name in package_references()
+        if module == "grouppgd" and name is not None}
+    exported = {name for name in vars(grouppgd) if public(name)}
+    assert {name for name in callers if public(name)} == exported
 
 
 def kernel_calls(name):

@@ -90,6 +90,7 @@ def test_symmetric_subset_radius_two():
     sub = symmetric_subset(polar_theta_shift(4, 16, 1), 2)
     assert len(sub) == 5
     assert [a.power for a in sub] == [0, 1, -1, 2, -2]
+    assert [a.label for a in sub] == ["id", "rot+1", "rot+1^-1", "rot+1^2", "rot+1^-2"]
 
 
 def test_symmetric_subset_radius_27_has_55_actions():
