@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .constraint import Box, ConstraintSet
-from .linop import LinearMap, from_window
+from .linop import LinearMap, _check_size, from_window
 from .symmetry import polar_theta_shift
 
 __all__ = [
@@ -247,14 +247,19 @@ def build_problem(*, n_r: int = 32, n_theta: int = 64, angle_fraction: float = 0
 
     Sub-seeds for the operator weights, the phantom, and the noise draw are
     derived from ``seed`` so the whole instance is reproducible from one
-    integer.  ``angles`` overrides ``angle_fraction`` when given.
+    integer.  ``angles`` overrides ``angle_fraction`` when given.  A signal
+    or weight tensor of more than ``linop.DENSE_CAP**2`` entries is refused
+    (:class:`~grouppgd.linop.SizeCapError`) before it is allocated.
     """
+    _check_size(n_r * n_theta, f"the signal of {n_r} x {n_theta} cells")
     root = np.random.SeedSequence(seed)
     op_seed, phantom_seed, noise_seed = root.spawn(3)
     if angles is None:
         angles = evenly_spaced_angles(n_theta, angle_fraction)
     else:
         angles = tuple(int(a) % n_theta for a in angles)
+    _check_size(len(angles) * rays_per_angle * n_r * len(offsets),
+                f"the weights of {len(angles)} angles x {rays_per_angle} rays")
     if phantom == "ring":
         x_dagger = ring_phantom(n_r, n_theta, default_ring_profile(n_r))
     elif phantom == "textured":

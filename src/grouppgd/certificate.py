@@ -36,8 +36,9 @@ The expected distance after k iterations is bounded by
     alpha^k * ||x0 - xd|| + kappa_c * (1 - alpha^k) / (L * (1 - alpha))
         * (eps_Gstar + eps_w * ||w||)
 
-which :func:`bound_curve` evaluates and :func:`verify_bound` checks against
-the empirical mean over replicates, with a Monte Carlo slack of
+which :func:`bound_curve` evaluates, :func:`bound_at` reads at recorded
+iterations, and :func:`verify_bound` checks against the empirical mean over
+replicates run at the step ``1/L``, with a Monte Carlo slack of
 ``2/sqrt(replicates)``.
 
 On a subspace cone ``span(B)`` ``mu_C`` and ``mu_Gstar`` are the cone's own
@@ -50,17 +51,17 @@ every cone but the relaxed one, where they read the whole space's larger
 values, also flagged ``relaxed``.  The bound rises as ``mu_Gstar`` falls and
 as ``eps_*`` rise, so relaxed constants give a valid, weaker bound.
 :meth:`CertificateReport.why_no_bound` is the one rule of the certified
-regime.  The band and the subspace probes read the operator through
-``forward``/``adjoint``, not its window, so every caller of ``certify`` gets
-the same bits, also one whose map was rebuilt from them alone.  No
-``cols x cols`` array is built on any cone; one size rule refuses
-(:class:`~grouppgd.linop.SizeCapError`) a smaller-side Gram or a band of
-more than ``linop.DENSE_CAP**2`` entries.
+regime, the step ``1/L`` included when it is given a step.  The band and the
+subspace probes read the operator through ``forward``/``adjoint``, not its
+window, so every caller of ``certify`` gets the same bits, also one whose map
+was rebuilt from them alone.  No ``cols x cols`` array is built on any
+cone; one size rule refuses (:class:`~grouppgd.linop.SizeCapError`) a
+smaller-side Gram or a band of more than ``linop.DENSE_CAP**2`` entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,6 +80,7 @@ __all__ = [
     "compute_eps_w",
     "certify",
     "bound_curve",
+    "bound_at",
     "bound_limit",
     "verify_bound",
 ]
@@ -120,10 +122,11 @@ class CertificateReport:
     def vacuous(self) -> bool:
         return not self.alpha_Gstar < 1.0
 
-    def why_no_bound(self) -> str | None:
+    def why_no_bound(self, step: float | None = None) -> str | None:
         """Why the report certifies no bound, or None in the certified regime:
         finite constants, a non-vacuous rate, no constant flagged
-        ``estimate``, a convex set."""
+        ``estimate``, a convex set and, when ``step`` is given, the step
+        ``1/L``."""
         for name in ("L", "mu_C", "mu_Gstar", "alpha_Gstar", "eps_Gstar", "eps_w"):
             if not np.isfinite(getattr(self, name)):
                 return f"{name} is not finite, so no bound holds"
@@ -134,6 +137,9 @@ class CertificateReport:
             return f"{', '.join(estimates)} flagged estimate, so no bound holds"
         if self.kappa_c != 1:
             return "the feasible set is not convex (kappa_c != 1), so no bound holds"
+        if step is not None and step != 1.0 / self.L:
+            return (f"solver.step = {step:g} is not the certified "
+                    f"1/L = {1.0 / self.L:.6g}, so no bound holds")
         return None
 
     def to_text(self) -> str:
@@ -323,6 +329,14 @@ def bound_curve(report: CertificateReport, rmsd0: float, w_norm: float,
     return alpha_pow * rmsd0 + tail
 
 
+def bound_at(report: CertificateReport, problem: ProblemInstance, rmsd0: float,
+             iterations: np.ndarray) -> np.ndarray:
+    """:func:`bound_curve` for the noise of ``problem``, run to the last of
+    the recorded ``iterations`` and read at each of them."""
+    w_norm = float(np.linalg.norm(problem.w))
+    return bound_curve(report, rmsd0, w_norm, int(iterations[-1]))[iterations]
+
+
 def bound_limit(report: CertificateReport, w_norm: float) -> float:
     """Large-iteration limit of :func:`bound_curve`."""
     if report.vacuous:
@@ -352,49 +366,29 @@ class DominationReport:
     first_violation: int | None
     certificate: CertificateReport
 
-    def table(self) -> str:
-        """Per-iteration margin table as CSV-like text."""
-        lines = ["iter,empirical_mean,bound,margin"]
-        for k, m, b, g in zip(self.iterations, self.empirical_mean,
-                              self.bound, self.margins):
-            lines.append(f"{k},{m:.17g},{b:.17g},{g:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def verify_bound(problem: ProblemInstance, subset: SymmetricSubset,
-                 config: SolverConfig, replicates: int = 20,
-                 slack: float | None = None,
-                 cone: DescentCone | None = None) -> DominationReport:
+                 config: SolverConfig, replicates: int = 20) -> DominationReport:
     """Empirically check the bound: mean distance over replicates vs curve.
 
     It needs a replicate (checked before certifying) and the certified
     regime (:meth:`CertificateReport.why_no_bound`): it raises
     :class:`BoundVacuousError` for a vacuous certificate and ``ValueError``
-    for any other certificate that gives no bound.  The step size is forced
-    to the certificate's ``1/L`` so the runs match the certified regime, and
-    the default slack ``2/sqrt(replicates)`` absorbs Monte Carlo error.
+    for any other certificate that gives no bound.  The runs take the
+    certificate's step ``1/L``, and the slack ``2/sqrt(replicates)`` absorbs
+    Monte Carlo error.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    report = certify(problem, subset, cone=cone)
+    report = certify(problem, subset)
     why = report.why_no_bound()
     if why is not None:
         raise (BoundVacuousError if report.vacuous else ValueError)(why)
-    if slack is None:
-        slack = 2.0 / np.sqrt(replicates)
-    run_config = SolverConfig(
-        max_iters=config.max_iters,
-        step_size=1.0 / report.L,
-        seed=config.seed,
-        record_every=config.record_every,
-    )
+    slack = 2.0 / np.sqrt(replicates)
+    run_config = replace(config, step_size=1.0 / report.L)
     iterations, mean_rmsd, _ = run_ensemble(problem, run_config, subset, replicates)
-    rmsd0 = mean_rmsd[0]
-    w_norm = float(np.linalg.norm(problem.w))
-    full_curve = bound_curve(report, rmsd0, w_norm, int(iterations[-1]))
-    bound = full_curve[iterations]
-    allowed = bound * (1.0 + slack)
-    margins = allowed - mean_rmsd
+    bound = bound_at(report, problem, mean_rmsd[0], iterations)
+    margins = bound * (1.0 + slack) - mean_rmsd
     violations = np.nonzero(margins < 0)[0]
     first = int(iterations[violations[0]]) if len(violations) else None
     return DominationReport(

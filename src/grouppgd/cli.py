@@ -12,12 +12,14 @@ Subcommands:
 * ``phantom``  writes the ground-truth image as an ASCII graymap plus a
                full-precision CSV.
 
-The certified regime is the certificate's own rule
-(:meth:`~grouppgd.certificate.CertificateReport.why_no_bound`: finite
+The certified regime is the certificate's own rule, asked with the run's
+step (:meth:`~grouppgd.certificate.CertificateReport.why_no_bound`: finite
 constants, a non-vacuous rate, none flagged ``estimate``, a convex feasible
-set) plus the step ``1/L``; a constant flagged ``relaxed`` is a safe-side
-value and still gives a bound.  ``solver.step = auto`` is resolved to the certificate's ``1/L``,
-so the solver and the bound share one ``L``; any other step prints no bound.
+set, the step ``1/L``); a constant flagged ``relaxed`` is a safe-side value
+and still gives a bound.  ``solver.step = auto`` is resolved to the
+certificate's ``1/L``, so the solver and the bound share one ``L``; any other
+step prints no bound.  The bound column is
+:func:`~grouppgd.certificate.bound_at` at the recorded iterations.
 
 Configs are flat text files with dotted keys (``problem.n_r = 32``); unknown
 keys are rejected so typos fail loudly.  All outputs are deterministic for a
@@ -41,7 +43,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .bench import build_problem
-from .certificate import bound_curve, certify
+from .certificate import bound_at, certify
 from .linop import SizeCapError
 from .solver import (DivergenceError, SolverConfig, mean_rmsd, replicate_rngs,
                      run_with_plain)
@@ -223,7 +225,7 @@ def _build(config: ExperimentConfig):
             )
             w_norm = float(np.linalg.norm(problem.w))
     except ValueError as exc:  # numpy draws no Poisson mean above about 9.2e18
-        if config.problem_noise != "poisson":
+        if config.problem_noise != "poisson" or isinstance(exc, SizeCapError):
             raise
         raise ConfigError(f"problem.scale = {config.problem_scale:g} is too large for "
                           f"poisson noise ({exc})") from None
@@ -285,14 +287,9 @@ def _certified_run(problem, subset, solver_config):
     """Certify, resolve ``auto`` to the certificate's ``1/L``, and say why no
     bound holds (``None`` when the run is in the certified regime)."""
     report = certify(problem, subset)
-    step = 1.0 / report.L
     if solver_config.step_size == "auto":
-        solver_config = replace(solver_config, step_size=step)
-    why = report.why_no_bound()
-    if why is None and solver_config.step_size != step:
-        why = (f"solver.step = {solver_config.step_size:g} is not the certified "
-               f"1/L = {step:.6g}, so no bound holds")
-    return report, solver_config, why
+        solver_config = replace(solver_config, step_size=1.0 / report.L)
+    return report, solver_config, report.why_no_bound(solver_config.step_size)
 
 
 def cmd_run(config: ExperimentConfig, outdir: str) -> int:
@@ -302,10 +299,7 @@ def cmd_run(config: ExperimentConfig, outdir: str) -> int:
         problem, solver_config, subset, [np.random.default_rng(solver_config.seed)])
     group_bound = None
     if why is None:
-        rmsd0 = group_trace.rmsd[0]
-        w_norm = float(np.linalg.norm(problem.w))
-        curve = bound_curve(report, rmsd0, w_norm, int(group_trace.iterations[-1]))
-        group_bound = curve[group_trace.iterations]
+        group_bound = bound_at(report, problem, group_trace.rmsd[0], group_trace.iterations)
     _write_atomic(os.path.join(outdir, "pgd.csv"),
                   _trace_csv(pgd_trace, None, with_actions=False))
     _write_atomic(os.path.join(outdir, "group_pgd.csv"),
@@ -342,9 +336,7 @@ def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     if why is not None:
         bound = np.full(len(iters), np.nan)
     else:
-        w_norm = float(np.linalg.norm(problem.w))
-        curve = bound_curve(report, pgd_mean[0], w_norm, int(iters[-1]))
-        bound = curve[iters]
+        bound = bound_at(report, problem, pgd_mean[0], iters)
     _write_atomic(os.path.join(outdir, "compare.csv"),
                   _csv("iter,pgd_mean_rmsd,group_mean_rmsd,bound", "%d,%.17g,%.17g,%.17g",
                        [iters, pgd_mean, group_mean, bound]))

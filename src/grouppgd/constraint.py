@@ -163,8 +163,15 @@ class DescentCone:
             raise ValueError(f"unknown cone kind {self.kind!r}")
         if self.kind == "subspace" and _orthonormal(self.basis).shape[0] != self.dimension:
             raise DimensionMismatchError("subspace cone's basis and anchor differ in length")
-        if self.kind == "box" and (self.lo is None or self.hi is None):
-            raise ValueError("box cone needs direction bounds lo and hi")
+        if self.kind == "box":
+            if self.lo is None or self.hi is None:
+                raise ValueError("box cone needs direction bounds lo and hi")
+            shapes = np.shape(self.lo), np.shape(self.hi)
+            if shapes != ((self.dimension,),) * 2:
+                raise DimensionMismatchError(
+                    f"box cone's bounds have shapes {shapes}, not {(self.dimension,)}")
+            if not (np.isin(self.lo, (0, -np.inf)).all() and np.isin(self.hi, (0, np.inf)).all()):
+                raise ValueError("box cone bounds must be lo in {0, -inf} and hi in {0, +inf}")
 
     @property
     def dimension(self) -> int:

@@ -15,7 +15,7 @@ from grouppgd.bench import (
     textured_phantom,
 )
 from grouppgd.constraint import DescentCone, restricted_min_eig
-from grouppgd.linop import gram_dense
+from grouppgd.linop import SizeCapError, gram_dense
 from grouppgd.symmetry import polar_theta_shift, symmetric_subset
 from oracles import compose_with_action, stack_mean
 
@@ -137,6 +137,11 @@ def test_build_problem_residual_identity_exact():
         prob = build_problem(n_r=6, n_theta=12, angle_fraction=0.5,
                              rays_per_angle=4, noise=noise, seed=5, **kw)
         assert np.array_equal(prob.b - prob.A.forward(prob.x_dagger), prob.w)
+
+
+def test_build_problem_refuses_an_oversized_signal_before_allocating():
+    with pytest.raises(SizeCapError, match="the signal of 8 x 1000000000000000000 cells"):
+        build_problem(n_r=8, n_theta=10**18, angles=(0,))
 
 
 def test_build_problem_feasible_ground_truth():

@@ -33,7 +33,7 @@ from grouppgd.linop import (
     gram_dense,
     spectral_norm,
 )
-from grouppgd.solver import SolverConfig
+from grouppgd.solver import SolverConfig, run
 from grouppgd.symmetry import cyclic_shift_action, symmetric_subset
 from oracles import compose_with_action, gram_average, stack_mean
 
@@ -186,6 +186,32 @@ def test_non_finite_constant_certifies_no_bound(monkeypatch):
         with pytest.raises(ValueError, match="eps_w is not finite") as info:
             verify_bound(prob, subset, SolverConfig(max_iters=10, seed=0), replicates=2)
     assert not isinstance(info.value, BoundVacuousError)
+
+
+def test_why_no_bound_holds_the_step_rule():
+    prob = ring_instance()
+    report = certify(prob, covering_subset(prob))
+    assert report.why_no_bound() is None
+    assert report.why_no_bound(1.0 / report.L) is None
+    assert report.why_no_bound(1.99) == (
+        f"solver.step = 1.99 is not the certified 1/L = {1.0 / report.L:.6g}, "
+        "so no bound holds")
+    # the step is checked last: an estimate is named first
+    estimate = replace(report, flags={**report.flags, "mu_Gstar": "estimate"})
+    assert estimate.why_no_bound(1.99) == "mu_Gstar flagged estimate, so no bound holds"
+
+
+def test_bound_at_reads_bound_curve_at_recorded_iterations():
+    prob = ring_instance(noise="gaussian", sigma=0.05)
+    subset = covering_subset(prob)
+    report = certify(prob, subset)
+    assert report.eps_w > 0 and report.why_no_bound() is None
+    trace = run(prob, SolverConfig(max_iters=50, seed=3, record_every=7), subset)
+    assert trace.iterations[-1] == 50 and trace.iterations[-2] == 49
+    expected = bound_curve(report, trace.rmsd[0], float(np.linalg.norm(prob.w)),
+                           50)[trace.iterations]
+    got = certificate.bound_at(report, prob, trace.rmsd[0], trace.iterations)
+    assert np.array_equal(got, expected)
 
 
 def test_certify_report_consistency():
@@ -424,9 +450,6 @@ def test_verify_bound_noiseless_ring():
     assert result.first_violation is None
     assert np.all(result.margins >= 0)
     assert result.empirical_mean[0] == result.bound[0]
-    table = result.table()
-    assert table.splitlines()[0] == "iter,empirical_mean,bound,margin"
-    assert len(table.splitlines()) == len(result.iterations) + 1
 
 
 @pytest.mark.parametrize("replicates", [0, -1])

@@ -217,6 +217,17 @@ def test_oversized_problem_exits_4(tmp_path, capsys, command):
     assert "problem too large to certify" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("noise", [{}, {"problem_noise": "poisson", "problem_weights": "nonneg"}])
+@pytest.mark.parametrize("command", ["certify", "run", "compare", "phantom"])
+def test_absurd_ray_count_exits_4_before_allocating(tmp_path, capsys, command, noise):
+    # 4 angles x 10**18 rays x 8 radii x 3 offsets of weights: refused by the
+    # size rule, not by numpy's "array is too big" traceback
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", problem_n_r=8,
+                                             problem_rays_per_angle=10**18, **noise))
+    assert main([command, "--config", cfg]) == 4
+    assert "the weights of 4 angles x 1000000000000000000 rays" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["certify", "run", "compare"])
 def test_certify_shipped_ring_with_instance_seed_1(tmp_path, command):
     # a seeded power iteration for L did not converge in 10000 steps on this

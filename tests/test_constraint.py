@@ -163,6 +163,17 @@ def test_project_cone_box_clips():
     assert np.array_equal(project_cone(C, np.array([3.0, -4.0, 5.0])), [3.0, -4.0, 5.0])
     with pytest.raises(ValueError, match="direction bounds"):
         DescentCone(anchor=np.zeros(3), kind="box")
+    # a bound of the wrong shape would broadcast over every coordinate
+    with pytest.raises(DimensionMismatchError, match="bounds have shapes"):
+        DescentCone(anchor=np.zeros(3), kind="box", lo=np.array([0.0]),
+                    hi=np.full(3, inf))
+    with pytest.raises(DimensionMismatchError, match="bounds have shapes"):
+        DescentCone(anchor=np.zeros(3), kind="box", lo=np.zeros(3), hi=np.full(4, inf))
+    # finite nonzero bounds clip to a set that is not a cone
+    for lo, hi in [(np.full(3, 5.0), np.full(3, -5.0)), (np.zeros(3), np.array([inf, 1.0, inf])),
+                   (np.array([0.0, np.nan, 0.0]), np.full(3, inf))]:
+        with pytest.raises(ValueError, match="lo in \\{0, -inf\\}"):
+            DescentCone(anchor=np.zeros(3), kind="box", lo=lo, hi=hi)
 
 
 def brute_force_cone_projection(lo, hi, anchor, z):
