@@ -28,7 +28,8 @@ temp name and renamed, so failures never leave partial files.
 
 Exit codes: 0 success, 2 config error (a malformed or impossible setting,
 noise whose draw overflows included), 3 solver divergence, 4 problem too
-large to certify (``linop.SizeCapError``), 5 unwritable output.
+large to certify, build or solve (``linop.SizeCapError``), 5 unwritable
+output.
 """
 
 from __future__ import annotations
@@ -328,7 +329,8 @@ def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     report, solver_config, why = _certified_run(problem, subset, solver_config)
     replicates = config.solver_seeds
     pgd_trace, group_traces = run_with_plain(
-        problem, solver_config, subset, replicate_rngs(solver_config.seed, replicates))
+        problem, solver_config, subset, replicate_rngs(solver_config.seed, replicates),
+        objective=False)  # compare writes only rmsd means
     iters = pgd_trace.iterations
     # the plain chain draws nothing, so it stands for each of its replicates
     pgd_mean = mean_rmsd([pgd_trace] * replicates)

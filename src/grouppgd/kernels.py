@@ -1,8 +1,8 @@
 """Hot numeric kernels for the polar sensing operator.
 
 The angle-subsampled forward/adjoint actions are the inner loop of every
-solver run (about three applications per iteration, tens of thousands of
-iterations per experiment), so each is a handful of numpy calls on the whole
+solver run (one forward and one adjoint per step, tens of thousands of
+steps per experiment), so each is a handful of numpy calls on the whole
 operator: one gather or scatter plus one batched ``np.matmul``.  There is one
 kernel path; ``NUMBA_ENABLED`` is the constant ``False``, kept because the
 benchmark reports it.

@@ -336,6 +336,9 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
     band, pass that count.
     """
     d = A.cols
+    # the band holds at least 2d entries, so this refuses no band the check
+    # below would pass; it bounds the int32 cell indices before probing
+    _check_size(d, f"the band of {d} cells")
     rows, cols, values = [], [], []
     kept = 0
     for lo, P in _gram_probes(A):
@@ -343,13 +346,15 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
         j, k = np.nonzero(P[:, lo:] != 0.0)
         lower = k >= j
         j, k = j[lower], k[lower]
-        rows.append(lo + k)
-        cols.append(lo + j)
+        rows.append((lo + k).astype(np.int32))
+        cols.append((lo + j).astype(np.int32))
         values.append(P[j, lo + k])
         kept += len(k)
         _check_size(kept, f"the nonzeros of the band of {d} cells")
     rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
-    position = np.empty(d, dtype=np.int64)
+    # int32 indices: the size rule bounds every cell index (below d) and every
+    # flat offset into the block rows (below their entries) by DENSE_CAP**2 < 2**31
+    position = np.empty(d, dtype=np.int32)
     position[order] = np.arange(d)
     block = 1 + max(int(np.abs(q[rows] - q[cols]).max(initial=0))
                     for q in (position[T.permutation] for T in actions))

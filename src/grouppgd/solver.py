@@ -36,7 +36,10 @@ recorded objective from the next step.  A group row's step residual is the
 rotated one, so the step after a recorded iterate also gathers each group
 row's identity window, and the one forward returns those rows' objective
 residuals beside the step residuals.  Only the last iterate, which no step
-follows, costs a forward of its own.
+follows, costs a forward of its own.  A caller that writes no objective
+(``run_with_plain(..., objective=False)``, as ``compare`` calls it) skips
+all of this: each step maps only the stack's rows, the last iterate costs
+nothing, and every trace's objective is NaN.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ import numpy as np
 
 from .bench import ProblemInstance
 from .constraint import ConstraintSet
-from .linop import (LinearMap, DimensionMismatchError, rotated_adjoint, rotated_forward,
-                    spectral_norm, window_table)
+from .linop import (LinearMap, DimensionMismatchError, _check_size, rotated_adjoint,
+                    rotated_forward, spectral_norm, window_table)
 from .symmetry import GroupAction, SymmetricSubset
 
 __all__ = [
@@ -108,7 +111,9 @@ class IterateTrace:
 
     Arrays are row-aligned: entry ``i`` describes iterate ``iterations[i]``.
     ``rmsd`` is the plain distance to the ground truth and
-    ``rmsd_normalized`` divides it by sqrt(dimension).  ``action_indices``
+    ``rmsd_normalized`` divides it by sqrt(dimension).  ``objective`` is
+    ``0.5 * |A x - b|^2``, NaN at every entry when the run did not record
+    it (:func:`run_with_plain` with ``objective=False``).  ``action_indices``
     holds the subset index drawn for the step that produced each recorded
     iterate (-1 for the initial point and for plain runs).
     """
@@ -202,15 +207,18 @@ def _row_dots(U):
 
 
 def _drive(problem: ProblemInstance, x0, subset: SymmetricSubset | None, budget: int,
-           eta: float, rngs, stride: int) -> list[IterateTrace]:
+           eta: float, rngs, stride: int, objective: bool = True) -> list[IterateTrace]:
     """Step one chain per entry of ``rngs`` for ``budget`` steps; one trace per row.
 
     A row whose entry of ``rngs`` is None takes plain steps, and so does
     every row when ``subset`` is None; every other row draws its actions
     from its own generator.  Every row starts at ``x0`` (zeros when None).
     The traces record the initial point, then every ``stride``-th iterate
-    plus the last.  Raises :class:`DivergenceError` at the first iteration
-    at which any row leaves the finite ball of radius ``DIVERGENCE_NORM``.
+    plus the last; with ``objective`` False their objectives are NaN and
+    no forward is spent on them.  The record arrays and the step table are
+    refused (:class:`~grouppgd.linop.SizeCapError`) before they are
+    allocated.  Raises :class:`DivergenceError` at the first iteration at
+    which any row leaves the finite ball of radius ``DIVERGENCE_NORM``.
     """
     A, b, K = problem.A, problem.b, problem.K
     d, R = problem.dimension, len(rngs)
@@ -220,12 +228,17 @@ def _drive(problem: ProblemInstance, x0, subset: SymmetricSubset | None, budget:
         raise DimensionMismatchError(
             f"subset dimension {subset.dimension} does not match problem dimension {d}"
         )
+    group = [] if subset is None else [r for r, rng in enumerate(rngs) if rng is not None]
+    n_records = 1 + -(-budget // stride)
+    gathered = R + len(group) if objective else R
+    _check_size(R * n_records, f"the solve's records of {R} rows x {n_records} iterates")
+    _check_size(budget * gathered,
+                f"the solve's step table of {budget} steps x {gathered} rows")
     X = np.empty((R, d))
     X[:] = x0
-    n_records = 1 + -(-budget // stride)
     iterations = np.zeros(n_records, dtype=np.int64)
     rmsd = np.empty((R, n_records))
-    objective = np.empty((R, n_records))
+    objectives = np.full((R, n_records), np.nan)
     actions = np.full((R, n_records), -1, dtype=np.int64)
     rows = np.arange(R)
 
@@ -237,47 +250,50 @@ def _drive(problem: ProblemInstance, x0, subset: SymmetricSubset | None, budget:
     # row 1 + s is action s.  Row r of the stack reads table row r * n +
     # draw, offset by r * d into X.ravel().
     table = A.window[None]
-    group = []
     if subset is not None:
         table = np.concatenate((table, window_table(A, subset)))
-        group = [r for r, rng in enumerate(rngs) if rng is not None]
     n = len(table)
     table = (table + d * rows[:, None, None]).reshape(R * n, -1)
     draws = np.zeros((budget, R), dtype=np.int64)
     for r in group:
         draws[:, r] = 1 + rngs[r].integers(len(subset), size=budget)
-    # step k gathers the table rows steps[k, :R].  After a recorded iterate
-    # it also gathers each group row's identity window (steps[k, R:]), whose
-    # residual is that row's objective residual; a plain row's objective
-    # residual is its own step residual.
+    # step k gathers the table rows steps[k, :R].  When objectives are
+    # recorded, the step after a recorded iterate also gathers each group
+    # row's identity window (steps[k, R:]), whose residual is that row's
+    # objective residual; a plain row's objective residual is its own step
+    # residual.
     group = np.asarray(group, dtype=np.int64)
-    steps = np.hstack((draws + n * rows, np.broadcast_to(n * group, (budget, len(group)))))
+    steps = draws + n * rows
+    if objective:
+        steps = np.hstack((steps, np.broadcast_to(n * group, (budget, len(group)))))
     source = rows.copy()
     source[group] = R + np.arange(len(group))
     draws -= 1  # the recorded action index: -1 for the identity's window
     # the recorded slot whose objective is not written yet: it comes from
     # the residuals of the step that starts at that iterate
-    pending = 0
+    pending = 0 if objective else None
     slot = 1
     for k in range(budget):
         index = steps[k, :R] if pending is None else steps[k]
         X_next, residual = _step(X, A, b, K, eta, table.take(index, axis=0))
         if pending is not None:
-            objective[:, pending] = 0.5 * _row_dots(residual)[source]
+            objectives[:, pending] = 0.5 * _row_dots(residual)[source]
             pending = None
         X = X_next
         if not (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all():
             raise DivergenceError(k + 1)
         if (k + 1) % stride == 0 or k + 1 == budget:
             record(slot, X)
-            iterations[slot], actions[:, slot], pending = k + 1, draws[k], slot
+            iterations[slot], actions[:, slot] = k + 1, draws[k]
+            if objective:
+                pending = slot
             slot += 1
-    # the last iterate is always recorded, and no step follows it
-    objective[:, pending] = 0.5 * _row_dots(A.forward(X) - b)
+    if objective:  # the last iterate is always recorded, and no step follows it
+        objectives[:, pending] = 0.5 * _row_dots(A.forward(X) - b)
     rmsd_normalized = rmsd / np.sqrt(d)
     return [
         IterateTrace(iterations=iterations, rmsd=rmsd[r],
-                     rmsd_normalized=rmsd_normalized[r], objective=objective[r],
+                     rmsd_normalized=rmsd_normalized[r], objective=objectives[r],
                      action_indices=actions[r], final_x=X[r])
         for r in range(R)
     ]
@@ -330,19 +346,23 @@ def run_ensemble(problem: ProblemInstance, config: SolverConfig,
 
 
 def run_with_plain(problem: ProblemInstance, config: SolverConfig,
-                   subset: SymmetricSubset, rngs) -> tuple[IterateTrace, list[IterateTrace]]:
+                   subset: SymmetricSubset, rngs,
+                   objective: bool = True) -> tuple[IterateTrace, list[IterateTrace]]:
     """Plain PGD beside one group chain per generator in ``rngs``, as rows of one stack.
 
     Returns ``(plain_trace, group_traces)``.  Every row is bit for bit its
     own run: the plain trace is ``run(problem, config)``, and group trace
     ``i`` is ``run(problem, config, subset, rng=rngs[i])``.  So with
-    :func:`replicate_rngs` the group traces are :func:`run_ensemble`'s.  If
-    any row diverges, :class:`DivergenceError` names the first iteration at
-    which one did, plain or group.
+    :func:`replicate_rngs` the group traces are :func:`run_ensemble`'s.
+    With ``objective`` False no objective is computed: every trace's
+    ``objective`` is NaN, each step maps only the stack's own rows and the
+    last iterate costs no forward, and every other field keeps its bits.
+    If any row diverges, :class:`DivergenceError` names the first iteration
+    at which one did, plain or group.
     """
     eta = resolve_step_size(config, problem.A)
     plain, *group = _drive(problem, None, subset, config.max_iters, eta,
-                           [None, *rngs], config.record_every)
+                           [None, *rngs], config.record_every, objective)
     return plain, group
 
 

@@ -217,6 +217,15 @@ def test_oversized_problem_exits_4(tmp_path, capsys, command):
     assert "problem too large to certify" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_absurd_iteration_count_exits_4_before_allocating(tmp_path, capsys, command):
+    # 10**15 recorded iterates per row: refused by the size rule, not by
+    # numpy's "Unable to allocate 7.11 PiB" traceback
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_iters=10**15))
+    assert main([command, "--config", cfg]) == 4
+    assert "problem too large to certify: the solve's records" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("noise", [{}, {"problem_noise": "poisson", "problem_weights": "nonneg"}])
 @pytest.mark.parametrize("command", ["certify", "run", "compare", "phantom"])
 def test_absurd_ray_count_exits_4_before_allocating(tmp_path, capsys, command, noise):
@@ -385,6 +394,27 @@ def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, capsys, command):
     cfg = write_config(tmp_path, config_text(out))
     assert main([command, "--config", cfg]) == 3
     assert "diverged" in capsys.readouterr().err
+
+
+def test_only_compare_skips_the_objective(tmp_path, monkeypatch):
+    # compare writes no objective column, so it asks the solver for none;
+    # run writes pgd.csv and group_pgd.csv objectives and keeps the default
+    from grouppgd import cli
+    seen = []
+    run_with_plain = cli.run_with_plain
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return run_with_plain(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_with_plain", spy)
+    cfg = write_config(tmp_path, config_text(tmp_path / "out"))
+    for command, kwargs in (("compare", {"objective": False}), ("run", {})):
+        seen.clear()
+        assert main([command, "--config", cfg]) == EXIT_OK
+        assert seen == [kwargs], command
+    first = (tmp_path / "out" / "group_pgd.csv").read_text().splitlines()[1].split(",")
+    assert first[3] != "nan"
 
 
 def test_trace_csv_writes_what_per_cell_formatting_writes():

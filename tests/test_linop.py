@@ -449,6 +449,13 @@ def test_band_gram_stops_probing_once_its_nonzeros_pass_the_size_rule(monkeypatc
     with pytest.raises(SizeCapError, match="nonzeros of the band"):
         band_gram(A, [identity_action(40)], np.arange(40), pad=1.0)
     assert probes == [16]
+    # more cells than the cap: refused before the first probe, so no cell
+    # index ever outgrows the band's int32 indices
+    monkeypatch.setattr(linop, "DENSE_CAP", 6)
+    probes.clear()
+    with pytest.raises(SizeCapError, match="the band of 40 cells"):
+        band_gram(A, [identity_action(40)], np.arange(40), pad=1.0)
+    assert probes == []
 
 
 def test_band_cholesky_follows_inertia_and_solves():

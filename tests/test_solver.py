@@ -11,7 +11,7 @@ from grouppgd import solver
 from grouppgd.bench import Geometry, ProblemInstance, angle_subsampled_operator, build_problem
 from grouppgd.certificate import certify
 from grouppgd.constraint import Box, Subspace
-from grouppgd.linop import LinearMap, from_dense, spectral_norm
+from grouppgd.linop import LinearMap, SizeCapError, from_dense, spectral_norm
 from grouppgd.solver import (
     DivergenceError,
     SolverConfig,
@@ -362,6 +362,32 @@ def test_mixed_stack_makes_one_forward_and_one_adjoint_per_step():
         calls.clear()
         run_with_plain(prob, config, subset, rngs)
         assert calls.count("forward") == n + 1 and calls.count("adjoint") == n
+    # without objectives a step maps only the stack's own rows, and the last
+    # iterate costs no forward
+    shapes = []
+
+    def forward(x):
+        shapes.append(x.shape)
+        return prob.A.forward(x)
+
+    spied = replace(prob, A=LinearMap(rows=prob.A.rows, cols=prob.A.cols, forward=forward,
+                                      adjoint=prob.A.adjoint))
+    for rngs in ([np.random.default_rng(config.seed)], replicate_rngs(config.seed, 3)):
+        calls.clear()
+        shapes.clear()
+        run_with_plain(spied, config, subset, rngs, objective=False)
+        assert calls.count("forward") == n and calls.count("adjoint") == n
+        assert shapes == [(1 + len(rngs), prob.dimension)] * n
+
+
+@pytest.mark.parametrize("record_every, what", [(1, "records of 1 rows"),
+                                                (10**15, "step table of 10")])
+def test_absurd_budget_is_refused_before_allocating(record_every, what):
+    # 10**15 steps: the records (recording every step) or the step table are
+    # refused by the size rule, not by numpy's "Unable to allocate" error
+    config = SolverConfig(max_iters=10**15, record_every=record_every)
+    with pytest.raises(SizeCapError, match=f"the solve's {what}"):
+        run(small_problem(), config)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -397,6 +423,15 @@ def test_mixed_stack_rows_are_their_own_runs(dense, n_r, n_theta, angles, rays, 
     for mixed, alone in pairs:
         for name in ("iterations", "rmsd", "objective", "action_indices", "final_x"):
             a, b = getattr(mixed, name), getattr(alone, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # without objectives every other field keeps its bits
+    bare_plain, bare_groups = run_with_plain(
+        prob, config, subset, replicate_rngs(config.seed, replicates), objective=False)
+    for bare, mixed in zip((bare_plain, *bare_groups), (mixed_plain, *mixed_groups),
+                           strict=True):
+        assert np.isnan(bare.objective).all() and len(bare.objective) == len(mixed.objective)
+        for name in ("iterations", "rmsd", "rmsd_normalized", "action_indices", "final_x"):
+            a, b = getattr(bare, name), getattr(mixed, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
