@@ -53,10 +53,6 @@ class Geometry:
     rays_per_angle: int
     offsets: tuple[int, ...]
 
-    @property
-    def dimension(self) -> int:
-        return self.n_r * self.n_theta
-
     def theta_shift(self, s: int):
         return polar_theta_shift(self.n_r, self.n_theta, s)
 
@@ -121,11 +117,14 @@ def textured_phantom(n_r: int, n_theta: int, smoothness: int, seed,
 
     ``smoothness`` counts the retained angular harmonics (1 keeps only the
     rotation-invariant mode).  Fewer harmonics means small rotations move the
-    image less, which is what keeps the symmetry-mismatch term small.  Values
-    are affinely mapped into [lo, hi], strictly inside the unit box.
+    image less, which is what keeps the symmetry-mismatch term small.  On
+    ``n_theta`` angles only ``n_theta // 2 + 1`` harmonics are distinct, so
+    more are refused.  Values are affinely mapped into [lo, hi], strictly
+    inside the unit box.
     """
-    if smoothness < 1:
-        raise ValueError("smoothness must be at least 1")
+    if not 1 <= smoothness <= n_theta // 2 + 1:
+        raise ValueError(f"smoothness must be in [1, {n_theta // 2 + 1}] on {n_theta} angles, "
+                         f"got {smoothness}")
     rng = np.random.default_rng(seed)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     img = np.outer(rng.normal(size=n_r), np.ones(n_theta))
@@ -270,8 +269,7 @@ def build_problem(*, n_r: int = 32, n_theta: int = 64, angle_fraction: float = 0
                                   op_seed, offsets=offsets,
                                   weight_kind=weight_kind)
     clean = A.forward(x_dagger)
-    b, _ = add_noise(clean, noise, noise_seed, sigma=sigma, scale=scale)
-    w = b - clean  # stored exactly as the residual of the build identity
+    b, w = add_noise(clean, noise, noise_seed, sigma=sigma, scale=scale)
     K = Box(0.0, 1.0, n_r * n_theta)
     if not K.contains(x_dagger):
         raise ValueError("phantom left the unit box; profile out of range")

@@ -46,8 +46,8 @@ import numpy as np
 from .bench import build_problem
 from .certificate import bound_at, certify
 from .linop import SizeCapError
-from .solver import (DivergenceError, SolverConfig, mean_rmsd, replicate_rngs,
-                     run_with_plain)
+from .solver import (DivergenceError, SolverConfig, _check_solve, mean_rmsd,
+                     replicate_rngs, run_with_plain)
 from .symmetry import symmetric_subset
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "main"]
@@ -126,6 +126,13 @@ class ExperimentConfig:
             )
         if self.problem_phantom not in ("ring", "textured"):
             raise ConfigError(f"unknown problem.phantom {self.problem_phantom!r}")
+        harmonics = self.problem_n_theta // 2 + 1
+        if self.problem_phantom == "textured" and self.problem_smoothness > harmonics:
+            raise ConfigError(
+                f"problem.smoothness must be at most problem.n_theta // 2 + 1 = {harmonics} "
+                f"for a textured phantom, got {self.problem_smoothness}: "
+                f"{self.problem_n_theta} angles hold no more distinct harmonics"
+            )
         if self.problem_noise not in ("none", "gaussian", "poisson"):
             raise ConfigError(f"unknown problem.noise {self.problem_noise!r}")
         if self.problem_weights not in ("signed", "nonneg"):
@@ -328,6 +335,9 @@ def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     problem, subset, solver_config = _build(config)
     report, solver_config, why = _certified_run(problem, subset, solver_config)
     replicates = config.solver_seeds
+    # refused before the streams are spawned: one per replicate
+    _check_solve(problem, subset, 1 + replicates, replicates, solver_config.max_iters,
+                 solver_config.record_every, objective=False)
     pgd_trace, group_traces = run_with_plain(
         problem, solver_config, subset, replicate_rngs(solver_config.seed, replicates),
         objective=False)  # compare writes only rmsd means

@@ -22,10 +22,11 @@ group row draws all its action indices at once,
 A group step never permutes the stack.  By shift covariance the rotated
 operator ``A ∘ P_s`` reads the cells ``perm_s[window]`` with ``A``'s own
 weights, so a run tabulates those cells once per action
-(:func:`~grouppgd.linop.window_table`), after the identity's window, which
-a plain row always reads, and adds each row's offset ``row * d`` to the
-table once.  A step takes each row's drawn table row in one gather, applies
-the operator's window maps and adds the adjoint straight back into the same
+(:func:`~grouppgd.linop.window_table`) and adds each row's offset
+``row * d`` to the table once.  The subset lists the identity first, so
+table row 0 is the operator's own window, which a plain row always reads.
+A step takes each row's drawn table row in one gather, applies the
+operator's window maps and adds the adjoint straight back into the same
 cells (:func:`~grouppgd.linop.rotated_forward`,
 :func:`~grouppgd.linop.rotated_adjoint`), with the bits of rotating,
 stepping and rotating back.
@@ -206,6 +207,26 @@ def _row_dots(U):
     return np.matmul(U[:, None, :], U[:, :, None])[:, 0, 0]
 
 
+def _check_solve(problem: ProblemInstance, subset: SymmetricSubset | None, rows: int,
+                 group: int, budget: int, stride: int, objective: bool = True) -> None:
+    """The solve's size rule: refuse (:class:`~grouppgd.linop.SizeCapError`)
+    a stack of ``rows`` chains, ``group`` of them drawing actions, whose
+    records, step table, stack or window table would hold more than
+    ``linop.DENSE_CAP**2`` entries, before any of them (or a replicate
+    stream) is made.
+    """
+    d, window = problem.dimension, len(problem.A.window)
+    n_records = 1 + -(-budget // stride)
+    gathered = rows + group if objective else rows
+    actions = 1 if subset is None else len(subset)
+    _check_size(rows * n_records, f"the solve's records of {rows} rows x {n_records} iterates")
+    _check_size(budget * gathered,
+                f"the solve's step table of {budget} steps x {gathered} rows")
+    _check_size(rows * d, f"the solve's stack of {rows} rows x {d} cells")
+    _check_size(rows * actions * window,
+                f"the solve's window table of {rows} rows x {actions} actions x {window} cells")
+
+
 def _drive(problem: ProblemInstance, x0, subset: SymmetricSubset | None, budget: int,
            eta: float, rngs, stride: int, objective: bool = True) -> list[IterateTrace]:
     """Step one chain per entry of ``rngs`` for ``budget`` steps; one trace per row.
@@ -215,8 +236,11 @@ def _drive(problem: ProblemInstance, x0, subset: SymmetricSubset | None, budget:
     from its own generator.  Every row starts at ``x0`` (zeros when None).
     The traces record the initial point, then every ``stride``-th iterate
     plus the last; with ``objective`` False their objectives are NaN and
-    no forward is spent on them.  The record arrays and the step table are
-    refused (:class:`~grouppgd.linop.SizeCapError`) before they are
+    no forward is spent on them.  Each stack row's block of the window
+    table is ``window_table(A, subset)``, or the operator's own window
+    without a subset; a group row's recorded action is its drawn index and
+    a plain row's is -1.  The records, the step table, the stack and the
+    window table are refused by :func:`_check_solve` before they are
     allocated.  Raises :class:`DivergenceError` at the first iteration at
     which any row leaves the finite ball of radius ``DIVERGENCE_NORM``.
     """
@@ -229,11 +253,8 @@ def _drive(problem: ProblemInstance, x0, subset: SymmetricSubset | None, budget:
             f"subset dimension {subset.dimension} does not match problem dimension {d}"
         )
     group = [] if subset is None else [r for r, rng in enumerate(rngs) if rng is not None]
+    _check_solve(problem, subset, R, len(group), budget, stride, objective)
     n_records = 1 + -(-budget // stride)
-    gathered = R + len(group) if objective else R
-    _check_size(R * n_records, f"the solve's records of {R} rows x {n_records} iterates")
-    _check_size(budget * gathered,
-                f"the solve's step table of {budget} steps x {gathered} rows")
     X = np.empty((R, d))
     X[:] = x0
     iterations = np.zeros(n_records, dtype=np.int64)
@@ -246,29 +267,27 @@ def _drive(problem: ProblemInstance, x0, subset: SymmetricSubset | None, budget:
         rmsd[:, slot] = np.sqrt(_row_dots(X - problem.x_dagger))
 
     record(0, X)
-    # table row 0 is the identity's window, which a plain row always draws;
-    # row 1 + s is action s.  Row r of the stack reads table row r * n +
-    # draw, offset by r * d into X.ravel().
-    table = A.window[None]
-    if subset is not None:
-        table = np.concatenate((table, window_table(A, subset)))
+    # table row s is action s's window, and row 0 the identity's: the
+    # operator's own, which a plain row (draw -1) reads.  Row r of the stack
+    # reads table row r * n + max(draw, 0), offset by r * d into X.ravel().
+    table = A.window[None] if subset is None else window_table(A, subset)
     n = len(table)
     table = (table + d * rows[:, None, None]).reshape(R * n, -1)
-    draws = np.zeros((budget, R), dtype=np.int64)
+    draws = np.full((budget, R), -1, dtype=np.int64)
     for r in group:
-        draws[:, r] = 1 + rngs[r].integers(len(subset), size=budget)
+        draws[:, r] = rngs[r].integers(len(subset), size=budget)
     # step k gathers the table rows steps[k, :R].  When objectives are
     # recorded, the step after a recorded iterate also gathers each group
     # row's identity window (steps[k, R:]), whose residual is that row's
     # objective residual; a plain row's objective residual is its own step
     # residual.
     group = np.asarray(group, dtype=np.int64)
-    steps = draws + n * rows
+    steps = np.maximum(draws, 0)
+    steps += n * rows
     if objective:
         steps = np.hstack((steps, np.broadcast_to(n * group, (budget, len(group)))))
     source = rows.copy()
     source[group] = R + np.arange(len(group))
-    draws -= 1  # the recorded action index: -1 for the identity's window
     # the recorded slot whose objective is not written yet: it comes from
     # the residuals of the step that starts at that iterate
     pending = 0 if objective else None
@@ -332,10 +351,14 @@ def run_ensemble(problem: ProblemInstance, config: SolverConfig,
     from its stream, so its chain runs once and ``traces`` holds that one
     trace object ``replicates`` times; the mean is still taken over all
     entries (:func:`mean_rmsd`), so it is bit for bit the mean of separate
-    runs.  Returns ``(iterations, mean_rmsd, traces)``.
+    runs.  A solve too large for the size rule is refused before any
+    stream is spawned.  Returns ``(iterations, mean_rmsd, traces)``.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    group = 0 if subset is None else replicates
+    _check_solve(problem, subset, max(group, 1), group, config.max_iters,
+                 config.record_every)
     eta = resolve_step_size(config, problem.A)
     rngs = [None] if subset is None else replicate_rngs(config.seed, replicates)
     traces = _drive(problem, None, subset, config.max_iters, eta, rngs,

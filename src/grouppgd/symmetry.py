@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linop import _check_size
+
 __all__ = [
     "GroupAction",
     "SymmetricSubset",
@@ -154,10 +156,17 @@ class SymmetricSubset:
 
 
 def symmetric_subset(generator: GroupAction, radius: int) -> SymmetricSubset:
-    """Build {Id, g, g^-1, g^2, g^-2, ...} up to ``+-radius`` from a generator."""
+    """Build {Id, g, g^-1, g^2, g^-2, ...} up to ``+-radius`` from a generator.
+
+    ``2 * radius + 1`` permutations of more than ``linop.DENSE_CAP**2``
+    entries in all are refused (:class:`~grouppgd.linop.SizeCapError`)
+    before the first is built.
+    """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     d = generator.dimension
+    _check_size((2 * radius + 1) * d,
+                f"the subset's {2 * radius + 1} permutations of {d} cells")
     base = generator.label or "g"
     actions = [identity_action(d)]
     # g^k is g applied to g^(k-1), and g^-k is g^-1 applied to g^-(k-1)

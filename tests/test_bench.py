@@ -60,6 +60,13 @@ def test_textured_phantom_small_shifts_move_less():
         assert d1 <= d2 + 1e-12
 
 
+def test_textured_phantom_keeps_at_most_the_grid_harmonics():
+    # 8 angles hold the harmonics 0..4; a sixth would alias onto a lower one
+    assert textured_phantom(4, 8, 5, seed=0).shape == (32,)
+    with pytest.raises(ValueError, match=r"smoothness must be in \[1, 5\] on 8 angles"):
+        textured_phantom(4, 8, 6, seed=0)
+
+
 def test_textured_phantom_box_feasible_and_deterministic():
     x = textured_phantom(5, 12, smoothness=3, seed=7)
     y = textured_phantom(5, 12, smoothness=3, seed=7)

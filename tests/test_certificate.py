@@ -596,6 +596,13 @@ def test_stack_min_eig_holds_one_factor_at_a_time():
     assert peak < 2.5 * (band.diag.nbytes + band.lower.nbytes)
 
 
+def test_stack_min_eig_of_an_indefinite_band_is_not_certified():
+    # the shifted factor fails before Lanczos starts: 0, flagged estimate
+    band = BandGram(order=np.arange(2), diag=np.array([[[1.0, 0.0], [0.0, -1.0]]]),
+                    lower=np.zeros((0, 2, 2)))
+    assert certificate._stack_min_eig(band, 1.0) == (0.0, False)
+
+
 @pytest.mark.parametrize("name, bands", [("extreme_sparse", 1.4), ("noisy_textured", 1.75)])
 def test_band_gram_moves_one_action_at_a_time(name, bands):
     # one array of block rows (one block more than the band) and the moved

@@ -1,6 +1,7 @@
 """Config parsing, subcommands, output formats, exit codes."""
 
 import os
+import re
 import warnings
 
 import numpy as np
@@ -71,13 +72,52 @@ def test_parse_rejects_duplicate_and_malformed():
         parse_config("problem.n_r = eight\n")
 
 
-def test_parse_validates_ranges():
-    with pytest.raises(ConfigError, match="angle_fraction"):
-        parse_config("problem.angle_fraction = 1.5\n")
-    with pytest.raises(ConfigError, match="positive count"):
-        parse_config("problem.n_r = 0\n")
-    with pytest.raises(ConfigError, match="solver.step"):
-        parse_config("solver.step = -1\n")
+RANGE_ERRORS = [
+    ("problem.angle_fraction", "1.5", "angle_fraction"),
+    ("problem.n_r", "0", "positive count"),
+    ("solver.step", "-1", "solver.step"),
+    ("solver.iters", "-1", "solver.iters must be nonnegative"),
+    ("subset.radius", "-1", "subset.radius must be nonnegative"),
+    ("problem.phantom", "disk", "unknown problem.phantom 'disk'"),
+    ("problem.noise", "laplace", "unknown problem.noise 'laplace'"),
+    ("problem.weights", "mixed", "unknown problem.weights 'mixed'"),
+    ("solver.tolerance", "0", "solver.tolerance must be positive"),
+    ("problem.sigma", "abc", "problem.sigma expects a number, got 'abc'"),
+    ("solver.step", "fast", "solver.step expects 'auto' or a number, got 'fast'"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", RANGE_ERRORS,
+                         ids=[f"{key}={value}" for key, value, _ in RANGE_ERRORS])
+def test_parse_validates_ranges(key, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(f"{key} = {value}\n")
+
+
+def test_parse_refuses_more_harmonics_than_a_textured_grid_holds():
+    # 8 angles hold 5 distinct harmonics; a ring phantom ignores the key
+    text = "problem.n_theta = 8\nproblem.smoothness = 6\nproblem.phantom = "
+    with pytest.raises(ConfigError, match=r"problem\.smoothness must be at most .* = 5"):
+        parse_config(text + "textured\n")
+    assert parse_config(text + "ring\n").problem_smoothness == 6
+    assert parse_config("problem.n_theta = 8\nproblem.smoothness = 5\n"
+                        "problem.phantom = textured\n").problem_smoothness == 5
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "compare", "phantom"])
+def test_absurd_smoothness_exits_2_before_building(tmp_path, capsys, monkeypatch, command):
+    # 10**12 harmonics would loop for hours: refused by the config check,
+    # before the phantom is drawn
+    from grouppgd import bench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("textured_phantom called")
+
+    monkeypatch.setattr(bench, "textured_phantom", refuse)
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", problem_phantom="textured",
+                                             problem_smoothness=10**12))
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    assert "problem.smoothness must be at most" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "compare"])
@@ -224,6 +264,31 @@ def test_absurd_iteration_count_exits_4_before_allocating(tmp_path, capsys, comm
     cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_iters=10**15))
     assert main([command, "--config", cfg]) == 4
     assert "problem too large to certify: the solve's records" in capsys.readouterr().err
+
+
+def test_absurd_seed_count_exits_4_before_spawning_streams(tmp_path, capsys, monkeypatch):
+    # 10**12 replicates: refused by the size rule before a stream is spawned
+    from grouppgd import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("replicate_rngs called")
+
+    monkeypatch.setattr(cli, "replicate_rngs", refuse)
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_seeds=10**12))
+    assert main(["compare", "--config", cfg]) == 4
+    assert "problem too large to certify: the solve's" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "run", "compare", "phantom"])
+def test_oversized_subset_exits_4_before_building_it(tmp_path, capsys, monkeypatch, command):
+    # 96 cells and 576 weights fit a cap of 25**2, the 9 permutations of
+    # radius 4 (864 entries) do not
+    from grouppgd import linop
+    monkeypatch.setattr(linop, "DENSE_CAP", 25)
+    cfg = write_config(tmp_path, config_text(tmp_path / "out"))
+    assert main([command, "--config", cfg]) == 4
+    assert ("problem too large to certify: the subset's 9 permutations of 96 cells"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("noise", [{}, {"problem_noise": "poisson", "problem_weights": "nonneg"}])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from grouppgd import solver
+from grouppgd import linop, solver
 from grouppgd.bench import Geometry, ProblemInstance, angle_subsampled_operator, build_problem
 from grouppgd.certificate import certify
 from grouppgd.constraint import Box, Subspace
@@ -388,6 +388,35 @@ def test_absurd_budget_is_refused_before_allocating(record_every, what):
     config = SolverConfig(max_iters=10**15, record_every=record_every)
     with pytest.raises(SizeCapError, match=f"the solve's {what}"):
         run(small_problem(), config)
+
+
+def test_absurd_replicate_count_is_refused_before_spawning_streams(monkeypatch):
+    # 10**12 replicates: refused by the size rule before a stream is spawned
+    def refuse(*args, **kwargs):
+        raise AssertionError("replicate_rngs called")
+
+    monkeypatch.setattr(solver, "replicate_rngs", refuse)
+    prob = small_problem()
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
+    with pytest.raises(SizeCapError, match="the solve's"):
+        run_ensemble(prob, SolverConfig(max_iters=10), subset, replicates=10**12)
+
+
+@pytest.mark.parametrize("n_theta, radius, cap, what", [
+    # 4 rows x 5 actions x 48 window cells = 960 > 30**2, the stack 4 x 32 fits
+    (8, 2, 30, "window table of 4 rows x 5 actions x 48 cells"),
+    # 2 rows x 64 cells = 128 > 11**2, the identity's window table 2 x 1 x 48 fits
+    (16, 0, 11, "stack of 2 rows x 64 cells"),
+], ids=["window_table", "stack"])
+def test_solve_refuses_its_stack_and_window_table(monkeypatch, n_theta, radius, cap, what):
+    # records (rows x 6) and step table (5 x gathered rows) fit the cap
+    prob = build_problem(n_r=4, n_theta=n_theta, angle_fraction=4 / n_theta,
+                         rays_per_angle=2)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), radius)
+    rngs = replicate_rngs(0, 3 if radius else 1)
+    monkeypatch.setattr(linop, "DENSE_CAP", cap)
+    with pytest.raises(SizeCapError, match=f"the solve's {what}"):
+        run_with_plain(prob, SolverConfig(max_iters=5, step_size=0.1), subset, rngs)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from grouppgd import linop, symmetry
 from grouppgd.bench import ring_phantom
+from grouppgd.linop import SizeCapError
 from grouppgd.symmetry import (
     GroupAction,
     SymmetricSubset,
@@ -172,3 +174,16 @@ def test_sampling_deterministic_given_seed():
     seq_b = [sample_action(sub, rng_b)[1] for _ in range(100)]
     assert seq_a == seq_b
 
+
+def test_symmetric_subset_refuses_permutations_past_the_size_rule(monkeypatch):
+    # 5 permutations of 16 cells: 80 entries, above 8**2, refused before the
+    # first (the identity) is built; 3 of them fit
+    generator = cyclic_shift_action(16, 1)
+    monkeypatch.setattr(linop, "DENSE_CAP", 8)
+    built = []
+    monkeypatch.setattr(symmetry, "identity_action",
+                        lambda d: built.append(d) or identity_action(d))
+    with pytest.raises(SizeCapError, match="the subset's 5 permutations of 16 cells"):
+        symmetric_subset(generator, 2)
+    assert built == []
+    assert len(symmetric_subset(generator, 1)) == 3
