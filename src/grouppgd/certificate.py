@@ -45,11 +45,10 @@ On a subspace cone ``span(B)`` ``mu_C`` and ``mu_Gstar`` are the cone's own
 values, read from ``k`` forward probes of ``B`` per action
 (:func:`~grouppgd.constraint.subspace_min_eig`).  On every other cone they
 are the whole space's, the same bits as on a ``whole_space`` cone: on a box
-cone, or the whole space standing in for an l1-ball boundary cone, that is a
-lower bound, flagged ``relaxed``.  The ``eps_*`` terms project exactly onto
-every cone but the relaxed one, where they read the whole space's larger
-values, also flagged ``relaxed``.  The bound rises as ``mu_Gstar`` falls and
-as ``eps_*`` rise, so relaxed constants give a valid, weaker bound.
+cone that is a lower bound, flagged ``relaxed``.  The bound rises as
+``mu_Gstar`` falls, so relaxed constants give a valid, weaker bound.  The
+``eps_*`` terms project exactly onto every cone, so they are always
+``exact``.
 :meth:`CertificateReport.why_no_bound` is the one rule of the certified
 regime, the step ``1/L`` included when it is given a step.  The band and the
 subspace probes read the operator through ``forward``/``adjoint``, not its
@@ -100,11 +99,11 @@ class CertificateReport:
     """All constants of the convergence bound, with per-field exactness flags.
 
     ``flags[name]`` is one of three values: ``"exact"``, the constant
-    itself; ``"relaxed"``, a safe-side value that is not the cone's own (a
-    whole-space ``mu`` below the cone's, or ``eps`` above it); and
-    ``"estimate"``, a whole-space ``mu_Gstar`` that the band Cholesky could
-    not certify, the only constant that can be one.  ``alpha_Gstar`` is
-    always recomputable as ``kappa_c * sqrt(1 - mu_Gstar / L)``.
+    itself; ``"relaxed"``, a box cone's ``mu_C`` or ``mu_Gstar`` read from
+    the whole space, a lower bound on the cone's own; and ``"estimate"``, a
+    whole-space ``mu_Gstar`` that the band Cholesky could not certify, the
+    only constant that can be one.  ``alpha_Gstar`` is always recomputable
+    as ``kappa_c * sqrt(1 - mu_Gstar / L)``.
     """
 
     L: float
@@ -293,14 +292,13 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     alpha = compute_alpha(min(mu_Gstar, L), L, kappa_c)
     eps_gstar = compute_eps_gstar(A, subset, problem.x_dagger, cone)
     eps_w = compute_eps_w(A, subset, problem.w, cone)
-    mu_flag = "relaxed" if cone.kind == "box" or not cone.exact else "exact"
-    eps_flag = "exact" if cone.exact else "relaxed"
+    mu_flag = "relaxed" if cone.kind == "box" else "exact"
     flags = {
         "L": "exact",
         "mu_C": mu_flag,
         "mu_Gstar": mu_flag if certified else "estimate",
-        "eps_Gstar": eps_flag,
-        "eps_w": eps_flag,
+        "eps_Gstar": "exact",
+        "eps_w": "exact",
     }
     return CertificateReport(
         L=L, mu_C=mu_C, mu_Gstar=mu_Gstar, kappa_c=kappa_c,

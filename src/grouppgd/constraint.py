@@ -12,11 +12,9 @@ three representations, each projected exactly:
 * ``box``: ``v_i >= 0`` where the anchor sits on a lower bound and
   ``v_i <= 0`` where it sits on an upper one, projected by clipping.
 
-At an l1-ball boundary anchor the cone is relaxed to the whole space
-(``DescentCone.exact`` is False), which contains it.  The least Rayleigh
-quotient over a box cone is a copositivity problem, hard in general, so
-curvature on a box cone is read from the whole space, a lower bound; the
-certificate layer flags such constants ``relaxed``.
+The least Rayleigh quotient over a box cone is a copositivity problem, hard
+in general, so curvature on a box cone is read from the whole space, a lower
+bound; the certificate layer flags such constants ``relaxed``.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ from .linop import LinearMap, DimensionMismatchError, gram_eigvals
 __all__ = [
     "ConstraintSet",
     "Box",
-    "Nonneg",
-    "L1Ball",
     "Subspace",
     "DescentCone",
     "project_cone",
@@ -47,12 +43,12 @@ class ConstraintSet:
     """Base class for closed convex feasible sets."""
 
     dimension: int
-    convex: bool = True
 
     @property
     def kappa_c(self) -> int:
-        """Projection contraction constant: 1 for convex sets, 2 otherwise."""
-        return 1 if self.convex else 2
+        """Projection contraction constant: 1, since every set here is closed
+        and convex, so its projection is nonexpansive."""
+        return 1
 
     def project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -89,35 +85,6 @@ class Box(ConstraintSet):
         return np.minimum(out, self.hi, out=out)
 
 
-class Nonneg(Box):
-    """The nonnegative orthant: the box ``[0, +inf)``."""
-
-    def __init__(self, dimension: int):
-        super().__init__(0.0, np.inf, dimension)
-
-
-class L1Ball(ConstraintSet):
-    """The l1 ball of a given radius, projected by sort-and-threshold."""
-
-    def __init__(self, radius: float, dimension: int):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
-        self.dimension = dimension
-
-    def project(self, x):
-        x = self._check(x)
-        a = np.abs(x)
-        inside = a.sum(axis=-1, keepdims=True) <= self.radius
-        # exact threshold: project |x| onto the simplex of size `radius`
-        u = np.sort(a, axis=-1)[..., ::-1]
-        css = np.cumsum(u, axis=-1) - self.radius
-        above = u > css / np.arange(1, self.dimension + 1)
-        rho = self.dimension - 1 - np.argmax(above[..., ::-1], axis=-1, keepdims=True)
-        tau = np.take_along_axis(css, rho, axis=-1) / (rho + 1.0)
-        return np.where(inside, x, np.sign(x) * np.maximum(a - tau, 0.0))
-
-
 class Subspace(ConstraintSet):
     """A linear subspace given by an orthonormal basis (columns)."""
 
@@ -147,8 +114,7 @@ class DescentCone:
 
     ``kind`` is one of ``whole_space``, ``subspace`` (orthonormal ``basis``),
     or ``box`` (direction bounds ``lo <= v <= hi``, each entry 0 or
-    infinite).  ``exact`` is False when the cone stands in for a smaller
-    one: the whole space at an l1-ball boundary anchor.
+    infinite).
     """
 
     anchor: np.ndarray
@@ -156,7 +122,6 @@ class DescentCone:
     basis: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
-    exact: bool = True
 
     def __post_init__(self):
         if self.kind not in ("whole_space", "subspace", "box"):
@@ -199,22 +164,16 @@ def project_cone(C: DescentCone, x: np.ndarray) -> np.ndarray:
 def descent_cone_of(K: ConstraintSet, anchor: np.ndarray) -> DescentCone:
     """Build the descent cone of ``K`` at ``anchor``.
 
-    Subspace sets give their own subspace.  A box anchor (the nonnegative
-    orthant is a box) gives a ``box`` cone, ``v_i >= 0`` where it sits on a lower
-    bound and ``v_i <= 0`` where it sits on an upper one (within
-    ``ANCHOR_TOL``, the nearer bound when both are that close), or the
-    whole space when no bound is active.  An l1-ball anchor gives the whole
-    space: exactly inside the ball, and on its boundary as a relaxation
-    (``exact=False``) that contains the true cone.
+    Subspace sets give their own subspace.  A box anchor gives a ``box``
+    cone, ``v_i >= 0`` where it sits on a lower bound and ``v_i <= 0`` where
+    it sits on an upper one (within ``ANCHOR_TOL``, the nearer bound when
+    both are that close), or the whole space when no bound is active.
     """
     anchor = np.asarray(anchor, dtype=float)
     if not K.contains(anchor, tol=ANCHOR_TOL):
         raise ValueError("anchor is not a member of the constraint set")
     if isinstance(K, Subspace):
         return DescentCone(anchor=anchor, kind="subspace", basis=K.basis)
-    if isinstance(K, L1Ball):
-        inside = np.abs(anchor).sum() < K.radius - ANCHOR_TOL
-        return DescentCone(anchor=anchor, kind="whole_space", exact=bool(inside))
     if not isinstance(K, Box):
         raise TypeError(f"no descent cone construction for {type(K).__name__}")
     below, above = anchor - K.lo, K.hi - anchor

@@ -245,23 +245,18 @@ def test_certified_mu_matches_blockwise_oracle():
 
 
 def test_certify_flags_relaxed_constants():
-    # a box cone's curvature is the whole space's; a relaxed whole space
-    # also over-reads the eps terms
+    # a box cone's curvature is the whole space's; its eps terms are exact
     prob = ring_instance()
     subset = covering_subset(prob)
     lo = np.full(prob.dimension, -np.inf)
     lo[:8] = 0.0
     box = DescentCone(anchor=prob.x_dagger, kind="box", lo=lo,
                       hi=np.full(prob.dimension, np.inf))
-    relaxed = DescentCone(anchor=prob.x_dagger, kind="whole_space", exact=False)
-    expected = {"box": ("relaxed", "exact"), "whole_space": ("relaxed", "relaxed")}
-    for cone in (box, relaxed):
-        report = certify(prob, subset, cone=cone)
-        mu_flag, eps_flag = expected[cone.kind]
-        assert report.flags == {"L": "exact", "mu_C": mu_flag, "mu_Gstar": mu_flag,
-                                "eps_Gstar": eps_flag, "eps_w": eps_flag}
-        assert report.cone_kind == cone.kind
-        assert report.why_no_bound() is None
+    report = certify(prob, subset, cone=box)
+    assert report.flags == {"L": "exact", "mu_C": "relaxed", "mu_Gstar": "relaxed",
+                            "eps_Gstar": "exact", "eps_w": "exact"}
+    assert report.cone_kind == "box"
+    assert report.why_no_bound() is None
 
 
 def test_certify_L_is_top_gram_eigenvalue():
@@ -601,6 +596,32 @@ def test_stack_min_eig_of_an_indefinite_band_is_not_certified():
     band = BandGram(order=np.arange(2), diag=np.array([[[1.0, 0.0], [0.0, -1.0]]]),
                     lower=np.zeros((0, 2, 2)))
     assert certificate._stack_min_eig(band, 1.0) == (0.0, False)
+
+
+def test_stack_min_eig_whose_inertia_check_fails_is_not_certified(monkeypatch):
+    # Lanczos runs on the first factor; the second, at mu_hat - slack, fails:
+    # 0, flagged estimate, and no bound
+    prob = ring_instance()
+    subset = covering_subset(prob)
+    calls = []
+    cholesky = BandGram.cholesky
+
+    def second_fails(self, shift):
+        calls.append(shift)
+        return None if len(calls) % 2 == 0 else cholesky(self, shift)
+
+    monkeypatch.setattr(BandGram, "cholesky", second_fails)
+    L = spectral_norm(prob.A)
+    band = band_gram(prob.A, subset, prob.geometry.folded_order, pad=L)
+    assert certificate._stack_min_eig(band, L) == (0.0, False)
+    assert len(calls) == 2 and calls[0] < 0.0 < calls[1]
+    report = certify(prob, subset)
+    assert report.flags["mu_Gstar"] == "estimate" and report.mu_Gstar == 0.0
+    # mu_Gstar = 0 makes alpha_Gstar = 1, so the report is vacuous before the
+    # estimate flag is read
+    assert report.why_no_bound() == "bound vacuous (alpha_Gstar >= 1)"
+    assert report.to_text().endswith("flag.mu_Gstar = estimate\nflag.eps_Gstar = exact\n"
+                                      "flag.eps_w = exact\nbound = vacuous\n")
 
 
 @pytest.mark.parametrize("name, bands", [("extreme_sparse", 1.4), ("noisy_textured", 1.75)])

@@ -11,8 +11,6 @@ from numpy.testing import assert_allclose
 from grouppgd.constraint import (
     Box,
     DescentCone,
-    L1Ball,
-    Nonneg,
     Subspace,
     descent_cone_of,
     project_cone,
@@ -44,7 +42,7 @@ def test_projection_fixes_members():
 
 def test_projection_idempotent():
     rng = np.random.default_rng(1)
-    sets = [Box(0.0, 1.0, 6), Nonneg(6), L1Ball(1.5, 6),
+    sets = [Box(0.0, 1.0, 6), Box(0.0, np.inf, 6),
             Subspace(random_orthonormal(6, 2, 3))]
     for K in sets:
         x = rng.standard_normal(6) * 3
@@ -52,34 +50,9 @@ def test_projection_idempotent():
         assert_allclose(K.project(p), p, atol=1e-12)
 
 
-def test_l1_projection_against_face_search():
-    K = L1Ball(1.0, 2)
-    assert_allclose(K.project(np.array([2.0, 1.0])), [1.0, 0.0], atol=1e-12)
-    # fine-grid search over the boundary as an independent oracle
-    rng = np.random.default_rng(2)
-    ts = np.linspace(0.0, 1.0, 20001)
-    boundary = np.concatenate([
-        np.stack([sx * ts, sy * (1.0 - ts)], axis=1)
-        for sx in (1, -1) for sy in (1, -1)
-    ])
-    for _ in range(5):
-        x = rng.standard_normal(2) * 2
-        if np.abs(x).sum() <= 1.0:
-            continue
-        p = K.project(x)
-        dists = np.linalg.norm(boundary - x, axis=1)
-        assert_allclose(p, boundary[np.argmin(dists)], atol=1e-4)
-
-
-def test_l1_projection_inside_ball_is_identity():
-    K = L1Ball(2.0, 4)
-    x = np.array([0.5, -0.5, 0.25, 0.25])
-    assert np.array_equal(K.project(x), x)
-
-
 def test_nonexpansiveness():
     rng = np.random.default_rng(3)
-    sets = [Box(0.0, 1.0, 8), Nonneg(8), L1Ball(1.0, 8),
+    sets = [Box(0.0, 1.0, 8), Box(0.0, np.inf, 8),
             Subspace(random_orthonormal(8, 3, 4))]
     for K in sets:
         for _ in range(25):
@@ -94,14 +67,12 @@ def random_set(kind, d, rng):
         lo = rng.standard_normal(d)
         return Box(lo, lo + rng.uniform(0.01, 3.0, d), d)
     if kind == "nonneg":
-        return Nonneg(d)
-    if kind == "l1":
-        return L1Ball(rng.uniform(0.1, 5.0), d)
+        return Box(0.0, np.inf, d)
     return Subspace(random_orthonormal(d, int(rng.integers(1, d + 1)), rng))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(kind=st.sampled_from(["box", "nonneg", "l1", "subspace"]), d=st.integers(1, 12),
+@given(kind=st.sampled_from(["box", "nonneg", "subspace"]), d=st.integers(1, 12),
        scale=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
 def test_projection_properties_over_random_sets(kind, d, scale, seed):
     # idempotence, nonexpansiveness, and the obtuse-angle inequality
@@ -208,10 +179,9 @@ def test_box_cone_projection_matches_brute_force(kind, d, scale, seed):
         anchor = np.select([state == 1, state == 2], [lo, hi], rng.uniform(lo, hi))
     else:
         lo, hi = np.zeros(d), np.full(d, np.inf)
-        K = Nonneg(d)
+        K = Box(0.0, np.inf, d)
         anchor = np.where(state == 0, 0.0, rng.exponential(size=d))
     cone = descent_cone_of(K, anchor)
-    assert cone.exact
     assert cone.kind == ("box" if np.any(anchor == lo) or np.any(anchor == hi)
                          else "whole_space")
     for z in scale * rng.standard_normal((4, d)):
@@ -239,7 +209,6 @@ def test_descent_cone_interior_box_is_whole_space():
     K = Box(0.0, 1.0, 5)
     cone = descent_cone_of(K, np.full(5, 0.5))
     assert cone.kind == "whole_space"
-    assert cone.exact
 
 
 def test_descent_cone_of_subspace_is_same_subspace():
@@ -257,7 +226,7 @@ def test_descent_cone_box_boundary_is_a_box_cone():
     K = Box(0.0, 1.0, 3)
     anchor = np.array([0.0, 0.5, 1.0])
     cone = descent_cone_of(K, anchor)
-    assert cone.kind == "box" and cone.exact
+    assert cone.kind == "box"
     assert np.array_equal(cone.lo, [0.0, -np.inf, -np.inf])
     assert np.array_equal(cone.hi, [np.inf, np.inf, 0.0])
     # membership oracle: a tiny step along any projected direction stays feasible
@@ -275,18 +244,6 @@ def test_descent_cone_rejects_outside_anchor():
     K = Box(0.0, 1.0, 3)
     with pytest.raises(ValueError):
         descent_cone_of(K, np.array([0.5, 1.5, 0.5]))
-
-
-def test_descent_cone_l1_interior_and_boundary():
-    K = L1Ball(1.0, 3)
-    interior = descent_cone_of(K, np.zeros(3))
-    assert interior.kind == "whole_space" and interior.exact
-    # on the boundary the whole space stands in for the cone: it contains
-    # every feasible direction, and it is marked as a relaxation
-    boundary = descent_cone_of(K, np.array([1.0, 0.0, 0.0]))
-    assert boundary.kind == "whole_space" and not boundary.exact
-    z = np.array([-0.5, 0.25, -0.25])
-    assert np.array_equal(project_cone(boundary, z), z)
 
 
 def test_restricted_min_eig_identity_whole_space():
@@ -364,9 +321,8 @@ def test_subspace_descent_cone_needs_an_orthonormal_basis():
         DescentCone(anchor=np.zeros(5), kind="subspace", basis=B)
 
 
-def test_nonneg_is_the_box_from_zero_to_infinity():
-    K = Nonneg(5)
-    assert isinstance(K, Box)
+def test_box_from_zero_to_infinity_clips_below_at_zero():
+    K = Box(0.0, np.inf, 5)
     assert np.array_equal(K.lo, np.zeros(5)) and np.array_equal(K.hi, np.full(5, np.inf))
     X = np.array([[-1.0, -0.0, 0.0, np.nan, np.inf], [3.0, -np.inf, 1e300, -1e-300, 2.0]])
     # the same bits as clipping below at 0 alone, NaN and signed zeros included
@@ -377,7 +333,7 @@ def test_restricted_min_eig_box_cone_reads_the_whole_space():
     rng = np.random.default_rng(12)
     M = rng.standard_normal((5, 4))
     A = from_dense(M)
-    cone = descent_cone_of(Nonneg(4), np.array([0.0, 1.0, 0.0, 2.0]))
+    cone = descent_cone_of(Box(0.0, np.inf, 4), np.array([0.0, 1.0, 0.0, 2.0]))
     assert cone.kind == "box"
     whole = restricted_min_eig(A, DescentCone(anchor=cone.anchor, kind="whole_space"))
     assert restricted_min_eig(A, cone) == whole
@@ -401,18 +357,18 @@ def test_dimension_mismatch_raises():
 
 
 def test_kappa_c_is_one_for_all_shipped_sets():
-    sets = [Box(0.0, 1.0, 3), Nonneg(3), L1Ball(1.0, 3),
+    sets = [Box(0.0, 1.0, 3), Box(0.0, np.inf, 3),
             Subspace(random_orthonormal(3, 1, 13))]
     for K in sets:
         assert K.kappa_c == 1
 
 
 def test_descent_cone_nonneg_orthant():
-    K = Nonneg(4)
+    K = Box(0.0, np.inf, 4)
     interior = descent_cone_of(K, np.full(4, 0.5))
     assert interior.kind == "whole_space"
     boundary = descent_cone_of(K, np.array([0.0, 0.5, 0.2, 0.0]))
-    assert boundary.kind == "box" and boundary.exact
+    assert boundary.kind == "box"
     # the orthant has no upper bound, so no direction is capped above
     assert np.array_equal(boundary.lo, [0.0, -np.inf, -np.inf, 0.0])
     assert np.array_equal(boundary.hi, np.full(4, np.inf))
@@ -425,11 +381,10 @@ def test_stacked_projection_equals_row_by_row():
     rng = np.random.default_rng(31)
     sets = {
         "box": Box(rng.uniform(-1.0, 0.0, d), rng.uniform(0.1, 1.0, d), d),
-        "nonneg": Nonneg(d),
-        "l1": L1Ball(1.5, d),
+        "nonneg": Box(0.0, np.inf, d),
         "subspace": Subspace(random_orthonormal(d, 4, 32)),
     }
-    # rows inside and outside the l1 ball, with ties and signed zeros
+    # rows of mixed scale, with ties and signed zeros
     X = rng.standard_normal((6, d))
     X[1] *= 0.05
     X[2, :3] = [0.5, -0.5, 0.5]
