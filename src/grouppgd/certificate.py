@@ -23,9 +23,12 @@ and checks the bound against seeded Monte Carlo runs:
   ``G_star - (mu_Gstar - n u L) I`` certifies it by Sylvester's law of
   inertia (Higham, *Accuracy and Stability of Numerical Algorithms*,
   Thm 10.5), so the enclosure is as narrow as ``eigvalsh``'s own backward
-  error.  Only a certified value is flagged ``exact``.
-* ``alpha_Gstar = kappa_c * sqrt(1 - mu_Gstar / L)``: per-iteration
-  contraction of the expected distance to the ground truth.
+  error.  Only a certified value is flagged ``exact``; an uncertified
+  one is flagged ``estimate`` and gives no bound, for that reason.
+* ``alpha_Gstar = sqrt(1 - mu_Gstar / L)``: per-iteration contraction of
+  the expected distance to the ground truth.  The paper's rate carries a
+  factor ``kappa_c``, 1 for a convex feasible set; every set here is
+  convex, so ``certificate.txt`` prints ``kappa_c = 1``.
 * ``eps_Gstar``: symmetry-mismatch term, zero when every subset action fixes
   the ground truth.
 * ``eps_w``: cone-restricted noise amplification through the rotated
@@ -33,7 +36,7 @@ and checks the bound against seeded Monte Carlo runs:
 
 The expected distance after k iterations is bounded by
 
-    alpha^k * ||x0 - xd|| + kappa_c * (1 - alpha^k) / (L * (1 - alpha))
+    alpha^k * ||x0 - xd|| + (1 - alpha^k) / (L * (1 - alpha))
         * (eps_Gstar + eps_w * ||w||)
 
 which :func:`bound_curve` evaluates, :func:`bound_at` reads at recorded
@@ -61,12 +64,14 @@ smaller-side Gram or a band of more than ``linop.DENSE_CAP**2`` entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .bench import ProblemInstance
 from .constraint import DescentCone, descent_cone_of, project_cone, subspace_min_eig
-from .linop import BandGram, LinearMap, band_gram, gram_eigvals, rotated_adjoint, window_table
+from .linop import (BandGram, DimensionMismatchError, LinearMap, band_gram, gram_eigvals,
+                    rotated_adjoint, window_table)
 from .solver import SolverConfig, run_ensemble
 from .symmetry import SymmetricSubset
 
@@ -74,7 +79,6 @@ __all__ = [
     "CertificateReport",
     "DominationReport",
     "BoundVacuousError",
-    "compute_alpha",
     "compute_eps_gstar",
     "compute_eps_w",
     "certify",
@@ -88,6 +92,7 @@ __all__ = [
 _LANCZOS_SEED = 0  # a constant, never the clock or the problem seed
 _LANCZOS_STEPS = 200
 _LANCZOS_TOL = 1e-10  # top Ritz residual estimate, relative to its Ritz value
+_VACUOUS = "bound vacuous (alpha_Gstar >= 1)"
 
 
 class BoundVacuousError(ValueError):
@@ -96,26 +101,35 @@ class BoundVacuousError(ValueError):
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """All constants of the convergence bound, with per-field exactness flags.
+    """The constants of the bound that :func:`certify` measures, from which
+    the rate ``alpha_Gstar`` and the ``flags`` follow; ``kappa_c`` is 1, as
+    every feasible set is convex."""
 
-    ``flags[name]`` is one of three values: ``"exact"``, the constant
-    itself; ``"relaxed"``, a box cone's ``mu_C`` or ``mu_Gstar`` read from
-    the whole space, a lower bound on the cone's own; and ``"estimate"``, a
-    whole-space ``mu_Gstar`` that the band Cholesky could not certify, the
-    only constant that can be one.  ``alpha_Gstar`` is always recomputable
-    as ``kappa_c * sqrt(1 - mu_Gstar / L)``.
-    """
+    kappa_c: ClassVar[int] = 1
 
     L: float
     mu_C: float
     mu_Gstar: float
-    kappa_c: int
-    alpha_Gstar: float
     eps_Gstar: float
     eps_w: float
-    flags: dict[str, str]
+    certified: bool
     subset_size: int
     cone_kind: str
+
+    @property
+    def alpha_Gstar(self) -> float:
+        """Contraction factor ``sqrt(1 - mu_Gstar / L)``."""
+        return float(np.sqrt(1.0 - min(self.mu_Gstar, self.L) / self.L))
+
+    @property
+    def flags(self) -> dict[str, str]:
+        """One of three values per constant: ``"exact"``, the constant
+        itself; ``"relaxed"``, a box cone's ``mu_C`` or ``mu_Gstar`` read
+        from the whole space, a lower bound on the cone's own; and
+        ``"estimate"``, an uncertified ``mu_Gstar``."""
+        mu = "relaxed" if self.cone_kind == "box" else "exact"
+        return {"L": "exact", "mu_C": mu, "mu_Gstar": mu if self.certified else "estimate",
+                "eps_Gstar": "exact", "eps_w": "exact"}
 
     @property
     def vacuous(self) -> bool:
@@ -123,52 +137,30 @@ class CertificateReport:
 
     def why_no_bound(self, step: float | None = None) -> str | None:
         """Why the report certifies no bound, or None in the certified regime:
-        finite constants, a non-vacuous rate, no constant flagged
-        ``estimate``, a convex set and, when ``step`` is given, the step
-        ``1/L``."""
-        for name in ("L", "mu_C", "mu_Gstar", "alpha_Gstar", "eps_Gstar", "eps_w"):
+        finite constants, a certified ``mu_Gstar``, a non-vacuous rate and,
+        when ``step`` is given, the step ``1/L``, checked in that order."""
+        for name in ("L", "mu_C", "mu_Gstar", "eps_Gstar", "eps_w"):
             if not np.isfinite(getattr(self, name)):
                 return f"{name} is not finite, so no bound holds"
-        estimates = [name for name, flag in self.flags.items() if flag == "estimate"]
+        if not self.certified:
+            return "mu_Gstar flagged estimate, so no bound holds"
         if self.vacuous:
-            return "bound vacuous (alpha_Gstar >= 1)"
-        if estimates:
-            return f"{', '.join(estimates)} flagged estimate, so no bound holds"
-        if self.kappa_c != 1:
-            return "the feasible set is not convex (kappa_c != 1), so no bound holds"
+            return _VACUOUS
         if step is not None and step != 1.0 / self.L:
             return (f"solver.step = {step:g} is not the certified "
                     f"1/L = {1.0 / self.L:.6g}, so no bound holds")
         return None
 
     def to_text(self) -> str:
-        """Flat key-value block, one ``name = value`` line per field."""
-        lines = []
-        for name in ("L", "mu_C", "mu_Gstar", "kappa_c", "alpha_Gstar",
-                     "eps_Gstar", "eps_w"):
-            value = getattr(self, name)
-            if isinstance(value, float):
-                lines.append(f"{name} = {value:.17g}")
-            else:
-                lines.append(f"{name} = {value}")
-        lines.append(f"subset_size = {self.subset_size}")
-        lines.append(f"cone = {self.cone_kind}")
-        for name in ("L", "mu_C", "mu_Gstar", "eps_Gstar", "eps_w"):
-            lines.append(f"flag.{name} = {self.flags[name]}")
-        state = "vacuous" if self.vacuous else "none" if self.why_no_bound() else "active"
+        """Flat key-value block, one ``name = value`` line per constant and flag."""
+        lines = [f"{name} = {getattr(self, name):.17g}" for name in
+                 ("L", "mu_C", "mu_Gstar", "kappa_c", "alpha_Gstar", "eps_Gstar", "eps_w")]
+        lines += [f"subset_size = {self.subset_size}", f"cone = {self.cone_kind}"]
+        lines.extend(f"flag.{name} = {flag}" for name, flag in self.flags.items())
+        why = self.why_no_bound()
+        state = "active" if why is None else "vacuous" if why == _VACUOUS else "none"
         lines.append(f"bound = {state}")
         return "\n".join(lines) + "\n"
-
-
-def compute_alpha(mu: float, L: float, kappa_c: int) -> float:
-    """Contraction factor ``kappa_c * sqrt(1 - mu / L)``."""
-    if L <= 0:
-        raise ValueError("L must be positive")
-    if not 0 <= mu <= L:
-        raise ValueError(f"mu must lie in [0, L], got mu={mu}, L={L}")
-    if kappa_c not in (1, 2):
-        raise ValueError("kappa_c must be 1 (convex) or 2 (nonconvex)")
-    return kappa_c * float(np.sqrt(1.0 - mu / L))
 
 
 def compute_eps_gstar(A: LinearMap, subset: SymmetricSubset,
@@ -266,15 +258,23 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     order of ``problem.geometry`` (:func:`~grouppgd.linop.band_gram`); its
     whole-space ``mu_Gstar`` comes from one Lanczos run and one inertia
     check (:func:`_stack_min_eig`), flagged ``estimate`` when not certified.
-    :class:`~grouppgd.linop.SizeCapError` is raised when the smaller side's
-    Gram, or for such a cone the band, would hold more than
-    ``linop.DENSE_CAP**2`` entries.
+    :class:`~grouppgd.linop.DimensionMismatchError` is raised for a subset
+    or cone of another length than ``A.cols``, ``ValueError`` for ``L = 0``,
+    and :class:`~grouppgd.linop.SizeCapError` when the smaller side's Gram,
+    or for such a cone the band, would hold more than ``linop.DENSE_CAP**2``
+    entries.
     """
     if cone is None:
         cone = descent_cone_of(problem.K, problem.x_dagger)
     A = problem.A
+    for name, dimension in (("subset", subset.dimension), ("cone", cone.dimension)):
+        if dimension != A.cols:
+            raise DimensionMismatchError(
+                f"{name} dimension {dimension} does not match operator columns {A.cols}")
     eigvals = gram_eigvals(A)
     L = float(eigvals[-1])
+    if not L > 0:
+        raise ValueError(f"L must be positive, got L={L}")
     if cone.kind == "subspace":
         mu_C = subspace_min_eig(A, cone, [np.arange(A.cols)])
         mu_Gstar, certified = subspace_min_eig(A, cone, [T.permutation for T in subset]), True
@@ -282,28 +282,17 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
         mu_C = max(float(eigvals[0]), 0.0)
         G_star = band_gram(A, subset, problem.geometry.folded_order, pad=L)
         mu_Gstar, certified = _stack_min_eig(G_star, L)
-    kappa_c = problem.K.kappa_c
     # guard against round-off pushing the restricted eigenvalue past L
     if mu_Gstar > L * (1.0 + 1e-9):
         raise ValueError(
             f"restricted stack eigenvalue {mu_Gstar} exceeds L={L}; "
             "operator construction is inconsistent"
         )
-    alpha = compute_alpha(min(mu_Gstar, L), L, kappa_c)
-    eps_gstar = compute_eps_gstar(A, subset, problem.x_dagger, cone)
-    eps_w = compute_eps_w(A, subset, problem.w, cone)
-    mu_flag = "relaxed" if cone.kind == "box" else "exact"
-    flags = {
-        "L": "exact",
-        "mu_C": mu_flag,
-        "mu_Gstar": mu_flag if certified else "estimate",
-        "eps_Gstar": "exact",
-        "eps_w": "exact",
-    }
     return CertificateReport(
-        L=L, mu_C=mu_C, mu_Gstar=mu_Gstar, kappa_c=kappa_c,
-        alpha_Gstar=alpha, eps_Gstar=eps_gstar, eps_w=eps_w, flags=flags,
-        subset_size=len(subset), cone_kind=cone.kind,
+        L=L, mu_C=mu_C, mu_Gstar=mu_Gstar,
+        eps_Gstar=compute_eps_gstar(A, subset, problem.x_dagger, cone),
+        eps_w=compute_eps_w(A, subset, problem.w, cone),
+        certified=certified, subset_size=len(subset), cone_kind=cone.kind,
     )
 
 
@@ -323,7 +312,7 @@ def bound_curve(report: CertificateReport, rmsd0: float, w_norm: float,
     ks = np.arange(K + 1)
     alpha_pow = alpha ** ks
     drive = report.eps_Gstar + report.eps_w * w_norm
-    tail = report.kappa_c * (1.0 - alpha_pow) / (report.L * (1.0 - alpha)) * drive
+    tail = (1.0 - alpha_pow) / (report.L * (1.0 - alpha)) * drive
     return alpha_pow * rmsd0 + tail
 
 
@@ -342,7 +331,7 @@ def bound_limit(report: CertificateReport, w_norm: float) -> float:
             f"alpha_Gstar = {report.alpha_Gstar} is not below 1"
         )
     drive = report.eps_Gstar + report.eps_w * w_norm
-    return report.kappa_c * drive / (report.L * (1.0 - report.alpha_Gstar))
+    return drive / (report.L * (1.0 - report.alpha_Gstar))
 
 
 @dataclass(frozen=True)
@@ -371,8 +360,8 @@ def verify_bound(problem: ProblemInstance, subset: SymmetricSubset,
 
     It needs a replicate (checked before certifying) and the certified
     regime (:meth:`CertificateReport.why_no_bound`): it raises
-    :class:`BoundVacuousError` for a vacuous certificate and ``ValueError``
-    for any other certificate that gives no bound.  The runs take the
+    :class:`BoundVacuousError` when the reason is the vacuous rate and
+    ``ValueError`` for any other reason.  The runs take the
     certificate's step ``1/L``, and the slack ``2/sqrt(replicates)`` absorbs
     Monte Carlo error.
     """
@@ -381,7 +370,7 @@ def verify_bound(problem: ProblemInstance, subset: SymmetricSubset,
     report = certify(problem, subset)
     why = report.why_no_bound()
     if why is not None:
-        raise (BoundVacuousError if report.vacuous else ValueError)(why)
+        raise (BoundVacuousError if why == _VACUOUS else ValueError)(why)
     slack = 2.0 / np.sqrt(replicates)
     run_config = replace(config, step_size=1.0 / report.L)
     iterations, mean_rmsd, _ = run_ensemble(problem, run_config, subset, replicates)

@@ -14,12 +14,13 @@ Subcommands:
 
 The certified regime is the certificate's own rule, asked with the run's
 step (:meth:`~grouppgd.certificate.CertificateReport.why_no_bound`: finite
-constants, a non-vacuous rate, none flagged ``estimate``, a convex feasible
-set, the step ``1/L``); a constant flagged ``relaxed`` is a safe-side value
-and still gives a bound.  ``solver.step = auto`` is resolved to the
-certificate's ``1/L``, so the solver and the bound share one ``L``; any other
-step prints no bound.  The bound column is
-:func:`~grouppgd.certificate.bound_at` at the recorded iterations.
+constants, none flagged ``estimate``, a non-vacuous rate, the step ``1/L``);
+a constant flagged ``relaxed`` is a safe-side value and still gives a bound,
+and an uncertified ``mu_Gstar`` prints ``bound = none`` with its own reason.
+``solver.step = auto`` is resolved to the certificate's ``1/L``, so the
+solver and the bound share one ``L``; any other step prints no bound.  The
+bound column is :func:`~grouppgd.certificate.bound_at` at the recorded
+iterations.
 
 Configs are flat text files with dotted keys (``problem.n_r = 32``); unknown
 keys are rejected so typos fail loudly.  All outputs are deterministic for a

@@ -44,12 +44,6 @@ class ConstraintSet:
 
     dimension: int
 
-    @property
-    def kappa_c(self) -> int:
-        """Projection contraction constant: 1, since every set here is closed
-        and convex, so its projection is nonexpansive."""
-        return 1
-
     def project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

@@ -2,7 +2,7 @@
 
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from grouppgd.certificate import (
     bound_curve,
     bound_limit,
     certify,
-    compute_alpha,
     compute_eps_gstar,
     compute_eps_w,
     verify_bound,
@@ -34,7 +33,7 @@ from grouppgd.linop import (
     spectral_norm,
 )
 from grouppgd.solver import SolverConfig, run
-from grouppgd.symmetry import cyclic_shift_action, symmetric_subset
+from grouppgd.symmetry import cyclic_shift_action, polar_theta_shift, symmetric_subset
 from oracles import compose_with_action, gram_average, stack_mean
 
 
@@ -77,19 +76,63 @@ def covering_subset(problem):
     return symmetric_subset(problem.geometry.theta_shift(1), radius)
 
 
+def hand_built(L=2.0, mu=1.0, **kw):
+    """A certified whole-space report with the given ``L`` and ``mu_Gstar``."""
+    values = dict(L=L, mu_C=0.0, mu_Gstar=mu, eps_Gstar=0.0, eps_w=0.0, certified=True,
+                  subset_size=1, cone_kind="whole_space")
+    return CertificateReport(**{**values, **kw})
+
+
 def test_alpha_endpoints():
-    assert compute_alpha(0.0, 2.0, 1) == 1.0
-    assert compute_alpha(2.0, 2.0, 1) == 0.0
-    assert_allclose(compute_alpha(1.0, 2.0, 2), np.sqrt(2.0), rtol=1e-15)
+    assert hand_built(mu=0.0).alpha_Gstar == 1.0
+    assert hand_built(mu=2.0).alpha_Gstar == 0.0
+    assert hand_built(mu=1.0).alpha_Gstar == float(np.sqrt(0.5))
 
 
-def test_alpha_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        compute_alpha(3.0, 2.0, 1)
-    with pytest.raises(ValueError):
-        compute_alpha(1.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        compute_alpha(1.0, 2.0, 3)
+def test_alpha_rejects_bad_arguments(monkeypatch):
+    # certify refuses L = 0 before the band is built, and a stack eigenvalue past L
+    prob = ring_instance()
+    subset = covering_subset(prob)
+    zero = replace(prob, A=linop.from_dense(np.zeros((prob.A.rows, prob.A.cols))))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the band was built for a zero operator")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(certificate, "band_gram", refuse)
+        with pytest.raises(ValueError, match="L must be positive"):
+            certify(zero, subset)
+    monkeypatch.setattr(certificate, "_stack_min_eig", lambda G_star, L: (2.0 * L, True))
+    with pytest.raises(ValueError, match="exceeds L"):
+        certify(prob, subset)
+
+
+def test_report_holds_only_what_certify_measures():
+    prob = ring_instance()
+    report = certify(prob, covering_subset(prob))
+    assert [f.name for f in fields(CertificateReport)] == [
+        "L", "mu_C", "mu_Gstar", "eps_Gstar", "eps_w", "certified", "subset_size", "cone_kind"]
+    assert report.kappa_c == CertificateReport.kappa_c == 1
+    for name, value in (("flags", {}), ("alpha_Gstar", 0.5), ("kappa_c", 2)):
+        with pytest.raises(TypeError):
+            replace(report, **{name: value})
+
+
+@pytest.mark.parametrize("shape", [(4, 16), (16, 16)], ids=["smaller", "larger"])
+def test_certify_refuses_a_subset_of_another_dimension(shape):
+    # the solver refuses the same subset; certify used to raise a bare IndexError
+    prob = ring_instance()
+    assert prob.A.cols == 96
+    subset = symmetric_subset(polar_theta_shift(*shape, 1), 1)
+    with pytest.raises(linop.DimensionMismatchError,
+                       match=f"subset dimension {shape[0] * shape[1]} does not match"):
+        certify(prob, subset)
+
+
+def test_certify_refuses_a_cone_of_another_dimension():
+    prob = ring_instance()
+    with pytest.raises(linop.DimensionMismatchError, match="cone dimension 95"):
+        certify(prob, covering_subset(prob), cone=whole_space_cone(prob.x_dagger[:-1]))
 
 
 def test_eps_gstar_zero_for_ring():
@@ -197,7 +240,7 @@ def test_why_no_bound_holds_the_step_rule():
         f"solver.step = 1.99 is not the certified 1/L = {1.0 / report.L:.6g}, "
         "so no bound holds")
     # the step is checked last: an estimate is named first
-    estimate = replace(report, flags={**report.flags, "mu_Gstar": "estimate"})
+    estimate = replace(report, certified=False)
     assert estimate.why_no_bound(1.99) == "mu_Gstar flagged estimate, so no bound holds"
 
 
@@ -221,9 +264,7 @@ def test_certify_report_consistency():
     assert report.cone_kind == "whole_space"
     assert all(flag == "exact" for flag in report.flags.values())
     assert 0.0 <= report.mu_C <= report.mu_Gstar <= report.L + 1e-12
-    assert_allclose(report.alpha_Gstar,
-                    report.kappa_c * np.sqrt(1 - report.mu_Gstar / report.L),
-                    rtol=1e-12)
+    assert_allclose(report.alpha_Gstar, np.sqrt(1 - report.mu_Gstar / report.L), rtol=1e-12)
     assert report.kappa_c == 1
     assert not report.vacuous
 
@@ -465,10 +506,8 @@ def test_verify_bound_refuses_uncertified_estimate(monkeypatch):
     prob = ring_instance()
     subset = covering_subset(prob)
     real_certify = certificate.certify
-    flags = {"L": "exact", "mu_C": "exact", "mu_Gstar": "estimate",
-             "eps_Gstar": "exact", "eps_w": "exact"}
     monkeypatch.setattr(certificate, "certify",
-                        lambda *args, **kw: replace(real_certify(*args, **kw), flags=flags))
+                        lambda *args, **kw: replace(real_certify(*args, **kw), certified=False))
     with pytest.raises(ValueError, match="mu_Gstar flagged estimate") as info:
         verify_bound(prob, subset, SolverConfig(max_iters=10, seed=0), replicates=2)
     assert not isinstance(info.value, BoundVacuousError)
@@ -495,9 +534,7 @@ def test_bound_does_not_fall_as_constants_relax(L, mu_ratio, lower, eps_gstar, e
     # why a relaxed constant is safe: a lower mu_Gstar, or a higher eps_Gstar
     # or eps_w, never lowers the bound at any k, nor its limit
     def report(mu, eps_g, eps_n):
-        return CertificateReport(L=L, mu_C=0.0, mu_Gstar=mu, kappa_c=1,
-                                 alpha_Gstar=compute_alpha(mu, L, 1), eps_Gstar=eps_g,
-                                 eps_w=eps_n, flags={}, subset_size=1, cone_kind="box")
+        return hand_built(L=L, mu=mu, eps_Gstar=eps_g, eps_w=eps_n, cone_kind="box")
 
     tight = report(mu_ratio * L, eps_gstar, eps_w)
     relaxed = [report(lower * mu_ratio * L, eps_gstar, eps_w),
@@ -530,6 +567,25 @@ def test_report_text_round_trips_key_values():
     assert float(parsed["mu_Gstar"]) == report.mu_Gstar
     assert parsed["flag.eps_w"] == "exact"
     assert parsed["bound"] == "active"
+
+
+def test_certificate_text_layout():
+    # perfbench/checks.py and CI read these lines; kappa_c = 1 is printed
+    # because every feasible set is convex
+    prob = ring_instance()
+    report = certify(prob, covering_subset(prob))
+    lines = report.to_text().splitlines()
+    assert [line.split(" = ")[0] for line in lines] == [
+        "L", "mu_C", "mu_Gstar", "kappa_c", "alpha_Gstar", "eps_Gstar", "eps_w",
+        "subset_size", "cone", "flag.L", "flag.mu_C", "flag.mu_Gstar", "flag.eps_Gstar",
+        "flag.eps_w", "bound"]
+    assert "kappa_c = 1" in lines
+    assert f"alpha_Gstar = {np.sqrt(1 - report.mu_Gstar / report.L):.17g}" in lines
+    assert lines[-1] == "bound = active"
+    vacuous = certify(prob, symmetric_subset(prob.geometry.theta_shift(1), 0))
+    assert vacuous.certified and vacuous.to_text().endswith("\nbound = vacuous\n")
+    uncertified = replace(report, certified=False)
+    assert uncertified.to_text().endswith("\nflag.eps_w = exact\nbound = none\n")
 
 
 def assert_mu_gstar_matches_dense_oracle(problem, subset):
@@ -600,7 +656,7 @@ def test_stack_min_eig_of_an_indefinite_band_is_not_certified():
 
 def test_stack_min_eig_whose_inertia_check_fails_is_not_certified(monkeypatch):
     # Lanczos runs on the first factor; the second, at mu_hat - slack, fails:
-    # 0, flagged estimate, and no bound
+    # 0, flagged estimate, and no bound for that reason
     prob = ring_instance()
     subset = covering_subset(prob)
     calls = []
@@ -617,11 +673,14 @@ def test_stack_min_eig_whose_inertia_check_fails_is_not_certified(monkeypatch):
     assert len(calls) == 2 and calls[0] < 0.0 < calls[1]
     report = certify(prob, subset)
     assert report.flags["mu_Gstar"] == "estimate" and report.mu_Gstar == 0.0
-    # mu_Gstar = 0 makes alpha_Gstar = 1, so the report is vacuous before the
-    # estimate flag is read
-    assert report.why_no_bound() == "bound vacuous (alpha_Gstar >= 1)"
+    # mu_Gstar = 0 also makes alpha_Gstar = 1, but the estimate is the reason
+    assert report.vacuous
+    assert report.why_no_bound() == "mu_Gstar flagged estimate, so no bound holds"
     assert report.to_text().endswith("flag.mu_Gstar = estimate\nflag.eps_Gstar = exact\n"
-                                      "flag.eps_w = exact\nbound = vacuous\n")
+                                      "flag.eps_w = exact\nbound = none\n")
+    with pytest.raises(ValueError, match="mu_Gstar flagged estimate") as info:
+        verify_bound(prob, subset, SolverConfig(max_iters=10, seed=0), replicates=2)
+    assert not isinstance(info.value, BoundVacuousError)
 
 
 @pytest.mark.parametrize("name, bands", [("extreme_sparse", 1.4), ("noisy_textured", 1.75)])

@@ -355,11 +355,8 @@ def test_step_other_than_one_over_L_prints_no_bound(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"flags": {"L": "exact", "mu_C": "exact", "mu_Gstar": "estimate",
-                "eps_Gstar": "exact", "eps_w": "exact"}},
-     "mu_Gstar flagged estimate, so no bound holds"),
-    ({"kappa_c": 2}, "not convex (kappa_c != 1), so no bound holds"),
-], ids=["estimate_mu_gstar", "nonconvex"])
+    ({"certified": False}, "mu_Gstar flagged estimate, so no bound holds"),
+], ids=["estimate_mu_gstar"])
 def test_uncertified_constants_print_no_bound(tmp_path, monkeypatch, capsys,
                                               change, message):
     from dataclasses import replace
@@ -393,10 +390,8 @@ def test_relaxed_constants_still_print_a_bound(tmp_path, monkeypatch, capsys):
     from grouppgd import cli
 
     real_certify = cli.certify
-    flags = {"L": "exact", "mu_C": "relaxed", "mu_Gstar": "relaxed",
-             "eps_Gstar": "exact", "eps_w": "exact"}
     monkeypatch.setattr(cli, "certify",
-                        lambda *args: replace(real_certify(*args), flags=flags))
+                        lambda *args: replace(real_certify(*args), cone_kind="box"))
     out = tmp_path / "out"
     cfg = write_config(tmp_path, config_text(out))
     assert main(["run", "--config", cfg]) == EXIT_OK

@@ -356,13 +356,6 @@ def test_dimension_mismatch_raises():
         project_cone(C, np.zeros(5))
 
 
-def test_kappa_c_is_one_for_all_shipped_sets():
-    sets = [Box(0.0, 1.0, 3), Box(0.0, np.inf, 3),
-            Subspace(random_orthonormal(3, 1, 13))]
-    for K in sets:
-        assert K.kappa_c == 1
-
-
 def test_descent_cone_nonneg_orthant():
     K = Box(0.0, np.inf, 4)
     interior = descent_cone_of(K, np.full(4, 0.5))
