@@ -47,8 +47,7 @@ import numpy as np
 from .bench import build_problem
 from .certificate import bound_at, certify
 from .linop import SizeCapError
-from .solver import (DivergenceError, SolverConfig, _check_solve, mean_rmsd,
-                     replicate_rngs, run_with_plain)
+from .solver import DivergenceError, SolverConfig, mean_rmsd, run_with_plain
 from .symmetry import symmetric_subset
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "main"]
@@ -304,8 +303,7 @@ def _certified_run(problem, subset, solver_config):
 def cmd_run(config: ExperimentConfig, outdir: str) -> int:
     problem, subset, solver_config = _build(config)
     report, solver_config, why = _certified_run(problem, subset, solver_config)
-    pgd_trace, (group_trace,) = run_with_plain(
-        problem, solver_config, subset, [np.random.default_rng(solver_config.seed)])
+    pgd_trace, (group_trace,) = run_with_plain(problem, solver_config, subset)
     group_bound = None
     if why is None:
         group_bound = bound_at(report, problem, group_trace.rmsd[0], group_trace.iterations)
@@ -336,12 +334,9 @@ def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     problem, subset, solver_config = _build(config)
     report, solver_config, why = _certified_run(problem, subset, solver_config)
     replicates = config.solver_seeds
-    # refused before the streams are spawned: one per replicate
-    _check_solve(problem, subset, 1 + replicates, replicates, solver_config.max_iters,
-                 solver_config.record_every, objective=False)
-    pgd_trace, group_traces = run_with_plain(
-        problem, solver_config, subset, replicate_rngs(solver_config.seed, replicates),
-        objective=False)  # compare writes only rmsd means
+    # compare writes only rmsd means
+    pgd_trace, group_traces = run_with_plain(problem, solver_config, subset, replicates,
+                                             objective=False)
     iters = pgd_trace.iterations
     # the plain chain draws nothing, so it stands for each of its replicates
     pgd_mean = mean_rmsd([pgd_trace] * replicates)

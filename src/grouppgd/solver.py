@@ -11,11 +11,13 @@ Every run goes through one driver that steps a stack ``X`` of shape
 ``(R, d)``.  Each row is one chain with its own random stream; the operator,
 the projection and the trace values act on the whole stack, and by the stack
 contract of :mod:`grouppgd.linop` and :mod:`grouppgd.constraint` every row
-gets the bits of its own one-row run.  :func:`run` is the driver on one row,
-:func:`run_ensemble` is one row per replicate, and :func:`run_with_plain`
-steps the plain chain as one more row beside the group chains, so a
-comparison of the two methods is one stack.  At the start of a run each
-group row draws all its action indices at once,
+gets the bits of its own one-row run.  The driver makes its own rows from
+what its caller asks for: :func:`run` is one row, :func:`run_ensemble` is
+one row per replicate, and :func:`run_with_plain` steps the plain chain as
+one more row beside the group chains, so a comparison of the two methods
+is one stack.  Every chain starts from zeros, and the replicate streams
+are spawned only once the solve's size rule has passed.  At the start of a
+run each group row draws all its action indices at once,
 ``rng.integers(len(subset), size=budget)``, the same values as one
 :func:`~grouppgd.symmetry.sample_action` call per step.
 
@@ -49,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linop
 from .bench import ProblemInstance
 from .constraint import ConstraintSet
 from .linop import (LinearMap, DimensionMismatchError, _check_size, rotated_adjoint,
@@ -208,18 +211,22 @@ def _row_dots(U):
 
 
 def _check_solve(problem: ProblemInstance, subset: SymmetricSubset | None, rows: int,
-                 group: int, budget: int, stride: int, objective: bool = True) -> None:
+                 group: int, copies: int, budget: int, stride: int, objective: bool) -> None:
     """The solve's size rule: refuse (:class:`~grouppgd.linop.SizeCapError`)
-    a stack of ``rows`` chains, ``group`` of them drawing actions, whose
-    records, step table, stack or window table would hold more than
-    ``linop.DENSE_CAP**2`` entries, before any of them (or a replicate
-    stream) is made.
+    more than ``linop.DENSE_CAP`` chains, or a stack of ``rows`` chains,
+    ``group`` of them drawing actions, whose records (of ``copies`` rows if
+    its caller stacks more copies of a trace), step table, stack or window
+    table would hold more than ``linop.DENSE_CAP**2`` entries.
     """
     d, window = problem.dimension, len(problem.A.window)
     n_records = 1 + -(-budget // stride)
     gathered = rows + group if objective else rows
     actions = 1 if subset is None else len(subset)
-    _check_size(rows * n_records, f"the solve's records of {rows} rows x {n_records} iterates")
+    records = max(rows, copies)
+    _check_size(rows * linop.DENSE_CAP,
+                f"the solve's {rows} chains, at {linop.DENSE_CAP} entries each")
+    _check_size(records * n_records,
+                f"the solve's records of {records} rows x {n_records} iterates")
     _check_size(budget * gathered,
                 f"the solve's step table of {budget} steps x {gathered} rows")
     _check_size(rows * d, f"the solve's stack of {rows} rows x {d} cells")
@@ -227,36 +234,42 @@ def _check_solve(problem: ProblemInstance, subset: SymmetricSubset | None, rows:
                 f"the solve's window table of {rows} rows x {actions} actions x {window} cells")
 
 
-def _drive(problem: ProblemInstance, x0, subset: SymmetricSubset | None, budget: int,
-           eta: float, rngs, stride: int, objective: bool = True) -> list[IterateTrace]:
-    """Step one chain per entry of ``rngs`` for ``budget`` steps; one trace per row.
+def _drive(problem: ProblemInstance, config: SolverConfig, eta: float,
+           subset: SymmetricSubset | None, plain: bool, replicates: int | None,
+           objective: bool = True) -> list[IterateTrace]:
+    """Step a stack of chains from zeros for ``config.max_iters`` steps; one
+    trace per row.
 
-    A row whose entry of ``rngs`` is None takes plain steps, and so does
-    every row when ``subset`` is None; every other row draws its actions
-    from its own generator.  Every row starts at ``x0`` (zeros when None).
-    The traces record the initial point, then every ``stride``-th iterate
-    plus the last; with ``objective`` False their objectives are NaN and
-    no forward is spent on them.  Each stack row's block of the window
-    table is ``window_table(A, subset)``, or the operator's own window
-    without a subset; a group row's recorded action is its drawn index and
-    a plain row's is -1.  The records, the step table, the stack and the
-    window table are refused by :func:`_check_solve` before they are
-    allocated.  Raises :class:`DivergenceError` at the first iteration at
-    which any row leaves the finite ball of radius ``DIVERGENCE_NORM``.
+    The plain row comes first when ``plain`` is true.  Group rows follow
+    only when there is a ``subset``: one on ``default_rng(config.seed)``
+    when ``replicates`` is None, else one per :func:`replicate_rngs` stream.
+    The traces record the initial point, then every
+    ``config.record_every``-th iterate plus the last; with ``objective``
+    False their objectives are NaN and no forward is spent on them.  Each
+    stack row's block of the window table is ``window_table(A, subset)``,
+    or the operator's own window without a subset; a group row's recorded
+    action is its drawn index and a plain row's is -1.  :func:`_check_solve`
+    refuses the solve, counting ``replicates`` copies of a plain ensemble's
+    trace, before any stream is spawned or array allocated.  Raises
+    :class:`DivergenceError` at the first iteration at which any row leaves
+    the finite ball of radius ``DIVERGENCE_NORM``.
     """
     A, b, K = problem.A, problem.b, problem.K
-    d, R = problem.dimension, len(rngs)
-    x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
-    _check_step_args(x0, A, b, eta)
+    d, budget, stride = problem.dimension, config.max_iters, config.record_every
+    _check_step_args(np.zeros(d), A, b, eta)
     if subset is not None and subset.dimension != d:
         raise DimensionMismatchError(
             f"subset dimension {subset.dimension} does not match problem dimension {d}"
         )
-    group = [] if subset is None else [r for r, rng in enumerate(rngs) if rng is not None]
-    _check_solve(problem, subset, R, len(group), budget, stride, objective)
+    if replicates is not None and replicates < 1:
+        raise ValueError("replicates must be at least 1")
+    n_group = 0 if subset is None else replicates or 1
+    R = int(plain) + n_group
+    _check_solve(problem, subset, R, n_group, replicates or 1, budget, stride, objective)
+    rngs = ([] if subset is None else [np.random.default_rng(config.seed)] if replicates is None
+            else replicate_rngs(config.seed, replicates))
     n_records = 1 + -(-budget // stride)
-    X = np.empty((R, d))
-    X[:] = x0
+    X = np.zeros((R, d))
     iterations = np.zeros(n_records, dtype=np.int64)
     rmsd = np.empty((R, n_records))
     objectives = np.full((R, n_records), np.nan)
@@ -274,14 +287,14 @@ def _drive(problem: ProblemInstance, x0, subset: SymmetricSubset | None, budget:
     n = len(table)
     table = (table + d * rows[:, None, None]).reshape(R * n, -1)
     draws = np.full((budget, R), -1, dtype=np.int64)
-    for r in group:
-        draws[:, r] = rngs[r].integers(len(subset), size=budget)
+    group = rows[R - n_group:]
+    for r, rng in zip(group, rngs):
+        draws[:, r] = rng.integers(len(subset), size=budget)
     # step k gathers the table rows steps[k, :R].  When objectives are
     # recorded, the step after a recorded iterate also gathers each group
     # row's identity window (steps[k, R:]), whose residual is that row's
     # objective residual; a plain row's objective residual is its own step
     # residual.
-    group = np.asarray(group, dtype=np.int64)
     steps = np.maximum(draws, 0)
     steps += n * rows
     if objective:
@@ -319,21 +332,17 @@ def _drive(problem: ProblemInstance, x0, subset: SymmetricSubset | None, budget:
 
 
 def run(problem: ProblemInstance, config: SolverConfig,
-        subset: SymmetricSubset | None = None, x0=None,
-        rng: np.random.Generator | None = None) -> IterateTrace:
+        subset: SymmetricSubset | None = None) -> IterateTrace:
     """Run plain projected gradient descent (``subset=None``) or the group
     variant sampling uniformly from ``subset``.
 
-    Starts from the zero vector unless ``x0`` is given.  The trace always
-    records the initial point, then every ``record_every``-th iterate plus
-    the final one.  Deterministic given ``config.seed`` (or an explicit
-    ``rng``, which takes precedence).
+    Starts from the zero vector.  The trace always records the initial
+    point, then every ``record_every``-th iterate plus the final one.  The
+    group variant draws its actions from ``default_rng(config.seed)``, so
+    the run is deterministic given ``config.seed``.
     """
     eta = resolve_step_size(config, problem.A)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    return _drive(problem, x0, subset, config.max_iters, eta, [rng],
-                  config.record_every)[0]
+    return _drive(problem, config, eta, subset, subset is None, None)[0]
 
 
 def run_ensemble(problem: ProblemInstance, config: SolverConfig,
@@ -343,49 +352,41 @@ def run_ensemble(problem: ProblemInstance, config: SolverConfig,
     Replicate ``i`` draws its stream from ``SeedSequence(config.seed)``
     child ``i`` (:func:`replicate_rngs`), so the ensemble is reproducible
     and replicate-order independent.  The replicates are the rows of one
-    stack stepped together, each bit for bit the trace of its own
-    :func:`run` on that stream.  An ``"auto"`` step is resolved once and
-    shared by every replicate.  If any replicate diverges,
-    :class:`DivergenceError` names the first iteration at which one did,
-    whichever replicate it was.  Plain PGD (``subset=None``) draws nothing
-    from its stream, so its chain runs once and ``traces`` holds that one
-    trace object ``replicates`` times; the mean is still taken over all
-    entries (:func:`mean_rmsd`), so it is bit for bit the mean of separate
-    runs.  A solve too large for the size rule is refused before any
-    stream is spawned.  Returns ``(iterations, mean_rmsd, traces)``.
+    stack stepped together, each bit for bit the chain its stream draws
+    alone.  An ``"auto"`` step is resolved once and shared by every
+    replicate.  If any replicate diverges, :class:`DivergenceError` names
+    the first iteration at which one did, whichever replicate it was.
+    Plain PGD (``subset=None``) draws nothing from its stream, so its chain
+    runs once and ``traces`` holds that one trace object ``replicates``
+    times; the mean is still taken over all entries (:func:`mean_rmsd`), so
+    it is bit for bit the mean of separate runs.  The solver's size rule
+    counts those copies, and refuses a solve before any stream is spawned.
+    Returns ``(iterations, mean_rmsd, traces)``.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
-    group = 0 if subset is None else replicates
-    _check_solve(problem, subset, max(group, 1), group, config.max_iters,
-                 config.record_every)
     eta = resolve_step_size(config, problem.A)
-    rngs = [None] if subset is None else replicate_rngs(config.seed, replicates)
-    traces = _drive(problem, None, subset, config.max_iters, eta, rngs,
-                    config.record_every)
+    traces = _drive(problem, config, eta, subset, subset is None, replicates)
     if subset is None:
         traces = traces * replicates
     return traces[0].iterations, mean_rmsd(traces), traces
 
 
-def run_with_plain(problem: ProblemInstance, config: SolverConfig,
-                   subset: SymmetricSubset, rngs,
+def run_with_plain(problem: ProblemInstance, config: SolverConfig, subset: SymmetricSubset,
+                   replicates: int | None = None,
                    objective: bool = True) -> tuple[IterateTrace, list[IterateTrace]]:
-    """Plain PGD beside one group chain per generator in ``rngs``, as rows of one stack.
+    """Plain PGD beside the group chains, as rows of one stack.
 
     Returns ``(plain_trace, group_traces)``.  Every row is bit for bit its
-    own run: the plain trace is ``run(problem, config)``, and group trace
-    ``i`` is ``run(problem, config, subset, rng=rngs[i])``.  So with
-    :func:`replicate_rngs` the group traces are :func:`run_ensemble`'s.
-    With ``objective`` False no objective is computed: every trace's
-    ``objective`` is NaN, each step maps only the stack's own rows and the
-    last iterate costs no forward, and every other field keeps its bits.
-    If any row diverges, :class:`DivergenceError` names the first iteration
-    at which one did, plain or group.
+    own run: the plain trace is ``run(problem, config)``.  With
+    ``replicates`` None there is one group trace, ``run(problem, config,
+    subset)``; otherwise the group traces are ``run_ensemble(problem,
+    config, subset, replicates)``'s.  With ``objective`` False no objective
+    is computed: every trace's ``objective`` is NaN, each step maps only the
+    stack's own rows and the last iterate costs no forward, and every other
+    field keeps its bits.  If any row diverges, :class:`DivergenceError`
+    names the first iteration at which one did, plain or group.
     """
     eta = resolve_step_size(config, problem.A)
-    plain, *group = _drive(problem, None, subset, config.max_iters, eta,
-                           [None, *rngs], config.record_every, objective)
+    plain, *group = _drive(problem, config, eta, subset, True, replicates, objective)
     return plain, group
 
 

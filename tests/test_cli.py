@@ -268,15 +268,33 @@ def test_absurd_iteration_count_exits_4_before_allocating(tmp_path, capsys, comm
 
 def test_absurd_seed_count_exits_4_before_spawning_streams(tmp_path, capsys, monkeypatch):
     # 10**12 replicates: refused by the size rule before a stream is spawned
-    from grouppgd import cli
+    from grouppgd import solver
 
     def refuse(*args, **kwargs):
         raise AssertionError("replicate_rngs called")
 
-    monkeypatch.setattr(cli, "replicate_rngs", refuse)
+    monkeypatch.setattr(solver, "replicate_rngs", refuse)
     cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_seeds=10**12))
     assert main(["compare", "--config", cfg]) == 4
     assert "problem too large to certify: the solve's" in capsys.readouterr().err
+
+
+def test_more_seeds_than_dense_cap_chains_exits_4_before_spawning_streams(tmp_path, capsys,
+                                                                         monkeypatch):
+    # 2 cells, a 3-cell window, one step: 5,000,001 chains fit every table,
+    # yet their streams and traces would take about 10 GB
+    from grouppgd import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("replicate_rngs called")
+
+    monkeypatch.setattr(solver, "replicate_rngs", refuse)
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", problem_n_r=1, problem_n_theta=2,
+                                             subset_radius=0, solver_iters=1,
+                                             solver_seeds=5_000_000))
+    assert main(["compare", "--config", cfg]) == 4
+    assert ("problem too large to certify: the solve's 5000001 chains"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "compare", "phantom"])

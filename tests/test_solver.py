@@ -32,6 +32,21 @@ def small_problem(noise="none", sigma=0.0, seed=0, **kw):
                          noise=noise, sigma=sigma, seed=seed, **kw)
 
 
+def divergence_iteration(prob, eta, subset, rng, budget):
+    """The iteration at which one chain from zeros, stepped alone by
+    ``pgd_step`` (no subset) or by ``group_pgd_step`` through the actions
+    ``rng`` draws, leaves the finite ball of radius ``DIVERGENCE_NORM``;
+    None if it stays inside for ``budget`` steps."""
+    x = np.zeros(prob.dimension)
+    draws = [None] * budget if subset is None else rng.integers(len(subset), size=budget)
+    for k, s in enumerate(draws, start=1):
+        x = (pgd_step(x, prob.A, prob.b, prob.K, eta) if subset is None else
+             group_pgd_step(x, prob.A, prob.b, prob.K, eta, subset.actions[s]))
+        if not np.linalg.norm(x) <= solver.DIVERGENCE_NORM:
+            return k
+    return None
+
+
 def test_pgd_fixed_point_at_ground_truth():
     prob = small_problem()
     out = pgd_step(prob.x_dagger, prob.A, prob.b, prob.K, eta=0.01)
@@ -140,9 +155,15 @@ def test_fixed_point_stays_fixed_in_run():
     prob = small_problem()
     config = SolverConfig(max_iters=20, seed=4)
     subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
-    trace = run(prob, config, subset=subset, x0=prob.x_dagger)
-    assert_allclose(trace.final_x, prob.x_dagger, atol=1e-12)
-    assert np.all(trace.rmsd <= 1e-12)
+    eta = 1.0 / spectral_norm(prob.A)
+    # the actions run draws, stepped from the ground truth
+    draws = np.random.default_rng(config.seed).integers(len(subset), size=config.max_iters)
+    assert np.array_equal(run(prob, config, subset=subset).action_indices[1:], draws)
+    x = prob.x_dagger
+    for s in draws:
+        x = group_pgd_step(x, prob.A, prob.b, prob.K, eta, subset.actions[s])
+        assert np.linalg.norm(x - prob.x_dagger) <= 1e-12
+    assert_allclose(x, prob.x_dagger, atol=1e-12)
 
 
 def test_divergence_raises_with_iteration_index():
@@ -157,7 +178,7 @@ def test_divergence_raises_with_iteration_index():
                            geometry=geometry)
     config = SolverConfig(max_iters=500, step_size=10.0, seed=0)
     with pytest.raises(DivergenceError) as info:
-        run(prob, config, x0=2.0 * np.ones(d))
+        run(prob, config)
     assert info.value.iteration > 0
 
 
@@ -181,12 +202,9 @@ def test_ensemble_divergence_names_the_first_row_to_diverge():
                            geometry=geometry)
     subset = symmetric_subset(cyclic_shift_action(d, 1), 1)
     config = SolverConfig(max_iters=500, step_size=1.0, seed=2)
-    alone = []
-    for child in np.random.SeedSequence(config.seed).spawn(6):
-        with pytest.raises(DivergenceError) as info:
-            run(prob, config, subset=subset, rng=np.random.default_rng(child))
-        alone.append(info.value.iteration)
-    assert min(alone) < max(alone)
+    alone = [divergence_iteration(prob, 1.0, subset, rng, config.max_iters)
+             for rng in replicate_rngs(config.seed, 6)]
+    assert None not in alone and min(alone) < max(alone)
     with pytest.raises(DivergenceError) as info:
         run_ensemble(prob, config, subset, replicates=6)
     assert info.value.iteration == min(alone)
@@ -203,17 +221,12 @@ def test_mixed_stack_divergence_names_the_first_row_to_diverge():
                            geometry=geometry)
     subset = symmetric_subset(cyclic_shift_action(d, 1), 1)
     config = SolverConfig(max_iters=500, step_size=1.0, seed=2)
-    alone = []
+    alone = [divergence_iteration(prob, 1.0, None, None, config.max_iters)]
+    alone += [divergence_iteration(prob, 1.0, subset, rng, config.max_iters)
+              for rng in replicate_rngs(config.seed, 4)]
+    assert None not in alone and alone[0] < min(alone[1:])
     with pytest.raises(DivergenceError) as info:
-        run(prob, config)
-    alone.append(info.value.iteration)
-    for rng in replicate_rngs(config.seed, 4):
-        with pytest.raises(DivergenceError) as info:
-            run(prob, config, subset=subset, rng=rng)
-        alone.append(info.value.iteration)
-    assert alone[0] < min(alone[1:])
-    with pytest.raises(DivergenceError) as info:
-        run_with_plain(prob, config, subset, replicate_rngs(config.seed, 4))
+        run_with_plain(prob, config, subset, 4)
     assert info.value.iteration == alone[0]
 
 
@@ -245,11 +258,10 @@ def test_ensemble_resolves_auto_step_once(monkeypatch):
     config = SolverConfig(max_iters=15, seed=8)
     _, _, traces = run_ensemble(prob, config, subset, replicates=4)
     assert len(calls) == 1
-    # every replicate ran with the same step a per-replicate resolution gives
-    children = np.random.SeedSequence(config.seed).spawn(4)
+    # every replicate ran with the explicit step 1/L
     explicit = SolverConfig(max_iters=15, seed=8, step_size=1.0 / spectral_norm(prob.A))
-    for trace, child in zip(traces, children):
-        alone = run(prob, explicit, subset=subset, rng=np.random.default_rng(child))
+    _, _, explicit_traces = run_ensemble(prob, explicit, subset, replicates=4)
+    for trace, alone in zip(traces, explicit_traces, strict=True):
         assert np.array_equal(trace.rmsd, alone.rmsd)
         assert np.array_equal(trace.final_x, alone.final_x)
 
@@ -280,9 +292,9 @@ def test_plain_ensemble_runs_one_chain():
     alone = run(prob, config)
     assert ensemble_calls == calls
     assert all(trace is traces[0] for trace in traces)
-    # the mean of five separate runs on their own streams, bit for bit
-    children = np.random.SeedSequence(config.seed).spawn(5)
-    separate = [run(prob, config, rng=np.random.default_rng(child)) for child in children]
+    # the mean of five separate runs, bit for bit: a plain chain draws
+    # nothing from its stream
+    separate = [run(prob, config) for _ in range(5)]
     assert np.array_equal(iterations, alone.iterations)
     assert np.array_equal(mean, np.mean(np.stack([t.rmsd for t in separate]), axis=0))
 
@@ -310,7 +322,7 @@ def test_mixed_stack_objective_is_each_rows_own_objective():
     subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
     n, eta = 12, 0.02
     config = SolverConfig(max_iters=n, step_size=eta, seed=4)
-    plain, groups = run_with_plain(prob, config, subset, replicate_rngs(config.seed, 3))
+    plain, groups = run_with_plain(prob, config, subset, 3)
     for trace in (plain, *groups):
         x = np.zeros(prob.dimension)
         for k in range(n + 1):
@@ -358,9 +370,9 @@ def test_mixed_stack_makes_one_forward_and_one_adjoint_per_step():
     subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
     n = 12
     config = SolverConfig(max_iters=n, step_size=0.02, seed=5)
-    for rngs in ([np.random.default_rng(config.seed)], replicate_rngs(config.seed, 3)):
+    for replicates in (None, 3):
         calls.clear()
-        run_with_plain(prob, config, subset, rngs)
+        run_with_plain(prob, config, subset, replicates)
         assert calls.count("forward") == n + 1 and calls.count("adjoint") == n
     # without objectives a step maps only the stack's own rows, and the last
     # iterate costs no forward
@@ -372,12 +384,12 @@ def test_mixed_stack_makes_one_forward_and_one_adjoint_per_step():
 
     spied = replace(prob, A=LinearMap(rows=prob.A.rows, cols=prob.A.cols, forward=forward,
                                       adjoint=prob.A.adjoint))
-    for rngs in ([np.random.default_rng(config.seed)], replicate_rngs(config.seed, 3)):
+    for replicates in (None, 3):
         calls.clear()
         shapes.clear()
-        run_with_plain(spied, config, subset, rngs, objective=False)
+        run_with_plain(spied, config, subset, replicates, objective=False)
         assert calls.count("forward") == n and calls.count("adjoint") == n
-        assert shapes == [(1 + len(rngs), prob.dimension)] * n
+        assert shapes == [(1 + (replicates or 1), prob.dimension)] * n
 
 
 @pytest.mark.parametrize("record_every, what", [(1, "records of 1 rows"),
@@ -402,6 +414,25 @@ def test_absurd_replicate_count_is_refused_before_spawning_streams(monkeypatch):
         run_ensemble(prob, SolverConfig(max_iters=10), subset, replicates=10**12)
 
 
+def test_absurd_plain_ensemble_is_refused_before_stacking_its_copies():
+    # one plain chain, but the mean stacks 10**12 copies of its trace:
+    # refused by the size rule, not by a bare MemoryError
+    with pytest.raises(SizeCapError, match="the solve's records of 1000000000000 rows"):
+        run_ensemble(small_problem(), SolverConfig(max_iters=10), None, replicates=10**12)
+
+
+def test_solve_holds_at_most_dense_cap_chains(monkeypatch):
+    # 2 cells, a 3-cell window, one action, two steps recorded once: every
+    # table of 17 chains fits a cap of 16**2 entries, the 17th chain does not
+    prob = build_problem(n_r=1, n_theta=2, angle_fraction=0.5, rays_per_angle=2)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 0)
+    config = SolverConfig(max_iters=2, step_size=0.1, record_every=2)
+    monkeypatch.setattr(linop, "DENSE_CAP", 16)
+    assert len(run_ensemble(prob, config, subset, 16)[2]) == 16
+    with pytest.raises(SizeCapError, match="the solve's 17 chains"):
+        run_ensemble(prob, config, subset, 17)
+
+
 @pytest.mark.parametrize("n_theta, radius, cap, what", [
     # 4 rows x 5 actions x 48 window cells = 960 > 30**2, the stack 4 x 32 fits
     (8, 2, 30, "window table of 4 rows x 5 actions x 48 cells"),
@@ -413,10 +444,10 @@ def test_solve_refuses_its_stack_and_window_table(monkeypatch, n_theta, radius, 
     prob = build_problem(n_r=4, n_theta=n_theta, angle_fraction=4 / n_theta,
                          rays_per_angle=2)
     subset = symmetric_subset(prob.geometry.theta_shift(1), radius)
-    rngs = replicate_rngs(0, 3 if radius else 1)
     monkeypatch.setattr(linop, "DENSE_CAP", cap)
     with pytest.raises(SizeCapError, match=f"the solve's {what}"):
-        run_with_plain(prob, SolverConfig(max_iters=5, step_size=0.1), subset, rngs)
+        run_with_plain(prob, SolverConfig(max_iters=5, step_size=0.1), subset,
+                       3 if radius else 1)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -442,11 +473,9 @@ def test_mixed_stack_rows_are_their_own_runs(dense, n_r, n_theta, angles, rays, 
     config = SolverConfig(max_iters=budget, seed=seed % 1000, record_every=record_every)
     plain = run(prob, config)
     pairs = []
-    mixed_plain, (mixed_group,) = run_with_plain(
-        prob, config, subset, [np.random.default_rng(config.seed)])
+    mixed_plain, (mixed_group,) = run_with_plain(prob, config, subset)
     pairs += [(mixed_plain, plain), (mixed_group, run(prob, config, subset=subset))]
-    mixed_plain, mixed_groups = run_with_plain(
-        prob, config, subset, replicate_rngs(config.seed, replicates))
+    mixed_plain, mixed_groups = run_with_plain(prob, config, subset, replicates)
     pairs.append((mixed_plain, plain))
     pairs += zip(mixed_groups, run_ensemble(prob, config, subset, replicates)[2], strict=True)
     for mixed, alone in pairs:
@@ -454,8 +483,8 @@ def test_mixed_stack_rows_are_their_own_runs(dense, n_r, n_theta, angles, rays, 
             a, b = getattr(mixed, name), getattr(alone, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     # without objectives every other field keeps its bits
-    bare_plain, bare_groups = run_with_plain(
-        prob, config, subset, replicate_rngs(config.seed, replicates), objective=False)
+    bare_plain, bare_groups = run_with_plain(prob, config, subset, replicates,
+                                             objective=False)
     for bare, mixed in zip((bare_plain, *bare_groups), (mixed_plain, *mixed_groups),
                            strict=True):
         assert np.isnan(bare.objective).all() and len(bare.objective) == len(mixed.objective)
