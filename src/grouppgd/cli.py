@@ -29,8 +29,9 @@ temp name and renamed, so failures never leave partial files.
 
 Exit codes: 0 success, 2 config error (a malformed or impossible setting,
 noise whose draw overflows included), 3 solver divergence, 4 problem too
-large to certify, build or solve (``linop.SizeCapError``), 5 unwritable
-output.
+large to build, certify or solve (``linop.SizeCapError``, naming what is
+too large; ``run`` and ``compare`` ask the solve's size rule before they
+certify), 5 unwritable output.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from .bench import build_problem
 from .certificate import bound_at, certify
 from .linop import SizeCapError
-from .solver import DivergenceError, SolverConfig, mean_rmsd, run_with_plain
+from .solver import DivergenceError, SolverConfig, check_solve, mean_rmsd, run_with_plain
 from .symmetry import symmetric_subset
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "main"]
@@ -302,6 +303,7 @@ def _certified_run(problem, subset, solver_config):
 
 def cmd_run(config: ExperimentConfig, outdir: str) -> int:
     problem, subset, solver_config = _build(config)
+    check_solve(problem, solver_config, subset)
     report, solver_config, why = _certified_run(problem, subset, solver_config)
     pgd_trace, (group_trace,) = run_with_plain(problem, solver_config, subset)
     group_bound = None
@@ -332,8 +334,9 @@ def cmd_certify(config: ExperimentConfig, outdir: str) -> int:
 
 def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     problem, subset, solver_config = _build(config)
-    report, solver_config, why = _certified_run(problem, subset, solver_config)
     replicates = config.solver_seeds
+    check_solve(problem, solver_config, subset, replicates, objective=False)
+    report, solver_config, why = _certified_run(problem, subset, solver_config)
     # compare writes only rmsd means
     pgd_trace, group_traces = run_with_plain(problem, solver_config, subset, replicates,
                                              objective=False)
@@ -411,7 +414,7 @@ def main(argv=None) -> int:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except SizeCapError as exc:
-        print(f"problem too large to certify: {exc}", file=sys.stderr)
+        print(f"problem too large: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)

@@ -20,7 +20,9 @@ cells, and the rotated operator ``x -> A(x[perm_s])`` reads cell
 ``perm_s[c]`` wherever ``A`` reads ``c``.  :func:`window_table` lists those
 cells once per action, and :func:`rotated_forward`/:func:`rotated_adjoint`
 gather through a table row and add back through it, with no full-length
-permutation of the signal.  The identity's row is the window itself.
+permutation of the signal.  The identity's row is the window itself.  A
+window lists each cell once (:func:`from_window` folds repeats), so a
+solver step can write its update straight into the cells it read.
 
 Spectral quantities are exact: :func:`gram_eigvals` probes the Gram of the
 operator's smaller side (``A A^T`` for a wide operator, ``A^T A`` otherwise)
@@ -95,11 +97,12 @@ class LinearMap:
     own 1-D call.  Constructors in this module guarantee
     <Ax, y> == <x, A^T y> up to round-off.
 
-    The map reads the input cells ``window``: ``window_forward`` maps those
-    cells' values to the rows and ``window_adjoint`` maps the rows back onto
-    them.  These are set at construction and never passed in: a map reads
-    every cell, in order, through ``forward`` and ``adjoint`` themselves,
-    unless :func:`from_window` built it.  ``dataclasses.replace`` therefore
+    The map reads the input cells ``window``, each listed once:
+    ``window_forward`` maps those cells' values to the rows and
+    ``window_adjoint`` maps the rows back onto them, one value per cell.
+    These are set at construction and never passed in: a map reads every
+    cell, in order, through ``forward`` and ``adjoint`` themselves, unless
+    :func:`from_window` built it.  ``dataclasses.replace`` therefore
     gives a map that reads through its own ``forward`` and ``adjoint``.
     """
 
@@ -158,8 +161,24 @@ def from_window(rows: int, cols: int, window, window_forward, window_adjoint,
     entry; the adjoint adds those into their cells
     (:func:`~grouppgd.kernels.scatter_add`).  Both window maps must keep the
     stack contract.
+
+    The map's own ``window`` lists distinct cells.  A ``window`` that lists
+    a cell more than once keeps each cell once, in the order it first reads
+    them, and its maps are wrapped: the forward expands the distinct cells'
+    values back to the given window with one ``take``, and the adjoint adds
+    each cell's values, in window order from ``+0.0``, with one
+    ``bincount``.  Those are the bits a ``bincount`` over the given window
+    gives, so ``forward`` and ``adjoint`` do not change.  A window of
+    distinct cells keeps its maps.
     """
     window = np.asarray(window, dtype=np.int64).ravel()
+    if np.bincount(window).max(initial=0) > 1:
+        _, first, expand = np.unique(window, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        distinct, expand = window[first[order]], np.argsort(order)[expand]
+        window, given_forward, given_adjoint = distinct, window_forward, window_adjoint
+        window_forward = lambda v: given_forward(v.take(expand, axis=-1))
+        window_adjoint = lambda y: kernels.scatter_add(expand, given_adjoint(y), len(distinct))
     A = LinearMap(
         rows=rows,
         cols=cols,

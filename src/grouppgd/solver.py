@@ -8,18 +8,19 @@ step through the identity, so with the identity action the group step is
 the plain step bit for bit.
 
 Every run goes through one driver that steps a stack ``X`` of shape
-``(R, d)``.  Each row is one chain with its own random stream; the operator,
-the projection and the trace values act on the whole stack, and by the stack
-contract of :mod:`grouppgd.linop` and :mod:`grouppgd.constraint` every row
-gets the bits of its own one-row run.  The driver makes its own rows from
-what its caller asks for: :func:`run` is one row, :func:`run_ensemble` is
-one row per replicate, and :func:`run_with_plain` steps the plain chain as
-one more row beside the group chains, so a comparison of the two methods
-is one stack.  Every chain starts from zeros, and the replicate streams
-are spawned only once the solve's size rule has passed.  At the start of a
+``(R, d)``.  Each row is one chain with its own random stream; the operator
+and the trace values act on the whole stack, and by the stack contract of
+:mod:`grouppgd.linop` every row gets the bits of its own one-row run.  The
+driver makes its own rows from what its caller asks for: :func:`run` is one
+row, :func:`run_ensemble` is one row per replicate, and
+:func:`run_with_plain` steps the plain chain as one more row beside the
+group chains, so a comparison of the two methods is one stack.  Every
+chain starts from zeros, and the replicate streams are spawned only once
+the solve's size rule (:func:`check_solve`) has passed.  At the start of a
 run each group row draws all its action indices at once,
 ``rng.integers(len(subset), size=budget)``, the same values as one
-:func:`~grouppgd.symmetry.sample_action` call per step.
+:func:`~grouppgd.symmetry.sample_action` call per step, and adds them into
+the run's one step table.
 
 A group step never permutes the stack.  By shift covariance the rotated
 operator ``A ∘ P_s`` reads the cells ``perm_s[window]`` with ``A``'s own
@@ -28,10 +29,19 @@ weights, so a run tabulates those cells once per action
 ``row * d`` to the table once.  The subset lists the identity first, so
 table row 0 is the operator's own window, which a plain row always reads.
 A step takes each row's drawn table row in one gather, applies the
-operator's window maps and adds the adjoint straight back into the same
-cells (:func:`~grouppgd.linop.rotated_forward`,
-:func:`~grouppgd.linop.rotated_adjoint`), with the bits of rotating,
-stepping and rotating back.
+operator's window maps, and writes only the cells it read: each gets
+``x - eta * g`` clipped to the box's bounds at that cell, and every other
+cell keeps its value.  A window lists distinct cells
+(:func:`~grouppgd.linop.from_window`), so a row writes each cell once.
+These are the bits of rotating, stepping through the whole grid and
+rotating back: off the window the gradient is zero, and a box leaves an
+iterate that lies in it as it is.  So the solver's feasible set is a
+:class:`~grouppgd.constraint.Box`, whose projection acts cell by cell, and
+any other set raises ``TypeError`` before anything is allocated.  Chains
+start from zeros, which need not lie in the box, so the first step ends
+with one projection of the whole stack; :func:`pgd_step` and
+:func:`group_pgd_step`, whose ``x`` is arbitrary, project their result
+whole.
 
 A step's residual through the identity's window is the residual
 ``A x_k - b`` of iterate ``k``'s objective, so a plain row takes each
@@ -53,9 +63,8 @@ import numpy as np
 
 from . import linop
 from .bench import ProblemInstance
-from .constraint import ConstraintSet
-from .linop import (LinearMap, DimensionMismatchError, _check_size, rotated_adjoint,
-                    rotated_forward, spectral_norm, window_table)
+from .constraint import Box
+from .linop import LinearMap, DimensionMismatchError, _check_size, spectral_norm, window_table
 from .symmetry import GroupAction, SymmetricSubset
 
 __all__ = [
@@ -68,6 +77,7 @@ __all__ = [
     "run",
     "run_ensemble",
     "run_with_plain",
+    "check_solve",
     "replicate_rngs",
     "mean_rmsd",
 ]
@@ -145,14 +155,17 @@ def resolve_step_size(config: SolverConfig, A: LinearMap) -> float:
     return float(config.step_size)
 
 
-def pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
+def pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: Box,
              eta: float) -> np.ndarray:
-    """One projected gradient step on the least-squares objective."""
-    _check_step_args(x, A, b, eta)
-    return _step(x[None], A, b, K, eta, A.window[None])[0][0]
+    """One projected gradient step on the least-squares objective.
+
+    ``x`` need not lie in ``K``: the stepped point is projected whole.
+    """
+    _check_step_args(x.shape, A, b, K, eta)
+    return _step_alone(x, A, b, K, eta, A.window)
 
 
-def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
+def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: Box,
                    eta: float, T: GroupAction) -> np.ndarray:
     """One projected gradient step evaluated through the symmetry action ``T``.
 
@@ -160,38 +173,66 @@ def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: ConstraintSet,
     the update direction is ``T^{-1} A^T (A(T x) - b)``.  With the identity
     action this is bit-identical to :func:`pgd_step`.
     """
-    _check_step_args(x, A, b, eta)
+    _check_step_args(x.shape, A, b, K, eta)
     if T.dimension != A.cols:
         raise DimensionMismatchError(
             f"action dimension {T.dimension} does not match operator columns {A.cols}"
         )
-    return _step(x[None], A, b, K, eta, window_table(A, [T]))[0][0]
+    return _step_alone(x, A, b, K, eta, window_table(A, [T])[0])
 
 
-def _step(X, A, b, K, eta, cells):
-    """One projected gradient step on every row of the stack ``X``; returns
-    ``(X_next, residual)``.
+def _step_alone(x, A, b, K, eta, cells):
+    """:func:`_step` on ``x`` alone through the table row ``cells``, then ``K.project``."""
+    X = x[None].astype(float)
+    _step(X, A, b, eta, cells[None], *_bounds(K, 1))
+    return K.project(X)[0]
 
-    ``cells`` indexes ``X.ravel()`` as in :func:`~grouppgd.linop.rotated_forward`:
-    the gradient is taken through each row's rotated operator and the
-    residual is the rotated one.  Through ``A.window`` (plus the row
-    offsets) it is the plain step, and the residual is ``A X - b``.  Rows of
-    ``cells`` past ``len(X)`` are read but not stepped: their residuals
-    follow the stepped rows' in ``residual``.
+
+def _step(X, A, b, eta, cells, lo, hi):
+    """One projected gradient step on every row of the stack ``X``, in place;
+    returns the residual.
+
+    Row ``i`` of ``cells`` is a :func:`~grouppgd.linop.window_table` row plus
+    ``i * A.cols``, indexing ``X``'s flat cells: the gradient is taken
+    through each row's rotated operator and the residual is the rotated
+    one; through ``A.window`` it is the plain step, and the residual is
+    ``A X - b``.  Only the cells read change: each gets ``x - eta * g``
+    clipped to its bounds in ``lo`` and ``hi`` (as :func:`_bounds` gives
+    them), which is the box step's value for a row that lies in the box.
+    Rows of ``cells`` past ``len(X)`` are read but not stepped: their
+    residuals follow the stepped rows'.
     """
-    residual = rotated_forward(A, X, cells) - b
+    flat = X.reshape(-1)  # a view: X is C-contiguous
+    values = flat.take(cells)
+    residual = A.window_forward(values) - b
     n = len(X)
-    update = rotated_adjoint(A, residual[:n], cells[:n], X.size).reshape(X.shape)
-    update *= eta
-    # X - eta * grad in one buffer: on a stack, allocating one more
-    # temporary can cost more than the arithmetic
-    return K.project(np.subtract(X, update, out=update)), residual
+    cells = cells[:n]
+    # a fresh product: a map's adjoint may hand back a view of its input
+    update = A.window_adjoint(residual[:n]) * eta
+    x = np.subtract(values[:n], update, out=update)
+    if isinstance(lo, np.ndarray):
+        lo, hi = lo.take(cells), hi.take(cells)
+    np.maximum(x, lo, out=x)
+    flat[cells] = np.minimum(x, hi, out=x)
+    return residual
 
 
-def _check_step_args(x, A, b, eta):
-    if x.shape != (A.cols,):
+def _bounds(K: Box, rows: int):
+    """``K``'s bounds ``(lo, hi)`` as :func:`_step` clips a stack of ``rows``
+    rows: two scalars for a box that is the same at every cell, else one
+    bound per stack cell.  The scalars spare each step two gathers the
+    size of its window."""
+    if (K.lo == K.lo[0]).all() and (K.hi == K.hi[0]).all():
+        return K.lo[0], K.hi[0]
+    return np.tile(K.lo, rows), np.tile(K.hi, rows)
+
+
+def _check_step_args(shape, A, b, K, eta):
+    if not isinstance(K, Box):
+        raise TypeError(f"the solver's feasible set must be a Box, got {type(K).__name__}")
+    if shape != (A.cols,):
         raise DimensionMismatchError(
-            f"iterate has shape {x.shape}, operator expects ({A.cols},)"
+            f"iterate has shape {shape}, operator expects ({A.cols},)"
         )
     if b.shape != (A.rows,):
         raise DimensionMismatchError(
@@ -210,19 +251,29 @@ def _row_dots(U):
     return np.matmul(U[:, None, :], U[:, :, None])[:, 0, 0]
 
 
-def _check_solve(problem: ProblemInstance, subset: SymmetricSubset | None, rows: int,
-                 group: int, copies: int, budget: int, stride: int, objective: bool) -> None:
-    """The solve's size rule: refuse (:class:`~grouppgd.linop.SizeCapError`)
-    more than ``linop.DENSE_CAP`` chains, or a stack of ``rows`` chains,
-    ``group`` of them drawing actions, whose records (of ``copies`` rows if
-    its caller stacks more copies of a trace), step table, stack or window
-    table would hold more than ``linop.DENSE_CAP**2`` entries.
+def check_solve(problem: ProblemInstance, config: SolverConfig,
+                subset: SymmetricSubset | None, replicates: int | None = None,
+                objective: bool = True, *, plain: bool = True) -> None:
+    """The solve's size rule, asked with :func:`run_with_plain`'s arguments;
+    ``plain=False`` counts no plain row, as for :func:`run` and
+    :func:`run_ensemble` with a subset.
+
+    Refuses (:class:`~grouppgd.linop.SizeCapError`, naming the table) more
+    than ``linop.DENSE_CAP`` chains, or records, a step table, a stack or a
+    window table of more than ``linop.DENSE_CAP**2`` entries.  A plain
+    ensemble's trace counts ``replicates`` times, as :func:`mean_rmsd`
+    stacks its copies.
     """
+    if replicates is not None and replicates < 1:
+        raise ValueError("replicates must be at least 1")
     d, window = problem.dimension, len(problem.A.window)
-    n_records = 1 + -(-budget // stride)
+    budget = config.max_iters
+    n_records = 1 + -(-budget // config.record_every)
+    group = 0 if subset is None else replicates or 1
+    rows = int(plain) + group
     gathered = rows + group if objective else rows
     actions = 1 if subset is None else len(subset)
-    records = max(rows, copies)
+    records = max(rows, replicates or 1)
     _check_size(rows * linop.DENSE_CAP,
                 f"the solve's {rows} chains, at {linop.DENSE_CAP} entries each")
     _check_size(records * n_records,
@@ -248,24 +299,25 @@ def _drive(problem: ProblemInstance, config: SolverConfig, eta: float,
     False their objectives are NaN and no forward is spent on them.  Each
     stack row's block of the window table is ``window_table(A, subset)``,
     or the operator's own window without a subset; a group row's recorded
-    action is its drawn index and a plain row's is -1.  :func:`_check_solve`
-    refuses the solve, counting ``replicates`` copies of a plain ensemble's
-    trace, before any stream is spawned or array allocated.  Raises
-    :class:`DivergenceError` at the first iteration at which any row leaves
-    the finite ball of radius ``DIVERGENCE_NORM``.
+    action is its drawn index and a plain row's is -1.  A feasible set that
+    is not a :class:`~grouppgd.constraint.Box` raises ``TypeError``, and
+    :func:`check_solve` refuses an oversized solve, before any stream is
+    spawned or array allocated.  Raises :class:`DivergenceError` at the
+    first iteration at which any row leaves the finite ball of radius
+    ``DIVERGENCE_NORM``; a recorded iterate whose rows all lie within
+    ``DIVERGENCE_NORM / 2 - |x_dagger|`` of the ground truth is inside it,
+    and only other iterates have their norms taken.
     """
     A, b, K = problem.A, problem.b, problem.K
     d, budget, stride = problem.dimension, config.max_iters, config.record_every
-    _check_step_args(np.zeros(d), A, b, eta)
+    _check_step_args((d,), A, b, K, eta)
     if subset is not None and subset.dimension != d:
         raise DimensionMismatchError(
             f"subset dimension {subset.dimension} does not match problem dimension {d}"
         )
-    if replicates is not None and replicates < 1:
-        raise ValueError("replicates must be at least 1")
+    check_solve(problem, config, subset, replicates, objective, plain=plain)
     n_group = 0 if subset is None else replicates or 1
     R = int(plain) + n_group
-    _check_solve(problem, subset, R, n_group, replicates or 1, budget, stride, objective)
     rngs = ([] if subset is None else [np.random.default_rng(config.seed)] if replicates is None
             else replicate_rngs(config.seed, replicates))
     n_records = 1 + -(-budget // stride)
@@ -275,51 +327,63 @@ def _drive(problem: ProblemInstance, config: SolverConfig, eta: float,
     objectives = np.full((R, n_records), np.nan)
     actions = np.full((R, n_records), -1, dtype=np.int64)
     rows = np.arange(R)
+    error = np.empty_like(X)
 
-    def record(slot, X):
-        rmsd[:, slot] = np.sqrt(_row_dots(X - problem.x_dagger))
+    def record(slot):
+        rmsd[:, slot] = np.sqrt(_row_dots(np.subtract(X, problem.x_dagger, out=error)))
 
-    record(0, X)
+    record(0)
     # table row s is action s's window, and row 0 the identity's: the
-    # operator's own, which a plain row (draw -1) reads.  Row r of the stack
-    # reads table row r * n + max(draw, 0), offset by r * d into X.ravel().
+    # operator's own, which a plain row reads.  Row r of the stack reads
+    # table row r * n + its draw (0 for a plain row), offset by r * d into X.
     table = A.window[None] if subset is None else window_table(A, subset)
     n = len(table)
     table = (table + d * rows[:, None, None]).reshape(R * n, -1)
-    draws = np.full((budget, R), -1, dtype=np.int64)
-    group = rows[R - n_group:]
-    for r, rng in zip(group, rngs):
-        draws[:, r] = rng.integers(len(subset), size=budget)
+    first = R - n_group  # the first group row
+    group = rows[first:]
     # step k gathers the table rows steps[k, :R].  When objectives are
     # recorded, the step after a recorded iterate also gathers each group
     # row's identity window (steps[k, R:]), whose residual is that row's
     # objective residual; a plain row's objective residual is its own step
-    # residual.
-    steps = np.maximum(draws, 0)
-    steps += n * rows
+    # residual.  The draws are added into the one table.
+    steps = np.empty((budget, R + n_group if objective else R), dtype=np.int64)
+    steps[:, :R] = n * rows
+    for r, rng in zip(group, rngs):
+        steps[:, r] += rng.integers(len(subset), size=budget)
     if objective:
-        steps = np.hstack((steps, np.broadcast_to(n * group, (budget, len(group)))))
+        steps[:, R:] = n * group
     source = rows.copy()
     source[group] = R + np.arange(len(group))
+    lo, hi = _bounds(K, R)
+    # a recorded distance to x_dagger of at most this puts a row inside the
+    # ball with room for round-off; a NaN distance settles nothing
+    settled = DIVERGENCE_NORM / 2 - np.linalg.norm(problem.x_dagger)
     # the recorded slot whose objective is not written yet: it comes from
     # the residuals of the step that starts at that iterate
     pending = 0 if objective else None
     slot = 1
     for k in range(budget):
         index = steps[k, :R] if pending is None else steps[k]
-        X_next, residual = _step(X, A, b, K, eta, table.take(index, axis=0))
+        residual = _step(X, A, b, eta, table.take(index, axis=0), lo, hi)
+        if k == 0:  # the zero start need not lie in K; later steps stay in it
+            X[:] = K.project(X)
         if pending is not None:
             objectives[:, pending] = 0.5 * _row_dots(residual)[source]
             pending = None
-        X = X_next
-        if not (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all():
-            raise DivergenceError(k + 1)
+        inside = False
         if (k + 1) % stride == 0 or k + 1 == budget:
-            record(slot, X)
-            iterations[slot], actions[:, slot] = k + 1, draws[k]
+            record(slot)
+            inside = (rmsd[:, slot] <= settled).all()
+            iterations[slot] = k + 1
+            actions[first:, slot] = steps[k, first:R]
             if objective:
                 pending = slot
             slot += 1
+        if not (inside or (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all()):
+            raise DivergenceError(k + 1)
+    # a recorded iterate's action is the draw of the step that made it: its
+    # table row less the row's first
+    actions[first:, 1:] -= n * group[:, None]
     if objective:  # the last iterate is always recorded, and no step follows it
         objectives[:, pending] = 0.5 * _row_dots(A.forward(X) - b)
     rmsd_normalized = rmsd / np.sqrt(d)

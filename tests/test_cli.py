@@ -254,7 +254,7 @@ def test_oversized_problem_exits_4(tmp_path, capsys, command):
                        config_text(tmp_path / "out", problem_n_r=80, problem_n_theta=64,
                                    problem_angle_fraction=1, problem_rays_per_angle=80))
     assert main([command, "--config", cfg]) == 4
-    assert "problem too large to certify" in capsys.readouterr().err
+    assert "problem too large: the dense Gram of 5120 columns" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
@@ -263,7 +263,7 @@ def test_absurd_iteration_count_exits_4_before_allocating(tmp_path, capsys, comm
     # numpy's "Unable to allocate 7.11 PiB" traceback
     cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_iters=10**15))
     assert main([command, "--config", cfg]) == 4
-    assert "problem too large to certify: the solve's records" in capsys.readouterr().err
+    assert "problem too large: the solve's records" in capsys.readouterr().err
 
 
 def test_absurd_seed_count_exits_4_before_spawning_streams(tmp_path, capsys, monkeypatch):
@@ -276,7 +276,25 @@ def test_absurd_seed_count_exits_4_before_spawning_streams(tmp_path, capsys, mon
     monkeypatch.setattr(solver, "replicate_rngs", refuse)
     cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_seeds=10**12))
     assert main(["compare", "--config", cfg]) == 4
-    assert "problem too large to certify: the solve's" in capsys.readouterr().err
+    assert "problem too large: the solve's" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, setting", [("compare", {"solver_seeds": 10**12}),
+                                              ("run", {"solver_iters": 10**15})])
+def test_oversized_solve_exits_4_before_certifying(tmp_path, capsys, monkeypatch, command,
+                                                   setting):
+    # the solve's size rule is asked before the certificate is paid for, and
+    # the message names the solve, not the certificate
+    from grouppgd import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify called")
+
+    monkeypatch.setattr(cli, "certify", refuse)
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", **setting))
+    assert main([command, "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "problem too large: the solve's" in err and "certif" not in err
 
 
 def test_more_seeds_than_dense_cap_chains_exits_4_before_spawning_streams(tmp_path, capsys,
@@ -293,7 +311,7 @@ def test_more_seeds_than_dense_cap_chains_exits_4_before_spawning_streams(tmp_pa
                                              subset_radius=0, solver_iters=1,
                                              solver_seeds=5_000_000))
     assert main(["compare", "--config", cfg]) == 4
-    assert ("problem too large to certify: the solve's 5000001 chains"
+    assert ("problem too large: the solve's 5000001 chains"
             in capsys.readouterr().err)
 
 
@@ -305,7 +323,7 @@ def test_oversized_subset_exits_4_before_building_it(tmp_path, capsys, monkeypat
     monkeypatch.setattr(linop, "DENSE_CAP", 25)
     cfg = write_config(tmp_path, config_text(tmp_path / "out"))
     assert main([command, "--config", cfg]) == 4
-    assert ("problem too large to certify: the subset's 9 permutations of 96 cells"
+    assert ("problem too large: the subset's 9 permutations of 96 cells"
             in capsys.readouterr().err)
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from grouppgd import linop
+from grouppgd import kernels, linop
 from grouppgd.linop import (
     DENSE_CAP,
     DimensionMismatchError,
@@ -14,6 +14,7 @@ from grouppgd.linop import (
     SizeCapError,
     band_gram,
     from_dense,
+    from_window,
     gram_dense,
     gram_eigvals,
     rotated_adjoint,
@@ -364,6 +365,32 @@ def test_gram_dense_blocks_equal_single_probes():
 
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_repeated_window_cells_are_read_once_with_the_unfolded_bits():
+    # angles 0 and 1 with offsets -1..1 on 6 columns both read columns 0
+    # and 1: the map keeps each cell once, in the order it first reads them
+    n_r, n_theta, rays = 3, 6, 2
+    rng = np.random.default_rng(4)
+    cols = (np.array([[0], [1]]) + np.array([-1, 0, 1])) % n_theta
+    weights = rng.standard_normal((2, rays, n_r, 3))
+    weights_t = np.ascontiguousarray(np.moveaxis(weights, 1, 3))
+    given = kernels.window_index(cols, n_r, n_theta).ravel()
+    A = from_window(2 * rays, n_r * n_theta, given,
+                    lambda v: kernels.polar_window_forward(v, weights),
+                    lambda y: kernels.polar_window_adjoint(y, weights_t))
+    first = np.sort(np.unique(given, return_index=True)[1])
+    assert len(first) < len(given) and np.array_equal(A.window, given[first])
+    X = rng.standard_normal((4, n_r * n_theta))
+    Y = rng.standard_normal((4, 2 * rays))
+    for x, y in zip((X, X[0]), (Y, Y[0])):  # a stack and one row
+        assert same_bits(A.forward(x), kernels.polar_forward(
+            x.reshape(x.shape[:-1] + (n_r, n_theta)), cols, weights))
+        assert same_bits(A.adjoint(y), kernels.polar_adjoint(y, cols, weights_t, n_r, n_theta))
+        # the window maps read and write the distinct cells
+        assert same_bits(A.window_forward(x.take(A.window, axis=-1)), A.forward(x))
+        assert same_bits(kernels.scatter_add(A.window, A.window_adjoint(y), A.cols),
+                         A.adjoint(y))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from grouppgd import linop, solver
+from grouppgd import kernels, linop, solver
 from grouppgd.bench import Geometry, ProblemInstance, angle_subsampled_operator, build_problem
 from grouppgd.certificate import certify
 from grouppgd.constraint import Box, Subspace
@@ -171,7 +171,7 @@ def test_divergence_raises_with_iteration_index():
     A = identity_map(d)
     x_dagger = np.zeros(d)
     b = np.ones(d)
-    K = Subspace(np.eye(d))  # unconstrained in effect
+    K = Box(-np.inf, np.inf, d)  # unconstrained
     geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d,
                         offsets=(0,))
     prob = ProblemInstance(x_dagger=x_dagger, A=A, b=b, w=np.zeros(d), K=K,
@@ -198,7 +198,7 @@ def test_ensemble_divergence_names_the_first_row_to_diverge():
     d = 4
     geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
     prob = ProblemInstance(x_dagger=np.zeros(d), A=from_dense(np.diag([2.0, 0.0, 0.0, 0.0])),
-                           b=np.ones(d), w=np.ones(d), K=Subspace(np.eye(d)),
+                           b=np.ones(d), w=np.ones(d), K=Box(-np.inf, np.inf, d),
                            geometry=geometry)
     subset = symmetric_subset(cyclic_shift_action(d, 1), 1)
     config = SolverConfig(max_iters=500, step_size=1.0, seed=2)
@@ -217,7 +217,7 @@ def test_mixed_stack_divergence_names_the_first_row_to_diverge():
     d = 4
     geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
     prob = ProblemInstance(x_dagger=np.zeros(d), A=from_dense(np.diag([2.0, 0.0, 0.0, 0.0])),
-                           b=np.ones(d), w=np.ones(d), K=Subspace(np.eye(d)),
+                           b=np.ones(d), w=np.ones(d), K=Box(-np.inf, np.inf, d),
                            geometry=geometry)
     subset = symmetric_subset(cyclic_shift_action(d, 1), 1)
     config = SolverConfig(max_iters=500, step_size=1.0, seed=2)
@@ -354,8 +354,12 @@ def test_plain_step_is_the_identity_step(dense, n_r, n_theta, angles, rays, reac
     K = Box(0.0, 1.0, d)
     X = rng.uniform(-0.5, 1.5, size=(batch, d))
     identity = identity_action(d)
-    # the stack through the operator's window, as a plain row steps it
-    stacked = solver._step(X, A, b, K, 0.3, A.window + d * np.arange(batch)[:, None])[0]
+    # the stack through the operator's window, as a plain row steps it; X
+    # lies outside K, so the stepped stack is projected whole
+    stacked = X.copy()
+    solver._step(stacked, A, b, 0.3, A.window + d * np.arange(batch)[:, None],
+                 *solver._bounds(K, batch))
+    stacked = K.project(stacked)
     for x, row in zip(X, stacked, strict=True):
         plain = pgd_step(x, A, b, K, 0.3)
         assert plain.tobytes() == group_pgd_step(x, A, b, K, 0.3, identity).tobytes()
@@ -434,8 +438,8 @@ def test_solve_holds_at_most_dense_cap_chains(monkeypatch):
 
 
 @pytest.mark.parametrize("n_theta, radius, cap, what", [
-    # 4 rows x 5 actions x 48 window cells = 960 > 30**2, the stack 4 x 32 fits
-    (8, 2, 30, "window table of 4 rows x 5 actions x 48 cells"),
+    # 4 rows x 5 actions x 48 window cells = 960 > 30**2, the stack 4 x 48 fits
+    (12, 2, 30, "window table of 4 rows x 5 actions x 48 cells"),
     # 2 rows x 64 cells = 128 > 11**2, the identity's window table 2 x 1 x 48 fits
     (16, 0, 11, "stack of 2 rows x 64 cells"),
 ], ids=["window_table", "stack"])
@@ -561,3 +565,111 @@ def test_noiseless_symmetric_run_meets_predicted_iteration_count():
     assert trace.rmsd[-1] <= 1e-6
 
 
+def step_alone(prob, eta, subset, draws, budget):
+    """Iterates 0..budget of one chain from zeros stepped by ``pgd_step`` (no
+    subset) or by ``group_pgd_step`` through ``draws``."""
+    xs = [np.zeros(prob.dimension)]
+    for k in range(budget):
+        x = xs[-1]
+        xs.append(pgd_step(x, prob.A, prob.b, prob.K, eta) if subset is None else
+                  group_pgd_step(x, prob.A, prob.b, prob.K, eta, subset.actions[draws[k]]))
+    return xs
+
+
+@pytest.mark.parametrize("per_cell", [False, True], ids=["uniform", "per_cell"])
+def test_box_excluding_the_start_steps_as_single_steps(per_cell):
+    # zeros lie outside the box, and columns 3, 7 and 8 are read by no
+    # window, so only the first step's projection of the whole stack puts
+    # those cells inside it; angles 0 and 1 read columns 0 and 1 twice, so
+    # the steps read the folded window
+    rng = np.random.default_rng(1)
+    geometry = Geometry(n_r=4, n_theta=10, angles=(0, 1, 5), rays_per_angle=4,
+                        offsets=(-1, 0, 1))
+    A = angle_subsampled_operator(4, 10, geometry.angles, 4, seed=2)
+    d = A.cols
+    x_dagger = rng.uniform(0.3, 0.7, d)
+    lo = rng.uniform(0.2, 0.3, d) if per_cell else 0.25
+    prob = ProblemInstance(x_dagger=x_dagger, A=A, b=A.forward(x_dagger) + 0.01,
+                           w=np.full(A.rows, 0.01), K=Box(lo, 0.75, d), geometry=geometry)
+    assert len(A.window) < len(kernels_window(prob)) and len(A.window) < d
+    subset = symmetric_subset(geometry.theta_shift(1), 2)
+    eta, replicates, budget = 0.05, 3, 12
+    config = SolverConfig(max_iters=budget, step_size=eta, seed=3)
+    plain, groups = run_with_plain(prob, config, subset, replicates)
+    chains = [(plain, step_alone(prob, eta, None, None, budget))]
+    for trace, stream in zip(groups, replicate_rngs(config.seed, replicates), strict=True):
+        draws = stream.integers(len(subset), size=budget)
+        chains.append((trace, step_alone(prob, eta, subset, draws, budget)))
+    for trace, xs in chains:
+        assert trace.final_x.tobytes() == xs[-1].tobytes()
+        rmsd = np.array([np.linalg.norm(x - x_dagger) for x in xs])
+        residuals = [A.forward(x) - prob.b for x in xs]
+        objective = np.array([0.5 * (r @ r) for r in residuals])
+        assert trace.rmsd.tobytes() == rmsd.tobytes()
+        assert trace.objective.tobytes() == objective.tobytes()
+        assert not prob.K.contains(xs[0]) and all(prob.K.contains(x) for x in xs[1:])
+
+
+def kernels_window(prob):
+    """The operator's window as the polar kernels read it, repeats included."""
+    geo = prob.geometry
+    cols = (np.asarray(geo.angles)[:, None] + np.asarray(geo.offsets)) % geo.n_theta
+    return kernels.window_index(cols, geo.n_r, geo.n_theta).ravel()
+
+
+@pytest.mark.parametrize("call", ["run", "run_group", "run_ensemble", "run_with_plain",
+                                  "pgd_step", "group_pgd_step"])
+def test_a_feasible_set_that_is_not_a_box_is_refused_first(monkeypatch, call):
+    prob = small_problem()
+    d = prob.dimension
+    prob = replace(prob, K=Subspace(np.eye(d)))
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the feasible set was checked")
+
+    monkeypatch.setattr(solver, "window_table", refuse)
+    monkeypatch.setattr(solver, "replicate_rngs", refuse)
+    config = SolverConfig(max_iters=5, step_size=0.1)
+    x = np.zeros(d)
+    calls = {
+        "run": lambda: run(prob, config),
+        "run_group": lambda: run(prob, config, subset),
+        "run_ensemble": lambda: run_ensemble(prob, config, subset, 3),
+        "run_with_plain": lambda: run_with_plain(prob, config, subset, 3),
+        "pgd_step": lambda: pgd_step(x, prob.A, prob.b, prob.K, 0.1),
+        "group_pgd_step": lambda: group_pgd_step(x, prob.A, prob.b, prob.K, 0.1,
+                                                  subset.actions[1]),
+    }
+    with pytest.raises(TypeError, match="Subspace"):
+        calls[call]()
+
+
+@pytest.mark.parametrize("objective, counted", [(True, 3), (False, 2)])
+def test_solve_holds_one_step_table(objective, counted):
+    # one plain and one group chain of 4 cells, recorded once: the step
+    # table of `counted` entries a step is the only array the size rule
+    # counts that grows with the budget, and one row's draws (8 B a step)
+    # are made before they are added into it.  The peak is measured at two
+    # budgets, so what does not grow with the budget cancels.  Before the
+    # one table, it grew by 56 B and 32 B a step.
+    import tracemalloc
+
+    d = 4
+    geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
+    prob = ProblemInstance(x_dagger=np.full(d, 0.5), A=from_dense(np.diag([1.0, 0.5, 0.25, 0.0])),
+                           b=np.ones(d), w=np.zeros(d), K=Box(0.0, 1.0, d), geometry=geometry)
+    subset = symmetric_subset(cyclic_shift_action(d, 1), 1)
+
+    def peak(budget):
+        config = SolverConfig(max_iters=budget, step_size=0.5, record_every=budget)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_with_plain(prob, config, subset, 1, objective=objective)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    peak(2_000)  # the first solve also allocates what later ones reuse
+    assert (peak(8_000) - peak(2_000)) / 6_000 <= 8 * counted + 8
