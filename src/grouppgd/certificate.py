@@ -338,20 +338,34 @@ def bound_limit(report: CertificateReport, w_norm: float) -> float:
 class DominationReport:
     """Outcome of checking the bound against an empirical mean curve.
 
-    ``margins[i] = bound[i] * (1 + slack) - empirical_mean[i]``; the check
-    passes when every margin is nonnegative.  ``first_violation`` is the
-    iteration index of the first negative margin, or None.
+    ``margins[i] = bound[i] * (1 + slack) - empirical_mean[i]``, with the
+    Monte Carlo slack ``2/sqrt(replicates)``; the check passes (``ok``) when
+    no margin is negative, else ``first_violation`` is the iteration index
+    of the first negative margin.
     """
 
     iterations: np.ndarray
     empirical_mean: np.ndarray
     bound: np.ndarray
-    margins: np.ndarray
-    slack: float
     replicates: int
-    ok: bool
-    first_violation: int | None
     certificate: CertificateReport
+
+    @property
+    def slack(self) -> float:
+        return float(2.0 / np.sqrt(self.replicates))
+
+    @property
+    def margins(self) -> np.ndarray:
+        return self.bound * (1.0 + self.slack) - self.empirical_mean
+
+    @property
+    def ok(self) -> bool:
+        return self.first_violation is None
+
+    @property
+    def first_violation(self) -> int | None:
+        violations = np.nonzero(self.margins < 0)[0]
+        return int(self.iterations[violations[0]]) if len(violations) else None
 
 
 def verify_bound(problem: ProblemInstance, subset: SymmetricSubset,
@@ -371,21 +385,12 @@ def verify_bound(problem: ProblemInstance, subset: SymmetricSubset,
     why = report.why_no_bound()
     if why is not None:
         raise (BoundVacuousError if why == _VACUOUS else ValueError)(why)
-    slack = 2.0 / np.sqrt(replicates)
     run_config = replace(config, step_size=1.0 / report.L)
     iterations, mean_rmsd, _ = run_ensemble(problem, run_config, subset, replicates)
-    bound = bound_at(report, problem, mean_rmsd[0], iterations)
-    margins = bound * (1.0 + slack) - mean_rmsd
-    violations = np.nonzero(margins < 0)[0]
-    first = int(iterations[violations[0]]) if len(violations) else None
     return DominationReport(
         iterations=iterations,
         empirical_mean=mean_rmsd,
-        bound=bound,
-        margins=margins,
-        slack=float(slack),
+        bound=bound_at(report, problem, mean_rmsd[0], iterations),
         replicates=replicates,
-        ok=len(violations) == 0,
-        first_violation=first,
         certificate=report,
     )

@@ -6,9 +6,10 @@ Subcommands:
                ``group_pgd.csv`` (with a bound column in the certified
                regime) and ``certificate.txt``.
 * ``certify``  prints and writes the certificate constants only.
-* ``compare``  seed-ensemble means of both methods; writes ``compare.csv``
-               (bound ``nan`` outside the certified regime) and
-               ``summary.txt`` with iterations-to-tolerance.
+* ``compare``  the plain chain (``run``'s ``pgd.csv`` ``rmsd``) beside the
+               seed-ensemble mean of the group method; writes ``compare.csv``
+               (bound ``run``'s, or ``nan`` outside the certified regime)
+               and ``summary.txt`` with iterations-to-tolerance.
 * ``phantom``  writes the ground-truth image as an ASCII graymap plus a
                full-precision CSV.
 
@@ -341,8 +342,8 @@ def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     pgd_trace, group_traces = run_with_plain(problem, solver_config, subset, replicates,
                                              objective=False)
     iters = pgd_trace.iterations
-    # the plain chain draws nothing, so it stands for each of its replicates
-    pgd_mean = mean_rmsd([pgd_trace] * replicates)
+    # the plain chain draws nothing: every plain replicate is this one chain
+    pgd_mean = pgd_trace.rmsd
     group_mean = mean_rmsd(group_traces)
     if why is not None:
         bound = np.full(len(iters), np.nan)

@@ -18,11 +18,12 @@ reads a window of cells (a map built from ``forward``/``adjoint`` alone reads
 every cell through them).  A group action is a permutation ``perm_s`` of the
 cells, and the rotated operator ``x -> A(x[perm_s])`` reads cell
 ``perm_s[c]`` wherever ``A`` reads ``c``.  :func:`window_table` lists those
-cells once per action, and :func:`rotated_forward`/:func:`rotated_adjoint`
-gather through a table row and add back through it, with no full-length
-permutation of the signal.  The identity's row is the window itself.  A
-window lists each cell once (:func:`from_window` folds repeats), so a
-solver step can write its update straight into the cells it read.
+cells once per action: the rotated forward is ``A``'s window forward on the
+values gathered through a table row, and :func:`rotated_adjoint` adds back
+through it, with no full-length permutation of the signal.  The identity's
+row is the window itself.  A window lists each cell once
+(:func:`from_window` folds repeats), so a solver step can write its update
+straight into the cells it read.
 
 Spectral quantities are exact: :func:`gram_eigvals` probes the Gram of the
 operator's smaller side (``A A^T`` for a wide operator, ``A^T A`` otherwise)
@@ -60,7 +61,6 @@ __all__ = [
     "from_dense",
     "from_window",
     "window_table",
-    "rotated_forward",
     "rotated_adjoint",
     "spectral_norm",
     "gram_eigvals",
@@ -201,22 +201,15 @@ def window_table(A: LinearMap, actions) -> np.ndarray:
     return np.stack([T.permutation for T in actions])[:, A.window]
 
 
-def rotated_forward(A: LinearMap, X: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """``A`` applied to each row of ``X`` rotated: the rows of ``cells`` index ``X.ravel()``.
+def rotated_adjoint(A: LinearMap, Y: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
+    """Adjoint of the rotated forward ``A.window_forward(X.ravel().take(cells))``,
+    as a flat array of ``size`` cells.
 
     Row ``i`` of ``cells`` is a :func:`window_table` row plus ``i * A.cols``
-    (a 1-D ``cells`` is one table row, for a 1-D ``X``).  Each row gets the
-    bits of ``A.forward`` on its rotated row.
-    """
-    return A.window_forward(X.ravel().take(cells))
-
-
-def rotated_adjoint(A: LinearMap, Y: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
-    """Adjoint of :func:`rotated_forward`, as a flat array of ``size`` cells.
-
-    The window values add into their cells from ``+0.0``, in index order
-    (:func:`~grouppgd.kernels.scatter_add`); through a trivial window that is
-    each value's own bits, except that ``-0.0`` becomes ``+0.0``.
+    (a 1-D ``cells`` is one table row, for a 1-D ``Y``).  The window values
+    add into their cells from ``+0.0``, in index order
+    (:func:`~grouppgd.kernels.scatter_add`); through a trivial window that
+    is each value's own bits, except that ``-0.0`` becomes ``+0.0``.
     """
     return kernels.scatter_add(cells, A.window_adjoint(Y).ravel(), size)
 

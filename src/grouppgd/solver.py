@@ -12,7 +12,8 @@ Every run goes through one driver that steps a stack ``X`` of shape
 and the trace values act on the whole stack, and by the stack contract of
 :mod:`grouppgd.linop` every row gets the bits of its own one-row run.  The
 driver makes its own rows from what its caller asks for: :func:`run` is one
-row, :func:`run_ensemble` is one row per replicate, and
+row, :func:`run_ensemble` is one row per group replicate (a plain
+ensemble draws nothing, so it is its one chain), and
 :func:`run_with_plain` steps the plain chain as one more row beside the
 group chains, so a comparison of the two methods is one stack.  Every
 chain starts from zeros, and the replicate streams are spawned only once
@@ -124,8 +125,7 @@ class IterateTrace:
     """Recorded path of one solver run.
 
     Arrays are row-aligned: entry ``i`` describes iterate ``iterations[i]``.
-    ``rmsd`` is the plain distance to the ground truth and
-    ``rmsd_normalized`` divides it by sqrt(dimension).  ``objective`` is
+    ``rmsd`` is the plain distance to the ground truth.  ``objective`` is
     ``0.5 * |A x - b|^2``, NaN at every entry when the run did not record
     it (:func:`run_with_plain` with ``objective=False``).  ``action_indices``
     holds the subset index drawn for the step that produced each recorded
@@ -134,18 +134,22 @@ class IterateTrace:
 
     iterations: np.ndarray
     rmsd: np.ndarray
-    rmsd_normalized: np.ndarray
     objective: np.ndarray
     action_indices: np.ndarray
     final_x: np.ndarray
 
     def __post_init__(self):
         n = len(self.iterations)
-        for name in ("rmsd", "rmsd_normalized", "objective", "action_indices"):
+        for name in ("rmsd", "objective", "action_indices"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"trace field {name} has inconsistent length")
         if np.any(np.diff(self.iterations) <= 0):
             raise ValueError("iteration indices must be strictly increasing")
+
+    @property
+    def rmsd_normalized(self) -> np.ndarray:
+        """``rmsd`` divided by sqrt(dimension)."""
+        return self.rmsd / np.sqrt(len(self.final_x))
 
 
 def resolve_step_size(config: SolverConfig, A: LinearMap) -> float:
@@ -238,8 +242,8 @@ def _check_step_args(shape, A, b, K, eta):
         raise DimensionMismatchError(
             f"observation has shape {b.shape}, operator produces ({A.rows},)"
         )
-    if not eta > 0:
-        raise ValueError("step size must be positive")
+    if not 0 < eta < np.inf:
+        raise ValueError("step size must be positive and finite")
 
 
 def _row_dots(U):
@@ -260,9 +264,7 @@ def check_solve(problem: ProblemInstance, config: SolverConfig,
 
     Refuses (:class:`~grouppgd.linop.SizeCapError`, naming the table) more
     than ``linop.DENSE_CAP`` chains, or records, a step table, a stack or a
-    window table of more than ``linop.DENSE_CAP**2`` entries.  A plain
-    ensemble's trace counts ``replicates`` times, as :func:`mean_rmsd`
-    stacks its copies.
+    window table of more than ``linop.DENSE_CAP**2`` entries.
     """
     if replicates is not None and replicates < 1:
         raise ValueError("replicates must be at least 1")
@@ -273,11 +275,10 @@ def check_solve(problem: ProblemInstance, config: SolverConfig,
     rows = int(plain) + group
     gathered = rows + group if objective else rows
     actions = 1 if subset is None else len(subset)
-    records = max(rows, replicates or 1)
     _check_size(rows * linop.DENSE_CAP,
                 f"the solve's {rows} chains, at {linop.DENSE_CAP} entries each")
-    _check_size(records * n_records,
-                f"the solve's records of {records} rows x {n_records} iterates")
+    _check_size(rows * n_records,
+                f"the solve's records of {rows} rows x {n_records} iterates")
     _check_size(budget * gathered,
                 f"the solve's step table of {budget} steps x {gathered} rows")
     _check_size(rows * d, f"the solve's stack of {rows} rows x {d} cells")
@@ -386,10 +387,8 @@ def _drive(problem: ProblemInstance, config: SolverConfig, eta: float,
     actions[first:, 1:] -= n * group[:, None]
     if objective:  # the last iterate is always recorded, and no step follows it
         objectives[:, pending] = 0.5 * _row_dots(A.forward(X) - b)
-    rmsd_normalized = rmsd / np.sqrt(d)
     return [
-        IterateTrace(iterations=iterations, rmsd=rmsd[r],
-                     rmsd_normalized=rmsd_normalized[r], objective=objectives[r],
+        IterateTrace(iterations=iterations, rmsd=rmsd[r], objective=objectives[r],
                      action_indices=actions[r], final_x=X[r])
         for r in range(R)
     ]
@@ -420,17 +419,13 @@ def run_ensemble(problem: ProblemInstance, config: SolverConfig,
     alone.  An ``"auto"`` step is resolved once and shared by every
     replicate.  If any replicate diverges, :class:`DivergenceError` names
     the first iteration at which one did, whichever replicate it was.
-    Plain PGD (``subset=None``) draws nothing from its stream, so its chain
-    runs once and ``traces`` holds that one trace object ``replicates``
-    times; the mean is still taken over all entries (:func:`mean_rmsd`), so
-    it is bit for bit the mean of separate runs.  The solver's size rule
-    counts those copies, and refuses a solve before any stream is spawned.
-    Returns ``(iterations, mean_rmsd, traces)``.
+    Plain PGD (``subset=None``) draws nothing, so every replicate is one
+    deterministic chain: it runs once, ``traces`` holds its one trace, and
+    the mean is that trace's ``rmsd``, bit for bit ``run(problem,
+    config).rmsd``.  Returns ``(iterations, mean_rmsd, traces)``.
     """
     eta = resolve_step_size(config, problem.A)
     traces = _drive(problem, config, eta, subset, subset is None, replicates)
-    if subset is None:
-        traces = traces * replicates
     return traces[0].iterations, mean_rmsd(traces), traces
 
 
@@ -461,5 +456,6 @@ def replicate_rngs(seed: int, replicates: int) -> list[np.random.Generator]:
 
 
 def mean_rmsd(traces) -> np.ndarray:
-    """Per-iteration mean of the traces' ``rmsd``, as :func:`run_ensemble` reports it."""
+    """Per-iteration mean of the traces' ``rmsd``, as :func:`run_ensemble` reports
+    it; the mean of one trace is its ``rmsd``, bit for bit."""
     return np.mean(np.stack([t.rmsd for t in traces]), axis=0)

@@ -48,11 +48,14 @@ class GroupAction:
     inverse_permutation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        perm = np.asarray(self.permutation, dtype=np.int64)
+        perm = np.asarray(self.permutation)
         if perm.shape != (self.dimension,):
             raise ValueError(
                 f"permutation has shape {perm.shape}, expected ({self.dimension},)"
             )
+        if perm.dtype.kind not in "iu" or ((perm < 0) | (perm >= self.dimension)).any():
+            raise ValueError("permutation is not a bijection")
+        perm = perm.astype(np.int64, copy=False)
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(self.dimension, dtype=np.int64)
         # a non-bijection would have left gaps; verify round trip

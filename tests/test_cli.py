@@ -191,6 +191,21 @@ def test_compare_writes_combined_csv_and_summary(tmp_path):
     assert "group_pgd: iterations to mean rmsd" in summary
 
 
+def test_compare_writes_run_plain_chain_and_bound(tmp_path):
+    # a plain chain draws nothing, so compare's plain column is run's plain
+    # chain and its bound is run's, as text
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_seeds=20))
+    assert main(["run", "--config", cfg]) == EXIT_OK
+    assert main(["compare", "--config", cfg]) == EXIT_OK
+
+    def columns(name, *picked):
+        rows = [line.split(",") for line in (tmp_path / "out" / name).read_text().splitlines()]
+        return [[row[rows[0].index(col)] for col in picked] for row in rows[1:]]
+
+    assert columns("compare.csv", "iter", "pgd_mean_rmsd") == columns("pgd.csv", "iter", "rmsd")
+    assert columns("compare.csv", "bound") == columns("group_pgd.csv", "bound")
+
+
 def test_compare_zero_budget_keeps_initial_distance(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, config_text(out, solver_iters=0))
@@ -540,8 +555,8 @@ def test_trace_csv_writes_what_per_cell_formatting_writes():
                        0.1, 123456789.0])
     n = len(values)
     trace = IterateTrace(iterations=np.arange(0, 3 * n, 3), rmsd=values,
-                         rmsd_normalized=values[::-1].copy(), objective=np.roll(values, 3),
-                         action_indices=np.arange(n) - 1, final_x=np.zeros(2))
+                         objective=np.roll(values, 3), action_indices=np.arange(n) - 1,
+                         final_x=np.zeros(2))
     bound = np.roll(values, 5)
     for b in (None, bound):
         for with_actions in (False, True):

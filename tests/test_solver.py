@@ -291,12 +291,12 @@ def test_plain_ensemble_runs_one_chain():
     calls.clear()
     alone = run(prob, config)
     assert ensemble_calls == calls
-    assert all(trace is traces[0] for trace in traces)
-    # the mean of five separate runs, bit for bit: a plain chain draws
-    # nothing from its stream
-    separate = [run(prob, config) for _ in range(5)]
+    # a plain chain draws nothing: the ensemble is its one chain, and the
+    # mean is that chain's rmsd, bit for bit
+    assert len(traces) == 1
     assert np.array_equal(iterations, alone.iterations)
-    assert np.array_equal(mean, np.mean(np.stack([t.rmsd for t in separate]), axis=0))
+    assert mean.tobytes() == alone.rmsd.tobytes()
+    assert traces[0].rmsd.tobytes() == alone.rmsd.tobytes()
 
 
 def test_plain_run_takes_each_objective_from_the_next_steps_residual():
@@ -418,11 +418,18 @@ def test_absurd_replicate_count_is_refused_before_spawning_streams(monkeypatch):
         run_ensemble(prob, SolverConfig(max_iters=10), subset, replicates=10**12)
 
 
-def test_absurd_plain_ensemble_is_refused_before_stacking_its_copies():
-    # one plain chain, but the mean stacks 10**12 copies of its trace:
-    # refused by the size rule, not by a bare MemoryError
-    with pytest.raises(SizeCapError, match="the solve's records of 1000000000000 rows"):
-        run_ensemble(small_problem(), SolverConfig(max_iters=10), None, replicates=10**12)
+def test_absurd_plain_ensemble_runs_its_one_chain():
+    # 10**12 plain replicates are one chain: no copies to refuse or stack
+    prob, config = small_problem(), SolverConfig(max_iters=10)
+    iterations, mean, traces = run_ensemble(prob, config, None, replicates=10**12)
+    alone = run(prob, config)
+    assert len(traces) == 1
+    assert np.array_equal(iterations, alone.iterations)
+    assert mean.tobytes() == alone.rmsd.tobytes()
+    for name in ("rmsd", "objective", "action_indices", "final_x"):
+        assert getattr(traces[0], name).tobytes() == getattr(alone, name).tobytes(), name
+    with pytest.raises(ValueError, match="replicates must be at least 1"):
+        run_ensemble(prob, config, None, replicates=0)
 
 
 def test_solve_holds_at_most_dense_cap_chains(monkeypatch):
@@ -545,6 +552,17 @@ def test_config_validation():
 def test_config_refuses_a_non_finite_or_negative_step(step):
     with pytest.raises(ValueError, match="positive and finite"):
         SolverConfig(max_iters=3, step_size=step)
+
+
+@pytest.mark.parametrize("eta", [np.inf, np.nan])
+def test_steps_refuse_a_non_finite_step(eta):
+    # an infinite step from a fixed point would write NaN cells
+    prob = build_problem(n_r=4, n_theta=8, rays_per_angle=4)
+    T = cyclic_shift_action(prob.dimension, 1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        pgd_step(prob.x_dagger, prob.A, prob.b, prob.K, eta)
+    with pytest.raises(ValueError, match="positive and finite"):
+        group_pgd_step(prob.x_dagger, prob.A, prob.b, prob.K, eta, T)
 
 
 def test_noiseless_symmetric_run_meets_predicted_iteration_count():

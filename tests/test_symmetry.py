@@ -78,8 +78,11 @@ def test_ring_image_fixed_by_every_shift():
 
 
 def test_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        GroupAction(dimension=3, permutation=np.array([0, 0, 2]), power=0)
+    # a repeated cell, an index past the end, and floats that truncate to
+    # the identity
+    for permutation in (np.array([0, 0, 2]), [0, 1, 5], [0.0, 1.7, 2.2]):
+        with pytest.raises(ValueError, match="not a bijection"):
+            GroupAction(dimension=3, permutation=permutation, power=0)
 
 
 def test_symmetric_subset_radius_zero():
