@@ -198,7 +198,7 @@ def window_table(A: LinearMap, actions) -> np.ndarray:
     with the same weights, so it is ``A``'s window maps on the gathered
     values ``x[table[s]]``.
     """
-    return np.stack([T.permutation for T in actions])[:, A.window]
+    return np.stack([T.permutation[A.window] for T in actions])
 
 
 def rotated_adjoint(A: LinearMap, Y: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 A :class:`GroupAction` is an orthogonal signal transform: applying it is a
 gather ``x[perm]``, so norms and inner products are preserved bit-for-bit up
-to reordering of additions, and the inverse is another permutation.  The
-actions used by the solver are circular shifts of the angular index of a
-polar-grid image, for which rotation is exact (no interpolation), keeping the
-convergence analysis literally checkable.
+to reordering of additions.  An action holds one array, its permutation,
+read-only: no path applies an inverse, and a subset lists each member's
+inverse as another action.  The actions used by the solver are circular
+shifts of the angular index of a polar-grid image, for which rotation is
+exact (no interpolation), keeping the convergence analysis literally
+checkable.
 
 A :class:`SymmetricSubset` is the ordered family {Id, g, g^-1, g^2, g^-2, ...}
 drawn from a single generator: it contains the identity and the inverse of
@@ -14,7 +16,7 @@ every member but need not be closed under composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +39,7 @@ class GroupAction:
 
     ``permutation`` is in gather form: ``apply(x)[..., i] == x[..., permutation[i]]``;
     the action moves the last axis, so a stack of signals rotates row by row.
+    It keeps a read-only int64 copy of the permutation it is given.
     ``power`` is the exponent of this action relative to the generator that
     produced it (0 for the identity, negative for inverses).
     """
@@ -45,7 +48,6 @@ class GroupAction:
     permutation: np.ndarray
     power: int
     label: str = ""
-    inverse_permutation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         perm = np.asarray(self.permutation)
@@ -55,24 +57,15 @@ class GroupAction:
             )
         if perm.dtype.kind not in "iu" or ((perm < 0) | (perm >= self.dimension)).any():
             raise ValueError("permutation is not a bijection")
-        perm = perm.astype(np.int64, copy=False)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(self.dimension, dtype=np.int64)
-        # a non-bijection would have left gaps; verify round trip
-        if not np.array_equal(perm[inverse], np.arange(self.dimension)):
+        # a copy, so a write into the caller's array cannot undo the check
+        perm = perm.astype(np.int64)
+        perm.flags.writeable = False
+        if np.bincount(perm).max(initial=0) > 1:
             raise ValueError("permutation is not a bijection")
         object.__setattr__(self, "permutation", perm)
-        object.__setattr__(self, "inverse_permutation", inverse)
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.permutation, np.arange(self.dimension)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.take(x, self.permutation, axis=-1)
-
-    def apply_inverse(self, x: np.ndarray) -> np.ndarray:
-        return np.take(x, self.inverse_permutation, axis=-1)
 
 
 def identity_action(d: int) -> GroupAction:
@@ -127,7 +120,8 @@ class SymmetricSubset:
     def __post_init__(self):
         if not self.actions:
             raise ValueError("subset must be nonempty")
-        if not self.actions[0].is_identity:
+        identity = np.arange(self.dimension)
+        if not np.array_equal(self.actions[0].permutation, identity):
             raise ValueError("actions[0] must be the identity")
         dims = {a.dimension for a in self.actions}
         if len(dims) != 1:
@@ -144,7 +138,7 @@ class SymmetricSubset:
         by_power = {a.power: a for a in self.actions}
         for p, action in by_power.items():
             mate = by_power[-p]
-            if not np.array_equal(mate.permutation, action.inverse_permutation):
+            if not np.array_equal(mate.permutation[action.permutation], identity):
                 raise ValueError(f"action with power {-p} is not the inverse of power {p}")
 
     def __len__(self) -> int:
@@ -163,7 +157,7 @@ def symmetric_subset(generator: GroupAction, radius: int) -> SymmetricSubset:
 
     ``2 * radius + 1`` permutations of more than ``linop.DENSE_CAP**2``
     entries in all are refused (:class:`~grouppgd.linop.SizeCapError`)
-    before the first is built.
+    before the first is built; those entries are all the subset holds.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -174,9 +168,10 @@ def symmetric_subset(generator: GroupAction, radius: int) -> SymmetricSubset:
     actions = [identity_action(d)]
     # g^k is g applied to g^(k-1), and g^-k is g^-1 applied to g^-(k-1)
     forward = backward = np.arange(d, dtype=np.int64)
+    inverse = np.argsort(generator.permutation)
     for k in range(1, radius + 1):
         forward = generator.permutation[forward]
-        backward = generator.inverse_permutation[backward]
+        backward = inverse[backward]
         for power, perm in ((k, forward), (-k, backward)):
             actions.append(GroupAction(dimension=d, permutation=perm, power=power,
                                        label=base if power == 1 else f"{base}^{power}"))

@@ -24,18 +24,20 @@ def compose_with_action(A: LinearMap, T: GroupAction) -> LinearMap:
     """Return the operator ``x -> A(T x)``.
 
     The adjoint is ``y -> T^{-1}(A^T y)`` because group actions are
-    orthogonal permutations.  Rows and cols are preserved.
+    orthogonal permutations: it gathers through the inverse permutation,
+    ``argsort(T.permutation)``.  Rows and cols are preserved.
     """
     if A.cols != T.dimension:
         raise DimensionMismatchError(
             f"cannot compose: operator has {A.cols} columns, action acts on "
             f"dimension {T.dimension}"
         )
+    inverse = np.argsort(T.permutation)
     return LinearMap(
         rows=A.rows,
         cols=A.cols,
         forward=lambda x: A.forward(T.apply(x)),
-        adjoint=lambda y: T.apply_inverse(A.adjoint(y)),
+        adjoint=lambda y: np.take(A.adjoint(y), inverse, axis=-1),
         tag=f"{A.tag}*{T.label}" if T.label else f"{A.tag}*action",
     )
 

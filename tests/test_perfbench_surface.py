@@ -8,7 +8,7 @@ every name they import from the package, and every attribute they read off
 one of its modules, resolves, and that the polar kernels still take the
 arguments the benchmark's replay passes them.  README's Python blocks are
 read the same way, and the root's public names must be exactly the ones
-these callers take from it.
+these callers take from it.  Those blocks also run, warning-free.
 """
 
 import ast
@@ -85,14 +85,25 @@ def test_every_package_name_the_benchmark_reads_resolves():
     assert not missing, missing
 
 
-def readme_root_imports():
-    """Names that README's Python blocks import from the package root."""
+def readme_blocks():
+    """The fenced Python blocks of README.md, in order."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
     assert blocks, "no Python block in README.md"
-    return {alias.name for block in blocks for node in ast.walk(ast.parse(block))
+    return blocks
+
+
+def readme_root_imports():
+    """Names that README's Python blocks import from the package root."""
+    return {alias.name for block in readme_blocks() for node in ast.walk(ast.parse(block))
             if isinstance(node, ast.ImportFrom) and node.module == "grouppgd"
             for alias in node.names}
+
+
+def test_readme_python_blocks_run_warning_free():
+    # the suite turns every warning into an error, so a block that warns fails
+    for block in readme_blocks():
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_root_exports_exactly_what_its_callers_import():

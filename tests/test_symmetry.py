@@ -1,11 +1,15 @@
 """Group actions: exactness, orthogonality, subsets, sampling."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from grouppgd import linop, symmetry
 from grouppgd.bench import ring_phantom
+from grouppgd.cli import load_config
 from grouppgd.linop import SizeCapError
 from grouppgd.symmetry import (
     GroupAction,
@@ -18,8 +22,18 @@ from grouppgd.symmetry import (
 )
 
 
+def fixes_every_cell(T):
+    """Whether ``T`` is the identity."""
+    return np.array_equal(T.permutation, np.arange(T.dimension))
+
+
+def gather_inverse(T, x):
+    """``T``'s inverse applied to ``x``: a gather through ``argsort(permutation)``."""
+    return np.take(x, np.argsort(T.permutation), axis=-1)
+
+
 def test_cyclic_shift_zero_is_identity():
-    assert cyclic_shift_action(4, 0).is_identity
+    assert fixes_every_cell(cyclic_shift_action(4, 0))
 
 
 def test_cyclic_shift_by_one():
@@ -41,7 +55,7 @@ def test_inverse_round_trip_exact():
     for s in (1, 3, -5):
         T = polar_theta_shift(4, 10, s)
         x = rng.standard_normal(40)
-        assert np.array_equal(T.apply_inverse(T.apply(x)), x)
+        assert np.array_equal(gather_inverse(T, T.apply(x)), x)
 
 
 def test_orthogonality_norm_and_inner_product():
@@ -55,7 +69,7 @@ def test_orthogonality_norm_and_inner_product():
 
 
 def test_polar_shift_zero_is_identity():
-    assert polar_theta_shift(3, 7, 0).is_identity
+    assert fixes_every_cell(polar_theta_shift(3, 7, 0))
 
 
 def test_polar_reduces_to_cyclic_for_single_radius():
@@ -66,7 +80,7 @@ def test_polar_reduces_to_cyclic_for_single_radius():
 
 def test_polar_cyclicity():
     T = polar_theta_shift(5, 8, 8)
-    assert T.is_identity
+    assert fixes_every_cell(T)
 
 
 def test_ring_image_fixed_by_every_shift():
@@ -85,10 +99,23 @@ def test_rejects_non_bijection():
             GroupAction(dimension=3, permutation=permutation, power=0)
 
 
+def test_action_keeps_a_read_only_copy_of_its_permutation():
+    # a write into the caller's array, or into the action's, would turn the
+    # checked bijection into a non-bijection
+    p = np.arange(4)
+    T = GroupAction(dimension=4, permutation=p, power=0)
+    p[:] = 0
+    assert np.array_equal(T.permutation, np.arange(4))
+    assert T.permutation.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        T.permutation[0] = 1
+    assert fixes_every_cell(T)
+
+
 def test_symmetric_subset_radius_zero():
     sub = symmetric_subset(cyclic_shift_action(5, 1), 0)
     assert len(sub) == 1
-    assert sub.actions[0].is_identity
+    assert fixes_every_cell(sub.actions[0])
 
 
 def test_symmetric_subset_radius_two():
@@ -111,7 +138,7 @@ def test_symmetric_subset_powers_act_as_powers():
     x = rng.standard_normal(33)
     for action in sub:
         y = x.copy()
-        step = gen.apply if action.power >= 0 else gen.apply_inverse
+        step = gen.apply if action.power >= 0 else lambda v: gather_inverse(gen, v)
         for _ in range(abs(action.power)):
             y = step(y)
         assert np.array_equal(action.apply(x), y)
@@ -153,7 +180,7 @@ def test_sampling_singleton_always_identity():
     for _ in range(10):
         action, idx = sample_action(sub, rng)
         assert idx == 0
-        assert action.is_identity
+        assert fixes_every_cell(action)
 
 
 def test_sampling_uniform_frequencies():
@@ -190,3 +217,33 @@ def test_symmetric_subset_refuses_permutations_past_the_size_rule(monkeypatch):
         symmetric_subset(generator, 2)
     assert built == []
     assert len(symmetric_subset(generator, 1)) == 3
+
+
+def test_size_rule_counts_what_the_subset_holds(monkeypatch):
+    # 5 permutations of 20 cells are 10**2 entries, the most the rule lets a
+    # subset hold; the subset keeps exactly those entries and nothing more
+    generator = polar_theta_shift(2, 10, 1)
+    monkeypatch.setattr(linop, "DENSE_CAP", 10)
+    sub = symmetric_subset(generator, 2)
+    held = [v for T in sub for v in vars(T).values() if isinstance(v, np.ndarray)]
+    assert all(v.dtype == np.int64 for v in held)
+    assert sum(v.size for v in held) == 5 * 20 == linop.DENSE_CAP ** 2
+    with pytest.raises(SizeCapError, match="the subset's 7 permutations of 20 cells: 140 entries"):
+        symmetric_subset(generator, 3)
+
+
+def test_fine_grid_subset_holds_its_permutations_once():
+    config = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                      "fine_grid.txt"))
+    # the generator the CLI builds: problem.geometry.theta_shift(1)
+    generator = polar_theta_shift(config.problem_n_r, config.problem_n_theta, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sub = symmetric_subset(generator, config.subset_radius)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    permutations = sum(T.permutation.nbytes for T in sub)
+    assert permutations == 111 * 8192 * 8
+    assert held <= 1.01 * permutations
