@@ -45,20 +45,22 @@ replicates run at the step ``1/L``, with a Monte Carlo slack of
 ``2/sqrt(replicates)``.
 
 On a subspace cone ``span(B)`` ``mu_C`` and ``mu_Gstar`` are the cone's own
-values, read from ``k`` forward probes of ``B`` per action
-(:func:`~grouppgd.constraint.subspace_min_eig`).  On every other cone they
-are the whole space's, the same bits as on a ``whole_space`` cone: on a box
-cone that is a lower bound, flagged ``relaxed``.  The bound rises as
+values, read from ``k`` probes of ``B`` per action through its window-table
+row (:func:`~grouppgd.constraint.subspace_min_eig`).  On every other cone
+they are the whole space's, the same bits as on a ``whole_space`` cone: on a
+box cone that is a lower bound, flagged ``relaxed``.  The bound rises as
 ``mu_Gstar`` falls, so relaxed constants give a valid, weaker bound.  The
 ``eps_*`` terms project exactly onto every cone, so they are always
 ``exact``.
 :meth:`CertificateReport.why_no_bound` is the one rule of the certified
-regime, the step ``1/L`` included when it is given a step.  The band and the
-subspace probes read the operator through ``forward``/``adjoint``, not its
-window, so every caller of ``certify`` gets the same bits, also one whose map
-was rebuilt from them alone.  No ``cols x cols`` array is built on any
-cone; one size rule refuses (:class:`~grouppgd.linop.SizeCapError`) a
-smaller-side Gram or a band of more than ``linop.DENSE_CAP**2`` entries.
+regime, the step ``1/L`` included when it is given a step.  The band reads
+the operator through ``forward``/``adjoint``; the subspace probes and the
+``eps_*`` terms read window-table rows.  A map rebuilt from ``forward`` and
+``adjoint`` alone reads every cell, so its table rows are the permutations
+themselves and every caller of ``certify`` gets the same bits.  No
+``cols x cols`` array is built on any cone; one size rule refuses
+(:class:`~grouppgd.linop.SizeCapError`) a smaller-side Gram or a band of
+more than ``linop.DENSE_CAP**2`` entries.
 """
 
 from __future__ import annotations
@@ -68,10 +70,11 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import kernels
 from .bench import ProblemInstance
 from .constraint import DescentCone, descent_cone_of, project_cone, subspace_min_eig
 from .linop import (BandGram, DimensionMismatchError, LinearMap, band_gram, gram_eigvals,
-                    rotated_adjoint, window_table)
+                    window_table)
 from .solver import SolverConfig, run_ensemble
 from .symmetry import SymmetricSubset
 
@@ -170,27 +173,46 @@ def compute_eps_gstar(A: LinearMap, subset: SymmetricSubset,
     For each subset action the ground truth is rotated, re-measured, and the
     discrepancy pulled back through the rotated adjoint; the result is the
     largest cone-projected norm over the subset.  Zero whenever every action
-    fixes the ground truth.
+    fixes the ground truth.  ``(x - T_s x)[c] = x[c] - x[perm_s[c]]``, so
+    action ``s``'s residual is the window forward of ``x[window] - x[table[s]]``.
     """
-    mismatches = (A.forward(x_dagger - action.apply(x_dagger)) for action in subset)
-    return _worst_pullback(A, subset, mismatches, C)
+    _check_dimensions(A, subset, C, x_dagger=x_dagger)
+    table = window_table(A, subset)
+    x = np.asarray(x_dagger, dtype=float)
+    mismatches = A.window_forward(x.take(A.window) - x.take(table))
+    return _worst_pullback(A, table, A.window_adjoint(mismatches), C)
 
 
 def compute_eps_w(A: LinearMap, subset: SymmetricSubset, w: np.ndarray,
                   C: DescentCone) -> float:
     """Noise amplification term, normalized by the noise norm (0 for w = 0)."""
+    _check_dimensions(A, subset, C, w=w)
     w_norm = float(np.linalg.norm(w))
     if w_norm == 0.0:
         return 0.0
-    return _worst_pullback(A, subset, [w] * len(subset), C) / w_norm
+    return _worst_pullback(A, window_table(A, subset), A.window_adjoint(w), C) / w_norm
 
 
-def _worst_pullback(A: LinearMap, subset: SymmetricSubset, residuals,
+def _worst_pullback(A: LinearMap, table: np.ndarray, pulled: np.ndarray,
                     C: DescentCone) -> float:
-    """Largest ``||proj_C (A T_s)^T r_s||`` over the subset, ``r_s`` the residuals in turn."""
-    norms = [np.linalg.norm(project_cone(C, rotated_adjoint(A, r, cells, A.cols)))
-             for r, cells in zip(residuals, window_table(A, subset))]
+    """Largest ``||proj_C (A T_s)^T r_s||``: ``pulled[s]`` (or ``pulled`` for
+    every ``s``), the window adjoint of ``r_s``, added into table row ``s``'s cells."""
+    norms = [np.linalg.norm(project_cone(C, kernels.scatter_add(cells, values, A.cols)))
+             for cells, values in zip(table, np.broadcast_to(pulled, table.shape))]
     return float(np.max(norms))  # a NaN norm (non-finite residuals) stays NaN
+
+
+def _check_dimensions(A: LinearMap, subset: SymmetricSubset, cone: DescentCone,
+                      **vectors: np.ndarray) -> None:
+    """Refuse, before any work, a length that does not line up with ``A``:
+    ``w``'s with its rows, the subset's, the cone's and any other's with its columns."""
+    named = [("subset", (subset.dimension,)), ("cone", (cone.dimension,))]
+    for name, shape in named + [(name, np.shape(v)) for name, v in vectors.items()]:
+        side, length = ("rows", A.rows) if name == "w" else ("columns", A.cols)
+        if shape != (length,):
+            got = shape[0] if len(shape) == 1 else shape
+            raise DimensionMismatchError(
+                f"{name} dimension {got} does not match operator {side} {length}")
 
 
 def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
@@ -235,7 +257,7 @@ def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
     x = Q[: j + 1].T @ Y[:, -1]
     del solve, Q  # one factor alive at a time: the inertia check makes its own
     x /= np.linalg.norm(x)
-    mu = float(x @ G_star.apply(x))
+    mu = float(x @ (G_star @ x))
     if G_star.cholesky(mu - slack) is None:
         return 0.0, False
     return (mu if mu > slack else 0.0), True
@@ -249,8 +271,9 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     truth.  ``L`` is the top of the exact spectrum of ``A^T A``, read from
     the Gram of the operator's smaller side, so it is bitwise
     ``spectral_norm(A)`` and ``1/L`` is the solver's ``auto`` step.  A
-    subspace cone reads ``mu_C`` and ``mu_Gstar`` from ``k`` forward probes
-    of its basis, through the identity and through the subset
+    subspace cone reads ``mu_C`` and ``mu_Gstar`` from ``k`` probes of its
+    basis, through the operator's window and through the rows of the
+    subset's :func:`~grouppgd.linop.window_table`
     (:func:`~grouppgd.constraint.subspace_min_eig`).  Every other cone takes
     the whole-space ``mu_C``, the bottom of the same spectrum, and averages
     the nonzeros of one probe of ``G = A^T A`` through the subset's
@@ -267,17 +290,14 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     if cone is None:
         cone = descent_cone_of(problem.K, problem.x_dagger)
     A = problem.A
-    for name, dimension in (("subset", subset.dimension), ("cone", cone.dimension)):
-        if dimension != A.cols:
-            raise DimensionMismatchError(
-                f"{name} dimension {dimension} does not match operator columns {A.cols}")
+    _check_dimensions(A, subset, cone)
     eigvals = gram_eigvals(A)
     L = float(eigvals[-1])
     if not L > 0:
         raise ValueError(f"L must be positive, got L={L}")
     if cone.kind == "subspace":
-        mu_C = subspace_min_eig(A, cone, [np.arange(A.cols)])
-        mu_Gstar, certified = subspace_min_eig(A, cone, [T.permutation for T in subset]), True
+        mu_C = subspace_min_eig(A, cone, A.window[None])
+        mu_Gstar, certified = subspace_min_eig(A, cone, window_table(A, subset)), True
     else:
         mu_C = max(float(eigvals[0]), 0.0)
         G_star = band_gram(A, subset, problem.geometry.folded_order, pad=L)

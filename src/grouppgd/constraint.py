@@ -183,31 +183,30 @@ def restricted_min_eig(A: LinearMap, C: DescentCone) -> float:
     """Smallest value of ``||A v||^2 / ||v||^2`` over the descent cone, or a
     lower bound on it.
 
-    A subspace cone reads it from ``k`` forward probes of its basis
-    (:func:`subspace_min_eig`).  Every other cone reads the whole space:
-    the bottom of the exact spectrum of ``A^T A``, read from the Gram of the
-    operator's smaller side (:func:`~grouppgd.linop.gram_eigvals`) and
-    clipped at 0.  On a box cone that is a lower bound, since the cone lies
-    inside the whole space.
+    A subspace cone reads it from ``k`` probes of its basis through the
+    operator's window (:func:`subspace_min_eig`).  Every other cone reads
+    the whole space, a lower bound on a box cone: the bottom of the exact
+    spectrum of ``A^T A`` (:func:`~grouppgd.linop.gram_eigvals`), clipped at 0.
     """
     if A.cols != C.dimension:
         raise DimensionMismatchError(f"operator has {A.cols} columns, cone {C.dimension}")
     if C.kind == "subspace":
-        return subspace_min_eig(A, C, [np.arange(A.cols)])
+        return subspace_min_eig(A, C, A.window[None])
     return max(float(gram_eigvals(A)[0]), 0.0)
 
 
-def subspace_min_eig(A: LinearMap, C: DescentCone, permutations) -> float:
+def subspace_min_eig(A: LinearMap, C: DescentCone, cells) -> float:
     """Smallest value of ``mean_g ||A v[perm_g]||^2 / ||v||^2`` over a subspace cone.
 
-    Exact: the bottom eigenvalue of ``mean_g F_g F_g^T``, clipped at 0, with
-    ``F_g = A.forward(B[perm_g].T)`` the ``k`` rotated probes of the cone's
-    basis ``B``.  Only ``A.forward`` is read, never the window.
+    Exact: the bottom eigenvalue of ``mean_g F_g F_g^T``, clipped at 0.
+    ``F_g`` is ``A.window_forward`` on ``B[cells[g]].T``, C-contiguous as
+    ``take`` lays it out, ``B`` the cone's basis and ``cells[g]`` a
+    :func:`~grouppgd.linop.window_table` row ``perm_g[A.window]``.
     """
     if C.kind != "subspace":
         raise ValueError("subspace_min_eig reads subspace cones only")
     if A.cols != C.dimension:
         raise DimensionMismatchError(f"operator has {A.cols} columns, cone {C.dimension}")
-    probes = [A.forward(C.basis[perm].T) for perm in permutations]
+    probes = [A.window_forward(C.basis.T.take(row, axis=-1)) for row in cells]
     gram = sum(F @ F.T for F in probes) / len(probes)
     return max(float(np.linalg.eigvalsh(gram)[0]), 0.0)

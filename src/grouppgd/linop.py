@@ -19,11 +19,12 @@ every cell through them).  A group action is a permutation ``perm_s`` of the
 cells, and the rotated operator ``x -> A(x[perm_s])`` reads cell
 ``perm_s[c]`` wherever ``A`` reads ``c``.  :func:`window_table` lists those
 cells once per action: the rotated forward is ``A``'s window forward on the
-values gathered through a table row, and :func:`rotated_adjoint` adds back
-through it, with no full-length permutation of the signal.  The identity's
-row is the window itself.  A window lists each cell once
-(:func:`from_window` folds repeats), so a solver step can write its update
-straight into the cells it read.
+values gathered through a table row, and its adjoint adds ``A``'s window
+adjoint back into that row's cells, with no full-length permutation of the
+signal.  Only :func:`band_gram`, which moves entries of ``A^T A``, reads
+rotations otherwise.  The identity's row is the window itself.  A window
+lists each cell once (:func:`from_window` folds repeats), so a solver step
+can write its update straight into the cells it read.
 
 Spectral quantities are exact: :func:`gram_eigvals` probes the Gram of the
 operator's smaller side (``A A^T`` for a wide operator, ``A^T A`` otherwise)
@@ -35,10 +36,11 @@ permutations, is stored banded (:class:`BandGram`, built by
 within its offset span, so in an order that folds the angle axis the
 average is block tridiagonal.  Each probe block's nonzeros of ``G`` are
 added into one array of block rows; no ``cols x cols`` array is built.  A
-band multiplies vectors in its stored order, :meth:`BandGram.cholesky`
-returns the solve of its block Cholesky factor, kept as the inverses of the
-diagonal blocks, and whether that factor exists at a shift tells on which
-side of the bottom eigenvalue the shift lies (Sylvester's law of inertia).
+band multiplies vectors in its stored order (``band @ V``),
+:meth:`BandGram.cholesky` returns the solve of its block Cholesky factor,
+kept as the inverses of the diagonal blocks, and whether that factor exists
+at a shift tells on which side of the bottom eigenvalue the shift lies
+(Sylvester's law of inertia).
 
 One size rule holds for every matrix stored here: none may hold more than
 ``DENSE_CAP**2`` entries (:class:`SizeCapError`).  It bounds the smaller
@@ -61,7 +63,6 @@ __all__ = [
     "from_dense",
     "from_window",
     "window_table",
-    "rotated_adjoint",
     "spectral_norm",
     "gram_eigvals",
     "gram_dense",
@@ -201,19 +202,6 @@ def window_table(A: LinearMap, actions) -> np.ndarray:
     return np.stack([T.permutation[A.window] for T in actions])
 
 
-def rotated_adjoint(A: LinearMap, Y: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
-    """Adjoint of the rotated forward ``A.window_forward(X.ravel().take(cells))``,
-    as a flat array of ``size`` cells.
-
-    Row ``i`` of ``cells`` is a :func:`window_table` row plus ``i * A.cols``
-    (a 1-D ``cells`` is one table row, for a 1-D ``Y``).  The window values
-    add into their cells from ``+0.0``, in index order
-    (:func:`~grouppgd.kernels.scatter_add`); through a trivial window that
-    is each value's own bits, except that ``-0.0`` becomes ``+0.0``.
-    """
-    return kernels.scatter_add(cells, A.window_adjoint(Y).ravel(), size)
-
-
 def spectral_norm(A: LinearMap) -> float:
     """Largest eigenvalue of ``A^T A``, exactly: the top of :func:`gram_eigvals`."""
     return float(gram_eigvals(A)[-1])
@@ -269,7 +257,7 @@ class BandGram:
     Row and column ``k`` of the stored matrix are cell ``order[k]`` of the
     matrix it stands for.  It is padded past ``len(order)`` to ``size`` rows
     of whole blocks, with a constant on the pad's diagonal: an eigenvalue no
-    cell sees.  :meth:`apply` and the solve from :meth:`cholesky` take
+    cell sees.  ``band @ V`` and the solve from :meth:`cholesky` take
     vectors shaped ``(size,)`` or ``(size, k)`` in stored order; ``diag[i]``
     is diagonal block ``i`` and ``lower[i]`` the block ``(i + 1, i)`` below
     it, the blocks above the diagonal their transposes: views of block rows
@@ -284,7 +272,7 @@ class BandGram:
     def size(self) -> int:
         return self.diag.shape[0] * self.diag.shape[1]
 
-    def apply(self, V: np.ndarray) -> np.ndarray:
+    def __matmul__(self, V: np.ndarray) -> np.ndarray:
         """The stored matrix times ``V``."""
         W = V.reshape(*self.diag.shape[:2], -1)
         out = self.diag @ W

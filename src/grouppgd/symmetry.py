@@ -1,13 +1,14 @@
-"""Exact cyclic group actions on signals, realized as permutations.
+"""Exact polar-grid rotations on signals, realized as permutations.
 
 A :class:`GroupAction` is an orthogonal signal transform: applying it is a
 gather ``x[perm]``, so norms and inner products are preserved bit-for-bit up
 to reordering of additions.  An action holds one array, its permutation,
 read-only: no path applies an inverse, and a subset lists each member's
-inverse as another action.  The actions used by the solver are circular
-shifts of the angular index of a polar-grid image, for which rotation is
-exact (no interpolation), keeping the convergence analysis literally
-checkable.
+inverse as another action.  The actions are circular shifts of the angular
+index of a polar-grid image (:func:`polar_theta_shift`), an exact rotation
+(no interpolation).  No program path applies one: a rotation meets the
+operator only as the cells ``perm[window]`` of
+:func:`~grouppgd.linop.window_table`.
 
 A :class:`SymmetricSubset` is the ordered family {Id, g, g^-1, g^2, g^-2, ...}
 drawn from a single generator: it contains the identity and the inverse of
@@ -26,7 +27,6 @@ __all__ = [
     "GroupAction",
     "SymmetricSubset",
     "identity_action",
-    "cyclic_shift_action",
     "polar_theta_shift",
     "symmetric_subset",
     "sample_action",
@@ -73,26 +73,13 @@ def identity_action(d: int) -> GroupAction:
                        power=0, label="id")
 
 
-def cyclic_shift_action(d: int, s: int) -> GroupAction:
-    """Circular shift moving entry ``i`` to position ``(i + s) mod d``.
-
-    Equivalently ``apply(x)[i] == x[(i - s) mod d]``; shifting by 1 turns
-    ``(1, 2, 3, 4)`` into ``(4, 1, 2, 3)``.
-    """
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    idx = np.arange(d, dtype=np.int64)
-    perm = (idx - s) % d
-    return GroupAction(dimension=d, permutation=perm, power=s, label=f"shift{s:+d}")
-
-
 def polar_theta_shift(n_r: int, n_theta: int, s: int) -> GroupAction:
     """Rotate a polar-grid image by ``s`` angular steps.
 
     The signal layout is row-major with radius major and angle minor
     (index = r * n_theta + theta); the rotated image reads
     ``out(r, theta) = x(r, (theta - s) mod n_theta)``.  With ``n_r == 1``
-    this is exactly :func:`cyclic_shift_action` on the angle axis.
+    it is the circular shift that turns ``(1, 2, 3, 4)`` into ``(4, 1, 2, 3)``.
     """
     if n_r < 1 or n_theta < 1:
         raise ValueError("grid sizes must be at least 1")
@@ -126,9 +113,13 @@ class SymmetricSubset:
         dims = {a.dimension for a in self.actions}
         if len(dims) != 1:
             raise ValueError("all actions must share one dimension")
-        if len({a.permutation.tobytes() for a in self.actions}) != len(self.actions):
-            # a generator of order n repeats itself past radius (n - 1) // 2
-            raise ValueError("subset lists one permutation more than once")
+        seen: dict[int, list[np.ndarray]] = {}  # by hash, one copy of the bytes at a time
+        for perm in (a.permutation for a in self.actions):
+            twins = seen.setdefault(hash(perm.tobytes()), [])
+            if any(np.array_equal(perm, twin) for twin in twins):
+                # a generator of order n repeats itself past radius (n - 1) // 2
+                raise ValueError("subset lists one permutation more than once")
+            twins.append(perm)
         powers = sorted(a.power for a in self.actions)
         expected = sorted(range(-self.radius, self.radius + 1))
         if powers != expected:

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -33,7 +33,7 @@ from grouppgd.linop import (
     spectral_norm,
 )
 from grouppgd.solver import SolverConfig, run
-from grouppgd.symmetry import cyclic_shift_action, polar_theta_shift, symmetric_subset
+from grouppgd.symmetry import polar_theta_shift, symmetric_subset
 from oracles import compose_with_action, gram_average, stack_mean
 
 
@@ -149,22 +149,37 @@ def test_eps_gstar_zero_for_identity_only_subset():
     assert compute_eps_gstar(prob.A, subset, prob.x_dagger, cone) == 0.0
 
 
+def folded_polar_map(seed):
+    """A polar map at ``angle_fraction = 0.5``, its dense matrix and its
+    generator: angles two columns apart with three offsets each, so its
+    window lists cells twice and folds them."""
+    prob = ring_instance(angle_fraction=0.5, seed=seed)
+    A = prob.A
+    # 8 angles read 6 radii at 3 offsets each: 144 window entries in 96 cells
+    assert len(prob.geometry.angles) * 6 * 3 == 144 > len(A.window) == A.cols
+    return A, A.forward(np.eye(A.cols)).T, prob.geometry.theta_shift(1)
+
+
 def test_eps_gstar_matches_dense_arithmetic():
     rng = np.random.default_rng(0)
     d = 10
     M = rng.standard_normal((6, d))
-    A = from_dense(M)
     x_dagger = rng.standard_normal(d)
-    subset = symmetric_subset(cyclic_shift_action(d, 1), 2)
-    cone = whole_space_cone(x_dagger)
-    oracle = 0.0
-    for action in subset:
-        P = np.eye(d)[action.permutation]
-        A_g = M @ P
-        oracle = max(oracle,
-                     np.linalg.norm(A_g.T @ M @ (x_dagger - P @ x_dagger)))
-    got = compute_eps_gstar(A, subset, x_dagger, cone)
-    assert_allclose(got, oracle, rtol=1e-12)
+    folded, M_folded, generator = folded_polar_map(seed=5)
+    cases = [(from_dense(M), M, polar_theta_shift(1, d, 1), x_dagger),
+             (folded, M_folded, generator, rng.standard_normal(folded.cols))]
+    for A, M, generator, x_dagger in cases:
+        subset = symmetric_subset(generator, 2)
+        cone = whole_space_cone(x_dagger)
+        oracle = 0.0
+        for action in subset:
+            P = np.eye(A.cols)[action.permutation]
+            A_g = M @ P
+            oracle = max(oracle,
+                         np.linalg.norm(A_g.T @ M @ (x_dagger - P @ x_dagger)))
+        got = compute_eps_gstar(A, subset, x_dagger, cone)
+        assert oracle > 0
+        assert_allclose(got, oracle, rtol=1e-12)
 
 
 def test_eps_gstar_monotone_in_subset_radius():
@@ -182,20 +197,54 @@ def test_eps_w_conventions_and_oracle():
     rng = np.random.default_rng(1)
     d = 8
     M = rng.standard_normal((5, d))
-    A = from_dense(M)
-    subset = symmetric_subset(cyclic_shift_action(d, 1), 0)
-    cone = whole_space_cone(np.zeros(d))
-    assert compute_eps_w(A, subset, np.zeros(5), cone) == 0.0
-    w = rng.standard_normal(5)
-    got = compute_eps_w(A, subset, w, cone)
-    assert_allclose(got, np.linalg.norm(M.T @ w) / np.linalg.norm(w),
-                    rtol=1e-12)
-    wide = symmetric_subset(cyclic_shift_action(d, 1), 3)
-    oracle = max(
-        np.linalg.norm((M @ np.eye(d)[a.permutation]).T @ w)
-        for a in wide
-    ) / np.linalg.norm(w)
-    assert_allclose(compute_eps_w(A, wide, w, cone), oracle, rtol=1e-12)
+    folded, M_folded, generator = folded_polar_map(seed=6)
+    for A, M, generator in ((from_dense(M), M, polar_theta_shift(1, d, 1)),
+                            (folded, M_folded, generator)):
+        rows, d = M.shape
+        subset = symmetric_subset(generator, 0)
+        cone = whole_space_cone(np.zeros(d))
+        assert compute_eps_w(A, subset, np.zeros(rows), cone) == 0.0
+        w = rng.standard_normal(rows)
+        got = compute_eps_w(A, subset, w, cone)
+        assert_allclose(got, np.linalg.norm(M.T @ w) / np.linalg.norm(w),
+                        rtol=1e-12)
+        wide = symmetric_subset(generator, 3)
+        oracle = max(
+            np.linalg.norm((M @ np.eye(d)[a.permutation]).T @ w)
+            for a in wide
+        ) / np.linalg.norm(w)
+        assert_allclose(compute_eps_w(A, wide, w, cone), oracle, rtol=1e-12)
+
+
+@pytest.mark.parametrize("term", ["eps_gstar", "eps_w"])
+def test_eps_terms_refuse_lengths_that_do_not_line_up(monkeypatch, term):
+    # a short x_dagger used to raise a bare IndexError, a short or long w
+    # numpy's reshape error, and a zero w of any length gave 0; neither term
+    # checked the subset or the cone
+    prob = ring_instance()
+    A, x = prob.A, prob.x_dagger
+    subset, cone = covering_subset(prob), whole_space_cone(x)
+    other = symmetric_subset(polar_theta_shift(4, 16, 1), 1)
+    if term == "eps_gstar":
+        call, name, side, good = compute_eps_gstar, "x_dagger", "columns", x
+    else:
+        call, name, side, good = compute_eps_w, "w", "rows", np.ones(A.rows)
+    length = len(good)
+    cases = [(subset, good[:-1], cone,
+              f"{name} dimension {length - 1} does not match operator {side} {length}"),
+             (subset, np.tile(good, 2), cone, f"{name} dimension {2 * length}"),
+             (subset, np.zeros(length + 1), cone, f"{name} dimension {length + 1}"),
+             (subset, good[None], cone, rf"{name} dimension \(1, {length}\)"),
+             (other, good, cone, "subset dimension 64 does not match operator columns 96"),
+             (subset, good, whole_space_cone(x[:-1]), "cone dimension 95")]
+
+    def refuse(*args):
+        raise AssertionError("a window table was built")
+
+    monkeypatch.setattr(certificate, "window_table", refuse)
+    for sub, vector, C, message in cases:
+        with pytest.raises(linop.DimensionMismatchError, match=message):
+            call(A, sub, vector, C)
 
 
 def test_eps_w_of_non_finite_noise_is_nan_not_zero():
@@ -206,7 +255,7 @@ def test_eps_w_of_non_finite_noise_is_nan_not_zero():
     w = rng.standard_normal(5)
     w[1], w[3] = np.inf, -np.inf
     for radius in (0, 3):
-        subset = symmetric_subset(cyclic_shift_action(d, 1), radius)
+        subset = symmetric_subset(polar_theta_shift(1, d, 1), radius)
         with np.errstate(invalid="ignore"):
             assert np.isnan(compute_eps_w(A, subset, w, cone))
 
@@ -749,6 +798,8 @@ def test_certify_mu_gstar_matches_dense_oracle_on_underdetermined_stack(shape):
 @given(n_r=st.integers(1, 8), n_theta=st.integers(3, 16),
        angles=st.lists(st.integers(0, 15), min_size=1, max_size=4), rays=st.integers(1, 8),
        coverage=st.floats(0.0, 1.0), k=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+# adjacent angles with three offsets each: the window lists cells twice and folds them
+@example(n_r=3, n_theta=8, angles=[0, 1, 2, 3], rays=2, coverage=1.0, k=4, seed=7)
 def test_certify_subspace_cone_matches_dense_oracles(n_r, n_theta, angles, rays, coverage,
                                                      k, seed):
     problem = ring_instance(n_r=n_r, n_theta=n_theta, angles=angles, rays_per_angle=rays,

@@ -15,6 +15,8 @@ from grouppgd.cli import (
     parse_config,
 )
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
 BASE = {
     "problem.n_r": 6,
     "problem.n_theta": 16,
@@ -41,6 +43,12 @@ def write_config(tmp_path, text, name="config.txt"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def csv_columns(path, *picked):
+    """The ``picked`` columns of a CSV file's rows below its header, as text."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    return [[row[rows[0].index(col)] for col in picked] for row in rows[1:]]
 
 
 def read_all(outdir):
@@ -197,13 +205,33 @@ def test_compare_writes_run_plain_chain_and_bound(tmp_path):
     cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_seeds=20))
     assert main(["run", "--config", cfg]) == EXIT_OK
     assert main(["compare", "--config", cfg]) == EXIT_OK
+    out = tmp_path / "out"
+    assert (csv_columns(out / "compare.csv", "iter", "pgd_mean_rmsd")
+            == csv_columns(out / "pgd.csv", "iter", "rmsd"))
+    assert csv_columns(out / "compare.csv", "bound") == csv_columns(out / "group_pgd.csv", "bound")
 
-    def columns(name, *picked):
-        rows = [line.split(",") for line in (tmp_path / "out" / name).read_text().splitlines()]
-        return [[row[rows[0].index(col)] for col in picked] for row in rows[1:]]
 
-    assert columns("compare.csv", "iter", "pgd_mean_rmsd") == columns("pgd.csv", "iter", "rmsd")
-    assert columns("compare.csv", "bound") == columns("group_pgd.csv", "bound")
+@pytest.mark.parametrize("name", ["ring", "extreme_sparse", "noisy_textured", "poisson",
+                                  "fine_grid"])
+def test_shipped_config_runs_compares_and_certifies_as_ci_requires(tmp_path, capsys, name):
+    # the Tier-1 twin of CI's step that runs, compares and writes a phantom
+    # on every shipped config, and of its certify step's checks
+    cfg = os.path.join(CONFIGS, f"{name}.txt")
+    for command in ["run", "compare"] + ["phantom"] * (name == "noisy_textured"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "certify")]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    # run and certify write one certificate
+    assert ((tmp_path / "run" / "certificate.txt").read_bytes()
+            == (tmp_path / "certify" / "certificate.txt").read_bytes())
+    # a plain chain draws nothing: compare's plain column and bound are run's
+    assert (csv_columns(tmp_path / "compare" / "compare.csv", "iter", "pgd_mean_rmsd")
+            == csv_columns(tmp_path / "run" / "pgd.csv", "iter", "rmsd"))
+    assert (csv_columns(tmp_path / "compare" / "compare.csv", "bound")
+            == csv_columns(tmp_path / "run" / "group_pgd.csv", "bound"))
+    assert not [line for line in printed if re.fullmatch(r"flag\..* = estimate", line)]
+    assert "bound = active" in printed
 
 
 def test_overlapping_window_reruns_byte_identically(tmp_path):
@@ -395,7 +423,7 @@ def test_absurd_ray_count_exits_4_before_allocating(tmp_path, capsys, command, n
 def test_certify_shipped_ring_with_instance_seed_1(tmp_path, command):
     # a seeded power iteration for L did not converge in 10000 steps on this
     # instance; every command now reads one exact L from the Gram spectrum
-    shipped = os.path.join(os.path.dirname(__file__), "..", "configs", "ring.txt")
+    shipped = os.path.join(CONFIGS, "ring.txt")
     with open(shipped, encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines()
                  if not line.startswith(("problem.seed", "output.dir",

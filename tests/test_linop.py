@@ -17,7 +17,6 @@ from grouppgd.linop import (
     from_window,
     gram_dense,
     gram_eigvals,
-    rotated_adjoint,
     spectral_norm,
     window_table,
 )
@@ -26,7 +25,6 @@ from grouppgd.bench import (Geometry, angle_subsampled_operator, full_coverage_r
 from grouppgd.constraint import Box
 from grouppgd.solver import group_pgd_step
 from grouppgd.symmetry import (
-    cyclic_shift_action,
     identity_action,
     polar_theta_shift,
     symmetric_subset,
@@ -88,7 +86,7 @@ def test_adjoint_consistency_all_constructors():
     rng = np.random.default_rng(11)
     M = rng.standard_normal((10, 12))
     base = from_dense(M)
-    shift = cyclic_shift_action(12, 3)
+    shift = polar_theta_shift(1, 12, 3)
     composed = compose_with_action(base, shift)
     stacked = stack_mean([base, composed, base])
     polar = angle_subsampled_operator(4, 6, angles=(0, 2, 4), rays_per_angle=5,
@@ -126,7 +124,7 @@ def test_compose_equals_directly_shifted_operator():
 def test_compose_dimension_mismatch():
     A = from_dense(np.ones((2, 3)))
     with pytest.raises(DimensionMismatchError):
-        compose_with_action(A, cyclic_shift_action(4, 1))
+        compose_with_action(A, polar_theta_shift(1, 4, 1))
 
 
 def test_stack_mean_singleton_is_identity_scale():
@@ -149,7 +147,7 @@ def test_stack_mean_two_identities_preserves_norm():
 def test_stack_mean_gram_is_block_average():
     rng = np.random.default_rng(4)
     A = from_dense(rng.standard_normal((6, 10)))
-    actions = [cyclic_shift_action(10, s) for s in (0, 2, -2)]
+    actions = [polar_theta_shift(1, 10, s) for s in (0, 2, -2)]
     ops = [compose_with_action(A, T) for T in actions]
     stacked = stack_mean(ops)
     oracle = np.zeros((10, 10))
@@ -190,7 +188,7 @@ def test_spectral_norm_invariant_under_actions():
     A = from_dense(M)
     L = spectral_norm(A)
     for s in (1, 4, -5):
-        composed = compose_with_action(A, cyclic_shift_action(12, s))
+        composed = compose_with_action(A, polar_theta_shift(1, 12, s))
         assert_allclose(spectral_norm(composed), L, rtol=1e-8)
 
 
@@ -239,7 +237,7 @@ def test_gram_dense_composed_matches_permuted_gram():
     rng = np.random.default_rng(8)
     M = rng.standard_normal((9, 14))
     A = from_dense(M)
-    T = cyclic_shift_action(14, 5)
+    T = polar_theta_shift(1, 14, 5)
     composed = compose_with_action(A, T)
     P = permutation_matrix(T)
     oracle = P.T @ (M.T @ M) @ P
@@ -276,13 +274,13 @@ def test_gram_average_matches_probed_stack_polar():
 def test_gram_average_matches_probed_stack_dense_operator():
     rng = np.random.default_rng(14)
     A = from_dense(rng.standard_normal((7, 15)))
-    subset = symmetric_subset(cyclic_shift_action(15, 2), 3)
+    subset = symmetric_subset(polar_theta_shift(1, 15, 2), 3)
     G = gram_dense(A)
     assert np.count_nonzero(G) == G.size
     assert_allclose(gram_average(G.copy(), subset), probed_stack_gram(A, subset),
                     rtol=0, atol=1e-12)
     # one action alone is the composed operator's Gram
-    T = cyclic_shift_action(15, 4)
+    T = polar_theta_shift(1, 15, 4)
     P = permutation_matrix(T)
     assert_allclose(gram_average(G.copy(), [T]), P.T @ G @ P, rtol=0, atol=1e-12)
 
@@ -290,7 +288,7 @@ def test_gram_average_matches_probed_stack_dense_operator():
 def test_gram_average_works_in_place():
     rng = np.random.default_rng(15)
     G = gram_dense(from_dense(rng.standard_normal((4, 9))))
-    subset = symmetric_subset(cyclic_shift_action(9, 1), 2)
+    subset = symmetric_subset(polar_theta_shift(1, 9, 1), 2)
     expected = gram_average(G.copy(), subset)
     out = gram_average(G, subset)
     assert out is G
@@ -306,7 +304,7 @@ def stack_contract_operators():
     return {
         "from_dense": from_dense(M),
         "identity_map": identity_map(14),
-        "compose_with_action": compose_with_action(from_dense(M), cyclic_shift_action(14, 3)),
+        "compose_with_action": compose_with_action(from_dense(M), polar_theta_shift(1, 14, 3)),
         "stack_mean": stack_mean([polar, compose_with_action(polar, shift)]),
         "polar": polar,
         "polar_composed": compose_with_action(polar, shift),
@@ -348,7 +346,8 @@ def test_replaced_map_reads_through_its_own_maps():
         u, v = x[:A.cols], y[:A.rows]
         assert np.array_equal(B.window, np.arange(A.cols))
         assert np.array_equal(B.window_forward(u.take(B.window)), 2 * A.forward(u))
-        assert np.array_equal(rotated_adjoint(B, v, B.window, B.cols), 2 * A.adjoint(v))
+        assert np.array_equal(kernels.scatter_add(B.window, B.window_adjoint(v), B.cols),
+                              2 * A.adjoint(v))
 
 
 def test_gram_dense_blocks_equal_single_probes():
@@ -412,7 +411,8 @@ def test_window_table_path_equals_composed_operator(n_r, n_theta, angles, rays, 
     X = rng.uniform(-0.5, 1.5, size=(batch, d))
     Y = rng.standard_normal((batch, A.rows))
     assert same_bits(A.window_forward(X.ravel().take(cells)), oracle.forward(X))
-    assert same_bits(rotated_adjoint(A, Y, cells, batch * d).reshape(batch, d),
+    assert same_bits(kernels.scatter_add(cells, A.window_adjoint(Y).ravel(),
+                                         batch * d).reshape(batch, d),
                      oracle.adjoint(Y))
     # the step: K.project(x - eta * grad) with the composed operator's gradient
     b = rng.standard_normal(A.rows)
@@ -456,8 +456,8 @@ def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, cover
     # the product reads the stored matrix, in stored order
     assert band.size == len(stored)
     V = np.random.default_rng(seed).standard_normal((band.size, 3))
-    assert_allclose(band.apply(V), stored @ V, rtol=0, atol=tol * band.size)
-    assert_allclose(band.apply(V[:, 0]), stored @ V[:, 0], rtol=0, atol=tol * band.size)
+    assert_allclose(band @ V, stored @ V, rtol=0, atol=tol * band.size)
+    assert_allclose(band @ V[:, 0], stored @ V[:, 0], rtol=0, atol=tol * band.size)
 
 
 def test_band_gram_stops_probing_once_its_nonzeros_pass_the_size_rule(monkeypatch):

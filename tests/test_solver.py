@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from grouppgd import kernels, linop, solver
 from grouppgd.bench import Geometry, ProblemInstance, angle_subsampled_operator, build_problem
-from grouppgd.certificate import certify
-from grouppgd.constraint import Box, Subspace
+from grouppgd.certificate import certify, compute_eps_gstar, compute_eps_w
+from grouppgd.constraint import Box, DescentCone, Subspace
 from grouppgd.linop import LinearMap, SizeCapError, from_dense, spectral_norm
 from grouppgd.solver import (
     DivergenceError,
@@ -22,8 +22,7 @@ from grouppgd.solver import (
     run_ensemble,
     run_with_plain,
 )
-from grouppgd.symmetry import (cyclic_shift_action, identity_action, polar_theta_shift,
-                               sample_action, symmetric_subset)
+from grouppgd.symmetry import identity_action, polar_theta_shift, sample_action, symmetric_subset
 from oracles import compose_with_action, identity_map
 
 
@@ -200,7 +199,7 @@ def test_ensemble_divergence_names_the_first_row_to_diverge():
     prob = ProblemInstance(x_dagger=np.zeros(d), A=from_dense(np.diag([2.0, 0.0, 0.0, 0.0])),
                            b=np.ones(d), w=np.ones(d), K=Box(-np.inf, np.inf, d),
                            geometry=geometry)
-    subset = symmetric_subset(cyclic_shift_action(d, 1), 1)
+    subset = symmetric_subset(polar_theta_shift(1, d, 1), 1)
     config = SolverConfig(max_iters=500, step_size=1.0, seed=2)
     alone = [divergence_iteration(prob, 1.0, subset, rng, config.max_iters)
              for rng in replicate_rngs(config.seed, 6)]
@@ -219,7 +218,7 @@ def test_mixed_stack_divergence_names_the_first_row_to_diverge():
     prob = ProblemInstance(x_dagger=np.zeros(d), A=from_dense(np.diag([2.0, 0.0, 0.0, 0.0])),
                            b=np.ones(d), w=np.ones(d), K=Box(-np.inf, np.inf, d),
                            geometry=geometry)
-    subset = symmetric_subset(cyclic_shift_action(d, 1), 1)
+    subset = symmetric_subset(polar_theta_shift(1, d, 1), 1)
     config = SolverConfig(max_iters=500, step_size=1.0, seed=2)
     alone = [divergence_iteration(prob, 1.0, None, None, config.max_iters)]
     alone += [divergence_iteration(prob, 1.0, subset, rng, config.max_iters)
@@ -537,6 +536,15 @@ def test_operator_without_window_gives_the_same_traces():
     for a, b in zip(steps[::2], steps[1::2]):
         assert a.tobytes() == b.tobytes()
     assert certify(prob, subset) == certify(bare, subset)
+    # a subspace cone's probes and the eps_* terms read window_table rows,
+    # which for the rebuilt map are the permutations themselves
+    basis = np.linalg.qr(np.random.default_rng(9).standard_normal((prob.dimension, 5)))[0]
+    cone = DescentCone(anchor=prob.x_dagger, kind="subspace", basis=basis)
+    report = certify(prob, subset, cone)
+    assert report == certify(bare, subset, cone) and report.mu_Gstar > report.mu_C > 0
+    for term, v in ((compute_eps_gstar, x), (compute_eps_w, prob.w)):
+        got = [np.float64(term(op, subset, v, cone)).tobytes() for op in (A, bare.A)]
+        assert got[0] == got[1] and term(A, subset, v, cone) > 0
 
 
 def test_config_validation():
@@ -558,7 +566,7 @@ def test_config_refuses_a_non_finite_or_negative_step(step):
 def test_steps_refuse_a_non_finite_step(eta):
     # an infinite step from a fixed point would write NaN cells
     prob = build_problem(n_r=4, n_theta=8, rays_per_angle=4)
-    T = cyclic_shift_action(prob.dimension, 1)
+    T = polar_theta_shift(1, prob.dimension, 1)
     with pytest.raises(ValueError, match="positive and finite"):
         pgd_step(prob.x_dagger, prob.A, prob.b, prob.K, eta)
     with pytest.raises(ValueError, match="positive and finite"):
@@ -677,7 +685,7 @@ def test_solve_holds_one_step_table(objective, counted):
     geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
     prob = ProblemInstance(x_dagger=np.full(d, 0.5), A=from_dense(np.diag([1.0, 0.5, 0.25, 0.0])),
                            b=np.ones(d), w=np.zeros(d), K=Box(0.0, 1.0, d), geometry=geometry)
-    subset = symmetric_subset(cyclic_shift_action(d, 1), 1)
+    subset = symmetric_subset(polar_theta_shift(1, d, 1), 1)
 
     def peak(budget):
         config = SolverConfig(max_iters=budget, step_size=0.5, record_every=budget)

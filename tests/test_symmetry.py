@@ -14,7 +14,6 @@ from grouppgd.linop import SizeCapError
 from grouppgd.symmetry import (
     GroupAction,
     SymmetricSubset,
-    cyclic_shift_action,
     identity_action,
     polar_theta_shift,
     sample_action,
@@ -33,18 +32,18 @@ def gather_inverse(T, x):
 
 
 def test_cyclic_shift_zero_is_identity():
-    assert fixes_every_cell(cyclic_shift_action(4, 0))
+    assert fixes_every_cell(polar_theta_shift(1, 4, 0))
 
 
 def test_cyclic_shift_by_one():
-    T = cyclic_shift_action(4, 1)
+    T = polar_theta_shift(1, 4, 1)
     assert np.array_equal(T.apply(np.array([1.0, 2.0, 3.0, 4.0])),
                           [4.0, 1.0, 2.0, 3.0])
 
 
 def test_shift_composed_with_inverse_is_identity():
-    T = cyclic_shift_action(9, 1)
-    S = cyclic_shift_action(9, -1)
+    T = polar_theta_shift(1, 9, 1)
+    S = polar_theta_shift(1, 9, -1)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(9)
     assert np.array_equal(T.apply(S.apply(x)), x)
@@ -74,8 +73,9 @@ def test_polar_shift_zero_is_identity():
 
 def test_polar_reduces_to_cyclic_for_single_radius():
     for s in (0, 1, 4, -2):
+        # entry i moves to position (i + s) mod 9
         assert np.array_equal(polar_theta_shift(1, 9, s).permutation,
-                              cyclic_shift_action(9, s).permutation)
+                              (np.arange(9) - s) % 9)
 
 
 def test_polar_cyclicity():
@@ -113,7 +113,7 @@ def test_action_keeps_a_read_only_copy_of_its_permutation():
 
 
 def test_symmetric_subset_radius_zero():
-    sub = symmetric_subset(cyclic_shift_action(5, 1), 0)
+    sub = symmetric_subset(polar_theta_shift(1, 5, 1), 0)
     assert len(sub) == 1
     assert fixes_every_cell(sub.actions[0])
 
@@ -126,7 +126,7 @@ def test_symmetric_subset_radius_two():
 
 
 def test_symmetric_subset_radius_27_has_55_actions():
-    sub = symmetric_subset(cyclic_shift_action(64, 1), 27)
+    sub = symmetric_subset(polar_theta_shift(1, 64, 1), 27)
     assert len(sub) == 55
     assert sorted(a.power for a in sub) == list(range(-27, 28))
 
@@ -145,37 +145,37 @@ def test_symmetric_subset_powers_act_as_powers():
 
 
 def test_subset_constructor_rejects_missing_identity():
-    g = cyclic_shift_action(6, 1)
+    g = polar_theta_shift(1, 6, 1)
     with pytest.raises(ValueError):
-        SymmetricSubset(actions=(g, cyclic_shift_action(6, -1)), radius=1)
+        SymmetricSubset(actions=(g, polar_theta_shift(1, 6, -1)), radius=1)
 
 
 def test_subset_refuses_a_repeated_rotation():
     # a rotation of order n repeats past radius (n - 1) // 2: g^2 == g^-2 for n = 4
     with pytest.raises(ValueError, match="more than once"):
-        symmetric_subset(cyclic_shift_action(4, 1), 2)
+        symmetric_subset(polar_theta_shift(1, 4, 1), 2)
     with pytest.raises(ValueError, match="more than once"):
         symmetric_subset(polar_theta_shift(32, 64, 1), 32)
     with pytest.raises(ValueError, match="more than once"):
-        symmetric_subset(cyclic_shift_action(5, 1), 3)
-    for gen, radius in ((polar_theta_shift(32, 64, 1), 31), (cyclic_shift_action(5, 1), 2)):
+        symmetric_subset(polar_theta_shift(1, 5, 1), 3)
+    for gen, radius in ((polar_theta_shift(32, 64, 1), 31), (polar_theta_shift(1, 5, 1), 2)):
         sub = symmetric_subset(gen, radius)
         assert len({a.permutation.tobytes() for a in sub}) == len(sub) == 2 * radius + 1
     # a subset built by hand is checked too
-    actions = (identity_action(4),) + tuple(cyclic_shift_action(4, s) for s in (1, -1, 2, -2))
+    actions = (identity_action(4),) + tuple(polar_theta_shift(1, 4, s) for s in (1, -1, 2, -2))
     with pytest.raises(ValueError, match="more than once"):
         SymmetricSubset(actions=actions, radius=2)
 
 
 def test_subset_constructor_rejects_unbalanced_powers():
-    g = cyclic_shift_action(6, 1)
+    g = polar_theta_shift(1, 6, 1)
     ident = identity_action(6)
     with pytest.raises(ValueError):
         SymmetricSubset(actions=(ident, g), radius=1)
 
 
 def test_sampling_singleton_always_identity():
-    sub = symmetric_subset(cyclic_shift_action(4, 1), 0)
+    sub = symmetric_subset(polar_theta_shift(1, 4, 1), 0)
     rng = np.random.default_rng(4)
     for _ in range(10):
         action, idx = sample_action(sub, rng)
@@ -184,7 +184,7 @@ def test_sampling_singleton_always_identity():
 
 
 def test_sampling_uniform_frequencies():
-    sub = symmetric_subset(cyclic_shift_action(8, 1), 2)
+    sub = symmetric_subset(polar_theta_shift(1, 8, 1), 2)
     rng = np.random.default_rng(5)
     n = 100_000
     counts = np.zeros(5)
@@ -197,7 +197,7 @@ def test_sampling_uniform_frequencies():
 
 
 def test_sampling_deterministic_given_seed():
-    sub = symmetric_subset(cyclic_shift_action(8, 1), 3)
+    sub = symmetric_subset(polar_theta_shift(1, 8, 1), 3)
     rng_a = np.random.default_rng(7)
     rng_b = np.random.default_rng(7)
     seq_a = [sample_action(sub, rng_a)[1] for _ in range(100)]
@@ -208,7 +208,7 @@ def test_sampling_deterministic_given_seed():
 def test_symmetric_subset_refuses_permutations_past_the_size_rule(monkeypatch):
     # 5 permutations of 16 cells: 80 entries, above 8**2, refused before the
     # first (the identity) is built; 3 of them fit
-    generator = cyclic_shift_action(16, 1)
+    generator = polar_theta_shift(1, 16, 1)
     monkeypatch.setattr(linop, "DENSE_CAP", 8)
     built = []
     monkeypatch.setattr(symmetry, "identity_action",
@@ -232,18 +232,39 @@ def test_size_rule_counts_what_the_subset_holds(monkeypatch):
         symmetric_subset(generator, 3)
 
 
-def test_fine_grid_subset_holds_its_permutations_once():
+def fine_grid_generator():
+    """fine_grid's subset radius and the generator the CLI builds for it:
+    ``problem.geometry.theta_shift(1)``."""
     config = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
                                       "fine_grid.txt"))
-    # the generator the CLI builds: problem.geometry.theta_shift(1)
-    generator = polar_theta_shift(config.problem_n_r, config.problem_n_theta, 1)
+    return polar_theta_shift(config.problem_n_r, config.problem_n_theta, 1), config.subset_radius
+
+
+def test_fine_grid_subset_holds_its_permutations_once():
+    generator, radius = fine_grid_generator()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sub = symmetric_subset(generator, config.subset_radius)
+        sub = symmetric_subset(generator, radius)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     permutations = sum(T.permutation.nbytes for T in sub)
     assert permutations == 111 * 8192 * 8
     assert held <= 1.01 * permutations
+
+
+def test_checking_a_subset_copies_one_permutation_at_a_time():
+    # the distinctness check used to hold every permutation's bytes at once,
+    # 7.35 MB of growth for fine_grid's 7.27 MB of permutations
+    sub = symmetric_subset(*fine_grid_generator())
+    permutations = sum(T.permutation.nbytes for T in sub)
+    tracemalloc.start()
+    try:
+        checked = SymmetricSubset(actions=sub.actions, radius=sub.radius,
+                                  generator_label=sub.generator_label)
+        growth = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == len(sub) == 111
+    assert growth < 0.05 * permutations
