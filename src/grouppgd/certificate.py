@@ -14,7 +14,8 @@ and checks the bound against seeded Monte Carlo runs:
   Because every action ``T_g`` is an orthogonal permutation ``P_g``,
   ``(A T_g)^T (A T_g) = P_g^T G P_g``, so the stacked Gram is the mean of
   ``G`` permuted through the subset and costs no operator applications
-  beyond one probe of ``G``.  The probe's nonzeros go straight into block
+  beyond one probe of ``G`` on the cells the operator reads.  The probe's
+  nonzeros move through the subset's window-table rows straight into block
   tridiagonal storage in the geometry's folded angle order
   (:func:`~grouppgd.linop.band_gram`), and neither ``G`` nor the mean is
   built densely.  On the whole space its bottom eigenvalue comes from
@@ -53,12 +54,12 @@ box cone that is a lower bound, flagged ``relaxed``.  The bound rises as
 ``eps_*`` terms project exactly onto every cone, so they are always
 ``exact``.
 :meth:`CertificateReport.why_no_bound` is the one rule of the certified
-regime, the step ``1/L`` included when it is given a step.  The band reads
-the operator through ``forward``/``adjoint``; the subspace probes and the
-``eps_*`` terms read window-table rows.  A map rebuilt from ``forward`` and
-``adjoint`` alone reads every cell, so its table rows are the permutations
-themselves and every caller of ``certify`` gets the same bits.  No
-``cols x cols`` array is built on any cone; one size rule refuses
+regime, the step ``1/L`` included when it is given a step.  The band, the
+subspace probes and the ``eps_*`` terms read the operator through its
+window maps and the subset through window-table rows.  A map rebuilt from
+``forward`` and ``adjoint`` alone reads every cell, so its table rows are
+the permutations themselves and every caller of ``certify`` gets the same
+bits.  No ``cols x cols`` array is built on any cone; one size rule refuses
 (:class:`~grouppgd.linop.SizeCapError`) a smaller-side Gram or a band of
 more than ``linop.DENSE_CAP**2`` entries.
 """
@@ -276,11 +277,12 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     subset's :func:`~grouppgd.linop.window_table`
     (:func:`~grouppgd.constraint.subspace_min_eig`).  Every other cone takes
     the whole-space ``mu_C``, the bottom of the same spectrum, and averages
-    the nonzeros of one probe of ``G = A^T A`` through the subset's
-    permutations straight into block-tridiagonal storage in the folded
-    order of ``problem.geometry`` (:func:`~grouppgd.linop.band_gram`); its
-    whole-space ``mu_Gstar`` comes from one Lanczos run and one inertia
-    check (:func:`_stack_min_eig`), flagged ``estimate`` when not certified.
+    the nonzeros of one probe of ``G = A^T A`` on the window's cells through
+    the subset's window-table rows straight into block-tridiagonal storage
+    in the folded order of ``problem.geometry``
+    (:func:`~grouppgd.linop.band_gram`); its whole-space ``mu_Gstar`` comes
+    from one Lanczos run and one inertia check (:func:`_stack_min_eig`),
+    flagged ``estimate`` when not certified.
     :class:`~grouppgd.linop.DimensionMismatchError` is raised for a subset
     or cone of another length than ``A.cols``, ``ValueError`` for ``L = 0``,
     and :class:`~grouppgd.linop.SizeCapError` when the smaller side's Gram,

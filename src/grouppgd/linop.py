@@ -21,10 +21,11 @@ cells, and the rotated operator ``x -> A(x[perm_s])`` reads cell
 cells once per action: the rotated forward is ``A``'s window forward on the
 values gathered through a table row, and its adjoint adds ``A``'s window
 adjoint back into that row's cells, with no full-length permutation of the
-signal.  Only :func:`band_gram`, which moves entries of ``A^T A``, reads
-rotations otherwise.  The identity's row is the window itself.  A window
-lists each cell once (:func:`from_window` folds repeats), so a solver step
-can write its update straight into the cells it read.
+signal; :func:`band_gram` moves entries of ``A^T A`` through the same rows,
+and no other function reads a permutation.  The identity's row is the
+window itself.  A window lists each cell once (:func:`from_window` folds
+repeats), so a solver step can write its update straight into the cells it
+read.
 
 Spectral quantities are exact: :func:`gram_eigvals` probes the Gram of the
 operator's smaller side (``A A^T`` for a wide operator, ``A^T A`` otherwise)
@@ -34,8 +35,9 @@ The certificate's stack Gram, ``G = A^T A`` averaged through a subset's
 permutations, is stored banded (:class:`BandGram`, built by
 :func:`band_gram`): each measured angle couples only the angle columns
 within its offset span, so in an order that folds the angle axis the
-average is block tridiagonal.  Each probe block's nonzeros of ``G`` are
-added into one array of block rows; no ``cols x cols`` array is built.  A
+average is block tridiagonal.  ``G`` is probed only on the window's cells,
+and each probe block's nonzeros are added into one array of block rows
+through the subset's table rows; no ``cols x cols`` array is built.  A
 band multiplies vectors in its stored order (``band @ V``),
 :meth:`BandGram.cholesky` returns the solve of its block Cholesky factor,
 kept as the inverses of the diagonal blocks, and whether that factor exists
@@ -170,9 +172,14 @@ def from_window(rows: int, cols: int, window, window_forward, window_adjoint,
     each cell's values, in window order from ``+0.0``, with one
     ``bincount``.  Those are the bits a ``bincount`` over the given window
     gives, so ``forward`` and ``adjoint`` do not change.  A window of
-    distinct cells keeps its maps.
+    distinct cells keeps its maps.  A cell outside ``[0, cols)`` is refused
+    (:class:`DimensionMismatchError`).
     """
     window = np.asarray(window, dtype=np.int64).ravel()
+    outside = window[(window < 0) | (window >= cols)]
+    if len(outside):
+        raise DimensionMismatchError(
+            f"window cell {outside[0]} is outside the operator's {cols} columns")
     if np.bincount(window).max(initial=0) > 1:
         _, first, expand = np.unique(window, return_index=True, return_inverse=True)
         order = np.argsort(first)
@@ -197,8 +204,13 @@ def window_table(A: LinearMap, actions) -> np.ndarray:
     ``perm_s`` is the permutation of ``actions[s]``.  Shift covariance:
     where ``A`` reads cell ``c`` the rotated operator reads ``perm_s[c]``
     with the same weights, so it is ``A``'s window maps on the gathered
-    values ``x[table[s]]``.
+    values ``x[table[s]]``.  An action of another dimension than
+    ``A.cols`` is refused (:class:`DimensionMismatchError`).
     """
+    for T in actions:
+        if T.dimension != A.cols:
+            raise DimensionMismatchError(
+                f"action dimension {T.dimension} does not match operator columns {A.cols}")
     return np.stack([T.permutation[A.window] for T in actions])
 
 
@@ -223,29 +235,31 @@ def gram_eigvals(A: LinearMap) -> np.ndarray:
     return np.sort(np.concatenate([np.zeros(A.cols - A.rows), small]))
 
 
-def _gram_probes(A: LinearMap):
-    """``(lo, P)`` for each block of basis vectors: ``P[j, i] = G[i, lo + j]``, ``G = A^T A``.
+def _gram_probes(n: int, forward, adjoint):
+    """``(lo, P)`` for each block of basis vectors of length ``n``:
+    ``P[j] = adjoint(forward(e_{lo + j}))``, column ``lo + j`` of that Gram.
 
-    The basis vectors go through ``A.forward`` and ``A.adjoint`` (never the
-    window) ``_PROBE_BLOCK`` at a time as one stack; by the stack contract
-    row ``j`` has the bits of probing ``e_{lo + j}`` alone.
+    The basis vectors go through the maps ``_PROBE_BLOCK`` at a time as one
+    stack; by the stack contract row ``j`` has the bits of probing
+    ``e_{lo + j}`` alone.
     """
-    for lo in range(0, A.cols, _PROBE_BLOCK):
-        hi = min(lo + _PROBE_BLOCK, A.cols)
-        E = np.zeros((hi - lo, A.cols))
+    for lo in range(0, n, _PROBE_BLOCK):
+        hi = min(lo + _PROBE_BLOCK, n)
+        E = np.zeros((hi - lo, n))
         E[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        yield lo, A.adjoint(A.forward(E))
+        yield lo, adjoint(forward(E))
 
 
 def gram_dense(A: LinearMap) -> np.ndarray:
     """Assemble ``A^T A`` densely by probing with basis vectors.
 
-    Refused (:class:`SizeCapError`) above ``DENSE_CAP`` columns, before any
-    probe.  :func:`gram_eigvals` probes the smaller side through it.
+    Every column is probed through ``A.forward`` and ``A.adjoint``.  Refused
+    (:class:`SizeCapError`) above ``DENSE_CAP`` columns, before any probe.
+    :func:`gram_eigvals` probes the smaller side through it.
     """
     _check_size(A.cols * A.cols, f"the dense Gram of {A.cols} columns")
     G = np.empty((A.cols, A.cols))
-    for lo, P in _gram_probes(A):
+    for lo, P in _gram_probes(A.cols, A.forward, A.adjoint):
         G[:, lo:lo + len(P)] = P.T
     return G
 
@@ -319,56 +333,65 @@ class BandGram:
 def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
     """``mean_g P_g^T G P_g`` over ``actions`` as a :class:`BandGram` in ``order``, ``G = A^T A``.
 
-    ``G`` is probed a block of basis vectors at a time, and only the
-    nonzeros of each block's lower triangle are kept.  Each action's Gram is
-    ``G`` with entry ``(k, l)`` moved to ``(p[k], p[l])``, ``p`` its
-    permutation, so only those nonzeros move, added up action by action as
-    a dense average would add them.  Each entry lands in the stored lower
+    ``G`` is zero off ``A.window``, so only the window's cells are probed,
+    through the window maps, a block of basis vectors at a time.  The entry
+    between window positions ``a`` and ``c`` is kept once, from the probe
+    of the lower cell (``window[a] >= window[c]``): ``A.adjoint`` adds the
+    window maps' values into zeros, so these are the bits of probing every
+    cell through ``forward`` and ``adjoint``, even where a folded window
+    leaves ``G`` not bitwise symmetric.  Action ``s`` moves that entry to
+    the cells ``table[s, a]`` and ``table[s, c]`` of its :func:`window_table`
+    row, so only the nonzeros move, added up action by action as a dense
+    average would add them.  Each entry lands in the stored lower
     triangle, at one flat index of the block rows: ``(h, l)``, ``h >= l``, is
     row ``h``, column ``l - (h // b - 1) b``.  The diagonal blocks are
     mirrored, so the band is exactly symmetric.  The block size ``b`` is the
     widest stored distance of a moved nonzero from the diagonal, plus one,
     so every nonzero falls in a diagonal block or the one below it, whatever
     the operator or the actions; at worst the band is one dense block.  The
-    pad's diagonal holds ``pad``.  Block rows of more than ``DENSE_CAP**2``
-    entries are refused (:class:`SizeCapError`) before they are allocated,
-    and probing stops once the nonzeros kept, each in its own cell of the
-    band, pass that count.
+    pad's diagonal holds ``pad``.  An action of another dimension than
+    ``A.cols`` is refused by :func:`window_table`, before the first probe.
+    Block rows of more than ``DENSE_CAP**2`` entries are refused
+    (:class:`SizeCapError`) before they are allocated, and probing stops
+    once the nonzeros kept, each in its own cell of the band, pass that
+    count.
     """
     d = A.cols
     # the band holds at least 2d entries, so this refuses no band the check
     # below would pass; it bounds the int32 cell indices before probing
     _check_size(d, f"the band of {d} cells")
-    rows, cols, values = [], [], []
+    table = window_table(A, actions)
+    window = A.window
+    rows, cols, values = [], [], []  # window positions, and G's entry between them
     kept = 0
-    for lo, P in _gram_probes(A):
-        # G[lo + k, lo + j] is in the lower triangle when k >= j; a bool scan is fastest
-        j, k = np.nonzero(P[:, lo:] != 0.0)
-        lower = k >= j
-        j, k = j[lower], k[lower]
-        rows.append((lo + k).astype(np.int32))
+    for lo, P in _gram_probes(len(window), A.window_forward, A.window_adjoint):
+        # P[j, a] is G's entry between positions a and lo + j
+        j, a = np.nonzero(P != 0.0)
+        lower = window[a] >= window[lo + j]
+        j, a = j[lower], a[lower]
+        rows.append(a.astype(np.int32))
         cols.append((lo + j).astype(np.int32))
-        values.append(P[j, lo + k])
-        kept += len(k)
+        values.append(P[j, a])
+        kept += len(a)
         _check_size(kept, f"the nonzeros of the band of {d} cells")
     rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
-    # int32 indices: the size rule bounds every cell index (below d) and every
+    # int32 indices: the size rule bounds every position and cell (below d) and every
     # flat offset into the block rows (below their entries) by DENSE_CAP**2 < 2**31
     position = np.empty(d, dtype=np.int32)
     position[order] = np.arange(d)
     block = 1 + max(int(np.abs(q[rows] - q[cols]).max(initial=0))
-                    for q in (position[T.permutation] for T in actions))
+                    for q in (position[cells] for cells in table))
     nb = -(-d // block)
     _check_size(nb * block * 2 * block, f"the band of {nb} blocks of {block} cells")
     stored = np.zeros((nb, block, 2 * block))  # block row i: block (i, i - 1), then (i, i)
     flat = stored.reshape(-1)
-    for T in actions:
-        q = position[T.permutation]
+    for cells in table:
+        q = position[cells]
         i, j = q[rows], q[cols]
         hi, at = np.maximum(i, j), np.minimum(i, j, out=i)
         at -= (hi // block - 1) * block  # in place: three index arrays per action
         at += 2 * block * hi
-        # a permutation never sends two lower-triangle entries to one cell
+        # a table row lists distinct cells, so no two kept entries share one
         flat[at] += values
     stored /= len(actions)
     diag, lower = stored[:, :, block:], stored[1:, :, :block]

@@ -178,10 +178,6 @@ def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: Box,
     action this is bit-identical to :func:`pgd_step`.
     """
     _check_step_args(x.shape, A, b, K, eta)
-    if T.dimension != A.cols:
-        raise DimensionMismatchError(
-            f"action dimension {T.dimension} does not match operator columns {A.cols}"
-        )
     return _step_alone(x, A, b, K, eta, window_table(A, [T])[0])
 
 

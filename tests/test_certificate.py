@@ -29,6 +29,7 @@ from grouppgd.linop import (
     SizeCapError,
     band_gram,
     from_dense,
+    from_window,
     gram_dense,
     spectral_norm,
 )
@@ -749,6 +750,27 @@ def test_band_gram_moves_one_action_at_a_time(name, bands):
         tracemalloc.stop()
     assert len(band.order) == 2048 and band.diag.shape[0] > 1
     assert peak < bands * (band.diag.nbytes + band.lower.nbytes)
+
+
+def test_band_gram_probes_only_the_cells_the_operator_reads():
+    # G is zero off the window: only extreme_sparse's 384 window cells, of its
+    # 2,048, are probed, 16 at a time
+    from grouppgd.cli import _build, load_config
+    problem, subset, _ = _build(load_config(os.path.join(CONFIGS, "extreme_sparse.txt")))
+    A = problem.A
+    calls = {"forward": [], "adjoint": []}
+
+    def metered(name, window_map):
+        def counted(v):
+            calls[name].append(len(v))
+            return window_map(v)
+        return counted
+
+    probed = from_window(A.rows, A.cols, A.window, metered("forward", A.window_forward),
+                         metered("adjoint", A.window_adjoint))
+    band_gram(probed, subset, problem.geometry.folded_order, pad=1.0)
+    for rows in calls.values():
+        assert (len(rows), sum(rows)) == (24, 384)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -1,5 +1,7 @@
 """Operator algebra against dense oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -337,8 +339,6 @@ def test_call_checks_the_last_axis():
 def test_replaced_map_reads_through_its_own_maps():
     # the window is set at construction, never copied by ``replace``: a map
     # whose forward/adjoint were replaced reads through the new ones
-    from dataclasses import replace
-
     polar = angle_subsampled_operator(5, 12, angles=(0, 3, 7), rays_per_angle=4, seed=2)
     x, y = np.arange(1.0, 61.0), np.arange(1.0, 13.0)
     for A in (from_dense(np.eye(3)), polar):
@@ -434,6 +434,9 @@ def test_window_table_path_equals_composed_operator(n_r, n_theta, angles, rays, 
 @example(n_r=4, n_theta=3, angles=[1], rays=2, reach=1, coverage=1.0, seed=4)
 # radius 0: the band of G itself
 @example(n_r=2, n_theta=12, angles=[2, 8], rays=2, reach=1, coverage=0.0, seed=5)
+# five offsets on four angles: the window folds, and its G is not bitwise
+# symmetric, so the kept triangle must be chosen by cell, not window position
+@example(n_r=1, n_theta=4, angles=[1], rays=2, reach=2, coverage=0.5, seed=18)
 def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, coverage, seed):
     geometry = Geometry(n_r=n_r, n_theta=n_theta, angles=tuple(angles), rays_per_angle=rays,
                         offsets=tuple(range(-reach, reach + 1)))
@@ -445,6 +448,10 @@ def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, cover
     pad = 1.0 + float(np.abs(G).max())
     band = band_gram(A, subset, geometry.folded_order, pad)
     d = A.cols
+    # probing the window has the bits of probing every cell through the map
+    # rebuilt from forward and adjoint alone
+    every_cell = band_gram(replace(A), subset, geometry.folded_order, pad)
+    assert same_bits(every_cell.diag, band.diag) and same_bits(every_cell.lower, band.lower)
     # folding the angle axis keeps cyclic neighbours within twice their distance
     assert band.diag.shape[1] <= (min(4 * reach, n_theta - 1) + 1) * n_r
     stored, cells = band_dense(band)
@@ -482,6 +489,38 @@ def test_band_gram_stops_probing_once_its_nonzeros_pass_the_size_rule(monkeypatc
     with pytest.raises(SizeCapError, match="the band of 40 cells"):
         band_gram(A, [identity_action(40)], np.arange(40), pad=1.0)
     assert probes == []
+
+
+def test_window_table_and_band_refuse_actions_of_another_dimension():
+    # a larger action would list cells past the operator's columns, a smaller
+    # one index past its own; the band refuses before its first probe
+    dense = from_dense(np.random.default_rng(1).standard_normal((5, 8)))
+    probes = []
+
+    def forward(x):
+        probes.append(len(x))
+        return dense.forward(x)
+
+    A = LinearMap(rows=5, cols=8, forward=forward, adjoint=dense.adjoint)
+    for n in (4, 16):
+        subset = symmetric_subset(polar_theta_shift(1, n, 1), 1)
+        message = f"action dimension {n} does not match operator columns 8"
+        with pytest.raises(DimensionMismatchError, match=message):
+            window_table(A, subset)
+        with pytest.raises(DimensionMismatchError, match=message):
+            band_gram(A, subset, np.arange(8), pad=1.0)
+        with pytest.raises(DimensionMismatchError, match=message):
+            group_pgd_step(np.zeros(8), A, np.zeros(5), Box(0.0, 1.0, 8), 0.1,
+                           subset.actions[1])
+    assert probes == []
+
+
+@pytest.mark.parametrize("cell", [5, 4, -1])
+def test_from_window_refuses_cells_outside_the_operator(cell):
+    # forward would gather, and adjoint scatter, outside the operator's columns
+    with pytest.raises(DimensionMismatchError, match=f"window cell {cell} .* 4 columns"):
+        from_window(3, 4, [0, cell], lambda v: v, lambda y: y)
+    assert np.array_equal(from_window(3, 4, [0, 3], lambda v: v, lambda y: y).window, [0, 3])
 
 
 def test_band_cholesky_follows_inertia_and_solves():

@@ -8,17 +8,24 @@ every name they import from the package, and every attribute they read off
 one of its modules, resolves, and that the polar kernels still take the
 arguments the benchmark's replay passes them.  README's Python blocks are
 read the same way, and the root's public names must be exactly the ones
-these callers take from it.  Those blocks also run, warning-free.
+these callers take from it.  Those blocks also run, warning-free.  The
+benchmark's traced replay runs too, on each workload, as CI runs it.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import os
 import pathlib
 import re
+import shutil
+import subprocess
+import sys
 import types
 
 import numpy as np
+import pytest
 
 import grouppgd
 from grouppgd import kernels
@@ -151,3 +158,22 @@ def test_polar_kernels_take_the_replays_arguments():
     assert fwd.shape == (n_angles * rays,) and adj.shape == (n_r * n_theta,)
     scale = np.abs(weights).sum() * np.abs(x2).max() * np.abs(y).max()
     assert abs(fwd @ y - x2.ravel() @ adj) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("workload", ["extreme_sparse", "noisy_textured", "long_chain"])
+def test_traced_replay_reproduces_the_cli_bit_for_bit(tmp_path, workload):
+    # CI's traced replay: the benchmark runs the workload's command in a
+    # child process, replays it in process and compares the outputs.  It
+    # writes .bench_out/ under its own root, so it runs from a copy.
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), done.stderr
