@@ -248,8 +248,11 @@ def build_problem(*, n_r: int = 32, n_theta: int = 64, angle_fraction: float = 0
     derived from ``seed`` so the whole instance is reproducible from one
     integer.  ``angles`` overrides ``angle_fraction`` when given.  A signal
     or weight tensor of more than ``linop.DENSE_CAP**2`` entries is refused
-    (:class:`~grouppgd.linop.SizeCapError`) before it is allocated.
+    (:class:`~grouppgd.linop.SizeCapError`) before it is allocated, and an
+    empty grid (``n_r`` or ``n_theta`` below 1) before anything else.
     """
+    if n_r < 1 or n_theta < 1:
+        raise ValueError("grid sizes must be at least 1")
     _check_size(n_r * n_theta, f"the signal of {n_r} x {n_theta} cells")
     root = np.random.SeedSequence(seed)
     op_seed, phantom_seed, noise_seed = root.spawn(3)

@@ -209,10 +209,10 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    try:  # a byte-order mark is not part of the first key
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}")
     return parse_config(text, path=path)
 
@@ -293,20 +293,21 @@ def _trace_csv(trace, bound: np.ndarray | None, with_actions: bool) -> str:
     return _csv(header, template, columns)
 
 
-def _certified_run(problem, subset, solver_config):
-    """Certify, resolve ``auto`` to the certificate's ``1/L``, and say why no
-    bound holds (``None`` when the run is in the certified regime)."""
+def _solve(config: ExperimentConfig, replicates: int | None = None, objective: bool = True):
+    """Build, ask the size rule, certify, and solve with the same ``replicates``
+    and ``objective``, ``auto`` resolved to the certificate's ``1/L``.  Returns
+    ``(problem, report, why, plain, group)``; ``why`` says why no bound holds."""
+    problem, subset, solver_config = _build(config)
+    check_solve(problem, solver_config, subset, replicates, objective)
     report = certify(problem, subset)
     if solver_config.step_size == "auto":
         solver_config = replace(solver_config, step_size=1.0 / report.L)
-    return report, solver_config, report.why_no_bound(solver_config.step_size)
+    plain, group = run_with_plain(problem, solver_config, subset, replicates, objective)
+    return problem, report, report.why_no_bound(solver_config.step_size), plain, group
 
 
 def cmd_run(config: ExperimentConfig, outdir: str) -> int:
-    problem, subset, solver_config = _build(config)
-    check_solve(problem, solver_config, subset)
-    report, solver_config, why = _certified_run(problem, subset, solver_config)
-    pgd_trace, (group_trace,) = run_with_plain(problem, solver_config, subset)
+    problem, report, why, pgd_trace, (group_trace,) = _solve(config)
     group_bound = None
     if why is None:
         group_bound = bound_at(report, problem, group_trace.rmsd[0], group_trace.iterations)
@@ -334,13 +335,9 @@ def cmd_certify(config: ExperimentConfig, outdir: str) -> int:
 
 
 def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
-    problem, subset, solver_config = _build(config)
-    replicates = config.solver_seeds
-    check_solve(problem, solver_config, subset, replicates, objective=False)
-    report, solver_config, why = _certified_run(problem, subset, solver_config)
     # compare writes only rmsd means
-    pgd_trace, group_traces = run_with_plain(problem, solver_config, subset, replicates,
-                                             objective=False)
+    problem, report, why, pgd_trace, group_traces = _solve(config, config.solver_seeds,
+                                                           objective=False)
     iters = pgd_trace.iterations
     # the plain chain draws nothing: every plain replicate is this one chain
     pgd_mean = pgd_trace.rmsd

@@ -17,9 +17,10 @@ ensemble draws nothing, so it is its one chain), and
 :func:`run_with_plain` steps the plain chain as one more row beside the
 group chains, so a comparison of the two methods is one stack.  Every
 chain starts from zeros, and the replicate streams are spawned only once
-the solve's size rule (:func:`check_solve`) has passed.  At the start of a
-run each group row draws all its action indices at once,
-``rng.integers(len(subset), size=budget)``, the same values as one
+the solve's size rule (:func:`check_solve`) has passed.  The driver
+resolves an ``"auto"`` step itself and fixes the recorded iterations
+before its first step.  Each group row draws all its action indices at
+once, ``rng.integers(len(subset), size=budget)``, the same values as one
 :func:`~grouppgd.symmetry.sample_action` call per step, and adds them into
 the run's one step table.
 
@@ -47,7 +48,7 @@ whole.
 A step's residual through the identity's window is the residual
 ``A x_k - b`` of iterate ``k``'s objective, so a plain row takes each
 recorded objective from the next step.  A group row's step residual is the
-rotated one, so the step after a recorded iterate also gathers each group
+rotated one, so the step from a recorded iterate also gathers each group
 row's identity window, and the one forward returns those rows' objective
 residuals beside the step residuals.  Only the last iterate, which no step
 follows, costs a forward of its own.  A caller that writes no objective
@@ -74,7 +75,6 @@ __all__ = [
     "DivergenceError",
     "pgd_step",
     "group_pgd_step",
-    "resolve_step_size",
     "run",
     "run_ensemble",
     "run_with_plain",
@@ -98,12 +98,13 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Run parameters.
 
-    ``step_size`` is a positive finite float or ``"auto"``, which resolves
-    to exactly ``1/L``, the reciprocal of the largest eigenvalue of the
-    operator's Gram (:func:`~grouppgd.linop.spectral_norm`, the same ``L`` the
-    certificate reports).  ``auto`` probes the Gram of the operator's smaller
-    side, which the size rule (:class:`~grouppgd.linop.SizeCapError`) refuses
-    when both ``rows`` and ``cols`` exceed ``linop.DENSE_CAP``.
+    ``max_iters`` and ``record_every`` are integers.  ``step_size`` is a
+    positive finite float or ``"auto"``, which a run resolves to exactly
+    ``1/L``, the reciprocal of the largest eigenvalue of the operator's Gram
+    (:func:`~grouppgd.linop.spectral_norm`, the same ``L`` the certificate
+    reports).  ``auto`` probes the Gram of the operator's smaller side, which
+    the size rule (:class:`~grouppgd.linop.SizeCapError`) refuses when both
+    ``rows`` and ``cols`` exceed ``linop.DENSE_CAP``.
     """
 
     max_iters: int
@@ -112,6 +113,9 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        for name in ("max_iters", "record_every"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.record_every < 1:
@@ -150,13 +154,6 @@ class IterateTrace:
     def rmsd_normalized(self) -> np.ndarray:
         """``rmsd`` divided by sqrt(dimension)."""
         return self.rmsd / np.sqrt(len(self.final_x))
-
-
-def resolve_step_size(config: SolverConfig, A: LinearMap) -> float:
-    """Materialize ``"auto"`` as the inverse largest Gram eigenvalue."""
-    if config.step_size == "auto":
-        return 1.0 / spectral_norm(A)
-    return float(config.step_size)
 
 
 def pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: Box,
@@ -259,8 +256,9 @@ def check_solve(problem: ProblemInstance, config: SolverConfig,
     :func:`run_ensemble` with a subset.
 
     Refuses (:class:`~grouppgd.linop.SizeCapError`, naming the table) more
-    than ``linop.DENSE_CAP`` chains, or records, a step table, a stack or a
-    window table of more than ``linop.DENSE_CAP**2`` entries.
+    than ``linop.DENSE_CAP`` chains, or records (``1 + ceil(budget /
+    record_every)`` iterates a row, as the solve records them), a step table,
+    a stack or a window table of more than ``linop.DENSE_CAP**2`` entries.
     """
     if replicates is not None and replicates < 1:
         raise ValueError("replicates must be at least 1")
@@ -282,18 +280,19 @@ def check_solve(problem: ProblemInstance, config: SolverConfig,
                 f"the solve's window table of {rows} rows x {actions} actions x {window} cells")
 
 
-def _drive(problem: ProblemInstance, config: SolverConfig, eta: float,
+def _drive(problem: ProblemInstance, config: SolverConfig,
            subset: SymmetricSubset | None, plain: bool, replicates: int | None,
            objective: bool = True) -> list[IterateTrace]:
     """Step a stack of chains from zeros for ``config.max_iters`` steps; one
     trace per row.
 
-    The plain row comes first when ``plain`` is true.  Group rows follow
-    only when there is a ``subset``: one on ``default_rng(config.seed)``
-    when ``replicates`` is None, else one per :func:`replicate_rngs` stream.
-    The traces record the initial point, then every
-    ``config.record_every``-th iterate plus the last; with ``objective``
-    False their objectives are NaN and no forward is spent on them.  Each
+    An ``"auto"`` step is resolved here.  The plain row comes first when
+    ``plain`` is true.  Group rows follow only when there is a ``subset``:
+    one on ``default_rng(config.seed)`` when ``replicates`` is None, else
+    one per :func:`replicate_rngs` stream.  The recorded iterations, fixed
+    before the first step, are every ``config.record_every``-th iterate
+    from 0, then the last.  The step from each gives its objectives; with
+    ``objective`` False they are NaN and no forward is spent on them.  Each
     stack row's block of the window table is ``window_table(A, subset)``,
     or the operator's own window without a subset; a group row's recorded
     action is its drawn index and a plain row's is -1.  A feasible set that
@@ -307,6 +306,7 @@ def _drive(problem: ProblemInstance, config: SolverConfig, eta: float,
     """
     A, b, K = problem.A, problem.b, problem.K
     d, budget, stride = problem.dimension, config.max_iters, config.record_every
+    eta = 1.0 / spectral_norm(A) if config.step_size == "auto" else float(config.step_size)
     _check_step_args((d,), A, b, K, eta)
     if subset is not None and subset.dimension != d:
         raise DimensionMismatchError(
@@ -317,12 +317,13 @@ def _drive(problem: ProblemInstance, config: SolverConfig, eta: float,
     R = int(plain) + n_group
     rngs = ([] if subset is None else [np.random.default_rng(config.seed)] if replicates is None
             else replicate_rngs(config.seed, replicates))
-    n_records = 1 + -(-budget // stride)
     X = np.zeros((R, d))
-    iterations = np.zeros(n_records, dtype=np.int64)
-    rmsd = np.empty((R, n_records))
-    objectives = np.full((R, n_records), np.nan)
-    actions = np.full((R, n_records), -1, dtype=np.int64)
+    # 0, stride, 2 * stride, ... and the budget: check_solve's 1 + ceil(budget / stride)
+    iterations = np.arange(0, budget + stride, stride)
+    iterations[-1] = budget
+    rmsd = np.empty((R, len(iterations)))
+    objectives = np.full((R, len(iterations)), np.nan)
+    actions = np.full((R, len(iterations)), -1, dtype=np.int64)
     rows = np.arange(R)
     error = np.empty_like(X)
 
@@ -339,7 +340,7 @@ def _drive(problem: ProblemInstance, config: SolverConfig, eta: float,
     first = R - n_group  # the first group row
     group = rows[first:]
     # step k gathers the table rows steps[k, :R].  When objectives are
-    # recorded, the step after a recorded iterate also gathers each group
+    # recorded, the step from a recorded iterate also gathers each group
     # row's identity window (steps[k, R:]), whose residual is that row's
     # objective residual; a plain row's objective residual is its own step
     # residual.  The draws are added into the one table.
@@ -355,34 +356,30 @@ def _drive(problem: ProblemInstance, config: SolverConfig, eta: float,
     # a recorded distance to x_dagger of at most this puts a row inside the
     # ball with room for round-off; a NaN distance settles nothing
     settled = DIVERGENCE_NORM / 2 - np.linalg.norm(problem.x_dagger)
-    # the recorded slot whose objective is not written yet: it comes from
-    # the residuals of the step that starts at that iterate
-    pending = 0 if objective else None
-    slot = 1
+    slot, at, reach = 0, 0, min(stride, budget)  # iterations[slot], iterations[slot + 1]
     for k in range(budget):
-        index = steps[k, :R] if pending is None else steps[k]
+        starts = objective and k == at
+        index = steps[k] if starts else steps[k, :R]
         residual = _step(X, A, b, eta, table.take(index, axis=0), lo, hi)
         if k == 0:  # the zero start need not lie in K; later steps stay in it
             X[:] = K.project(X)
-        if pending is not None:
-            objectives[:, pending] = 0.5 * _row_dots(residual)[source]
-            pending = None
+        if starts:
+            objectives[:, slot] = 0.5 * _row_dots(residual)[source]
         inside = False
-        if (k + 1) % stride == 0 or k + 1 == budget:
+        if k + 1 == reach:
+            slot += 1
             record(slot)
             inside = (rmsd[:, slot] <= settled).all()
-            iterations[slot] = k + 1
-            actions[first:, slot] = steps[k, first:R]
-            if objective:
-                pending = slot
-            slot += 1
+            at, reach = reach, min(reach + stride, budget)
         if not (inside or (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all()):
             raise DivergenceError(k + 1)
-    # a recorded iterate's action is the draw of the step that made it: its
-    # table row less the row's first
-    actions[first:, 1:] -= n * group[:, None]
     if objective:  # the last iterate is always recorded, and no step follows it
-        objectives[:, pending] = 0.5 * _row_dots(A.forward(X) - b)
+        objectives[:, -1] = 0.5 * _row_dots(A.forward(X) - b)
+    # a recorded iterate's action is the draw of the step that made it: its
+    # table row less the row's first.  Row by row, the gather copies one
+    # row of records, whatever the number of rows
+    for r in group:
+        np.subtract(steps[iterations[1:] - 1, r], n * r, out=actions[r, 1:])
     return [
         IterateTrace(iterations=iterations, rmsd=rmsd[r], objective=objectives[r],
                      action_indices=actions[r], final_x=X[r])
@@ -400,8 +397,7 @@ def run(problem: ProblemInstance, config: SolverConfig,
     group variant draws its actions from ``default_rng(config.seed)``, so
     the run is deterministic given ``config.seed``.
     """
-    eta = resolve_step_size(config, problem.A)
-    return _drive(problem, config, eta, subset, subset is None, None)[0]
+    return _drive(problem, config, subset, subset is None, None)[0]
 
 
 def run_ensemble(problem: ProblemInstance, config: SolverConfig,
@@ -420,8 +416,7 @@ def run_ensemble(problem: ProblemInstance, config: SolverConfig,
     the mean is that trace's ``rmsd``, bit for bit ``run(problem,
     config).rmsd``.  Returns ``(iterations, mean_rmsd, traces)``.
     """
-    eta = resolve_step_size(config, problem.A)
-    traces = _drive(problem, config, eta, subset, subset is None, replicates)
+    traces = _drive(problem, config, subset, subset is None, replicates)
     return traces[0].iterations, mean_rmsd(traces), traces
 
 
@@ -430,8 +425,9 @@ def run_with_plain(problem: ProblemInstance, config: SolverConfig, subset: Symme
                    objective: bool = True) -> tuple[IterateTrace, list[IterateTrace]]:
     """Plain PGD beside the group chains, as rows of one stack.
 
-    Returns ``(plain_trace, group_traces)``.  Every row is bit for bit its
-    own run: the plain trace is ``run(problem, config)``.  With
+    Returns ``(plain_trace, group_traces)``.  Every row takes the same step
+    (an ``"auto"`` step is resolved once) and is bit for bit its own run:
+    the plain trace is ``run(problem, config)``.  With
     ``replicates`` None there is one group trace, ``run(problem, config,
     subset)``; otherwise the group traces are ``run_ensemble(problem,
     config, subset, replicates)``'s.  With ``objective`` False no objective
@@ -440,8 +436,7 @@ def run_with_plain(problem: ProblemInstance, config: SolverConfig, subset: Symme
     field keeps its bits.  If any row diverges, :class:`DivergenceError`
     names the first iteration at which one did, plain or group.
     """
-    eta = resolve_step_size(config, problem.A)
-    plain, *group = _drive(problem, config, eta, subset, True, replicates, objective)
+    plain, *group = _drive(problem, config, subset, True, replicates, objective)
     return plain, group
 
 

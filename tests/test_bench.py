@@ -151,6 +151,12 @@ def test_build_problem_refuses_an_oversized_signal_before_allocating():
         build_problem(n_r=8, n_theta=10**18, angles=(0,))
 
 
+@pytest.mark.parametrize("n_r, n_theta", [(4, 0), (0, 8), (0, 0)])
+def test_build_problem_refuses_an_empty_grid(n_r, n_theta):
+    with pytest.raises(ValueError, match="grid sizes must be at least 1"):
+        build_problem(n_r=n_r, n_theta=n_theta)
+
+
 def test_build_problem_feasible_ground_truth():
     prob = build_problem(n_r=6, n_theta=12, phantom="textured", smoothness=2,
                          seed=9)

@@ -322,6 +322,26 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.txt")]) == EXIT_CONFIG
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"problem.n_r = 6\n\xff\n")
+    assert main(["certify", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "cannot read config" in err
+
+
+def test_config_with_a_byte_order_mark_certifies_as_without_it(tmp_path, capsys):
+    text = config_text(tmp_path / "plain")
+    plain = write_config(tmp_path, text)
+    assert main(["certify", "--config", plain]) == EXIT_OK
+    expected = capsys.readouterr().out
+    marked = tmp_path / "bom.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + config_text(tmp_path / "bom").encode())
+    assert main(["certify", "--config", str(marked)]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert read_all(tmp_path / "bom") == read_all(tmp_path / "plain")
+
+
 def test_unwritable_output_exits_5(tmp_path):
     cfg = write_config(tmp_path, config_text("/dev/null/nodir"))
     assert main(["phantom", "--config", cfg]) == 5
@@ -575,21 +595,31 @@ def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, capsys, command):
 
 def test_only_compare_skips_the_objective(tmp_path, monkeypatch):
     # compare writes no objective column, so it asks the solver for none;
-    # run writes pgd.csv and group_pgd.csv objectives and keeps the default
+    # run writes pgd.csv and group_pgd.csv objectives.  Each command asks
+    # the size rule with the replicates and objective it solves with
+    import inspect
+
     from grouppgd import cli
     seen = []
-    run_with_plain = cli.run_with_plain
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs)
-        return run_with_plain(*args, **kwargs)
+    def spy(name):
+        real = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "run_with_plain", spy)
-    cfg = write_config(tmp_path, config_text(tmp_path / "out"))
-    for command, kwargs in (("compare", {"objective": False}), ("run", {})):
+        def call(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((name, bound.arguments["replicates"], bound.arguments["objective"]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, call)
+
+    spy("check_solve")
+    spy("run_with_plain")
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_seeds=3))
+    for command, replicates, objective in (("compare", 3, False), ("run", None, True)):
         seen.clear()
         assert main([command, "--config", cfg]) == EXIT_OK
-        assert seen == [kwargs], command
+        assert seen == [("check_solve", replicates, objective),
+                        ("run_with_plain", replicates, objective)], command
     first = (tmp_path / "out" / "group_pgd.csv").read_text().splitlines()[1].split(",")
     assert first[3] != "nan"
 

@@ -556,6 +556,17 @@ def test_config_validation():
         SolverConfig(max_iters=1, step_size=0.0)
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("max_iters", {"max_iters": 1.5}),
+    ("max_iters", {"max_iters": 2.0}),
+    ("record_every", {"max_iters": 10, "record_every": 2.5}),
+])
+def test_config_refuses_a_non_integral_count(field, kwargs):
+    # a float count would fail deep in numpy once a run sizes its records
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        SolverConfig(**kwargs)
+
+
 @pytest.mark.parametrize("step", [float("inf"), float("nan"), -1.0])
 def test_config_refuses_a_non_finite_or_negative_step(step):
     with pytest.raises(ValueError, match="positive and finite"):
@@ -634,6 +645,37 @@ def test_box_excluding_the_start_steps_as_single_steps(per_cell):
         assert trace.rmsd.tobytes() == rmsd.tobytes()
         assert trace.objective.tobytes() == objective.tobytes()
         assert not prob.K.contains(xs[0]) and all(prob.K.contains(x) for x in xs[1:])
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+def test_strided_records_hold_the_single_steps_iterates(stride):
+    # at every stride the recorded iterates are 0, s, 2s, ... and the
+    # budget, and each holds the bits of its chain stepped alone through
+    # the draws of its stream; the budgets are 0, one below the stride, a
+    # multiple of it and one past a multiple
+    prob = small_problem(noise="gaussian", sigma=0.05, seed=4)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    eta, replicates = 1.0 / spectral_norm(prob.A), 3  # the "auto" step
+    for budget in sorted({0, stride - 1, 2 * stride, 2 * stride + 1}):
+        config = SolverConfig(max_iters=budget, seed=11, record_every=stride)
+        plain, groups = run_with_plain(prob, config, subset, replicates)
+        expected = [*range(0, budget, stride), budget]
+        assert len(expected) == 1 + -(-budget // stride)
+        chains = [(plain, None)]
+        for trace, stream in zip(groups, replicate_rngs(config.seed, replicates), strict=True):
+            chains.append((trace, stream.integers(len(subset), size=budget)))
+        for trace, draws in chains:
+            assert trace.iterations.tolist() == expected
+            actions = [-1] + [-1 if draws is None else int(draws[k - 1]) for k in expected[1:]]
+            assert trace.action_indices.tolist() == actions
+            xs = step_alone(prob, eta, None if draws is None else subset, draws, budget)
+            picked = [xs[k] for k in expected]
+            rmsd = np.array([np.linalg.norm(x - prob.x_dagger) for x in picked])
+            residuals = [prob.A.forward(x) - prob.b for x in picked]
+            objective = np.array([0.5 * (r @ r) for r in residuals])
+            assert trace.rmsd.tobytes() == rmsd.tobytes()
+            assert trace.objective.tobytes() == objective.tobytes()
+            assert trace.final_x.tobytes() == xs[-1].tobytes()
 
 
 def kernels_window(prob):
