@@ -4,9 +4,9 @@ Computes every constant of the linear-rate bound for the group-action solver
 and checks the bound against seeded Monte Carlo runs:
 
 * ``L``: largest eigenvalue of the operator Gram ``G = A^T A`` (sets the
-  step size), read exactly from the spectrum of the operator's smaller-side
-  Gram (:func:`~grouppgd.linop.gram_eigvals`), as the solver's ``auto``
-  step is.
+  step size), read exactly from the spectrum of the Gram of the smaller of
+  the operator's rows and window cells, probed through the window maps
+  (:func:`~grouppgd.linop.gram_eigvals`), as the solver's ``auto`` step is.
 * ``mu_C``: smallest restricted eigenvalue of ``G``; the whole-space value
   comes from the same spectrum.
 * ``mu_Gstar``: smallest restricted Gram eigenvalue of the RMS-normalized
@@ -60,8 +60,8 @@ window maps and the subset through window-table rows.  A map rebuilt from
 ``forward`` and ``adjoint`` alone reads every cell, so its table rows are
 the permutations themselves and every caller of ``certify`` gets the same
 bits.  No ``cols x cols`` array is built on any cone; one size rule refuses
-(:class:`~grouppgd.linop.SizeCapError`) a smaller-side Gram or a band of
-more than ``linop.DENSE_CAP**2`` entries.
+(:class:`~grouppgd.linop.SizeCapError`) a probed smaller-side Gram or a
+band of more than ``linop.DENSE_CAP**2`` entries.
 """
 
 from __future__ import annotations
@@ -270,11 +270,12 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
 
     The descent cone defaults to the cone of the feasible set at the ground
     truth.  ``L`` is the top of the exact spectrum of ``A^T A``, read from
-    the Gram of the operator's smaller side, so it is bitwise
-    ``spectral_norm(A)`` and ``1/L`` is the solver's ``auto`` step.  A
-    subspace cone reads ``mu_C`` and ``mu_Gstar`` from ``k`` probes of its
-    basis, through the operator's window and through the rows of the
-    subset's :func:`~grouppgd.linop.window_table`
+    the Gram of the smaller of the operator's rows and window cells, probed
+    through the window maps, so it is bitwise ``spectral_norm(A)`` and
+    ``1/L`` is the solver's ``auto`` step.  A subspace cone reads ``mu_C``
+    and ``mu_Gstar`` from ``k`` probes of its basis, through the operator's
+    window and through the rows of the subset's
+    :func:`~grouppgd.linop.window_table`
     (:func:`~grouppgd.constraint.subspace_min_eig`).  Every other cone takes
     the whole-space ``mu_C``, the bottom of the same spectrum, and averages
     the nonzeros of one probe of ``G = A^T A`` on the window's cells through
@@ -285,7 +286,7 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     flagged ``estimate`` when not certified.
     :class:`~grouppgd.linop.DimensionMismatchError` is raised for a subset
     or cone of another length than ``A.cols``, ``ValueError`` for ``L = 0``,
-    and :class:`~grouppgd.linop.SizeCapError` when the smaller side's Gram,
+    and :class:`~grouppgd.linop.SizeCapError` when the probed side's Gram,
     or for such a cone the band, would hold more than ``linop.DENSE_CAP**2``
     entries.
     """

@@ -9,9 +9,9 @@ consistency of each constructor is what the whole test suite leans on.
 Forward and adjoint act on the last axis: a stack of shape ``(R, cols)``
 maps to ``(R, rows)`` and back, and every row gets the same bits as its own
 1-D call.  The solver steps a whole ensemble as one stack, and
-:func:`gram_dense` and :func:`band_gram` probe ``A^T A`` with blocks of
-basis vectors on that guarantee, so every constructor here keeps it
-(stacked ``np.matmul`` products, never a gemm over the stack).
+:func:`gram_eigvals` and :func:`band_gram` probe Grams with blocks of basis
+vectors on that guarantee, so every constructor here keeps it (stacked
+``np.matmul`` products, never a gemm over the stack).
 
 This module is the one place where a rotation meets an operator.  Every map
 reads a window of cells (a map built from ``forward``/``adjoint`` alone reads
@@ -27,9 +27,9 @@ window itself.  A window lists each cell once (:func:`from_window` folds
 repeats), so a solver step can write its update straight into the cells it
 read.
 
-Spectral quantities are exact: :func:`gram_eigvals` probes the Gram of the
-operator's smaller side (``A A^T`` for a wide operator, ``A^T A`` otherwise)
-and eigendecomposes it, and :func:`spectral_norm` is its top eigenvalue.
+Spectral quantities are exact: :func:`gram_eigvals` probes, through the
+window maps, the Gram of the smaller of the operator's rows and its
+window's cells, and :func:`spectral_norm` is its top eigenvalue.
 
 The certificate's stack Gram, ``G = A^T A`` averaged through a subset's
 permutations, is stored banded (:class:`BandGram`, built by
@@ -45,7 +45,7 @@ at a shift tells on which side of the bottom eigenvalue the shift lies
 (Sylvester's law of inertia).
 
 One size rule holds for every matrix stored here: none may hold more than
-``DENSE_CAP**2`` entries (:class:`SizeCapError`).  It bounds the smaller
+``DENSE_CAP**2`` entries (:class:`SizeCapError`).  It bounds the probed
 side's Gram and the band, and is checked before either is allocated.
 """
 
@@ -222,17 +222,21 @@ def spectral_norm(A: LinearMap) -> float:
 def gram_eigvals(A: LinearMap) -> np.ndarray:
     """Ascending eigenvalues of ``A^T A``, from the Gram of the smaller side.
 
-    A wide operator (``rows < cols``) shares its nonzero spectrum with the
-    ``rows x rows`` Gram ``A A^T``, which is probed through the adjoint and
-    padded with ``cols - rows`` zeros; otherwise ``A^T A`` is probed.  Either
-    way :func:`gram_dense` refuses a probed side above ``DENSE_CAP``.
+    ``A^T A`` is zero off ``A.window``, and its nonzero eigenvalues are
+    those of ``A A^T``.  The smaller of the ``rows x rows`` Gram and that of
+    the window's cells is probed through the window maps (``A A^T`` only
+    when there are fewer rows than window cells), and its spectrum is padded
+    with zeros.  A map that reads every cell so takes the probes of
+    :func:`gram_dense` on ``A`` or, when it is wide, on its transpose.  A
+    probed side above ``DENSE_CAP`` is refused (:class:`SizeCapError`)
+    before any probe.
     """
-    if A.rows >= A.cols:
-        return np.linalg.eigvalsh(gram_dense(A))
-    transpose = LinearMap(rows=A.cols, cols=A.rows, forward=A.adjoint,
-                          adjoint=A.forward, tag=f"{A.tag}^T")
-    small = np.linalg.eigvalsh(gram_dense(transpose))
-    return np.sort(np.concatenate([np.zeros(A.cols - A.rows), small]))
+    if len(A.window) <= A.rows:
+        small = _probed_gram(len(A.window), A.window_forward, A.window_adjoint)
+    else:
+        small = _probed_gram(A.rows, A.window_adjoint, A.window_forward)
+    padding = np.zeros(A.cols - len(small))
+    return np.sort(np.concatenate([padding, np.linalg.eigvalsh(small)]))
 
 
 def _gram_probes(n: int, forward, adjoint):
@@ -250,18 +254,21 @@ def _gram_probes(n: int, forward, adjoint):
         yield lo, adjoint(forward(E))
 
 
-def gram_dense(A: LinearMap) -> np.ndarray:
-    """Assemble ``A^T A`` densely by probing with basis vectors.
-
-    Every column is probed through ``A.forward`` and ``A.adjoint``.  Refused
-    (:class:`SizeCapError`) above ``DENSE_CAP`` columns, before any probe.
-    :func:`gram_eigvals` probes the smaller side through it.
-    """
-    _check_size(A.cols * A.cols, f"the dense Gram of {A.cols} columns")
-    G = np.empty((A.cols, A.cols))
-    for lo, P in _gram_probes(A.cols, A.forward, A.adjoint):
+def _probed_gram(n: int, forward, adjoint) -> np.ndarray:
+    """The ``n x n`` Gram ``adjoint ∘ forward``, probed column by column;
+    refused (:class:`SizeCapError`) above ``DENSE_CAP`` columns, before any probe."""
+    _check_size(n * n, f"the dense Gram of {n} columns")
+    G = np.empty((n, n))
+    for lo, P in _gram_probes(n, forward, adjoint):
         G[:, lo:lo + len(P)] = P.T
     return G
+
+
+def gram_dense(A: LinearMap) -> np.ndarray:
+    """``A^T A``, every column probed through ``A.forward`` and ``A.adjoint``:
+    the reference the tests compare against.  Refused (:class:`SizeCapError`)
+    above ``DENSE_CAP`` columns, before any probe."""
+    return _probed_gram(A.cols, A.forward, A.adjoint)
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,8 +356,10 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
     widest stored distance of a moved nonzero from the diagonal, plus one,
     so every nonzero falls in a diagonal block or the one below it, whatever
     the operator or the actions; at worst the band is one dense block.  The
-    pad's diagonal holds ``pad``.  An action of another dimension than
-    ``A.cols`` is refused by :func:`window_table`, before the first probe.
+    pad's diagonal holds ``pad``.  An ``order`` that is not a permutation of
+    the cells is refused (:class:`DimensionMismatchError`), and an action of
+    another dimension than ``A.cols`` by :func:`window_table`, before the
+    first probe.
     Block rows of more than ``DENSE_CAP**2`` entries are refused
     (:class:`SizeCapError`) before they are allocated, and probing stops
     once the nonzeros kept, each in its own cell of the band, pass that
@@ -360,6 +369,9 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
     # the band holds at least 2d entries, so this refuses no band the check
     # below would pass; it bounds the int32 cell indices before probing
     _check_size(d, f"the band of {d} cells")
+    order = np.asarray(order, dtype=np.int64)
+    if order.shape != (d,) or order.min(initial=0) < 0 or (np.bincount(order) != 1).any():
+        raise DimensionMismatchError(f"the band's order is not a permutation of the {d} cells")
     table = window_table(A, actions)
     window = A.window
     rows, cols, values = [], [], []  # window positions, and G's entry between them
@@ -400,4 +412,4 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
         blk[iu] = blk.T[iu]
     tail = np.arange(d - (nb - 1) * block, block)
     diag[-1, tail, tail] = pad
-    return BandGram(order=np.asarray(order, dtype=np.int64), diag=diag, lower=lower)
+    return BandGram(order=order, diag=diag, lower=lower)

@@ -98,13 +98,14 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Run parameters.
 
-    ``max_iters`` and ``record_every`` are integers.  ``step_size`` is a
-    positive finite float or ``"auto"``, which a run resolves to exactly
-    ``1/L``, the reciprocal of the largest eigenvalue of the operator's Gram
-    (:func:`~grouppgd.linop.spectral_norm`, the same ``L`` the certificate
-    reports).  ``auto`` probes the Gram of the operator's smaller side, which
-    the size rule (:class:`~grouppgd.linop.SizeCapError`) refuses when both
-    ``rows`` and ``cols`` exceed ``linop.DENSE_CAP``.
+    ``max_iters``, ``record_every`` and ``seed`` are integers, and ``seed``
+    is nonnegative.  ``step_size`` is a positive finite float or ``"auto"``,
+    which a run resolves to exactly ``1/L``, the reciprocal of the largest
+    eigenvalue of the operator's Gram (:func:`~grouppgd.linop.spectral_norm`,
+    the same ``L`` the certificate reports).  ``auto`` probes the Gram of the
+    operator's smaller side, which the size rule
+    (:class:`~grouppgd.linop.SizeCapError`) refuses when both ``rows`` and
+    the window's cells exceed ``linop.DENSE_CAP``.
     """
 
     max_iters: int
@@ -113,11 +114,13 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        for name in ("max_iters", "record_every"):
+        for name in ("max_iters", "record_every", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
         if self.step_size != "auto" and not 0 < float(self.step_size) < np.inf:
@@ -305,7 +308,10 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     and only other iterates have their norms taken.
     """
     A, b, K = problem.A, problem.b, problem.K
-    d, budget, stride = problem.dimension, config.max_iters, config.record_every
+    d, budget = problem.dimension, config.max_iters
+    # a stride at or past the budget records 0 and the budget; clamped, the
+    # range below is sized exactly whatever the stride
+    stride = min(config.record_every, max(budget, 1))
     eta = 1.0 / spectral_norm(A) if config.step_size == "auto" else float(config.step_size)
     _check_step_args((d,), A, b, K, eta)
     if subset is not None and subset.dimension != d:

@@ -6,18 +6,35 @@ the rotated operator as a composition with the action
 RMS stack over a subset whose Gram is the certificate's averaged Gram
 (``stack_mean``; the program permutes ``A^T A``), that averaged Gram as a
 dense matrix (``gram_average``; the program stores it as a band), the dense
-matrix a band stands for (``band_dense``), and the identity map.
+matrix a band stands for (``band_dense``), the spectrum of ``A^T A`` probed
+through the whole grid (``transposed_gram_eigvals``; the program probes it
+through the window maps), and the identity map.
 """
 
 import numpy as np
 
-from grouppgd.linop import BandGram, DimensionMismatchError, LinearMap
+from grouppgd.linop import BandGram, DimensionMismatchError, LinearMap, gram_dense
 from grouppgd.symmetry import GroupAction
 
 
 def identity_map(d: int) -> LinearMap:
     return LinearMap(rows=d, cols=d, forward=lambda x: x.copy(),
                      adjoint=lambda y: y.copy(), tag=f"identity[{d}]")
+
+
+def transposed_gram_eigvals(A: LinearMap) -> np.ndarray:
+    """Ascending eigenvalues of ``A^T A`` from every column of the smaller side.
+
+    A tall or square ``A`` gives ``eigvalsh(gram_dense(A))``.  A wide one
+    gives the spectrum of ``A A^T``, the dense Gram of the transposed map,
+    padded with ``cols - rows`` zeros.  Either way every probe goes through
+    ``A.forward`` and ``A.adjoint``, across the whole grid.
+    """
+    if A.rows >= A.cols:
+        return np.linalg.eigvalsh(gram_dense(A))
+    transpose = LinearMap(rows=A.cols, cols=A.rows, forward=A.adjoint, adjoint=A.forward)
+    small = np.linalg.eigvalsh(gram_dense(transpose))
+    return np.sort(np.concatenate([np.zeros(A.cols - A.rows), small]))
 
 
 def compose_with_action(A: LinearMap, T: GroupAction) -> LinearMap:

@@ -411,16 +411,16 @@ def oversized_instance():
     return prob, symmetric_subset(prob.geometry.theta_shift(1), 1)
 
 
-def spy_gram_dense(monkeypatch):
-    """Record the column count of every operator whose Gram is probed densely."""
+def spy_probed_gram(monkeypatch):
+    """Record the side of every Gram assembled densely by probing."""
     probed = []
-    dense = linop.gram_dense
+    dense = linop._probed_gram
 
-    def spy(A):
-        probed.append(A.cols)
-        return dense(A)
+    def spy(n, forward, adjoint):
+        probed.append(n)
+        return dense(n, forward, adjoint)
 
-    monkeypatch.setattr(linop, "gram_dense", spy)
+    monkeypatch.setattr(linop, "_probed_gram", spy)
     return probed
 
 
@@ -433,7 +433,7 @@ def box_cone_at(anchor):
 def test_certify_box_cone_of_oversized_instance_reads_whole_space_bits(monkeypatch):
     prob, subset = oversized_instance()
     assert prob.dimension > DENSE_CAP and prob.A.rows == 64
-    probed = spy_gram_dense(monkeypatch)
+    probed = spy_probed_gram(monkeypatch)
     whole = certify(prob, subset, cone=whole_space_cone(prob.x_dagger))
     boxed = certify(prob, subset, cone=box_cone_at(prob.x_dagger))
     # only the 64 x 64 Gram of the smaller side is probed densely, once per certify
@@ -446,7 +446,7 @@ def test_certify_box_cone_of_oversized_instance_reads_whole_space_bits(monkeypat
 def test_certify_subspace_cone_of_oversized_instance_probes_no_dense_gram(monkeypatch):
     prob, subset = oversized_instance()
     assert prob.dimension > DENSE_CAP
-    probed = spy_gram_dense(monkeypatch)
+    probed = spy_probed_gram(monkeypatch)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a subspace cone built the band of the cells")

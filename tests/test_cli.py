@@ -367,6 +367,21 @@ def test_absurd_iteration_count_exits_4_before_allocating(tmp_path, capsys, comm
     assert "problem too large: the solve's records" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stride", [10**17, 10**18, 2**62, 10**20])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_stride_far_past_the_budget_writes_the_budgets_records(tmp_path, command, stride):
+    # a stride at or past the budget records iterations 0 and 40, the bits
+    # of record_every = 40; from 10**18 on, numpy sized the record range in
+    # floating point to one iterate, and the first record raised IndexError
+    once, far = tmp_path / "once", tmp_path / "far"
+    for every, out in ((40, once), (stride, far)):
+        cfg = write_config(tmp_path, config_text(out, output_record_every=every))
+        assert main([command, "--config", cfg]) == EXIT_OK
+    assert read_all(far) == read_all(once)
+    table = "compare.csv" if command == "compare" else "group_pgd.csv"
+    assert [row[0] for row in csv_columns(far / table, "iter")] == ["0", "40"]
+
+
 def test_absurd_seed_count_exits_4_before_spawning_streams(tmp_path, capsys, monkeypatch):
     # 10**12 replicates: refused by the size rule before a stream is spawned
     from grouppgd import solver

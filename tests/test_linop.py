@@ -22,8 +22,8 @@ from grouppgd.linop import (
     spectral_norm,
     window_table,
 )
-from grouppgd.bench import (Geometry, angle_subsampled_operator, full_coverage_radius,
-                            shifted_angles)
+from grouppgd.bench import (Geometry, angle_subsampled_operator, build_problem,
+                            full_coverage_radius, shifted_angles)
 from grouppgd.constraint import Box
 from grouppgd.solver import group_pgd_step
 from grouppgd.symmetry import (
@@ -31,7 +31,8 @@ from grouppgd.symmetry import (
     polar_theta_shift,
     symmetric_subset,
 )
-from oracles import band_dense, compose_with_action, gram_average, identity_map, stack_mean
+from oracles import (band_dense, compose_with_action, gram_average, identity_map, stack_mean,
+                     transposed_gram_eigvals)
 
 
 def dense_of(A):
@@ -224,6 +225,84 @@ def test_gram_eigvals_polar_instance_reads_the_small_side():
     assert_allclose(got, oracle, rtol=0, atol=1e-12 * oracle[-1])
     assert len(probes) == A.rows
     assert np.array_equal(np.stack(probes), np.eye(A.rows))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_r=st.integers(1, 5), n_theta=st.integers(1, 12),
+       angles=st.lists(st.integers(0, 11), min_size=1, max_size=6), rays=st.integers(1, 4),
+       reach=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+# adjacent angles with five offsets each: the window folds
+@example(n_r=3, n_theta=8, angles=[0, 1, 2, 3], rays=2, reach=2, seed=7)
+@example(n_r=5, n_theta=12, angles=[0, 6], rays=1, reach=3, seed=8)
+# more rows than window cells
+@example(n_r=1, n_theta=12, angles=[0, 6], rays=4, reach=0, seed=9)
+def test_gram_eigvals_of_a_wide_window_keeps_the_every_column_bits(n_r, n_theta, angles, rays,
+                                                                  reach, seed):
+    A = angle_subsampled_operator(n_r, n_theta, angles, rays, seed,
+                                  offsets=range(-reach, reach + 1))
+    # a map without a window probes as the every-column route does, whatever its shape
+    bare = replace(A)
+    assert same_bits(gram_eigvals(bare), transposed_gram_eigvals(bare))
+    if A.rows < len(A.window):
+        assert same_bits(gram_eigvals(A), transposed_gram_eigvals(A))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 4), (4, 3), (12, 20), (20, 12),
+                                   (15, 15), (40, 3)])
+def test_gram_eigvals_of_a_dense_map_keeps_the_every_column_bits(shape):
+    A = from_dense(np.random.default_rng(sum(shape)).standard_normal(shape))
+    assert same_bits(gram_eigvals(A), transposed_gram_eigvals(A))
+
+
+@pytest.mark.parametrize("rays, seed", [(20, 1), (14, 2)])
+def test_gram_eigvals_of_a_tall_window_probes_its_cells(rays, seed):
+    # 48 window cells of 64, read by 80 or 56 rows: the Gram of the window's
+    # cells is probed, and the 16 cells no row reads give exact zeros
+    A = angle_subsampled_operator(4, 16, (0, 4, 8, 12), rays, seed, offsets=(-1, 0, 1))
+    assert len(A.window) == 48 and A.rows > 48 and A.cols == 64
+    oracle = transposed_gram_eigvals(A)
+    probes = []
+
+    def counted_forward(v):
+        probes.extend(v)  # one entry per probed vector
+        return A.window_forward(v)
+
+    got = gram_eigvals(from_window(A.rows, A.cols, A.window, counted_forward, A.window_adjoint))
+    assert np.array_equal(np.stack(probes), np.eye(48))
+    assert np.all(np.diff(got) >= 0) and np.array_equal(got[:16], np.zeros(16))
+    L = oracle[-1]
+    slack = A.cols * np.finfo(float).eps / 2 * L
+    assert abs(got[-1] - L) <= slack
+    assert_allclose(got, oracle, rtol=0, atol=slack)
+
+
+def test_gram_eigvals_reads_a_small_window_of_an_oversized_map():
+    # rows and columns past DENSE_CAP, a window of 10 cells: its 10 x 10
+    # Gram is probed, not refused
+    n = DENSE_CAP + 1
+    window = np.arange(0, 10 * 7, 7)
+    M = np.random.default_rng(4).standard_normal((n, len(window)))
+    probes = []
+
+    def forward(v):
+        probes.extend(v)  # one entry per probed vector
+        return np.matmul(M, v[..., None])[..., 0]
+
+    A = from_window(n, n, window, forward, lambda y: np.matmul(M.T, y[..., None])[..., 0])
+    got = gram_eigvals(A)
+    assert np.array_equal(np.stack(probes), np.eye(10))
+    assert np.array_equal(got[:n - 10], np.zeros(n - 10))
+    oracle = np.linalg.eigvalsh(M.T @ M)
+    assert_allclose(got[n - 10:], oracle, rtol=0, atol=1e-12 * oracle[-1])
+
+
+def test_gram_eigvals_refuses_two_oversized_sides_before_probing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("probed before the size rule")
+
+    monkeypatch.setattr(linop, "_gram_probes", refuse)
+    with pytest.raises(SizeCapError, match=f"Gram of {DENSE_CAP + 1} columns"):
+        gram_eigvals(identity_map(DENSE_CAP + 1))
 
 
 def test_gram_dense_identity():
@@ -465,6 +544,24 @@ def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, cover
     V = np.random.default_rng(seed).standard_normal((band.size, 3))
     assert_allclose(band @ V, stored @ V, rtol=0, atol=tol * band.size)
     assert_allclose(band @ V[:, 0], stored @ V[:, 0], rtol=0, atol=tol * band.size)
+
+
+@pytest.mark.parametrize("order", [np.zeros(32, dtype=np.int64), np.arange(31),
+                                   np.arange(33), np.r_[np.arange(31), 0],
+                                   np.r_[np.arange(31), 32], np.r_[np.arange(31), -1]],
+                         ids=["zeros", "short", "long", "repeat", "past", "negative"])
+def test_band_gram_refuses_an_order_that_is_not_a_permutation(monkeypatch, order):
+    # an order that misses a cell left its position unset, and the band read
+    # uninitialized memory there
+    prob = build_problem(n_r=4, n_theta=8, rays_per_angle=4)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
+
+    def refuse(*args):
+        raise AssertionError("probed before the order was checked")
+
+    monkeypatch.setattr(linop, "_gram_probes", refuse)
+    with pytest.raises(DimensionMismatchError, match="not a permutation of the 32 cells"):
+        band_gram(prob.A, subset, order, pad=1.0)
 
 
 def test_band_gram_stops_probing_once_its_nonzeros_pass_the_size_rule(monkeypatch):

@@ -567,6 +567,38 @@ def test_config_refuses_a_non_integral_count(field, kwargs):
         SolverConfig(**kwargs)
 
 
+@pytest.mark.parametrize("seed, error, message", [
+    (-1, ValueError, "seed must be nonnegative"),
+    (2.5, TypeError, "seed must be an integer"),
+    (3.0, TypeError, "seed must be an integer"),
+])
+def test_config_refuses_a_negative_or_non_integral_seed(seed, error, message):
+    # either would fail deep in numpy once a run seeds its streams
+    with pytest.raises(error, match=message):
+        SolverConfig(max_iters=3, seed=seed)
+
+
+@pytest.mark.parametrize("stride", [10**17, 2**62, 10**20])
+def test_a_stride_far_past_the_budget_records_the_start_and_the_budget(stride):
+    # numpy sized the record range in floating point, so a stride this far
+    # past the budget gave one recorded iterate where the solve counts two
+    prob = small_problem(noise="gaussian", sigma=0.05, seed=4)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    budget = 5
+
+    def traces(record_every):
+        config = SolverConfig(max_iters=budget, seed=3, record_every=record_every)
+        plain, group = run_with_plain(prob, config, subset, 2)
+        return [run(prob, config), run(prob, config, subset),
+                *run_ensemble(prob, config, subset, 2)[2], plain, *group]
+
+    for trace, reference in zip(traces(stride), traces(budget), strict=True):
+        assert trace.iterations.tolist() == [0, budget]
+        for field in ("iterations", "rmsd", "objective", "action_indices", "final_x"):
+            got, expected = getattr(trace, field), getattr(reference, field)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("step", [float("inf"), float("nan"), -1.0])
 def test_config_refuses_a_non_finite_or_negative_step(step):
     with pytest.raises(ValueError, match="positive and finite"):

@@ -1,13 +1,18 @@
-"""A rotation meets the operator in one place.
+"""A rotation meets the operator in one place, and the operator is probed
+through its window.
 
 Every group action is a permutation of the cells, and an operator reads a
 rotation only as the cells ``perm[window]`` that ``linop.window_table``
 lists: the solver's steps, the certificate's ``eps_*`` terms, its subspace
-probes and its band of ``A^T A`` all go through that table.  These tests
-read the package's sources with ``ast`` (they import nothing from them) and
-fail on any other route: a call of a method named ``apply``
-(``GroupAction.apply`` rotates a whole signal), and a read of an attribute
-named ``permutation`` outside ``symmetry.py`` and ``linop.window_table``.
+probes and its band of ``A^T A`` all go through that table.  Every spectrum
+is probed through the operator's window maps, and ``linop.gram_dense``, which
+probes every column, is only the reference that tests compare against.
+These tests read the package's sources with ``ast`` (they import nothing
+from them) and fail on any other route: a call of a method named ``apply``
+(``GroupAction.apply`` rotates a whole signal), a read of an attribute
+named ``permutation`` outside ``symmetry.py`` and ``linop.window_table``, a
+call of ``gram_dense``, and a ``LinearMap`` built outside ``from_dense`` and
+``from_window``.
 """
 
 import ast
@@ -17,6 +22,7 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "grouppgd"
 # (module, top-level definition) pairs that may read a permutation;
 # None stands for every definition of the module
 PERMUTATION_READERS = {("symmetry.py", None), ("linop.py", "window_table")}
+MAP_CONSTRUCTORS = {("linop.py", "from_dense"), ("linop.py", "from_window")}
 
 
 def top_level_nodes():
@@ -35,6 +41,13 @@ def attributes(named):
             for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr == named]
 
 
+def calls_of(named):
+    """``(module, name, node)`` for each call of a function or method ``named``."""
+    return [(module, name, node) for module, name, top in top_level_nodes()
+            for node in ast.walk(top) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == named]
+
+
 def test_no_source_calls_a_method_named_apply():
     calls = [(module, node.lineno) for module, _, top in top_level_nodes()
              for node in ast.walk(top)
@@ -51,3 +64,12 @@ def test_permutations_are_read_only_where_a_rotation_meets_the_operator():
              if (module, None) not in PERMUTATION_READERS
              and (module, name) not in PERMUTATION_READERS]
     assert stray == []
+
+
+def test_no_source_calls_gram_dense():
+    assert [(module, name, node.lineno) for module, name, node in calls_of("gram_dense")] == []
+
+
+def test_a_linear_map_is_built_only_by_its_two_constructors():
+    constructors = {(module, name) for module, name, _ in calls_of("LinearMap")}
+    assert constructors == MAP_CONSTRUCTORS
