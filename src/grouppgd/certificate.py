@@ -76,7 +76,7 @@ from .bench import ProblemInstance
 from .constraint import DescentCone, descent_cone_of, project_cone, subspace_min_eig
 from .linop import (BandGram, DimensionMismatchError, LinearMap, band_gram, gram_eigvals,
                     window_table)
-from .solver import SolverConfig, run_ensemble
+from .solver import SolverConfig, check_solve, run_ensemble
 from .symmetry import SymmetricSubset
 
 __all__ = [
@@ -395,15 +395,16 @@ def verify_bound(problem: ProblemInstance, subset: SymmetricSubset,
                  config: SolverConfig, replicates: int = 20) -> DominationReport:
     """Empirically check the bound: mean distance over replicates vs curve.
 
-    It needs a replicate (checked before certifying) and the certified
-    regime (:meth:`CertificateReport.why_no_bound`): it raises
+    It needs at least one replicate, an integer count, and a solve within
+    the size rule (:func:`~grouppgd.solver.check_solve`, asked before
+    certifying), and then the certified regime
+    (:meth:`CertificateReport.why_no_bound`): it raises
     :class:`BoundVacuousError` when the reason is the vacuous rate and
-    ``ValueError`` for any other reason.  The runs take the
-    certificate's step ``1/L``, and the slack ``2/sqrt(replicates)`` absorbs
-    Monte Carlo error.
+    ``ValueError`` for any other reason.  The runs take the certificate's
+    step ``1/L``, and the slack ``2/sqrt(replicates)`` absorbs Monte Carlo
+    error.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
+    check_solve(problem, config, subset, replicates, plain=False)
     report = certify(problem, subset)
     why = report.why_no_bound()
     if why is not None:

@@ -21,12 +21,14 @@ and an uncertified ``mu_Gstar`` prints ``bound = none`` with its own reason.
 ``solver.step = auto`` is resolved to the certificate's ``1/L``, so the
 solver and the bound share one ``L``; any other step prints no bound.  The
 bound column is :func:`~grouppgd.certificate.bound_at` at the recorded
-iterations.
+iterations, computed once a solve from the plain trace's start.
 
 Configs are flat text files with dotted keys (``problem.n_r = 32``); unknown
-keys are rejected so typos fail loudly.  All outputs are deterministic for a
-fixed config: reruns produce byte-identical files.  Files are written to a
-temp name and renamed, so failures never leave partial files.
+keys are rejected so typos fail loudly.  Each value converts to its field's
+type (``int``, ``float`` or text), and ``solver.step`` is a number or
+``auto``.  All outputs are deterministic for a fixed config: reruns produce
+byte-identical files.  Files are written to a temp name and renamed, so
+failures never leave partial files.
 
 Exit codes: 0 success, 2 config error (a malformed or impossible setting,
 noise whose draw overflows included), 3 solver divergence, 4 problem too
@@ -113,6 +115,8 @@ class ExperimentConfig:
         for name, value in finite.items():
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        if finite.get("solver.step", 1.0) <= 0:  # "auto" is 1/L, which is positive
+            raise ConfigError("solver.step must be 'auto' or a positive number")
         if self.solver_iters < 0:
             raise ConfigError("solver.iters must be nonnegative")
         if not 0.0 < self.problem_angle_fraction <= 1.0:
@@ -148,39 +152,21 @@ class ExperimentConfig:
                 "problem.noise = poisson needs nonnegative measurements: "
                 "set problem.weights = nonneg"
             )
-        if self.solver_step != "auto":
-            if not float(self.solver_step) > 0:
-                raise ConfigError("solver.step must be 'auto' or a positive number")
         if self.solver_tolerance <= 0:
             raise ConfigError("solver.tolerance must be positive")
 
 
+def _step(raw: str) -> float | str:
+    """``solver.step``'s type: ``auto`` or a number."""
+    return raw if raw == "auto" else float(raw)
+
+
+# each value converts to its field's type: its default's, or _step
 _KEY_TO_FIELD = {
-    f.name.replace("_", ".", 1): f for f in fields(ExperimentConfig)
+    f.name.replace("_", ".", 1): (f.name, _step if f.name == "solver_step" else type(f.default))
+    for f in fields(ExperimentConfig)
 }
-
-
-def _convert(key: str, raw: str, typ, lineno: int, path: str):
-    if typ is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: {key} expects an integer, got {raw!r}")
-    if typ is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: {key} expects a number, got {raw!r}")
-    if key == "solver.step":
-        if raw == "auto":
-            return "auto"
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{path}:{lineno}: solver.step expects 'auto' or a number, got {raw!r}"
-            )
-    return raw
+_EXPECTS = {int: "an integer", float: "a number", _step: "'auto' or a number"}
 
 
 def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
@@ -201,9 +187,11 @@ def parse_config(text: str, path: str = "<config>") -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
-        fld = _KEY_TO_FIELD[key]
-        typ = int if fld.type == "int" else float if fld.type == "float" else str
-        setattr(config, fld.name, _convert(key, raw, typ, lineno, path))
+        name, typ = _KEY_TO_FIELD[key]
+        try:
+            setattr(config, name, typ(raw))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {key} expects {_EXPECTS[typ]}, got {raw!r}")
     config.validate()
     return config
 
@@ -296,25 +284,26 @@ def _trace_csv(trace, bound: np.ndarray | None, with_actions: bool) -> str:
 def _solve(config: ExperimentConfig, replicates: int | None = None, objective: bool = True):
     """Build, ask the size rule, certify, and solve with the same ``replicates``
     and ``objective``, ``auto`` resolved to the certificate's ``1/L``.  Returns
-    ``(problem, report, why, plain, group)``; ``why`` says why no bound holds."""
+    ``(bound, report, why, plain, group)``: ``bound`` is the bound column at
+    the recorded iterations, None when ``why`` says why no bound holds.  Every
+    chain starts from zeros, so the plain trace's start is every chain's."""
     problem, subset, solver_config = _build(config)
     check_solve(problem, solver_config, subset, replicates, objective)
     report = certify(problem, subset)
     if solver_config.step_size == "auto":
         solver_config = replace(solver_config, step_size=1.0 / report.L)
     plain, group = run_with_plain(problem, solver_config, subset, replicates, objective)
-    return problem, report, report.why_no_bound(solver_config.step_size), plain, group
+    why = report.why_no_bound(solver_config.step_size)
+    bound = bound_at(report, problem, plain.rmsd[0], plain.iterations) if why is None else None
+    return bound, report, why, plain, group
 
 
 def cmd_run(config: ExperimentConfig, outdir: str) -> int:
-    problem, report, why, pgd_trace, (group_trace,) = _solve(config)
-    group_bound = None
-    if why is None:
-        group_bound = bound_at(report, problem, group_trace.rmsd[0], group_trace.iterations)
+    bound, report, why, pgd_trace, (group_trace,) = _solve(config)
     _write_atomic(os.path.join(outdir, "pgd.csv"),
                   _trace_csv(pgd_trace, None, with_actions=False))
     _write_atomic(os.path.join(outdir, "group_pgd.csv"),
-                  _trace_csv(group_trace, group_bound, with_actions=True))
+                  _trace_csv(group_trace, bound, with_actions=True))
     _write_atomic(os.path.join(outdir, "certificate.txt"), report.to_text())
     print(f"wrote pgd.csv, group_pgd.csv, certificate.txt to {outdir}")
     if why is not None:
@@ -336,16 +325,14 @@ def cmd_certify(config: ExperimentConfig, outdir: str) -> int:
 
 def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     # compare writes only rmsd means
-    problem, report, why, pgd_trace, group_traces = _solve(config, config.solver_seeds,
-                                                           objective=False)
+    bound, _, why, pgd_trace, group_traces = _solve(config, config.solver_seeds,
+                                                    objective=False)
     iters = pgd_trace.iterations
     # the plain chain draws nothing: every plain replicate is this one chain
     pgd_mean = pgd_trace.rmsd
     group_mean = mean_rmsd(group_traces)
-    if why is not None:
+    if bound is None:
         bound = np.full(len(iters), np.nan)
-    else:
-        bound = bound_at(report, problem, pgd_mean[0], iters)
     _write_atomic(os.path.join(outdir, "compare.csv"),
                   _csv("iter,pgd_mean_rmsd,group_mean_rmsd,bound", "%d,%.17g,%.17g,%.17g",
                        [iters, pgd_mean, group_mean, bound]))

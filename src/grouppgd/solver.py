@@ -59,6 +59,7 @@ nothing, and every trace's objective is NaN.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,14 +99,15 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Run parameters.
 
-    ``max_iters``, ``record_every`` and ``seed`` are integers, and ``seed``
-    is nonnegative.  ``step_size`` is a positive finite float or ``"auto"``,
-    which a run resolves to exactly ``1/L``, the reciprocal of the largest
-    eigenvalue of the operator's Gram (:func:`~grouppgd.linop.spectral_norm`,
-    the same ``L`` the certificate reports).  ``auto`` probes the Gram of the
-    operator's smaller side, which the size rule
-    (:class:`~grouppgd.linop.SizeCapError`) refuses when both ``rows`` and
-    the window's cells exceed ``linop.DENSE_CAP``.
+    ``max_iters``, ``record_every`` and ``seed`` are integers (a ``bool`` is
+    not), and ``seed`` is nonnegative.  ``step_size`` is a positive finite
+    real number (not a ``bool``) or ``"auto"``, which a run resolves to
+    exactly ``1/L``, the reciprocal of the largest eigenvalue of the
+    operator's Gram (:func:`~grouppgd.linop.spectral_norm`, the same ``L``
+    the certificate reports).  ``auto`` probes the Gram of the operator's
+    smaller side, which the size rule (:class:`~grouppgd.linop.SizeCapError`)
+    refuses when both ``rows`` and the window's cells exceed
+    ``linop.DENSE_CAP``.
     """
 
     max_iters: int
@@ -115,16 +117,25 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("max_iters", "record_every", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            _check_integer(name, getattr(self, name))
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if self.step_size != "auto" and not 0 < float(self.step_size) < np.inf:
+        if self.step_size == "auto":
+            return
+        if isinstance(self.step_size, bool) or not isinstance(self.step_size, numbers.Real):
+            raise TypeError(f"step_size must be 'auto' or a real number, got {self.step_size!r}")
+        if not 0 < self.step_size < np.inf:
             raise ValueError("explicit step_size must be positive and finite")
+
+
+def _check_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer; a ``bool`` is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -256,15 +267,18 @@ def check_solve(problem: ProblemInstance, config: SolverConfig,
                 objective: bool = True, *, plain: bool = True) -> None:
     """The solve's size rule, asked with :func:`run_with_plain`'s arguments;
     ``plain=False`` counts no plain row, as for :func:`run` and
-    :func:`run_ensemble` with a subset.
+    :func:`run_ensemble` with a subset.  ``replicates`` is None or a
+    positive integer (a ``bool`` is not).
 
     Refuses (:class:`~grouppgd.linop.SizeCapError`, naming the table) more
     than ``linop.DENSE_CAP`` chains, or records (``1 + ceil(budget /
     record_every)`` iterates a row, as the solve records them), a step table,
     a stack or a window table of more than ``linop.DENSE_CAP**2`` entries.
     """
-    if replicates is not None and replicates < 1:
-        raise ValueError("replicates must be at least 1")
+    if replicates is not None:
+        _check_integer("replicates", replicates)
+        if replicates < 1:
+            raise ValueError("replicates must be at least 1")
     d, window = problem.dimension, len(problem.A.window)
     budget = config.max_iters
     n_records = 1 + -(-budget // config.record_every)

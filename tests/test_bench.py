@@ -1,5 +1,7 @@
 """Problem builders: phantoms, operators, noise, covariance structure."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -196,3 +198,33 @@ def test_evenly_spaced_angles_validation():
 def test_operator_rejects_empty_angles():
     with pytest.raises(ValueError):
         angle_subsampled_operator(4, 8, angles=(), rays_per_angle=2, seed=0)
+
+
+PROBLEM_REFUSALS = {
+    "profile": (lambda: ring_phantom(4, 6, np.zeros(3)), "profile must have length 4"),
+    "rays": (lambda: angle_subsampled_operator(4, 8, (0,), 0, seed=0),
+             "rays_per_angle must be at least 1"),
+    "weights": (lambda: angle_subsampled_operator(4, 8, (0,), 2, seed=0, weight_kind="mixed"),
+                "unknown weight_kind 'mixed'"),
+    "coverage": (lambda: full_coverage_radius((), 8), "angle set must be nonempty"),
+    "sigma": (lambda: add_noise(np.ones(3), "gaussian", 0, sigma=-1.0),
+              "sigma must be nonnegative"),
+    "scale": (lambda: add_noise(np.ones(3), "poisson", 0, scale=0.0), "scale must be positive"),
+    "noise": (lambda: add_noise(np.ones(3), "laplace", 0), "unknown noise model 'laplace'"),
+    "phantom": (lambda: build_problem(n_r=4, n_theta=8, rays_per_angle=4, phantom="disk"),
+                "unknown phantom kind 'disk'"),
+}
+
+
+@pytest.mark.parametrize("case", PROBLEM_REFUSALS)
+def test_problem_parts_refuse_what_they_cannot_build(case):
+    build, message = PROBLEM_REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("lo, hi", [(0.05, 0.95), (0.2, 0.3)])
+def test_textured_phantom_of_one_constant_mode_is_the_box_midpoint(lo, hi):
+    # one radius and one harmonic give a constant image: no span to rescale
+    image = textured_phantom(1, 8, 1, seed=0, lo=lo, hi=hi)
+    assert np.array_equal(image, np.full(8, 0.5 * (lo + hi)))

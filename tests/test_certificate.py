@@ -525,6 +525,8 @@ def test_bound_curve_vacuous_alpha_raises():
     assert report.mu_Gstar <= 1e-8
     with pytest.raises(BoundVacuousError):
         bound_curve(report, 1.0, 0.0, 10)
+    with pytest.raises(BoundVacuousError, match="is not below 1"):
+        bound_limit(report, 0.0)
 
 
 def test_verify_bound_noiseless_ring():
@@ -546,6 +548,19 @@ def test_verify_bound_refuses_no_replicates_before_certifying(monkeypatch, repli
     monkeypatch.setattr(certificate, "certify", certify_spy)
     prob = ring_instance()
     with pytest.raises(ValueError, match="replicates must be at least 1"):
+        verify_bound(prob, covering_subset(prob), SolverConfig(max_iters=10, seed=0),
+                     replicates=replicates)
+
+
+@pytest.mark.parametrize("replicates", [2.5, True], ids=["fraction", "bool"])
+def test_verify_bound_refuses_a_non_integral_replicate_count_before_certifying(monkeypatch,
+                                                                             replicates):
+    def certify_spy(*args, **kw):
+        raise AssertionError("certified before checking replicates")
+
+    monkeypatch.setattr(certificate, "certify", certify_spy)
+    prob = ring_instance()
+    with pytest.raises(TypeError, match="replicates must be an integer"):
         verify_bound(prob, covering_subset(prob), SolverConfig(max_iters=10, seed=0),
                      replicates=replicates)
 

@@ -347,6 +347,17 @@ def test_unwritable_output_exits_5(tmp_path):
     assert main(["phantom", "--config", cfg]) == 5
 
 
+def test_a_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    # the temp file is written, then the rename onto a directory fails
+    out = tmp_path / "out"
+    (out / "certificate.txt").mkdir(parents=True)
+    cfg = write_config(tmp_path, config_text(out))
+    assert main(["certify", "--config", cfg]) == 5
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["certificate.txt"]
+    assert os.listdir(out / "certificate.txt") == []
+
+
 @pytest.mark.parametrize("command", ["certify", "run", "compare"])
 def test_oversized_problem_exits_4(tmp_path, capsys, command):
     # every angle, 80 rays each: 5,120 rows and 5,120 columns, so the Gram

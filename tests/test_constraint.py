@@ -1,6 +1,7 @@
 """Projections, descent cones, and restricted eigenvalues."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from grouppgd.constraint import (
     Box,
+    ConstraintSet,
     DescentCone,
     Subspace,
     descent_cone_of,
@@ -345,6 +347,37 @@ def test_restricted_min_eig_box_cone_reads_the_whole_space():
         assert whole <= (v @ M.T @ M @ v) / (v @ v) * (1 + 1e-12)
     with pytest.raises(ValueError, match="subspace cones only"):
         subspace_min_eig(A, cone, [np.arange(A.cols)])
+
+
+class Everything(ConstraintSet):
+    """The whole space, a set with no descent cone construction."""
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+
+    def project(self, x):
+        return self._check(x)
+
+
+CONSTRAINT_REFUSALS = {
+    "contains_stack": (lambda: Box(0.0, 1.0, 3).contains(np.zeros((2, 3))),
+                       DimensionMismatchError, "contains takes one vector, got shape (2, 3)"),
+    "box_order": (lambda: Box(1.0, 1.0, 3), ValueError, "box requires lo < hi componentwise"),
+    "cone_kind": (lambda: DescentCone(anchor=np.zeros(3), kind="ball"),
+                  ValueError, "unknown cone kind 'ball'"),
+    "no_cone": (lambda: descent_cone_of(Everything(3), np.zeros(3)),
+                TypeError, "no descent cone construction for Everything"),
+    "eig_dimension": (lambda: restricted_min_eig(
+        identity_map(4), DescentCone(anchor=np.zeros(3), kind="whole_space")),
+        DimensionMismatchError, "operator has 4 columns, cone 3"),
+}
+
+
+@pytest.mark.parametrize("case", CONSTRAINT_REFUSALS)
+def test_sets_and_cones_refuse_what_they_cannot_hold(case):
+    build, error, message = CONSTRAINT_REFUSALS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 def test_dimension_mismatch_raises():

@@ -85,6 +85,12 @@ def test_apply_rejects_wrong_length():
         A(np.zeros(5))
 
 
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3, 4)])
+def test_from_dense_refuses_an_array_that_is_not_2d(shape):
+    with pytest.raises(DimensionMismatchError, match=f"expected a 2-D array, got ndim={len(shape)}"):
+        from_dense(np.zeros(shape))
+
+
 def test_adjoint_consistency_all_constructors():
     rng = np.random.default_rng(11)
     M = rng.standard_normal((10, 12))

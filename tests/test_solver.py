@@ -1,5 +1,6 @@
 """Solver steps, runs, ensembles, and determinism."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,10 @@ from grouppgd import kernels, linop, solver
 from grouppgd.bench import Geometry, ProblemInstance, angle_subsampled_operator, build_problem
 from grouppgd.certificate import certify, compute_eps_gstar, compute_eps_w
 from grouppgd.constraint import Box, DescentCone, Subspace
-from grouppgd.linop import LinearMap, SizeCapError, from_dense, spectral_norm
+from grouppgd.linop import DimensionMismatchError, LinearMap, SizeCapError, from_dense, spectral_norm
 from grouppgd.solver import (
     DivergenceError,
+    IterateTrace,
     SolverConfig,
     group_pgd_step,
     pgd_step,
@@ -547,6 +549,36 @@ def test_operator_without_window_gives_the_same_traces():
         assert got[0] == got[1] and term(A, subset, v, cone) > 0
 
 
+def trace_of(iterations, n_rmsd):
+    n = len(iterations)
+    return IterateTrace(iterations=np.asarray(iterations), rmsd=np.zeros(n_rmsd),
+                        objective=np.zeros(n), action_indices=np.zeros(n), final_x=np.zeros(2))
+
+
+SOLVER_REFUSALS = {
+    "trace_length": (lambda p: trace_of([0, 1, 2], 2),
+                     ValueError, "trace field rmsd has inconsistent length"),
+    "trace_order": (lambda p: trace_of([0, 2, 1], 3),
+                    ValueError, "iteration indices must be strictly increasing"),
+    "iterate_shape": (lambda p: pgd_step(np.zeros(p.dimension + 1), p.A, p.b, p.K, 0.1),
+                      DimensionMismatchError, "iterate has shape (33,), operator expects (32,)"),
+    "observation_shape": (lambda p: pgd_step(np.zeros(p.dimension), p.A, p.b[1:], p.K, 0.1),
+                          DimensionMismatchError,
+                          "observation has shape (15,), operator produces (16,)"),
+    "subset_dimension": (lambda p: run(p, SolverConfig(max_iters=2),
+                                       symmetric_subset(polar_theta_shift(1, 6, 1), 1)),
+                         DimensionMismatchError,
+                         "subset dimension 6 does not match problem dimension 32"),
+}
+
+
+@pytest.mark.parametrize("case", SOLVER_REFUSALS)
+def test_traces_and_steps_refuse_what_does_not_line_up(case):
+    build, error, message = SOLVER_REFUSALS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        build(small_problem())
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=-1)
@@ -560,11 +592,39 @@ def test_config_validation():
     ("max_iters", {"max_iters": 1.5}),
     ("max_iters", {"max_iters": 2.0}),
     ("record_every", {"max_iters": 10, "record_every": 2.5}),
+    ("max_iters", {"max_iters": True}),
+    ("seed", {"max_iters": 3, "seed": True}),
+    ("record_every", {"max_iters": 3, "record_every": True}),
 ])
 def test_config_refuses_a_non_integral_count(field, kwargs):
-    # a float count would fail deep in numpy once a run sizes its records
+    # a float count would fail deep in numpy once a run sizes its records;
+    # a bool is an int, but no count
     with pytest.raises(TypeError, match=f"{field} must be an integer"):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("step", [True, "0.5", None], ids=["bool", "text", "none"])
+def test_config_refuses_a_step_that_is_not_a_real_number(step):
+    # True stepped at 1.0, and text ran until the report formatted the step
+    with pytest.raises(TypeError, match="step_size must be 'auto' or a real number"):
+        SolverConfig(max_iters=3, step_size=step)
+
+
+@pytest.mark.parametrize("step", [1, np.int64(1), np.float32(0.5), 0.5])
+def test_config_takes_any_real_step(step):
+    prob = small_problem()
+    assert run(prob, SolverConfig(max_iters=2, step_size=step), None).rmsd[-1] > 0
+
+
+@pytest.mark.parametrize("replicates", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+def test_solve_refuses_a_replicate_count_that_is_not_an_integer(replicates):
+    # 2.5 failed inside SeedSequence.spawn, and True ran one replicate
+    prob = small_problem()
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
+    config = SolverConfig(max_iters=2, seed=0)
+    for solve in (solver.check_solve, run_ensemble, run_with_plain):
+        with pytest.raises(TypeError, match="replicates must be an integer"):
+            solve(prob, config, subset, replicates)
 
 
 @pytest.mark.parametrize("seed, error, message", [

@@ -1,6 +1,7 @@
 """Group actions: exactness, orthogonality, subsets, sampling."""
 
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -165,6 +166,32 @@ def test_subset_refuses_a_repeated_rotation():
     actions = (identity_action(4),) + tuple(polar_theta_shift(1, 4, s) for s in (1, -1, 2, -2))
     with pytest.raises(ValueError, match="more than once"):
         SymmetricSubset(actions=actions, radius=2)
+
+
+SYMMETRY_REFUSALS = {
+    "permutation_shape": (lambda: GroupAction(dimension=4, permutation=np.arange(3), power=0),
+                          "permutation has shape (3,), expected (4,)"),
+    "empty_grid": (lambda: polar_theta_shift(0, 4, 1), "grid sizes must be at least 1"),
+    "empty_subset": (lambda: SymmetricSubset(actions=(), radius=0), "subset must be nonempty"),
+    "mixed_dimensions": (lambda: SymmetricSubset(
+        actions=(identity_action(4), polar_theta_shift(1, 6, 1), polar_theta_shift(1, 6, -1)),
+        radius=1), "all actions must share one dimension"),
+    # g^2 labelled as g^-1
+    "mate_not_inverse": (lambda: SymmetricSubset(
+        actions=(identity_action(6), polar_theta_shift(1, 6, 1),
+                 GroupAction(dimension=6, permutation=polar_theta_shift(1, 6, 2).permutation,
+                             power=-1)),
+        radius=1), "action with power -1 is not the inverse of power 1"),
+    "negative_radius": (lambda: symmetric_subset(polar_theta_shift(1, 6, 1), -1),
+                        "radius must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", SYMMETRY_REFUSALS)
+def test_actions_and_subsets_refuse_what_they_cannot_hold(case):
+    build, message = SYMMETRY_REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_subset_constructor_rejects_unbalanced_powers():
