@@ -90,6 +90,12 @@ def _check_size(entries: int, what: str) -> None:
         raise SizeCapError(f"{what}: {entries} entries, above {DENSE_CAP}**2")
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse ``value`` unless it is an integer; a ``bool`` is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """A real linear operator given by its forward and adjoint actions.

@@ -16,11 +16,13 @@ row, :func:`run_ensemble` is one row per group replicate (a plain
 ensemble draws nothing, so it is its one chain), and
 :func:`run_with_plain` steps the plain chain as one more row beside the
 group chains, so a comparison of the two methods is one stack.  Every
-chain starts from zeros, and the replicate streams are spawned only once
-the solve's size rule (:func:`check_solve`) has passed.  The driver
-resolves an ``"auto"`` step itself and fixes the recorded iterations
-before its first step.  Each group row draws all its action indices at
-once, ``rng.integers(len(subset), size=budget)``, the same values as one
+chain starts from zeros.  The driver first asks the solve's size rule
+(:func:`check_solve`), which returns the counts the driver allocates, so
+an oversized solve is refused before an ``"auto"`` step probes the
+spectrum or a replicate stream is spawned.  It then resolves the step and
+fixes the recorded iterations before its first step.  Each group row
+draws all its action indices at once, ``rng.integers(len(subset),
+size=budget)``, the same values as one
 :func:`~grouppgd.symmetry.sample_action` call per step, and adds them into
 the run's one step table.
 
@@ -67,7 +69,8 @@ import numpy as np
 from . import linop
 from .bench import ProblemInstance
 from .constraint import Box
-from .linop import LinearMap, DimensionMismatchError, _check_size, spectral_norm, window_table
+from .linop import (LinearMap, DimensionMismatchError, _check_integer, _check_size,
+                    spectral_norm, window_table)
 from .symmetry import GroupAction, SymmetricSubset
 
 __all__ = [
@@ -107,7 +110,8 @@ class SolverConfig:
     the certificate reports).  ``auto`` probes the Gram of the operator's
     smaller side, which the size rule (:class:`~grouppgd.linop.SizeCapError`)
     refuses when both ``rows`` and the window's cells exceed
-    ``linop.DENSE_CAP``.
+    ``linop.DENSE_CAP``; a run refuses ``auto`` when ``L`` is 0
+    (``ValueError``), as for an operator whose weights are all zero.
     """
 
     max_iters: int
@@ -130,12 +134,6 @@ class SolverConfig:
             raise TypeError(f"step_size must be 'auto' or a real number, got {self.step_size!r}")
         if not 0 < self.step_size < np.inf:
             raise ValueError("explicit step_size must be positive and finite")
-
-
-def _check_integer(name: str, value) -> None:
-    """Refuse a count that is not an integer; a ``bool`` is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -264,16 +262,18 @@ def _row_dots(U):
 
 def check_solve(problem: ProblemInstance, config: SolverConfig,
                 subset: SymmetricSubset | None, replicates: int | None = None,
-                objective: bool = True, *, plain: bool = True) -> None:
+                objective: bool = True, *, plain: bool = True) -> tuple[int, ...]:
     """The solve's size rule, asked with :func:`run_with_plain`'s arguments;
     ``plain=False`` counts no plain row, as for :func:`run` and
     :func:`run_ensemble` with a subset.  ``replicates`` is None or a
     positive integer (a ``bool`` is not).
 
     Refuses (:class:`~grouppgd.linop.SizeCapError`, naming the table) more
-    than ``linop.DENSE_CAP`` chains, or records (``1 + ceil(budget /
-    record_every)`` iterates a row, as the solve records them), a step table,
-    a stack or a window table of more than ``linop.DENSE_CAP**2`` entries.
+    than ``linop.DENSE_CAP`` chains, or records, a step table, a stack or a
+    window table of more than ``linop.DENSE_CAP**2`` entries.  Returns the
+    counts it bounds, which the solve allocates: the chains, the group rows
+    that end them, the step table's width, the record stride clamped to the
+    budget and the ``1 + ceil(budget / stride)`` records of a row.
     """
     if replicates is not None:
         _check_integer("replicates", replicates)
@@ -281,7 +281,8 @@ def check_solve(problem: ProblemInstance, config: SolverConfig,
             raise ValueError("replicates must be at least 1")
     d, window = problem.dimension, len(problem.A.window)
     budget = config.max_iters
-    n_records = 1 + -(-budget // config.record_every)
+    stride = min(config.record_every, max(budget, 1))
+    n_records = 1 + -(-budget // stride)
     group = 0 if subset is None else replicates or 1
     rows = int(plain) + group
     gathered = rows + group if objective else rows
@@ -295,51 +296,53 @@ def check_solve(problem: ProblemInstance, config: SolverConfig,
     _check_size(rows * d, f"the solve's stack of {rows} rows x {d} cells")
     _check_size(rows * actions * window,
                 f"the solve's window table of {rows} rows x {actions} actions x {window} cells")
+    return rows, group, gathered, stride, n_records
 
 
 def _drive(problem: ProblemInstance, config: SolverConfig,
            subset: SymmetricSubset | None, plain: bool, replicates: int | None,
            objective: bool = True) -> list[IterateTrace]:
     """Step a stack of chains from zeros for ``config.max_iters`` steps; one
-    trace per row.
+    trace per row, laid out as :func:`check_solve` counts it.
 
-    An ``"auto"`` step is resolved here.  The plain row comes first when
-    ``plain`` is true.  Group rows follow only when there is a ``subset``:
-    one on ``default_rng(config.seed)`` when ``replicates`` is None, else
-    one per :func:`replicate_rngs` stream.  The recorded iterations, fixed
-    before the first step, are every ``config.record_every``-th iterate
-    from 0, then the last.  The step from each gives its objectives; with
-    ``objective`` False they are NaN and no forward is spent on them.  Each
-    stack row's block of the window table is ``window_table(A, subset)``,
-    or the operator's own window without a subset; a group row's recorded
-    action is its drawn index and a plain row's is -1.  A feasible set that
-    is not a :class:`~grouppgd.constraint.Box` raises ``TypeError``, and
-    :func:`check_solve` refuses an oversized solve, before any stream is
-    spawned or array allocated.  Raises :class:`DivergenceError` at the
-    first iteration at which any row leaves the finite ball of radius
+    The plain row comes first when ``plain`` is true.  Group rows follow
+    only when there is a ``subset``: one on ``default_rng(config.seed)``
+    when ``replicates`` is None, else one per :func:`replicate_rngs`
+    stream.  The recorded iterations, fixed before the first step, are
+    every ``config.record_every``-th iterate from 0, then the last.  The
+    step from each gives its objectives; with ``objective`` False they are
+    NaN and no forward is spent on them.  Each stack row's block of the
+    window table is ``window_table(A, subset)``, or the operator's own
+    window without a subset; a group row's recorded action is its drawn
+    index and a plain row's is -1.  An oversized solve (:func:`check_solve`)
+    and a subset of another dimension are refused before an ``"auto"`` step
+    probes the spectrum; after it, the step's rules refuse a feasible set
+    that is not a :class:`~grouppgd.constraint.Box` (``TypeError``), an
+    observation of another shape, and a step that is not positive and
+    finite or ``L = 0`` (``ValueError``), before any stream is spawned or
+    array allocated.  Raises :class:`DivergenceError` at the first
+    iteration at which any row leaves the finite ball of radius
     ``DIVERGENCE_NORM``; a recorded iterate whose rows all lie within
     ``DIVERGENCE_NORM / 2 - |x_dagger|`` of the ground truth is inside it,
     and only other iterates have their norms taken.
     """
     A, b, K = problem.A, problem.b, problem.K
     d, budget = problem.dimension, config.max_iters
-    # a stride at or past the budget records 0 and the budget; clamped, the
-    # range below is sized exactly whatever the stride
-    stride = min(config.record_every, max(budget, 1))
-    eta = 1.0 / spectral_norm(A) if config.step_size == "auto" else float(config.step_size)
-    _check_step_args((d,), A, b, K, eta)
+    R, n_group, gathered, stride, n_records = check_solve(
+        problem, config, subset, replicates, objective, plain=plain)
     if subset is not None and subset.dimension != d:
         raise DimensionMismatchError(
             f"subset dimension {subset.dimension} does not match problem dimension {d}"
         )
-    check_solve(problem, config, subset, replicates, objective, plain=plain)
-    n_group = 0 if subset is None else replicates or 1
-    R = int(plain) + n_group
+    if config.step_size == "auto" and not (L := spectral_norm(A)) > 0:
+        raise ValueError(f"the 'auto' step 1/L needs a positive L, got L={L}")
+    eta = 1.0 / L if config.step_size == "auto" else float(config.step_size)
+    _check_step_args((d,), A, b, K, eta)
     rngs = ([] if subset is None else [np.random.default_rng(config.seed)] if replicates is None
             else replicate_rngs(config.seed, replicates))
     X = np.zeros((R, d))
-    # 0, stride, 2 * stride, ... and the budget: check_solve's 1 + ceil(budget / stride)
-    iterations = np.arange(0, budget + stride, stride)
+    # 0, stride, 2 * stride, ... and the budget
+    iterations = np.arange(n_records) * stride
     iterations[-1] = budget
     rmsd = np.empty((R, len(iterations)))
     objectives = np.full((R, len(iterations)), np.nan)
@@ -357,14 +360,13 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     table = A.window[None] if subset is None else window_table(A, subset)
     n = len(table)
     table = (table + d * rows[:, None, None]).reshape(R * n, -1)
-    first = R - n_group  # the first group row
-    group = rows[first:]
+    group = rows[R - n_group:]
     # step k gathers the table rows steps[k, :R].  When objectives are
     # recorded, the step from a recorded iterate also gathers each group
     # row's identity window (steps[k, R:]), whose residual is that row's
     # objective residual; a plain row's objective residual is its own step
     # residual.  The draws are added into the one table.
-    steps = np.empty((budget, R + n_group if objective else R), dtype=np.int64)
+    steps = np.empty((budget, gathered), dtype=np.int64)
     steps[:, :R] = n * rows
     for r, rng in zip(group, rngs):
         steps[:, r] += rng.integers(len(subset), size=budget)

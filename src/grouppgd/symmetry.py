@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import _check_size
+from .linop import _check_integer, _check_size
 
 __all__ = [
     "GroupAction",
@@ -80,7 +80,9 @@ def polar_theta_shift(n_r: int, n_theta: int, s: int) -> GroupAction:
     (index = r * n_theta + theta); the rotated image reads
     ``out(r, theta) = x(r, (theta - s) mod n_theta)``.  With ``n_r == 1``
     it is the circular shift that turns ``(1, 2, 3, 4)`` into ``(4, 1, 2, 3)``.
+    ``s`` is an integer (a ``bool`` is not).
     """
+    _check_integer("s", s)
     if n_r < 1 or n_theta < 1:
         raise ValueError("grid sizes must be at least 1")
     theta = np.arange(n_theta, dtype=np.int64)
@@ -144,12 +146,14 @@ class SymmetricSubset:
 
 
 def symmetric_subset(generator: GroupAction, radius: int) -> SymmetricSubset:
-    """Build {Id, g, g^-1, g^2, g^-2, ...} up to ``+-radius`` from a generator.
+    """Build {Id, g, g^-1, g^2, g^-2, ...} up to ``+-radius`` from a generator;
+    ``radius`` is a nonnegative integer (a ``bool`` is not).
 
     ``2 * radius + 1`` permutations of more than ``linop.DENSE_CAP**2``
     entries in all are refused (:class:`~grouppgd.linop.SizeCapError`)
     before the first is built; those entries are all the subset holds.
     """
+    _check_integer("radius", radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     d = generator.dimension

@@ -1,5 +1,6 @@
 """Solver steps, runs, ensembles, and determinism."""
 
+import itertools
 import re
 from dataclasses import replace
 
@@ -833,3 +834,79 @@ def test_solve_holds_one_step_table(objective, counted):
 
     peak(2_000)  # the first solve also allocates what later ones reuse
     assert (peak(8_000) - peak(2_000)) / 6_000 <= 8 * counted + 8
+
+
+@pytest.mark.parametrize("solve", ["run", "run_with_plain"])
+def test_an_auto_step_refuses_an_operator_whose_norm_is_zero(solve):
+    # 1 / L raised ZeroDivisionError
+    prob = build_problem(n_r=2, n_theta=4, rays_per_angle=2)
+    zero = replace(prob, A=from_dense(np.zeros((prob.A.rows, prob.A.cols))),
+                   b=np.zeros(prob.A.rows), w=np.zeros(prob.A.rows))
+    config = SolverConfig(max_iters=3)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
+    with pytest.raises(ValueError, match=r"positive L, got L=0\.0"):
+        run(zero, config) if solve == "run" else run_with_plain(zero, config, subset)
+
+
+@pytest.mark.parametrize("solve", ["run", "run_ensemble", "run_with_plain"])
+def test_the_solve_refuses_before_the_auto_step_probes(monkeypatch, solve):
+    # the size rule and the subset's dimension are asked before "auto"
+    # resolves to 1 / L: an absurd budget was refused only after the probe
+    def refuse(A):
+        raise AssertionError("spectral_norm called")
+
+    monkeypatch.setattr(solver, "spectral_norm", refuse)
+    prob = small_problem()
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
+    other = symmetric_subset(polar_theta_shift(1, prob.dimension + 1, 1), 1)
+    calls = {
+        "run": lambda config, sub: run(prob, config, sub),
+        "run_ensemble": lambda config, sub: run_ensemble(prob, config, sub, 3),
+        "run_with_plain": lambda config, sub: run_with_plain(prob, config, sub, 3),
+    }
+    with pytest.raises(SizeCapError, match="the solve's"):
+        calls[solve](SolverConfig(max_iters=10**15), subset)
+    with pytest.raises(DimensionMismatchError, match="subset dimension"):
+        calls[solve](SolverConfig(max_iters=3), other)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 10**20])
+def test_the_size_rules_counts_are_the_solves_layout(stride):
+    # check_solve's counts are what the solve holds and maps: one trace per
+    # chain, the records of each, and the rows each forward maps (a step
+    # from a recorded iterate gathers the step table's width, any other
+    # step the chains, and the last iterate's objective the chains)
+    base = small_problem(noise="gaussian", sigma=0.05, seed=4)
+    mapped = []
+
+    def forward(x):
+        mapped.append(len(x))
+        return base.A.forward(x)
+
+    prob = replace(base, A=LinearMap(rows=base.A.rows, cols=base.A.cols, forward=forward,
+                                     adjoint=base.A.adjoint))
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
+    budgets = sorted({0, 1, stride - 1, 2 * stride + 1})
+    for budget, replicates, objective, plain, sub in itertools.product(
+            budgets, (None, 1, 3), (True, False), (True, False), (subset, None)):
+        if sub is None and not plain:
+            continue  # no chain at all
+        config = SolverConfig(max_iters=budget, step_size=0.1, seed=2, record_every=stride)
+        if budget > 10**6:  # past the far stride: refused, before any solve
+            with pytest.raises(SizeCapError, match="the solve's step table"):
+                solver.check_solve(prob, config, sub, replicates, objective, plain=plain)
+            continue
+        rows, group, gathered, clamped, records = solver.check_solve(
+            prob, config, sub, replicates, objective, plain=plain)
+        n_group = 0 if sub is None else replicates or 1
+        expected = [*range(0, budget, stride), budget]
+        assert (rows, group) == (plain + n_group, n_group)
+        assert gathered == rows + n_group * objective
+        assert (clamped, records) == (min(stride, max(budget, 1)), len(expected))
+        mapped.clear()
+        traces = solver._drive(prob, config, sub, plain, replicates, objective)
+        assert len(traces) == rows
+        assert all(trace.iterations.tolist() == expected for trace in traces)
+        starts = set(expected[:-1]) if objective else set()
+        steps = [gathered if k in starts else rows for k in range(budget)]
+        assert mapped == steps + [rows] * objective

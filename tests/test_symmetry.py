@@ -194,6 +194,20 @@ def test_actions_and_subsets_refuse_what_they_cannot_hold(case):
         build()
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: polar_theta_shift(4, 8, 1.5), "s"),
+    (lambda: polar_theta_shift(4, 8, 2.0), "s"),
+    (lambda: polar_theta_shift(4, 8, True), "s"),
+    (lambda: symmetric_subset(polar_theta_shift(4, 8, 1), True), "radius"),
+    (lambda: symmetric_subset(polar_theta_shift(4, 8, 1), 1.0), "radius"),
+], ids=["shift_fraction", "shift_float", "shift_bool", "radius_bool", "radius_float"])
+def test_builders_refuse_a_shift_or_radius_that_is_not_an_integer(build, name):
+    # a float shift failed formatting its label after the permutation was
+    # built, a float radius failed inside range, and a bool was taken as 1
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        build()
+
+
 def test_subset_constructor_rejects_unbalanced_powers():
     g = polar_theta_shift(1, 6, 1)
     ident = identity_action(6)
