@@ -252,18 +252,14 @@ def _write_atomic(path: str, text: str):
         raise
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _csv(head: list[str], template: str, columns) -> str:
+    """The ``head`` lines, then one line per row: ``template % row`` over the columns.
 
-
-def _csv(header: str, template: str, columns) -> str:
-    """``header``, then one line per row: ``template % row`` over the columns.
-
-    ``%.17g`` and ``%d`` on ``tolist()`` values write what :func:`_fmt` and
+    ``%.17g`` and ``%d`` on ``tolist()`` values write what ``f"{v:.17g}"`` and
     ``str(int(v))`` write, one template per row instead of one call per cell.
     """
     rows = zip(*(column.tolist() for column in columns))
-    return "\n".join([header, *(template % row for row in rows)]) + "\n"
+    return "\n".join([*head, *(template % row for row in rows)]) + "\n"
 
 
 def _trace_csv(trace, bound: np.ndarray | None, with_actions: bool) -> str:
@@ -278,7 +274,7 @@ def _trace_csv(trace, bound: np.ndarray | None, with_actions: bool) -> str:
         header += ",action_index"
         template += ",%d"
         columns.append(trace.action_indices)
-    return _csv(header, template, columns)
+    return _csv([header], template, columns)
 
 
 def _solve(config: ExperimentConfig, replicates: int | None = None, objective: bool = True):
@@ -334,7 +330,7 @@ def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     if bound is None:
         bound = np.full(len(iters), np.nan)
     _write_atomic(os.path.join(outdir, "compare.csv"),
-                  _csv("iter,pgd_mean_rmsd,group_mean_rmsd,bound", "%d,%.17g,%.17g,%.17g",
+                  _csv(["iter,pgd_mean_rmsd,group_mean_rmsd,bound"], "%d,%.17g,%.17g,%.17g",
                        [iters, pgd_mean, group_mean, bound]))
 
     tol = config.solver_tolerance
@@ -344,7 +340,7 @@ def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
         reached = f"{int(iters[hit[0]])}" if len(hit) else "not reached"
         summary_lines.append(
             f"{name}: iterations to mean rmsd <= {tol:g}: {reached} "
-            f"(final {_fmt(mean[-1])})"
+            f"(final {mean[-1]:.17g})"
         )
     summary = "\n".join(summary_lines) + "\n"
     _write_atomic(os.path.join(outdir, "summary.txt"), summary)
@@ -359,11 +355,10 @@ def cmd_phantom(config: ExperimentConfig, outdir: str) -> int:
     n_r, n_theta = config.problem_n_r, config.problem_n_theta
     image = problem.x_dagger.reshape(n_r, n_theta)
     levels = np.clip(np.rint(image * 255.0), 0, 255).astype(int)
-    pgm_lines = ["P2", f"{n_theta} {n_r}", "255"]
-    pgm_lines.extend(" ".join(str(v) for v in row) for row in levels)
-    _write_atomic(os.path.join(outdir, "phantom.pgm"), "\n".join(pgm_lines) + "\n")
-    csv_lines = [" ".join(_fmt(v) for v in row) for row in image]
-    _write_atomic(os.path.join(outdir, "phantom.csv"), "\n".join(csv_lines) + "\n")
+    _write_atomic(os.path.join(outdir, "phantom.pgm"),
+                  _csv(["P2", f"{n_theta} {n_r}", "255"], " ".join(["%d"] * n_theta), levels.T))
+    _write_atomic(os.path.join(outdir, "phantom.csv"),
+                  _csv([], " ".join(["%.17g"] * n_theta), image.T))
     print(f"wrote phantom.pgm, phantom.csv to {outdir}")
     return EXIT_OK
 

@@ -73,8 +73,8 @@ class Box(ConstraintSet):
             raise ValueError("box requires lo < hi componentwise")
 
     def project(self, x):
-        # the same bits as np.clip with these array bounds, NaN included, at
-        # a third of its per-call cost
+        # NaN stays NaN and -0.0 at a bound of 0.0 gives 0.0 (np.clip can keep
+        # -0.0, and does with scalar bounds), at about half np.clip's per-call cost
         out = np.maximum(self._check(x), self.lo)
         return np.minimum(out, self.hi, out=out)
 
@@ -108,7 +108,7 @@ class DescentCone:
 
     ``kind`` is one of ``whole_space``, ``subspace`` (orthonormal ``basis``),
     or ``box`` (direction bounds ``lo <= v <= hi``, each entry 0 or
-    infinite).
+    infinite).  The anchor is kept as a float array.
     """
 
     anchor: np.ndarray
@@ -118,6 +118,7 @@ class DescentCone:
     hi: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
         if self.kind not in ("whole_space", "subspace", "box"):
             raise ValueError(f"unknown cone kind {self.kind!r}")
         if self.kind == "subspace" and _orthonormal(self.basis).shape[0] != self.dimension:

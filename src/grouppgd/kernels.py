@@ -99,9 +99,7 @@ def scatter_add(index, values, size):
     """
     batch = values.shape[:-1]
     count = math.prod(batch)
-    flat = index.ravel()
-    if count != 1:
-        flat = (flat + size * np.arange(count)[:, None]).ravel()
+    flat = (index.ravel() + size * np.arange(count)[:, None]).ravel()
     out = np.bincount(flat, weights=values.ravel(), minlength=count * size)
     return out.reshape(batch + (size,))
 

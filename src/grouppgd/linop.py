@@ -96,6 +96,15 @@ def _check_integer(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _cells(name: str, cells) -> np.ndarray:
+    """``cells`` as an int64 array; refused (``TypeError``) unless its dtype
+    is an integer kind, so no index is truncated.  An empty array holds none."""
+    cells = np.asarray(cells)
+    if cells.size and cells.dtype.kind not in "iu":
+        raise TypeError(f"{name} must hold integer cells, got dtype {cells.dtype}")
+    return cells.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """A real linear operator given by its forward and adjoint actions.
@@ -146,19 +155,16 @@ class LinearMap:
 def from_dense(matrix: np.ndarray, tag: str = "dense") -> LinearMap:
     """Wrap a dense 2-D array as a LinearMap with exact matrix-vector products.
 
-    A stack is multiplied one row at a time (a stacked ``np.matmul`` of the
-    matrix with column vectors), which keeps each row's bits.
+    Its window is every column (:func:`from_window`).  A stack is multiplied
+    one row at a time (a stacked ``np.matmul`` of the matrix with column
+    vectors), which keeps each row's bits.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D array, got ndim={M.ndim}")
-    return LinearMap(
-        rows=M.shape[0],
-        cols=M.shape[1],
-        forward=lambda x, M=M: np.matmul(M, x[..., None])[..., 0],
-        adjoint=lambda y, M=M: np.matmul(M.T, y[..., None])[..., 0],
-        tag=tag,
-    )
+    return from_window(*M.shape, np.arange(M.shape[1]),
+                       lambda v: np.matmul(M, v[..., None])[..., 0],
+                       lambda y: np.matmul(M.T, y[..., None])[..., 0], tag=tag)
 
 
 def from_window(rows: int, cols: int, window, window_forward, window_adjoint,
@@ -179,9 +185,10 @@ def from_window(rows: int, cols: int, window, window_forward, window_adjoint,
     ``bincount``.  Those are the bits a ``bincount`` over the given window
     gives, so ``forward`` and ``adjoint`` do not change.  A window of
     distinct cells keeps its maps.  A cell outside ``[0, cols)`` is refused
-    (:class:`DimensionMismatchError`).
+    (:class:`DimensionMismatchError`), and a nonempty ``window`` whose dtype
+    is not an integer kind (``TypeError``).
     """
-    window = np.asarray(window, dtype=np.int64).ravel()
+    window = _cells("window", window).ravel()
     outside = window[(window < 0) | (window >= cols)]
     if len(outside):
         raise DimensionMismatchError(
@@ -363,9 +370,9 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
     so every nonzero falls in a diagonal block or the one below it, whatever
     the operator or the actions; at worst the band is one dense block.  The
     pad's diagonal holds ``pad``.  An ``order`` that is not a permutation of
-    the cells is refused (:class:`DimensionMismatchError`), and an action of
-    another dimension than ``A.cols`` by :func:`window_table`, before the
-    first probe.
+    the cells is refused (:class:`DimensionMismatchError`; ``TypeError``
+    when its dtype is not an integer kind), and an action of another
+    dimension than ``A.cols`` by :func:`window_table`, before the first probe.
     Block rows of more than ``DENSE_CAP**2`` entries are refused
     (:class:`SizeCapError`) before they are allocated, and probing stops
     once the nonzeros kept, each in its own cell of the band, pass that
@@ -375,7 +382,7 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
     # the band holds at least 2d entries, so this refuses no band the check
     # below would pass; it bounds the int32 cell indices before probing
     _check_size(d, f"the band of {d} cells")
-    order = np.asarray(order, dtype=np.int64)
+    order = _cells("order", order)
     if order.shape != (d,) or order.min(initial=0) < 0 or (np.bincount(order) != 1).any():
         raise DimensionMismatchError(f"the band's order is not a permutation of the {d} cells")
     table = window_table(A, actions)

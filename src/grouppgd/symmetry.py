@@ -41,7 +41,8 @@ class GroupAction:
     the action moves the last axis, so a stack of signals rotates row by row.
     It keeps a read-only int64 copy of the permutation it is given.
     ``power`` is the exponent of this action relative to the generator that
-    produced it (0 for the identity, negative for inverses).
+    produced it (0 for the identity, negative for inverses), an integer (a
+    ``bool`` is not).
     """
 
     dimension: int
@@ -50,6 +51,7 @@ class GroupAction:
     label: str = ""
 
     def __post_init__(self):
+        _check_integer("power", self.power)
         perm = np.asarray(self.permutation)
         if perm.shape != (self.dimension,):
             raise ValueError(
@@ -98,8 +100,8 @@ class SymmetricSubset:
     """Ordered actions {Id, g, g^-1, ..., g^radius, g^-radius}.
 
     Index 0 is always the identity; size is ``2 * radius + 1``, all distinct
-    permutations.  The ordering is the canonical layout consumed by solver
-    traces and certificates.
+    permutations; ``radius`` is an integer (a ``bool`` is not).  The ordering
+    is the canonical layout consumed by solver traces and certificates.
     """
 
     actions: tuple[GroupAction, ...]
@@ -107,6 +109,7 @@ class SymmetricSubset:
     generator_label: str = "g"
 
     def __post_init__(self):
+        _check_integer("radius", self.radius)
         if not self.actions:
             raise ValueError("subset must be nonempty")
         identity = np.arange(self.dimension)

@@ -687,6 +687,26 @@ def test_trace_csv_writes_what_per_cell_formatting_writes():
     assert ",nan" in _trace_csv(trace, None, False) and ",-inf" in _trace_csv(trace, None, False)
 
 
+@pytest.mark.parametrize("name", ["ring", "noisy_textured"])
+def test_phantom_writes_what_per_cell_formatting_writes(tmp_path, name):
+    from grouppgd.cli import _build, load_config
+
+    cfg = os.path.join(CONFIGS, f"{name}.txt")
+    config = load_config(cfg)
+    problem, _, _ = _build(config)
+    n_r, n_theta = config.problem_n_r, config.problem_n_theta
+    image = problem.x_dagger.reshape(n_r, n_theta)
+    levels = np.clip(np.rint(image * 255.0), 0, 255).astype(int)
+    # the writer's earlier form: one str() or f-string per cell
+    pgm = ["P2", f"{n_theta} {n_r}", "255"] + [" ".join(str(int(v)) for v in row)
+                                                for row in levels]
+    csv = [" ".join(f"{v:.17g}" for v in row) for row in image]
+    for out in ("a", "b"):
+        assert main(["phantom", "--config", cfg, "--out", str(tmp_path / out)]) == EXIT_OK
+        assert (tmp_path / out / "phantom.pgm").read_bytes() == ("\n".join(pgm) + "\n").encode()
+        assert (tmp_path / out / "phantom.csv").read_bytes() == ("\n".join(csv) + "\n").encode()
+
+
 @pytest.mark.parametrize("command", ["certify", "run", "compare"])
 @pytest.mark.parametrize("key, value", [
     ("problem.sigma", "nan"), ("problem.sigma", "inf"),

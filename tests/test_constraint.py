@@ -331,6 +331,31 @@ def test_box_from_zero_to_infinity_clips_below_at_zero():
     assert np.array_equal(K.project(X).view(np.int64), np.maximum(X, 0.0).view(np.int64))
 
 
+def test_box_projection_bits_on_signed_zeros_nan_and_infinities():
+    # maximum then minimum: a -0.0 at a bound of 0.0 gives 0.0 and NaN stays
+    # NaN, in a stack of one-cell rows too, where np.clip keeps -0.0
+    x = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.5])
+    cases = [(Box(0.0, 1.0, 6), x, [0.0, 0.0, np.nan, 1.0, 0.0, 0.5]),
+             (Box(-1.0, 0.0, 6), x, [0.0, 0.0, np.nan, 0.0, -1.0, 0.0]),
+             (Box(0.0, 1.0, 1), x[:, None], [[0.0], [0.0], [np.nan], [1.0], [0.0], [0.5]]),
+             (Box(-1.0, 0.0, 1), x[:, None], [[0.0], [0.0], [np.nan], [0.0], [-1.0], [0.0]])]
+    for K, v, expected in cases:
+        got = K.project(v)
+        assert got.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
+
+def test_a_cone_anchor_may_be_any_array_like():
+    # a listed anchor raised AttributeError reading its shape
+    A = from_dense(np.random.default_rng(5).standard_normal((4, 3)))
+    listed = DescentCone(anchor=[0.0, 0.0, 0.0], kind="whole_space")
+    assert listed.anchor.dtype == float and listed.dimension == 3
+    assert restricted_min_eig(A, listed) == restricted_min_eig(
+        A, DescentCone(anchor=np.zeros(3), kind="whole_space"))
+    box = DescentCone(anchor=(0, 1, 2), kind="box", lo=np.array([0.0, -np.inf, -np.inf]),
+                      hi=np.full(3, np.inf))
+    assert np.array_equal(project_cone(box, [-1.0, -2.0, 3.0]), [0.0, -2.0, 3.0])
+
+
 def test_restricted_min_eig_box_cone_reads_the_whole_space():
     rng = np.random.default_rng(12)
     M = rng.standard_normal((5, 4))

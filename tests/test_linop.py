@@ -626,6 +626,36 @@ def test_from_window_refuses_cells_outside_the_operator(cell):
     assert np.array_equal(from_window(3, 4, [0, 3], lambda v: v, lambda y: y).window, [0, 3])
 
 
+@pytest.mark.parametrize("window", [[0.5, 1.9], np.array([True, False]), np.array([0.0, 1.0])],
+                         ids=["fraction", "bool", "float"])
+def test_from_window_refuses_a_window_that_is_not_integer_cells(window):
+    # [0.5, 1.9] was truncated to cells [0, 1] and read them
+    dtype = np.asarray(window).dtype
+    with pytest.raises(TypeError, match=f"window must hold integer cells, got dtype {dtype}"):
+        from_window(2, 4, window, lambda v: v, lambda y: y)
+
+
+def test_from_window_takes_an_empty_window():
+    A = from_window(2, 4, [], lambda v: np.zeros(v.shape[:-1] + (2,)),
+                    lambda y: np.zeros(y.shape[:-1] + (0,)))
+    assert A.window.dtype == np.int64 and A.window.shape == (0,)
+    assert np.array_equal(A.forward(np.ones(4)), np.zeros(2))
+    assert np.array_equal(A.adjoint(np.ones((3, 2))), np.zeros((3, 4)))
+
+
+def test_band_gram_refuses_an_order_that_is_not_integer_cells(monkeypatch):
+    # a fractional order was truncated to the folded order and accepted
+    prob = build_problem(n_r=4, n_theta=8, rays_per_angle=4)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
+
+    def refuse(*args):
+        raise AssertionError("probed before the order was checked")
+
+    monkeypatch.setattr(linop, "_gram_probes", refuse)
+    with pytest.raises(TypeError, match="order must hold integer cells, got dtype float64"):
+        band_gram(prob.A, subset, prob.geometry.folded_order + 0.4, pad=1.0)
+
+
 def test_band_cholesky_follows_inertia_and_solves():
     n_r, n_theta = 3, 16
     geometry = Geometry(n_r=n_r, n_theta=n_theta, angles=(0, 4, 8, 12), rays_per_angle=12,

@@ -208,6 +208,24 @@ def test_builders_refuse_a_shift_or_radius_that_is_not_an_integer(build, name):
         build()
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: GroupAction(3, np.array([2, 0, 1]), 1.5), "power"),
+    (lambda: GroupAction(3, np.array([2, 0, 1]), True), "power"),
+    (lambda: SymmetricSubset(actions=(
+        identity_action(4), GroupAction(4, polar_theta_shift(1, 4, 1).permutation, power=1.0),
+        GroupAction(4, polar_theta_shift(1, 4, -1).permutation, power=-1.0)), radius=1), "power"),
+    (lambda: SymmetricSubset(actions=tuple(symmetric_subset(polar_theta_shift(1, 4, 1), 1)),
+                             radius=True), "radius"),
+    (lambda: SymmetricSubset(actions=tuple(symmetric_subset(polar_theta_shift(1, 4, 1), 1)),
+                             radius=1.0), "radius"),
+], ids=["power_fraction", "power_bool", "powers_float", "radius_bool", "radius_float"])
+def test_actions_and_subsets_refuse_a_power_or_radius_that_is_not_an_integer(build, name):
+    # built directly, a float power compared equal to its integer and True
+    # was taken as radius 1, so these constructed; a float radius failed in range
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        build()
+
+
 def test_subset_constructor_rejects_unbalanced_powers():
     g = polar_theta_shift(1, 6, 1)
     ident = identity_action(6)
