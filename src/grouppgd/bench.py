@@ -197,16 +197,18 @@ def evenly_spaced_angles(n_theta: int, fraction: float) -> tuple[int, ...]:
 
 
 def full_coverage_radius(angles, n_theta: int) -> int:
-    """Smallest shift radius whose shifted copies of ``angles`` cover every column."""
-    hit = np.zeros(n_theta, dtype=bool)
-    hit[np.asarray(angles, dtype=int) % n_theta] = True
-    if not hit.any():
+    """Smallest shift radius whose shifted copies of ``angles`` cover every column.
+
+    It is half the widest cyclic gap between the distinct measured columns,
+    rounded down.  It can exceed ``(n_theta - 1) // 2``, the widest radius a
+    symmetric subset holds: one angle of 8 gives 4, so take the smaller.
+    """
+    if n_theta < 1:
+        raise ValueError("grid sizes must be at least 1")
+    cols = np.unique(np.asarray(angles, dtype=int) % n_theta)
+    if not cols.size:
         raise ValueError("angle set must be nonempty")
-    for m in range(n_theta):
-        if hit.all():
-            return m
-        hit = hit | np.roll(hit, 1) | np.roll(hit, -1)
-    return n_theta
+    return int(np.diff(cols, append=cols[0] + n_theta).max() // 2)
 
 
 def add_noise(clean: np.ndarray, model: str, seed, *, sigma: float = 0.0,

@@ -327,14 +327,10 @@ def bound_curve(report: CertificateReport, rmsd0: float, w_norm: float,
     mismatch and noise terms.  Requires ``alpha_Gstar < 1``; otherwise the
     geometric-sum form is invalid and :class:`BoundVacuousError` is raised.
     """
-    if report.vacuous:
-        raise BoundVacuousError(
-            f"alpha_Gstar = {report.alpha_Gstar} is not below 1"
-        )
+    drive = _bound_drive(report, w_norm)
     alpha = report.alpha_Gstar
     ks = np.arange(K + 1)
     alpha_pow = alpha ** ks
-    drive = report.eps_Gstar + report.eps_w * w_norm
     tail = (1.0 - alpha_pow) / (report.L * (1.0 - alpha)) * drive
     return alpha_pow * rmsd0 + tail
 
@@ -349,12 +345,15 @@ def bound_at(report: CertificateReport, problem: ProblemInstance, rmsd0: float,
 
 def bound_limit(report: CertificateReport, w_norm: float) -> float:
     """Large-iteration limit of :func:`bound_curve`."""
+    return _bound_drive(report, w_norm) / (report.L * (1.0 - report.alpha_Gstar))
+
+
+def _bound_drive(report: CertificateReport, w_norm: float) -> float:
+    """The bound's drive ``eps_Gstar + eps_w * w_norm``; refused
+    (:class:`BoundVacuousError`) unless ``alpha_Gstar < 1``."""
     if report.vacuous:
-        raise BoundVacuousError(
-            f"alpha_Gstar = {report.alpha_Gstar} is not below 1"
-        )
-    drive = report.eps_Gstar + report.eps_w * w_norm
-    return drive / (report.L * (1.0 - report.alpha_Gstar))
+        raise BoundVacuousError(f"alpha_Gstar = {report.alpha_Gstar} is not below 1")
+    return report.eps_Gstar + report.eps_w * w_norm
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,6 @@ class ConstraintSet:
 
     dimension: int
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def contains(self, x: np.ndarray, tol: float = ANCHOR_TOL) -> bool:
         x = self._check(x)
         if x.ndim != 1:
@@ -108,7 +105,8 @@ class DescentCone:
 
     ``kind`` is one of ``whole_space``, ``subspace`` (orthonormal ``basis``),
     or ``box`` (direction bounds ``lo <= v <= hi``, each entry 0 or
-    infinite).  The anchor is kept as a float array.
+    infinite).  The anchor is kept as a float array, refused unless it is
+    one vector, and a subspace cone's basis as the float array it checked.
     """
 
     anchor: np.ndarray
@@ -119,10 +117,15 @@ class DescentCone:
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
+        if self.anchor.ndim != 1:
+            raise DimensionMismatchError(
+                f"a cone's anchor must be one vector, got shape {self.anchor.shape}")
         if self.kind not in ("whole_space", "subspace", "box"):
             raise ValueError(f"unknown cone kind {self.kind!r}")
-        if self.kind == "subspace" and _orthonormal(self.basis).shape[0] != self.dimension:
-            raise DimensionMismatchError("subspace cone's basis and anchor differ in length")
+        if self.kind == "subspace":
+            object.__setattr__(self, "basis", _orthonormal(self.basis))
+            if self.basis.shape[0] != self.dimension:
+                raise DimensionMismatchError("subspace cone's basis and anchor differ in length")
         if self.kind == "box":
             if self.lo is None or self.hi is None:
                 raise ValueError("box cone needs direction bounds lo and hi")
@@ -164,7 +167,6 @@ def descent_cone_of(K: ConstraintSet, anchor: np.ndarray) -> DescentCone:
     it sits on an upper one (within ``ANCHOR_TOL``, the nearer bound when
     both are that close), or the whole space when no bound is active.
     """
-    anchor = np.asarray(anchor, dtype=float)
     if not K.contains(anchor, tol=ANCHOR_TOL):
         raise ValueError("anchor is not a member of the constraint set")
     if isinstance(K, Subspace):

@@ -8,7 +8,9 @@ RMS stack over a subset whose Gram is the certificate's averaged Gram
 dense matrix (``gram_average``; the program stores it as a band), the dense
 matrix a band stands for (``band_dense``), the spectrum of ``A^T A`` probed
 through the whole grid (``transposed_gram_eigvals``; the program probes it
-through the window maps), and the identity map.
+through the window maps), the identity map, and the covering radius grown
+one shift at a time (``covering_radius_loop``; the program reads the widest
+gap between measured angles).
 """
 
 import numpy as np
@@ -125,3 +127,17 @@ def band_dense(band: BandGram) -> tuple[np.ndarray, np.ndarray]:
     cells = np.empty((d, d))
     cells[np.ix_(band.order, band.order)] = stored[:d, :d]
     return stored, cells
+
+
+def covering_radius_loop(angles, n_theta: int) -> int:
+    """Grow the mask of covered angle columns by one shift each way until it
+    is full; the number of shifts is the covering radius."""
+    hit = np.zeros(n_theta, dtype=bool)
+    hit[np.asarray(angles, dtype=int) % n_theta] = True
+    if not hit.any():
+        raise ValueError("angle set must be nonempty")
+    shifts = 0
+    while not hit.all():
+        hit = hit | np.roll(hit, 1) | np.roll(hit, -1)
+        shifts += 1
+    return shifts

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from grouppgd.bench import (
@@ -19,7 +21,7 @@ from grouppgd.bench import (
 from grouppgd.constraint import DescentCone, restricted_min_eig
 from grouppgd.linop import SizeCapError, gram_dense
 from grouppgd.symmetry import polar_theta_shift, symmetric_subset
-from oracles import compose_with_action, stack_mean
+from oracles import compose_with_action, covering_radius_loop, stack_mean
 
 
 def test_ring_phantom_zero_profile():
@@ -189,6 +191,36 @@ def test_full_coverage_radius_values():
     assert full_coverage_radius(range(64), 64) == 0
 
 
+def test_full_coverage_radius_equals_the_growing_mask_on_every_angle_subset():
+    # every nonempty subset of the columns of every grid up to 10 angles: 2,036 sets
+    checked = 0
+    for n_theta in range(1, 11):
+        for bits in range(1, 2 ** n_theta):
+            angles = [a for a in range(n_theta) if bits >> a & 1]
+            assert full_coverage_radius(angles, n_theta) == covering_radius_loop(angles, n_theta)
+            checked += 1
+    assert checked == 2036
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n_theta=st.integers(1, 200))
+def test_full_coverage_radius_equals_the_growing_mask_on_repeated_and_negative_angles(
+        data, n_theta):
+    angles = data.draw(st.lists(st.integers(-3 * n_theta, 3 * n_theta), min_size=1,
+                                max_size=12))
+    angles += data.draw(st.lists(st.sampled_from(angles), max_size=4))  # repeats
+    assert full_coverage_radius(angles, n_theta) == covering_radius_loop(angles, n_theta)
+
+
+def test_full_coverage_radius_can_exceed_the_widest_symmetric_subset():
+    # one angle of 8 needs radius 4 to cover the grid, but a symmetric subset
+    # of radius 4 lists the rotation by 4 twice: (n_theta - 1) // 2 = 3 is the widest
+    assert full_coverage_radius((0,), 8) == 4
+    with pytest.raises(ValueError, match="subset lists one permutation more than once"):
+        symmetric_subset(polar_theta_shift(1, 8, 1), 4)
+    assert len(symmetric_subset(polar_theta_shift(1, 8, 1), 3).actions) == 7
+
+
 def test_evenly_spaced_angles_validation():
     assert evenly_spaced_angles(64, 0.25) == tuple(range(0, 64, 4))
     with pytest.raises(ValueError):
@@ -207,6 +239,9 @@ PROBLEM_REFUSALS = {
     "weights": (lambda: angle_subsampled_operator(4, 8, (0,), 2, seed=0, weight_kind="mixed"),
                 "unknown weight_kind 'mixed'"),
     "coverage": (lambda: full_coverage_radius((), 8), "angle set must be nonempty"),
+    "coverage_grid": (lambda: full_coverage_radius((0,), 0), "grid sizes must be at least 1"),
+    "coverage_negative_grid": (lambda: full_coverage_radius((0,), -3),
+                               "grid sizes must be at least 1"),
     "sigma": (lambda: add_noise(np.ones(3), "gaussian", 0, sigma=-1.0),
               "sigma must be nonnegative"),
     "scale": (lambda: add_noise(np.ones(3), "poisson", 0, scale=0.0), "scale must be positive"),

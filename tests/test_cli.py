@@ -231,6 +231,8 @@ def test_shipped_config_runs_compares_and_certifies_as_ci_requires(tmp_path, cap
     assert (csv_columns(tmp_path / "compare" / "compare.csv", "bound")
             == csv_columns(tmp_path / "run" / "group_pgd.csv", "bound"))
     assert not [line for line in printed if re.fullmatch(r"flag\..* = estimate", line)]
+    # no shipped ground truth touches the box: every constant is exact
+    assert not [line for line in printed if re.fullmatch(r"flag\..* = relaxed", line)]
     assert "bound = active" in printed
 
 

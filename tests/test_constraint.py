@@ -354,6 +354,30 @@ def test_a_cone_anchor_may_be_any_array_like():
     box = DescentCone(anchor=(0, 1, 2), kind="box", lo=np.array([0.0, -np.inf, -np.inf]),
                       hi=np.full(3, np.inf))
     assert np.array_equal(project_cone(box, [-1.0, -2.0, 3.0]), [0.0, -2.0, 3.0])
+    # descent_cone_of leaves the coercion to the set's membership check and the cone
+    built = descent_cone_of(Box(0.0, 1.0, 3), [0, 0.5, 1])
+    assert built.anchor.dtype == float and built.kind == "box"
+    assert np.array_equal(built.lo, [0.0, -np.inf, -np.inf])
+    assert np.array_equal(built.hi, [np.inf, np.inf, 0.0])
+
+
+@pytest.mark.parametrize("anchor", [0.0, np.zeros((3, 1))], ids=["scalar", "column"])
+def test_a_cone_anchor_must_be_one_vector(anchor):
+    # a scalar anchor raised IndexError reading its dimension, and a (3, 1)
+    # column was read as a cone of dimension 3
+    message = f"a cone's anchor must be one vector, got shape {np.shape(anchor)}"
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+        DescentCone(anchor=anchor, kind="whole_space")
+
+
+def test_a_subspace_cone_keeps_the_basis_it_checked():
+    # a listed basis passed the orthonormality check but was kept as a list,
+    # so projecting onto the cone and reading its curvature raised AttributeError
+    C = DescentCone(anchor=np.zeros(3), kind="subspace",
+                    basis=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    assert isinstance(C.basis, np.ndarray) and C.basis.dtype == float
+    assert np.array_equal(project_cone(C, np.ones(3)), [1.0, 1.0, 0.0])
+    assert restricted_min_eig(from_dense(np.eye(3)), C) == 1.0
 
 
 def test_restricted_min_eig_box_cone_reads_the_whole_space():
