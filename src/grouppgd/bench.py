@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .constraint import Box, ConstraintSet
-from .linop import LinearMap, _check_size, from_window
+from .linop import LinearMap, _check_integer, _check_size, from_window
 from .symmetry import polar_theta_shift
 
 __all__ = [
@@ -149,14 +149,16 @@ def angle_subsampled_operator(n_r: int, n_theta: int, angles, rays_per_angle: in
     neighbors (``offsets``).  Weights depend only on ``seed`` and the shapes
     (one slice per angle-list position), never on the angle values, so
     operators built from the same seed but shifted angle sets are exact
-    rotations of each other (see :func:`shifted_angles`).
+    rotations of each other (see :func:`shifted_angles`).  An angle or
+    offset that is not an integer, or is a ``bool``, is refused
+    (``TypeError``), not truncated.
     """
-    angles = tuple(int(a) % n_theta for a in angles)
+    angles = tuple(a % n_theta for a in _integers("angle", angles))
     if len(angles) == 0:
         raise ValueError("angle set must be nonempty")
     if rays_per_angle < 1:
         raise ValueError("rays_per_angle must be at least 1")
-    offsets = tuple(int(o) for o in offsets)
+    offsets = _integers("offset", offsets)
     rng = np.random.default_rng(seed)
     shape = (len(angles), rays_per_angle, n_r, len(offsets))
     if weight_kind == "signed":
@@ -183,9 +185,11 @@ def shifted_angles(angles, s: int, n_theta: int) -> tuple[int, ...]:
 
     Rotating the signal by ``s`` steps makes the operator read columns that
     sit ``s`` steps lower, so the equivalent directly built operator measures
-    ``(a - s) mod n_theta`` in the same order.
+    ``(a - s) mod n_theta`` in the same order.  The angles and ``s`` are
+    integers (``TypeError`` otherwise; a ``bool`` is not one).
     """
-    return tuple((int(a) - s) % n_theta for a in angles)
+    _check_integer("s", s)
+    return tuple((a - s) % n_theta for a in _integers("angle", angles))
 
 
 def evenly_spaced_angles(n_theta: int, fraction: float) -> tuple[int, ...]:
@@ -202,13 +206,24 @@ def full_coverage_radius(angles, n_theta: int) -> int:
     It is half the widest cyclic gap between the distinct measured columns,
     rounded down.  It can exceed ``(n_theta - 1) // 2``, the widest radius a
     symmetric subset holds: one angle of 8 gives 4, so take the smaller.
+    An angle that is not an integer, or is a ``bool``, is refused
+    (``TypeError``).
     """
     if n_theta < 1:
         raise ValueError("grid sizes must be at least 1")
-    cols = np.unique(np.asarray(angles, dtype=int) % n_theta)
+    cols = np.unique(np.array(_integers("angle", angles), dtype=np.int64) % n_theta)
     if not cols.size:
         raise ValueError("angle set must be nonempty")
     return int(np.diff(cols, append=cols[0] + n_theta).max() // 2)
+
+
+def _integers(name: str, values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each refused (``TypeError``) unless it
+    is an integer; a ``bool`` is not one."""
+    values = tuple(values)
+    for value in values:
+        _check_integer(name, value)
+    return tuple(int(value) for value in values)
 
 
 def add_noise(clean: np.ndarray, model: str, seed, *, sigma: float = 0.0,
@@ -248,7 +263,9 @@ def build_problem(*, n_r: int = 32, n_theta: int = 64, angle_fraction: float = 0
 
     Sub-seeds for the operator weights, the phantom, and the noise draw are
     derived from ``seed`` so the whole instance is reproducible from one
-    integer.  ``angles`` overrides ``angle_fraction`` when given.  A signal
+    integer.  ``angles`` overrides ``angle_fraction`` when given; an angle
+    or offset that is not an integer, or is a ``bool``, is refused
+    (``TypeError``), not truncated.  A signal
     or weight tensor of more than ``linop.DENSE_CAP**2`` entries is refused
     (:class:`~grouppgd.linop.SizeCapError`) before it is allocated, and an
     empty grid (``n_r`` or ``n_theta`` below 1) before anything else.
@@ -261,7 +278,8 @@ def build_problem(*, n_r: int = 32, n_theta: int = 64, angle_fraction: float = 0
     if angles is None:
         angles = evenly_spaced_angles(n_theta, angle_fraction)
     else:
-        angles = tuple(int(a) % n_theta for a in angles)
+        angles = tuple(a % n_theta for a in _integers("angle", angles))
+    offsets = _integers("offset", offsets)
     _check_size(len(angles) * rays_per_angle * n_r * len(offsets),
                 f"the weights of {len(angles)} angles x {rays_per_angle} rays")
     if phantom == "ring":
@@ -277,7 +295,6 @@ def build_problem(*, n_r: int = 32, n_theta: int = 64, angle_fraction: float = 0
     b, w = add_noise(clean, noise, noise_seed, sigma=sigma, scale=scale)
     K = Box(0.0, 1.0, n_r * n_theta)
     geometry = Geometry(n_r=n_r, n_theta=n_theta, angles=tuple(angles),
-                        rays_per_angle=rays_per_angle,
-                        offsets=tuple(int(o) for o in offsets))
+                        rays_per_angle=rays_per_angle, offsets=offsets)
     return ProblemInstance(x_dagger=x_dagger, A=A, b=b, w=w, K=K,
                            geometry=geometry)

@@ -57,11 +57,29 @@ follows, costs a forward of its own.  A caller that writes no objective
 (``run_with_plain(..., objective=False)``, as ``compare`` calls it) skips
 all of this: each step maps only the stack's rows, the last iterate costs
 nothing, and every trace's objective is NaN.
+
+A large solve steps its stack on every core the process may use.  After
+the layout above, the rows are cut into one contiguous part per usable core
+(``os.sched_getaffinity``), the plain row and the first group streams
+first, and each part after the first is stepped by the same loop in a
+forked child, which sends its rows' records back through a pipe.  Every row
+is its own chain (by the stack contract, with its own stream, and recorded
+and checked for divergence row by row), so the traces keep their bits.  A
+solve splits when it has two rows or more, ``os.fork`` exists, and it is at
+least ``SPLIT_CELL_STEPS`` cell-steps (budget x gathered rows x window
+cells).  On a 2-core host a split cost 1.3-2.4 ms, the time of about 0.2
+million cell-steps, and smaller solves gained nothing from it
+(``BENCH_two_cores.json``); every shipped config's solve lies above the
+threshold, the solver's unit tests below it.  On Python 3.12 and later the
+solve stays in this process: ``os.fork`` warns there when the process has
+other threads, and OpenBLAS's workers are threads.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +106,9 @@ __all__ = [
 ]
 
 DIVERGENCE_NORM = 1e12
+# a solve of fewer cell-steps (budget x gathered rows x window cells) is
+# stepped in one process: below it a fork costs more than it saves
+SPLIT_CELL_STEPS = 1_000_000
 
 
 class DivergenceError(RuntimeError):
@@ -96,6 +117,10 @@ class DivergenceError(RuntimeError):
     def __init__(self, iteration: int):
         super().__init__(f"iterate diverged at iteration {iteration}")
         self.iteration = iteration
+
+    def __reduce__(self):
+        # rebuilt from its iteration, not its message, as a forked part sends it
+        return type(self), (self.iteration,)
 
 
 @dataclass(frozen=True)
@@ -325,10 +350,15 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     ``DIVERGENCE_NORM``; a recorded iterate whose rows all lie within
     ``DIVERGENCE_NORM / 2 - |x_dagger|`` of the ground truth is inside it,
     and only other iterates have their norms taken.
+
+    All of this is laid out in this process.  Then the rows are cut into
+    contiguous parts (see the module's docstring), each stepped by
+    :func:`_chains`, the first here and each other one in a forked child
+    (:func:`_split`), with the in-process solve's traces and divergence.
     """
     A, b, K = problem.A, problem.b, problem.K
     d, budget = problem.dimension, config.max_iters
-    R, n_group, gathered, stride, n_records = check_solve(
+    R, _, gathered, stride, n_records = check_solve(
         problem, config, subset, replicates, objective, plain=plain)
     if subset is not None and subset.dimension != d:
         raise DimensionMismatchError(
@@ -340,10 +370,44 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     _check_step_args((d,), A, b, K, eta)
     rngs = ([] if subset is None else [np.random.default_rng(config.seed)] if replicates is None
             else replicate_rngs(config.seed, replicates))
-    X = np.zeros((R, d))
     # 0, stride, 2 * stride, ... and the budget
     iterations = np.arange(n_records) * stride
     iterations[-1] = budget
+    # table row s is action s's window, and row 0 the identity's: the
+    # operator's own, which a plain row reads
+    table = A.window[None] if subset is None else window_table(A, subset)
+    # one part per usable core, at most one per row, for a solve large
+    # enough; part i steps the stack's rows cuts[i] to cuts[i + 1]
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and sys.version_info < (3, 12)
+    n_parts = (min(R, len(os.sched_getaffinity(0)))
+               if forks and budget * gathered * table.shape[1] >= SPLIT_CELL_STEPS else 1)
+    cuts = [R * i // n_parts for i in range(n_parts + 1)]
+    parts = [(plain and lo == 0, rngs[max(lo - plain, 0):hi - plain])
+             for lo, hi in zip(cuts, cuts[1:])]
+    chains = lambda plain_row, streams: _chains(problem, eta, table, plain_row, streams,
+                                                iterations, stride, objective)
+    rmsd, objectives, actions, X = _split(chains, parts)
+    return [
+        IterateTrace(iterations=iterations, rmsd=rmsd[r], objective=objectives[r],
+                     action_indices=actions[r], final_x=X[r])
+        for r in range(R)
+    ]
+
+
+def _chains(problem, eta, table, plain, rngs, iterations, stride, objective):
+    """Step the plain row (when ``plain``) and one group row per stream of
+    ``rngs`` from zeros, as :func:`_drive` lays them out; returns the stack's
+    ``(rmsd, objectives, actions, X)``, one row per chain.
+
+    ``table`` is the window table, one row per action; ``iterations`` are
+    the recorded iterations, every ``stride``-th from 0, then the budget.
+    Raises :class:`DivergenceError` at the first iteration at which any row
+    leaves the ball.
+    """
+    A, b, K = problem.A, problem.b, problem.K
+    d, budget, n_group = problem.dimension, int(iterations[-1]), len(rngs)
+    R = int(plain) + n_group
+    X = np.zeros((R, d))
     rmsd = np.empty((R, len(iterations)))
     objectives = np.full((R, len(iterations)), np.nan)
     actions = np.full((R, len(iterations)), -1, dtype=np.int64)
@@ -354,10 +418,8 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
         rmsd[:, slot] = np.sqrt(_row_dots(np.subtract(X, problem.x_dagger, out=error)))
 
     record(0)
-    # table row s is action s's window, and row 0 the identity's: the
-    # operator's own, which a plain row reads.  Row r of the stack reads
-    # table row r * n + its draw (0 for a plain row), offset by r * d into X.
-    table = A.window[None] if subset is None else window_table(A, subset)
+    # row r of the stack reads table row r * n + its draw (0 for a plain
+    # row), offset by r * d into X
     n = len(table)
     table = (table + d * rows[:, None, None]).reshape(R * n, -1)
     group = rows[R - n_group:]
@@ -366,14 +428,14 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     # row's identity window (steps[k, R:]), whose residual is that row's
     # objective residual; a plain row's objective residual is its own step
     # residual.  The draws are added into the one table.
-    steps = np.empty((budget, gathered), dtype=np.int64)
+    steps = np.empty((budget, R + n_group * objective), dtype=np.int64)
     steps[:, :R] = n * rows
     for r, rng in zip(group, rngs):
-        steps[:, r] += rng.integers(len(subset), size=budget)
+        steps[:, r] += rng.integers(n, size=budget)
     if objective:
         steps[:, R:] = n * group
     source = rows.copy()
-    source[group] = R + np.arange(len(group))
+    source[group] = R + np.arange(n_group)
     lo, hi = _bounds(K, R)
     # a recorded distance to x_dagger of at most this puts a row inside the
     # ball with room for round-off; a NaN distance settles nothing
@@ -402,11 +464,67 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     # row of records, whatever the number of rows
     for r in group:
         np.subtract(steps[iterations[1:] - 1, r], n * r, out=actions[r, 1:])
-    return [
-        IterateTrace(iterations=iterations, rmsd=rmsd[r], objective=objectives[r],
-                     action_indices=actions[r], final_x=X[r])
-        for r in range(R)
-    ]
+    return rmsd, objectives, actions, X
+
+
+def _split(chains, parts):
+    """``chains(*part)`` of every part, its rows stacked in order: the first
+    part in this process, each other one in a child forked for it, which
+    sends what it returns or raises back through a pipe and exits.
+
+    Every child is waited for before anything is raised.  Then the first
+    failure other than :class:`DivergenceError` is raised, in this process's
+    part or a child's (a child that exits without sending raises
+    ``RuntimeError``), else the divergence at the earliest iteration.  A
+    child still running when this process is interrupted is killed, so no
+    child outlives the call.
+    """
+    if len(parts) == 1:
+        return chains(*parts[0])
+    import pickle
+    import signal
+
+    children = []
+    try:
+        for part in parts[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child: step its part, send it, exit
+                status = 1
+                try:
+                    os.close(read)
+                    try:
+                        sent = chains(*part)
+                    except BaseException as failure:  # the parent raises it
+                        sent = failure
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(sent))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        try:
+            results = [chains(*parts[0])]
+        except Exception as failure:  # raised below, once every child is waited for
+            results = [failure]
+        while children:
+            pid, pipe = children[0]
+            sent = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            pipe.close()
+            results.append(pickle.loads(sent) if status == 0 else RuntimeError(
+                f"a forked part of the solve exited with status {status}"))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [r for r in results if isinstance(r, BaseException)]
+    others = [f for f in failures if not isinstance(f, DivergenceError)]
+    if failures:
+        raise others[0] if others else min(failures, key=lambda f: f.iteration)
+    return [np.concatenate(field) for field in zip(*results)]
 
 
 def run(problem: ProblemInstance, config: SolverConfig,

@@ -263,3 +263,39 @@ def test_textured_phantom_of_one_constant_mode_is_the_box_midpoint(lo, hi):
     # one radius and one harmonic give a constant image: no span to rescale
     image = textured_phantom(1, 8, 1, seed=0, lo=lo, hi=hi)
     assert np.array_equal(image, np.full(8, 0.5 * (lo + hi)))
+
+
+INTEGER_REFUSALS = {
+    "coverage": (lambda: full_coverage_radius([0.9, 4.7], 8), "angle"),
+    "coverage_bool": (lambda: full_coverage_radius([True, 4], 8), "angle"),
+    "operator": (lambda: angle_subsampled_operator(2, 8, [0.9, 4.7], 2, seed=0), "angle"),
+    "operator_offsets": (lambda: angle_subsampled_operator(2, 8, (0, 4), 2, seed=0,
+                                                           offsets=(-0.5, 0.5)), "offset"),
+    "problem": (lambda: build_problem(n_r=2, n_theta=8, rays_per_angle=2, angles=[0.9, 4.7]),
+                "angle"),
+    "problem_float_array": (lambda: build_problem(n_r=2, n_theta=8, rays_per_angle=2,
+                                                  angles=np.array([0.0, 4.0])), "angle"),
+    "problem_offsets": (lambda: build_problem(n_r=2, n_theta=8, rays_per_angle=2,
+                                              offsets=(0, 1.5)), "offset"),
+    "shifted": (lambda: shifted_angles([0.9, 4.7], 1, 8), "angle"),
+    "shifted_by_a_fraction": (lambda: shifted_angles((0, 4), 0.5, 8), "s"),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_REFUSALS)
+def test_angles_offsets_and_shifts_must_be_integers(case):
+    # a fractional angle was truncated: [0.9, 4.7] measured angles 0 and 4
+    build, name = INTEGER_REFUSALS[case]
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        build()
+
+
+def test_integer_arrays_of_angles_build_what_tuples_build():
+    angles = np.array([1, 4], dtype=np.int32)
+    assert full_coverage_radius(angles, 8) == full_coverage_radius((1, 4), 8) == 2
+    assert shifted_angles(angles, 1, 8) == (0, 3)
+    a = build_problem(n_r=2, n_theta=8, rays_per_angle=2, angles=angles,
+                      offsets=np.array([0, 1]))
+    b = build_problem(n_r=2, n_theta=8, rays_per_angle=2, angles=(1, 4), offsets=(0, 1))
+    assert a.geometry == b.geometry and np.array_equal(a.A.window, b.A.window)
+    assert a.b.tobytes() == b.b.tobytes()

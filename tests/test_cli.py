@@ -753,3 +753,63 @@ def test_textured_phantom_group_beats_plain_ordering(tmp_path):
     last = (out / "compare.csv").read_text().splitlines()[-1]
     _, pgd_mean, group_mean, _ = last.split(",")
     assert float(group_mean) < float(pgd_mean)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a CPU with sched_setaffinity")
+def test_one_core_writes_what_every_core_writes(tmp_path):
+    # pinned to one CPU the solve has one usable core and steps in process;
+    # unpinned it splits its rows across the cores it may use.  Every output
+    # byte is the same either way.  OpenBLAS sizes its thread pool from the
+    # CPUs it may use, and the certificate's mu_Gstar moves in its last
+    # digits with that pool (ROADMAP item 7), so both runs use one BLAS thread
+    import shutil
+    import subprocess
+    import sys
+
+    import grouppgd
+
+    src = os.path.dirname(os.path.dirname(grouppgd.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error", OPENBLAS_NUM_THREADS="1")
+    one = min(os.sched_getaffinity(0))
+    cfg = os.path.join(CONFIGS, "ring.txt")
+    for command in ("run", "compare"):
+        out, written = tmp_path / "out", {}
+        for pinned in (True, False):
+            done = subprocess.run(
+                [sys.executable, "-m", "grouppgd.cli", command, "--config", cfg, "--out", str(out)],
+                preexec_fn=(lambda: os.sched_setaffinity(0, {one})) if pinned else None,
+                cwd=tmp_path, env=env, capture_output=True, timeout=300)
+            written[pinned] = (done.returncode, done.stdout, done.stderr)
+            shutil.move(out, tmp_path / f"{command}.{'one' if pinned else 'all'}")
+        assert written[True] == written[False] and written[True][0] == EXIT_OK
+        assert subprocess.run(["diff", "-r", tmp_path / f"{command}.one",
+                               tmp_path / f"{command}.all"]).returncode == 0
+
+
+def test_every_shipped_solve_is_large_enough_to_split(tmp_path, monkeypatch):
+    # SPLIT_CELL_STEPS sits below every solve run and compare make on a
+    # shipped config or a benchmark workload, and above the solver's unit
+    # tests (at most 96,000 cell-steps)
+    import importlib.util
+    import sys
+
+    from grouppgd import solver
+    from grouppgd.cli import _build, load_config
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(CONFIGS, "..", "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    paths = [os.path.join(CONFIGS, name) for name in sorted(os.listdir(CONFIGS))]
+    for name, workload in workloads.WORKLOADS.items():
+        paths.append(write_config(tmp_path, workload.config_text(0, tmp_path), f"{name}.txt"))
+    assert len(paths) == 8
+    for path in paths:
+        config = load_config(path)
+        problem, subset, solver_config = _build(config)
+        for replicates, objective in ((None, True), (config.solver_seeds, False)):
+            _, _, gathered, _, _ = solver.check_solve(problem, solver_config, subset,
+                                                      replicates, objective)
+            size = solver_config.max_iters * gathered * len(problem.A.window)
+            assert size >= solver.SPLIT_CELL_STEPS > 96_000, (path, replicates)

@@ -1,7 +1,9 @@
 """Solver steps, runs, ensembles, and determinism."""
 
 import itertools
+import os
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -910,3 +912,154 @@ def test_the_size_rules_counts_are_the_solves_layout(stride):
         starts = set(expected[:-1]) if objective else set()
         steps = [gathered if k in starts else rows for k in range(budget)]
         assert mapped == steps + [rows] * objective
+
+
+def test_a_divergence_error_survives_pickling():
+    # a forked part of a solve sends its divergence back pickled; pickle
+    # rebuilt the error from its message, which read "iterate diverged at
+    # iteration iterate diverged at iteration 7"
+    import pickle
+
+    error = pickle.loads(pickle.dumps(DivergenceError(7)))
+    assert type(error) is DivergenceError and error.iteration == 7
+    assert str(error) == "iterate diverged at iteration 7"
+
+
+needs_fork = pytest.mark.skipif(
+    sys.version_info >= (3, 12) or not hasattr(os, "fork"),
+    reason="the solve forks only where os.fork exists, before Python 3.12")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children the test's solves fork; after the test, no
+    child of this process may be left."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_on(monkeypatch, cores):
+    """Split every solve of two rows or more into ``cores`` parts at most."""
+    monkeypatch.setattr(solver, "SPLIT_CELL_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def trace_bytes(traces):
+    return [[(f.dtype.str, f.shape, f.tobytes()) for f in (
+        t.iterations, t.rmsd, t.objective, t.action_indices, t.final_x)] for t in traces]
+
+
+@needs_fork
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("call, rows", [("run", 1), ("run_plain", 1), ("run_ensemble", 4),
+                                        ("run_ensemble_plain", 1), ("run_with_plain", 5),
+                                        ("run_with_plain_one", 2), ("run_with_plain_bare", 5)])
+def test_a_split_solve_has_the_in_process_bits(forks, monkeypatch, cores, call, rows):
+    # every row is its own chain, so a part stepped in a forked child keeps
+    # its bits; a solve of one row never forks
+    prob = small_problem(noise="gaussian", sigma=0.05, seed=4)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    config = SolverConfig(max_iters=40, step_size=0.05, seed=3, record_every=3)
+    solve = {
+        "run": lambda: [run(prob, config, subset)],
+        "run_plain": lambda: [run(prob, config)],
+        "run_ensemble": lambda: run_ensemble(prob, config, subset, 4)[2],
+        "run_ensemble_plain": lambda: run_ensemble(prob, config, None, 4)[2],
+        "run_with_plain": lambda: (lambda p, g: [p, *g])(*run_with_plain(prob, config, subset, 4)),
+        "run_with_plain_one": lambda: (lambda p, g: [p, *g])(*run_with_plain(prob, config, subset)),
+        "run_with_plain_bare": lambda: (lambda p, g: [p, *g])(
+            *run_with_plain(prob, config, subset, 4, objective=False)),
+    }[call]
+    alone = solve()
+    assert not forks
+    split_on(monkeypatch, cores)
+    split = solve()
+    assert len(forks) == min(rows, cores) - 1
+    assert len(split) == rows and trace_bytes(split) == trace_bytes(alone)
+
+
+def test_a_small_solve_forks_nothing(forks):
+    # below SPLIT_CELL_STEPS the stack is stepped in this process
+    prob = small_problem()
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    run_with_plain(prob, SolverConfig(max_iters=40, step_size=0.05), subset, 4)
+    assert not forks
+
+
+@needs_fork
+@pytest.mark.parametrize("part", ["parent", "child"])
+def test_a_split_solve_names_the_earliest_divergence_in_any_part(forks, monkeypatch, part):
+    # every replicate of this instance diverges, each at an iteration set by
+    # its draws (see test_ensemble_divergence_names_the_first_row_to_diverge);
+    # the first to do so sits in this process's part (rows 0-2) or the
+    # child's (rows 3-5), and the other part diverges later
+    d = 4
+    geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
+    prob = ProblemInstance(x_dagger=np.zeros(d), A=from_dense(np.diag([2.0, 0.0, 0.0, 0.0])),
+                           b=np.ones(d), w=np.ones(d), K=Box(-np.inf, np.inf, d),
+                           geometry=geometry)
+    subset = symmetric_subset(polar_theta_shift(1, d, 1), 1)
+    for seed in range(100):
+        config = SolverConfig(max_iters=500, step_size=1.0, seed=seed)
+        alone = [divergence_iteration(prob, 1.0, subset, rng, config.max_iters)
+                 for rng in replicate_rngs(seed, 6)]
+        first, second = min(alone[:3]), min(alone[3:])
+        if (first < second) == (part == "parent"):
+            break
+    split_on(monkeypatch, 2)
+    with pytest.raises(DivergenceError) as info:
+        run_ensemble(prob, config, subset, replicates=6)
+    assert info.value.iteration == min(first, second)
+    assert len(forks) == 1
+
+
+@needs_fork
+@pytest.mark.parametrize("failure, raised, message", [
+    ("child_raises", ValueError, "the operator failed in a child"),
+    ("child_exits", RuntimeError, "a forked part of the solve exited with status 3"),
+    ("parent_raises", ValueError, "the operator failed in the parent"),
+    ("parent_interrupted", KeyboardInterrupt, None),
+])
+def test_a_failure_in_any_part_is_raised_and_leaves_no_child(forks, monkeypatch, failure,
+                                                            raised, message):
+    # a child sends back what it raises; one that exits without sending
+    # raises RuntimeError.  An exception in this process's part is raised
+    # once every child has been waited for, and an interrupt kills the
+    # child, here asleep in its first step
+    import time
+
+    parent = os.getpid()
+    base = small_problem()
+
+    def window_forward(values):
+        child = os.getpid() != parent
+        if failure == "child_raises" and child:
+            raise ValueError("the operator failed in a child")
+        if failure == "child_exits" and child:
+            os._exit(3)
+        if failure == "parent_raises" and not child:
+            raise ValueError("the operator failed in the parent")
+        if failure == "parent_interrupted":
+            if child:
+                time.sleep(60)
+            raise KeyboardInterrupt
+        return base.A.window_forward(values)
+
+    prob = replace(base, A=linop.from_window(base.A.rows, base.A.cols, base.A.window,
+                                             window_forward, base.A.window_adjoint))
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    split_on(monkeypatch, 2)
+    start = time.perf_counter()
+    with pytest.raises(raised, match=message and re.escape(message)):
+        run_with_plain(prob, SolverConfig(max_iters=40, step_size=0.05), subset, 4)
+    assert len(forks) == 1 and time.perf_counter() - start < 30
