@@ -33,7 +33,6 @@ __all__ = [
     "ring_phantom",
     "textured_phantom",
     "angle_subsampled_operator",
-    "shifted_angles",
     "evenly_spaced_angles",
     "full_coverage_radius",
     "add_noise",
@@ -149,9 +148,10 @@ def angle_subsampled_operator(n_r: int, n_theta: int, angles, rays_per_angle: in
     neighbors (``offsets``).  Weights depend only on ``seed`` and the shapes
     (one slice per angle-list position), never on the angle values, so
     operators built from the same seed but shifted angle sets are exact
-    rotations of each other (see :func:`shifted_angles`).  An angle or
-    offset that is not an integer, or is a ``bool``, is refused
-    (``TypeError``), not truncated.
+    rotations of each other: composed with the rotation by ``s``, the
+    operator measures ``(a - s) mod n_theta`` for each ``a``, in the same
+    order.  An angle or offset that is not an integer, or is a ``bool``, is
+    refused (``TypeError``), not truncated.
     """
     angles = tuple(a % n_theta for a in _integers("angle", angles))
     if len(angles) == 0:
@@ -178,18 +178,6 @@ def angle_subsampled_operator(n_r: int, n_theta: int, angles, rays_per_angle: in
         window_adjoint=lambda y: kernels.polar_window_adjoint(y, weights_t),
         tag=f"polar[{len(angles)}x{rays_per_angle}]",
     )
-
-
-def shifted_angles(angles, s: int, n_theta: int) -> tuple[int, ...]:
-    """Angle set measured by ``A_angles`` composed with the rotation by ``s``.
-
-    Rotating the signal by ``s`` steps makes the operator read columns that
-    sit ``s`` steps lower, so the equivalent directly built operator measures
-    ``(a - s) mod n_theta`` in the same order.  The angles and ``s`` are
-    integers (``TypeError`` otherwise; a ``bool`` is not one).
-    """
-    _check_integer("s", s)
-    return tuple((a - s) % n_theta for a in _integers("angle", angles))
 
 
 def evenly_spaced_angles(n_theta: int, fraction: float) -> tuple[int, ...]:

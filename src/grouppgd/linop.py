@@ -62,7 +62,6 @@ __all__ = [
     "LinearMap",
     "DimensionMismatchError",
     "SizeCapError",
-    "from_dense",
     "from_window",
     "window_table",
     "spectral_norm",
@@ -141,30 +140,6 @@ class LinearMap:
     def _set_window(self, *window):
         for name, value in zip(("window", "window_forward", "window_adjoint"), window):
             object.__setattr__(self, name, value)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Return ``A x``, validating the length of the last axis."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0 or x.shape[-1] != self.cols:
-            raise DimensionMismatchError(
-                f"operator {self.tag!r} expects length {self.cols}, got shape {x.shape}"
-            )
-        return self.forward(x)
-
-
-def from_dense(matrix: np.ndarray, tag: str = "dense") -> LinearMap:
-    """Wrap a dense 2-D array as a LinearMap with exact matrix-vector products.
-
-    Its window is every column (:func:`from_window`).  A stack is multiplied
-    one row at a time (a stacked ``np.matmul`` of the matrix with column
-    vectors), which keeps each row's bits.
-    """
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D array, got ndim={M.ndim}")
-    return from_window(*M.shape, np.arange(M.shape[1]),
-                       lambda v: np.matmul(M, v[..., None])[..., 0],
-                       lambda y: np.matmul(M.T, y[..., None])[..., 0], tag=tag)
 
 
 def from_window(rows: int, cols: int, window, window_forward, window_adjoint,

@@ -43,9 +43,7 @@ iterate that lies in it as it is.  So the solver's feasible set is a
 :class:`~grouppgd.constraint.Box`, whose projection acts cell by cell, and
 any other set raises ``TypeError`` before anything is allocated.  Chains
 start from zeros, which need not lie in the box, so the first step ends
-with one projection of the whole stack; :func:`pgd_step` and
-:func:`group_pgd_step`, whose ``x`` is arbitrary, project their result
-whole.
+with one projection of the whole stack.
 
 A step's residual through the identity's window is the residual
 ``A x_k - b`` of iterate ``k``'s objective, so a plain row takes each
@@ -87,16 +85,14 @@ import numpy as np
 from . import linop
 from .bench import ProblemInstance
 from .constraint import Box
-from .linop import (LinearMap, DimensionMismatchError, _check_integer, _check_size,
-                    spectral_norm, window_table)
-from .symmetry import GroupAction, SymmetricSubset
+from .linop import (DimensionMismatchError, _check_integer, _check_size, spectral_norm,
+                    window_table)
+from .symmetry import SymmetricSubset
 
 __all__ = [
     "SolverConfig",
     "IterateTrace",
     "DivergenceError",
-    "pgd_step",
-    "group_pgd_step",
     "run",
     "run_ensemble",
     "run_with_plain",
@@ -191,35 +187,6 @@ class IterateTrace:
     def rmsd_normalized(self) -> np.ndarray:
         """``rmsd`` divided by sqrt(dimension)."""
         return self.rmsd / np.sqrt(len(self.final_x))
-
-
-def pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: Box,
-             eta: float) -> np.ndarray:
-    """One projected gradient step on the least-squares objective.
-
-    ``x`` need not lie in ``K``: the stepped point is projected whole.
-    """
-    _check_step_args(x.shape, A, b, K, eta)
-    return _step_alone(x, A, b, K, eta, A.window)
-
-
-def group_pgd_step(x: np.ndarray, A: LinearMap, b: np.ndarray, K: Box,
-                   eta: float, T: GroupAction) -> np.ndarray:
-    """One projected gradient step evaluated through the symmetry action ``T``.
-
-    Computes the plain gradient at the rotated point and rotates it back:
-    the update direction is ``T^{-1} A^T (A(T x) - b)``.  With the identity
-    action this is bit-identical to :func:`pgd_step`.
-    """
-    _check_step_args(x.shape, A, b, K, eta)
-    return _step_alone(x, A, b, K, eta, window_table(A, [T])[0])
-
-
-def _step_alone(x, A, b, K, eta, cells):
-    """:func:`_step` on ``x`` alone through the table row ``cells``, then ``K.project``."""
-    X = x[None].astype(float)
-    _step(X, A, b, eta, cells[None], *_bounds(K, 1))
-    return K.project(X)[0]
 
 
 def _step(X, A, b, eta, cells, lo, hi):
@@ -470,7 +437,10 @@ def _chains(problem, eta, table, plain, rngs, iterations, stride, objective):
 def _split(chains, parts):
     """``chains(*part)`` of every part, its rows stacked in order: the first
     part in this process, each other one in a child forked for it, which
-    sends what it returns or raises back through a pipe and exits.
+    sends what it returns or raises back through a pipe and exits.  When
+    ``os.pipe`` or ``os.fork`` fails (``OSError``: out of descriptors,
+    processes or memory), the parts not yet forked are stepped in this
+    process after the first, so the rows keep their order.
 
     Every child is waited for before anything is raised.  Then the first
     failure other than :class:`DivergenceError` is raised, in this process's
@@ -487,8 +457,16 @@ def _split(chains, parts):
     children = []
     try:
         for part in parts[1:]:
-            read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # the child: step its part, send it, exit
+            fds = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError:
+                for fd in fds:
+                    os.close(fd)
+                break
+            read, write = fds
+            if pid == 0:  # the child: step its part, send it, exit
                 status = 1
                 try:
                     os.close(read)
@@ -503,10 +481,13 @@ def _split(chains, parts):
                     os._exit(status)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        try:
-            results = [chains(*parts[0])]
-        except Exception as failure:  # raised below, once every child is waited for
-            results = [failure]
+        own = []  # the first part, then each part no child took
+        for part in (parts[0], *parts[1 + len(children):]):
+            try:
+                own.append(chains(*part))
+            except Exception as failure:  # raised below, once every child is waited for
+                own.append(failure)
+        results = own[:1]
         while children:
             pid, pipe = children[0]
             sent = pipe.read()
@@ -515,6 +496,7 @@ def _split(chains, parts):
             pipe.close()
             results.append(pickle.loads(sent) if status == 0 else RuntimeError(
                 f"a forked part of the solve exited with status {status}"))
+        results += own[1:]
     finally:
         for pid, pipe in children:
             pipe.close()

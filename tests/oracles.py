@@ -3,20 +3,56 @@
 These are direct formulations of what the program computes another way:
 the rotated operator as a composition with the action
 (``compose_with_action``; the program gathers through a window table), the
-RMS stack over a subset whose Gram is the certificate's averaged Gram
-(``stack_mean``; the program permutes ``A^T A``), that averaged Gram as a
-dense matrix (``gram_average``; the program stores it as a band), the dense
-matrix a band stands for (``band_dense``), the spectrum of ``A^T A`` probed
-through the whole grid (``transposed_gram_eigvals``; the program probes it
-through the window maps), the identity map, and the covering radius grown
-one shift at a time (``covering_radius_loop``; the program reads the widest
-gap between measured angles).
+projected gradient step through the whole grid (``pgd_step``, and
+``group_pgd_step`` through that composition; the solver steps a stack
+through window table rows and writes only the cells it read), a dense
+matrix as a map (``from_dense``) and the angles a rotated operator measures
+(``shifted_angles``), the RMS stack over a subset whose Gram is the
+certificate's averaged Gram (``stack_mean``; the program permutes
+``A^T A``), that averaged Gram as a dense matrix (``gram_average``; the
+program stores it as a band), the dense matrix a band stands for
+(``band_dense``), the spectrum of ``A^T A`` probed through the whole grid
+(``transposed_gram_eigvals``; the program probes it through the window
+maps), the identity map, and the covering radius grown one shift at a time
+(``covering_radius_loop``; the program reads the widest gap between
+measured angles).  Each is written from its definition and imports nothing
+from ``grouppgd.solver`` and no private name of the package.
 """
 
 import numpy as np
 
-from grouppgd.linop import BandGram, DimensionMismatchError, LinearMap, gram_dense
+from grouppgd.linop import BandGram, DimensionMismatchError, LinearMap, from_window, gram_dense
 from grouppgd.symmetry import GroupAction
+
+
+def from_dense(matrix, tag: str = "dense") -> LinearMap:
+    """The map ``x -> M x`` of a dense 2-D array, its window every column.
+
+    A stack is multiplied one row at a time (a stacked ``np.matmul`` with
+    column vectors), which keeps each row's bits.
+    """
+    M = np.asarray(matrix, dtype=float)
+    return from_window(*M.shape, np.arange(M.shape[1]),
+                       lambda v: np.matmul(M, v[..., None])[..., 0],
+                       lambda y: np.matmul(M.T, y[..., None])[..., 0], tag=tag)
+
+
+def shifted_angles(angles, s: int, n_theta: int) -> tuple[int, ...]:
+    """The angles the operator measuring ``angles`` measures once composed
+    with the rotation by ``s``: each column read sits ``s`` steps lower."""
+    return tuple((a - s) % n_theta for a in angles)
+
+
+def pgd_step(x, A: LinearMap, b, K, eta: float) -> np.ndarray:
+    """One projected gradient step on ``0.5 |A x - b|^2``, through the whole
+    grid: ``K.project(x - eta * A^T (A x - b))``."""
+    return K.project(x - eta * A.adjoint(A.forward(x) - b))
+
+
+def group_pgd_step(x, A: LinearMap, b, K, eta: float, T: GroupAction) -> np.ndarray:
+    """:func:`pgd_step` through the rotated operator ``A_T = A ∘ T``
+    (:func:`compose_with_action`): the gradient is ``T^{-1} A^T (A(T x) - b)``."""
+    return pgd_step(x, compose_with_action(A, T), b, K, eta)
 
 
 def identity_map(d: int) -> LinearMap:

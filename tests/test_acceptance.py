@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 
+from grouppgd import solver
 from grouppgd.bench import (
     build_problem,
     evenly_spaced_angles,
     full_coverage_radius,
-    shifted_angles,
     textured_phantom,
 )
 from grouppgd.certificate import bound_limit, certify, verify_bound
@@ -27,10 +27,10 @@ from grouppgd.constraint import (
     project_cone,
     restricted_min_eig,
 )
-from grouppgd.linop import from_dense, spectral_norm
-from grouppgd.solver import SolverConfig, group_pgd_step, pgd_step, run, run_ensemble
+from grouppgd.linop import spectral_norm, window_table
+from grouppgd.solver import SolverConfig, run, run_ensemble
 from grouppgd.symmetry import identity_action, polar_theta_shift, symmetric_subset
-from oracles import compose_with_action
+from oracles import compose_with_action, from_dense, shifted_angles
 
 
 def _pass(n, message):
@@ -216,11 +216,15 @@ def test_criterion_7_degenerate_reductions():
     assert np.array_equal(plain.rmsd_normalized, degenerate.rmsd_normalized)
     assert np.array_equal(plain.objective, degenerate.objective)
     assert np.array_equal(plain.final_x, degenerate.final_x)
+    # the identity action's table row is the operator's window, so the
+    # solver's group step through it is the plain step
     rng = np.random.default_rng(18)
     x = rng.uniform(0.0, 1.0, prob.dimension)
-    ident = identity_action(prob.dimension)
-    a = pgd_step(x, prob.A, prob.b, prob.K, 0.01)
-    b = group_pgd_step(x, prob.A, prob.b, prob.K, 0.01, ident)
+    ident = window_table(prob.A, [identity_action(prob.dimension)])[0]
+    assert np.array_equal(ident, prob.A.window)
+    a, b = x[None].copy(), x[None].copy()
+    for X, cells in ((a, prob.A.window), (b, ident)):
+        solver._step(X, prob.A, prob.b, 0.01, cells[None], *solver._bounds(prob.K, 1))
     assert np.array_equal(a, b)
     _pass(7, "radius-0 traces and identity-action steps bit-identical to "
              "plain pgd")

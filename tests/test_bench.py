@@ -15,13 +15,12 @@ from grouppgd.bench import (
     evenly_spaced_angles,
     full_coverage_radius,
     ring_phantom,
-    shifted_angles,
     textured_phantom,
 )
 from grouppgd.constraint import DescentCone, restricted_min_eig
 from grouppgd.linop import SizeCapError, gram_dense
 from grouppgd.symmetry import polar_theta_shift, symmetric_subset
-from oracles import compose_with_action, covering_radius_loop, stack_mean
+from oracles import compose_with_action, covering_radius_loop, shifted_angles, stack_mean
 
 
 def test_ring_phantom_zero_profile():
@@ -277,8 +276,6 @@ INTEGER_REFUSALS = {
                                                   angles=np.array([0.0, 4.0])), "angle"),
     "problem_offsets": (lambda: build_problem(n_r=2, n_theta=8, rays_per_angle=2,
                                               offsets=(0, 1.5)), "offset"),
-    "shifted": (lambda: shifted_angles([0.9, 4.7], 1, 8), "angle"),
-    "shifted_by_a_fraction": (lambda: shifted_angles((0, 4), 0.5, 8), "s"),
 }
 
 
@@ -293,7 +290,6 @@ def test_angles_offsets_and_shifts_must_be_integers(case):
 def test_integer_arrays_of_angles_build_what_tuples_build():
     angles = np.array([1, 4], dtype=np.int32)
     assert full_coverage_radius(angles, 8) == full_coverage_radius((1, 4), 8) == 2
-    assert shifted_angles(angles, 1, 8) == (0, 3)
     a = build_problem(n_r=2, n_theta=8, rays_per_angle=2, angles=angles,
                       offsets=np.array([0, 1]))
     b = build_problem(n_r=2, n_theta=8, rays_per_angle=2, angles=(1, 4), offsets=(0, 1))

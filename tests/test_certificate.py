@@ -28,14 +28,13 @@ from grouppgd.linop import (
     BandGram,
     SizeCapError,
     band_gram,
-    from_dense,
     from_window,
     gram_dense,
     spectral_norm,
 )
 from grouppgd.solver import SolverConfig, run
 from grouppgd.symmetry import polar_theta_shift, symmetric_subset
-from oracles import compose_with_action, gram_average, stack_mean
+from oracles import compose_with_action, from_dense, gram_average, stack_mean
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -94,7 +93,7 @@ def test_alpha_rejects_bad_arguments(monkeypatch):
     # certify refuses L = 0 before the band is built, and a stack eigenvalue past L
     prob = ring_instance()
     subset = covering_subset(prob)
-    zero = replace(prob, A=linop.from_dense(np.zeros((prob.A.rows, prob.A.cols))))
+    zero = replace(prob, A=from_dense(np.zeros((prob.A.rows, prob.A.cols))))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the band was built for a zero operator")

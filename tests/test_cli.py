@@ -2,6 +2,7 @@
 
 import os
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -241,7 +242,7 @@ def test_overlapping_window_reruns_byte_identically(tmp_path):
     # lists cells twice and folds them; run and compare rerun byte for byte
     from grouppgd.cli import _build, load_config
     from grouppgd.linop import spectral_norm
-    from oracles import compose_with_action
+    from oracles import group_pgd_step
 
     cfg = write_config(tmp_path, "problem.angle_fraction = 0.5\n"
                                  "solver.iters = 300\nsolver.seeds = 4\n")
@@ -262,13 +263,11 @@ def test_overlapping_window_reruns_byte_identically(tmp_path):
     header, rows = rows[0], rows[1:]
     drawn = [int(row[header.index("action_index")]) for row in rows[1:]]
     rmsd = np.array([float(row[header.index("rmsd")]) for row in rows])
-    ops = [compose_with_action(problem.A, T) for T in subset]
     eta = 1.0 / spectral_norm(problem.A)
     x = np.zeros(problem.dimension)
     oracle = [np.linalg.norm(x - problem.x_dagger)]
     for index in drawn:
-        A = ops[index]
-        x = problem.K.project(x - eta * A.adjoint(A.forward(x) - problem.b))
+        x = group_pgd_step(x, problem.A, problem.b, problem.K, eta, subset.actions[index])
         oracle.append(np.linalg.norm(x - problem.x_dagger))
     assert len(drawn) == 300
     np.testing.assert_allclose(rmsd, oracle, rtol=1e-12)
@@ -764,7 +763,6 @@ def test_one_core_writes_what_every_core_writes(tmp_path):
     # digits with that pool (ROADMAP item 7), so both runs use one BLAS thread
     import shutil
     import subprocess
-    import sys
 
     import grouppgd
 
@@ -786,12 +784,44 @@ def test_one_core_writes_what_every_core_writes(tmp_path):
                                tmp_path / f"{command}.all"]).returncode == 0
 
 
+@pytest.mark.parametrize("command, call, error", [("compare", "fork", "EAGAIN"),
+                                                 ("run", "pipe", "EMFILE")])
+def test_a_part_that_cannot_be_forked_writes_the_in_process_outputs(tmp_path, capsys, monkeypatch,
+                                                                   command, call, error):
+    # a fork refused under a process limit left the solve as an OSError,
+    # which main reported as an unwritable output (exit 5), and left the
+    # pipe open: the parts no child takes are stepped in this process
+    import errno
+    import shutil
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg, out = os.path.join(CONFIGS, "ring.txt"), tmp_path / "out"
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    calls, written = [], []
+
+    def refuse(*args):
+        calls.append(args)
+        code = getattr(errno, error)
+        raise OSError(code, os.strerror(code))
+
+    for refused in (False, True):
+        if refused:
+            monkeypatch.setattr(os, call, refuse)
+        code = main([command, "--config", cfg, "--out", str(out)])
+        written.append((code, capsys.readouterr(), read_all(out)))
+        shutil.rmtree(out)
+    assert written[0][0] == EXIT_OK and written[1] == written[0]
+    assert calls or not hasattr(os, "fork") or sys.version_info >= (3, 12)
+    assert fds is None or os.listdir("/proc/self/fd") == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_every_shipped_solve_is_large_enough_to_split(tmp_path, monkeypatch):
     # SPLIT_CELL_STEPS sits below every solve run and compare make on a
     # shipped config or a benchmark workload, and above the solver's unit
     # tests (at most 96,000 cell-steps)
     import importlib.util
-    import sys
 
     from grouppgd import solver
     from grouppgd.cli import _build, load_config

@@ -20,8 +20,8 @@ from grouppgd.constraint import (
     subspace_min_eig,
 )
 from grouppgd.bench import angle_subsampled_operator, build_problem
-from grouppgd.linop import DimensionMismatchError, from_dense, gram_dense
-from oracles import identity_map
+from grouppgd.linop import DimensionMismatchError, gram_dense
+from oracles import from_dense, identity_map
 
 
 def random_orthonormal(d, k, seed):

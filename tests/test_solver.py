@@ -15,20 +15,19 @@ from grouppgd import kernels, linop, solver
 from grouppgd.bench import Geometry, ProblemInstance, angle_subsampled_operator, build_problem
 from grouppgd.certificate import certify, compute_eps_gstar, compute_eps_w
 from grouppgd.constraint import Box, DescentCone, Subspace
-from grouppgd.linop import DimensionMismatchError, LinearMap, SizeCapError, from_dense, spectral_norm
+from grouppgd.linop import (DimensionMismatchError, LinearMap, SizeCapError, spectral_norm,
+                            window_table)
 from grouppgd.solver import (
     DivergenceError,
     IterateTrace,
     SolverConfig,
-    group_pgd_step,
-    pgd_step,
     replicate_rngs,
     run,
     run_ensemble,
     run_with_plain,
 )
 from grouppgd.symmetry import identity_action, polar_theta_shift, sample_action, symmetric_subset
-from oracles import compose_with_action, identity_map
+from oracles import from_dense, group_pgd_step, identity_map, pgd_step
 
 
 def small_problem(noise="none", sigma=0.0, seed=0, **kw):
@@ -36,9 +35,31 @@ def small_problem(noise="none", sigma=0.0, seed=0, **kw):
                          noise=noise, sigma=sigma, seed=seed, **kw)
 
 
+def ring_problem(A, b, K, x_dagger=0.0):
+    """``x_dagger`` on one ring of ``A.cols`` angles, measured through ``A`` as ``b``."""
+    d = A.cols
+    geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
+    return ProblemInstance(x_dagger=np.full(d, x_dagger), A=A, b=b, w=np.zeros(A.rows), K=K,
+                           geometry=geometry)
+
+
+def diverging_problem():
+    """A problem whose step of size 1 maps the first cell ``x`` to ``2 - 3 x``."""
+    return ring_problem(from_dense(np.diag([2.0, 0.0, 0.0, 0.0])), np.ones(4),
+                        Box(-np.inf, np.inf, 4))
+
+
+def solver_step(x, A, b, K, eta, cells):
+    """The solver's step on ``x`` alone through the window table row
+    ``cells``, then ``K.project``, as ``x`` need not lie in ``K``."""
+    X = x[None].astype(float)
+    solver._step(X, A, b, eta, cells[None], *solver._bounds(K, 1))
+    return K.project(X)[0]
+
+
 def divergence_iteration(prob, eta, subset, rng, budget):
-    """The iteration at which one chain from zeros, stepped alone by
-    ``pgd_step`` (no subset) or by ``group_pgd_step`` through the actions
+    """The iteration at which one chain from zeros, stepped alone by the
+    oracle ``pgd_step`` (no subset) or ``group_pgd_step`` through the actions
     ``rng`` draws, leaves the finite ball of radius ``DIVERGENCE_NORM``;
     None if it stays inside for ``budget`` steps."""
     x = np.zeros(prob.dimension)
@@ -53,14 +74,14 @@ def divergence_iteration(prob, eta, subset, rng, budget):
 
 def test_pgd_fixed_point_at_ground_truth():
     prob = small_problem()
-    out = pgd_step(prob.x_dagger, prob.A, prob.b, prob.K, eta=0.01)
+    out = solver_step(prob.x_dagger, prob.A, prob.b, prob.K, 0.01, prob.A.window)
     assert_allclose(out, prob.x_dagger, atol=1e-14)
 
 
 def test_pgd_identity_operator_single_step():
     A = identity_map(1)
     K = Box(-10.0, 10.0, 1)
-    out = pgd_step(np.array([5.0]), A, np.array([0.0]), K, eta=1.0)
+    out = solver_step(np.array([5.0]), A, np.array([0.0]), K, 1.0, A.window)
     assert_allclose(out, [0.0], atol=0)
 
 
@@ -68,21 +89,26 @@ def test_pgd_step_matches_hand_rolled_arithmetic():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
     A = from_dense(M)
     K = Box(-5.0, 5.0, 2)
-    x = np.array([0.5, -0.25])
     b = np.array([1.0, -1.0])
     eta = 0.05
-    grad = M.T @ (M @ x - b)
-    oracle = np.clip(x - eta * grad, -5.0, 5.0)
-    assert_allclose(pgd_step(x, A, b, K, eta), oracle, atol=1e-12)
+    prob = ring_problem(A, b, K)
+    # run's one step from zeros, and the step from an arbitrary x
+    trace = run(prob, SolverConfig(max_iters=1, step_size=eta, record_every=1))
+    for x, stepped in ((np.zeros(2), trace.final_x),
+                       (np.array([0.5, -0.25]), solver_step(np.array([0.5, -0.25]), A, b, K,
+                                                            eta, A.window))):
+        grad = M.T @ (M @ x - b)
+        oracle = np.clip(x - eta * grad, -5.0, 5.0)
+        assert_allclose(stepped, oracle, atol=1e-12)
 
 
 def test_group_step_identity_action_bit_identical_to_pgd():
     prob = small_problem(noise="gaussian", sigma=0.1)
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, prob.dimension)
-    ident = identity_action(prob.dimension)
-    a = pgd_step(x, prob.A, prob.b, prob.K, eta=0.01)
-    b = group_pgd_step(x, prob.A, prob.b, prob.K, 0.01, ident)
+    ident = window_table(prob.A, [identity_action(prob.dimension)])[0]
+    a = solver_step(x, prob.A, prob.b, prob.K, 0.01, prob.A.window)
+    b = solver_step(x, prob.A, prob.b, prob.K, 0.01, ident)
     assert np.array_equal(a, b)
 
 
@@ -90,7 +116,8 @@ def test_group_step_ring_is_fixed_point_for_any_action():
     prob = small_problem()
     for s in (-3, 1, 2):
         T = polar_theta_shift(4, 8, s)
-        out = group_pgd_step(prob.x_dagger, prob.A, prob.b, prob.K, 0.01, T)
+        out = solver_step(prob.x_dagger, prob.A, prob.b, prob.K, 0.01,
+                          window_table(prob.A, [T])[0])
         assert_allclose(out, prob.x_dagger, atol=1e-14)
 
 
@@ -100,11 +127,15 @@ def test_group_step_matches_composed_operator_formulation():
     x = rng.uniform(0.0, 1.0, prob.dimension)
     for s in (1, -2):
         T = polar_theta_shift(4, 8, s)
-        A_g = compose_with_action(prob.A, T)
-        grad = A_g.adjoint(A_g.forward(x) - prob.b)
-        oracle = prob.K.project(x - 0.01 * grad)
-        assert_allclose(group_pgd_step(x, prob.A, prob.b, prob.K, 0.01, T),
-                        oracle, atol=1e-12)
+        assert_allclose(solver_step(x, prob.A, prob.b, prob.K, 0.01, window_table(prob.A, [T])[0]),
+                        group_pgd_step(x, prob.A, prob.b, prob.K, 0.01, T), atol=1e-12)
+    # run's one step from zeros, through the action it drew
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    for seed in range(3):
+        trace = run(prob, SolverConfig(max_iters=1, step_size=0.01, seed=seed), subset)
+        T = subset.actions[trace.action_indices[1]]
+        assert_allclose(trace.final_x, group_pgd_step(np.zeros(prob.dimension), prob.A, prob.b,
+                                                      prob.K, 0.01, T), atol=1e-12)
 
 
 def test_run_radius_zero_matches_plain_pgd():
@@ -163,23 +194,16 @@ def test_fixed_point_stays_fixed_in_run():
     # the actions run draws, stepped from the ground truth
     draws = np.random.default_rng(config.seed).integers(len(subset), size=config.max_iters)
     assert np.array_equal(run(prob, config, subset=subset).action_indices[1:], draws)
+    table = window_table(prob.A, subset)
     x = prob.x_dagger
     for s in draws:
-        x = group_pgd_step(x, prob.A, prob.b, prob.K, eta, subset.actions[s])
+        x = solver_step(x, prob.A, prob.b, prob.K, eta, table[s])
         assert np.linalg.norm(x - prob.x_dagger) <= 1e-12
     assert_allclose(x, prob.x_dagger, atol=1e-12)
 
 
 def test_divergence_raises_with_iteration_index():
-    d = 4
-    A = identity_map(d)
-    x_dagger = np.zeros(d)
-    b = np.ones(d)
-    K = Box(-np.inf, np.inf, d)  # unconstrained
-    geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d,
-                        offsets=(0,))
-    prob = ProblemInstance(x_dagger=x_dagger, A=A, b=b, w=np.zeros(d), K=K,
-                           geometry=geometry)
+    prob = ring_problem(identity_map(4), np.ones(4), Box(-np.inf, np.inf, 4))  # unconstrained
     config = SolverConfig(max_iters=500, step_size=10.0, seed=0)
     with pytest.raises(DivergenceError) as info:
         run(prob, config)
@@ -199,12 +223,8 @@ def test_run_draws_one_action_per_step_in_stream_order():
 def test_ensemble_divergence_names_the_first_row_to_diverge():
     # every step scales the coordinate the drawn shift moves onto the first
     # axis by -3, so each replicate blows up at an iteration set by its draws
-    d = 4
-    geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
-    prob = ProblemInstance(x_dagger=np.zeros(d), A=from_dense(np.diag([2.0, 0.0, 0.0, 0.0])),
-                           b=np.ones(d), w=np.ones(d), K=Box(-np.inf, np.inf, d),
-                           geometry=geometry)
-    subset = symmetric_subset(polar_theta_shift(1, d, 1), 1)
+    prob = diverging_problem()
+    subset = symmetric_subset(polar_theta_shift(1, 4, 1), 1)
     config = SolverConfig(max_iters=500, step_size=1.0, seed=2)
     alone = [divergence_iteration(prob, 1.0, subset, rng, config.max_iters)
              for rng in replicate_rngs(config.seed, 6)]
@@ -218,12 +238,8 @@ def test_mixed_stack_divergence_names_the_first_row_to_diverge():
     # the plain row scales the first coordinate by -3 every step; a group
     # row does so only when its draw moves that coordinate back, so it
     # blows up later
-    d = 4
-    geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
-    prob = ProblemInstance(x_dagger=np.zeros(d), A=from_dense(np.diag([2.0, 0.0, 0.0, 0.0])),
-                           b=np.ones(d), w=np.ones(d), K=Box(-np.inf, np.inf, d),
-                           geometry=geometry)
-    subset = symmetric_subset(polar_theta_shift(1, d, 1), 1)
+    prob = diverging_problem()
+    subset = symmetric_subset(polar_theta_shift(1, 4, 1), 1)
     config = SolverConfig(max_iters=500, step_size=1.0, seed=2)
     alone = [divergence_iteration(prob, 1.0, None, None, config.max_iters)]
     alone += [divergence_iteration(prob, 1.0, subset, rng, config.max_iters)
@@ -357,17 +373,18 @@ def test_plain_step_is_the_identity_step(dense, n_r, n_theta, angles, rays, reac
     b = rng.standard_normal(A.rows)
     K = Box(0.0, 1.0, d)
     X = rng.uniform(-0.5, 1.5, size=(batch, d))
-    identity = identity_action(d)
-    # the stack through the operator's window, as a plain row steps it; X
-    # lies outside K, so the stepped stack is projected whole
-    stacked = X.copy()
-    solver._step(stacked, A, b, 0.3, A.window + d * np.arange(batch)[:, None],
-                 *solver._bounds(K, batch))
-    stacked = K.project(stacked)
-    for x, row in zip(X, stacked, strict=True):
-        plain = pgd_step(x, A, b, K, 0.3)
-        assert plain.tobytes() == group_pgd_step(x, A, b, K, 0.3, identity).tobytes()
-        assert plain.tobytes() == row.tobytes()
+    # the stack through the operator's window, as a plain row steps it, and
+    # through the identity's table row; X lies outside K, so each stepped
+    # stack is projected whole
+    stacks = []
+    for cells in (A.window, window_table(A, [identity_action(d)])[0]):
+        stacked = X.copy()
+        solver._step(stacked, A, b, 0.3, cells + d * np.arange(batch)[:, None],
+                     *solver._bounds(K, batch))
+        stacks.append(K.project(stacked))
+    for x, plain, identity in zip(X, *stacks, strict=True):
+        assert plain.tobytes() == identity.tobytes()
+        assert plain.tobytes() == pgd_step(x, A, b, K, 0.3).tobytes()
 
 
 def test_mixed_stack_makes_one_forward_and_one_adjoint_per_step():
@@ -534,11 +551,9 @@ def test_operator_without_window_gives_the_same_traces():
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     # single steps and every certificate constant take the same route too
     x = np.random.default_rng(8).uniform(-0.5, 1.5, size=prob.dimension)
-    steps = [pgd_step(x, A, prob.b, prob.K, 0.05), pgd_step(x, bare.A, prob.b, prob.K, 0.05)]
-    for T in subset:
-        steps += [group_pgd_step(x, A, prob.b, prob.K, 0.05, T),
-                  group_pgd_step(x, bare.A, prob.b, prob.K, 0.05, T)]
-    for a, b in zip(steps[::2], steps[1::2]):
+    steps = [[solver_step(x, op, prob.b, prob.K, 0.05, cells)
+              for cells in (op.window, *window_table(op, subset))] for op in (A, bare.A)]
+    for a, b in zip(*steps, strict=True):
         assert a.tobytes() == b.tobytes()
     assert certify(prob, subset) == certify(bare, subset)
     # a subspace cone's probes and the eps_* terms read window_table rows,
@@ -563,9 +578,11 @@ SOLVER_REFUSALS = {
                      ValueError, "trace field rmsd has inconsistent length"),
     "trace_order": (lambda p: trace_of([0, 2, 1], 3),
                     ValueError, "iteration indices must be strictly increasing"),
-    "iterate_shape": (lambda p: pgd_step(np.zeros(p.dimension + 1), p.A, p.b, p.K, 0.1),
+    "iterate_shape": (lambda p: run(replace(p, x_dagger=np.zeros(p.dimension + 1)),
+                                    SolverConfig(max_iters=1, step_size=0.1)),
                       DimensionMismatchError, "iterate has shape (33,), operator expects (32,)"),
-    "observation_shape": (lambda p: pgd_step(np.zeros(p.dimension), p.A, p.b[1:], p.K, 0.1),
+    "observation_shape": (lambda p: run(replace(p, b=p.b[1:]),
+                                        SolverConfig(max_iters=1, step_size=0.1)),
                           DimensionMismatchError,
                           "observation has shape (15,), operator produces (16,)"),
     "subset_dimension": (lambda p: run(p, SolverConfig(max_iters=2),
@@ -670,13 +687,11 @@ def test_config_refuses_a_non_finite_or_negative_step(step):
 
 @pytest.mark.parametrize("eta", [np.inf, np.nan])
 def test_steps_refuse_a_non_finite_step(eta):
-    # an infinite step from a fixed point would write NaN cells
+    # an infinite step from a fixed point would write NaN cells; the solve
+    # asks its step's rule after resolving the step, before any stream
     prob = build_problem(n_r=4, n_theta=8, rays_per_angle=4)
-    T = polar_theta_shift(1, prob.dimension, 1)
     with pytest.raises(ValueError, match="positive and finite"):
-        pgd_step(prob.x_dagger, prob.A, prob.b, prob.K, eta)
-    with pytest.raises(ValueError, match="positive and finite"):
-        group_pgd_step(prob.x_dagger, prob.A, prob.b, prob.K, eta, T)
+        solver._check_step_args((prob.dimension,), prob.A, prob.b, prob.K, eta)
 
 
 def test_noiseless_symmetric_run_meets_predicted_iteration_count():
@@ -698,8 +713,8 @@ def test_noiseless_symmetric_run_meets_predicted_iteration_count():
 
 
 def step_alone(prob, eta, subset, draws, budget):
-    """Iterates 0..budget of one chain from zeros stepped by ``pgd_step`` (no
-    subset) or by ``group_pgd_step`` through ``draws``."""
+    """Iterates 0..budget of one chain from zeros stepped by the oracle
+    ``pgd_step`` (no subset) or ``group_pgd_step`` through ``draws``."""
     xs = [np.zeros(prob.dimension)]
     for k in range(budget):
         x = xs[-1]
@@ -794,15 +809,14 @@ def test_a_feasible_set_that_is_not_a_box_is_refused_first(monkeypatch, call):
     monkeypatch.setattr(solver, "window_table", refuse)
     monkeypatch.setattr(solver, "replicate_rngs", refuse)
     config = SolverConfig(max_iters=5, step_size=0.1)
-    x = np.zeros(d)
+    step = SolverConfig(max_iters=1, step_size=0.1)  # a single step is a one-step run
     calls = {
         "run": lambda: run(prob, config),
         "run_group": lambda: run(prob, config, subset),
         "run_ensemble": lambda: run_ensemble(prob, config, subset, 3),
         "run_with_plain": lambda: run_with_plain(prob, config, subset, 3),
-        "pgd_step": lambda: pgd_step(x, prob.A, prob.b, prob.K, 0.1),
-        "group_pgd_step": lambda: group_pgd_step(x, prob.A, prob.b, prob.K, 0.1,
-                                                  subset.actions[1]),
+        "pgd_step": lambda: run(prob, step),
+        "group_pgd_step": lambda: run(prob, step, subset),
     }
     with pytest.raises(TypeError, match="Subspace"):
         calls[call]()
@@ -818,11 +832,9 @@ def test_solve_holds_one_step_table(objective, counted):
     # one table, it grew by 56 B and 32 B a step.
     import tracemalloc
 
-    d = 4
-    geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
-    prob = ProblemInstance(x_dagger=np.full(d, 0.5), A=from_dense(np.diag([1.0, 0.5, 0.25, 0.0])),
-                           b=np.ones(d), w=np.zeros(d), K=Box(0.0, 1.0, d), geometry=geometry)
-    subset = symmetric_subset(polar_theta_shift(1, d, 1), 1)
+    prob = ring_problem(from_dense(np.diag([1.0, 0.5, 0.25, 0.0])), np.ones(4), Box(0.0, 1.0, 4),
+                        x_dagger=0.5)
+    subset = symmetric_subset(polar_theta_shift(1, 4, 1), 1)
 
     def peak(budget):
         config = SolverConfig(max_iters=budget, step_size=0.5, record_every=budget)
@@ -930,11 +942,17 @@ needs_fork = pytest.mark.skipif(
     reason="the solve forks only where os.fork exists, before Python 3.12")
 
 
+def open_fds():
+    """The descriptors this process holds, or None where ``/proc`` does not list them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the children the test's solves fork; after the test, no
-    child of this process may be left."""
-    real, pids = os.fork, []
+    child of this process may be left, nor a descriptor it did not hold
+    before."""
+    real, pids, fds = os.fork, [], open_fds()
 
     def fork():
         pid = real()
@@ -946,6 +964,7 @@ def forks(monkeypatch):
     yield pids
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
 
 
 def split_on(monkeypatch, cores):
@@ -1003,12 +1022,8 @@ def test_a_split_solve_names_the_earliest_divergence_in_any_part(forks, monkeypa
     # its draws (see test_ensemble_divergence_names_the_first_row_to_diverge);
     # the first to do so sits in this process's part (rows 0-2) or the
     # child's (rows 3-5), and the other part diverges later
-    d = 4
-    geometry = Geometry(n_r=1, n_theta=d, angles=(0,), rays_per_angle=d, offsets=(0,))
-    prob = ProblemInstance(x_dagger=np.zeros(d), A=from_dense(np.diag([2.0, 0.0, 0.0, 0.0])),
-                           b=np.ones(d), w=np.ones(d), K=Box(-np.inf, np.inf, d),
-                           geometry=geometry)
-    subset = symmetric_subset(polar_theta_shift(1, d, 1), 1)
+    prob = diverging_problem()
+    subset = symmetric_subset(polar_theta_shift(1, 4, 1), 1)
     for seed in range(100):
         config = SolverConfig(max_iters=500, step_size=1.0, seed=seed)
         alone = [divergence_iteration(prob, 1.0, subset, rng, config.max_iters)
@@ -1063,3 +1078,37 @@ def test_a_failure_in_any_part_is_raised_and_leaves_no_child(forks, monkeypatch,
     with pytest.raises(raised, match=message and re.escape(message)):
         run_with_plain(prob, SolverConfig(max_iters=40, step_size=0.05), subset, 4)
     assert len(forks) == 1 and time.perf_counter() - start < 30
+
+
+@needs_fork
+@pytest.mark.parametrize("cores, call, failing, error", [
+    (2, "fork", 1, "EAGAIN"), (3, "fork", 2, "EAGAIN"), (2, "pipe", 1, "EMFILE")])
+def test_a_part_that_cannot_be_forked_is_stepped_here(forks, monkeypatch, cores, call,
+                                                      failing, error):
+    # an OSError from os.pipe or os.fork (a process or descriptor limit)
+    # left the solve and the pipe open; the parts no child takes are
+    # stepped in this process, in row order, with the in-process bits
+    import errno
+
+    prob = small_problem(noise="gaussian", sigma=0.05, seed=4)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    config = SolverConfig(max_iters=40, step_size=0.05, seed=3, record_every=3)
+
+    def solve():
+        plain, group = run_with_plain(prob, config, subset, 4)
+        return [plain, *group]
+
+    alone = solve()
+    split_on(monkeypatch, cores)
+    real, calls = getattr(os, call), []
+
+    def refuse(*args):
+        calls.append(args)
+        if len(calls) == failing:
+            code = getattr(errno, error)
+            raise OSError(code, os.strerror(code))
+        return real(*args)
+
+    monkeypatch.setattr(os, call, refuse)
+    assert trace_bytes(solve()) == trace_bytes(alone)
+    assert len(calls) == failing and len(forks) == failing - 1

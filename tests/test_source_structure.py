@@ -12,13 +12,17 @@ from them) and fail on any other route: a call of a method named ``apply``
 (``GroupAction.apply`` rotates a whole signal), a read of an attribute
 named ``permutation`` outside ``symmetry.py`` and ``linop.window_table``, a
 call of ``gram_dense``, and a ``LinearMap`` built outside ``from_window``,
-the one map constructor (``from_dense`` builds its map through it).
+the one map constructor.  The tests' oracles (``tests/oracles.py``) are
+written from their definitions: they import nothing from
+``grouppgd.solver`` and no private name of the package, so no oracle
+shares the code it checks.
 """
 
 import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "grouppgd"
+ORACLES = pathlib.Path(__file__).resolve().parent / "oracles.py"
 # (module, top-level definition) pairs that may read a permutation;
 # None stands for every definition of the module
 PERMUTATION_READERS = {("symmetry.py", None), ("linop.py", "window_table")}
@@ -73,3 +77,22 @@ def test_no_source_calls_gram_dense():
 def test_a_linear_map_is_built_only_by_its_two_constructors():
     constructors = {(module, name) for module, name, _ in calls_of("LinearMap")}
     assert constructors == MAP_CONSTRUCTORS
+
+
+def private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_the_oracles_import_no_solver_and_no_private_name():
+    imported, read = [], []
+    for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [[*(node.module or "").split("."), alias.name] for alias in node.names]
+        elif isinstance(node, ast.Attribute) and (node.attr == "solver" or private(node.attr)):
+            read.append((node.attr, node.lineno))
+    assert ["grouppgd", "linop", "from_window"] in imported  # the rule reads the imports
+    assert [path for path in imported if path[0] == "grouppgd"
+            and ("solver" in path or any(map(private, path)))] == []
+    assert read == []
