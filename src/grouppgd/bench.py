@@ -151,7 +151,10 @@ def angle_subsampled_operator(n_r: int, n_theta: int, angles, rays_per_angle: in
     rotations of each other: composed with the rotation by ``s``, the
     operator measures ``(a - s) mod n_theta`` for each ``a``, in the same
     order.  An angle or offset that is not an integer, or is a ``bool``, is
-    refused (``TypeError``), not truncated.
+    refused (``TypeError``), not truncated.  Each angle's rays read only that
+    angle's window cells, so the map has one block per angle
+    (:func:`~grouppgd.linop.from_window`), one in all when two angles'
+    windows share a cell.
     """
     angles = tuple(a % n_theta for a in _integers("angle", angles))
     if len(angles) == 0:
@@ -177,6 +180,7 @@ def angle_subsampled_operator(n_r: int, n_theta: int, angles, rays_per_angle: in
         window_forward=lambda v: kernels.polar_window_forward(v, weights),
         window_adjoint=lambda y: kernels.polar_window_adjoint(y, weights_t),
         tag=f"polar[{len(angles)}x{rays_per_angle}]",
+        blocks=len(angles),
     )
 
 
@@ -191,15 +195,16 @@ def evenly_spaced_angles(n_theta: int, fraction: float) -> tuple[int, ...]:
 def full_coverage_radius(angles, n_theta: int) -> int:
     """Smallest shift radius whose shifted copies of ``angles`` cover every column.
 
-    It is half the widest cyclic gap between the distinct measured columns,
-    rounded down.  It can exceed ``(n_theta - 1) // 2``, the widest radius a
+    It is half the widest cyclic gap between the measured columns, rounded
+    down; a repeated column adds a gap of 0, so the sorted columns are not
+    thinned.  It can exceed ``(n_theta - 1) // 2``, the widest radius a
     symmetric subset holds: one angle of 8 gives 4, so take the smaller.
     An angle that is not an integer, or is a ``bool``, is refused
     (``TypeError``).
     """
     if n_theta < 1:
         raise ValueError("grid sizes must be at least 1")
-    cols = np.unique(np.array(_integers("angle", angles), dtype=np.int64) % n_theta)
+    cols = np.sort(np.array(_integers("angle", angles), dtype=np.int64) % n_theta)
     if not cols.size:
         raise ValueError("angle set must be nonempty")
     return int(np.diff(cols, append=cols[0] + n_theta).max() // 2)

@@ -28,7 +28,8 @@ keys are rejected so typos fail loudly.  Each value converts to its field's
 type (``int``, ``float`` or text), and ``solver.step`` is a number or
 ``auto``.  All outputs are deterministic for a fixed config: reruns produce
 byte-identical files.  Files are written to a temp name and renamed, so
-failures never leave partial files.
+failures never leave partial files; a file that already holds the bytes is
+left as it is.
 
 Exit codes: 0 success, 2 config error (a malformed or impossible setting,
 noise whose draw overflows included), 3 solver divergence, 4 problem too
@@ -241,6 +242,17 @@ def _build(config: ExperimentConfig):
 
 
 def _write_atomic(path: str, text: str):
+    """Write ``text`` to ``path`` through a temp file and ``os.replace``, so a
+    failure leaves no partial file, unless ``path`` already holds its UTF-8
+    bytes: that file is left as it is, mtime included, and no temp file is
+    written.  A rename over an existing file can cost tens of milliseconds
+    (ext4 flushes the new data first), and reruns into one ``--out`` write
+    the same bytes.  A path that cannot be read (missing, a directory, any
+    ``OSError``) is written."""
+    data = text.encode("utf-8")
+    with contextlib.suppress(OSError), open(path, "rb") as fh:
+        if fh.read(len(data) + 1) == data:
+            return
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -29,7 +29,14 @@ read.
 
 Spectral quantities are exact: :func:`gram_eigvals` probes, through the
 window maps, the Gram of the smaller of the operator's rows and its
-window's cells, and :func:`spectral_norm` is its top eigenvalue.
+window's cells, and :func:`spectral_norm` is its top eigenvalue.  A map
+whose window maps act on independent blocks says how many
+(``LinearMap.blocks``: the polar operator's measured angles), and one probe
+vector then carries one position of every block (the grouping of Curtis,
+Powell and Reid, *J. Inst. Maths Applics* 13, 1974), so a Gram costs the
+probes of one block.  Each block's entries have the bits of probing its
+positions one at a time, and the entries between blocks are the exact
+``+0.0`` such probes give.
 
 The certificate's stack Gram, ``G = A^T A`` averaged through a subset's
 permutations, is stored banded (:class:`BandGram`, built by
@@ -121,6 +128,11 @@ class LinearMap:
     cell, in order, through ``forward`` and ``adjoint`` themselves, unless
     :func:`from_window` built it.  ``dataclasses.replace`` therefore
     gives a map that reads through its own ``forward`` and ``adjoint``.
+
+    ``blocks`` counts the independent blocks the window maps act on: the
+    rows and the window split into that many equal consecutive runs, and
+    block ``b``'s rows read only block ``b``'s window cells.  It is 1 unless
+    :func:`from_window` was given more.
     """
 
     rows: int
@@ -133,17 +145,18 @@ class LinearMap:
         init=False, repr=False, compare=False)
     window_adjoint: Callable[[np.ndarray], np.ndarray] = field(
         init=False, repr=False, compare=False)
+    blocks: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._set_window(np.arange(self.cols), self.forward, self.adjoint)
+        self._set_window(np.arange(self.cols), self.forward, self.adjoint, 1)
 
     def _set_window(self, *window):
-        for name, value in zip(("window", "window_forward", "window_adjoint"), window):
+        for name, value in zip(("window", "window_forward", "window_adjoint", "blocks"), window):
             object.__setattr__(self, name, value)
 
 
 def from_window(rows: int, cols: int, window, window_forward, window_adjoint,
-                tag: str = "") -> LinearMap:
+                tag: str = "", blocks: int = 1) -> LinearMap:
     """A map that reads only the input cells ``window`` (flat, duplicates allowed).
 
     ``window_forward`` maps the gathered values ``x[..., window]`` to the
@@ -162,13 +175,25 @@ def from_window(rows: int, cols: int, window, window_forward, window_adjoint,
     distinct cells keeps its maps.  A cell outside ``[0, cols)`` is refused
     (:class:`DimensionMismatchError`), and a nonempty ``window`` whose dtype
     is not an integer kind (``TypeError``).
+
+    ``blocks`` is the caller's promise that the window maps act on that many
+    independent blocks (see :class:`LinearMap`), so that :func:`gram_eigvals`
+    and :func:`band_gram` probe every block with one vector.  A count that
+    is not a positive integer dividing both ``rows`` and the given window is
+    refused (``TypeError``, :class:`DimensionMismatchError`).  A window that
+    folds repeated cells is one block: its blocks share cells.
     """
+    _check_integer("blocks", blocks)
     window = _cells("window", window).ravel()
+    if blocks < 1 or rows % blocks or len(window) % blocks:
+        raise DimensionMismatchError(
+            f"{blocks} blocks do not divide {rows} rows and a window of {len(window)} cells")
     outside = window[(window < 0) | (window >= cols)]
     if len(outside):
         raise DimensionMismatchError(
             f"window cell {outside[0]} is outside the operator's {cols} columns")
     if np.bincount(window).max(initial=0) > 1:
+        blocks = 1
         _, first, expand = np.unique(window, return_index=True, return_inverse=True)
         order = np.argsort(first)
         distinct, expand = window[first[order]], np.argsort(order)[expand]
@@ -182,7 +207,7 @@ def from_window(rows: int, cols: int, window, window_forward, window_adjoint,
         adjoint=lambda y: kernels.scatter_add(window, window_adjoint(y), cols),
         tag=tag,
     )
-    A._set_window(window, window_forward, window_adjoint)
+    A._set_window(window, window_forward, window_adjoint, blocks)
     return A
 
 
@@ -213,42 +238,53 @@ def gram_eigvals(A: LinearMap) -> np.ndarray:
     ``A^T A`` is zero off ``A.window``, and its nonzero eigenvalues are
     those of ``A A^T``.  The smaller of the ``rows x rows`` Gram and that of
     the window's cells is probed through the window maps (``A A^T`` only
-    when there are fewer rows than window cells), and its spectrum is padded
-    with zeros.  A map that reads every cell so takes the probes of
-    :func:`gram_dense` on ``A`` or, when it is wide, on its transpose.  A
-    probed side above ``DENSE_CAP`` is refused (:class:`SizeCapError`)
-    before any probe.
+    when there are fewer rows than window cells), one vector per position
+    of a block (:func:`_gram_probes`), and its spectrum is padded with
+    zeros.  That Gram is block diagonal over ``A.blocks``, and each block's
+    entries are those of probing its positions one at a time, the entries
+    between blocks their exact ``+0.0``.  A map that reads every cell so
+    takes the probes of :func:`gram_dense` on ``A`` or, when it is wide, on
+    its transpose.  A probed side above ``DENSE_CAP`` is refused
+    (:class:`SizeCapError`) before any probe.
     """
     if len(A.window) <= A.rows:
-        small = _probed_gram(len(A.window), A.window_forward, A.window_adjoint)
+        small = _probed_gram(len(A.window), A.blocks, A.window_forward, A.window_adjoint)
     else:
-        small = _probed_gram(A.rows, A.window_adjoint, A.window_forward)
+        small = _probed_gram(A.rows, A.blocks, A.window_adjoint, A.window_forward)
     padding = np.zeros(A.cols - len(small))
     return np.sort(np.concatenate([padding, np.linalg.eigvalsh(small)]))
 
 
-def _gram_probes(n: int, forward, adjoint):
-    """``(lo, P)`` for each block of basis vectors of length ``n``:
-    ``P[j] = adjoint(forward(e_{lo + j}))``, column ``lo + j`` of that Gram.
+def _gram_probes(n: int, blocks: int, forward, adjoint):
+    """``(lo, P)`` for each stack of probe vectors of length ``n``: segment
+    ``b`` of ``P[j]`` is column ``lo + j`` of block ``b``'s Gram
+    ``adjoint ∘ forward``, on block ``b``'s positions.
 
-    The basis vectors go through the maps ``_PROBE_BLOCK`` at a time as one
-    stack; by the stack contract row ``j`` has the bits of probing
-    ``e_{lo + j}`` alone.
+    The ``n`` positions split into ``blocks`` equal consecutive blocks that
+    the maps keep apart, so probe vector ``j`` carries position ``j`` of
+    every block, and ``n // blocks`` vectors probe them all.  They go
+    through the maps ``_PROBE_BLOCK`` at a time as one stack; by the stack
+    contract row ``j`` has the bits of probing its vector alone, and each
+    block's segment those of probing its one position alone.
     """
-    for lo in range(0, n, _PROBE_BLOCK):
-        hi = min(lo + _PROBE_BLOCK, n)
-        E = np.zeros((hi - lo, n))
-        E[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        yield lo, adjoint(forward(E))
+    m = n // blocks
+    for lo in range(0, m, _PROBE_BLOCK):
+        hi = min(lo + _PROBE_BLOCK, m)
+        E = np.zeros((hi - lo, blocks, m))
+        E[np.arange(hi - lo), :, np.arange(lo, hi)] = 1.0
+        yield lo, adjoint(forward(E.reshape(hi - lo, n)))
 
 
-def _probed_gram(n: int, forward, adjoint) -> np.ndarray:
-    """The ``n x n`` Gram ``adjoint ∘ forward``, probed column by column;
-    refused (:class:`SizeCapError`) above ``DENSE_CAP`` columns, before any probe."""
+def _probed_gram(n: int, blocks: int, forward, adjoint) -> np.ndarray:
+    """The ``n x n`` Gram ``adjoint ∘ forward`` of ``blocks`` independent
+    blocks, each probed column by column, zero between blocks; refused
+    (:class:`SizeCapError`) above ``DENSE_CAP`` columns, before any probe."""
     _check_size(n * n, f"the dense Gram of {n} columns")
-    G = np.empty((n, n))
-    for lo, P in _gram_probes(n, forward, adjoint):
-        G[:, lo:lo + len(P)] = P.T
+    G = np.zeros((n, n))
+    m = n // blocks
+    own, b = G.reshape(blocks, m, blocks, m), np.arange(blocks)
+    for lo, P in _gram_probes(n, blocks, forward, adjoint):
+        own[b, :, b, lo:lo + len(P)] = P.reshape(len(P), blocks, m).transpose(1, 2, 0)
     return G
 
 
@@ -256,7 +292,7 @@ def gram_dense(A: LinearMap) -> np.ndarray:
     """``A^T A``, every column probed through ``A.forward`` and ``A.adjoint``:
     the reference the tests compare against.  Refused (:class:`SizeCapError`)
     above ``DENSE_CAP`` columns, before any probe."""
-    return _probed_gram(A.cols, A.forward, A.adjoint)
+    return _probed_gram(A.cols, 1, A.forward, A.adjoint)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,21 +365,24 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
     """``mean_g P_g^T G P_g`` over ``actions`` as a :class:`BandGram` in ``order``, ``G = A^T A``.
 
     ``G`` is zero off ``A.window``, so only the window's cells are probed,
-    through the window maps, a block of basis vectors at a time.  The entry
-    between window positions ``a`` and ``c`` is kept once, from the probe
-    of the lower cell (``window[a] >= window[c]``): ``A.adjoint`` adds the
-    window maps' values into zeros, so these are the bits of probing every
-    cell through ``forward`` and ``adjoint``, even where a folded window
-    leaves ``G`` not bitwise symmetric.  Action ``s`` moves that entry to
-    the cells ``table[s, a]`` and ``table[s, c]`` of its :func:`window_table`
-    row, so only the nonzeros move, added up action by action as a dense
-    average would add them.  Each entry lands in the stored lower
-    triangle, at one flat index of the block rows: ``(h, l)``, ``h >= l``, is
-    row ``h``, column ``l - (h // b - 1) b``.  The diagonal blocks are
-    mirrored, so the band is exactly symmetric.  The block size ``b`` is the
-    widest stored distance of a moved nonzero from the diagonal, plus one,
-    so every nonzero falls in a diagonal block or the one below it, whatever
-    the operator or the actions; at worst the band is one dense block.  The
+    through the window maps, one vector per position of a block
+    (:func:`_gram_probes`), a stack of them at a time; ``G`` is zero between
+    blocks, so each vector's nonzeros lie in its own positions' columns.
+    The entry between window positions ``a`` and ``c`` is kept once, from
+    the probe of the lower cell (``window[a] >= window[c]``): ``A.adjoint``
+    adds the window maps' values into zeros, so these are the bits of
+    probing every cell through ``forward`` and ``adjoint``, even where a
+    folded window leaves ``G`` not bitwise symmetric.  Action ``s`` moves
+    that entry to the cells ``table[s, a]`` and ``table[s, c]`` of its
+    :func:`window_table` row, so only the nonzeros move, added up action by
+    action as a dense average would add them.  Each entry lands in the
+    stored lower triangle, at one flat index of the block rows: ``(h, l)``,
+    ``h >= l``, is row ``h``, column ``l - (h // b - 1) b``.  The diagonal
+    blocks are mirrored, so the band is exactly symmetric.  The block size
+    ``b`` is the widest stored distance of a moved nonzero from the
+    diagonal, plus one, so every nonzero falls in a diagonal block or the
+    one below it, whatever the operator or the actions; at worst the band
+    is one dense block.  The
     pad's diagonal holds ``pad``.  An ``order`` that is not a permutation of
     the cells is refused (:class:`DimensionMismatchError`; ``TypeError``
     when its dtype is not an integer kind), and an action of another
@@ -361,18 +400,22 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
     if order.shape != (d,) or order.min(initial=0) < 0 or (np.bincount(order) != 1).any():
         raise DimensionMismatchError(f"the band's order is not a permutation of the {d} cells")
     table = window_table(A, actions)
-    window = A.window
+    n = len(A.window)
+    m = n // A.blocks
+    window = A.window.reshape(A.blocks, m)
     rows, cols, values = [], [], []  # window positions, and G's entry between them
     kept = 0
-    for lo, P in _gram_probes(len(window), A.window_forward, A.window_adjoint):
-        # P[j, a] is G's entry between positions a and lo + j
-        j, a = np.nonzero(P != 0.0)
-        lower = window[a] >= window[lo + j]
-        j, a = j[lower], a[lower]
+    for lo, P in _gram_probes(n, A.blocks, A.window_forward, A.window_adjoint):
+        # P[j, a] is G's entry between position a and position lo + j of a's
+        # block, kept where a's cell is not below that one
+        keep = P.reshape(len(P), A.blocks, m) != 0.0
+        keep &= window >= window[:, lo:lo + len(P)].T[:, :, None]
+        at = np.flatnonzero(keep)
+        j, a = np.divmod(at, n)
         rows.append(a.astype(np.int32))
-        cols.append((lo + j).astype(np.int32))
-        values.append(P[j, a])
-        kept += len(a)
+        cols.append((a - a % m + lo + j).astype(np.int32))
+        values.append(P.take(at))
+        kept += len(at)
         _check_size(kept, f"the nonzeros of the band of {d} cells")
     rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
     # int32 indices: the size rule bounds every position and cell (below d) and every
@@ -392,12 +435,12 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
         at -= (hi // block - 1) * block  # in place: three index arrays per action
         at += 2 * block * hi
         # a table row lists distinct cells, so no two kept entries share one
-        flat[at] += values
+        np.add.at(flat, at, values)
     stored /= len(actions)
     diag, lower = stored[:, :, block:], stored[1:, :, :block]
-    iu = np.triu_indices(block, 1)
-    for blk in diag:
-        blk[iu] = blk.T[iu]
+    upper = np.triu(np.ones((block, block), bool), 1)
+    for blk in diag:  # one block at a time: a copy of one block is all it holds
+        np.copyto(blk, blk.T, where=upper)
     tail = np.arange(d - (nb - 1) * block, block)
     diag[-1, tail, tail] = pad
     return BandGram(order=order, diag=diag, lower=lower)

@@ -211,6 +211,23 @@ def test_full_coverage_radius_equals_the_growing_mask_on_repeated_and_negative_a
     assert full_coverage_radius(angles, n_theta) == covering_radius_loop(angles, n_theta)
 
 
+def widest_gap_radius(angles, n_theta):
+    """Half the widest cyclic gap between the distinct columns of ``angles``,
+    read from a Python set."""
+    cols = sorted({a % n_theta for a in angles})
+    return max(b - a for a, b in zip(cols, cols[1:] + [cols[0] + n_theta])) // 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n_theta=st.one_of(st.integers(1, 200), st.integers(2**40, 10**18)))
+def test_full_coverage_radius_equals_the_set_of_columns_oracle(data, n_theta):
+    # grids far past any array the function could build: it sorts the columns
+    angles = data.draw(st.lists(st.integers(-3 * n_theta, 3 * n_theta), min_size=1,
+                                max_size=12))
+    angles += data.draw(st.lists(st.sampled_from(angles), max_size=4))  # repeats
+    assert full_coverage_radius(angles, n_theta) == widest_gap_radius(angles, n_theta)
+
+
 def test_full_coverage_radius_can_exceed_the_widest_symmetric_subset():
     # one angle of 8 needs radius 4 to cover the grid, but a symmetric subset
     # of radius 4 lists the rotation by 4 twice: (n_theta - 1) // 2 = 3 is the widest

@@ -415,9 +415,9 @@ def spy_probed_gram(monkeypatch):
     probed = []
     dense = linop._probed_gram
 
-    def spy(n, forward, adjoint):
+    def spy(n, *probes):
         probed.append(n)
-        return dense(n, forward, adjoint)
+        return dense(n, *probes)
 
     monkeypatch.setattr(linop, "_probed_gram", spy)
     return probed
@@ -785,6 +785,36 @@ def test_band_gram_probes_only_the_cells_the_operator_reads():
     band_gram(probed, subset, problem.geometry.folded_order, pad=1.0)
     for rows in calls.values():
         assert (len(rows), sum(rows)) == (24, 384)
+
+
+def test_certify_probes_one_position_of_every_angle_block_per_vector():
+    # 4 angles, 4 rays and 4 radii x 3 offsets each: 16 rows against 48 window
+    # cells, 4 blocks.  L probes A A^T with 16 // 4 = 4 vectors, the band probes
+    # G with 48 // 4 = 12, eps_Gstar sends the subset's 3 mismatches through
+    # both maps and eps_w the noise through the adjoint.  As one block the
+    # probes take 16 and 48 vectors, and the constants keep their bits
+    problem = build_problem(n_r=4, n_theta=16, angle_fraction=0.25, rays_per_angle=4,
+                            noise="gaussian", seed=3)
+    subset = symmetric_subset(problem.geometry.theta_shift(1), 1)
+    A = problem.A
+    assert (A.rows, len(A.window), A.blocks) == (16, 48, 4)
+    reports, counts = [], []
+    for blocks in (4, 1):
+        rows = {"forward": 0, "adjoint": 0}
+
+        def metered(name, window_map):
+            def counted(v):
+                rows[name] += v.size // v.shape[-1]
+                return window_map(v)
+            return counted
+
+        M = from_window(A.rows, A.cols, A.window, metered("forward", A.window_forward),
+                        metered("adjoint", A.window_adjoint), blocks=blocks)
+        reports.append(certify(replace(problem, A=M), subset))
+        counts.append(rows)
+    assert counts == [{"forward": 4 + 12 + 3, "adjoint": 4 + 12 + 3 + 1},
+                      {"forward": 16 + 48 + 3, "adjoint": 16 + 48 + 3 + 1}]
+    assert reports[0] == reports[1] == certify(problem, subset)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

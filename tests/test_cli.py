@@ -359,6 +359,48 @@ def test_a_failed_write_leaves_no_temp_file(tmp_path, capsys):
     assert os.listdir(out / "certificate.txt") == []
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_rerun_into_the_same_directory_leaves_its_unchanged_outputs(tmp_path, command):
+    # an unchanged file is left as it is: same inode, same mtime, no temp file.
+    # A rename over an existing file cost up to 100 ms a file on ext4
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, config_text(out))
+    assert main([command, "--config", cfg]) == EXIT_OK
+    written = {name: os.stat(out / name) for name in os.listdir(out)}
+    assert main([command, "--config", cfg]) == EXIT_OK
+    assert sorted(os.listdir(out)) == sorted(written)
+    for name, first in written.items():
+        again = os.stat(out / name)
+        assert (again.st_ino, again.st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
+    # a changed config changes every output, and every one is replaced
+    fresh = tmp_path / "fresh"
+    changed = write_config(tmp_path, config_text(out, problem_seed=5), name="changed.txt")
+    assert main([command, "--config", changed]) == EXIT_OK
+    assert main([command, "--config", changed, "--out", str(fresh)]) == EXIT_OK
+    assert sorted(os.listdir(out)) == sorted(written)
+    for name, first in written.items():
+        assert os.stat(out / name).st_ino != first.st_ino
+    assert read_all(out) == read_all(fresh)
+
+
+def test_certify_and_the_covering_radius_import_no_masked_arrays(tmp_path):
+    # a plain np.unique imports numpy.ma on first use: 7 ms and 1 MB a process
+    import subprocess
+
+    import grouppgd
+
+    src = os.path.dirname(os.path.dirname(grouppgd.__file__))
+    code = ("import sys\n"
+            "from grouppgd import cli, full_coverage_radius\n"
+            f"assert cli.main(['certify', '--config', {os.path.join(CONFIGS, 'ring.txt')!r}, "
+            f"'--out', {str(tmp_path)!r}]) == 0\n"
+            "assert full_coverage_radius([0, 3, 3, 9], 16) == 3\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("command", ["certify", "run", "compare"])
 def test_oversized_problem_exits_4(tmp_path, capsys, command):
     # every angle, 80 rays each: 5,120 rows and 5,120 columns, so the Gram

@@ -530,6 +530,92 @@ def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, cover
     assert_allclose(band @ V[:, 0], stored @ V[:, 0], rtol=0, atol=tol * band.size)
 
 
+def one_block(A):
+    """``A`` rebuilt from its own window maps, as one block."""
+    return from_window(A.rows, A.cols, A.window, A.window_forward, A.window_adjoint)
+
+
+def probed_small_gram(A):
+    """The small Gram that ``gram_eigvals(A)`` probes, and its spectrum."""
+    grams = []
+    probed = linop._probed_gram
+
+    def spy(*args):
+        grams.append(probed(*args))
+        return grams[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linop, "_probed_gram", spy)
+        eigvals = gram_eigvals(A)
+    (small,) = grams
+    return small, eigvals
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_r=st.integers(1, 4), n_theta=st.integers(1, 17),
+       angles=st.lists(st.integers(0, 16), min_size=1, max_size=5), rays=st.integers(1, 16),
+       reach=st.integers(0, 2), weights=st.sampled_from(["signed", "nonneg"]),
+       radius=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+# fewer rows than window cells (A A^T probed), even and odd angle counts
+@example(n_r=3, n_theta=16, angles=[0, 4, 8, 12], rays=2, reach=1, weights="signed", radius=2,
+         seed=1)
+@example(n_r=2, n_theta=15, angles=[0, 5, 10], rays=3, reach=1, weights="nonneg", radius=7,
+         seed=2)
+# more rows than window cells (the window's cells probed)
+@example(n_r=3, n_theta=15, angles=[0, 5, 10], rays=12, reach=1, weights="signed", radius=3,
+         seed=3)
+@example(n_r=2, n_theta=16, angles=[1, 9], rays=9, reach=0, weights="nonneg", radius=4, seed=4)
+# one angle
+@example(n_r=2, n_theta=7, angles=[3], rays=5, reach=1, weights="signed", radius=3, seed=5)
+# windows that share a cell, and a repeated angle: one block
+@example(n_r=2, n_theta=12, angles=[0, 2, 4], rays=3, reach=1, weights="signed", radius=2,
+         seed=6)
+@example(n_r=2, n_theta=12, angles=[5, 5], rays=8, reach=0, weights="nonneg", radius=1, seed=7)
+def test_grouped_probes_have_the_bits_of_one_block_probes(n_r, n_theta, angles, rays, reach,
+                                                          weights, radius, seed):
+    offsets = tuple(range(-reach, reach + 1))
+    A = angle_subsampled_operator(n_r, n_theta, angles, rays, seed, offsets=offsets,
+                                  weight_kind=weights)
+    # one block per angle, unless two windows (or one window's offsets) share a column
+    columns = {(a + o) % n_theta for a in angles for o in offsets}
+    assert A.blocks == (len(angles) if len(columns) == len(angles) * len(offsets) else 1)
+    single = one_block(A)
+    assert single.blocks == 1
+    small, eigvals = probed_small_gram(A)
+    single_small, single_eigvals = probed_small_gram(single)
+    # same_bits compares bytes: every entry, its sign bit included
+    assert same_bits(small, single_small) and same_bits(eigvals, single_eigvals)
+    geometry = Geometry(n_r=n_r, n_theta=n_theta, angles=tuple(angles), rays_per_angle=rays,
+                        offsets=offsets)
+    subset = symmetric_subset(geometry.theta_shift(1), min(radius, (n_theta - 1) // 2))
+    band, single_band = (band_gram(M, subset, geometry.folded_order, pad=1.0)
+                         for M in (A, single))
+    assert same_bits(band.diag, single_band.diag) and same_bits(band.lower, single_band.lower)
+
+
+@pytest.mark.parametrize("rows, window, blocks", [(3, [0, 1], 2), (4, [0, 1, 2], 2),
+                                                  (2, [0, 1], 0), (2, [0, 1], -2)],
+                         ids=["rows", "window", "zero", "negative"])
+def test_from_window_refuses_a_block_count_that_does_not_divide_rows_and_window(rows, window,
+                                                                                blocks):
+    message = f"{blocks} blocks do not divide {rows} rows and a window of {len(window)} cells"
+    with pytest.raises(DimensionMismatchError, match=message):
+        from_window(rows, 4, window, lambda v: v, lambda y: y, blocks=blocks)
+
+
+@pytest.mark.parametrize("blocks", [True, 2.0, "2"])
+def test_from_window_refuses_a_block_count_that_is_not_an_integer(blocks):
+    with pytest.raises(TypeError, match="blocks must be an integer"):
+        from_window(4, 8, [0, 1, 2, 3], lambda v: v, lambda y: y, blocks=blocks)
+
+
+def test_from_window_keeps_its_blocks_unless_the_window_folds():
+    assert from_window(4, 8, [0, 1, 2, 3], lambda v: v, lambda y: y, blocks=2).blocks == 2
+    assert from_window(4, 8, [0, 1, 1, 3], lambda v: v, lambda y: y, blocks=2).blocks == 1
+    assert from_window(4, 8, [0, 1, 2, 3], lambda v: v, lambda y: y).blocks == 1
+    assert LinearMap(rows=2, cols=3, forward=None, adjoint=None).blocks == 1
+
+
 @pytest.mark.parametrize("order", [np.zeros(32, dtype=np.int64), np.arange(31),
                                    np.arange(33), np.r_[np.arange(31), 0],
                                    np.r_[np.arange(31), 32], np.r_[np.arange(31), -1]],
