@@ -151,8 +151,10 @@ def angle_subsampled_operator(n_r: int, n_theta: int, angles, rays_per_angle: in
     rotations of each other: composed with the rotation by ``s``, the
     operator measures ``(a - s) mod n_theta`` for each ``a``, in the same
     order.  An angle or offset that is not an integer, or is a ``bool``, is
-    refused (``TypeError``), not truncated.  Each angle's rays read only that
-    angle's window cells, so the map has one block per angle
+    refused (``TypeError``), not truncated, and a weight tensor of more than
+    ``linop.DENSE_CAP**2`` entries (:class:`~grouppgd.linop.SizeCapError`)
+    before it is drawn.  Each angle's rays read only that angle's window
+    cells, so the map has one block per angle
     (:func:`~grouppgd.linop.from_window`), one in all when two angles'
     windows share a cell.
     """
@@ -162,8 +164,10 @@ def angle_subsampled_operator(n_r: int, n_theta: int, angles, rays_per_angle: in
     if rays_per_angle < 1:
         raise ValueError("rays_per_angle must be at least 1")
     offsets = _integers("offset", offsets)
-    rng = np.random.default_rng(seed)
+    _check_size(len(angles) * rays_per_angle * n_r * len(offsets),
+                f"the weights of {len(angles)} angles x {rays_per_angle} rays")
     shape = (len(angles), rays_per_angle, n_r, len(offsets))
+    rng = np.random.default_rng(seed)
     if weight_kind == "signed":
         weights = rng.uniform(-1.0, 1.0, size=shape)
     elif weight_kind == "nonneg":
@@ -258,10 +262,12 @@ def build_problem(*, n_r: int = 32, n_theta: int = 64, angle_fraction: float = 0
     derived from ``seed`` so the whole instance is reproducible from one
     integer.  ``angles`` overrides ``angle_fraction`` when given; an angle
     or offset that is not an integer, or is a ``bool``, is refused
-    (``TypeError``), not truncated.  A signal
-    or weight tensor of more than ``linop.DENSE_CAP**2`` entries is refused
-    (:class:`~grouppgd.linop.SizeCapError`) before it is allocated, and an
-    empty grid (``n_r`` or ``n_theta`` below 1) before anything else.
+    (``TypeError``), not truncated.  A signal of more than
+    ``linop.DENSE_CAP**2`` entries is refused
+    (:class:`~grouppgd.linop.SizeCapError`) before it is allocated, and so is
+    the operator's weight tensor (:func:`angle_subsampled_operator`), which
+    is built first; an empty grid (``n_r`` or ``n_theta`` below 1) is
+    refused before anything else.
     """
     if n_r < 1 or n_theta < 1:
         raise ValueError("grid sizes must be at least 1")
@@ -273,17 +279,15 @@ def build_problem(*, n_r: int = 32, n_theta: int = 64, angle_fraction: float = 0
     else:
         angles = tuple(a % n_theta for a in _integers("angle", angles))
     offsets = _integers("offset", offsets)
-    _check_size(len(angles) * rays_per_angle * n_r * len(offsets),
-                f"the weights of {len(angles)} angles x {rays_per_angle} rays")
+    A = angle_subsampled_operator(n_r, n_theta, angles, rays_per_angle,
+                                  op_seed, offsets=offsets,
+                                  weight_kind=weight_kind)
     if phantom == "ring":
         x_dagger = ring_phantom(n_r, n_theta, default_ring_profile(n_r))
     elif phantom == "textured":
         x_dagger = textured_phantom(n_r, n_theta, smoothness, phantom_seed)
     else:
         raise ValueError(f"unknown phantom kind {phantom!r}")
-    A = angle_subsampled_operator(n_r, n_theta, angles, rays_per_angle,
-                                  op_seed, offsets=offsets,
-                                  weight_kind=weight_kind)
     clean = A.forward(x_dagger)
     b, w = add_noise(clean, noise, noise_seed, sigma=sigma, scale=scale)
     K = Box(0.0, 1.0, n_r * n_theta)

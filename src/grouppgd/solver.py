@@ -12,17 +12,17 @@ Every run goes through one driver that steps a stack ``X`` of shape
 and the trace values act on the whole stack, and by the stack contract of
 :mod:`grouppgd.linop` every row gets the bits of its own one-row run.  The
 driver makes its own rows from what its caller asks for: :func:`run` is one
-row, :func:`run_ensemble` is one row per group replicate (a plain
-ensemble draws nothing, so it is its one chain), and
-:func:`run_with_plain` steps the plain chain as one more row beside the
-group chains, so a comparison of the two methods is one stack.  Every
-chain starts from zeros.  The driver first asks the solve's size rule
-(:func:`check_solve`), which returns the counts the driver allocates, so
-an oversized solve is refused before an ``"auto"`` step probes the
-spectrum or a replicate stream is spawned.  It then resolves the step and
-fixes the recorded iterations before its first step.  Each group row
-draws all its action indices at once, ``rng.integers(len(subset),
-size=budget)``, the same values as one
+row, :func:`run_ensemble` is one row per group replicate (a plain ensemble
+draws nothing, so it is its one chain), and :func:`run_with_plain` steps
+the plain chain as one more row beside the group chains, so a comparison of
+the two methods is one stack.  The rows are one list of random streams, and
+the plain row is the row with no stream.  Every chain starts from zeros.
+The driver first asks the solve's size rule (:func:`check_solve`), which
+returns the counts the driver allocates, so an oversized solve is refused
+before an ``"auto"`` step probes the spectrum or a replicate stream is
+spawned.  It then resolves the step and fixes the recorded iterations
+before its first step.  Each group row draws all its action indices at
+once, ``rng.integers(len(subset), size=budget)``, the same values as one
 :func:`~grouppgd.symmetry.sample_action` call per step, and adds them into
 the run's one step table.
 
@@ -59,18 +59,20 @@ nothing, and every trace's objective is NaN.
 A large solve steps its stack on every core the process may use.  After
 the layout above, the rows are cut into one contiguous part per usable core
 (``os.sched_getaffinity``), the plain row and the first group streams
-first, and each part after the first is stepped by the same loop in a
-forked child, which sends its rows' records back through a pipe.  Every row
-is its own chain (by the stack contract, with its own stream, and recorded
-and checked for divergence row by row), so the traces keep their bits.  A
-solve splits when it has two rows or more, ``os.fork`` exists, and it is at
-least ``SPLIT_CELL_STEPS`` cell-steps (budget x gathered rows x window
-cells).  On a 2-core host a split cost 1.3-2.4 ms, the time of about 0.2
-million cell-steps, and smaller solves gained nothing from it
-(``BENCH_two_cores.json``); every shipped config's solve lies above the
-threshold, the solver's unit tests below it.  On Python 3.12 and later the
-solve stays in this process: ``os.fork`` warns there when the process has
-other threads, and OpenBLAS's workers are threads.
+first.  Each part but the last is stepped by the same loop in a forked
+child, which sends its rows' records back through a pipe, and this process
+steps the rest as one block: the last part, or every part from the first
+one it could not fork.  Every row is its own chain (by the stack contract,
+with its own stream, and recorded and checked for divergence row by row),
+so the traces keep their bits.  A solve splits when it has two rows or
+more, ``os.fork`` exists, and it is at least ``SPLIT_CELL_STEPS``
+cell-steps (budget x gathered rows x window cells).  On a 2-core host a
+split cost 1.3-2.4 ms, the time of about 0.2 million cell-steps, and
+smaller solves gained nothing from it (``BENCH_two_cores.json``); every
+shipped config's solve lies above the threshold, the solver's unit tests
+below it.  On Python 3.12 and later the solve stays in this process:
+``os.fork`` warns there when the process has other threads, and
+OpenBLAS's workers are threads.
 """
 
 from __future__ import annotations
@@ -318,10 +320,11 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     ``DIVERGENCE_NORM / 2 - |x_dagger|`` of the ground truth is inside it,
     and only other iterates have their norms taken.
 
-    All of this is laid out in this process.  Then the rows are cut into
-    contiguous parts (see the module's docstring), each stepped by
-    :func:`_chains`, the first here and each other one in a forked child
-    (:func:`_split`), with the in-process solve's traces and divergence.
+    All of this is laid out in this process, with the rows as one list of
+    streams (``None`` for the plain row), cut into contiguous slices (see
+    the module's docstring).  :func:`_split` steps each by :func:`_chains`,
+    each slice but the last in a forked child and the rest here in one
+    block, with the in-process solve's traces and divergence.
     """
     A, b, K = problem.A, problem.b, problem.K
     d, budget = problem.dimension, config.max_iters
@@ -335,8 +338,9 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
         raise ValueError(f"the 'auto' step 1/L needs a positive L, got L={L}")
     eta = 1.0 / L if config.step_size == "auto" else float(config.step_size)
     _check_step_args((d,), A, b, K, eta)
-    rngs = ([] if subset is None else [np.random.default_rng(config.seed)] if replicates is None
-            else replicate_rngs(config.seed, replicates))
+    # one stream per row: None for the plain row, which draws nothing
+    streams = [None] * plain + ([] if subset is None else [np.random.default_rng(config.seed)]
+                                if replicates is None else replicate_rngs(config.seed, replicates))
     # 0, stride, 2 * stride, ... and the budget
     iterations = np.arange(n_records) * stride
     iterations[-1] = budget
@@ -349,11 +353,9 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     n_parts = (min(R, len(os.sched_getaffinity(0)))
                if forks and budget * gathered * table.shape[1] >= SPLIT_CELL_STEPS else 1)
     cuts = [R * i // n_parts for i in range(n_parts + 1)]
-    parts = [(plain and lo == 0, rngs[max(lo - plain, 0):hi - plain])
-             for lo, hi in zip(cuts, cuts[1:])]
-    chains = lambda plain_row, streams: _chains(problem, eta, table, plain_row, streams,
-                                                iterations, stride, objective)
-    rmsd, objectives, actions, X = _split(chains, parts)
+    rmsd, objectives, actions, X = _split(
+        lambda rows: _chains(problem, eta, table, rows, iterations, objective),
+        [streams[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
     return [
         IterateTrace(iterations=iterations, rmsd=rmsd[r], objective=objectives[r],
                      action_indices=actions[r], final_x=X[r])
@@ -361,24 +363,24 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     ]
 
 
-def _chains(problem, eta, table, plain, rngs, iterations, stride, objective):
-    """Step the plain row (when ``plain``) and one group row per stream of
-    ``rngs`` from zeros, as :func:`_drive` lays them out; returns the stack's
-    ``(rmsd, objectives, actions, X)``, one row per chain.
+def _chains(problem, eta, table, streams, iterations, objective):
+    """Step one row per entry of ``streams`` from zeros, as :func:`_drive`
+    lays them out (``None`` is the plain row, which draws nothing); returns
+    the stack's ``(rmsd, objectives, actions, X)``, one row per chain, at
+    the recorded ``iterations``, which end at the budget.
 
-    ``table`` is the window table, one row per action; ``iterations`` are
-    the recorded iterations, every ``stride``-th from 0, then the budget.
-    Raises :class:`DivergenceError` at the first iteration at which any row
-    leaves the ball.
+    ``table`` is the window table, one row per action.  Raises
+    :class:`DivergenceError` at the first iteration at which any row leaves
+    the ball.
     """
     A, b, K = problem.A, problem.b, problem.K
-    d, budget, n_group = problem.dimension, int(iterations[-1]), len(rngs)
-    R = int(plain) + n_group
+    d, budget, R = problem.dimension, int(iterations[-1]), len(streams)
     X = np.zeros((R, d))
     rmsd = np.empty((R, len(iterations)))
     objectives = np.full((R, len(iterations)), np.nan)
     actions = np.full((R, len(iterations)), -1, dtype=np.int64)
     rows = np.arange(R)
+    group = rows[[rng is not None for rng in streams]]
     error = np.empty_like(X)
 
     def record(slot):
@@ -389,27 +391,26 @@ def _chains(problem, eta, table, plain, rngs, iterations, stride, objective):
     # row), offset by r * d into X
     n = len(table)
     table = (table + d * rows[:, None, None]).reshape(R * n, -1)
-    group = rows[R - n_group:]
     # step k gathers the table rows steps[k, :R].  When objectives are
     # recorded, the step from a recorded iterate also gathers each group
     # row's identity window (steps[k, R:]), whose residual is that row's
     # objective residual; a plain row's objective residual is its own step
     # residual.  The draws are added into the one table.
-    steps = np.empty((budget, R + n_group * objective), dtype=np.int64)
+    steps = np.empty((budget, R + len(group) * objective), dtype=np.int64)
     steps[:, :R] = n * rows
-    for r, rng in zip(group, rngs):
-        steps[:, r] += rng.integers(n, size=budget)
+    for r in group:
+        steps[:, r] += streams[r].integers(n, size=budget)
     if objective:
         steps[:, R:] = n * group
     source = rows.copy()
-    source[group] = R + np.arange(n_group)
+    source[group] = R + np.arange(len(group))
     lo, hi = _bounds(K, R)
     # a recorded distance to x_dagger of at most this puts a row inside the
     # ball with room for round-off; a NaN distance settles nothing
     settled = DIVERGENCE_NORM / 2 - np.linalg.norm(problem.x_dagger)
-    slot, at, reach = 0, 0, min(stride, budget)  # iterations[slot], iterations[slot + 1]
+    recorded, slot = iterations.tolist(), 0  # the last record is of iterate recorded[slot]
     for k in range(budget):
-        starts = objective and k == at
+        starts = objective and k == recorded[slot]
         index = steps[k] if starts else steps[k, :R]
         residual = _step(X, A, b, eta, table.take(index, axis=0), lo, hi)
         if k == 0:  # the zero start need not lie in K; later steps stay in it
@@ -417,11 +418,10 @@ def _chains(problem, eta, table, plain, rngs, iterations, stride, objective):
         if starts:
             objectives[:, slot] = 0.5 * _row_dots(residual)[source]
         inside = False
-        if k + 1 == reach:
+        if k + 1 == recorded[slot + 1]:
             slot += 1
             record(slot)
             inside = (rmsd[:, slot] <= settled).all()
-            at, reach = reach, min(reach + stride, budget)
         if not (inside or (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all()):
             raise DivergenceError(k + 1)
     if objective:  # the last iterate is always recorded, and no step follows it
@@ -435,28 +435,27 @@ def _chains(problem, eta, table, plain, rngs, iterations, stride, objective):
 
 
 def _split(chains, parts):
-    """``chains(*part)`` of every part, its rows stacked in order: the first
-    part in this process, each other one in a child forked for it, which
-    sends what it returns or raises back through a pipe and exits.  When
-    ``os.pipe`` or ``os.fork`` fails (``OSError``: out of descriptors,
-    processes or memory), the parts not yet forked are stepped in this
-    process after the first, so the rows keep their order.
+    """``chains`` of every part's rows, stacked in order.  Each part but the
+    last is stepped in a child forked for it, which sends what ``chains``
+    returns or raises back through a pipe and exits.  This process then
+    steps every part no child took in one ``chains`` call over their rows:
+    the last part, or, when ``os.pipe`` or ``os.fork`` fails (``OSError``:
+    out of descriptors, processes or memory), every part from the first one
+    not forked.  So the rows keep their order.
 
     Every child is waited for before anything is raised.  Then the first
-    failure other than :class:`DivergenceError` is raised, in this process's
-    part or a child's (a child that exits without sending raises
+    failure other than :class:`DivergenceError` is raised, in a child's part
+    or this process's (a child that exits without sending raises
     ``RuntimeError``), else the divergence at the earliest iteration.  A
     child still running when this process is interrupted is killed, so no
     child outlives the call.
     """
-    if len(parts) == 1:
-        return chains(*parts[0])
     import pickle
     import signal
 
     children = []
     try:
-        for part in parts[1:]:
+        for part in parts[:-1]:
             fds = ()
             try:
                 fds = os.pipe()
@@ -471,7 +470,7 @@ def _split(chains, parts):
                 try:
                     os.close(read)
                     try:
-                        sent = chains(*part)
+                        sent = chains(part)
                     except BaseException as failure:  # the parent raises it
                         sent = failure
                     with open(write, "wb") as pipe:
@@ -481,13 +480,11 @@ def _split(chains, parts):
                     os._exit(status)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        own = []  # the first part, then each part no child took
-        for part in (parts[0], *parts[1 + len(children):]):
-            try:
-                own.append(chains(*part))
-            except Exception as failure:  # raised below, once every child is waited for
-                own.append(failure)
-        results = own[:1]
+        try:  # the rows of every part no child took
+            own = chains([row for part in parts[len(children):] for row in part])
+        except Exception as failure:  # raised below, once every child is waited for
+            own = failure
+        results = []
         while children:
             pid, pipe = children[0]
             sent = pipe.read()
@@ -496,7 +493,7 @@ def _split(chains, parts):
             pipe.close()
             results.append(pickle.loads(sent) if status == 0 else RuntimeError(
                 f"a forked part of the solve exited with status {status}"))
-        results += own[1:]
+        results.append(own)
     finally:
         for pid, pipe in children:
             pipe.close()

@@ -154,6 +154,22 @@ def test_build_problem_refuses_an_oversized_signal_before_allocating():
         build_problem(n_r=8, n_theta=10**18, angles=(0,))
 
 
+def test_the_operator_refuses_oversized_weights_before_drawing_them():
+    # 64 angles x 4096 rays x 64 radii x 3 offsets is 50.3M weights, above
+    # 4096**2: the operator drew them (about 800 MB with their transpose),
+    # though build_problem refused the same shapes
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="the weights of 64 angles x 4096 rays"):
+            angle_subsampled_operator(64, 4096, range(64), 4096, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("n_r, n_theta", [(4, 0), (0, 8), (0, 0)])
 def test_build_problem_refuses_an_empty_grid(n_r, n_theta):
     with pytest.raises(ValueError, match="grid sizes must be at least 1"):

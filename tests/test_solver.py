@@ -1020,8 +1020,8 @@ def test_a_small_solve_forks_nothing(forks):
 def test_a_split_solve_names_the_earliest_divergence_in_any_part(forks, monkeypatch, part):
     # every replicate of this instance diverges, each at an iteration set by
     # its draws (see test_ensemble_divergence_names_the_first_row_to_diverge);
-    # the first to do so sits in this process's part (rows 0-2) or the
-    # child's (rows 3-5), and the other part diverges later
+    # the first to do so sits in the child's part (rows 0-2) or this
+    # process's (rows 3-5), and the other part diverges later
     prob = diverging_problem()
     subset = symmetric_subset(polar_theta_shift(1, 4, 1), 1)
     for seed in range(100):
@@ -1029,7 +1029,7 @@ def test_a_split_solve_names_the_earliest_divergence_in_any_part(forks, monkeypa
         alone = [divergence_iteration(prob, 1.0, subset, rng, config.max_iters)
                  for rng in replicate_rngs(seed, 6)]
         first, second = min(alone[:3]), min(alone[3:])
-        if (first < second) == (part == "parent"):
+        if (first < second) == (part == "child"):
             break
     split_on(monkeypatch, 2)
     with pytest.raises(DivergenceError) as info:
@@ -1112,3 +1112,50 @@ def test_a_part_that_cannot_be_forked_is_stepped_here(forks, monkeypatch, cores,
     monkeypatch.setattr(os, call, refuse)
     assert trace_bytes(solve()) == trace_bytes(alone)
     assert len(calls) == failing and len(forks) == failing - 1
+
+
+@needs_fork
+@pytest.mark.parametrize("refused", [1, 2, None], ids=["first_fork", "second_fork", "no_fork"])
+def test_this_process_steps_every_part_no_child_took_in_one_call(forks, monkeypatch, refused):
+    # 5 rows on 3 cores are cut into rows 0, 1-2 and 3-4.  Each part but
+    # the last is forked until a fork is refused; this process then steps
+    # the rows of every part no child took in one _chains call, with the
+    # in-process bits
+    import errno
+
+    prob = small_problem(noise="gaussian", sigma=0.05, seed=4)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
+    config = SolverConfig(max_iters=40, step_size=0.05, seed=3, record_every=3)
+
+    def solve():
+        plain, group = run_with_plain(prob, config, subset, 4)
+        return [plain, *group]
+
+    alone = solve()
+    split_on(monkeypatch, 3)
+    parent, real_chains, real_fork, real_rngs = (os.getpid(), solver._chains, os.fork,
+                                                 solver.replicate_rngs)
+    calls, fork_calls, made = [], [], []
+
+    def chains(*args):
+        if os.getpid() == parent:
+            calls.append(args[3])  # the rows' streams
+        return real_chains(*args)
+
+    def fork():
+        fork_calls.append(None)
+        if len(fork_calls) == refused:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    def rngs(seed, replicates):
+        made.append(real_rngs(seed, replicates))
+        return made[-1]
+
+    monkeypatch.setattr(solver, "_chains", chains)
+    monkeypatch.setattr(solver, "replicate_rngs", rngs)
+    monkeypatch.setattr(os, "fork", fork)
+    split = solve()
+    assert len(forks) == (2 if refused is None else refused - 1)
+    assert len(calls) == 1 and calls[0] == [None, *made[0]][[0, 1, 3][len(forks)]:]
+    assert trace_bytes(split) == trace_bytes(alone)
