@@ -156,8 +156,11 @@ def angle_subsampled_operator(n_r: int, n_theta: int, angles, rays_per_angle: in
     before it is drawn.  Each angle's rays read only that angle's window
     cells, so the map has one block per angle
     (:func:`~grouppgd.linop.from_window`), one in all when two angles'
-    windows share a cell.
+    windows share a cell.  An empty grid (``n_r`` or ``n_theta`` below 1)
+    is refused before anything else.
     """
+    if n_r < 1 or n_theta < 1:
+        raise ValueError("grid sizes must be at least 1")
     angles = tuple(a % n_theta for a in _integers("angle", angles))
     if len(angles) == 0:
         raise ValueError("angle set must be nonempty")

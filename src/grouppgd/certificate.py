@@ -15,12 +15,12 @@ and checks the bound against seeded Monte Carlo runs:
   ``(A T_g)^T (A T_g) = P_g^T G P_g``, so the stacked Gram is the mean of
   ``G`` permuted through the subset and costs no operator applications
   beyond one probe of ``G`` on the cells the operator reads.  The probe's
-  nonzeros move through the subset's window-table rows straight into block
-  tridiagonal storage in the geometry's folded angle order
-  (:func:`~grouppgd.linop.band_gram`), and neither ``G`` nor the mean is
-  built densely.  On the whole space its bottom eigenvalue comes from
-  two band Cholesky factorizations, one alive at a time: one Lanczos run
-  on the solve with ``G_star + n u L I`` finds it, and a Cholesky of
+  nonzeros move through the subset's window-table rows straight into band
+  storage in the geometry's folded angle order, one angle column of ``n_r``
+  cells a block (:func:`~grouppgd.linop.band_gram`), and neither ``G`` nor
+  the mean is built densely.  On the whole space its bottom eigenvalue
+  comes from two band Cholesky factorizations, one alive at a time: one
+  Lanczos run on the solve with ``G_star + n u L I`` finds it, and a Cholesky of
   ``G_star - (mu_Gstar - n u L) I`` certifies it by Sylvester's law of
   inertia (Higham, *Accuracy and Stability of Numerical Algorithms*,
   Thm 10.5), so the enclosure is as narrow as ``eigvalsh``'s own backward
@@ -231,12 +231,16 @@ def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
     inertia no eigenvalue lies below that shift, up to the factorization's
     backward error (Higham, *Accuracy and Stability of Numerical
     Algorithms*, Thm 10.5); the first factor and the Lanczos basis are freed
-    before it factors.  A certified ``mu_hat`` below ``slack`` cannot be told
-    from 0 and reads 0.  Otherwise the result is the largest shift that
-    factored, ``-slack``, clipped to 0.  Reruns give the same bits.
+    before it factors.  That theorem bounds Cholesky by substitution, and
+    the band's factor forms its pivots' inverses
+    (:meth:`~grouppgd.linop.BandGram.cholesky`), so the enclosure's proof
+    does not yet cover the factor in use.  A certified ``mu_hat`` below
+    ``slack`` cannot be told from 0 and reads 0.  Otherwise the result is
+    the largest shift that factored, ``-slack``, clipped to 0.  Reruns give
+    the same bits.
     """
     n = G_star.size
-    slack = len(G_star.order) * np.finfo(float).eps / 2 * L
+    slack = n * np.finfo(float).eps / 2 * L
     solve = G_star.cholesky(-slack)
     if solve is None:
         return 0.0, False
@@ -279,8 +283,8 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     (:func:`~grouppgd.constraint.subspace_min_eig`).  Every other cone takes
     the whole-space ``mu_C``, the bottom of the same spectrum, and averages
     the nonzeros of one probe of ``G = A^T A`` on the window's cells through
-    the subset's window-table rows straight into block-tridiagonal storage
-    in the folded order of ``problem.geometry``
+    the subset's window-table rows straight into band storage in the folded
+    order of ``problem.geometry``, one angle column of ``n_r`` cells a block
     (:func:`~grouppgd.linop.band_gram`); its whole-space ``mu_Gstar`` comes
     from one Lanczos run and one inertia check (:func:`_stack_min_eig`),
     flagged ``estimate`` when not certified.
@@ -303,7 +307,7 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
         mu_Gstar, certified = subspace_min_eig(A, cone, window_table(A, subset)), True
     else:
         mu_C = max(float(eigvals[0]), 0.0)
-        G_star = band_gram(A, subset, problem.geometry.folded_order, pad=L)
+        G_star = band_gram(A, subset, problem.geometry.folded_order, problem.geometry.n_r)
         mu_Gstar, certified = _stack_min_eig(G_star, L)
     # guard against round-off pushing the restricted eigenvalue past L
     if mu_Gstar > L * (1.0 + 1e-9):

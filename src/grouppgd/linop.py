@@ -41,15 +41,16 @@ positions one at a time, and the entries between blocks are the exact
 The certificate's stack Gram, ``G = A^T A`` averaged through a subset's
 permutations, is stored banded (:class:`BandGram`, built by
 :func:`band_gram`): each measured angle couples only the angle columns
-within its offset span, so in an order that folds the angle axis the
-average is block tridiagonal.  ``G`` is probed only on the window's cells,
-and each probe block's nonzeros are added into one array of block rows
+within its offset span, so in an order that lists the cells one angle
+column at a time, folding the angle axis, the average is block banded, a
+block per angle column.  ``G`` is probed only on the window's cells, and
+each probe block's nonzeros are added into the band's block columns
 through the subset's table rows; no ``cols x cols`` array is built.  A
 band multiplies vectors in its stored order (``band @ V``),
 :meth:`BandGram.cholesky` returns the solve of its block Cholesky factor,
-kept as the inverses of the diagonal blocks, and whether that factor exists
-at a shift tells on which side of the bottom eigenvalue the shift lies
-(Sylvester's law of inertia).
+kept as its pivots' inverses and the blocks below them with those folded
+in, and whether that factor exists at a shift tells on which side of the
+bottom eigenvalue the shift lies (Sylvester's law of inertia).
 
 One size rule holds for every matrix stored here: none may hold more than
 ``DENSE_CAP**2`` entries (:class:`SizeCapError`).  It bounds the probed
@@ -297,71 +298,88 @@ def gram_dense(A: LinearMap) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BandGram:
-    """A symmetric matrix in block-tridiagonal storage, rows taken in ``order``.
+    """A symmetric matrix stored as block columns, rows taken in ``order``.
 
     Row and column ``k`` of the stored matrix are cell ``order[k]`` of the
-    matrix it stands for.  It is padded past ``len(order)`` to ``size`` rows
-    of whole blocks, with a constant on the pad's diagonal: an eigenvalue no
-    cell sees.  ``band @ V`` and the solve from :meth:`cholesky` take
-    vectors shaped ``(size,)`` or ``(size, k)`` in stored order; ``diag[i]``
-    is diagonal block ``i`` and ``lower[i]`` the block ``(i + 1, i)`` below
-    it, the blocks above the diagonal their transposes: views of block rows
-    ``(nb, b, 2 b)``, row ``i`` ``lower[i - 1]`` (zeros for ``i = 0``) then ``diag[i]``.
+    matrix it stands for.  Cut into ``N`` blocks of ``b`` cells, block
+    ``(j + r, j)`` is ``blocks[j, r]`` for ``r = 0, ..., p`` (zeros where
+    ``j + r >= N``), the blocks above the diagonal are their transposes, and
+    every other block is zero.  ``band @ V`` and the solve from
+    :meth:`cholesky` take vectors shaped ``(N b,)`` or ``(N b, k)`` in
+    stored order.
     """
 
     order: np.ndarray
-    diag: np.ndarray
-    lower: np.ndarray
+    blocks: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.diag.shape[0] * self.diag.shape[1]
+        return len(self.order)
 
     def __matmul__(self, V: np.ndarray) -> np.ndarray:
-        """The stored matrix times ``V``."""
-        W = V.reshape(*self.diag.shape[:2], -1)
-        out = self.diag @ W
-        out[1:] += self.lower @ W[:-1]
-        out[:-1] += np.swapaxes(self.lower, 1, 2) @ W[1:]
+        """The stored matrix times ``V``: ``2 p + 1`` stacked block products."""
+        N, width, b, _ = self.blocks.shape
+        W = V.reshape(N, b, -1)
+        out = self.blocks[:, 0] @ W
+        for r in range(1, width):
+            below = self.blocks[:N - r, r]
+            out[r:] += below @ W[:-r]
+            out[:-r] += np.swapaxes(below, 1, 2) @ W[r:]
         return out.reshape(V.shape)
 
     def cholesky(self, shift: float) -> Callable[[np.ndarray], np.ndarray] | None:
         """The solve ``V -> (S - shift I)^-1 V`` by block Cholesky, ``S`` stored, or None.
 
-        The factor is kept as its diagonal blocks' inverses and the blocks
-        below them, ``lower[i] @ inv[i].T``, so substitution is matrix
-        products, accurate enough to steer a Lanczos run.  None means a
-        block's Cholesky failed: by Sylvester's law of inertia the shifted
-        matrix is not positive definite, up to the factorization's backward
-        error.
+        Right-looking over block columns (Golub and Van Loan, *Matrix
+        Computations*, §4.3): column ``j``'s updated blocks ``T_ij`` give its
+        pivot's Cholesky factor ``C_j`` and the factor's blocks
+        ``L_ij = T_ij C_j^-T`` below it, whose Gram ``L_ij L_kj^T`` comes off
+        block ``(i, k)``.  One copy of the blocks keeps
+        ``S - shift I = M P M^T``: each pivot's inverse ``C_j^-T C_j^-1``,
+        and ``M_ij = L_ij C_j^-1`` below it, so substitution is one product
+        and one in-place update per column and direction around one stacked
+        product by the pivots' inverses, accurate enough to steer a Lanczos
+        run.  None means a pivot's Cholesky failed: by Sylvester's law of
+        inertia the shifted matrix is not positive definite, up to the
+        factorization's backward error.
         """
-        nb, b, _ = self.diag.shape
-        inv = np.empty_like(self.diag)
-        coupling = np.empty_like(self.lower)
-        try:
-            for i in range(nb):
-                schur = self.diag[i] - shift * np.eye(b)
-                if i:
-                    coupling[i - 1] = self.lower[i - 1] @ inv[i - 1].T
-                    schur -= coupling[i - 1] @ coupling[i - 1].T
-                inv[i] = np.linalg.inv(np.linalg.cholesky(schur))
-        except np.linalg.LinAlgError:
-            return None
+        N, width, b, _ = self.blocks.shape
+        F = self.blocks.copy()
+        F[:, 0] -= shift * np.eye(b)
+        steps = []  # per column: its rows, M's blocks below it, and their rows
+        for j in range(N):
+            try:
+                inv = np.linalg.inv(np.linalg.cholesky(F[j, 0]))
+            except np.linalg.LinAlgError:
+                return None
+            m = min(width - 1, N - 1 - j)
+            column = F[j, 1:m + 1]
+            column[...] = column @ inv.T
+            # the update is the Gram of L's blocks: with the inverse folded in
+            # first, M T^T lost positive definiteness on singular stacks
+            for r in range(m):
+                F[j + 1 + r, :m - r] -= column[r:] @ column[r].T
+            F[j, 0] = inv.T @ inv
+            column[...] = column @ inv
+            steps.append((slice(j * b, (j + 1) * b), column.reshape(m * b, b),
+                          slice((j + 1) * b, (j + 1 + m) * b)))
+        pivots = F[:, 0]
 
         def solve(V: np.ndarray) -> np.ndarray:
-            Y = V.reshape(nb, b, -1).copy()
-            Y[0] = inv[0] @ Y[0]
-            for i in range(1, nb):  # forward substitution
-                Y[i] = inv[i] @ (Y[i] - coupling[i - 1] @ Y[i - 1])
-            Y[-1] = inv[-1].T @ Y[-1]
-            for i in range(nb - 2, -1, -1):  # back substitution
-                Y[i] = inv[i].T @ (Y[i] - coupling[i].T @ Y[i + 1])
-            return Y.reshape(V.shape)
+            Y = V.copy()
+            for own, M, below in steps:  # forward substitution
+                rows = Y[below]
+                rows -= M.dot(Y[own])
+            Y = (pivots @ Y.reshape(N, b, -1)).reshape(V.shape)
+            for own, M, below in reversed(steps):  # back substitution
+                rows = Y[own]
+                rows -= M.T.dot(Y[below])
+            return Y
 
         return solve
 
 
-def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
+def band_gram(A: LinearMap, actions, order: np.ndarray, block: int) -> BandGram:
     """``mean_g P_g^T G P_g`` over ``actions`` as a :class:`BandGram` in ``order``, ``G = A^T A``.
 
     ``G`` is zero off ``A.window``, so only the window's cells are probed,
@@ -375,25 +393,30 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
     folded window leaves ``G`` not bitwise symmetric.  Action ``s`` moves
     that entry to the cells ``table[s, a]`` and ``table[s, c]`` of its
     :func:`window_table` row, so only the nonzeros move, added up action by
-    action as a dense average would add them.  Each entry lands in the
-    stored lower triangle, at one flat index of the block rows: ``(h, l)``,
-    ``h >= l``, is row ``h``, column ``l - (h // b - 1) b``.  The diagonal
-    blocks are mirrored, so the band is exactly symmetric.  The block size
-    ``b`` is the widest stored distance of a moved nonzero from the
-    diagonal, plus one, so every nonzero falls in a diagonal block or the
-    one below it, whatever the operator or the actions; at worst the band
-    is one dense block.  The
-    pad's diagonal holds ``pad``.  An ``order`` that is not a permutation of
-    the cells is refused (:class:`DimensionMismatchError`; ``TypeError``
-    when its dtype is not an integer kind), and an action of another
-    dimension than ``A.cols`` by :func:`window_table`, before the first probe.
-    Block rows of more than ``DENSE_CAP**2`` entries are refused
-    (:class:`SizeCapError`) before they are allocated, and probing stops
-    once the nonzeros kept, each in its own cell of the band, pass that
-    count.
+    action as a dense average would add them.  The band's blocks are
+    ``block`` cells of ``order``, and ``p``, the number of blocks kept below
+    each diagonal block, is the widest distance in blocks between the stored
+    positions of a moved nonzero, so every nonzero falls in the band,
+    whatever the operator or the actions; at worst the band is one dense
+    block column.  Each entry lands in the stored lower triangle at one flat
+    index: block column ``j`` is the ``(p + 1) block x block`` slab of rows
+    ``j block`` on, so ``(h, l)``, ``h >= l``, is at
+    ``h block + l + (l // block) (p block - 1) block``.  The diagonal blocks
+    are mirrored, so the band is exactly symmetric.  A ``block`` that is not
+    a positive integer dividing ``A.cols`` is refused (``TypeError``,
+    :class:`DimensionMismatchError`), an ``order`` that is not a permutation
+    of the cells too (``TypeError`` when its dtype is not an integer kind),
+    and an action of another dimension than ``A.cols`` by
+    :func:`window_table`, before the first probe.  A band of more than
+    ``DENSE_CAP**2`` entries is refused (:class:`SizeCapError`) before it
+    is allocated, and probing stops once the nonzeros kept, each in its own
+    cell of the band, pass that count.
     """
     d = A.cols
-    # the band holds at least 2d entries, so this refuses no band the check
+    _check_integer("block", block)
+    if block < 1 or d % block:
+        raise DimensionMismatchError(f"blocks of {block} cells do not divide the {d} cells")
+    # the band holds at least d entries, so this refuses no band the check
     # below would pass; it bounds the int32 cell indices before probing
     _check_size(d, f"the band of {d} cells")
     order = _cells("order", order)
@@ -419,28 +442,33 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, pad: float) -> BandGram:
         _check_size(kept, f"the nonzeros of the band of {d} cells")
     rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
     # int32 indices: the size rule bounds every position and cell (below d) and every
-    # flat offset into the block rows (below their entries) by DENSE_CAP**2 < 2**31
+    # flat offset into the band (below its entries) by DENSE_CAP**2 < 2**31
     position = np.empty(d, dtype=np.int32)
     position[order] = np.arange(d)
-    block = 1 + max(int(np.abs(q[rows] - q[cols]).max(initial=0))
-                    for q in (position[cells] for cells in table))
-    nb = -(-d // block)
-    _check_size(nb * block * 2 * block, f"the band of {nb} blocks of {block} cells")
-    stored = np.zeros((nb, block, 2 * block))  # block row i: block (i, i - 1), then (i, i)
-    flat = stored.reshape(-1)
+    column = position // block
+    # take is twice as fast as indexing, but copies rows and cols to int64:
+    # it is used only here, before the band is allocated
+    below = max(int(np.abs(c.take(rows) - c.take(cols)).max(initial=0))
+                for c in (column.take(cells) for cells in table))
+    N = d // block
+    _check_size(N * (below + 1) * block * block,
+                f"the band of {N} columns of {below + 1} blocks of {block} cells")
+    blocks = np.zeros((N, below + 1, block, block))
+    flat = blocks.reshape(-1)
     for cells in table:
         q = position[cells]
         i, j = q[rows], q[cols]
-        hi, at = np.maximum(i, j), np.minimum(i, j, out=i)
-        at -= (hi // block - 1) * block  # in place: three index arrays per action
-        at += 2 * block * hi
+        at = np.maximum(i, j)
+        low = np.minimum(i, j, out=i)
+        at *= block  # in place: three index arrays per action
+        at += low
+        low //= block
+        low *= (below * block - 1) * block
+        at += low
         # a table row lists distinct cells, so no two kept entries share one
         np.add.at(flat, at, values)
-    stored /= len(actions)
-    diag, lower = stored[:, :, block:], stored[1:, :, :block]
+    blocks /= len(actions)
     upper = np.triu(np.ones((block, block), bool), 1)
-    for blk in diag:  # one block at a time: a copy of one block is all it holds
+    for blk in blocks[:, 0]:  # one block at a time: a copy of one block is all it holds
         np.copyto(blk, blk.T, where=upper)
-    tail = np.arange(d - (nb - 1) * block, block)
-    diag[-1, tail, tail] = pad
-    return BandGram(order=order, diag=diag, lower=lower)
+    return BandGram(order=order, blocks=blocks)

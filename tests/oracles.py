@@ -151,17 +151,22 @@ def gram_average(G: np.ndarray, actions) -> np.ndarray:
 
 
 def band_dense(band: BandGram) -> tuple[np.ndarray, np.ndarray]:
-    """The padded matrix a band stores, in stored order, and its cell-ordered part."""
-    nb, b, _ = band.diag.shape
-    stored = np.zeros((nb * b, nb * b))
-    for i in range(nb):
-        stored[i * b:(i + 1) * b, i * b:(i + 1) * b] = band.diag[i]
-    for i in range(nb - 1):
-        stored[(i + 1) * b:(i + 2) * b, i * b:(i + 1) * b] = band.lower[i]
-        stored[i * b:(i + 1) * b, (i + 1) * b:(i + 2) * b] = band.lower[i].T
-    d = len(band.order)
-    cells = np.empty((d, d))
-    cells[np.ix_(band.order, band.order)] = stored[:d, :d]
+    """The matrix a band stores, in stored order, and the same matrix in cell order.
+
+    ``blocks[j, r]`` is the block ``(j + r, j)`` of the stored order's
+    blocks of ``b`` cells, its transpose is the block ``(j, j + r)``, and a
+    block whose row ``j + r`` is past the last is not part of the matrix.
+    """
+    N, width, b, _ = band.blocks.shape
+    stored = np.zeros((N * b, N * b))
+    for j in range(N):
+        for r in range(min(width, N - j)):
+            rows, cols = slice((j + r) * b, (j + r + 1) * b), slice(j * b, (j + 1) * b)
+            stored[rows, cols] = band.blocks[j, r]
+            if r:
+                stored[cols, rows] = band.blocks[j, r].T
+    cells = np.empty_like(stored)
+    cells[np.ix_(band.order, band.order)] = stored
     return stored, cells
 
 

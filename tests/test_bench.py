@@ -176,6 +176,17 @@ def test_build_problem_refuses_an_empty_grid(n_r, n_theta):
         build_problem(n_r=n_r, n_theta=n_theta)
 
 
+@pytest.mark.parametrize("n_r, n_theta", [(4, 0), (0, 8)])
+def test_the_operator_refuses_an_empty_grid_before_drawing_weights(monkeypatch, n_r, n_theta):
+    # n_theta = 0 raised ZeroDivisionError, and n_r = 0 built a 2 x 0 map
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew weights for an empty grid")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match="grid sizes must be at least 1"):
+        angle_subsampled_operator(n_r, n_theta, (0,), 2, 0)
+
+
 def test_build_problem_feasible_ground_truth():
     prob = build_problem(n_r=6, n_theta=12, phantom="textured", smoothness=2,
                          seed=9)

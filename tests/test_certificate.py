@@ -461,25 +461,26 @@ def test_certify_subspace_cone_of_oversized_instance_probes_no_dense_gram(monkey
 
 
 def band_above_size_rule_instance():
-    """8,192 cells whose band at radius 8 is past ``DENSE_CAP**2`` entries.
+    """16,384 cells whose band at radius 8 is past ``DENSE_CAP**2`` entries.
 
-    Offsets -4..4 at radius 8 give 8 blocks of 1,088 cells,
-    15 * 1088**2 = 17.8M entries, past DENSE_CAP**2 = 16.8M.
+    Offsets -4..4 couple angle columns up to 8 apart, 16 apart in folded
+    order: 256 block columns of 17 blocks of 64 cells,
+    256 * 17 * 64**2 = 17.8M entries, past DENSE_CAP**2 = 16.8M.
     """
-    prob = build_problem(n_r=64, n_theta=128, angle_fraction=0.0625, seed=1,
+    prob = build_problem(n_r=64, n_theta=256, angle_fraction=0.0625, seed=1,
                          offsets=range(-4, 5))
     return prob, symmetric_subset(prob.geometry.theta_shift(1), 8)
 
 
 def test_certify_refuses_oversized_box_cone():
     prob, subset = band_above_size_rule_instance()
-    with pytest.raises(SizeCapError, match="band of 8 blocks of 1088 cells"):
+    with pytest.raises(SizeCapError, match="band of 256 columns of 17 blocks of 64 cells"):
         certify(prob, subset, cone=box_cone_at(prob.x_dagger))
 
 
 def test_certify_refuses_a_band_above_the_size_rule():
     prob, subset = band_above_size_rule_instance()
-    with pytest.raises(SizeCapError, match="band of 8 blocks of 1088 cells"):
+    with pytest.raises(SizeCapError, match="band of 256 columns of 17 blocks of 64 cells"):
         certify(prob, subset)
 
 
@@ -699,7 +700,7 @@ def test_stack_min_eig_holds_one_factor_at_a_time():
     from grouppgd.cli import _build, load_config
     problem, subset, _ = _build(load_config(os.path.join(CONFIGS, "extreme_sparse.txt")))
     L = spectral_norm(problem.A)
-    band = band_gram(problem.A, subset, problem.geometry.folded_order, pad=L)
+    band = band_gram(problem.A, subset, problem.geometry.folded_order, problem.geometry.n_r)
     assert len(band.order) == 2048
     tracemalloc.start()
     try:
@@ -708,13 +709,12 @@ def test_stack_min_eig_holds_one_factor_at_a_time():
     finally:
         tracemalloc.stop()
     assert certified
-    assert peak < 2.5 * (band.diag.nbytes + band.lower.nbytes)
+    assert peak < 2.5 * band.blocks.nbytes
 
 
 def test_stack_min_eig_of_an_indefinite_band_is_not_certified():
     # the shifted factor fails before Lanczos starts: 0, flagged estimate
-    band = BandGram(order=np.arange(2), diag=np.array([[[1.0, 0.0], [0.0, -1.0]]]),
-                    lower=np.zeros((0, 2, 2)))
+    band = BandGram(order=np.arange(2), blocks=np.array([[[[1.0, 0.0], [0.0, -1.0]]]]))
     assert certificate._stack_min_eig(band, 1.0) == (0.0, False)
 
 
@@ -732,7 +732,7 @@ def test_stack_min_eig_whose_inertia_check_fails_is_not_certified(monkeypatch):
 
     monkeypatch.setattr(BandGram, "cholesky", second_fails)
     L = spectral_norm(prob.A)
-    band = band_gram(prob.A, subset, prob.geometry.folded_order, pad=L)
+    band = band_gram(prob.A, subset, prob.geometry.folded_order, prob.geometry.n_r)
     assert certificate._stack_min_eig(band, L) == (0.0, False)
     assert len(calls) == 2 and calls[0] < 0.0 < calls[1]
     report = certify(prob, subset)
@@ -747,23 +747,37 @@ def test_stack_min_eig_whose_inertia_check_fails_is_not_certified(monkeypatch):
     assert not isinstance(info.value, BoundVacuousError)
 
 
-@pytest.mark.parametrize("name, bands", [("extreme_sparse", 1.4), ("noisy_textured", 1.75)])
+@pytest.mark.parametrize("name, bands", [("extreme_sparse", 1.5), ("noisy_textured", 2.3)])
 def test_band_gram_moves_one_action_at_a_time(name, bands):
-    # one array of block rows (one block more than the band) and the moved
-    # nonzeros of one action at a time, never every action's positions at once:
-    # below 1.4 bands on extreme_sparse, where holding them all read 1.7; with
-    # int32 indices below 1.75 on noisy_textured, where int64 read 2.03
+    # the band and the moved nonzeros of one action at a time, never every
+    # action's positions at once: below 1.5 bands (3.9 MB) on extreme_sparse
+    # and 2.3 (6.0 MB) on noisy_textured, where the band's kept nonzeros and
+    # their int32 window positions alone are 0.6 of a band
     from grouppgd.cli import _build, load_config
     problem, subset, _ = _build(load_config(os.path.join(CONFIGS, f"{name}.txt")))
-    L = spectral_norm(problem.A)
     tracemalloc.start()
     try:
-        band = band_gram(problem.A, subset, problem.geometry.folded_order, pad=L)
+        band = band_gram(problem.A, subset, problem.geometry.folded_order, problem.geometry.n_r)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(band.order) == 2048 and band.diag.shape[0] > 1
-    assert peak < bands * (band.diag.nbytes + band.lower.nbytes)
+    assert len(band.order) == 2048 and band.blocks.shape[:2] == (64, 5)
+    assert peak < bands * band.blocks.nbytes
+
+
+@pytest.mark.parametrize("name, entries", [("ring", 327_680), ("extreme_sparse", 327_680),
+                                           ("noisy_textured", 327_680), ("poisson", 327_680),
+                                           ("fine_grid", 2_621_440)])
+def test_band_stores_block_columns_of_one_angle_column_on_shipped_configs(name, entries):
+    # offsets -1..1 couple angle columns 2 apart, 4 apart in folded order: each
+    # block column of n_r cells keeps 4 blocks below its diagonal block, half
+    # the 640,000 and 5,222,400 entries of block rows as wide as the coupling
+    from grouppgd.cli import _build, load_config
+    problem, subset, _ = _build(load_config(os.path.join(CONFIGS, f"{name}.txt")))
+    n_r, n_theta = problem.geometry.n_r, problem.geometry.n_theta
+    band = band_gram(problem.A, subset, problem.geometry.folded_order, n_r)
+    assert band.blocks.shape == (n_theta, 5, n_r, n_r)
+    assert band.blocks.size == entries
 
 
 def test_band_gram_probes_only_the_cells_the_operator_reads():
@@ -782,7 +796,7 @@ def test_band_gram_probes_only_the_cells_the_operator_reads():
 
     probed = from_window(A.rows, A.cols, A.window, metered("forward", A.window_forward),
                          metered("adjoint", A.window_adjoint))
-    band_gram(probed, subset, problem.geometry.folded_order, pad=1.0)
+    band_gram(probed, subset, problem.geometry.folded_order, problem.geometry.n_r)
     for rows in calls.values():
         assert (len(rows), sum(rows)) == (24, 384)
 

@@ -801,8 +801,9 @@ def test_one_core_writes_what_every_core_writes(tmp_path):
     # pinned to one CPU the solve has one usable core and steps in process;
     # unpinned it splits its rows across the cores it may use.  Every output
     # byte is the same either way.  OpenBLAS sizes its thread pool from the
-    # CPUs it may use, and the certificate's mu_Gstar moves in its last
-    # digits with that pool (ROADMAP item 7), so both runs use one BLAS thread
+    # CPUs it may use, and the overlap config's L, read from a 1,024-row
+    # Gram, moves in its last digits with that pool (ROADMAP item 7), so both
+    # runs use one BLAS thread
     import shutil
     import subprocess
 
@@ -824,6 +825,30 @@ def test_one_core_writes_what_every_core_writes(tmp_path):
         assert written[True] == written[False] and written[True][0] == EXIT_OK
         assert subprocess.run(["diff", "-r", tmp_path / f"{command}.one",
                                tmp_path / f"{command}.all"]).returncode == 0
+
+
+@pytest.mark.parametrize("name", ["ring", "extreme_sparse", "noisy_textured", "poisson"])
+def test_certificate_keeps_its_bytes_at_one_and_two_blas_threads(tmp_path, name):
+    # the band's factor and solve run on blocks of one angle column, n_r = 32
+    # cells, where OpenBLAS gives the same bits at 1 and 2 threads; it gave
+    # another mu_Gstar on ring, noisy_textured and poisson with 160-cell blocks
+    import subprocess
+
+    import grouppgd
+
+    src = os.path.dirname(os.path.dirname(grouppgd.__file__))
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error",
+                   OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / threads
+        done = subprocess.run(
+            [sys.executable, "-m", "grouppgd.cli", "certify", "--config",
+             os.path.join(CONFIGS, f"{name}.txt"), "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, timeout=300)
+        assert done.returncode == EXIT_OK, done.stderr
+        written.append((out / "certificate.txt").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("command, call, error", [("compare", "fork", "EAGAIN"),

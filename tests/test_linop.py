@@ -489,14 +489,16 @@ def test_window_table_path_equals_composed_operator(n_r, n_theta, angles, rays, 
 @given(n_r=st.integers(1, 4), n_theta=st.integers(1, 16),
        angles=st.lists(st.integers(0, 15), min_size=1, max_size=5), rays=st.integers(1, 3),
        reach=st.integers(0, 2), coverage=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-# offset spans 1, 3 and 5 over a long angle axis: several blocks, the last one padded
+# offset spans 1, 3 and 5 over a long angle axis: several blocks below the diagonal
 @example(n_r=3, n_theta=16, angles=[0, 5], rays=2, reach=0, coverage=1.0, seed=1)
 @example(n_r=2, n_theta=16, angles=[3, 9], rays=2, reach=1, coverage=0.5, seed=2)
 @example(n_r=3, n_theta=16, angles=[0, 7, 11], rays=3, reach=2, coverage=1.0, seed=3)
-# a short angle axis: the band is a single block
+# a short angle axis: every block column reaches the last block row
 @example(n_r=4, n_theta=3, angles=[1], rays=2, reach=1, coverage=1.0, seed=4)
 # radius 0: the band of G itself
 @example(n_r=2, n_theta=12, angles=[2, 8], rays=2, reach=1, coverage=0.0, seed=5)
+# an odd angle axis with several blocks below the diagonal
+@example(n_r=2, n_theta=15, angles=[0, 7], rays=6, reach=1, coverage=1.0, seed=6)
 # five offsets on four angles: the window folds, and its G is not bitwise
 # symmetric, so the kept triangle must be chosen by cell, not window position
 @example(n_r=1, n_theta=4, angles=[1], rays=2, reach=2, coverage=0.5, seed=18)
@@ -508,26 +510,34 @@ def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, cover
     radius = min(round(coverage * full_coverage_radius(angles, n_theta)), (n_theta - 1) // 2)
     subset = symmetric_subset(geometry.theta_shift(1), radius)
     G = gram_dense(A)
-    pad = 1.0 + float(np.abs(G).max())
-    band = band_gram(A, subset, geometry.folded_order, pad)
-    d = A.cols
+    band = band_gram(A, subset, geometry.folded_order, n_r)
     # probing the window has the bits of probing every cell through the map
     # rebuilt from forward and adjoint alone
-    every_cell = band_gram(replace(A), subset, geometry.folded_order, pad)
-    assert same_bits(every_cell.diag, band.diag) and same_bits(every_cell.lower, band.lower)
-    # folding the angle axis keeps cyclic neighbours within twice their distance
-    assert band.diag.shape[1] <= (min(4 * reach, n_theta - 1) + 1) * n_r
+    every_cell = band_gram(replace(A), subset, geometry.folded_order, n_r)
+    assert same_bits(every_cell.blocks, band.blocks)
+    # folding the angle axis keeps cyclic neighbours within twice their
+    # distance: one angle column per block, at most 4 * reach below the diagonal
+    N, width = band.blocks.shape[:2]
+    assert band.blocks.shape == (n_theta, width, n_r, n_r)
+    assert width <= min(4 * reach, n_theta - 1) + 1
+    assert not any(band.blocks[N - r:, r].any() for r in range(1, width))
     stored, cells = band_dense(band)
     tol = 1e-14 * float(np.abs(G).max())
     assert_allclose(cells, gram_average(G.copy(), subset), rtol=0, atol=tol)
     assert np.array_equal(stored, stored.T)
-    assert np.array_equal(stored[d:, d:], pad * np.eye(len(stored) - d))
-    assert not stored[d:, :d].any()
     # the product reads the stored matrix, in stored order
     assert band.size == len(stored)
     V = np.random.default_rng(seed).standard_normal((band.size, 3))
     assert_allclose(band @ V, stored @ V, rtol=0, atol=tol * band.size)
     assert_allclose(band @ V[:, 0], stored @ V[:, 0], rtol=0, atol=tol * band.size)
+    # a shift a hundredth of the scale below the bottom eigenvalue factors
+    # and solves; as far above it the factor fails
+    scale = 1.0 + float(np.abs(stored).max())
+    low = np.linalg.eigvalsh(stored)[0]
+    assert band.cholesky(low + 0.01 * scale) is None
+    shift = low - 0.01 * scale
+    X = band.cholesky(shift)(V)
+    assert_allclose((stored - shift * np.eye(band.size)) @ X, V, rtol=0, atol=1e-9)
 
 
 def one_block(A):
@@ -588,9 +598,9 @@ def test_grouped_probes_have_the_bits_of_one_block_probes(n_r, n_theta, angles, 
     geometry = Geometry(n_r=n_r, n_theta=n_theta, angles=tuple(angles), rays_per_angle=rays,
                         offsets=offsets)
     subset = symmetric_subset(geometry.theta_shift(1), min(radius, (n_theta - 1) // 2))
-    band, single_band = (band_gram(M, subset, geometry.folded_order, pad=1.0)
+    band, single_band = (band_gram(M, subset, geometry.folded_order, n_r)
                          for M in (A, single))
-    assert same_bits(band.diag, single_band.diag) and same_bits(band.lower, single_band.lower)
+    assert same_bits(band.blocks, single_band.blocks)
 
 
 @pytest.mark.parametrize("rows, window, blocks", [(3, [0, 1], 2), (4, [0, 1, 2], 2),
@@ -631,7 +641,7 @@ def test_band_gram_refuses_an_order_that_is_not_a_permutation(monkeypatch, order
 
     monkeypatch.setattr(linop, "_gram_probes", refuse)
     with pytest.raises(DimensionMismatchError, match="not a permutation of the 32 cells"):
-        band_gram(prob.A, subset, order, pad=1.0)
+        band_gram(prob.A, subset, order, 4)
 
 
 def test_band_gram_stops_probing_once_its_nonzeros_pass_the_size_rule(monkeypatch):
@@ -647,14 +657,14 @@ def test_band_gram_stops_probing_once_its_nonzeros_pass_the_size_rule(monkeypatc
 
     A = LinearMap(rows=40, cols=40, forward=forward, adjoint=dense.adjoint)
     with pytest.raises(SizeCapError, match="nonzeros of the band"):
-        band_gram(A, [identity_action(40)], np.arange(40), pad=1.0)
+        band_gram(A, [identity_action(40)], np.arange(40), 8)
     assert probes == [16]
     # more cells than the cap: refused before the first probe, so no cell
     # index ever outgrows the band's int32 indices
     monkeypatch.setattr(linop, "DENSE_CAP", 6)
     probes.clear()
     with pytest.raises(SizeCapError, match="the band of 40 cells"):
-        band_gram(A, [identity_action(40)], np.arange(40), pad=1.0)
+        band_gram(A, [identity_action(40)], np.arange(40), 8)
     assert probes == []
 
 
@@ -675,7 +685,7 @@ def test_window_table_and_band_refuse_actions_of_another_dimension():
         with pytest.raises(DimensionMismatchError, match=message):
             window_table(A, subset)
         with pytest.raises(DimensionMismatchError, match=message):
-            band_gram(A, subset, np.arange(8), pad=1.0)
+            band_gram(A, subset, np.arange(8), 1)
         with pytest.raises(DimensionMismatchError, match=message):
             window_table(A, [subset.actions[1]])  # one action's table, as a single step reads it
     assert probes == []
@@ -716,7 +726,7 @@ def test_band_gram_refuses_an_order_that_is_not_integer_cells(monkeypatch):
 
     monkeypatch.setattr(linop, "_gram_probes", refuse)
     with pytest.raises(TypeError, match="order must hold integer cells, got dtype float64"):
-        band_gram(prob.A, subset, prob.geometry.folded_order + 0.4, pad=1.0)
+        band_gram(prob.A, subset, prob.geometry.folded_order + 0.4, 4)
 
 
 def test_band_cholesky_follows_inertia_and_solves():
@@ -725,10 +735,9 @@ def test_band_cholesky_follows_inertia_and_solves():
                         offsets=(-1, 0, 1))
     A = angle_subsampled_operator(n_r, n_theta, geometry.angles, 12, 7)
     subset = symmetric_subset(geometry.theta_shift(1), 1)
-    G = gram_dense(A)
-    band = band_gram(A, subset, geometry.folded_order, float(np.abs(G).max()))
+    band = band_gram(A, subset, geometry.folded_order, n_r)
     stored, _ = band_dense(band)
-    assert band.diag.shape[0] > 1
+    assert band.blocks.shape[0] > 1
     low = np.linalg.eigvalsh(stored)[0]
     assert low > 0
     assert band.cholesky(1.001 * low) is None
@@ -738,3 +747,25 @@ def test_band_cholesky_follows_inertia_and_solves():
     X = solve(V)
     assert_allclose((stored - 0.999 * low * np.eye(band.size)) @ X, V, rtol=0, atol=1e-6)
     assert_allclose(solve(V[:, 1]), X[:, 1], rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("block, error, message", [
+    (3, DimensionMismatchError, "blocks of 3 cells do not divide the 32 cells"),
+    (64, DimensionMismatchError, "blocks of 64 cells do not divide the 32 cells"),
+    (0, DimensionMismatchError, "blocks of 0 cells do not divide the 32 cells"),
+    (-4, DimensionMismatchError, "blocks of -4 cells do not divide the 32 cells"),
+    (4.0, TypeError, "block must be an integer"),
+    (True, TypeError, "block must be an integer")],
+    ids=["three", "past", "zero", "negative", "float", "bool"])
+def test_band_gram_refuses_blocks_that_do_not_divide_the_cells(monkeypatch, block, error,
+                                                               message):
+    # every block column holds whole blocks: n_r cells of a 4 x 8 grid are 4
+    prob = build_problem(n_r=4, n_theta=8, rays_per_angle=4)
+    subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
+
+    def refuse(*args):
+        raise AssertionError("probed before the block size was checked")
+
+    monkeypatch.setattr(linop, "_gram_probes", refuse)
+    with pytest.raises(error, match=message):
+        band_gram(prob.A, subset, prob.geometry.folded_order, block)
