@@ -219,8 +219,11 @@ def window_table(A: LinearMap, actions) -> np.ndarray:
     where ``A`` reads cell ``c`` the rotated operator reads ``perm_s[c]``
     with the same weights, so it is ``A``'s window maps on the gathered
     values ``x[table[s]]``.  An action of another dimension than
-    ``A.cols`` is refused (:class:`DimensionMismatchError`).
+    ``A.cols`` is refused (:class:`DimensionMismatchError`), and so is an
+    empty family (``ValueError``).
     """
+    if not len(actions):
+        raise ValueError("the window table needs at least one action")
     for T in actions:
         if T.dimension != A.cols:
             raise DimensionMismatchError(
@@ -406,11 +409,12 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, block: int) -> BandGram:
     a positive integer dividing ``A.cols`` is refused (``TypeError``,
     :class:`DimensionMismatchError`), an ``order`` that is not a permutation
     of the cells too (``TypeError`` when its dtype is not an integer kind),
-    and an action of another dimension than ``A.cols`` by
-    :func:`window_table`, before the first probe.  A band of more than
+    and an empty family or an action of another dimension than ``A.cols``
+    by :func:`window_table`, before the first probe.  A band of more than
     ``DENSE_CAP**2`` entries is refused (:class:`SizeCapError`) before it
     is allocated, and probing stops once the nonzeros kept, each in its own
-    cell of the band, pass that count.
+    cell of the band, pass that count.  A map that reads no cell has the
+    zero band, with ``p = 0``.
     """
     d = A.cols
     _check_integer("block", block)
@@ -426,7 +430,8 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, block: int) -> BandGram:
     n = len(A.window)
     m = n // A.blocks
     window = A.window.reshape(A.blocks, m)
-    rows, cols, values = [], [], []  # window positions, and G's entry between them
+    # window positions, and G's entry between them: none for a map that reads no cell
+    rows, cols, values = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
     kept = 0
     for lo, P in _gram_probes(n, A.blocks, A.window_forward, A.window_adjoint):
         # P[j, a] is G's entry between position a and position lo + j of a's

@@ -10,9 +10,12 @@ index of a polar-grid image (:func:`polar_theta_shift`), an exact rotation
 operator only as the cells ``perm[window]`` of
 :func:`~grouppgd.linop.window_table`.
 
-A :class:`SymmetricSubset` is the ordered family {Id, g, g^-1, g^2, g^-2, ...}
-drawn from a single generator: it contains the identity and the inverse of
-every member but need not be closed under composition.
+A :class:`SymmetricSubset` is an ordered family of distinct actions, the
+identity first, that holds the inverse of every member: all the certificate
+and the solver need of it.  It need not be closed under composition, nor
+drawn from one generator: :func:`symmetric_subset` builds the powers
+{Id, g, g^-1, g^2, g^-2, ...} of one, and an angle reflection, a product of
+generators or every rotation of an even angle count is a subset too.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ class GroupAction:
     ``permutation`` is in gather form: ``apply(x)[..., i] == x[..., permutation[i]]``;
     the action moves the last axis, so a stack of signals rotates row by row.
     It keeps a read-only int64 copy of the permutation it is given.
-    ``power`` is the exponent of this action relative to the generator that
-    produced it (0 for the identity, negative for inverses), an integer (a
-    ``bool`` is not).
+    ``power`` describes the action: the exponent relative to the generator
+    that produced it (0 for the identity, negative for inverses), an integer
+    (a ``bool`` is not).  No check reads it; ``label`` names the action.
     """
 
     dimension: int
@@ -97,11 +100,15 @@ def polar_theta_shift(n_r: int, n_theta: int, s: int) -> GroupAction:
 
 @dataclass(frozen=True)
 class SymmetricSubset:
-    """Ordered actions {Id, g, g^-1, ..., g^radius, g^-radius}.
+    """Ordered distinct actions of one dimension, the identity first, closed under inverses.
 
-    Index 0 is always the identity; size is ``2 * radius + 1``, all distinct
-    permutations; ``radius`` is an integer (a ``bool`` is not).  The ordering
-    is the canonical layout consumed by solver traces and certificates.
+    Index 0 is the identity, no permutation is listed twice, and the inverse
+    of every action, formed by composition (one scatter), is in the subset;
+    anything else is refused (``ValueError``).  The ordering is the layout
+    solver traces and certificates index.  ``radius`` (an integer; a
+    ``bool`` is not) and ``generator_label`` describe how the subset was
+    built, for example :func:`symmetric_subset`'s ``2 * radius + 1`` powers
+    of one generator; no check reads them.
     """
 
     actions: tuple[GroupAction, ...]
@@ -125,17 +132,12 @@ class SymmetricSubset:
                 # a generator of order n repeats itself past radius (n - 1) // 2
                 raise ValueError("subset lists one permutation more than once")
             twins.append(perm)
-        powers = sorted(a.power for a in self.actions)
-        expected = sorted(range(-self.radius, self.radius + 1))
-        if powers != expected:
-            raise ValueError(
-                f"subset powers {powers} are not exactly 0..+-{self.radius}"
-            )
-        by_power = {a.power: a for a in self.actions}
-        for p, action in by_power.items():
-            mate = by_power[-p]
-            if not np.array_equal(mate.permutation[action.permutation], identity):
-                raise ValueError(f"action with power {-p} is not the inverse of power {p}")
+        inverse = np.empty(self.dimension, dtype=np.int64)
+        for i, action in enumerate(self.actions):
+            inverse[action.permutation] = identity  # one scatter, in gather form
+            twins = seen.get(hash(inverse.tobytes()), [])
+            if not any(np.array_equal(inverse, twin) for twin in twins):
+                raise ValueError(f"the inverse of action {i} {action.label!r} is not in the subset")
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -150,7 +152,11 @@ class SymmetricSubset:
 
 def symmetric_subset(generator: GroupAction, radius: int) -> SymmetricSubset:
     """Build {Id, g, g^-1, g^2, g^-2, ...} up to ``+-radius`` from a generator;
-    ``radius`` is a nonnegative integer (a ``bool`` is not).
+    ``radius`` is a nonnegative integer (a ``bool`` is not).  Each action's
+    ``power`` is its exponent and its ``label`` the generator's label raised
+    to it.  A generator of order ``n`` repeats itself past radius
+    ``(n - 1) // 2``, which is refused; the powers of a rotation of an even
+    angle count miss the half turn, which a subset built by hand may list.
 
     ``2 * radius + 1`` permutations of more than ``linop.DENSE_CAP**2``
     entries in all are refused (:class:`~grouppgd.linop.SizeCapError`)

@@ -13,16 +13,20 @@ certificate's averaged Gram (``stack_mean``; the program permutes
 program stores it as a band), the dense matrix a band stands for
 (``band_dense``), the spectrum of ``A^T A`` probed through the whole grid
 (``transposed_gram_eigvals``; the program probes it through the window
-maps), the identity map, and the covering radius grown one shift at a time
+maps), the identity map, the covering radius grown one shift at a time
 (``covering_radius_loop``; the program reads the widest gap between
-measured angles).  Each is written from its definition and imports nothing
-from ``grouppgd.solver`` and no private name of the package.
+measured angles), and the symmetries beyond one generator's powers: the
+angle reflection (``angle_reflection``), the radial flip
+(``radial_flip``), a subset's product with them (``with_flips``) and every
+rotation of the grid (``rotation_group``).  Each is written from its
+definition and imports nothing from ``grouppgd.solver`` and no private name
+of the package.
 """
 
 import numpy as np
 
 from grouppgd.linop import BandGram, DimensionMismatchError, LinearMap, from_window, gram_dense
-from grouppgd.symmetry import GroupAction
+from grouppgd.symmetry import GroupAction, SymmetricSubset, polar_theta_shift
 
 
 def from_dense(matrix, tag: str = "dense") -> LinearMap:
@@ -182,3 +186,38 @@ def covering_radius_loop(angles, n_theta: int) -> int:
         hit = hit | np.roll(hit, 1) | np.roll(hit, -1)
         shifts += 1
     return shifts
+
+
+def angle_reflection(n_r: int, n_theta: int) -> GroupAction:
+    """The reflection ``(r, θ) -> (r, -θ mod n_theta)`` of a polar-grid image
+    (radius major, angle minor): ``out(r, θ) = x(r, -θ)``."""
+    perm = [r * n_theta + (-t) % n_theta for r in range(n_r) for t in range(n_theta)]
+    return GroupAction(dimension=n_r * n_theta, permutation=np.array(perm), power=0, label="F")
+
+
+def radial_flip(n_r: int, n_theta: int) -> GroupAction:
+    """The flip ``(r, θ) -> (n_r - 1 - r, θ)`` of a polar-grid image:
+    ``out(r, θ) = x(n_r - 1 - r, θ)``."""
+    perm = [(n_r - 1 - r) * n_theta + t for r in range(n_r) for t in range(n_theta)]
+    return GroupAction(dimension=n_r * n_theta, permutation=np.array(perm), power=0, label="R")
+
+
+def with_flips(subset: SymmetricSubset, *flips: GroupAction) -> SymmetricSubset:
+    """The subset times ``{1, F}`` for each flip ``F`` in turn: the actions so
+    far, then each of them followed by ``F``, ``x -> T(F x)``, which gathers
+    ``x[F.perm[T.perm]]``.  The shift stays each action's ``power``."""
+    actions = list(subset)
+    for F in flips:
+        actions += [GroupAction(dimension=T.dimension, permutation=F.permutation[T.permutation],
+                                power=T.power, label=f"{T.label}*{F.label}") for T in actions]
+    return SymmetricSubset(actions=tuple(actions), radius=subset.radius)
+
+
+def rotation_group(n_r: int, n_theta: int) -> SymmetricSubset:
+    """Every rotation of the grid once: the shifts ``0, 1, -1, 2, -2, ...``
+    up to ``(n_theta - 1) // 2``, then the half turn when ``n_theta`` is even,
+    its own inverse."""
+    shifts = [0] + [s for k in range(1, (n_theta - 1) // 2 + 1) for s in (k, -k)]
+    shifts += [n_theta // 2] * (n_theta % 2 == 0)
+    return SymmetricSubset(actions=tuple(polar_theta_shift(n_r, n_theta, s) for s in shifts),
+                           radius=n_theta // 2)

@@ -34,7 +34,8 @@ from grouppgd.linop import (
 )
 from grouppgd.solver import SolverConfig, run
 from grouppgd.symmetry import polar_theta_shift, symmetric_subset
-from oracles import compose_with_action, from_dense, gram_average, stack_mean
+from oracles import (angle_reflection, compose_with_action, from_dense, gram_average,
+                     radial_flip, rotation_group, stack_mean, with_flips)
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -74,6 +75,14 @@ def covering_subset(problem):
     radius = full_coverage_radius(problem.geometry.angles,
                                   problem.geometry.n_theta)
     return symmetric_subset(problem.geometry.theta_shift(1), radius)
+
+
+def reflected_families(problem, subset):
+    """The subset, its product with ``{1, F}`` and with ``{1, F} x {1, R}``."""
+    g = problem.geometry
+    F, R = angle_reflection(g.n_r, g.n_theta), radial_flip(g.n_r, g.n_theta)
+    return {"rotations": subset, "dihedral": with_flips(subset, F),
+            "dihedral_radial": with_flips(subset, F, R)}
 
 
 def hand_built(L=2.0, mu=1.0, **kw):
@@ -765,6 +774,27 @@ def test_band_gram_moves_one_action_at_a_time(name, bands):
     assert peak < bands * band.blocks.nbytes
 
 
+@pytest.mark.parametrize("family, mu_gstar", [("dihedral", 0.341), ("dihedral_radial", 0.617)])
+def test_band_gram_at_two_and_four_times_the_actions(family, mu_gstar):
+    # extreme_sparse's 55 rotations times {1, F} and {1, F} x {1, R}: the
+    # reflection keeps the folded order's coupling 4 blocks wide, and the
+    # peak grows only by the window table, one row of window cells per action
+    from grouppgd.cli import _build, load_config
+    problem, rotations, _ = _build(load_config(os.path.join(CONFIGS, "extreme_sparse.txt")))
+    subset = reflected_families(problem, rotations)[family]
+    assert len(subset) == {"dihedral": 2, "dihedral_radial": 4}[family] * 55
+    table = linop.window_table(problem.A, subset)
+    tracemalloc.start()
+    try:
+        band = band_gram(problem.A, subset, problem.geometry.folded_order, problem.geometry.n_r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert band.blocks.shape == (64, 5, 32, 32)
+    assert peak < 1.5 * band.blocks.nbytes + table.nbytes
+    assert round(certify(problem, subset).mu_Gstar, 3) == mu_gstar
+
+
 @pytest.mark.parametrize("name, entries", [("ring", 327_680), ("extreme_sparse", 327_680),
                                            ("noisy_textured", 327_680), ("poisson", 327_680),
                                            ("fine_grid", 2_621_440)])
@@ -851,16 +881,36 @@ def test_certify_mu_gstar_matches_dense_oracle_on_random_instances(n_r, n_theta,
     assert certify(problem, subset, cone=cone) == report
 
 
-@pytest.mark.parametrize("shape", [(6, 15), (32, 63)])
+@pytest.mark.parametrize("shape", [(6, 15), (32, 63), (6, 16), (32, 64)])
 def test_certify_mu_gstar_matches_dense_oracle_on_full_group(shape):
-    # every rotation once (an odd angle count): a block-circulant stack Gram
-    # whose eigenvalues come in pairs
+    # every rotation once, the half turn too on an even angle count: a
+    # block-circulant stack Gram whose eigenvalues come in pairs
     n_r, n_theta = shape
     problem = ring_instance(n_r=n_r, n_theta=n_theta)
-    subset = symmetric_subset(problem.geometry.theta_shift(1), n_theta // 2)
+    subset = rotation_group(n_r, n_theta)
     assert len({tuple(T.permutation) for T in subset}) == n_theta == len(subset)
     _, spectrum = assert_mu_gstar_matches_dense_oracle(problem, subset)
     assert_allclose(spectrum[1], spectrum[0], rtol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(6, 16), (5, 17)])
+@pytest.mark.parametrize("family", ["dihedral", "dihedral_radial"])
+def test_certify_mu_gstar_matches_dense_oracle_with_reflections(shape, family):
+    # the reflection keeps the folded order banded: theta and -theta are
+    # neighbours in it, so the band holds every moved nonzero
+    n_r, n_theta = shape
+    problem = ring_instance(n_r=n_r, n_theta=n_theta)
+    subset = reflected_families(problem, covering_subset(problem))[family]
+    report, _ = assert_mu_gstar_matches_dense_oracle(problem, subset)
+    assert report.eps_Gstar == 0.0
+
+
+def test_eps_gstar_is_zero_for_the_ring_phantom_under_reflections():
+    # the ring's profile is symmetric in the radius, bit for bit, so both flips fix it
+    from grouppgd.cli import _build, load_config
+    problem, subset, _ = _build(load_config(os.path.join(CONFIGS, "ring.txt")))
+    for name, family in reflected_families(problem, subset).items():
+        assert certify(problem, family).eps_Gstar == 0.0, name
 
 
 @pytest.mark.parametrize("shape", [(6, 16), (32, 64)])

@@ -28,8 +28,9 @@ from grouppgd.symmetry import (
     polar_theta_shift,
     symmetric_subset,
 )
-from oracles import (band_dense, compose_with_action, from_dense, gram_average, group_pgd_step,
-                     identity_map, shifted_angles, stack_mean, transposed_gram_eigvals)
+from oracles import (angle_reflection, band_dense, compose_with_action, from_dense, gram_average,
+                     group_pgd_step, identity_map, shifted_angles, stack_mean,
+                     transposed_gram_eigvals)
 
 
 def dense_of(A):
@@ -113,6 +114,22 @@ def test_compose_equals_directly_shifted_operator():
         for _ in range(5):
             x = rng.standard_normal(n_r * n_theta)
             assert np.array_equal(composed.forward(x), direct.forward(x))
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(8, 24), (5, 17), (32, 64)])
+def test_reflected_window_table_row_measures_the_reflected_angles(n_r, n_theta):
+    # criterion 2's identity for the angle reflection: where A reads column
+    # a + o, A after the reflection reads -a - o, so it is the operator on the
+    # angles -a with the offsets negated, weights in the same order
+    problem = build_problem(n_r=n_r, n_theta=n_theta, seed=7)
+    A = problem.A
+    direct = build_problem(n_r=n_r, n_theta=n_theta, seed=7, offsets=(1, 0, -1),
+                           angles=[-a % n_theta for a in problem.geometry.angles]).A
+    row = window_table(A, [angle_reflection(n_r, n_theta)])[0]
+    X = np.random.default_rng(n_theta).standard_normal((4, n_r * n_theta))
+    assert np.array_equal(A.window_forward(X.take(row, axis=-1)), direct.forward(X))
+    for x in X:
+        assert np.array_equal(A.window_forward(x.take(row)), direct.forward(x))
 
 
 def test_compose_dimension_mismatch():
@@ -714,6 +731,29 @@ def test_from_window_takes_an_empty_window():
     assert A.window.dtype == np.int64 and A.window.shape == (0,)
     assert np.array_equal(A.forward(np.ones(4)), np.zeros(2))
     assert np.array_equal(A.adjoint(np.ones((3, 2))), np.zeros((3, 4)))
+
+
+def test_a_map_that_reads_no_cell_has_the_zero_band():
+    # the kept probe was empty and its concatenation raised; the spectrum was zeros
+    A = from_window(2, 4, [], lambda v: np.zeros(v.shape[:-1] + (2,)),
+                    lambda y: np.zeros(y.shape[:-1] + (0,)))
+    band = band_gram(A, [identity_action(4)], np.arange(4), 2)
+    assert band.blocks.shape == (2, 1, 2, 2) and not band.blocks.any()
+    assert np.array_equal(gram_eigvals(A), np.zeros(4))
+
+
+def test_window_table_and_band_refuse_an_empty_family(monkeypatch):
+    # numpy refused the stack of no rows, and the band would divide by no actions
+    prob = build_problem(n_r=4, n_theta=8, rays_per_angle=4)
+
+    def refuse(*args):
+        raise AssertionError("probed an empty family")
+
+    monkeypatch.setattr(linop, "_gram_probes", refuse)
+    for build in (lambda: window_table(prob.A, []),
+                  lambda: band_gram(prob.A, [], prob.geometry.folded_order, 4)):
+        with pytest.raises(ValueError, match="^the window table needs at least one action$"):
+            build()
 
 
 def test_band_gram_refuses_an_order_that_is_not_integer_cells(monkeypatch):

@@ -20,6 +20,7 @@ from grouppgd.symmetry import (
     sample_action,
     symmetric_subset,
 )
+from oracles import angle_reflection, radial_flip, rotation_group, with_flips
 
 
 def fixes_every_cell(T):
@@ -181,7 +182,7 @@ SYMMETRY_REFUSALS = {
         actions=(identity_action(6), polar_theta_shift(1, 6, 1),
                  GroupAction(dimension=6, permutation=polar_theta_shift(1, 6, 2).permutation,
                              power=-1)),
-        radius=1), "action with power -1 is not the inverse of power 1"),
+        radius=1), "the inverse of action 1 'rot+1' is not in the subset"),
     "negative_radius": (lambda: symmetric_subset(polar_theta_shift(1, 6, 1), -1),
                         "radius must be nonnegative"),
 }
@@ -231,6 +232,43 @@ def test_subset_constructor_rejects_unbalanced_powers():
     ident = identity_action(6)
     with pytest.raises(ValueError):
         SymmetricSubset(actions=(ident, g), radius=1)
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(1, 3), (2, 4), (3, 7), (4, 16), (5, 17)])
+def test_subset_accepts_every_family_closed_under_inverses(n_r, n_theta):
+    # the reflections, the radial flip and the half turn are their own
+    # inverses, and each rotation times a reflection is a reflection: single-
+    # generator powers were refused for every family below but the first
+    F, R = angle_reflection(n_r, n_theta), radial_flip(n_r, n_theta)
+    rotations = symmetric_subset(polar_theta_shift(n_r, n_theta, 1), (n_theta - 1) // 2)
+    families = {"rotations": rotations,
+                "{id, F}": SymmetricSubset(actions=(identity_action(n_r * n_theta), F), radius=0),
+                "rotations x {1, F}": with_flips(rotations, F),
+                "every rotation": rotation_group(n_r, n_theta)}
+    if n_r > 1:  # one radius is fixed by the radial flip
+        families["rotations x {1, F} x {1, R}"] = with_flips(rotations, F, R)
+    sizes = {"rotations": 2 * rotations.radius + 1, "{id, F}": 2,
+             "rotations x {1, F}": 2 * len(rotations), "every rotation": n_theta,
+             "rotations x {1, F} x {1, R}": 4 * len(rotations)}
+    for name, subset in families.items():
+        assert fixes_every_cell(subset.actions[0]), name
+        assert len({T.permutation.tobytes() for T in subset}) == len(subset) == sizes[name], name
+
+
+def test_subset_refuses_a_family_missing_an_inverse_and_names_the_action():
+    F = angle_reflection(4, 16)
+    product = with_flips(symmetric_subset(polar_theta_shift(4, 16, 1), 2), F)
+    assert [T.label for T in product][:3] == ["id", "rot+1", "rot+1^-1"]
+    # without rot+1, rot+1^-1 (action 1 once rot+1 is gone) misses its inverse;
+    # each reflection is its own and stays
+    missing = product.actions[:1] + product.actions[2:]
+    with pytest.raises(ValueError, match=re.escape("the inverse of action 1 'rot+1^-1' is")):
+        SymmetricSubset(actions=missing, radius=2)
+    without_reflection = product.actions[:6] + product.actions[7:]
+    assert len(SymmetricSubset(actions=without_reflection, radius=2)) == 9
+    # a shift of 3 on 16 angles without a shift of -3 (13)
+    with pytest.raises(ValueError, match=re.escape("the inverse of action 1 'rot+3' is not in")):
+        SymmetricSubset(actions=(identity_action(64), polar_theta_shift(4, 16, 3)), radius=1)
 
 
 def test_sampling_singleton_always_identity():
