@@ -15,11 +15,13 @@ and checks the bound against seeded Monte Carlo runs:
   ``(A T_g)^T (A T_g) = P_g^T G P_g``, so the stacked Gram is the mean of
   ``G`` permuted through the subset and costs no operator applications
   beyond one probe of ``G`` on the cells the operator reads.  The probe's
-  nonzeros move through the subset's window-table rows straight into band
-  storage in the geometry's folded angle order, one angle column of ``n_r``
-  cells a block (:func:`~grouppgd.linop.band_gram`), and neither ``G`` nor
-  the mean is built densely.  On the whole space its bottom eigenvalue
-  comes from two band Cholesky factorizations, one alive at a time: one
+  nonzeros are kept, and each fill moves them through the subset's
+  window-table rows straight into band storage in the geometry's folded
+  angle order, one angle column of ``n_r`` cells a block
+  (:func:`~grouppgd.linop.band_gram`), and neither ``G`` nor the mean is
+  built densely.  On the whole space its bottom eigenvalue comes from two
+  band Cholesky factorizations, each of its own fill and made where that
+  fill lies, one band alive at a time: one
   Lanczos run on the solve with ``G_star + n u L I`` finds it, and a Cholesky of
   ``G_star - (mu_Gstar - n u L) I`` certifies it by Sylvester's law of
   inertia (Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -74,7 +76,7 @@ import numpy as np
 from . import kernels
 from .bench import ProblemInstance
 from .constraint import DescentCone, descent_cone_of, project_cone, subspace_min_eig
-from .linop import (BandGram, DimensionMismatchError, LinearMap, band_gram, gram_eigvals,
+from .linop import (DimensionMismatchError, LinearMap, _band_probe, _BandProbe, gram_eigvals,
                     window_table)
 from .solver import SolverConfig, check_solve, run_ensemble
 from .symmetry import SymmetricSubset
@@ -95,6 +97,7 @@ __all__ = [
 
 _LANCZOS_SEED = 0  # a constant, never the clock or the problem seed
 _LANCZOS_STEPS = 200
+_LANCZOS_GROW = 16  # basis vectors allocated at a time
 _LANCZOS_TOL = 1e-10  # top Ritz residual estimate, relative to its Ritz value
 _VACUOUS = "bound vacuous (alpha_Gstar >= 1)"
 
@@ -216,8 +219,9 @@ def _check_dimensions(A: LinearMap, subset: SymmetricSubset, cone: DescentCone,
                 f"{name} dimension {got} does not match operator {side} {length}")
 
 
-def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
-    """Smallest eigenvalue of a band stack Gram, and whether it is certified.
+def _stack_min_eig(probe: _BandProbe, L: float) -> tuple[float, bool]:
+    """Smallest eigenvalue of the band stack Gram ``G_star`` that ``probe``
+    fills, and whether it is certified.
 
     ``slack = n u L`` (``n`` cells, ``u`` the unit round-off) is the width
     of ``eigvalsh``'s own backward error.  ``G_star + slack I`` is factored
@@ -230,25 +234,31 @@ def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
     when ``G_star - (mu_hat - slack) I`` factors: by Sylvester's law of
     inertia no eigenvalue lies below that shift, up to the factorization's
     backward error (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, Thm 10.5); the first factor and the Lanczos basis are freed
-    before it factors.  That theorem bounds Cholesky by substitution, and
-    the band's factor forms its pivots' inverses
+    Algorithms*, Thm 10.5).  That theorem bounds Cholesky by substitution,
+    and the band's factor forms its pivots' inverses
     (:meth:`~grouppgd.linop.BandGram.cholesky`), so the enclosure's proof
     does not yet cover the factor in use.  A certified ``mu_hat`` below
     ``slack`` cannot be told from 0 and reads 0.  Otherwise the result is
     the largest shift that factored, ``-slack``, clipped to 0.  Reruns give
     the same bits.
+
+    One band-sized array is alive at a time: each factorization fills a
+    fresh band from the probe and factors it where it lies, the Lanczos
+    basis grows ``_LANCZOS_GROW`` vectors at a time as the run needs them,
+    and the Rayleigh quotient and the inertia check read a second fill,
+    made once the first factor and the basis are freed.
     """
-    n = G_star.size
+    n = probe.size
     slack = n * np.finfo(float).eps / 2 * L
-    solve = G_star.cholesky(-slack)
+    solve = probe.fill()._factor(-slack)
     if solve is None:
         return 0.0, False
-    Q = np.zeros((min(_LANCZOS_STEPS, n), n))  # Q[-1] stands in for q_{-1} = 0
+    steps = min(_LANCZOS_STEPS, n)
+    Q = np.zeros((min(_LANCZOS_GROW, steps), n))  # Q[-1] stands in for q_{-1} = 0
     q = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     Q[0] = q / np.linalg.norm(q)
     alphas, betas = [], [0.0]
-    for j in range(len(Q)):
+    for j in range(steps):
         w = solve(Q[j])
         alphas.append(float(Q[j] @ w))
         w -= alphas[j] * Q[j] + betas[j] * Q[j - 1]
@@ -256,14 +266,19 @@ def _stack_min_eig(G_star: BandGram, L: float) -> tuple[float, bool]:
         betas.append(float(np.linalg.norm(w)))
         off = np.diag(betas[1:-1], 1)
         theta, Y = np.linalg.eigh(np.diag(alphas) + off + off.T)
-        if abs(betas[-1] * Y[-1, -1]) <= _LANCZOS_TOL * theta[-1] or j + 1 == len(Q):
+        if abs(betas[-1] * Y[-1, -1]) <= _LANCZOS_TOL * theta[-1] or j + 1 == steps:
             break
+        if j + 1 == len(Q):  # the basis is full: copy it into a longer one
+            grown = np.zeros((min(len(Q) + _LANCZOS_GROW, steps), n))
+            grown[: len(Q)] = Q
+            Q = grown
         Q[j + 1] = w / betas[-1]
     x = Q[: j + 1].T @ Y[:, -1]
-    del solve, Q  # one factor alive at a time: the inertia check makes its own
+    del solve, Q  # one band at a time: the inertia check fills its own
     x /= np.linalg.norm(x)
+    G_star = probe.fill()
     mu = float(x @ (G_star @ x))
-    if G_star.cholesky(mu - slack) is None:
+    if G_star._factor(mu - slack) is None:
         return 0.0, False
     return (mu if mu > slack else 0.0), True
 
@@ -281,13 +296,14 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     window and through the rows of the subset's
     :func:`~grouppgd.linop.window_table`
     (:func:`~grouppgd.constraint.subspace_min_eig`).  Every other cone takes
-    the whole-space ``mu_C``, the bottom of the same spectrum, and averages
-    the nonzeros of one probe of ``G = A^T A`` on the window's cells through
-    the subset's window-table rows straight into band storage in the folded
-    order of ``problem.geometry``, one angle column of ``n_r`` cells a block
-    (:func:`~grouppgd.linop.band_gram`); its whole-space ``mu_Gstar`` comes
-    from one Lanczos run and one inertia check (:func:`_stack_min_eig`),
-    flagged ``estimate`` when not certified.
+    the whole-space ``mu_C``, the bottom of the same spectrum, and keeps
+    the nonzeros of one probe of ``G = A^T A`` on the window's cells, which
+    each fill averages through the subset's window-table rows straight into
+    band storage in the folded order of ``problem.geometry``, one angle
+    column of ``n_r`` cells a block (:func:`~grouppgd.linop.band_gram`'s
+    probe and fill); its whole-space ``mu_Gstar`` comes from one Lanczos run
+    and one inertia check on two fills, one band held at a time
+    (:func:`_stack_min_eig`), flagged ``estimate`` when not certified.
     :class:`~grouppgd.linop.DimensionMismatchError` is raised for a subset
     or cone of another length than ``A.cols``, ``ValueError`` for ``L = 0``,
     and :class:`~grouppgd.linop.SizeCapError` when the probed side's Gram,
@@ -307,8 +323,8 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
         mu_Gstar, certified = subspace_min_eig(A, cone, window_table(A, subset)), True
     else:
         mu_C = max(float(eigvals[0]), 0.0)
-        G_star = band_gram(A, subset, problem.geometry.folded_order, problem.geometry.n_r)
-        mu_Gstar, certified = _stack_min_eig(G_star, L)
+        probe = _band_probe(A, subset, problem.geometry.folded_order, problem.geometry.n_r)
+        mu_Gstar, certified = _stack_min_eig(probe, L)
     # guard against round-off pushing the restricted eigenvalue past L
     if mu_Gstar > L * (1.0 + 1e-9):
         raise ValueError(

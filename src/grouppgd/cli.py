@@ -241,43 +241,77 @@ def _build(config: ExperimentConfig):
     return problem, subset, solver_config
 
 
-def _write_atomic(path: str, text: str):
-    """Write ``text`` to ``path`` through a temp file and ``os.replace``, so a
-    failure leaves no partial file, unless ``path`` already holds its UTF-8
-    bytes: that file is left as it is, mtime included, and no temp file is
-    written.  A rename over an existing file can cost tens of milliseconds
-    (ext4 flushes the new data first), and reruns into one ``--out`` write
-    the same bytes.  A path that cannot be read (missing, a directory, any
+def _write_atomic(path: str, chunks) -> None:
+    """Write the text ``chunks`` to ``path`` through a temp file and
+    ``os.replace``, so a failure leaves no partial file, unless ``path``
+    already holds their UTF-8 bytes: that file is left as it is, inode and
+    mtime included, and the temp file is removed.
+
+    Each chunk is written to the temp file and compared with the existing
+    file's next bytes as it comes, so no more than one chunk is held.  A
+    rename over an existing file can cost tens of milliseconds (ext4 flushes
+    the new data first), and reruns into one ``--out`` write the same
+    bytes.  A path that cannot be read (missing, a directory, any
     ``OSError``) is written."""
-    data = text.encode("utf-8")
-    with contextlib.suppress(OSError), open(path, "rb") as fh:
-        if fh.read(len(data) + 1) == data:
-            return
     tmp = path + ".tmp"
+    old = None
+    with contextlib.suppress(OSError):
+        old = open(path, "rb")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError:
+        same = old is not None
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                fh.write(data)
+                same = same and _reads(old, data, len(data))
+        if same and _reads(old, b"", 1):  # and nothing follows
+            os.remove(tmp)
+        else:
+            os.replace(tmp, path)
+    except BaseException:  # an OSError, or a chunk that failed to format
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+    finally:
+        if old is not None:
+            old.close()
 
 
-def _csv(head: list[str], template: str, columns) -> str:
-    """The ``head`` lines, then one line per row: ``template % row`` over the columns.
+def _reads(fh, data: bytes, size: int) -> bool:
+    """Whether the next ``size`` bytes ``fh`` reads are ``data``; False when it cannot be read."""
+    try:
+        return fh.read(size) == data
+    except OSError:
+        return False
 
+
+_CHUNK_ROWS = 1024  # rows formatted, compared and written at a time
+
+
+def _csv(head: list[str], template: str, columns):
+    """The ``head`` lines, then one line per row: ``template % row`` over the
+    columns, yielded as text ``_CHUNK_ROWS`` rows at a time.
+
+    A column is an array, or a function from a slice of rows to their
+    values, so a derived column is computed one chunk at a time too.
     ``%.17g`` and ``%d`` on ``tolist()`` values write what ``f"{v:.17g}"`` and
     ``str(int(v))`` write, one template per row instead of one call per cell.
     """
-    rows = zip(*(column.tolist() for column in columns))
-    return "\n".join([*head, *(template % row for row in rows)]) + "\n"
+    yield "".join(f"{line}\n" for line in head)
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        part = slice(lo, lo + _CHUNK_ROWS)
+        values = ((c(part) if callable(c) else c[part]).tolist() for c in columns)
+        yield "".join(template % row + "\n" for row in zip(*values))
 
 
-def _trace_csv(trace, bound: np.ndarray | None, with_actions: bool) -> str:
+def _trace_csv(trace, bound: np.ndarray | None, with_actions: bool):
+    """A trace's CSV, as :func:`_csv` yields it; ``rmsd_normalized`` is
+    ``rmsd / sqrt(d)`` a chunk at a time, the bits of the trace's property."""
     header = "iter,rmsd,rmsd_normalized,objective"
     template = "%d,%.17g,%.17g,%.17g"
-    columns = [trace.iterations, trace.rmsd, trace.rmsd_normalized, trace.objective]
+    root = np.sqrt(len(trace.final_x))
+    columns = [trace.iterations, trace.rmsd, lambda part: trace.rmsd[part] / root,
+               trace.objective]
     if bound is not None:
         header += ",bound"
         template += ",%.17g"
@@ -312,7 +346,7 @@ def cmd_run(config: ExperimentConfig, outdir: str) -> int:
                   _trace_csv(pgd_trace, None, with_actions=False))
     _write_atomic(os.path.join(outdir, "group_pgd.csv"),
                   _trace_csv(group_trace, bound, with_actions=True))
-    _write_atomic(os.path.join(outdir, "certificate.txt"), report.to_text())
+    _write_atomic(os.path.join(outdir, "certificate.txt"), [report.to_text()])
     print(f"wrote pgd.csv, group_pgd.csv, certificate.txt to {outdir}")
     if why is not None:
         print(f"{why}; traces carry no bound column")
@@ -323,7 +357,7 @@ def cmd_certify(config: ExperimentConfig, outdir: str) -> int:
     problem, subset, _ = _build(config)
     report = certify(problem, subset)
     text = report.to_text()
-    _write_atomic(os.path.join(outdir, "certificate.txt"), text)
+    _write_atomic(os.path.join(outdir, "certificate.txt"), [text])
     sys.stdout.write(text)
     why = report.why_no_bound()
     if why is not None:
@@ -355,7 +389,7 @@ def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
             f"(final {mean[-1]:.17g})"
         )
     summary = "\n".join(summary_lines) + "\n"
-    _write_atomic(os.path.join(outdir, "summary.txt"), summary)
+    _write_atomic(os.path.join(outdir, "summary.txt"), [summary])
     sys.stdout.write(summary)
     if why is not None:
         print(f"{why}; compare.csv bound is nan")

@@ -43,10 +43,13 @@ permutations, is stored banded (:class:`BandGram`, built by
 :func:`band_gram`): each measured angle couples only the angle columns
 within its offset span, so in an order that lists the cells one angle
 column at a time, folding the angle axis, the average is block banded, a
-block per angle column.  ``G`` is probed only on the window's cells, and
-each probe block's nonzeros are added into the band's block columns
-through the subset's table rows; no ``cols x cols`` array is built.  A
-band multiplies vectors in its stored order (``band @ V``),
+block per angle column.  ``G`` is probed once, only on the window's
+cells, and its lower nonzeros are kept, with where each action moves them
+(a probe, :func:`_band_probe`); a fill moves them through the subset's
+table rows into a fresh band's block columns a bounded chunk at a time, so
+a caller can fill a band, factor it where it lies and fill another while
+holding one band-sized array; no ``cols x cols`` array is built.  A band
+multiplies vectors in its stored order (``band @ V``),
 :meth:`BandGram.cholesky` returns the solve of its block Cholesky factor,
 kept as its pivots' inverses and the blocks below them with those folded
 in, and whether that factor exists at a shift tells on which side of the
@@ -81,6 +84,7 @@ __all__ = [
 
 DENSE_CAP = 4096
 _PROBE_BLOCK = 16  # basis vectors per probe of A^T A
+_FILL_CHUNK = 4096  # kept nonzeros moved into a band at a time
 
 
 class DimensionMismatchError(ValueError):
@@ -333,11 +337,20 @@ class BandGram:
     def cholesky(self, shift: float) -> Callable[[np.ndarray], np.ndarray] | None:
         """The solve ``V -> (S - shift I)^-1 V`` by block Cholesky, ``S`` stored, or None.
 
+        The factor is made in a copy of the blocks (:meth:`_factor`), so the
+        band keeps its values and may be factored again.
+        """
+        return BandGram(order=self.order, blocks=self.blocks.copy())._factor(shift)
+
+    def _factor(self, shift: float) -> Callable[[np.ndarray], np.ndarray] | None:
+        """:meth:`cholesky` made where the blocks lie: the band is consumed, and
+        no second band-sized array is allocated.
+
         Right-looking over block columns (Golub and Van Loan, *Matrix
         Computations*, §4.3): column ``j``'s updated blocks ``T_ij`` give its
         pivot's Cholesky factor ``C_j`` and the factor's blocks
         ``L_ij = T_ij C_j^-T`` below it, whose Gram ``L_ij L_kj^T`` comes off
-        block ``(i, k)``.  One copy of the blocks keeps
+        block ``(i, k)``.  The blocks end up holding
         ``S - shift I = M P M^T``: each pivot's inverse ``C_j^-T C_j^-1``,
         and ``M_ij = L_ij C_j^-1`` below it, so substitution is one product
         and one in-place update per column and direction around one stacked
@@ -347,7 +360,7 @@ class BandGram:
         factorization's backward error.
         """
         N, width, b, _ = self.blocks.shape
-        F = self.blocks.copy()
+        F = self.blocks
         F[:, 0] -= shift * np.eye(b)
         steps = []  # per column: its rows, M's blocks below it, and their rows
         for j in range(N):
@@ -385,6 +398,72 @@ class BandGram:
 def band_gram(A: LinearMap, actions, order: np.ndarray, block: int) -> BandGram:
     """``mean_g P_g^T G P_g`` over ``actions`` as a :class:`BandGram` in ``order``, ``G = A^T A``.
 
+    One probe of ``G`` (:func:`_band_probe`, which states the refusals),
+    moved into a band once (:meth:`_BandProbe.fill`).
+    """
+    return _band_probe(A, actions, order, block).fill()
+
+
+@dataclass(frozen=True, eq=False)
+class _BandProbe:
+    """``G``'s lower nonzeros on the window, kept once, and where each action
+    moves them: every :meth:`fill` makes the same band.
+
+    Entry ``k`` is ``G``'s entry ``values[k]`` between window positions
+    ``rows[k]`` and ``cols[k]``, in the smallest integer type that holds a
+    position.  ``stored[s, a]`` is the band's stored position of action
+    ``s``'s cell at window position ``a`` (``table[s, a]`` placed by
+    ``order``), and ``below`` the number of blocks of ``block`` cells the band
+    keeps below each diagonal block.
+    """
+
+    order: np.ndarray
+    block: int
+    below: int
+    stored: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.order)
+
+    def fill(self) -> BandGram:
+        """A fresh band: the kept nonzeros moved through each action's stored
+        positions into the lower triangle, averaged, diagonal blocks mirrored.
+
+        Each entry lands at one flat index: block column ``j`` is the
+        ``(p + 1) block x block`` slab of rows ``j block`` on, so ``(h, l)``,
+        ``h >= l``, is at ``h block + offset[l]``, with
+        ``offset[l] = l + (l // block) (p block - 1) block``.  The nonzeros
+        move ``_FILL_CHUNK`` at a time, so what the fill holds beside the
+        band and the probe is bounded, and are added action by action as a
+        dense average adds them.
+        """
+        block, below = self.block, self.below
+        blocks = np.zeros((self.size // block, below + 1, block, block))
+        flat = blocks.reshape(-1)
+        offset = np.arange(self.size)
+        offset += offset // block * ((below * block - 1) * block)
+        for q in self.stored:
+            for lo in range(0, len(self.values), _FILL_CHUNK):
+                part = slice(lo, lo + _FILL_CHUNK)
+                i, j = q.take(self.rows[part]), q.take(self.cols[part])
+                at = np.maximum(i, j)
+                at *= block
+                at += offset.take(np.minimum(i, j, out=i))
+                np.add.at(flat, at, self.values[part])
+        blocks /= len(self.stored)
+        upper = np.triu(np.ones((block, block), bool), 1)
+        for blk in blocks[:, 0]:  # one block at a time: a copy of one block is all it holds
+            np.copyto(blk, blk.T, where=upper)
+        return BandGram(order=self.order, blocks=blocks)
+
+
+def _band_probe(A: LinearMap, actions, order: np.ndarray, block: int) -> _BandProbe:
+    """The probe from which :func:`band_gram` fills its band.
+
     ``G`` is zero off ``A.window``, so only the window's cells are probed,
     through the window maps, one vector per position of a block
     (:func:`_gram_probes`), a stack of them at a time; ``G`` is zero between
@@ -395,25 +474,22 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, block: int) -> BandGram:
     probing every cell through ``forward`` and ``adjoint``, even where a
     folded window leaves ``G`` not bitwise symmetric.  Action ``s`` moves
     that entry to the cells ``table[s, a]`` and ``table[s, c]`` of its
-    :func:`window_table` row, so only the nonzeros move, added up action by
-    action as a dense average would add them.  The band's blocks are
-    ``block`` cells of ``order``, and ``p``, the number of blocks kept below
-    each diagonal block, is the widest distance in blocks between the stored
-    positions of a moved nonzero, so every nonzero falls in the band,
+    :func:`window_table` row, so only the nonzeros move.  The band's blocks
+    are ``block`` cells of ``order``, and ``p``, the number of blocks kept
+    below each diagonal block, is the widest distance in blocks between the
+    stored positions of a moved nonzero, so every nonzero falls in the band,
     whatever the operator or the actions; at worst the band is one dense
-    block column.  Each entry lands in the stored lower triangle at one flat
-    index: block column ``j`` is the ``(p + 1) block x block`` slab of rows
-    ``j block`` on, so ``(h, l)``, ``h >= l``, is at
-    ``h block + l + (l // block) (p block - 1) block``.  The diagonal blocks
-    are mirrored, so the band is exactly symmetric.  A ``block`` that is not
-    a positive integer dividing ``A.cols`` is refused (``TypeError``,
+    block column.  It is read once, on classes of window positions that
+    every action sends to the same block column: one distance per pair of
+    classes that a nonzero links, per action.  A ``block`` that is not a
+    positive integer dividing ``A.cols`` is refused (``TypeError``,
     :class:`DimensionMismatchError`), an ``order`` that is not a permutation
     of the cells too (``TypeError`` when its dtype is not an integer kind),
     and an empty family or an action of another dimension than ``A.cols``
     by :func:`window_table`, before the first probe.  A band of more than
-    ``DENSE_CAP**2`` entries is refused (:class:`SizeCapError`) before it
-    is allocated, and probing stops once the nonzeros kept, each in its own
-    cell of the band, pass that count.  A map that reads no cell has the
+    ``DENSE_CAP**2`` entries is refused (:class:`SizeCapError`) before a
+    fill allocates it, and probing stops once the nonzeros kept, each in its
+    own cell of the band, pass that count.  A map that reads no cell has the
     zero band, with ``p = 0``.
     """
     d = A.cols
@@ -421,7 +497,7 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, block: int) -> BandGram:
     if block < 1 or d % block:
         raise DimensionMismatchError(f"blocks of {block} cells do not divide the {d} cells")
     # the band holds at least d entries, so this refuses no band the check
-    # below would pass; it bounds the int32 cell indices before probing
+    # below would pass; it refuses before the first probe
     _check_size(d, f"the band of {d} cells")
     order = _cells("order", order)
     if order.shape != (d,) or order.min(initial=0) < 0 or (np.bincount(order) != 1).any():
@@ -430,8 +506,9 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, block: int) -> BandGram:
     n = len(A.window)
     m = n // A.blocks
     window = A.window.reshape(A.blocks, m)
+    small = np.min_scalar_type(max(n - 1, 0))
     # window positions, and G's entry between them: none for a map that reads no cell
-    rows, cols, values = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0)]
+    rows, cols, values = [np.empty(0, small)], [np.empty(0, small)], [np.empty(0)]
     kept = 0
     for lo, P in _gram_probes(n, A.blocks, A.window_forward, A.window_adjoint):
         # P[j, a] is G's entry between position a and position lo + j of a's
@@ -440,40 +517,45 @@ def band_gram(A: LinearMap, actions, order: np.ndarray, block: int) -> BandGram:
         keep &= window >= window[:, lo:lo + len(P)].T[:, :, None]
         at = np.flatnonzero(keep)
         j, a = np.divmod(at, n)
-        rows.append(a.astype(np.int32))
-        cols.append((a - a % m + lo + j).astype(np.int32))
+        rows.append(a.astype(small))
+        cols.append((a - a % m + lo + j).astype(small))
         values.append(P.take(at))
         kept += len(at)
         _check_size(kept, f"the nonzeros of the band of {d} cells")
     rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
-    # int32 indices: the size rule bounds every position and cell (below d) and every
-    # flat offset into the band (below its entries) by DENSE_CAP**2 < 2**31
-    position = np.empty(d, dtype=np.int32)
+    # sorted by window position: a fill then reads the stored positions and
+    # adds into the band nearly in order.  No bit moves: no two kept entries
+    # land in one cell of the band through one action
+    at = np.lexsort((cols, rows))
+    rows, cols, values = rows[at], cols[at], values[at]
+    del at
+    position = np.empty(d, dtype=np.intp)
     position[order] = np.arange(d)
-    column = position // block
-    # take is twice as fast as indexing, but copies rows and cols to int64:
-    # it is used only here, before the band is allocated
-    below = max(int(np.abs(c.take(rows) - c.take(cols)).max(initial=0))
-                for c in (column.take(cells) for cells in table))
+    stored = position.take(table)
+    column = stored // block
+    below = 0
+    if len(values):
+        # class k holds the window positions whose block columns, one per
+        # action, are column[:, first[k]]; a chunk of nonzeros at a time
+        # lists the pairs of classes they link
+        sort = np.lexsort(column)
+        edge = (column[:, sort[1:]] != column[:, sort[:-1]]).any(axis=0)
+        first = sort[np.flatnonzero(np.r_[True, edge])]
+        classes = np.empty(n, np.intp)
+        classes[sort] = np.cumsum(np.r_[0, edge])
+        pairs = [_distinct(classes.take(rows[lo:lo + _FILL_CHUNK]) * len(first)
+                           + classes.take(cols[lo:lo + _FILL_CHUNK]))
+                 for lo in range(0, len(values), _FILL_CHUNK)]
+        k, l = np.divmod(_distinct(np.concatenate(pairs)), len(first))
+        below = max(int(np.abs(c.take(k) - c.take(l)).max()) for c in column.take(first, axis=1))
     N = d // block
     _check_size(N * (below + 1) * block * block,
                 f"the band of {N} columns of {below + 1} blocks of {block} cells")
-    blocks = np.zeros((N, below + 1, block, block))
-    flat = blocks.reshape(-1)
-    for cells in table:
-        q = position[cells]
-        i, j = q[rows], q[cols]
-        at = np.maximum(i, j)
-        low = np.minimum(i, j, out=i)
-        at *= block  # in place: three index arrays per action
-        at += low
-        low //= block
-        low *= (below * block - 1) * block
-        at += low
-        # a table row lists distinct cells, so no two kept entries share one
-        np.add.at(flat, at, values)
-    blocks /= len(actions)
-    upper = np.triu(np.ones((block, block), bool), 1)
-    for blk in blocks[:, 0]:  # one block at a time: a copy of one block is all it holds
-        np.copyto(blk, blk.T, where=upper)
-    return BandGram(order=order, blocks=blocks)
+    return _BandProbe(order=order, block=block, below=below, stored=stored,
+                      rows=rows, cols=cols, values=values)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, ascending; sorts ``values`` in place."""
+    values.sort()
+    return values[np.r_[True, values[1:] != values[:-1]]]

@@ -182,7 +182,7 @@ class IterateTrace:
         for name in ("rmsd", "objective", "action_indices"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"trace field {name} has inconsistent length")
-        if np.any(np.diff(self.iterations) <= 0):
+        if (self.iterations[1:] <= self.iterations[:-1]).any():  # no diff: 1 B a record
             raise ValueError("iteration indices must be strictly increasing")
 
     @property
@@ -408,9 +408,13 @@ def _chains(problem, eta, table, streams, iterations, objective):
     # a recorded distance to x_dagger of at most this puts a row inside the
     # ball with room for round-off; a NaN distance settles nothing
     settled = DIVERGENCE_NORM / 2 - np.linalg.norm(problem.x_dagger)
-    recorded, slot = iterations.tolist(), 0  # the last record is of iterate recorded[slot]
+    # the last record, slot `slot`, is of iterate `last`, the next of
+    # `upcoming`: the recorded iterates are read one at a time, never held
+    # as a list (40 B a record)
+    later = map(int, iterations[1:])
+    slot, last, upcoming = 0, 0, next(later, None)
     for k in range(budget):
-        starts = objective and k == recorded[slot]
+        starts = objective and k == last
         index = steps[k] if starts else steps[k, :R]
         residual = _step(X, A, b, eta, table.take(index, axis=0), lo, hi)
         if k == 0:  # the zero start need not lie in K; later steps stay in it
@@ -418,8 +422,8 @@ def _chains(problem, eta, table, streams, iterations, objective):
         if starts:
             objectives[:, slot] = 0.5 * _row_dots(residual)[source]
         inside = False
-        if k + 1 == recorded[slot + 1]:
-            slot += 1
+        if k + 1 == upcoming:
+            slot, last, upcoming = slot + 1, upcoming, next(later, None)
             record(slot)
             inside = (rmsd[:, slot] <= settled).all()
         if not (inside or (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all()):
@@ -427,10 +431,17 @@ def _chains(problem, eta, table, streams, iterations, objective):
     if objective:  # the last iterate is always recorded, and no step follows it
         objectives[:, -1] = 0.5 * _row_dots(A.forward(X) - b)
     # a recorded iterate's action is the draw of the step that made it: its
-    # table row less the row's first.  Row by row, the gather copies one
-    # row of records, whatever the number of rows
+    # table row less the row's first.  Row by row, one index array of a row
+    # of records is all the gather adds, whatever the number of rows
+    flat, column = steps.reshape(-1), 0
+    at = iterations[1:] - 1
+    at *= steps.shape[1]
     for r in group:
-        np.subtract(steps[iterations[1:] - 1, r], n * r, out=actions[r, 1:])
+        at += r - column  # the flat indices of column r's steps
+        column = r
+        # every index is in range: "clip" writes out directly, "raise" copies it
+        flat.take(at, out=actions[r, 1:], mode="clip")
+        actions[r, 1:] -= n * r
     return rmsd, objectives, actions, X
 
 
@@ -503,7 +514,8 @@ def _split(chains, parts):
     others = [f for f in failures if not isinstance(f, DivergenceError)]
     if failures:
         raise others[0] if others else min(failures, key=lambda f: f.iteration)
-    return [np.concatenate(field) for field in zip(*results)]
+    # one part's own arrays need no copy
+    return [np.concatenate(field) if len(field) > 1 else field[0] for field in zip(*results)]
 
 
 def run(problem: ProblemInstance, config: SolverConfig,

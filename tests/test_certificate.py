@@ -108,7 +108,7 @@ def test_alpha_rejects_bad_arguments(monkeypatch):
         raise AssertionError("the band was built for a zero operator")
 
     with monkeypatch.context() as patch:
-        patch.setattr(certificate, "band_gram", refuse)
+        patch.setattr(certificate, "_band_probe", refuse)
         with pytest.raises(ValueError, match="L must be positive"):
             certify(zero, subset)
     monkeypatch.setattr(certificate, "_stack_min_eig", lambda G_star, L: (2.0 * L, True))
@@ -459,7 +459,7 @@ def test_certify_subspace_cone_of_oversized_instance_probes_no_dense_gram(monkey
     def refuse(*args, **kwargs):
         raise AssertionError("a subspace cone built the band of the cells")
 
-    monkeypatch.setattr(certificate, "band_gram", refuse)
+    monkeypatch.setattr(certificate, "_band_probe", refuse)
     basis = np.linalg.qr(np.random.default_rng(5).standard_normal((prob.dimension, 6)))[0]
     cone = DescentCone(anchor=prob.x_dagger, kind="subspace", basis=basis)
     report = certify(prob, subset, cone=cone)
@@ -685,16 +685,17 @@ def test_certify_mu_gstar_matches_dense_oracle_on_shipped_configs(name):
 
 
 def test_certify_factors_the_stack_gram_twice_on_shipped_configs(monkeypatch):
-    # one factor for the Lanczos run, one inertia check at mu_hat - slack
+    # one factor for the Lanczos run, one inertia check at mu_hat - slack,
+    # each made where its fill lies, through the routine cholesky also uses
     from grouppgd.cli import _build, load_config
     shifts = []
-    cholesky = BandGram.cholesky
+    factor = BandGram._factor
 
     def counted(self, shift):
         shifts.append(shift)
-        return cholesky(self, shift)
+        return factor(self, shift)
 
-    monkeypatch.setattr(BandGram, "cholesky", counted)
+    monkeypatch.setattr(BandGram, "_factor", counted)
     for name in ("ring", "extreme_sparse", "noisy_textured", "poisson"):
         problem, subset, _ = _build(load_config(os.path.join(CONFIGS, f"{name}.txt")))
         shifts.clear()
@@ -704,27 +705,54 @@ def test_certify_factors_the_stack_gram_twice_on_shipped_configs(monkeypatch):
 
 
 def test_stack_min_eig_holds_one_factor_at_a_time():
-    # the band is built before tracing, so the peak is the eigen-step's own:
-    # one factor (a band's worth) plus the Lanczos basis, never two factors
+    # the probe is kept before tracing, so the peak is the eigen-step's own:
+    # one fill factored where it lies and the Lanczos basis of its 34 steps,
+    # grown 16 vectors at a time, never two bands.  Measured 1.53 bands,
+    # fill included; a copy of a held band for the factor beside a
+    # 200-vector basis read 2.30 beside that band
     from grouppgd.cli import _build, load_config
     problem, subset, _ = _build(load_config(os.path.join(CONFIGS, "extreme_sparse.txt")))
     L = spectral_norm(problem.A)
-    band = band_gram(problem.A, subset, problem.geometry.folded_order, problem.geometry.n_r)
-    assert len(band.order) == 2048
+    probe = linop._band_probe(problem.A, subset, problem.geometry.folded_order,
+                              problem.geometry.n_r)
+    band_bytes = probe.fill().blocks.nbytes
+    assert probe.size == 2048
     tracemalloc.start()
     try:
-        _, certified = certificate._stack_min_eig(band, L)
+        _, certified = certificate._stack_min_eig(probe, L)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert certified
-    assert peak < 2.5 * band.blocks.nbytes
+    assert peak < 1.6 * band_bytes
+
+
+@pytest.mark.parametrize("name, bands", [("extreme_sparse", 1.8), ("noisy_textured", 2.0)])
+def test_certify_holds_one_band_at_a_time(name, bands):
+    # the kept probe, one band and the basis; measured 1.69 and 1.91 bands
+    # (3.31 when the band, a copy for the factor and a 200-vector basis
+    # were held at once)
+    from grouppgd.cli import _build, load_config
+    problem, subset, _ = _build(load_config(os.path.join(CONFIGS, f"{name}.txt")))
+    band_bytes = band_gram(problem.A, subset, problem.geometry.folded_order,
+                           problem.geometry.n_r).blocks.nbytes
+    tracemalloc.start()
+    try:
+        report = certify(problem, subset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.flags["mu_Gstar"] == "exact"
+    assert peak < bands * band_bytes
 
 
 def test_stack_min_eig_of_an_indefinite_band_is_not_certified():
-    # the shifted factor fails before Lanczos starts: 0, flagged estimate
-    band = BandGram(order=np.arange(2), blocks=np.array([[[[1.0, 0.0], [0.0, -1.0]]]]))
-    assert certificate._stack_min_eig(band, 1.0) == (0.0, False)
+    # the shifted factor fails before Lanczos starts: 0, flagged estimate.
+    # The window maps make the "Gram" diag(1, -1)
+    A = from_window(2, 2, [0, 1], lambda v: v, lambda y: y * np.array([1.0, -1.0]))
+    probe = linop._band_probe(A, symmetric_subset(polar_theta_shift(1, 2, 1), 0), np.arange(2), 2)
+    assert np.array_equal(probe.fill().blocks, [[[[1.0, 0.0], [0.0, -1.0]]]])
+    assert certificate._stack_min_eig(probe, 1.0) == (0.0, False)
 
 
 def test_stack_min_eig_whose_inertia_check_fails_is_not_certified(monkeypatch):
@@ -733,16 +761,16 @@ def test_stack_min_eig_whose_inertia_check_fails_is_not_certified(monkeypatch):
     prob = ring_instance()
     subset = covering_subset(prob)
     calls = []
-    cholesky = BandGram.cholesky
+    factor = BandGram._factor
 
     def second_fails(self, shift):
         calls.append(shift)
-        return None if len(calls) % 2 == 0 else cholesky(self, shift)
+        return None if len(calls) % 2 == 0 else factor(self, shift)
 
-    monkeypatch.setattr(BandGram, "cholesky", second_fails)
+    monkeypatch.setattr(BandGram, "_factor", second_fails)
     L = spectral_norm(prob.A)
-    band = band_gram(prob.A, subset, prob.geometry.folded_order, prob.geometry.n_r)
-    assert certificate._stack_min_eig(band, L) == (0.0, False)
+    probe = linop._band_probe(prob.A, subset, prob.geometry.folded_order, prob.geometry.n_r)
+    assert certificate._stack_min_eig(probe, L) == (0.0, False)
     assert len(calls) == 2 and calls[0] < 0.0 < calls[1]
     report = certify(prob, subset)
     assert report.flags["mu_Gstar"] == "estimate" and report.mu_Gstar == 0.0
@@ -756,21 +784,28 @@ def test_stack_min_eig_whose_inertia_check_fails_is_not_certified(monkeypatch):
     assert not isinstance(info.value, BoundVacuousError)
 
 
-@pytest.mark.parametrize("name, bands", [("extreme_sparse", 1.5), ("noisy_textured", 2.3)])
+@pytest.mark.parametrize("name, bands", [("ring", 1.5), ("extreme_sparse", 1.3),
+                                         ("noisy_textured", 1.5), ("poisson", 1.5),
+                                         ("fine_grid", 1.2), ("overlap", 1.85)])
 def test_band_gram_moves_one_action_at_a_time(name, bands):
-    # the band and the moved nonzeros of one action at a time, never every
-    # action's positions at once: below 1.5 bands (3.9 MB) on extreme_sparse
-    # and 2.3 (6.0 MB) on noisy_textured, where the band's kept nonzeros and
-    # their int32 window positions alone are 0.6 of a band
-    from grouppgd.cli import _build, load_config
-    problem, subset, _ = _build(load_config(os.path.join(CONFIGS, f"{name}.txt")))
+    # the band, the kept probe (12 bytes a nonzero: a value and two uint16
+    # window positions) and one chunk's indices: measured 1.45 bands on the
+    # 16-angle configs, 1.24 on extreme_sparse, 1.17 on fine_grid and 1.77
+    # on the overlap config (angle_fraction 0.5, one folded block, whose
+    # probing peaks above its fill); the pins add 0.03-0.08 of a band.
+    # Moving every action's nonzeros at once read 2.18, 1.38, 1.34 and 3.00
+    from grouppgd.cli import _build, load_config, parse_config
+    config = (parse_config("problem.angle_fraction = 0.5\n") if name == "overlap"
+              else load_config(os.path.join(CONFIGS, f"{name}.txt")))
+    problem, subset, _ = _build(config)
     tracemalloc.start()
     try:
         band = band_gram(problem.A, subset, problem.geometry.folded_order, problem.geometry.n_r)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(band.order) == 2048 and band.blocks.shape[:2] == (64, 5)
+    n_r, n_theta = problem.geometry.n_r, problem.geometry.n_theta
+    assert band.blocks.shape == (n_theta, 5, n_r, n_r)
     assert peak < bands * band.blocks.nbytes
 
 

@@ -383,6 +383,94 @@ def test_a_rerun_into_the_same_directory_leaves_its_unchanged_outputs(tmp_path, 
     assert read_all(out) == read_all(fresh)
 
 
+def test_a_rerun_over_files_that_differ_writes_what_a_fresh_directory_gets(tmp_path):
+    # 3,000 steps: each trace is three chunks of rows.  A file whose bytes
+    # match up to its last chunk, one with more bytes after the outputs' and
+    # one that stops short are each compared chunk by chunk and replaced
+    from grouppgd import cli
+
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_iters=3000))
+    fresh = tmp_path / "fresh"
+    assert main(["run", "--config", cfg, "--out", str(fresh)]) == EXIT_OK
+    expected = read_all(fresh)
+    assert expected["group_pgd.csv"].count(b"\n") == 3002 > 2 * cli._CHUNK_ROWS
+    edits = {"last_chunk": lambda data: data[:-2] + b"0\n", "longer": lambda data: data + b"1\n",
+             "shorter": lambda data: data[:len(data) // 2]}
+    for name, edit in edits.items():
+        out = tmp_path / name
+        out.mkdir()
+        for file, data in expected.items():
+            (out / file).write_bytes(edit(data))
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert read_all(out) == expected, name
+
+
+def test_write_atomic_leaves_a_file_that_holds_its_chunks(tmp_path):
+    from grouppgd.cli import _write_atomic
+
+    path = str(tmp_path / "out.csv")
+    chunks = ["head\n", "1,2\n" * 3000, "", "3,4\n"]
+    _write_atomic(path, iter(chunks))
+    first = os.stat(path)
+    _write_atomic(path, iter(chunks))
+    again = os.stat(path)
+    assert (again.st_ino, again.st_mtime_ns) == (first.st_ino, first.st_mtime_ns)
+    assert os.listdir(tmp_path) == ["out.csv"]
+    # the same bytes cut into other chunks are the same file
+    _write_atomic(path, iter(["".join(chunks)]))
+    assert os.stat(path).st_ino == first.st_ino
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "".join(chunks)
+
+
+def test_an_error_while_writing_leaves_no_temp_file_and_exits_5(tmp_path, capsys, monkeypatch):
+    # the disk fills after the first chunk: the temp file is removed, and an
+    # earlier output under the same name is left as it was
+    import errno
+
+    from grouppgd import cli
+
+    def full_disk(*args, **kwargs):
+        yield "iter,rmsd\n"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "pgd.csv").write_bytes(b"earlier\n")
+    monkeypatch.setattr(cli, "_trace_csv", full_disk)
+    cfg = write_config(tmp_path, config_text(out))
+    assert main(["run", "--config", cfg]) == 5
+    assert "cannot write outputs: [Errno 28] No space left on device" in capsys.readouterr().err
+    assert os.listdir(out) == ["pgd.csv"]
+    assert (out / "pgd.csv").read_bytes() == b"earlier\n"
+
+
+def test_a_long_trace_is_rendered_and_written_a_chunk_at_a_time(tmp_path):
+    # a 15,001-row group trace, as long_chain writes, is a 1.3 MB file: its
+    # text, rows and values were each held whole (a peak of 4.2 times the
+    # file), now one chunk of 1,024 rows is (0.39 times)
+    import tracemalloc
+
+    from grouppgd.cli import _trace_csv, _write_atomic
+    from grouppgd.solver import IterateTrace
+
+    rng = np.random.default_rng(0)
+    n = 15_001
+    trace = IterateTrace(iterations=np.arange(n), rmsd=rng.random(n), objective=rng.random(n),
+                         action_indices=rng.integers(-1, 55, n), final_x=np.zeros(2048))
+    bound = rng.random(n)
+    path = str(tmp_path / "group_pgd.csv")
+    tracemalloc.start()
+    try:
+        _write_atomic(path, _trace_csv(trace, bound, with_actions=True))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(path)
+    assert size > 1_300_000
+    assert peak < size / 2
+
+
 def test_certify_and_the_covering_radius_import_no_masked_arrays(tmp_path):
     # a plain np.unique imports numpy.ma on first use: 7 ms and 1 MB a process
     import subprocess
@@ -725,9 +813,17 @@ def test_trace_csv_writes_what_per_cell_formatting_writes():
     bound = np.roll(values, 5)
     for b in (None, bound):
         for with_actions in (False, True):
-            assert _trace_csv(trace, b, with_actions) == per_cell(trace, b, with_actions)
-    assert "-0," in _trace_csv(trace, None, False)
-    assert ",nan" in _trace_csv(trace, None, False) and ",-inf" in _trace_csv(trace, None, False)
+            # the writer yields chunks; joined, they are the file
+            written = "".join(_trace_csv(trace, b, with_actions))
+            assert written == per_cell(trace, b, with_actions)
+    written = "".join(_trace_csv(trace, None, False))
+    assert "-0," in written and ",nan" in written and ",-inf" in written
+    # past one chunk of rows, the chunks join to the same text
+    long = IterateTrace(iterations=np.arange(2_500), rmsd=np.tile(values, 250),
+                        objective=np.tile(np.roll(values, 3), 250),
+                        action_indices=np.arange(2_500) % 7 - 1, final_x=np.zeros(3))
+    assert "".join(_trace_csv(long, np.tile(bound, 250), True)) == per_cell(
+        long, np.tile(bound, 250), True)
 
 
 @pytest.mark.parametrize("name", ["ring", "noisy_textured"])

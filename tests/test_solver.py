@@ -850,6 +850,34 @@ def test_solve_holds_one_step_table(objective, counted):
     assert (peak(8_000) - peak(2_000)) / 6_000 <= 8 * counted + 8
 
 
+@pytest.mark.parametrize("objective, counted", [(True, 3), (False, 2)])
+def test_a_solve_recorded_at_every_step_holds_its_records_once(objective, counted):
+    # at record_every = 1 the records grow with the budget too: two rows of
+    # rmsd, objectives and actions (48 B a step) and the recorded iterations
+    # (8 B), beside the step table and one row of draws.  Before, the loop
+    # kept the recorded iterations as a list (40 B a step), the actions'
+    # gather two index-sized temporaries (16 B), and the stack's one part
+    # was copied once more on its way out: 136 and 128 B a step
+    import tracemalloc
+
+    prob = ring_problem(from_dense(np.diag([1.0, 0.5, 0.25, 0.0])), np.ones(4), Box(0.0, 1.0, 4),
+                        x_dagger=0.5)
+    subset = symmetric_subset(polar_theta_shift(1, 4, 1), 1)
+
+    def peak(budget):
+        config = SolverConfig(max_iters=budget, step_size=0.5, record_every=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_with_plain(prob, config, subset, 1, objective=objective)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    peak(2_000)  # the first solve also allocates what later ones reuse
+    assert (peak(8_000) - peak(2_000)) / 6_000 <= 8 * counted + 48 + 8 + 8
+
+
 @pytest.mark.parametrize("solve", ["run", "run_with_plain"])
 def test_an_auto_step_refuses_an_operator_whose_norm_is_zero(solve):
     # 1 / L raised ZeroDivisionError
