@@ -522,12 +522,17 @@ def _band_probe(A: LinearMap, actions, order: np.ndarray, block: int) -> _BandPr
         values.append(P.take(at))
         kept += len(at)
         _check_size(kept, f"the nonzeros of the band of {d} cells")
-    rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
     # sorted by window position: a fill then reads the stored positions and
     # adds into the band nearly in order.  No bit moves: no two kept entries
-    # land in one cell of the band through one action
+    # land in one cell of the band through one action.  One field at a time,
+    # joined and then sorted, so no statement holds the three fields twice
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    values = np.concatenate(values)
     at = np.lexsort((cols, rows))
-    rows, cols, values = rows[at], cols[at], values[at]
+    rows = rows[at]
+    cols = cols[at]
+    values = values[at]
     del at
     position = np.empty(d, dtype=np.intp)
     position[order] = np.arange(d)

@@ -60,7 +60,7 @@ A large solve steps its stack on every core the process may use.  After
 the layout above, the rows are cut into one contiguous part per usable core
 (``os.sched_getaffinity``), the plain row and the first group streams
 first.  Each part but the last is stepped by the same loop in a forked
-child, which sends its rows' records back through a pipe, and this process
+child, which sends its rows' traces back through a pipe, and this process
 steps the rest as one block: the last part, or every part from the first
 one it could not fork.  Every row is its own chain (by the stack contract,
 with its own stream, and recorded and checked for divergence row by row),
@@ -324,7 +324,8 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     streams (``None`` for the plain row), cut into contiguous slices (see
     the module's docstring).  :func:`_split` steps each by :func:`_chains`,
     each slice but the last in a forked child and the rest here in one
-    block, with the in-process solve's traces and divergence.
+    block, and returns the traces of every row in order: the in-process
+    solve's traces and divergence.
     """
     A, b, K = problem.A, problem.b, problem.K
     d, budget = problem.dimension, config.max_iters
@@ -353,21 +354,15 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     n_parts = (min(R, len(os.sched_getaffinity(0)))
                if forks and budget * gathered * table.shape[1] >= SPLIT_CELL_STEPS else 1)
     cuts = [R * i // n_parts for i in range(n_parts + 1)]
-    rmsd, objectives, actions, X = _split(
-        lambda rows: _chains(problem, eta, table, rows, iterations, objective),
-        [streams[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
-    return [
-        IterateTrace(iterations=iterations, rmsd=rmsd[r], objective=objectives[r],
-                     action_indices=actions[r], final_x=X[r])
-        for r in range(R)
-    ]
+    return _split(lambda rows: _chains(problem, eta, table, rows, iterations, objective),
+                  [streams[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
 
 
 def _chains(problem, eta, table, streams, iterations, objective):
     """Step one row per entry of ``streams`` from zeros, as :func:`_drive`
     lays them out (``None`` is the plain row, which draws nothing); returns
-    the stack's ``(rmsd, objectives, actions, X)``, one row per chain, at
-    the recorded ``iterations``, which end at the budget.
+    one :class:`IterateTrace` per row, at the recorded ``iterations``, which
+    end at the budget.
 
     ``table`` is the window table, one row per action.  Raises
     :class:`DivergenceError` at the first iteration at which any row leaves
@@ -408,22 +403,18 @@ def _chains(problem, eta, table, streams, iterations, objective):
     # a recorded distance to x_dagger of at most this puts a row inside the
     # ball with room for round-off; a NaN distance settles nothing
     settled = DIVERGENCE_NORM / 2 - np.linalg.norm(problem.x_dagger)
-    # the last record, slot `slot`, is of iterate `last`, the next of
-    # `upcoming`: the recorded iterates are read one at a time, never held
-    # as a list (40 B a record)
-    later = map(int, iterations[1:])
-    slot, last, upcoming = 0, 0, next(later, None)
+    slot = 0  # the last record is of iterate iterations[slot]
     for k in range(budget):
-        starts = objective and k == last
-        index = steps[k] if starts else steps[k, :R]
-        residual = _step(X, A, b, eta, table.take(index, axis=0), lo, hi)
+        starts = objective and k == iterations[slot]
+        residual = _step(X, A, b, eta, table.take(steps[k] if starts else steps[k, :R], axis=0),
+                         lo, hi)
         if k == 0:  # the zero start need not lie in K; later steps stay in it
             X[:] = K.project(X)
         if starts:
             objectives[:, slot] = 0.5 * _row_dots(residual)[source]
         inside = False
-        if k + 1 == upcoming:
-            slot, last, upcoming = slot + 1, upcoming, next(later, None)
+        if k + 1 == iterations[slot + 1]:
+            slot += 1
             record(slot)
             inside = (rmsd[:, slot] <= settled).all()
         if not (inside or (np.sqrt(_row_dots(X)) <= DIVERGENCE_NORM).all()):
@@ -431,28 +422,29 @@ def _chains(problem, eta, table, streams, iterations, objective):
     if objective:  # the last iterate is always recorded, and no step follows it
         objectives[:, -1] = 0.5 * _row_dots(A.forward(X) - b)
     # a recorded iterate's action is the draw of the step that made it: its
-    # table row less the row's first.  Row by row, one index array of a row
-    # of records is all the gather adds, whatever the number of rows
-    flat, column = steps.reshape(-1), 0
+    # table row less the row's first.  Column r's steps are read from the
+    # flat table r entries on, so one index array is all the gather adds
     at = iterations[1:] - 1
     at *= steps.shape[1]
     for r in group:
-        at += r - column  # the flat indices of column r's steps
-        column = r
         # every index is in range: "clip" writes out directly, "raise" copies it
-        flat.take(at, out=actions[r, 1:], mode="clip")
+        steps.reshape(-1)[r:].take(at, out=actions[r, 1:], mode="clip")
         actions[r, 1:] -= n * r
-    return rmsd, objectives, actions, X
+    del steps, at  # so the traces' checks add to the records alone
+    return [IterateTrace(iterations=iterations, rmsd=rmsd[r], objective=objectives[r],
+                         action_indices=actions[r], final_x=X[r]) for r in rows]
 
 
 def _split(chains, parts):
-    """``chains`` of every part's rows, stacked in order.  Each part but the
-    last is stepped in a child forked for it, which sends what ``chains``
-    returns or raises back through a pipe and exits.  This process then
-    steps every part no child took in one ``chains`` call over their rows:
-    the last part, or, when ``os.pipe`` or ``os.fork`` fails (``OSError``:
-    out of descriptors, processes or memory), every part from the first one
-    not forked.  So the rows keep their order.
+    """The traces ``chains`` returns for every part's rows, as one list in
+    row order.  Each part but the last is stepped in a child forked for it,
+    which sends its traces, or what ``chains`` raises, back through a pipe
+    and exits; they are loaded as they are read, so their pickled bytes are
+    never held whole.  This process then steps every part no child took in
+    one ``chains`` call over their rows: the last part, or, when
+    ``os.pipe`` or ``os.fork`` fails (``OSError``: out of descriptors,
+    processes or memory), every part from the first one not forked.  So the
+    rows keep their order.
 
     Every child is waited for before anything is raised.  Then the first
     failure other than :class:`DivergenceError` is raised, in a child's part
@@ -498,11 +490,14 @@ def _split(chains, parts):
         results = []
         while children:
             pid, pipe = children[0]
-            sent = pipe.read()
+            try:  # loaded as it is read: the pickled bytes are never held whole
+                sent = pickle.load(pipe)
+            except Exception as failure:  # a child that exits early sends no whole pickle
+                sent = failure
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             pipe.close()
-            results.append(pickle.loads(sent) if status == 0 else RuntimeError(
+            results.append(sent if status == 0 else RuntimeError(
                 f"a forked part of the solve exited with status {status}"))
         results.append(own)
     finally:
@@ -514,8 +509,7 @@ def _split(chains, parts):
     others = [f for f in failures if not isinstance(f, DivergenceError)]
     if failures:
         raise others[0] if others else min(failures, key=lambda f: f.iteration)
-    # one part's own arrays need no copy
-    return [np.concatenate(field) if len(field) > 1 else field[0] for field in zip(*results)]
+    return [trace for traces in results for trace in traces]
 
 
 def run(problem: ProblemInstance, config: SolverConfig,

@@ -33,7 +33,7 @@ from grouppgd.linop import (
     spectral_norm,
 )
 from grouppgd.solver import SolverConfig, run
-from grouppgd.symmetry import polar_theta_shift, symmetric_subset
+from grouppgd.symmetry import GroupAction, polar_theta_shift, symmetric_subset
 from oracles import (angle_reflection, compose_with_action, from_dense, gram_average,
                      radial_flip, rotation_group, stack_mean, with_flips)
 
@@ -784,20 +784,27 @@ def test_stack_min_eig_whose_inertia_check_fails_is_not_certified(monkeypatch):
     assert not isinstance(info.value, BoundVacuousError)
 
 
-@pytest.mark.parametrize("name, bands", [("ring", 1.5), ("extreme_sparse", 1.3),
-                                         ("noisy_textured", 1.5), ("poisson", 1.5),
-                                         ("fine_grid", 1.2), ("overlap", 1.85)])
-def test_band_gram_moves_one_action_at_a_time(name, bands):
-    # the band, the kept probe (12 bytes a nonzero: a value and two uint16
-    # window positions) and one chunk's indices: measured 1.45 bands on the
-    # 16-angle configs, 1.24 on extreme_sparse, 1.17 on fine_grid and 1.77
-    # on the overlap config (angle_fraction 0.5, one folded block, whose
-    # probing peaks above its fill); the pins add 0.03-0.08 of a band.
-    # Moving every action's nonzeros at once read 2.18, 1.38, 1.34 and 3.00
+def config_problem(name):
+    """The problem and subset of a shipped config, or of the overlap config
+    (``problem.angle_fraction = 0.5``: one folded block)."""
     from grouppgd.cli import _build, load_config, parse_config
     config = (parse_config("problem.angle_fraction = 0.5\n") if name == "overlap"
               else load_config(os.path.join(CONFIGS, f"{name}.txt")))
     problem, subset, _ = _build(config)
+    return problem, subset
+
+
+@pytest.mark.parametrize("name, bands", [("ring", 1.5), ("extreme_sparse", 1.3),
+                                         ("noisy_textured", 1.5), ("poisson", 1.5),
+                                         ("fine_grid", 1.2), ("overlap", 1.75)])
+def test_band_gram_moves_one_action_at_a_time(name, bands):
+    # the band, the kept probe (12 bytes a nonzero: a value and two uint16
+    # window positions) and one chunk's indices: measured 1.45 bands on the
+    # 16-angle configs, 1.24 on extreme_sparse, 1.17 on fine_grid and 1.72
+    # on the overlap config, whose fill, as on every config, sets the peak
+    # (its probe alone peaks at 1.56); the pins add 0.03-0.08 of a band.
+    # Moving every action's nonzeros at once read 2.18, 1.38, 1.34 and 3.00
+    problem, subset = config_problem(name)
     tracemalloc.start()
     try:
         band = band_gram(problem.A, subset, problem.geometry.folded_order, problem.geometry.n_r)
@@ -807,6 +814,60 @@ def test_band_gram_moves_one_action_at_a_time(name, bands):
     n_r, n_theta = problem.geometry.n_r, problem.geometry.n_theta
     assert band.blocks.shape == (n_theta, 5, n_r, n_r)
     assert peak < bands * band.blocks.nbytes
+
+
+def test_band_probe_holds_each_field_once_on_the_overlap_config():
+    # the probe's peak, in bands of the band it will fill: the kept fields
+    # are concatenated and sorted one at a time, so no statement holds the
+    # three fields twice.  Measured 1.56; 1.76 when they moved together
+    problem, subset = config_problem("overlap")
+    tracemalloc.start()
+    try:
+        probe = linop._band_probe(problem.A, subset, problem.geometry.folded_order,
+                                  problem.geometry.n_r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    band = probe.size * (probe.below + 1) * probe.block * 8
+    assert peak <= 1.6 * band
+
+
+def assert_fill_ignores_order(probe, rng):
+    """The fill of ``probe`` and of its kept nonzeros in a random order have
+    the same bits: no two kept entries land in one cell of the band through
+    one action, so the order in which one action's entries are added moves
+    no bit."""
+    at = rng.permutation(len(probe.values))
+    shuffled = replace(probe, rows=probe.rows[at], cols=probe.cols[at], values=probe.values[at])
+    assert probe.fill().blocks.tobytes() == shuffled.fill().blocks.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ring", "extreme_sparse", "overlap"])
+def test_a_fill_keeps_its_bits_in_any_order_of_the_kept_nonzeros(name):
+    problem, subset = config_problem(name)
+    probe = linop._band_probe(problem.A, subset, problem.geometry.folded_order,
+                              problem.geometry.n_r)
+    assert len(probe.values) > linop._FILL_CHUNK  # entries move across chunks too
+    assert_fill_ignores_order(probe, np.random.default_rng(0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n_r=st.integers(1, 4), n_theta=st.integers(1, 12), angle_fraction=st.floats(0.1, 1.0),
+       rays=st.integers(1, 4), actions=st.integers(1, 5), chunk=st.integers(1, 50),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_fill_of_random_actions_keeps_its_bits_in_any_order(n_r, n_theta, angle_fraction,
+                                                              rays, actions, chunk, seed):
+    # random permutations of the cells for actions, and chunks small enough
+    # that one action's entries are added over several
+    problem = build_problem(n_r=n_r, n_theta=n_theta, angle_fraction=angle_fraction,
+                            rays_per_angle=rays, seed=seed)
+    d, rng = problem.dimension, np.random.default_rng(seed)
+    family = [GroupAction(dimension=d, permutation=rng.permutation(d), power=0)
+              for _ in range(actions)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linop, "_FILL_CHUNK", chunk)
+        probe = linop._band_probe(problem.A, family, rng.permutation(d), n_r)
+        assert_fill_ignores_order(probe, rng)
 
 
 @pytest.mark.parametrize("family, mu_gstar", [("dihedral", 0.341), ("dihedral_radial", 0.617)])

@@ -29,6 +29,10 @@ from grouppgd.solver import (
 from grouppgd.symmetry import identity_action, polar_theta_shift, sample_action, symmetric_subset
 from oracles import from_dense, group_pgd_step, identity_map, pgd_step
 
+needs_fork = pytest.mark.skipif(
+    sys.version_info >= (3, 12) or not hasattr(os, "fork"),
+    reason="the solve forks only where os.fork exists, before Python 3.12")
+
 
 def small_problem(noise="none", sigma=0.0, seed=0, **kw):
     return build_problem(n_r=4, n_theta=8, angle_fraction=0.5, rays_per_angle=4,
@@ -822,14 +826,10 @@ def test_a_feasible_set_that_is_not_a_box_is_refused_first(monkeypatch, call):
         calls[call]()
 
 
-@pytest.mark.parametrize("objective, counted", [(True, 3), (False, 2)])
-def test_solve_holds_one_step_table(objective, counted):
-    # one plain and one group chain of 4 cells, recorded once: the step
-    # table of `counted` entries a step is the only array the size rule
-    # counts that grows with the budget, and one row's draws (8 B a step)
-    # are made before they are added into it.  The peak is measured at two
-    # budgets, so what does not grow with the budget cancels.  Before the
-    # one table, it grew by 56 B and 32 B a step.
+def growth_per_step(objective, stride):
+    """Bytes a step by which the tracemalloc peak of ``run_with_plain`` on
+    one plain and one group chain of 4 cells, recorded every ``stride``
+    steps (once for None), grows from 2,000 to 8,000 steps."""
     import tracemalloc
 
     prob = ring_problem(from_dense(np.diag([1.0, 0.5, 0.25, 0.0])), np.ones(4), Box(0.0, 1.0, 4),
@@ -837,7 +837,7 @@ def test_solve_holds_one_step_table(objective, counted):
     subset = symmetric_subset(polar_theta_shift(1, 4, 1), 1)
 
     def peak(budget):
-        config = SolverConfig(max_iters=budget, step_size=0.5, record_every=budget)
+        config = SolverConfig(max_iters=budget, step_size=0.5, record_every=stride or budget)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -847,7 +847,17 @@ def test_solve_holds_one_step_table(objective, counted):
             tracemalloc.stop()
 
     peak(2_000)  # the first solve also allocates what later ones reuse
-    assert (peak(8_000) - peak(2_000)) / 6_000 <= 8 * counted + 8
+    return (peak(8_000) - peak(2_000)) / 6_000
+
+
+@pytest.mark.parametrize("objective, counted", [(True, 3), (False, 2)])
+def test_solve_holds_one_step_table(objective, counted):
+    # recorded once: the step table of `counted` entries a step is the only
+    # array the size rule counts that grows with the budget, and one row's
+    # draws (8 B a step) are made before they are added into it.  The peak
+    # is measured at two budgets, so what does not grow with the budget
+    # cancels.  Before the one table, it grew by 56 B and 32 B a step.
+    assert growth_per_step(objective, None) <= 8 * counted + 8
 
 
 @pytest.mark.parametrize("objective, counted", [(True, 3), (False, 2)])
@@ -858,24 +868,21 @@ def test_a_solve_recorded_at_every_step_holds_its_records_once(objective, counte
     # kept the recorded iterations as a list (40 B a step), the actions'
     # gather two index-sized temporaries (16 B), and the stack's one part
     # was copied once more on its way out: 136 and 128 B a step
-    import tracemalloc
+    assert growth_per_step(objective, 1) <= 8 * counted + 48 + 8 + 8
 
-    prob = ring_problem(from_dense(np.diag([1.0, 0.5, 0.25, 0.0])), np.ones(4), Box(0.0, 1.0, 4),
-                        x_dagger=0.5)
-    subset = symmetric_subset(polar_theta_shift(1, 4, 1), 1)
 
-    def peak(budget):
-        config = SolverConfig(max_iters=budget, step_size=0.5, record_every=1)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run_with_plain(prob, config, subset, 1, objective=objective)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    peak(2_000)  # the first solve also allocates what later ones reuse
-    assert (peak(8_000) - peak(2_000)) / 6_000 <= 8 * counted + 48 + 8 + 8
+@needs_fork
+@pytest.mark.parametrize("objective", [True, False])
+def test_a_split_solve_holds_its_records_once(forks, monkeypatch, objective):
+    # the solve above in two parts: the child steps the plain row, and this
+    # process holds its own row's trace and the child's as loaded (24 B and
+    # the recorded iterations each: 64 B a step), beside at most one pickle
+    # frame (64 KB) being read, which at these budgets adds 10.6 B a step;
+    # measured 74.6.  Before, the child's pickled bytes were read whole and
+    # the parts' records were concatenated beside them: 128 B a step
+    split_on(monkeypatch, 2)
+    assert growth_per_step(objective, 1) <= 80
+    assert len(forks) == 3
 
 
 @pytest.mark.parametrize("solve", ["run", "run_with_plain"])
@@ -963,11 +970,6 @@ def test_a_divergence_error_survives_pickling():
     error = pickle.loads(pickle.dumps(DivergenceError(7)))
     assert type(error) is DivergenceError and error.iteration == 7
     assert str(error) == "iterate diverged at iteration 7"
-
-
-needs_fork = pytest.mark.skipif(
-    sys.version_info >= (3, 12) or not hasattr(os, "fork"),
-    reason="the solve forks only where os.fork exists, before Python 3.12")
 
 
 def open_fds():
