@@ -62,7 +62,7 @@ class Geometry:
         A measured angle couples only the angle columns within its offset
         span, cyclically.  Folding the angle axis places cyclic neighbours
         near each other, so a Gram of this operator, or of its rotations,
-        taken in this order is banded (see :func:`~grouppgd.linop.band_gram`).
+        taken in this order is banded (see :func:`~grouppgd.linop.band_probe`).
         """
         k = np.arange(self.n_theta)
         theta = np.where(k % 2 == 0, k // 2, self.n_theta - (k + 1) // 2)

@@ -14,19 +14,17 @@ and checks the bound against seeded Monte Carlo runs:
   Because every action ``T_g`` is an orthogonal permutation ``P_g``,
   ``(A T_g)^T (A T_g) = P_g^T G P_g``, so the stacked Gram is the mean of
   ``G`` permuted through the subset and costs no operator applications
-  beyond one probe of ``G`` on the cells the operator reads.  The probe's
-  nonzeros are kept, and each fill moves them through the subset's
-  window-table rows straight into band storage in the geometry's folded
-  angle order, one angle column of ``n_r`` cells a block
-  (:func:`~grouppgd.linop.band_gram`), and neither ``G`` nor the mean is
-  built densely.  On the whole space its bottom eigenvalue comes from two
-  band Cholesky factorizations, each of its own fill and made where that
-  fill lies, one band alive at a time: one
-  Lanczos run on the solve with ``G_star + n u L I`` finds it, and a Cholesky of
-  ``G_star - (mu_Gstar - n u L) I`` certifies it by Sylvester's law of
-  inertia (Higham, *Accuracy and Stability of Numerical Algorithms*,
-  Thm 10.5), so the enclosure is as narrow as ``eigvalsh``'s own backward
-  error.  Only a certified value is flagged ``exact``; an uncertified
+  beyond one probe of ``G`` on the cells the operator reads.  It takes the
+  band's one route (:func:`~grouppgd.linop.band_probe`: probe once, fill
+  per use, factor where the fill lies) in the geometry's folded angle
+  order, one angle column of ``n_r`` cells a block, and neither ``G`` nor
+  the mean is built densely.  On the whole space its bottom eigenvalue
+  comes from two band Cholesky factorizations, one band alive at a time:
+  one Lanczos run on the solve with ``G_star + n u L I`` finds it, and a
+  Cholesky of ``G_star - (mu_Gstar - n u L) I`` certifies it by
+  Sylvester's law of inertia (Higham, *Accuracy and Stability of Numerical
+  Algorithms*, Thm 10.5), so the enclosure is as narrow as ``eigvalsh``'s
+  own backward error.  Only a certified value is flagged ``exact``; an uncertified
   one is flagged ``estimate`` and gives no bound, for that reason.
 * ``alpha_Gstar = sqrt(1 - mu_Gstar / L)``: per-iteration contraction of
   the expected distance to the ground truth.  The paper's rate carries a
@@ -76,7 +74,7 @@ import numpy as np
 from . import kernels
 from .bench import ProblemInstance
 from .constraint import DescentCone, descent_cone_of, project_cone, subspace_min_eig
-from .linop import (DimensionMismatchError, LinearMap, _band_probe, _BandProbe, gram_eigvals,
+from .linop import (BandProbe, DimensionMismatchError, LinearMap, band_probe, gram_eigvals,
                     window_table)
 from .solver import SolverConfig, check_solve, run_ensemble
 from .symmetry import SymmetricSubset
@@ -219,7 +217,7 @@ def _check_dimensions(A: LinearMap, subset: SymmetricSubset, cone: DescentCone,
                 f"{name} dimension {got} does not match operator {side} {length}")
 
 
-def _stack_min_eig(probe: _BandProbe, L: float) -> tuple[float, bool]:
+def _stack_min_eig(probe: BandProbe, L: float) -> tuple[float, bool]:
     """Smallest eigenvalue of the band stack Gram ``G_star`` that ``probe``
     fills, and whether it is certified.
 
@@ -242,15 +240,15 @@ def _stack_min_eig(probe: _BandProbe, L: float) -> tuple[float, bool]:
     the largest shift that factored, ``-slack``, clipped to 0.  Reruns give
     the same bits.
 
-    One band-sized array is alive at a time: each factorization fills a
-    fresh band from the probe and factors it where it lies, the Lanczos
-    basis grows ``_LANCZOS_GROW`` vectors at a time as the run needs them,
-    and the Rayleigh quotient and the inertia check read a second fill,
-    made once the first factor and the basis are freed.
+    One band-sized array is alive at a time: each factorization takes its
+    own fill (:meth:`~grouppgd.linop.BandProbe.fill`), which its factor
+    consumes, the Lanczos basis grows ``_LANCZOS_GROW`` vectors at a time as
+    the run needs them, and the Rayleigh quotient and the inertia check read
+    a second fill, made once the first factor and the basis are freed.
     """
     n = probe.size
     slack = n * np.finfo(float).eps / 2 * L
-    solve = probe.fill()._factor(-slack)
+    solve = probe.fill().cholesky(-slack)
     if solve is None:
         return 0.0, False
     steps = min(_LANCZOS_STEPS, n)
@@ -278,7 +276,7 @@ def _stack_min_eig(probe: _BandProbe, L: float) -> tuple[float, bool]:
     x /= np.linalg.norm(x)
     G_star = probe.fill()
     mu = float(x @ (G_star @ x))
-    if G_star._factor(mu - slack) is None:
+    if G_star.cholesky(mu - slack) is None:
         return 0.0, False
     return (mu if mu > slack else 0.0), True
 
@@ -296,14 +294,12 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     window and through the rows of the subset's
     :func:`~grouppgd.linop.window_table`
     (:func:`~grouppgd.constraint.subspace_min_eig`).  Every other cone takes
-    the whole-space ``mu_C``, the bottom of the same spectrum, and keeps
-    the nonzeros of one probe of ``G = A^T A`` on the window's cells, which
-    each fill averages through the subset's window-table rows straight into
-    band storage in the folded order of ``problem.geometry``, one angle
-    column of ``n_r`` cells a block (:func:`~grouppgd.linop.band_gram`'s
-    probe and fill); its whole-space ``mu_Gstar`` comes from one Lanczos run
-    and one inertia check on two fills, one band held at a time
-    (:func:`_stack_min_eig`), flagged ``estimate`` when not certified.
+    the whole-space ``mu_C``, the bottom of the same spectrum, and probes
+    ``G = A^T A`` once for the band of the subset's stack Gram in the
+    folded order of ``problem.geometry``, one angle column of ``n_r`` cells
+    a block (:func:`~grouppgd.linop.band_probe`); its whole-space
+    ``mu_Gstar`` comes from one Lanczos run and one inertia check on two
+    fills (:func:`_stack_min_eig`), flagged ``estimate`` when not certified.
     :class:`~grouppgd.linop.DimensionMismatchError` is raised for a subset
     or cone of another length than ``A.cols``, ``ValueError`` for ``L = 0``,
     and :class:`~grouppgd.linop.SizeCapError` when the probed side's Gram,
@@ -323,7 +319,7 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
         mu_Gstar, certified = subspace_min_eig(A, cone, window_table(A, subset)), True
     else:
         mu_C = max(float(eigvals[0]), 0.0)
-        probe = _band_probe(A, subset, problem.geometry.folded_order, problem.geometry.n_r)
+        probe = band_probe(A, subset, problem.geometry.folded_order, problem.geometry.n_r)
         mu_Gstar, certified = _stack_min_eig(probe, L)
     # guard against round-off pushing the restricted eigenvalue past L
     if mu_Gstar > L * (1.0 + 1e-9):

@@ -9,7 +9,7 @@ consistency of each constructor is what the whole test suite leans on.
 Forward and adjoint act on the last axis: a stack of shape ``(R, cols)``
 maps to ``(R, rows)`` and back, and every row gets the same bits as its own
 1-D call.  The solver steps a whole ensemble as one stack, and
-:func:`gram_eigvals` and :func:`band_gram` probe Grams with blocks of basis
+:func:`gram_eigvals` and :func:`band_probe` probe Grams with blocks of basis
 vectors on that guarantee, so every constructor here keeps it (stacked
 ``np.matmul`` products, never a gemm over the stack).
 
@@ -21,7 +21,7 @@ cells, and the rotated operator ``x -> A(x[perm_s])`` reads cell
 cells once per action: the rotated forward is ``A``'s window forward on the
 values gathered through a table row, and its adjoint adds ``A``'s window
 adjoint back into that row's cells, with no full-length permutation of the
-signal; :func:`band_gram` moves entries of ``A^T A`` through the same rows,
+signal; a band's fill moves entries of ``A^T A`` through the same rows,
 and no other function reads a permutation.  The identity's row is the
 window itself.  A window lists each cell once (:func:`from_window` folds
 repeats), so a solver step can write its update straight into the cells it
@@ -39,20 +39,21 @@ positions one at a time, and the entries between blocks are the exact
 ``+0.0`` such probes give.
 
 The certificate's stack Gram, ``G = A^T A`` averaged through a subset's
-permutations, is stored banded (:class:`BandGram`, built by
-:func:`band_gram`): each measured angle couples only the angle columns
-within its offset span, so in an order that lists the cells one angle
-column at a time, folding the angle axis, the average is block banded, a
-block per angle column.  ``G`` is probed once, only on the window's
-cells, and its lower nonzeros are kept, with where each action moves them
-(a probe, :func:`_band_probe`); a fill moves them through the subset's
-table rows into a fresh band's block columns a bounded chunk at a time, so
-a caller can fill a band, factor it where it lies and fill another while
-holding one band-sized array; no ``cols x cols`` array is built.  A band
-multiplies vectors in its stored order (``band @ V``),
-:meth:`BandGram.cholesky` returns the solve of its block Cholesky factor,
-kept as its pivots' inverses and the blocks below them with those folded
-in, and whether that factor exists at a shift tells on which side of the
+permutations, is stored banded (:class:`BandGram`): each measured angle
+couples only the angle columns within its offset span, so in an order that
+lists the cells one angle column at a time, folding the angle axis, the
+average is block banded, a block per angle column.  A band has one route:
+probe once, fill per use, factor where the fill lies.  :func:`band_probe`
+probes ``G`` once, only on the window's cells, and keeps its lower
+nonzeros with where each action moves them (a :class:`BandProbe`);
+:meth:`BandProbe.fill` moves them through the subset's table rows into a
+fresh band's block columns a bounded chunk at a time; and
+:meth:`BandGram.cholesky` factors a band where its blocks lie, consuming
+it.  A caller that needs a band twice fills it twice, so it holds one
+band-sized array at a time, and no ``cols x cols`` array is built.  A band
+multiplies vectors in its stored order (``band @ V``), its factor is kept
+as its pivots' inverses and the blocks below them with those folded in,
+and whether that factor exists at a shift tells on which side of the
 bottom eigenvalue the shift lies (Sylvester's law of inertia).
 
 One size rule holds for every matrix stored here: none may hold more than
@@ -79,7 +80,8 @@ __all__ = [
     "gram_eigvals",
     "gram_dense",
     "BandGram",
-    "band_gram",
+    "BandProbe",
+    "band_probe",
 ]
 
 DENSE_CAP = 4096
@@ -183,7 +185,7 @@ def from_window(rows: int, cols: int, window, window_forward, window_adjoint,
 
     ``blocks`` is the caller's promise that the window maps act on that many
     independent blocks (see :class:`LinearMap`), so that :func:`gram_eigvals`
-    and :func:`band_gram` probe every block with one vector.  A count that
+    and :func:`band_probe` probe every block with one vector.  A count that
     is not a positive integer dividing both ``rows`` and the given window is
     refused (``TypeError``, :class:`DimensionMismatchError`).  A window that
     folds repeated cells is one block: its blocks share cells.
@@ -305,23 +307,17 @@ def gram_dense(A: LinearMap) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BandGram:
-    """A symmetric matrix stored as block columns, rows taken in ``order``.
+    """A symmetric matrix stored as block columns, as :meth:`BandProbe.fill` makes it.
 
-    Row and column ``k`` of the stored matrix are cell ``order[k]`` of the
-    matrix it stands for.  Cut into ``N`` blocks of ``b`` cells, block
-    ``(j + r, j)`` is ``blocks[j, r]`` for ``r = 0, ..., p`` (zeros where
-    ``j + r >= N``), the blocks above the diagonal are their transposes, and
-    every other block is zero.  ``band @ V`` and the solve from
-    :meth:`cholesky` take vectors shaped ``(N b,)`` or ``(N b, k)`` in
-    stored order.
+    Cut into ``N`` blocks of ``b`` rows, block ``(j + r, j)`` is
+    ``blocks[j, r]`` for ``r = 0, ..., p`` (zeros where ``j + r >= N``), the
+    blocks above the diagonal are their transposes, and every other block is
+    zero.  ``band @ V`` and the solve from :meth:`cholesky` take vectors
+    shaped ``(N b,)`` or ``(N b, k)`` in stored order; the probe that filled
+    the band holds the cells that order lists.
     """
 
-    order: np.ndarray
     blocks: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.order)
 
     def __matmul__(self, V: np.ndarray) -> np.ndarray:
         """The stored matrix times ``V``: ``2 p + 1`` stacked block products."""
@@ -337,14 +333,9 @@ class BandGram:
     def cholesky(self, shift: float) -> Callable[[np.ndarray], np.ndarray] | None:
         """The solve ``V -> (S - shift I)^-1 V`` by block Cholesky, ``S`` stored, or None.
 
-        The factor is made in a copy of the blocks (:meth:`_factor`), so the
-        band keeps its values and may be factored again.
-        """
-        return BandGram(order=self.order, blocks=self.blocks.copy())._factor(shift)
-
-    def _factor(self, shift: float) -> Callable[[np.ndarray], np.ndarray] | None:
-        """:meth:`cholesky` made where the blocks lie: the band is consumed, and
-        no second band-sized array is allocated.
+        The factor is made where the blocks lie: the band is consumed, and no
+        second band-sized array is allocated, so a caller that needs the band
+        again copies its blocks first or fills another.
 
         Right-looking over block columns (Golub and Van Loan, *Matrix
         Computations*, §4.3): column ``j``'s updated blocks ``T_ij`` give its
@@ -395,19 +386,11 @@ class BandGram:
         return solve
 
 
-def band_gram(A: LinearMap, actions, order: np.ndarray, block: int) -> BandGram:
-    """``mean_g P_g^T G P_g`` over ``actions`` as a :class:`BandGram` in ``order``, ``G = A^T A``.
-
-    One probe of ``G`` (:func:`_band_probe`, which states the refusals),
-    moved into a band once (:meth:`_BandProbe.fill`).
-    """
-    return _band_probe(A, actions, order, block).fill()
-
-
 @dataclass(frozen=True, eq=False)
-class _BandProbe:
+class BandProbe:
     """``G``'s lower nonzeros on the window, kept once, and where each action
-    moves them: every :meth:`fill` makes the same band.
+    moves them, as :func:`band_probe` reads them: every :meth:`fill` makes the
+    same band, row and column ``k`` of which are cell ``order[k]``.
 
     Entry ``k`` is ``G``'s entry ``values[k]`` between window positions
     ``rows[k]`` and ``cols[k]``, in the smallest integer type that holds a
@@ -458,11 +441,12 @@ class _BandProbe:
         upper = np.triu(np.ones((block, block), bool), 1)
         for blk in blocks[:, 0]:  # one block at a time: a copy of one block is all it holds
             np.copyto(blk, blk.T, where=upper)
-        return BandGram(order=self.order, blocks=blocks)
+        return BandGram(blocks=blocks)
 
 
-def _band_probe(A: LinearMap, actions, order: np.ndarray, block: int) -> _BandProbe:
-    """The probe from which :func:`band_gram` fills its band.
+def band_probe(A: LinearMap, actions, order: np.ndarray, block: int) -> BandProbe:
+    """The probe of ``G = A^T A`` whose every :meth:`~BandProbe.fill` is
+    ``mean_g P_g^T G P_g`` over ``actions`` as a :class:`BandGram` in ``order``.
 
     ``G`` is zero off ``A.window``, so only the window's cells are probed,
     through the window maps, one vector per position of a block
@@ -556,8 +540,8 @@ def _band_probe(A: LinearMap, actions, order: np.ndarray, block: int) -> _BandPr
     N = d // block
     _check_size(N * (below + 1) * block * block,
                 f"the band of {N} columns of {below + 1} blocks of {block} cells")
-    return _BandProbe(order=order, block=block, below=below, stored=stored,
-                      rows=rows, cols=cols, values=values)
+    return BandProbe(order=order, block=block, below=below, stored=stored,
+                     rows=rows, cols=cols, values=values)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

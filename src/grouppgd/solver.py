@@ -80,7 +80,7 @@ from __future__ import annotations
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -325,7 +325,8 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     the module's docstring).  :func:`_split` steps each by :func:`_chains`,
     each slice but the last in a forked child and the rest here in one
     block, and returns the traces of every row in order: the in-process
-    solve's traces and divergence.
+    solve's traces and divergence.  Every trace holds the one array of
+    recorded iterations made here, a forked part's traces too.
     """
     A, b, K = problem.A, problem.b, problem.K
     d, budget = problem.dimension, config.max_iters
@@ -354,8 +355,11 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
     n_parts = (min(R, len(os.sched_getaffinity(0)))
                if forks and budget * gathered * table.shape[1] >= SPLIT_CELL_STEPS else 1)
     cuts = [R * i // n_parts for i in range(n_parts + 1)]
-    return _split(lambda rows: _chains(problem, eta, table, rows, iterations, objective),
-                  [streams[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
+    traces = _split(lambda rows: _chains(problem, eta, table, rows, iterations, objective),
+                    [streams[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
+    # a forked part's traces arrive with their own copy of the iterations
+    return [t if t.iterations is iterations else replace(t, iterations=iterations)
+            for t in traces]
 
 
 def _chains(problem, eta, table, streams, iterations, objective):

@@ -154,8 +154,9 @@ def gram_average(G: np.ndarray, actions) -> np.ndarray:
     return G
 
 
-def band_dense(band: BandGram) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix a band stores, in stored order, and the same matrix in cell order.
+def band_dense(band: BandGram, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix a band stores, in stored order, and the same matrix in cell
+    order: row and column ``k`` of the stored order are cell ``order[k]``.
 
     ``blocks[j, r]`` is the block ``(j + r, j)`` of the stored order's
     blocks of ``b`` cells, its transpose is the block ``(j, j + r)``, and a
@@ -170,7 +171,7 @@ def band_dense(band: BandGram) -> tuple[np.ndarray, np.ndarray]:
             if r:
                 stored[cols, rows] = band.blocks[j, r].T
     cells = np.empty_like(stored)
-    cells[np.ix_(band.order, band.order)] = stored
+    cells[np.ix_(order, order)] = stored
     return stored, cells
 
 

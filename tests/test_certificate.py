@@ -27,7 +27,7 @@ from grouppgd.linop import (
     DENSE_CAP,
     BandGram,
     SizeCapError,
-    band_gram,
+    band_probe,
     from_window,
     gram_dense,
     spectral_norm,
@@ -108,7 +108,7 @@ def test_alpha_rejects_bad_arguments(monkeypatch):
         raise AssertionError("the band was built for a zero operator")
 
     with monkeypatch.context() as patch:
-        patch.setattr(certificate, "_band_probe", refuse)
+        patch.setattr(certificate, "band_probe", refuse)
         with pytest.raises(ValueError, match="L must be positive"):
             certify(zero, subset)
     monkeypatch.setattr(certificate, "_stack_min_eig", lambda G_star, L: (2.0 * L, True))
@@ -459,7 +459,7 @@ def test_certify_subspace_cone_of_oversized_instance_probes_no_dense_gram(monkey
     def refuse(*args, **kwargs):
         raise AssertionError("a subspace cone built the band of the cells")
 
-    monkeypatch.setattr(certificate, "_band_probe", refuse)
+    monkeypatch.setattr(certificate, "band_probe", refuse)
     basis = np.linalg.qr(np.random.default_rng(5).standard_normal((prob.dimension, 6)))[0]
     cone = DescentCone(anchor=prob.x_dagger, kind="subspace", basis=basis)
     report = certify(prob, subset, cone=cone)
@@ -686,16 +686,16 @@ def test_certify_mu_gstar_matches_dense_oracle_on_shipped_configs(name):
 
 def test_certify_factors_the_stack_gram_twice_on_shipped_configs(monkeypatch):
     # one factor for the Lanczos run, one inertia check at mu_hat - slack,
-    # each made where its fill lies, through the routine cholesky also uses
+    # each made where its fill lies
     from grouppgd.cli import _build, load_config
     shifts = []
-    factor = BandGram._factor
+    factor = BandGram.cholesky
 
     def counted(self, shift):
         shifts.append(shift)
         return factor(self, shift)
 
-    monkeypatch.setattr(BandGram, "_factor", counted)
+    monkeypatch.setattr(BandGram, "cholesky", counted)
     for name in ("ring", "extreme_sparse", "noisy_textured", "poisson"):
         problem, subset, _ = _build(load_config(os.path.join(CONFIGS, f"{name}.txt")))
         shifts.clear()
@@ -713,8 +713,7 @@ def test_stack_min_eig_holds_one_factor_at_a_time():
     from grouppgd.cli import _build, load_config
     problem, subset, _ = _build(load_config(os.path.join(CONFIGS, "extreme_sparse.txt")))
     L = spectral_norm(problem.A)
-    probe = linop._band_probe(problem.A, subset, problem.geometry.folded_order,
-                              problem.geometry.n_r)
+    probe = band_probe(problem.A, subset, problem.geometry.folded_order, problem.geometry.n_r)
     band_bytes = probe.fill().blocks.nbytes
     assert probe.size == 2048
     tracemalloc.start()
@@ -727,6 +726,25 @@ def test_stack_min_eig_holds_one_factor_at_a_time():
     assert peak < 1.6 * band_bytes
 
 
+def test_the_band_factor_allocates_no_second_band():
+    # the factor is made where the fill lies: beside that band it holds one
+    # block's inverse and the solve's slices, measured 0.08 bands.  A
+    # factor made in a copy of the band read 1.08
+    problem, subset = config_problem("noisy_textured")
+    probe = band_probe(problem.A, subset, problem.geometry.folded_order, problem.geometry.n_r)
+    slack = probe.size * np.finfo(float).eps / 2 * spectral_norm(problem.A)
+    band = probe.fill()
+    band_bytes = band.blocks.nbytes
+    tracemalloc.start()
+    try:
+        solve = band.cholesky(-slack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solve is not None
+    assert peak <= 0.2 * band_bytes
+
+
 @pytest.mark.parametrize("name, bands", [("extreme_sparse", 1.8), ("noisy_textured", 2.0)])
 def test_certify_holds_one_band_at_a_time(name, bands):
     # the kept probe, one band and the basis; measured 1.69 and 1.91 bands
@@ -734,8 +752,8 @@ def test_certify_holds_one_band_at_a_time(name, bands):
     # were held at once)
     from grouppgd.cli import _build, load_config
     problem, subset, _ = _build(load_config(os.path.join(CONFIGS, f"{name}.txt")))
-    band_bytes = band_gram(problem.A, subset, problem.geometry.folded_order,
-                           problem.geometry.n_r).blocks.nbytes
+    band_bytes = band_probe(problem.A, subset, problem.geometry.folded_order,
+                            problem.geometry.n_r).fill().blocks.nbytes
     tracemalloc.start()
     try:
         report = certify(problem, subset)
@@ -750,7 +768,7 @@ def test_stack_min_eig_of_an_indefinite_band_is_not_certified():
     # the shifted factor fails before Lanczos starts: 0, flagged estimate.
     # The window maps make the "Gram" diag(1, -1)
     A = from_window(2, 2, [0, 1], lambda v: v, lambda y: y * np.array([1.0, -1.0]))
-    probe = linop._band_probe(A, symmetric_subset(polar_theta_shift(1, 2, 1), 0), np.arange(2), 2)
+    probe = band_probe(A, symmetric_subset(polar_theta_shift(1, 2, 1), 0), np.arange(2), 2)
     assert np.array_equal(probe.fill().blocks, [[[[1.0, 0.0], [0.0, -1.0]]]])
     assert certificate._stack_min_eig(probe, 1.0) == (0.0, False)
 
@@ -761,15 +779,15 @@ def test_stack_min_eig_whose_inertia_check_fails_is_not_certified(monkeypatch):
     prob = ring_instance()
     subset = covering_subset(prob)
     calls = []
-    factor = BandGram._factor
+    factor = BandGram.cholesky
 
     def second_fails(self, shift):
         calls.append(shift)
         return None if len(calls) % 2 == 0 else factor(self, shift)
 
-    monkeypatch.setattr(BandGram, "_factor", second_fails)
+    monkeypatch.setattr(BandGram, "cholesky", second_fails)
     L = spectral_norm(prob.A)
-    probe = linop._band_probe(prob.A, subset, prob.geometry.folded_order, prob.geometry.n_r)
+    probe = band_probe(prob.A, subset, prob.geometry.folded_order, prob.geometry.n_r)
     assert certificate._stack_min_eig(probe, L) == (0.0, False)
     assert len(calls) == 2 and calls[0] < 0.0 < calls[1]
     report = certify(prob, subset)
@@ -807,7 +825,8 @@ def test_band_gram_moves_one_action_at_a_time(name, bands):
     problem, subset = config_problem(name)
     tracemalloc.start()
     try:
-        band = band_gram(problem.A, subset, problem.geometry.folded_order, problem.geometry.n_r)
+        band = band_probe(problem.A, subset, problem.geometry.folded_order,
+                          problem.geometry.n_r).fill()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -823,8 +842,8 @@ def test_band_probe_holds_each_field_once_on_the_overlap_config():
     problem, subset = config_problem("overlap")
     tracemalloc.start()
     try:
-        probe = linop._band_probe(problem.A, subset, problem.geometry.folded_order,
-                                  problem.geometry.n_r)
+        probe = band_probe(problem.A, subset, problem.geometry.folded_order,
+                           problem.geometry.n_r)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -845,8 +864,7 @@ def assert_fill_ignores_order(probe, rng):
 @pytest.mark.parametrize("name", ["ring", "extreme_sparse", "overlap"])
 def test_a_fill_keeps_its_bits_in_any_order_of_the_kept_nonzeros(name):
     problem, subset = config_problem(name)
-    probe = linop._band_probe(problem.A, subset, problem.geometry.folded_order,
-                              problem.geometry.n_r)
+    probe = band_probe(problem.A, subset, problem.geometry.folded_order, problem.geometry.n_r)
     assert len(probe.values) > linop._FILL_CHUNK  # entries move across chunks too
     assert_fill_ignores_order(probe, np.random.default_rng(0))
 
@@ -866,7 +884,7 @@ def test_a_fill_of_random_actions_keeps_its_bits_in_any_order(n_r, n_theta, angl
               for _ in range(actions)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linop, "_FILL_CHUNK", chunk)
-        probe = linop._band_probe(problem.A, family, rng.permutation(d), n_r)
+        probe = band_probe(problem.A, family, rng.permutation(d), n_r)
         assert_fill_ignores_order(probe, rng)
 
 
@@ -882,7 +900,8 @@ def test_band_gram_at_two_and_four_times_the_actions(family, mu_gstar):
     table = linop.window_table(problem.A, subset)
     tracemalloc.start()
     try:
-        band = band_gram(problem.A, subset, problem.geometry.folded_order, problem.geometry.n_r)
+        band = band_probe(problem.A, subset, problem.geometry.folded_order,
+                          problem.geometry.n_r).fill()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -901,7 +920,7 @@ def test_band_stores_block_columns_of_one_angle_column_on_shipped_configs(name, 
     from grouppgd.cli import _build, load_config
     problem, subset, _ = _build(load_config(os.path.join(CONFIGS, f"{name}.txt")))
     n_r, n_theta = problem.geometry.n_r, problem.geometry.n_theta
-    band = band_gram(problem.A, subset, problem.geometry.folded_order, n_r)
+    band = band_probe(problem.A, subset, problem.geometry.folded_order, n_r).fill()
     assert band.blocks.shape == (n_theta, 5, n_r, n_r)
     assert band.blocks.size == entries
 
@@ -922,7 +941,7 @@ def test_band_gram_probes_only_the_cells_the_operator_reads():
 
     probed = from_window(A.rows, A.cols, A.window, metered("forward", A.window_forward),
                          metered("adjoint", A.window_adjoint))
-    band_gram(probed, subset, problem.geometry.folded_order, problem.geometry.n_r)
+    band_probe(probed, subset, problem.geometry.folded_order, problem.geometry.n_r)
     for rows in calls.values():
         assert (len(rows), sum(rows)) == (24, 384)
 

@@ -14,7 +14,7 @@ from grouppgd.linop import (
     DimensionMismatchError,
     LinearMap,
     SizeCapError,
-    band_gram,
+    band_probe,
     from_window,
     gram_dense,
     gram_eigvals,
@@ -527,10 +527,11 @@ def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, cover
     radius = min(round(coverage * full_coverage_radius(angles, n_theta)), (n_theta - 1) // 2)
     subset = symmetric_subset(geometry.theta_shift(1), radius)
     G = gram_dense(A)
-    band = band_gram(A, subset, geometry.folded_order, n_r)
+    probe = band_probe(A, subset, geometry.folded_order, n_r)
+    band = probe.fill()
     # probing the window has the bits of probing every cell through the map
     # rebuilt from forward and adjoint alone
-    every_cell = band_gram(replace(A), subset, geometry.folded_order, n_r)
+    every_cell = band_probe(replace(A), subset, geometry.folded_order, n_r).fill()
     assert same_bits(every_cell.blocks, band.blocks)
     # folding the angle axis keeps cyclic neighbours within twice their
     # distance: one angle column per block, at most 4 * reach below the diagonal
@@ -538,23 +539,24 @@ def test_band_gram_equals_dense_average(n_r, n_theta, angles, rays, reach, cover
     assert band.blocks.shape == (n_theta, width, n_r, n_r)
     assert width <= min(4 * reach, n_theta - 1) + 1
     assert not any(band.blocks[N - r:, r].any() for r in range(1, width))
-    stored, cells = band_dense(band)
+    stored, cells = band_dense(band, probe.order)
     tol = 1e-14 * float(np.abs(G).max())
     assert_allclose(cells, gram_average(G.copy(), subset), rtol=0, atol=tol)
     assert np.array_equal(stored, stored.T)
     # the product reads the stored matrix, in stored order
-    assert band.size == len(stored)
-    V = np.random.default_rng(seed).standard_normal((band.size, 3))
-    assert_allclose(band @ V, stored @ V, rtol=0, atol=tol * band.size)
-    assert_allclose(band @ V[:, 0], stored @ V[:, 0], rtol=0, atol=tol * band.size)
+    assert probe.size == len(stored)
+    V = np.random.default_rng(seed).standard_normal((probe.size, 3))
+    assert_allclose(band @ V, stored @ V, rtol=0, atol=tol * probe.size)
+    assert_allclose(band @ V[:, 0], stored @ V[:, 0], rtol=0, atol=tol * probe.size)
     # a shift a hundredth of the scale below the bottom eigenvalue factors
-    # and solves; as far above it the factor fails
+    # and solves; as far above it the factor fails.  A factor consumes its
+    # band, so each takes a fresh fill
     scale = 1.0 + float(np.abs(stored).max())
     low = np.linalg.eigvalsh(stored)[0]
-    assert band.cholesky(low + 0.01 * scale) is None
+    assert probe.fill().cholesky(low + 0.01 * scale) is None
     shift = low - 0.01 * scale
-    X = band.cholesky(shift)(V)
-    assert_allclose((stored - shift * np.eye(band.size)) @ X, V, rtol=0, atol=1e-9)
+    X = probe.fill().cholesky(shift)(V)
+    assert_allclose((stored - shift * np.eye(probe.size)) @ X, V, rtol=0, atol=1e-9)
 
 
 def one_block(A):
@@ -615,7 +617,7 @@ def test_grouped_probes_have_the_bits_of_one_block_probes(n_r, n_theta, angles, 
     geometry = Geometry(n_r=n_r, n_theta=n_theta, angles=tuple(angles), rays_per_angle=rays,
                         offsets=offsets)
     subset = symmetric_subset(geometry.theta_shift(1), min(radius, (n_theta - 1) // 2))
-    band, single_band = (band_gram(M, subset, geometry.folded_order, n_r)
+    band, single_band = (band_probe(M, subset, geometry.folded_order, n_r).fill()
                          for M in (A, single))
     assert same_bits(band.blocks, single_band.blocks)
 
@@ -658,7 +660,7 @@ def test_band_gram_refuses_an_order_that_is_not_a_permutation(monkeypatch, order
 
     monkeypatch.setattr(linop, "_gram_probes", refuse)
     with pytest.raises(DimensionMismatchError, match="not a permutation of the 32 cells"):
-        band_gram(prob.A, subset, order, 4)
+        band_probe(prob.A, subset, order, 4)
 
 
 def test_band_gram_stops_probing_once_its_nonzeros_pass_the_size_rule(monkeypatch):
@@ -674,14 +676,14 @@ def test_band_gram_stops_probing_once_its_nonzeros_pass_the_size_rule(monkeypatc
 
     A = LinearMap(rows=40, cols=40, forward=forward, adjoint=dense.adjoint)
     with pytest.raises(SizeCapError, match="nonzeros of the band"):
-        band_gram(A, [identity_action(40)], np.arange(40), 8)
+        band_probe(A, [identity_action(40)], np.arange(40), 8)
     assert probes == [16]
     # more cells than the cap: refused before the first probe, so no cell
     # index ever outgrows the band's int32 indices
     monkeypatch.setattr(linop, "DENSE_CAP", 6)
     probes.clear()
     with pytest.raises(SizeCapError, match="the band of 40 cells"):
-        band_gram(A, [identity_action(40)], np.arange(40), 8)
+        band_probe(A, [identity_action(40)], np.arange(40), 8)
     assert probes == []
 
 
@@ -702,7 +704,7 @@ def test_window_table_and_band_refuse_actions_of_another_dimension():
         with pytest.raises(DimensionMismatchError, match=message):
             window_table(A, subset)
         with pytest.raises(DimensionMismatchError, match=message):
-            band_gram(A, subset, np.arange(8), 1)
+            band_probe(A, subset, np.arange(8), 1)
         with pytest.raises(DimensionMismatchError, match=message):
             window_table(A, [subset.actions[1]])  # one action's table, as a single step reads it
     assert probes == []
@@ -737,7 +739,7 @@ def test_a_map_that_reads_no_cell_has_the_zero_band():
     # the kept probe was empty and its concatenation raised; the spectrum was zeros
     A = from_window(2, 4, [], lambda v: np.zeros(v.shape[:-1] + (2,)),
                     lambda y: np.zeros(y.shape[:-1] + (0,)))
-    band = band_gram(A, [identity_action(4)], np.arange(4), 2)
+    band = band_probe(A, [identity_action(4)], np.arange(4), 2).fill()
     assert band.blocks.shape == (2, 1, 2, 2) and not band.blocks.any()
     assert np.array_equal(gram_eigvals(A), np.zeros(4))
 
@@ -751,7 +753,7 @@ def test_window_table_and_band_refuse_an_empty_family(monkeypatch):
 
     monkeypatch.setattr(linop, "_gram_probes", refuse)
     for build in (lambda: window_table(prob.A, []),
-                  lambda: band_gram(prob.A, [], prob.geometry.folded_order, 4)):
+                  lambda: band_probe(prob.A, [], prob.geometry.folded_order, 4)):
         with pytest.raises(ValueError, match="^the window table needs at least one action$"):
             build()
 
@@ -766,7 +768,7 @@ def test_band_gram_refuses_an_order_that_is_not_integer_cells(monkeypatch):
 
     monkeypatch.setattr(linop, "_gram_probes", refuse)
     with pytest.raises(TypeError, match="order must hold integer cells, got dtype float64"):
-        band_gram(prob.A, subset, prob.geometry.folded_order + 0.4, 4)
+        band_probe(prob.A, subset, prob.geometry.folded_order + 0.4, 4)
 
 
 def test_band_cholesky_follows_inertia_and_solves():
@@ -775,17 +777,19 @@ def test_band_cholesky_follows_inertia_and_solves():
                         offsets=(-1, 0, 1))
     A = angle_subsampled_operator(n_r, n_theta, geometry.angles, 12, 7)
     subset = symmetric_subset(geometry.theta_shift(1), 1)
-    band = band_gram(A, subset, geometry.folded_order, n_r)
-    stored, _ = band_dense(band)
+    probe = band_probe(A, subset, geometry.folded_order, n_r)
+    band = probe.fill()
+    stored, _ = band_dense(band, probe.order)
     assert band.blocks.shape[0] > 1
     low = np.linalg.eigvalsh(stored)[0]
     assert low > 0
+    # a factor consumes its band: each takes a fresh fill
     assert band.cholesky(1.001 * low) is None
-    solve = band.cholesky(0.999 * low)
+    solve = probe.fill().cholesky(0.999 * low)
     assert solve is not None
-    V = np.random.default_rng(3).standard_normal((band.size, 2))
+    V = np.random.default_rng(3).standard_normal((probe.size, 2))
     X = solve(V)
-    assert_allclose((stored - 0.999 * low * np.eye(band.size)) @ X, V, rtol=0, atol=1e-6)
+    assert_allclose((stored - 0.999 * low * np.eye(probe.size)) @ X, V, rtol=0, atol=1e-6)
     assert_allclose(solve(V[:, 1]), X[:, 1], rtol=0, atol=1e-6)
 
 
@@ -808,4 +812,4 @@ def test_band_gram_refuses_blocks_that_do_not_divide_the_cells(monkeypatch, bloc
 
     monkeypatch.setattr(linop, "_gram_probes", refuse)
     with pytest.raises(error, match=message):
-        band_gram(prob.A, subset, prob.geometry.folded_order, block)
+        band_probe(prob.A, subset, prob.geometry.folded_order, block)

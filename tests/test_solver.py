@@ -826,15 +826,20 @@ def test_a_feasible_set_that_is_not_a_box_is_refused_first(monkeypatch, call):
         calls[call]()
 
 
+def four_cells():
+    """A problem of 4 cells on one ring, and its subset of 3 rotations."""
+    prob = ring_problem(from_dense(np.diag([1.0, 0.5, 0.25, 0.0])), np.ones(4), Box(0.0, 1.0, 4),
+                        x_dagger=0.5)
+    return prob, symmetric_subset(polar_theta_shift(1, 4, 1), 1)
+
+
 def growth_per_step(objective, stride):
     """Bytes a step by which the tracemalloc peak of ``run_with_plain`` on
     one plain and one group chain of 4 cells, recorded every ``stride``
     steps (once for None), grows from 2,000 to 8,000 steps."""
     import tracemalloc
 
-    prob = ring_problem(from_dense(np.diag([1.0, 0.5, 0.25, 0.0])), np.ones(4), Box(0.0, 1.0, 4),
-                        x_dagger=0.5)
-    subset = symmetric_subset(polar_theta_shift(1, 4, 1), 1)
+    prob, subset = four_cells()
 
     def peak(budget):
         config = SolverConfig(max_iters=budget, step_size=0.5, record_every=stride or budget)
@@ -883,6 +888,18 @@ def test_a_split_solve_holds_its_records_once(forks, monkeypatch, objective):
     split_on(monkeypatch, 2)
     assert growth_per_step(objective, 1) <= 80
     assert len(forks) == 3
+
+
+@needs_fork
+def test_every_trace_of_a_split_solve_holds_one_iterations_array(forks, monkeypatch):
+    # the child steps the plain row and the first group row, whose traces
+    # arrived with their own copy of the recorded iterations: 2 arrays
+    # across the 5 traces
+    prob, subset = four_cells()
+    split_on(monkeypatch, 2)
+    plain, group = run_with_plain(prob, SolverConfig(max_iters=40, step_size=0.5), subset, 4)
+    assert len(forks) == 1
+    assert len({id(trace.iterations) for trace in [plain, *group]}) == 1
 
 
 @pytest.mark.parametrize("solve", ["run", "run_with_plain"])

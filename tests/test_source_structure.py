@@ -12,10 +12,12 @@ from them) and fail on any other route: a call of a method named ``apply``
 (``GroupAction.apply`` rotates a whole signal), a read of an attribute
 named ``permutation`` outside ``symmetry.py`` and ``linop.window_table``, a
 call of ``gram_dense``, and a ``LinearMap`` built outside ``from_window``,
-the one map constructor.  The tests' oracles (``tests/oracles.py``) are
-written from their definitions: they import nothing from
-``grouppgd.solver`` and no private name of the package, so no oracle
-shares the code it checks.
+the one map constructor.  No module reaches into another's private names,
+beyond the shared validators ``linop._check_integer`` and
+``linop._check_size`` (and the stdlib's ``os._exit``).  The tests' oracles
+(``tests/oracles.py``) are written from their definitions: they import
+nothing from ``grouppgd.solver`` and no private name of the package, so no
+oracle shares the code it checks.
 """
 
 import ast
@@ -27,6 +29,9 @@ ORACLES = pathlib.Path(__file__).resolve().parent / "oracles.py"
 # None stands for every definition of the module
 PERMUTATION_READERS = {("symmetry.py", None), ("linop.py", "window_table")}
 MAP_CONSTRUCTORS = {("linop.py", "from_window")}
+# (owner, name) private names a module may take from elsewhere: the shared
+# validators, and the exit of a forked child
+SHARED_PRIVATE = {("linop", "_check_integer"), ("linop", "_check_size"), ("os", "_exit")}
 
 
 def top_level_nodes():
@@ -81,6 +86,37 @@ def test_a_linear_map_is_built_only_by_its_two_constructors():
 
 def private(name):
     return name.startswith("_") and not name.startswith("__")
+
+
+def own_names(tree):
+    """Every name a module binds: its definitions, and the names and
+    attributes it assigns."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    reached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = own_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                owner = (node.module or "").split(".")[-1]
+                reached += [(path.name, owner, alias.name) for alias in node.names
+                            if private(alias.name)]
+            elif isinstance(node, ast.Attribute) and private(node.attr) and node.attr not in own:
+                reached.append((path.name, ast.unparse(node.value), node.attr))
+    assert ("solver.py", "linop", "_check_size") in reached  # the rule reads the imports
+    assert [(module, owner, name) for module, owner, name in reached
+            if (owner, name) not in SHARED_PRIVATE] == []
 
 
 def test_the_oracles_import_no_solver_and_no_private_name():
