@@ -76,7 +76,7 @@ from .bench import ProblemInstance
 from .constraint import DescentCone, descent_cone_of, project_cone, subspace_min_eig
 from .linop import (BandProbe, DimensionMismatchError, LinearMap, band_probe, gram_eigvals,
                     window_table)
-from .solver import SolverConfig, check_solve, run_ensemble
+from .solver import SolverConfig, check_solve, mean_rmsd, solve
 from .symmetry import SymmetricSubset
 
 __all__ = [
@@ -415,21 +415,24 @@ def verify_bound(problem: ProblemInstance, subset: SymmetricSubset,
     certifying), and then the certified regime
     (:meth:`CertificateReport.why_no_bound`): it raises
     :class:`BoundVacuousError` when the reason is the vacuous rate and
-    ``ValueError`` for any other reason.  The runs take the certificate's
-    step ``1/L``, and the slack ``2/sqrt(replicates)`` absorbs Monte Carlo
-    error.
+    ``ValueError`` for any other reason.  The runs are the group chains
+    alone at the certificate's step ``1/L``, with no objective recorded
+    (:func:`~grouppgd.solver.solve` with ``objective=False`` and
+    ``plain=False``), and the slack ``2/sqrt(replicates)`` absorbs Monte
+    Carlo error.
     """
-    check_solve(problem, config, subset, replicates, plain=False)
+    check_solve(problem, config, subset, replicates, objective=False, plain=False)
     report = certify(problem, subset)
     why = report.why_no_bound()
     if why is not None:
         raise (BoundVacuousError if why == _VACUOUS else ValueError)(why)
     run_config = replace(config, step_size=1.0 / report.L)
-    iterations, mean_rmsd, _ = run_ensemble(problem, run_config, subset, replicates)
+    traces = solve(problem, run_config, subset, replicates, objective=False, plain=False)
+    iterations, mean = traces[0].iterations, mean_rmsd(traces)
     return DominationReport(
         iterations=iterations,
-        empirical_mean=mean_rmsd,
-        bound=bound_at(report, problem, mean_rmsd[0], iterations),
+        empirical_mean=mean,
+        bound=bound_at(report, problem, mean[0], iterations),
         replicates=replicates,
         certificate=report,
     )

@@ -52,7 +52,7 @@ import numpy as np
 from .bench import build_problem
 from .certificate import bound_at, certify
 from .linop import SizeCapError
-from .solver import DivergenceError, SolverConfig, check_solve, mean_rmsd, run_with_plain
+from .solver import DivergenceError, SolverConfig, check_solve, mean_rmsd, solve
 from .symmetry import symmetric_subset
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "main"]
@@ -245,7 +245,8 @@ def _write_atomic(path: str, chunks) -> None:
     """Write the text ``chunks`` to ``path`` through a temp file and
     ``os.replace``, so a failure leaves no partial file, unless ``path``
     already holds their UTF-8 bytes: that file is left as it is, inode and
-    mtime included, and the temp file is removed.
+    mtime included, and the temp file is removed.  ``path``'s directory is
+    made first, so a command refused before it writes leaves none.
 
     Each chunk is written to the temp file and compared with the existing
     file's next bytes as it comes, so no more than one chunk is held.  A
@@ -253,6 +254,7 @@ def _write_atomic(path: str, chunks) -> None:
     the new data first), and reruns into one ``--out`` write the same
     bytes.  A path that cannot be read (missing, a directory, any
     ``OSError``) is written."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     old = None
     with contextlib.suppress(OSError):
@@ -323,7 +325,8 @@ def _trace_csv(trace, bound: np.ndarray | None, with_actions: bool):
     return _csv([header], template, columns)
 
 
-def _solve(config: ExperimentConfig, replicates: int | None = None, objective: bool = True):
+def _certified_solve(config: ExperimentConfig, replicates: int | None = None,
+                     objective: bool = True):
     """Build, ask the size rule, certify, and solve with the same ``replicates``
     and ``objective``, ``auto`` resolved to the certificate's ``1/L``.  Returns
     ``(bound, report, why, plain, group)``: ``bound`` is the bound column at
@@ -334,14 +337,14 @@ def _solve(config: ExperimentConfig, replicates: int | None = None, objective: b
     report = certify(problem, subset)
     if solver_config.step_size == "auto":
         solver_config = replace(solver_config, step_size=1.0 / report.L)
-    plain, group = run_with_plain(problem, solver_config, subset, replicates, objective)
+    plain, *group = solve(problem, solver_config, subset, replicates, objective)
     why = report.why_no_bound(solver_config.step_size)
     bound = bound_at(report, problem, plain.rmsd[0], plain.iterations) if why is None else None
     return bound, report, why, plain, group
 
 
 def cmd_run(config: ExperimentConfig, outdir: str) -> int:
-    bound, report, why, pgd_trace, (group_trace,) = _solve(config)
+    bound, report, why, pgd_trace, (group_trace,) = _certified_solve(config)
     _write_atomic(os.path.join(outdir, "pgd.csv"),
                   _trace_csv(pgd_trace, None, with_actions=False))
     _write_atomic(os.path.join(outdir, "group_pgd.csv"),
@@ -367,8 +370,8 @@ def cmd_certify(config: ExperimentConfig, outdir: str) -> int:
 
 def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
     # compare writes only rmsd means
-    bound, _, why, pgd_trace, group_traces = _solve(config, config.solver_seeds,
-                                                    objective=False)
+    bound, _, why, pgd_trace, group_traces = _certified_solve(config, config.solver_seeds,
+                                                              objective=False)
     iters = pgd_trace.iterations
     # the plain chain draws nothing: every plain replicate is this one chain
     pgd_mean = pgd_trace.rmsd
@@ -431,7 +434,6 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         outdir = args.out if args.out is not None else config.output_dir
-        os.makedirs(outdir, exist_ok=True)
         return _COMMANDS[args.command](config, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,22 +7,23 @@ and rotates the result back.  Both are one step body: the plain step is the
 step through the identity, so with the identity action the group step is
 the plain step bit for bit.
 
-Every run goes through one driver that steps a stack ``X`` of shape
-``(R, d)``.  Each row is one chain with its own random stream; the operator
-and the trace values act on the whole stack, and by the stack contract of
-:mod:`grouppgd.linop` every row gets the bits of its own one-row run.  The
-driver makes its own rows from what its caller asks for: :func:`run` is one
-row, :func:`run_ensemble` is one row per group replicate (a plain ensemble
-draws nothing, so it is its one chain), and :func:`run_with_plain` steps
-the plain chain as one more row beside the group chains, so a comparison of
-the two methods is one stack.  The rows are one list of random streams, and
-the plain row is the row with no stream.  Every chain starts from zeros.
-The driver first asks the solve's size rule (:func:`check_solve`), which
-returns the counts the driver allocates, so an oversized solve is refused
-before an ``"auto"`` step probes the spectrum or a replicate stream is
-spawned.  It then resolves the step and fixes the recorded iterations
-before its first step.  Each group row draws all its action indices at
-once, ``rng.integers(len(subset), size=budget)``, the same values as one
+Every run goes through one route, :func:`solve`, that steps a stack ``X``
+of shape ``(R, d)``.  Each row is one chain with its own random stream; the
+operator and the trace values act on the whole stack, and by the stack
+contract of :mod:`grouppgd.linop` every row gets the bits of its own one-row
+run.  The solve makes its rows from what its caller asks for: the plain
+chain as a first row beside the group chains, so a comparison of the two
+methods is one stack, or the group chains alone.  :func:`run` is one row
+and :func:`run_ensemble` one row per group replicate (a plain ensemble
+draws nothing, so it is its one chain).  The rows are one list of random
+streams, and the plain row is the row with no stream.  Every chain starts
+from zeros.  The solve first asks its size rule (:func:`check_solve`, which
+takes the solve's own arguments), which returns the counts the solve
+allocates, so an oversized solve is refused before an ``"auto"`` step
+probes the spectrum or a replicate stream is spawned.  It then resolves the
+step and fixes the recorded iterations before its first step.  Each group
+row draws all its action indices at once, ``rng.integers(len(subset),
+size=budget)``, the same values as one
 :func:`~grouppgd.symmetry.sample_action` call per step, and adds them into
 the run's one step table.
 
@@ -51,10 +52,11 @@ recorded objective from the next step.  A group row's step residual is the
 rotated one, so the step from a recorded iterate also gathers each group
 row's identity window, and the one forward returns those rows' objective
 residuals beside the step residuals.  Only the last iterate, which no step
-follows, costs a forward of its own.  A caller that writes no objective
-(``run_with_plain(..., objective=False)``, as ``compare`` calls it) skips
-all of this: each step maps only the stack's rows, the last iterate costs
-nothing, and every trace's objective is NaN.
+follows, costs a forward of its own.  A caller that reads no objective
+(``solve(..., objective=False)``, as ``compare`` and
+:func:`~grouppgd.certificate.verify_bound` call it) skips all of this: each
+step maps only the stack's rows, the last iterate costs nothing, and every
+trace's objective is NaN.
 
 A large solve steps its stack on every core the process may use.  After
 the layout above, the rows are cut into one contiguous part per usable core
@@ -97,7 +99,7 @@ __all__ = [
     "DivergenceError",
     "run",
     "run_ensemble",
-    "run_with_plain",
+    "solve",
     "check_solve",
     "replicate_rngs",
     "mean_rmsd",
@@ -166,7 +168,7 @@ class IterateTrace:
     Arrays are row-aligned: entry ``i`` describes iterate ``iterations[i]``.
     ``rmsd`` is the plain distance to the ground truth.  ``objective`` is
     ``0.5 * |A x - b|^2``, NaN at every entry when the run did not record
-    it (:func:`run_with_plain` with ``objective=False``).  ``action_indices``
+    it (:func:`solve` with ``objective=False``).  ``action_indices``
     holds the subset index drawn for the step that produced each recorded
     iterate (-1 for the initial point and for plain runs).
     """
@@ -257,10 +259,11 @@ def _row_dots(U):
 def check_solve(problem: ProblemInstance, config: SolverConfig,
                 subset: SymmetricSubset | None, replicates: int | None = None,
                 objective: bool = True, *, plain: bool = True) -> tuple[int, ...]:
-    """The solve's size rule, asked with :func:`run_with_plain`'s arguments;
+    """The solve's size rule, asked with :func:`solve`'s arguments;
     ``plain=False`` counts no plain row, as for :func:`run` and
     :func:`run_ensemble` with a subset.  ``replicates`` is None or a
-    positive integer (a ``bool`` is not).
+    positive integer (a ``bool`` is not).  A solve with no ``subset`` and
+    ``plain`` false steps no chain and is refused (``ValueError``).
 
     Refuses (:class:`~grouppgd.linop.SizeCapError`, naming the table) more
     than ``linop.DENSE_CAP`` chains, or records, a step table, a stack or a
@@ -269,6 +272,8 @@ def check_solve(problem: ProblemInstance, config: SolverConfig,
     that end them, the step table's width, the record stride clamped to the
     budget and the ``1 + ceil(budget / stride)`` records of a row.
     """
+    if subset is None and not plain:
+        raise ValueError("a solve with no subset and plain=False steps no chain")
     if replicates is not None:
         _check_integer("replicates", replicates)
         if replicates < 1:
@@ -293,32 +298,38 @@ def check_solve(problem: ProblemInstance, config: SolverConfig,
     return rows, group, gathered, stride, n_records
 
 
-def _drive(problem: ProblemInstance, config: SolverConfig,
-           subset: SymmetricSubset | None, plain: bool, replicates: int | None,
-           objective: bool = True) -> list[IterateTrace]:
+def solve(problem: ProblemInstance, config: SolverConfig,
+          subset: SymmetricSubset | None, replicates: int | None = None,
+          objective: bool = True, *, plain: bool = True) -> list[IterateTrace]:
     """Step a stack of chains from zeros for ``config.max_iters`` steps; one
-    trace per row, laid out as :func:`check_solve` counts it.
+    trace per row, laid out as :func:`check_solve`, asked with the same
+    arguments, counts it.
 
-    The plain row comes first when ``plain`` is true.  Group rows follow
-    only when there is a ``subset``: one on ``default_rng(config.seed)``
-    when ``replicates`` is None, else one per :func:`replicate_rngs`
-    stream.  The recorded iterations, fixed before the first step, are
-    every ``config.record_every``-th iterate from 0, then the last.  The
-    step from each gives its objectives; with ``objective`` False they are
-    NaN and no forward is spent on them.  Each stack row's block of the
-    window table is ``window_table(A, subset)``, or the operator's own
-    window without a subset; a group row's recorded action is its drawn
-    index and a plain row's is -1.  An oversized solve (:func:`check_solve`)
-    and a subset of another dimension are refused before an ``"auto"`` step
-    probes the spectrum; after it, the step's rules refuse a feasible set
-    that is not a :class:`~grouppgd.constraint.Box` (``TypeError``), an
-    observation of another shape, and a step that is not positive and
-    finite or ``L = 0`` (``ValueError``), before any stream is spawned or
-    array allocated.  Raises :class:`DivergenceError` at the first
-    iteration at which any row leaves the finite ball of radius
-    ``DIVERGENCE_NORM``; a recorded iterate whose rows all lie within
-    ``DIVERGENCE_NORM / 2 - |x_dagger|`` of the ground truth is inside it,
-    and only other iterates have their norms taken.
+    The plain row comes first when ``plain`` is true: its trace is
+    ``run(problem, config)``.  Group rows follow only when there is a
+    ``subset``: one on ``default_rng(config.seed)`` when ``replicates`` is
+    None, ``run(problem, config, subset)``, else one per
+    :func:`replicate_rngs` stream, ``run_ensemble(problem, config, subset,
+    replicates)``'s traces.  Every row takes the same step (an ``"auto"``
+    step is resolved once) and is bit for bit its own run.  The recorded
+    iterations, fixed before the first step, are every
+    ``config.record_every``-th iterate from 0, then the last.  The step
+    from each gives its objectives; with ``objective`` False they are NaN
+    and no forward is spent on them, and every other field keeps its bits.
+    Each stack row's block of the window table is ``window_table(A,
+    subset)``, or the operator's own window without a subset; a group row's
+    recorded action is its drawn index and a plain row's is -1.  A solve
+    with no chain or an oversized one (:func:`check_solve`) and a subset of
+    another dimension are refused before an ``"auto"`` step probes the
+    spectrum; after it, the step's rules refuse a feasible set that is not
+    a :class:`~grouppgd.constraint.Box` (``TypeError``), an observation of
+    another shape, and a step that is not positive and finite or ``L = 0``
+    (``ValueError``), before any stream is spawned or array allocated.
+    Raises :class:`DivergenceError` at the first iteration at which any row
+    leaves the finite ball of radius ``DIVERGENCE_NORM``; a recorded
+    iterate whose rows all lie within ``DIVERGENCE_NORM / 2 - |x_dagger|``
+    of the ground truth is inside it, and only other iterates have their
+    norms taken.
 
     All of this is laid out in this process, with the rows as one list of
     streams (``None`` for the plain row), cut into contiguous slices (see
@@ -363,7 +374,7 @@ def _drive(problem: ProblemInstance, config: SolverConfig,
 
 
 def _chains(problem, eta, table, streams, iterations, objective):
-    """Step one row per entry of ``streams`` from zeros, as :func:`_drive`
+    """Step one row per entry of ``streams`` from zeros, as :func:`solve`
     lays them out (``None`` is the plain row, which draws nothing); returns
     one :class:`IterateTrace` per row, at the recorded ``iterations``, which
     end at the budget.
@@ -526,7 +537,7 @@ def run(problem: ProblemInstance, config: SolverConfig,
     group variant draws its actions from ``default_rng(config.seed)``, so
     the run is deterministic given ``config.seed``.
     """
-    return _drive(problem, config, subset, subset is None, None)[0]
+    return solve(problem, config, subset, plain=subset is None)[0]
 
 
 def run_ensemble(problem: ProblemInstance, config: SolverConfig,
@@ -545,28 +556,8 @@ def run_ensemble(problem: ProblemInstance, config: SolverConfig,
     the mean is that trace's ``rmsd``, bit for bit ``run(problem,
     config).rmsd``.  Returns ``(iterations, mean_rmsd, traces)``.
     """
-    traces = _drive(problem, config, subset, subset is None, replicates)
+    traces = solve(problem, config, subset, replicates, plain=subset is None)
     return traces[0].iterations, mean_rmsd(traces), traces
-
-
-def run_with_plain(problem: ProblemInstance, config: SolverConfig, subset: SymmetricSubset,
-                   replicates: int | None = None,
-                   objective: bool = True) -> tuple[IterateTrace, list[IterateTrace]]:
-    """Plain PGD beside the group chains, as rows of one stack.
-
-    Returns ``(plain_trace, group_traces)``.  Every row takes the same step
-    (an ``"auto"`` step is resolved once) and is bit for bit its own run:
-    the plain trace is ``run(problem, config)``.  With
-    ``replicates`` None there is one group trace, ``run(problem, config,
-    subset)``; otherwise the group traces are ``run_ensemble(problem,
-    config, subset, replicates)``'s.  With ``objective`` False no objective
-    is computed: every trace's ``objective`` is NaN, each step maps only the
-    stack's own rows and the last iterate costs no forward, and every other
-    field keeps its bits.  If any row diverges, :class:`DivergenceError`
-    names the first iteration at which one did, plain or group.
-    """
-    plain, *group = _drive(problem, config, subset, True, replicates, objective)
-    return plain, group
 
 
 def replicate_rngs(seed: int, replicates: int) -> list[np.random.Generator]:

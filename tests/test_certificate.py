@@ -32,7 +32,7 @@ from grouppgd.linop import (
     gram_dense,
     spectral_norm,
 )
-from grouppgd.solver import SolverConfig, run
+from grouppgd.solver import SolverConfig, run, run_ensemble
 from grouppgd.symmetry import GroupAction, polar_theta_shift, symmetric_subset
 from oracles import (angle_reflection, compose_with_action, from_dense, gram_average,
                      radial_flip, rotation_group, stack_mean, with_flips)
@@ -279,7 +279,7 @@ def test_non_finite_constant_certifies_no_bound(monkeypatch):
     def run_spy(*args, **kw):
         raise AssertionError("ran the solver on a report with no bound")
 
-    monkeypatch.setattr(certificate, "run_ensemble", run_spy)
+    monkeypatch.setattr(certificate, "solve", run_spy)
     with np.errstate(invalid="ignore"):
         report = certify(prob, subset)
         assert report.why_no_bound() == "eps_w is not finite, so no bound holds"
@@ -547,6 +547,37 @@ def test_verify_bound_noiseless_ring():
     assert result.first_violation is None
     assert np.all(result.margins >= 0)
     assert result.empirical_mean[0] == result.bound[0]
+
+
+def test_verify_bound_steps_only_the_group_chains_with_no_objective(monkeypatch):
+    # the check reads only the group chains' mean distance, so it asks the
+    # size rule and the solve for no plain row and no objective; the mean is
+    # run_ensemble's, bit for bit
+    import inspect
+
+    seen = []
+
+    def spy(name):
+        real = getattr(certificate, name)
+
+        def call(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((name, bound.arguments["objective"], bound.arguments["plain"]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(certificate, name, call)
+
+    spy("check_solve")
+    spy("solve")
+    prob = ring_instance(noise="gaussian", sigma=0.05)
+    subset = covering_subset(prob)
+    config = SolverConfig(max_iters=60, seed=5, record_every=7)
+    result = verify_bound(prob, subset, config, replicates=4)
+    assert seen == [("check_solve", False, False), ("solve", False, False)]
+    iterations, mean, _ = run_ensemble(prob, replace(config, step_size=1.0 / result.certificate.L),
+                                       subset, 4)
+    assert result.iterations.tolist() == iterations.tolist()
+    assert result.empirical_mean.tobytes() == mean.tobytes()
 
 
 @pytest.mark.parametrize("replicates", [0, -1])

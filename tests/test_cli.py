@@ -596,6 +596,16 @@ def test_absurd_ray_count_exits_4_before_allocating(tmp_path, capsys, command, n
     assert "the weights of 4 angles x 1000000000000000000 rays" in capsys.readouterr().err
 
 
+def test_a_refused_command_leaves_no_output_directory(tmp_path, capsys):
+    # the output directory is made where the first file is written: a
+    # signal of 32 x 10**12 cells is refused before any is
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, config_text(out, problem_n_theta=10**12))
+    assert main(["certify", "--config", cfg]) == 4
+    assert "problem too large: the signal of" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["certify", "run", "compare"])
 def test_certify_shipped_ring_with_instance_seed_1(tmp_path, command):
     # a seeded power iteration for L did not converge in 10000 steps on this
@@ -743,11 +753,12 @@ def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, capsys, command):
     def blow_up(*args, **kwargs):
         raise DivergenceError(7)
 
-    monkeypatch.setattr(cli, "run_with_plain", blow_up)
+    monkeypatch.setattr(cli, "solve", blow_up)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, config_text(out))
     assert main([command, "--config", cfg]) == 3
     assert "diverged" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_only_compare_skips_the_objective(tmp_path, monkeypatch):
@@ -770,13 +781,13 @@ def test_only_compare_skips_the_objective(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, name, call)
 
     spy("check_solve")
-    spy("run_with_plain")
+    spy("solve")
     cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_seeds=3))
     for command, replicates, objective in (("compare", 3, False), ("run", None, True)):
         seen.clear()
         assert main([command, "--config", cfg]) == EXIT_OK
         assert seen == [("check_solve", replicates, objective),
-                        ("run_with_plain", replicates, objective)], command
+                        ("solve", replicates, objective)], command
     first = (tmp_path / "out" / "group_pgd.csv").read_text().splitlines()[1].split(",")
     assert first[3] != "nan"
 

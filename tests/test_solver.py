@@ -24,7 +24,7 @@ from grouppgd.solver import (
     replicate_rngs,
     run,
     run_ensemble,
-    run_with_plain,
+    solve,
 )
 from grouppgd.symmetry import identity_action, polar_theta_shift, sample_action, symmetric_subset
 from oracles import from_dense, group_pgd_step, identity_map, pgd_step
@@ -250,7 +250,7 @@ def test_mixed_stack_divergence_names_the_first_row_to_diverge():
               for rng in replicate_rngs(config.seed, 4)]
     assert None not in alone and alone[0] < min(alone[1:])
     with pytest.raises(DivergenceError) as info:
-        run_with_plain(prob, config, subset, 4)
+        solve(prob, config, subset, 4)
     assert info.value.iteration == alone[0]
 
 
@@ -346,7 +346,7 @@ def test_mixed_stack_objective_is_each_rows_own_objective():
     subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
     n, eta = 12, 0.02
     config = SolverConfig(max_iters=n, step_size=eta, seed=4)
-    plain, groups = run_with_plain(prob, config, subset, 3)
+    plain, *groups = solve(prob, config, subset, 3)
     for trace in (plain, *groups):
         x = np.zeros(prob.dimension)
         for k in range(n + 1):
@@ -401,7 +401,7 @@ def test_mixed_stack_makes_one_forward_and_one_adjoint_per_step():
     config = SolverConfig(max_iters=n, step_size=0.02, seed=5)
     for replicates in (None, 3):
         calls.clear()
-        run_with_plain(prob, config, subset, replicates)
+        solve(prob, config, subset, replicates)
         assert calls.count("forward") == n + 1 and calls.count("adjoint") == n
     # without objectives a step maps only the stack's own rows, and the last
     # iterate costs no forward
@@ -416,7 +416,7 @@ def test_mixed_stack_makes_one_forward_and_one_adjoint_per_step():
     for replicates in (None, 3):
         calls.clear()
         shapes.clear()
-        run_with_plain(spied, config, subset, replicates, objective=False)
+        solve(spied, config, subset, replicates, objective=False)
         assert calls.count("forward") == n and calls.count("adjoint") == n
         assert shapes == [(1 + (replicates or 1), prob.dimension)] * n
 
@@ -482,7 +482,7 @@ def test_solve_refuses_its_stack_and_window_table(monkeypatch, n_theta, radius, 
     subset = symmetric_subset(prob.geometry.theta_shift(1), radius)
     monkeypatch.setattr(linop, "DENSE_CAP", cap)
     with pytest.raises(SizeCapError, match=f"the solve's {what}"):
-        run_with_plain(prob, SolverConfig(max_iters=5, step_size=0.1), subset,
+        solve(prob, SolverConfig(max_iters=5, step_size=0.1), subset,
                        3 if radius else 1)
 
 
@@ -509,9 +509,9 @@ def test_mixed_stack_rows_are_their_own_runs(dense, n_r, n_theta, angles, rays, 
     config = SolverConfig(max_iters=budget, seed=seed % 1000, record_every=record_every)
     plain = run(prob, config)
     pairs = []
-    mixed_plain, (mixed_group,) = run_with_plain(prob, config, subset)
+    mixed_plain, mixed_group = solve(prob, config, subset)
     pairs += [(mixed_plain, plain), (mixed_group, run(prob, config, subset=subset))]
-    mixed_plain, mixed_groups = run_with_plain(prob, config, subset, replicates)
+    mixed_plain, *mixed_groups = solve(prob, config, subset, replicates)
     pairs.append((mixed_plain, plain))
     pairs += zip(mixed_groups, run_ensemble(prob, config, subset, replicates)[2], strict=True)
     for mixed, alone in pairs:
@@ -519,7 +519,7 @@ def test_mixed_stack_rows_are_their_own_runs(dense, n_r, n_theta, angles, rays, 
             a, b = getattr(mixed, name), getattr(alone, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     # without objectives every other field keeps its bits
-    bare_plain, bare_groups = run_with_plain(prob, config, subset, replicates,
+    bare_plain, *bare_groups = solve(prob, config, subset, replicates,
                                              objective=False)
     for bare, mixed in zip((bare_plain, *bare_groups), (mixed_plain, *mixed_groups),
                            strict=True):
@@ -646,9 +646,9 @@ def test_solve_refuses_a_replicate_count_that_is_not_an_integer(replicates):
     prob = small_problem()
     subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
     config = SolverConfig(max_iters=2, seed=0)
-    for solve in (solver.check_solve, run_ensemble, run_with_plain):
+    for route in (solver.check_solve, run_ensemble, solve):
         with pytest.raises(TypeError, match="replicates must be an integer"):
-            solve(prob, config, subset, replicates)
+            route(prob, config, subset, replicates)
 
 
 @pytest.mark.parametrize("seed, error, message", [
@@ -672,7 +672,7 @@ def test_a_stride_far_past_the_budget_records_the_start_and_the_budget(stride):
 
     def traces(record_every):
         config = SolverConfig(max_iters=budget, seed=3, record_every=record_every)
-        plain, group = run_with_plain(prob, config, subset, 2)
+        plain, *group = solve(prob, config, subset, 2)
         return [run(prob, config), run(prob, config, subset),
                 *run_ensemble(prob, config, subset, 2)[2], plain, *group]
 
@@ -746,7 +746,7 @@ def test_box_excluding_the_start_steps_as_single_steps(per_cell):
     subset = symmetric_subset(geometry.theta_shift(1), 2)
     eta, replicates, budget = 0.05, 3, 12
     config = SolverConfig(max_iters=budget, step_size=eta, seed=3)
-    plain, groups = run_with_plain(prob, config, subset, replicates)
+    plain, *groups = solve(prob, config, subset, replicates)
     chains = [(plain, step_alone(prob, eta, None, None, budget))]
     for trace, stream in zip(groups, replicate_rngs(config.seed, replicates), strict=True):
         draws = stream.integers(len(subset), size=budget)
@@ -772,7 +772,7 @@ def test_strided_records_hold_the_single_steps_iterates(stride):
     eta, replicates = 1.0 / spectral_norm(prob.A), 3  # the "auto" step
     for budget in sorted({0, stride - 1, 2 * stride, 2 * stride + 1}):
         config = SolverConfig(max_iters=budget, seed=11, record_every=stride)
-        plain, groups = run_with_plain(prob, config, subset, replicates)
+        plain, *groups = solve(prob, config, subset, replicates)
         expected = [*range(0, budget, stride), budget]
         assert len(expected) == 1 + -(-budget // stride)
         chains = [(plain, None)]
@@ -818,7 +818,7 @@ def test_a_feasible_set_that_is_not_a_box_is_refused_first(monkeypatch, call):
         "run": lambda: run(prob, config),
         "run_group": lambda: run(prob, config, subset),
         "run_ensemble": lambda: run_ensemble(prob, config, subset, 3),
-        "run_with_plain": lambda: run_with_plain(prob, config, subset, 3),
+        "run_with_plain": lambda: solve(prob, config, subset, 3),
         "pgd_step": lambda: run(prob, step),
         "group_pgd_step": lambda: run(prob, step, subset),
     }
@@ -834,7 +834,7 @@ def four_cells():
 
 
 def growth_per_step(objective, stride):
-    """Bytes a step by which the tracemalloc peak of ``run_with_plain`` on
+    """Bytes a step by which the tracemalloc peak of :func:`solve` on
     one plain and one group chain of 4 cells, recorded every ``stride``
     steps (once for None), grows from 2,000 to 8,000 steps."""
     import tracemalloc
@@ -846,7 +846,7 @@ def growth_per_step(objective, stride):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            run_with_plain(prob, config, subset, 1, objective=objective)
+            solve(prob, config, subset, 1, objective=objective)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -897,13 +897,13 @@ def test_every_trace_of_a_split_solve_holds_one_iterations_array(forks, monkeypa
     # across the 5 traces
     prob, subset = four_cells()
     split_on(monkeypatch, 2)
-    plain, group = run_with_plain(prob, SolverConfig(max_iters=40, step_size=0.5), subset, 4)
+    traces = solve(prob, SolverConfig(max_iters=40, step_size=0.5), subset, 4)
     assert len(forks) == 1
-    assert len({id(trace.iterations) for trace in [plain, *group]}) == 1
+    assert len({id(trace.iterations) for trace in traces}) == 1
 
 
-@pytest.mark.parametrize("solve", ["run", "run_with_plain"])
-def test_an_auto_step_refuses_an_operator_whose_norm_is_zero(solve):
+@pytest.mark.parametrize("route", ["run", "run_with_plain"])
+def test_an_auto_step_refuses_an_operator_whose_norm_is_zero(route):
     # 1 / L raised ZeroDivisionError
     prob = build_problem(n_r=2, n_theta=4, rays_per_angle=2)
     zero = replace(prob, A=from_dense(np.zeros((prob.A.rows, prob.A.cols))),
@@ -911,11 +911,11 @@ def test_an_auto_step_refuses_an_operator_whose_norm_is_zero(solve):
     config = SolverConfig(max_iters=3)
     subset = symmetric_subset(prob.geometry.theta_shift(1), 1)
     with pytest.raises(ValueError, match=r"positive L, got L=0\.0"):
-        run(zero, config) if solve == "run" else run_with_plain(zero, config, subset)
+        run(zero, config) if route == "run" else solve(zero, config, subset)
 
 
-@pytest.mark.parametrize("solve", ["run", "run_ensemble", "run_with_plain"])
-def test_the_solve_refuses_before_the_auto_step_probes(monkeypatch, solve):
+@pytest.mark.parametrize("route", ["run", "run_ensemble", "run_with_plain"])
+def test_the_solve_refuses_before_the_auto_step_probes(monkeypatch, route):
     # the size rule and the subset's dimension are asked before "auto"
     # resolves to 1 / L: an absurd budget was refused only after the probe
     def refuse(A):
@@ -928,12 +928,37 @@ def test_the_solve_refuses_before_the_auto_step_probes(monkeypatch, solve):
     calls = {
         "run": lambda config, sub: run(prob, config, sub),
         "run_ensemble": lambda config, sub: run_ensemble(prob, config, sub, 3),
-        "run_with_plain": lambda config, sub: run_with_plain(prob, config, sub, 3),
+        "run_with_plain": lambda config, sub: solve(prob, config, sub, 3),
     }
     with pytest.raises(SizeCapError, match="the solve's"):
-        calls[solve](SolverConfig(max_iters=10**15), subset)
+        calls[route](SolverConfig(max_iters=10**15), subset)
     with pytest.raises(DimensionMismatchError, match="subset dimension"):
-        calls[solve](SolverConfig(max_iters=3), other)
+        calls[route](SolverConfig(max_iters=3), other)
+
+
+def test_the_size_rule_takes_the_solves_own_arguments():
+    # one signature: names, defaults and kinds
+    import inspect
+
+    assert (inspect.signature(solver.check_solve).parameters
+            == inspect.signature(solve).parameters)
+
+
+@pytest.mark.parametrize("route", ["check_solve", "solve"])
+def test_a_solve_with_no_chain_is_refused_first(monkeypatch, route):
+    # no subset and no plain row: check_solve counted (0, 0, 0, 1, 6) and
+    # the solve failed in numpy's reshape.  It is refused before the size
+    # rule, the spectrum or the window table is read
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the no-chain solve was refused")
+
+    for name in ("_check_size", "spectral_norm", "window_table", "replicate_rngs"):
+        monkeypatch.setattr(solver, name, refuse)
+    prob = small_problem()
+    call = getattr(solver, route)
+    for config in (SolverConfig(max_iters=5), SolverConfig(max_iters=10**15)):
+        with pytest.raises(ValueError, match="steps no chain"):
+            call(prob, config, None, 3, plain=False)
 
 
 @pytest.mark.parametrize("stride", [1, 3, 10**20])
@@ -970,7 +995,7 @@ def test_the_size_rules_counts_are_the_solves_layout(stride):
         assert gathered == rows + n_group * objective
         assert (clamped, records) == (min(stride, max(budget, 1)), len(expected))
         mapped.clear()
-        traces = solver._drive(prob, config, sub, plain, replicates, objective)
+        traces = solve(prob, config, sub, replicates, objective, plain=plain)
         assert len(traces) == rows
         assert all(trace.iterations.tolist() == expected for trace in traces)
         starts = set(expected[:-1]) if objective else set()
@@ -1036,20 +1061,19 @@ def test_a_split_solve_has_the_in_process_bits(forks, monkeypatch, cores, call, 
     prob = small_problem(noise="gaussian", sigma=0.05, seed=4)
     subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
     config = SolverConfig(max_iters=40, step_size=0.05, seed=3, record_every=3)
-    solve = {
+    route = {
         "run": lambda: [run(prob, config, subset)],
         "run_plain": lambda: [run(prob, config)],
         "run_ensemble": lambda: run_ensemble(prob, config, subset, 4)[2],
         "run_ensemble_plain": lambda: run_ensemble(prob, config, None, 4)[2],
-        "run_with_plain": lambda: (lambda p, g: [p, *g])(*run_with_plain(prob, config, subset, 4)),
-        "run_with_plain_one": lambda: (lambda p, g: [p, *g])(*run_with_plain(prob, config, subset)),
-        "run_with_plain_bare": lambda: (lambda p, g: [p, *g])(
-            *run_with_plain(prob, config, subset, 4, objective=False)),
+        "run_with_plain": lambda: solve(prob, config, subset, 4),
+        "run_with_plain_one": lambda: solve(prob, config, subset),
+        "run_with_plain_bare": lambda: solve(prob, config, subset, 4, objective=False),
     }[call]
-    alone = solve()
+    alone = route()
     assert not forks
     split_on(monkeypatch, cores)
-    split = solve()
+    split = route()
     assert len(forks) == min(rows, cores) - 1
     assert len(split) == rows and trace_bytes(split) == trace_bytes(alone)
 
@@ -1058,7 +1082,7 @@ def test_a_small_solve_forks_nothing(forks):
     # below SPLIT_CELL_STEPS the stack is stepped in this process
     prob = small_problem()
     subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
-    run_with_plain(prob, SolverConfig(max_iters=40, step_size=0.05), subset, 4)
+    solve(prob, SolverConfig(max_iters=40, step_size=0.05), subset, 4)
     assert not forks
 
 
@@ -1123,7 +1147,7 @@ def test_a_failure_in_any_part_is_raised_and_leaves_no_child(forks, monkeypatch,
     split_on(monkeypatch, 2)
     start = time.perf_counter()
     with pytest.raises(raised, match=message and re.escape(message)):
-        run_with_plain(prob, SolverConfig(max_iters=40, step_size=0.05), subset, 4)
+        solve(prob, SolverConfig(max_iters=40, step_size=0.05), subset, 4)
     assert len(forks) == 1 and time.perf_counter() - start < 30
 
 
@@ -1141,11 +1165,7 @@ def test_a_part_that_cannot_be_forked_is_stepped_here(forks, monkeypatch, cores,
     subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
     config = SolverConfig(max_iters=40, step_size=0.05, seed=3, record_every=3)
 
-    def solve():
-        plain, group = run_with_plain(prob, config, subset, 4)
-        return [plain, *group]
-
-    alone = solve()
+    alone = solve(prob, config, subset, 4)
     split_on(monkeypatch, cores)
     real, calls = getattr(os, call), []
 
@@ -1157,7 +1177,7 @@ def test_a_part_that_cannot_be_forked_is_stepped_here(forks, monkeypatch, cores,
         return real(*args)
 
     monkeypatch.setattr(os, call, refuse)
-    assert trace_bytes(solve()) == trace_bytes(alone)
+    assert trace_bytes(solve(prob, config, subset, 4)) == trace_bytes(alone)
     assert len(calls) == failing and len(forks) == failing - 1
 
 
@@ -1174,11 +1194,7 @@ def test_this_process_steps_every_part_no_child_took_in_one_call(forks, monkeypa
     subset = symmetric_subset(prob.geometry.theta_shift(1), 2)
     config = SolverConfig(max_iters=40, step_size=0.05, seed=3, record_every=3)
 
-    def solve():
-        plain, group = run_with_plain(prob, config, subset, 4)
-        return [plain, *group]
-
-    alone = solve()
+    alone = solve(prob, config, subset, 4)
     split_on(monkeypatch, 3)
     parent, real_chains, real_fork, real_rngs = (os.getpid(), solver._chains, os.fork,
                                                  solver.replicate_rngs)
@@ -1202,7 +1218,7 @@ def test_this_process_steps_every_part_no_child_took_in_one_call(forks, monkeypa
     monkeypatch.setattr(solver, "_chains", chains)
     monkeypatch.setattr(solver, "replicate_rngs", rngs)
     monkeypatch.setattr(os, "fork", fork)
-    split = solve()
+    split = solve(prob, config, subset, 4)
     assert len(forks) == (2 if refused is None else refused - 1)
     assert len(calls) == 1 and calls[0] == [None, *made[0]][[0, 1, 3][len(forks)]:]
     assert trace_bytes(split) == trace_bytes(alone)
