@@ -35,7 +35,8 @@ Exit codes: 0 success, 2 config error (a malformed or impossible setting,
 noise whose draw overflows included), 3 solver divergence, 4 problem too
 large to build, certify or solve (``linop.SizeCapError``, naming what is
 too large; ``run`` and ``compare`` ask the solve's size rule before they
-certify), 5 unwritable output.
+certify), 5 unwritable output (an ``--out`` where no directory can be
+made is refused before any work).
 """
 
 from __future__ import annotations
@@ -244,29 +245,26 @@ def _build(config: ExperimentConfig):
 def _write_atomic(path: str, chunks) -> None:
     """Write the text ``chunks`` to ``path`` through a temp file and
     ``os.replace``, so a failure leaves no partial file, unless ``path``
-    already holds their UTF-8 bytes: that file is left as it is, inode and
-    mtime included, and the temp file is removed.  ``path``'s directory is
-    made first, so a command refused before it writes leaves none.
+    already holds their UTF-8 bytes: then it is left as it is, inode and
+    mtime included, and the temp file is removed (a rename over a file can
+    cost tens of milliseconds, and reruns into one ``--out`` write the same
+    bytes).  ``path``'s directory is made first, so a command refused before
+    it writes leaves none.  The temp file is written a chunk at a time, then
+    compared in 8 KB buffers once ``filecmp``'s cache, keyed on size and
+    mtime, is cleared.  A path that cannot be read is written."""
+    import filecmp
 
-    Each chunk is written to the temp file and compared with the existing
-    file's next bytes as it comes, so no more than one chunk is held.  A
-    rename over an existing file can cost tens of milliseconds (ext4 flushes
-    the new data first), and reruns into one ``--out`` write the same
-    bytes.  A path that cannot be read (missing, a directory, any
-    ``OSError``) is written."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
-    old = None
-    with contextlib.suppress(OSError):
-        old = open(path, "rb")
     try:
-        same = old is not None
         with open(tmp, "wb") as fh:
             for chunk in chunks:
-                data = chunk.encode("utf-8")
-                fh.write(data)
-                same = same and _reads(old, data, len(data))
-        if same and _reads(old, b"", 1):  # and nothing follows
+                fh.write(chunk.encode("utf-8"))
+        filecmp.clear_cache()
+        same = False
+        with contextlib.suppress(OSError):
+            same = filecmp.cmp(tmp, path, shallow=False)
+        if same:
             os.remove(tmp)
         else:
             os.replace(tmp, path)
@@ -274,20 +272,19 @@ def _write_atomic(path: str, chunks) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
-    finally:
-        if old is not None:
-            old.close()
 
 
-def _reads(fh, data: bytes, size: int) -> bool:
-    """Whether the next ``size`` bytes ``fh`` reads are ``data``; False when it cannot be read."""
-    try:
-        return fh.read(size) == data
-    except OSError:
-        return False
+def _refuse_unusable(outdir: str) -> None:
+    """Raise the first write's ``OSError`` when ``outdir`` is empty or the nearest
+    existing path at or above it is not a directory; ``os.makedirs`` then makes nothing."""
+    made = path = os.path.dirname(os.path.join(outdir, "_"))  # what _write_atomic makes
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not made or not os.path.isdir(path or "."):
+        os.makedirs(made, exist_ok=True)
 
 
-_CHUNK_ROWS = 1024  # rows formatted, compared and written at a time
+_CHUNK_ROWS = 1024  # rows formatted and written at a time
 
 
 def _csv(head: list[str], template: str, columns):
@@ -434,6 +431,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         outdir = args.out if args.out is not None else config.output_dir
+        _refuse_unusable(outdir)
         return _COMMANDS[args.command](config, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -386,7 +386,7 @@ def test_a_rerun_into_the_same_directory_leaves_its_unchanged_outputs(tmp_path, 
 def test_a_rerun_over_files_that_differ_writes_what_a_fresh_directory_gets(tmp_path):
     # 3,000 steps: each trace is three chunks of rows.  A file whose bytes
     # match up to its last chunk, one with more bytes after the outputs' and
-    # one that stops short are each compared chunk by chunk and replaced
+    # one that stops short are each compared with the written file and replaced
     from grouppgd import cli
 
     cfg = write_config(tmp_path, config_text(tmp_path / "out", solver_iters=3000))
@@ -421,6 +421,23 @@ def test_write_atomic_leaves_a_file_that_holds_its_chunks(tmp_path):
     assert os.stat(path).st_ino == first.st_ino
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "".join(chunks)
+
+
+def test_the_writer_compares_past_filecmps_cache(tmp_path, monkeypatch):
+    # filecmp caches an outcome by file type, size and mtime: with every file
+    # at one mtime, a same-size rewrite after an equal one would be read as
+    # equal from the cache, and the file would keep its old bytes
+    from grouppgd.cli import _write_atomic
+
+    stat = os.stat
+    monkeypatch.setattr(os, "stat", lambda *args, **kwargs: os.stat_result(
+        tuple(stat(*args, **kwargs)), {"st_mtime": 1.0}))
+    path = str(tmp_path / "out.csv")
+    for text in ("a,1\n", "a,1\n", "b,2\n"):
+        _write_atomic(path, iter([text]))
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "b,2\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 def test_an_error_while_writing_leaves_no_temp_file_and_exits_5(tmp_path, capsys, monkeypatch):
@@ -604,6 +621,27 @@ def test_a_refused_command_leaves_no_output_directory(tmp_path, capsys):
     assert main(["certify", "--config", cfg]) == 4
     assert "problem too large: the signal of" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_unusable_out_exits_5_before_the_build(tmp_path, capsys, monkeypatch):
+    # an --out under a regular file or a device, or an empty one, can hold
+    # no directory: it gets the first write's error before the build, so a
+    # signal of 6 x 10**12 cells exits 5, not 4, and nothing is made
+    from grouppgd import cli
+
+    built = []
+    build = cli._build
+    monkeypatch.setattr(cli, "_build", lambda config: built.append(config) or build(config))
+    (tmp_path / "afile").write_bytes(b"")
+    cfg = write_config(tmp_path, config_text(tmp_path / "out", problem_n_theta=10**12))
+    under_file = str(tmp_path / "afile" / "out")
+    for out, error in ((under_file, f"[Errno 20] Not a directory: '{under_file}'"),
+                       ("/dev/null/nodir", "[Errno 20] Not a directory: '/dev/null/nodir'"),
+                       ("", "[Errno 2] No such file or directory: ''")):
+        assert main(["compare", "--config", cfg, "--out", out]) == 5
+        assert capsys.readouterr().err == f"cannot write outputs: {error}\n"
+    assert built == []
+    assert sorted(os.listdir(tmp_path)) == ["afile", "config.txt"]
 
 
 @pytest.mark.parametrize("command", ["certify", "run", "compare"])
