@@ -56,7 +56,8 @@ box cone that is a lower bound, flagged ``relaxed``.  The bound rises as
 :meth:`CertificateReport.why_no_bound` is the one rule of the certified
 regime, the step ``1/L`` included when it is given a step.  The band, the
 subspace probes and the ``eps_*`` terms read the operator through its
-window maps and the subset through window-table rows.  A map rebuilt from
+window maps and the subset through window-table rows: both terms, measured
+in one pass, and the subspace probes read one table.  A map rebuilt from
 ``forward`` and ``adjoint`` alone reads every cell, so its table rows are
 the permutations themselves and every caller of ``certify`` gets the same
 bits.  No ``cols x cols`` array is built on any cone; one size rule refuses
@@ -83,8 +84,6 @@ __all__ = [
     "CertificateReport",
     "DominationReport",
     "BoundVacuousError",
-    "compute_eps_gstar",
-    "compute_eps_w",
     "certify",
     "bound_curve",
     "bound_at",
@@ -168,31 +167,26 @@ class CertificateReport:
         return "\n".join(lines) + "\n"
 
 
-def compute_eps_gstar(A: LinearMap, subset: SymmetricSubset,
-                      x_dagger: np.ndarray, C: DescentCone) -> float:
-    """Symmetry-mismatch term of the bound.
+def _eps_terms(A: LinearMap, table: np.ndarray, x_dagger: np.ndarray, w: np.ndarray,
+               C: DescentCone) -> tuple[float, float]:
+    """The bound's two mismatch terms ``(eps_Gstar, eps_w)``, read through
+    the subset's window ``table``.
 
-    For each subset action the ground truth is rotated, re-measured, and the
-    discrepancy pulled back through the rotated adjoint; the result is the
-    largest cone-projected norm over the subset.  Zero whenever every action
-    fixes the ground truth.  ``(x - T_s x)[c] = x[c] - x[perm_s[c]]``, so
-    action ``s``'s residual is the window forward of ``x[window] - x[table[s]]``.
+    ``eps_Gstar``: each subset action's rotated ground truth is re-measured
+    and the discrepancy pulled back through the rotated adjoint; the result
+    is the largest cone-projected norm over the subset, zero whenever every
+    action fixes the ground truth.  ``(x - T_s x)[c] = x[c] - x[perm_s[c]]``,
+    so action ``s``'s residual is the window forward of ``x[window] -
+    x[table[s]]``.  ``eps_w``: the noise pulled back the same way, normalized
+    by the noise norm (0 for ``w = 0``).
     """
-    _check_dimensions(A, subset, C, x_dagger=x_dagger)
-    table = window_table(A, subset)
     x = np.asarray(x_dagger, dtype=float)
     mismatches = A.window_forward(x.take(A.window) - x.take(table))
-    return _worst_pullback(A, table, A.window_adjoint(mismatches), C)
-
-
-def compute_eps_w(A: LinearMap, subset: SymmetricSubset, w: np.ndarray,
-                  C: DescentCone) -> float:
-    """Noise amplification term, normalized by the noise norm (0 for w = 0)."""
-    _check_dimensions(A, subset, C, w=w)
+    eps_Gstar = _worst_pullback(A, table, A.window_adjoint(mismatches), C)
     w_norm = float(np.linalg.norm(w))
     if w_norm == 0.0:
-        return 0.0
-    return _worst_pullback(A, window_table(A, subset), A.window_adjoint(w), C) / w_norm
+        return eps_Gstar, 0.0
+    return eps_Gstar, _worst_pullback(A, table, A.window_adjoint(w), C) / w_norm
 
 
 def _worst_pullback(A: LinearMap, table: np.ndarray, pulled: np.ndarray,
@@ -205,11 +199,12 @@ def _worst_pullback(A: LinearMap, table: np.ndarray, pulled: np.ndarray,
 
 
 def _check_dimensions(A: LinearMap, subset: SymmetricSubset, cone: DescentCone,
-                      **vectors: np.ndarray) -> None:
-    """Refuse, before any work, a length that does not line up with ``A``:
-    ``w``'s with its rows, the subset's, the cone's and any other's with its columns."""
-    named = [("subset", (subset.dimension,)), ("cone", (cone.dimension,))]
-    for name, shape in named + [(name, np.shape(v)) for name, v in vectors.items()]:
+                      x_dagger: np.ndarray, w: np.ndarray) -> None:
+    """Refuse a length that does not line up with ``A``: ``w``'s with its
+    rows, the subset's, the cone's and ``x_dagger``'s with its columns."""
+    shapes = [("subset", (subset.dimension,)), ("cone", (cone.dimension,)),
+              ("x_dagger", np.shape(x_dagger)), ("w", np.shape(w))]
+    for name, shape in shapes:
         side, length = ("rows", A.rows) if name == "w" else ("columns", A.cols)
         if shape != (length,):
             got = shape[0] if len(shape) == 1 else shape
@@ -300,23 +295,26 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
     a block (:func:`~grouppgd.linop.band_probe`); its whole-space
     ``mu_Gstar`` comes from one Lanczos run and one inertia check on two
     fills (:func:`_stack_min_eig`), flagged ``estimate`` when not certified.
-    :class:`~grouppgd.linop.DimensionMismatchError` is raised for a subset
-    or cone of another length than ``A.cols``, ``ValueError`` for ``L = 0``,
-    and :class:`~grouppgd.linop.SizeCapError` when the probed side's Gram,
-    or for such a cone the band, would hold more than ``linop.DENSE_CAP**2``
-    entries.
+    Both ``eps_*`` terms read the subset's one window table, made once
+    ``L`` is read.  :class:`~grouppgd.linop.DimensionMismatchError` is
+    raised before any probe for a subset, cone or ``x_dagger`` whose length
+    is not ``A.cols`` and a ``w`` whose length is not ``A.rows``,
+    ``ValueError`` for ``L = 0``, and :class:`~grouppgd.linop.SizeCapError`
+    when the probed side's Gram, or for such a cone the band, would hold
+    more than ``linop.DENSE_CAP**2`` entries.
     """
     if cone is None:
         cone = descent_cone_of(problem.K, problem.x_dagger)
     A = problem.A
-    _check_dimensions(A, subset, cone)
+    _check_dimensions(A, subset, cone, problem.x_dagger, problem.w)
     eigvals = gram_eigvals(A)
     L = float(eigvals[-1])
     if not L > 0:
         raise ValueError(f"L must be positive, got L={L}")
+    table = window_table(A, subset)
     if cone.kind == "subspace":
         mu_C = subspace_min_eig(A, cone, A.window[None])
-        mu_Gstar, certified = subspace_min_eig(A, cone, window_table(A, subset)), True
+        mu_Gstar, certified = subspace_min_eig(A, cone, table), True
     else:
         mu_C = max(float(eigvals[0]), 0.0)
         probe = band_probe(A, subset, problem.geometry.folded_order, problem.geometry.n_r)
@@ -327,10 +325,9 @@ def certify(problem: ProblemInstance, subset: SymmetricSubset,
             f"restricted stack eigenvalue {mu_Gstar} exceeds L={L}; "
             "operator construction is inconsistent"
         )
+    eps_Gstar, eps_w = _eps_terms(A, table, problem.x_dagger, problem.w, cone)
     return CertificateReport(
-        L=L, mu_C=mu_C, mu_Gstar=mu_Gstar,
-        eps_Gstar=compute_eps_gstar(A, subset, problem.x_dagger, cone),
-        eps_w=compute_eps_w(A, subset, problem.w, cone),
+        L=L, mu_C=mu_C, mu_Gstar=mu_Gstar, eps_Gstar=eps_Gstar, eps_w=eps_w,
         certified=certified, subset_size=len(subset), cone_kind=cone.kind,
     )
 

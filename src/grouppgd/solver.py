@@ -62,7 +62,7 @@ A large solve steps its stack on every core the process may use.  After
 the layout above, the rows are cut into one contiguous part per usable core
 (``os.sched_getaffinity``), the plain row and the first group streams
 first.  Each part but the last is stepped by the same loop in a forked
-child, which sends its rows' traces back through a pipe, and this process
+child, which sends its rows' records back through a pipe, and this process
 steps the rest as one block: the last part, or every part from the first
 one it could not fork.  Every row is its own chain (by the stack contract,
 with its own stream, and recorded and checked for divergence row by row),
@@ -82,7 +82,7 @@ from __future__ import annotations
 import numbers
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -335,9 +335,10 @@ def solve(problem: ProblemInstance, config: SolverConfig,
     streams (``None`` for the plain row), cut into contiguous slices (see
     the module's docstring).  :func:`_split` steps each by :func:`_chains`,
     each slice but the last in a forked child and the rest here in one
-    block, and returns the traces of every row in order: the in-process
-    solve's traces and divergence.  Every trace holds the one array of
-    recorded iterations made here, a forked part's traces too.
+    block, and returns the records of every row in order: the in-process
+    solve's records and divergence.  Each row's trace is made once, here,
+    and holds the one array of recorded iterations made here, a forked
+    row's too.
     """
     A, b, K = problem.A, problem.b, problem.K
     d, budget = problem.dimension, config.max_iters
@@ -366,18 +367,17 @@ def solve(problem: ProblemInstance, config: SolverConfig,
     n_parts = (min(R, len(os.sched_getaffinity(0)))
                if forks and budget * gathered * table.shape[1] >= SPLIT_CELL_STEPS else 1)
     cuts = [R * i // n_parts for i in range(n_parts + 1)]
-    traces = _split(lambda rows: _chains(problem, eta, table, rows, iterations, objective),
-                    [streams[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
-    # a forked part's traces arrive with their own copy of the iterations
-    return [t if t.iterations is iterations else replace(t, iterations=iterations)
-            for t in traces]
+    rows = _split(lambda part: _chains(problem, eta, table, part, iterations, objective),
+                  [streams[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
+    return [IterateTrace(iterations, *row) for row in rows]
 
 
 def _chains(problem, eta, table, streams, iterations, objective):
     """Step one row per entry of ``streams`` from zeros, as :func:`solve`
     lays them out (``None`` is the plain row, which draws nothing); returns
-    one :class:`IterateTrace` per row, at the recorded ``iterations``, which
-    end at the budget.
+    one ``(rmsd, objective, action_indices, final_x)`` per row, the fields
+    of its :class:`IterateTrace` at the recorded ``iterations``, which end
+    at the budget.
 
     ``table`` is the window table, one row per action.  Raises
     :class:`DivergenceError` at the first iteration at which any row leaves
@@ -445,15 +445,13 @@ def _chains(problem, eta, table, streams, iterations, objective):
         # every index is in range: "clip" writes out directly, "raise" copies it
         steps.reshape(-1)[r:].take(at, out=actions[r, 1:], mode="clip")
         actions[r, 1:] -= n * r
-    del steps, at  # so the traces' checks add to the records alone
-    return [IterateTrace(iterations=iterations, rmsd=rmsd[r], objective=objectives[r],
-                         action_indices=actions[r], final_x=X[r]) for r in rows]
+    return [(rmsd[r], objectives[r], actions[r], X[r]) for r in rows]
 
 
 def _split(chains, parts):
-    """The traces ``chains`` returns for every part's rows, as one list in
-    row order.  Each part but the last is stepped in a child forked for it,
-    which sends its traces, or what ``chains`` raises, back through a pipe
+    """The rows ``chains`` returns for every part, as one list in row
+    order.  Each part but the last is stepped in a child forked for it,
+    which sends its rows, or what ``chains`` raises, back through a pipe
     and exits; they are loaded as they are read, so their pickled bytes are
     never held whole.  This process then steps every part no child took in
     one ``chains`` call over their rows: the last part, or, when
@@ -524,7 +522,7 @@ def _split(chains, parts):
     others = [f for f in failures if not isinstance(f, DivergenceError)]
     if failures:
         raise others[0] if others else min(failures, key=lambda f: f.iteration)
-    return [trace for traces in results for trace in traces]
+    return [row for rows in results for row in rows]
 
 
 def run(problem: ProblemInstance, config: SolverConfig,

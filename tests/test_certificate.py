@@ -18,8 +18,6 @@ from grouppgd.certificate import (
     bound_curve,
     bound_limit,
     certify,
-    compute_eps_gstar,
-    compute_eps_w,
     verify_bound,
 )
 from grouppgd.constraint import DescentCone, descent_cone_of
@@ -31,6 +29,7 @@ from grouppgd.linop import (
     from_window,
     gram_dense,
     spectral_norm,
+    window_table,
 )
 from grouppgd.solver import SolverConfig, run, run_ensemble
 from grouppgd.symmetry import GroupAction, polar_theta_shift, symmetric_subset
@@ -148,14 +147,18 @@ def test_eps_gstar_zero_for_ring():
     prob = ring_instance()
     subset = covering_subset(prob)
     cone = whole_space_cone(prob.x_dagger)
-    assert compute_eps_gstar(prob.A, subset, prob.x_dagger, cone) <= 1e-10
+    eps_Gstar, _ = certificate._eps_terms(prob.A, window_table(prob.A, subset), prob.x_dagger,
+                                          np.zeros(prob.A.rows), cone)
+    assert eps_Gstar <= 1e-10
 
 
 def test_eps_gstar_zero_for_identity_only_subset():
     prob = ring_instance(phantom="textured", smoothness=5)
     subset = symmetric_subset(prob.geometry.theta_shift(1), 0)
     cone = whole_space_cone(prob.x_dagger)
-    assert compute_eps_gstar(prob.A, subset, prob.x_dagger, cone) == 0.0
+    eps_Gstar, _ = certificate._eps_terms(prob.A, window_table(prob.A, subset), prob.x_dagger,
+                                          np.zeros(prob.A.rows), cone)
+    assert eps_Gstar == 0.0
 
 
 def folded_polar_map(seed):
@@ -186,7 +189,8 @@ def test_eps_gstar_matches_dense_arithmetic():
             A_g = M @ P
             oracle = max(oracle,
                          np.linalg.norm(A_g.T @ M @ (x_dagger - P @ x_dagger)))
-        got = compute_eps_gstar(A, subset, x_dagger, cone)
+        got, _ = certificate._eps_terms(A, window_table(A, subset), x_dagger,
+                                        np.zeros(A.rows), cone)
         assert oracle > 0
         assert_allclose(got, oracle, rtol=1e-12)
 
@@ -195,10 +199,9 @@ def test_eps_gstar_monotone_in_subset_radius():
     prob = ring_instance(phantom="textured", smoothness=4, seed=3)
     cone = whole_space_cone(prob.x_dagger)
     gen = prob.geometry.theta_shift(1)
-    small = compute_eps_gstar(prob.A, symmetric_subset(gen, 1),
-                              prob.x_dagger, cone)
-    large = compute_eps_gstar(prob.A, symmetric_subset(gen, 4),
-                              prob.x_dagger, cone)
+    small, large = (certificate._eps_terms(prob.A, window_table(prob.A, symmetric_subset(gen, r)),
+                                           prob.x_dagger, np.zeros(prob.A.rows), cone)[0]
+                    for r in (1, 4))
     assert small <= large + 1e-15
 
 
@@ -212,9 +215,10 @@ def test_eps_w_conventions_and_oracle():
         rows, d = M.shape
         subset = symmetric_subset(generator, 0)
         cone = whole_space_cone(np.zeros(d))
-        assert compute_eps_w(A, subset, np.zeros(rows), cone) == 0.0
+        table, zero = window_table(A, subset), np.zeros(d)
+        assert certificate._eps_terms(A, table, zero, np.zeros(rows), cone)[1] == 0.0
         w = rng.standard_normal(rows)
-        got = compute_eps_w(A, subset, w, cone)
+        _, got = certificate._eps_terms(A, table, zero, w, cone)
         assert_allclose(got, np.linalg.norm(M.T @ w) / np.linalg.norm(w),
                         rtol=1e-12)
         wide = symmetric_subset(generator, 3)
@@ -222,22 +226,24 @@ def test_eps_w_conventions_and_oracle():
             np.linalg.norm((M @ np.eye(d)[a.permutation]).T @ w)
             for a in wide
         ) / np.linalg.norm(w)
-        assert_allclose(compute_eps_w(A, wide, w, cone), oracle, rtol=1e-12)
+        _, got = certificate._eps_terms(A, window_table(A, wide), zero, w, cone)
+        assert_allclose(got, oracle, rtol=1e-12)
 
 
 @pytest.mark.parametrize("term", ["eps_gstar", "eps_w"])
 def test_eps_terms_refuse_lengths_that_do_not_line_up(monkeypatch, term):
     # a short x_dagger used to raise a bare IndexError, a short or long w
     # numpy's reshape error, and a zero w of any length gave 0; neither term
-    # checked the subset or the cone
+    # checked the subset or the cone.  certify checks every length once,
+    # before it probes a Gram or builds a window table
     prob = ring_instance()
     A, x = prob.A, prob.x_dagger
     subset, cone = covering_subset(prob), whole_space_cone(x)
     other = symmetric_subset(polar_theta_shift(4, 16, 1), 1)
     if term == "eps_gstar":
-        call, name, side, good = compute_eps_gstar, "x_dagger", "columns", x
+        name, side, good = "x_dagger", "columns", x
     else:
-        call, name, side, good = compute_eps_w, "w", "rows", np.ones(A.rows)
+        name, side, good = "w", "rows", np.ones(A.rows)
     length = len(good)
     cases = [(subset, good[:-1], cone,
               f"{name} dimension {length - 1} does not match operator {side} {length}"),
@@ -248,12 +254,54 @@ def test_eps_terms_refuse_lengths_that_do_not_line_up(monkeypatch, term):
              (subset, good, whole_space_cone(x[:-1]), "cone dimension 95")]
 
     def refuse(*args):
-        raise AssertionError("a window table was built")
+        raise AssertionError("a window table was built or a Gram probed")
 
     monkeypatch.setattr(certificate, "window_table", refuse)
+    monkeypatch.setattr(certificate, "gram_eigvals", refuse)
     for sub, vector, C, message in cases:
         with pytest.raises(linop.DimensionMismatchError, match=message):
-            call(A, sub, vector, C)
+            certify(replace(prob, **{name: vector}), sub, cone=C)
+
+
+def test_certify_refuses_a_w_of_another_length_before_probing(monkeypatch):
+    # w was checked only by its eps term, after L, the band probe, both
+    # factorizations and the Lanczos run
+    prob = ring_instance(noise="gaussian", sigma=0.05)
+    probed = []
+
+    def spy(A):
+        probed.append(A)
+        return linop.gram_eigvals(A)
+
+    monkeypatch.setattr(certificate, "gram_eigvals", spy)
+    rows = prob.A.rows
+    with pytest.raises(linop.DimensionMismatchError,
+                       match=f"w dimension {rows - 1} does not match operator rows {rows}"):
+        certify(replace(prob, w=prob.w[:-1]), covering_subset(prob))
+    assert probed == []
+
+
+def test_certify_builds_one_window_table_for_both_eps_terms(monkeypatch):
+    # the band probe tabulates the subset for its own blocks; certify's one
+    # table serves a subspace cone's probes and both eps terms.  Each term
+    # used to build its own: 3 tables on either route
+    prob = ring_instance(phantom="textured", noise="gaussian", sigma=0.05, seed=4)
+    subset = covering_subset(prob)
+    basis = np.linalg.qr(np.random.default_rng(5).standard_normal((prob.dimension, 6)))[0]
+    subspace = DescentCone(anchor=prob.x_dagger, kind="subspace", basis=basis)
+    calls = []
+
+    def counted(A, actions):
+        calls.append(len(actions))
+        return window_table(A, actions)
+
+    monkeypatch.setattr(certificate, "window_table", counted)
+    monkeypatch.setattr(linop, "window_table", counted)
+    for cone, tables in ((None, 2), (subspace, 1)):
+        calls.clear()
+        report = certify(prob, subset, cone=cone)
+        assert report.eps_Gstar > 0 and report.eps_w > 0
+        assert calls == [len(subset)] * tables, report.cone_kind
 
 
 def test_eps_w_of_non_finite_noise_is_nan_not_zero():
@@ -266,7 +314,8 @@ def test_eps_w_of_non_finite_noise_is_nan_not_zero():
     for radius in (0, 3):
         subset = symmetric_subset(polar_theta_shift(1, d, 1), radius)
         with np.errstate(invalid="ignore"):
-            assert np.isnan(compute_eps_w(A, subset, w, cone))
+            _, eps_w = certificate._eps_terms(A, window_table(A, subset), np.zeros(d), w, cone)
+            assert np.isnan(eps_w)
 
 
 def test_non_finite_constant_certifies_no_bound(monkeypatch):

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from grouppgd import kernels, linop, solver
 from grouppgd.bench import Geometry, ProblemInstance, angle_subsampled_operator, build_problem
-from grouppgd.certificate import certify, compute_eps_gstar, compute_eps_w
+from grouppgd.certificate import _eps_terms, certify
 from grouppgd.constraint import Box, DescentCone, Subspace
 from grouppgd.linop import (DimensionMismatchError, LinearMap, SizeCapError, spectral_norm,
                             window_table)
@@ -566,9 +566,9 @@ def test_operator_without_window_gives_the_same_traces():
     cone = DescentCone(anchor=prob.x_dagger, kind="subspace", basis=basis)
     report = certify(prob, subset, cone)
     assert report == certify(bare, subset, cone) and report.mu_Gstar > report.mu_C > 0
-    for term, v in ((compute_eps_gstar, x), (compute_eps_w, prob.w)):
-        got = [np.float64(term(op, subset, v, cone)).tobytes() for op in (A, bare.A)]
-        assert got[0] == got[1] and term(A, subset, v, cone) > 0
+    terms = [_eps_terms(op, window_table(op, subset), x, prob.w, cone) for op in (A, bare.A)]
+    assert np.array(terms[0]).tobytes() == np.array(terms[1]).tobytes()
+    assert min(terms[0]) > 0
 
 
 def trace_of(iterations, n_rmsd):
@@ -880,11 +880,13 @@ def test_a_solve_recorded_at_every_step_holds_its_records_once(objective, counte
 @pytest.mark.parametrize("objective", [True, False])
 def test_a_split_solve_holds_its_records_once(forks, monkeypatch, objective):
     # the solve above in two parts: the child steps the plain row, and this
-    # process holds its own row's trace and the child's as loaded (24 B and
-    # the recorded iterations each: 64 B a step), beside at most one pickle
-    # frame (64 KB) being read, which at these budgets adds 10.6 B a step;
-    # measured 74.6.  Before, the child's pickled bytes were read whole and
-    # the parts' records were concatenated beside them: 128 B a step
+    # process holds its own row's records and the child's as loaded (24 B a
+    # step each) and the one array of recorded iterations (8 B): 56 B a
+    # step, beside at most one pickle frame (64 KB) being read; measured
+    # 59.0.  While the child sent whole traces, each carried its own copy
+    # of the recorded iterations: 74.6.  Before that, the child's pickled
+    # bytes were read whole and the parts' records were concatenated beside
+    # them: 128 B a step
     split_on(monkeypatch, 2)
     assert growth_per_step(objective, 1) <= 80
     assert len(forks) == 3
@@ -893,8 +895,8 @@ def test_a_split_solve_holds_its_records_once(forks, monkeypatch, objective):
 @needs_fork
 def test_every_trace_of_a_split_solve_holds_one_iterations_array(forks, monkeypatch):
     # the child steps the plain row and the first group row, whose traces
-    # arrived with their own copy of the recorded iterations: 2 arrays
-    # across the 5 traces
+    # used to arrive with their own copy of the recorded iterations: 2
+    # arrays across the 5 traces.  Every trace is now made in this process
     prob, subset = four_cells()
     split_on(monkeypatch, 2)
     traces = solve(prob, SolverConfig(max_iters=40, step_size=0.5), subset, 4)
