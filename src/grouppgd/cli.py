@@ -37,6 +37,14 @@ large to build, certify or solve (``linop.SizeCapError``, naming what is
 too large; ``run`` and ``compare`` ask the solve's size rule before they
 certify), 5 unwritable output (an ``--out`` where no directory can be
 made is refused before any work).
+
+``python -m grouppgd.cli`` and the ``grouppgd`` console script leave
+through one exit, ``_run``: it flushes stdout, then stderr, and ends the
+process with ``os._exit`` and ``main``'s code, past the interpreter's
+teardown.  A stdout that cannot take the text exits 5, whether the failure
+comes at a write or at that flush; a closed stdout drops the text, a closed
+or dead stderr drops the error message, and neither changes the exit code.
+``main`` itself returns its code and never exits.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -358,7 +367,7 @@ def cmd_certify(config: ExperimentConfig, outdir: str) -> int:
     report = certify(problem, subset)
     text = report.to_text()
     _write_atomic(os.path.join(outdir, "certificate.txt"), [text])
-    sys.stdout.write(text)
+    print(text, end="")
     why = report.why_no_bound()
     if why is not None:
         print(f"{why}: constants reported, no rate guarantee")
@@ -390,7 +399,7 @@ def cmd_compare(config: ExperimentConfig, outdir: str) -> int:
         )
     summary = "\n".join(summary_lines) + "\n"
     _write_atomic(os.path.join(outdir, "summary.txt"), [summary])
-    sys.stdout.write(summary)
+    print(summary, end="")
     if why is not None:
         print(f"{why}; compare.csv bound is nan")
     return EXIT_OK
@@ -407,6 +416,14 @@ def cmd_phantom(config: ExperimentConfig, outdir: str) -> int:
                   _csv([], " ".join(["%.17g"] * n_theta), image.T))
     print(f"wrote phantom.pgm, phantom.csv to {outdir}")
     return EXIT_OK
+
+
+def _complain(message: str) -> None:
+    """Print ``message`` to stderr, best effort: a closed or dead stderr drops
+    it, so the exit code that follows stands."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(message, file=sys.stderr)
 
 
 _COMMANDS = {
@@ -434,18 +451,42 @@ def main(argv=None) -> int:
         _refuse_unusable(outdir)
         return _COMMANDS[args.command](config, outdir)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _complain(f"config error: {exc}")
         return EXIT_CONFIG
     except DivergenceError as exc:
-        print(f"solver diverged: {exc}", file=sys.stderr)
+        _complain(f"solver diverged: {exc}")
         return EXIT_DIVERGED
     except SizeCapError as exc:
-        print(f"problem too large: {exc}", file=sys.stderr)
+        _complain(f"problem too large: {exc}")
         return EXIT_TOO_LARGE
     except OSError as exc:
-        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        _complain(f"cannot write outputs: {exc}")
         return EXIT_UNWRITABLE
 
 
+def _run() -> NoReturn:
+    """The process's one exit: ``main``'s code (argparse's usage error and
+    ``--help`` included), once stdout and then stderr are flushed, through
+    ``os._exit``.  Every output file is closed inside ``main``, so the
+    interpreter's teardown, tens of milliseconds of collecting what numpy
+    and the package leave tracked, has nothing left to do.  A stdout that
+    cannot take what is buffered exits 5, as a failed write inside ``main``
+    does."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            _complain(f"cannot write outputs: {exc}")
+            code = EXIT_UNWRITABLE
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run()

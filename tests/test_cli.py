@@ -2,6 +2,7 @@
 
 import os
 import re
+import subprocess
 import sys
 import warnings
 
@@ -1055,3 +1056,87 @@ def test_every_shipped_solve_is_large_enough_to_split(tmp_path, monkeypatch):
                                                       replicates, objective)
             size = solver_config.max_iters * gathered * len(problem.A.window)
             assert size >= solver.SPLIT_CELL_STEPS > 96_000, (path, replicates)
+
+
+def cli_process(tmp_path, argv, redirect="", unbuffered=False, entry=("-m", "grouppgd.cli"),
+                **kwargs):
+    """``python <entry> argv`` in a fresh process, its descriptors redirected
+    by the shell text ``redirect`` (``>&-`` closes stdout), with stdout
+    buffered unless ``unbuffered``."""
+    import grouppgd
+
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(grouppgd.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh",
+                           sys.executable, *entry, *argv],
+                          cwd=tmp_path, env=env, timeout=300, **kwargs)
+
+
+def tiny_config(tmp_path):
+    return write_config(tmp_path, config_text(tmp_path / "out", problem_n_r=4, problem_n_theta=8,
+                                              subset_radius=2))
+
+
+@pytest.mark.parametrize("command, written", [("certify", ["certificate.txt"]),
+                                              ("compare", ["compare.csv", "summary.txt"])])
+def test_a_closed_stdout_writes_the_files_and_exits_0(tmp_path, command, written):
+    # with descriptor 1 closed sys.stdout is None: the text is dropped, as
+    # run's and phantom's are; a sys.stdout.write raised AttributeError (exit 1)
+    done = cli_process(tmp_path, [command, "--config", tiny_config(tmp_path)], ">&-",
+                       stderr=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    assert sorted(os.listdir(tmp_path / "out")) == written
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes stdout to /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["certify", "compare"])
+def test_a_stdout_that_cannot_be_written_exits_5(tmp_path, command, unbuffered):
+    # buffered, the text reaches the device only at the flush before the
+    # process ends; that failure exited 120 with "Exception ignored" at exit
+    done = cli_process(tmp_path, [command, "--config", tiny_config(tmp_path)], ">/dev/full",
+                       unbuffered, stderr=subprocess.PIPE)
+    assert done.returncode == 5
+    assert done.stderr == b"cannot write outputs: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("redirect, entry", [
+    # closed before the start, sys.stderr is None: a print to it wrote stdout
+    ("2>&-", ("-m", "grouppgd.cli")),
+    # closed after it, a write to sys.stderr fails with EBADF: exit 1 or 120
+    ("", ("-c", "import os, runpy; os.close(2); "
+                "runpy.run_module('grouppgd.cli', run_name='__main__', alter_sys=True)")),
+], ids=["closed_at_start", "closed_after"])
+def test_a_closed_stderr_keeps_the_config_error_exit(tmp_path, redirect, entry):
+    # the error message cannot be written, and the exit code still says why
+    done = cli_process(tmp_path, ["certify", "--config", str(tmp_path / "absent.txt")], redirect,
+                       entry=entry, stdout=subprocess.PIPE)
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, b"")
+
+
+def test_the_console_script_and_the_module_share_one_exit():
+    import ast
+
+    from grouppgd import cli
+
+    root = os.path.join(CONFIGS, "..")
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        scripts = re.findall(r'^grouppgd\s*=\s*"grouppgd\.cli:(\w+)"\s*$', fh.read(), re.M)
+    with open(os.path.join(root, "src", "grouppgd", "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    guards = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(scripts) == 1 and scripts[0] != "main" and callable(getattr(cli, scripts[0]))
+    assert len(guards) == 1
+    assert [ast.unparse(statement) for statement in guards[0].body] == [f"{scripts[0]}()"]
+
+
+def test_certify_through_a_pipe_prints_the_certificates_bytes(tmp_path):
+    # the process ends without the interpreter's teardown: every byte
+    # buffered for stdout is flushed first
+    done = cli_process(tmp_path, ["certify", "--config", os.path.join(CONFIGS, "ring.txt"),
+                                  "--out", str(tmp_path / "out")], capture_output=True)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    assert done.stdout == (tmp_path / "out" / "certificate.txt").read_bytes()
